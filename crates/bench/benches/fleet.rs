@@ -2,7 +2,7 @@
 //! clients under one process.
 //!
 //! The entry prices the whole per-client pipeline — channel-model
-//! synthesis, per-client modulation through narrow pooled calendar
+//! synthesis, per-client modulation through narrow calendar
 //! queues, the shared station/core hops, and manifest assembly — at
 //! the headline client count. The walk is shortened to 10 virtual
 //! seconds so one iteration stays around a second of wall time; the

@@ -96,8 +96,8 @@ pub struct FleetPlan {
     /// Scheduling clock for every client's modulator.
     pub clock: TickClock,
     /// Per-client modulation-wheel width (narrow by default: 64 slots
-    /// × the 10 ms tick still covers 640 ms of holds at ~1.5 KiB per
-    /// client instead of ~96 KiB; see `netsim::wheel::SLOTS`).
+    /// × the 10 ms tick still covers 640 ms of holds with 256 B of slot
+    /// heads per client instead of ~16 KiB; see `netsim::wheel::SLOTS`).
     pub wheel_slots: usize,
     /// Base-station count (clients attach round-robin).
     pub stations: u32,
@@ -425,14 +425,45 @@ fn update_wake(sim: &mut FleetSim<Ev>, cl: &mut ClientState, client: u32) {
     }
 }
 
+/// One client's share of the shard's telemetry totals (the engine-wide
+/// fields stay zero).
+fn client_reading(cl: &ClientState) -> SampleInputs {
+    let (released, abs_delay_error_ns) = cl.m.error_accum();
+    SampleInputs {
+        mod_held: cl.m.held_count() as u64,
+        probes_sent: cl.probes_sent,
+        rtts_completed: cl.completed,
+        packets_lost: cl.lost,
+        released,
+        abs_delay_error_ns,
+        degraded_clients: u64::from(cl.m.is_degraded()),
+        ..SampleInputs::default()
+    }
+}
+
+/// Swap one client's reading in the running shard totals: `old` out,
+/// `new` in. Every client field is a sum over clients, so the totals
+/// stay exactly what a scan of all clients would read.
+fn retotal(totals: &mut SampleInputs, old: &SampleInputs, new: &SampleInputs) {
+    totals.mod_held = totals.mod_held + new.mod_held - old.mod_held;
+    totals.probes_sent = totals.probes_sent + new.probes_sent - old.probes_sent;
+    totals.rtts_completed = totals.rtts_completed + new.rtts_completed - old.rtts_completed;
+    totals.packets_lost = totals.packets_lost + new.packets_lost - old.packets_lost;
+    totals.released = totals.released + new.released - old.released;
+    totals.abs_delay_error_ns =
+        totals.abs_delay_error_ns + new.abs_delay_error_ns - old.abs_delay_error_ns;
+    totals.degraded_clients = totals.degraded_clients + new.degraded_clients - old.degraded_clients;
+}
+
 /// Run one shard's clients to completion. `kill_after` aborts the run
 /// after that many dispatched events and returns `Err(virtual ns)` —
 /// the chaos probe pass.
 ///
 /// When the plan enables telemetry, the engine delivers sample
-/// boundaries on the configured virtual interval and this function
-/// reads the shard's cumulative state at each one (an O(clients) scan
-/// of cheap integer accessors — nothing on the per-event path).
+/// boundaries on the configured virtual interval. The shard keeps its
+/// client totals current around every event (two O(1) readings of the
+/// event's own client), so a boundary reads them without scanning the
+/// clients.
 /// Telemetry is skipped during chaos probe passes: their output is
 /// discarded, and samples never count against the kill budget, so the
 /// definitive rerun's bytes are unchanged.
@@ -486,6 +517,10 @@ fn run_shard(
         });
     }
 
+    // Running client totals for telemetry: fresh clients read all
+    // zeros, and every event swaps its client's reading out and back in.
+    let mut totals = SampleInputs::default();
+
     if let Some(p) = prof.as_mut() {
         p.exit("setup");
         p.enter("run");
@@ -497,24 +532,16 @@ fn run_shard(
                     let tel = telemetry
                         .as_mut()
                         .expect("samples only fire with telemetry enabled");
-                    let mut inp = SampleInputs {
-                        events: sim.events_processed(),
-                        queue_depth: sim.queue_depth() as u64,
-                        packets_live: store.live() as u64,
-                        station_frames: stations.total_frames(),
-                        ..SampleInputs::default()
-                    };
-                    for cl in clients.iter() {
-                        inp.mod_held += cl.m.held_count() as u64;
-                        inp.probes_sent += cl.probes_sent;
-                        inp.rtts_completed += cl.completed;
-                        inp.packets_lost += cl.lost;
-                        let (released, err_ns) = cl.m.error_accum();
-                        inp.released += released;
-                        inp.abs_delay_error_ns += err_ns;
-                        inp.degraded_clients += u64::from(cl.m.is_degraded());
-                    }
-                    tel.sample(t_ns, inp);
+                    tel.sample(
+                        t_ns,
+                        SampleInputs {
+                            events: sim.events_processed(),
+                            queue_depth: sim.queue_depth() as u64,
+                            packets_live: store.live() as u64,
+                            station_frames: stations.total_frames(),
+                            ..totals
+                        },
+                    );
                     return;
                 }
                 FleetStep::Event(ev) => ev,
@@ -528,6 +555,7 @@ fn run_shard(
                 p.enter(span);
             }
             let cl = &mut clients[(ev.client - lo) as usize];
+            let before = telemetry.is_some().then(|| client_reading(cl));
             let now_ns = ev.due_ns;
             let now = SimTime::from_nanos(now_ns);
             match ev.kind {
@@ -614,6 +642,9 @@ fn run_shard(
                     update_wake(sim, cl, ev.client);
                 }
             }
+            if let Some(before) = before {
+                retotal(&mut totals, &before, &client_reading(cl));
+            }
             if let Some(p) = prof.as_mut() {
                 p.exit(span);
             }
@@ -637,7 +668,7 @@ fn run_shard(
         p.enter("finalize");
     }
 
-    let manifests = clients
+    let manifests: Vec<RunManifest> = clients
         .iter()
         .zip(lo..hi)
         .map(|(cl, c)| {
@@ -673,11 +704,12 @@ fn run_shard(
         // Per-client p95 RTT is a pure function of the client's own
         // history, so the shard-local trackers merge into an exact,
         // layout-invariant fleet-wide top K (each client lives in
-        // exactly one shard).
-        for (cl, c) in clients.iter().zip(lo..hi) {
-            if cl.completed > 0 {
-                let p95_us = (cl.rtt_ms.summary().p95() * 1_000.0).round() as u64;
-                tel.note_client_p95(c, p95_us);
+        // exactly one shard). The p95 comes from the manifest's RTT
+        // snapshot, which has already sorted the samples.
+        for (man, c) in manifests.iter().zip(lo..hi) {
+            let rtt = man.metrics.hist("fleet.rtt_ms").expect("set per client");
+            if rtt.count > 0 {
+                tel.note_client_p95(c, (rtt.p95 * 1_000.0).round() as u64);
             }
         }
     }

@@ -23,7 +23,6 @@ use netsim::{SimDuration, SimRng, SimTime};
 use netstack::{Direction, LinkShim, ShimRelease, ShimVerdict};
 use obs::flight::{frame_key, FlightHandle, Stage};
 use obs::{FidelityCollector, FidelityReport};
-use std::collections::BinaryHeap;
 use tracekit::{QualityTuple, ReplayTrace};
 
 /// First backoff window after the live tuple buffer runs dry
@@ -109,26 +108,6 @@ struct HeldPkt {
     tuple: Option<u64>,
 }
 
-impl PartialEq for HeldPkt {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for HeldPkt {}
-impl PartialOrd for HeldPkt {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeldPkt {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .due
-            .cmp(&self.due)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 impl netsim::wheel::WheelItem for HeldPkt {
     fn due_ns(&self) -> u64 {
         self.due.as_nanos()
@@ -145,63 +124,6 @@ fn hold_tick_ns(clock: &TickClock) -> u64 {
     match clock.resolution.as_nanos() {
         0 => 1 << 20,
         r => r,
-    }
-}
-
-/// The modulator's delay queue. The calendar queue is the production
-/// scheduler; the binary heap it replaced is retained as the reference
-/// implementation — both pop in ascending `(due, seq)` order, and the
-/// equivalence tests in `tests/wheel_vs_heap.rs` hold them to
-/// bit-identical schedules.
-enum HoldQueue {
-    Wheel(Box<CalendarQueue<HeldPkt>>),
-    Heap(BinaryHeap<HeldPkt>),
-}
-
-impl HoldQueue {
-    fn len(&self) -> usize {
-        match self {
-            HoldQueue::Wheel(q) => q.len(),
-            HoldQueue::Heap(h) => h.len(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn push(&mut self, pkt: HeldPkt) {
-        match self {
-            HoldQueue::Wheel(q) => q.push(pkt),
-            HoldQueue::Heap(h) => h.push(pkt),
-        }
-    }
-
-    fn next_due(&self) -> Option<SimTime> {
-        match self {
-            HoldQueue::Wheel(q) => q.next_due_ns().map(SimTime::from_nanos),
-            HoldQueue::Heap(h) => h.peek().map(|p| p.due),
-        }
-    }
-
-    /// Append every packet due at or before `now` to `out`, ascending
-    /// `(due, seq)`.
-    fn drain_due_into(&mut self, now: SimTime, out: &mut Vec<HeldPkt>) {
-        match self {
-            HoldQueue::Wheel(q) => q.drain_due_into(now.as_nanos(), out),
-            HoldQueue::Heap(h) => {
-                // Pop-first rather than peek-then-pop: the not-yet-due
-                // head is pushed back, so there is no panicking unwrap
-                // on the hot path.
-                while let Some(p) = h.pop() {
-                    if p.due > now {
-                        h.push(p);
-                        break;
-                    }
-                    out.push(p);
-                }
-            }
-        }
     }
 }
 
@@ -242,7 +164,7 @@ pub struct Modulator {
     /// network, in ns/byte, subtracted from inbound `Vb`.
     compensation_vb: f64,
     bottleneck_free: SimTime,
-    held: HoldQueue,
+    held: Box<CalendarQueue<HeldPkt>>,
     /// Latest release time per direction ([out, in]): releases are kept
     /// monotone so a tuple transition to lower latency cannot reorder
     /// packets within a direction (a real serial path never would).
@@ -279,7 +201,7 @@ impl Modulator {
         let clock = TickClock::netbsd();
         Modulator {
             source,
-            held: HoldQueue::Wheel(Box::new(CalendarQueue::new(hold_tick_ns(&clock)))),
+            held: Box::new(CalendarQueue::new(hold_tick_ns(&clock))),
             clock,
             compensation_vb: 0.0,
             bottleneck_free: SimTime::ZERO,
@@ -323,13 +245,11 @@ impl Modulator {
         // Re-bucket the calendar queue to the new tick, preserving any
         // custom wheel width (construction time only: the queue is
         // still empty).
-        if let HoldQueue::Wheel(q) = &self.held {
-            if q.is_empty() {
-                self.held = HoldQueue::Wheel(Box::new(CalendarQueue::with_slots(
-                    hold_tick_ns(&self.clock),
-                    q.slot_count(),
-                )));
-            }
+        if self.held.is_empty() {
+            self.held = Box::new(CalendarQueue::with_slots(
+                hold_tick_ns(&self.clock),
+                self.held.slot_count(),
+            ));
         }
         self
     }
@@ -338,8 +258,8 @@ impl Modulator {
     /// [`netsim::wheel::SLOTS`] = 4096). Fleet runs give each of their
     /// thousands of per-client modulators a 64–256 slot wheel — the
     /// live window still covers hundreds of milliseconds at the 10 ms
-    /// tick, far past any realistic hold, while the footprint drops
-    /// from ~96 KiB to ~1.5–6 KiB per client; anything beyond the
+    /// tick, far past any realistic hold, while the slot heads shrink
+    /// from ~16 KiB to 256 B–1 KiB per client; anything beyond the
     /// horizon rides the overflow stage with identical release order.
     /// Construction-time only: panics if packets are already held.
     pub fn with_wheel_slots(mut self, slot_count: usize) -> Self {
@@ -347,23 +267,10 @@ impl Modulator {
             self.held.is_empty(),
             "resize the wheel before offering packets"
         );
-        self.held = HoldQueue::Wheel(Box::new(CalendarQueue::with_slots(
+        self.held = Box::new(CalendarQueue::with_slots(
             hold_tick_ns(&self.clock),
             slot_count,
-        )));
-        self
-    }
-
-    /// Schedule holds on the original binary heap instead of the
-    /// calendar queue. The two produce bit-identical release schedules;
-    /// the heap survives as the reference implementation the
-    /// equivalence proptests compare against.
-    pub fn with_heap_scheduler(mut self) -> Self {
-        assert!(
-            self.held.is_empty(),
-            "switch schedulers before offering packets"
-        );
-        self.held = HoldQueue::Heap(BinaryHeap::new());
+        ));
         self
     }
 
@@ -433,13 +340,9 @@ impl Modulator {
         self.fidelity.is_degraded()
     }
 
-    /// Calendar-queue usage counters (all zero under the reference heap
-    /// scheduler). Virtual-time deterministic.
+    /// Calendar-queue usage counters. Virtual-time deterministic.
     pub fn sched_stats(&self) -> WheelStats {
-        match &self.held {
-            HoldQueue::Wheel(q) => q.stats(),
-            HoldQueue::Heap(_) => WheelStats::default(),
-        }
+        self.held.stats()
     }
 
     /// Offer a batch of same-direction frames that all arrived at `now`
@@ -735,7 +638,7 @@ impl LinkShim for Modulator {
     }
 
     fn next_wakeup(&self) -> Option<SimTime> {
-        self.held.next_due()
+        self.held.next_due_ns().map(SimTime::from_nanos)
     }
 
     fn collect_due(&mut self, now: SimTime, rng: &mut SimRng) -> Vec<ShimRelease> {
@@ -745,12 +648,11 @@ impl LinkShim for Modulator {
     }
 
     fn collect_due_into(&mut self, now: SimTime, _rng: &mut SimRng, out: &mut Vec<ShimRelease>) {
-        // Drain in one batch (wholesale-sorted buckets on the wheel
-        // path), then account each release in `(due, seq)` order — the
-        // same per-packet side-effect sequence the heap path produces.
+        // Drain in one batch (wholesale-sorted buckets), then account
+        // each release in `(due, seq)` order.
         let mut due = std::mem::take(&mut self.release_scratch);
         due.clear();
-        self.held.drain_due_into(now, &mut due);
+        self.held.drain_due_into(now.as_nanos(), &mut due);
         for p in due.drain(..) {
             // Released at `now`: positive error = held past the intended
             // time (quantization or a late wakeup), deadline missed when

@@ -83,17 +83,26 @@ impl Summary {
     /// between closest ranks. `None` when empty or when samples were
     /// not retained.
     pub fn percentile(&self, p: f64) -> Option<f64> {
+        self.percentiles([p]).map(|[v]| v)
+    }
+
+    /// Several exact percentiles from one sort of the samples, each
+    /// computed exactly as [`percentile`](Summary::percentile) would.
+    /// `None` when empty or when samples were not retained.
+    pub fn percentiles<const N: usize>(&self, ps: [f64; N]) -> Option<[f64; N]> {
         let s = self.samples.as_ref()?;
         if s.is_empty() {
             return None;
         }
         let mut sorted = s.clone();
         sorted.sort_by(f64::total_cmp);
-        let rank = (p / 100.0).clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        let frac = rank - lo as f64;
-        Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
+        Some(ps.map(|p| {
+            let rank = (p / 100.0).clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+            let lo = rank.floor() as usize;
+            let hi = rank.ceil() as usize;
+            let frac = rank - lo as f64;
+            sorted[lo] + (sorted[hi] - sorted[lo]) * frac
+        }))
     }
 
     /// Median (0 when empty or samples not retained).
@@ -320,6 +329,35 @@ mod tests {
         assert!((s.stddev() - 2.138089935).abs() < 1e-6);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
+    }
+
+    #[test]
+    fn percentiles_match_single_percentile_queries_bitwise() {
+        // Reference: one sort per query, closest-rank interpolation.
+        fn reference(xs: &[f64], p: f64) -> f64 {
+            let mut sorted = xs.to_vec();
+            sorted.sort_by(f64::total_cmp);
+            let rank = (p / 100.0).clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+            let lo = rank.floor() as usize;
+            let hi = rank.ceil() as usize;
+            sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
+        }
+        const PS: [f64; 5] = [0.0, 50.0, 95.0, 99.0, 100.0];
+        assert_eq!(Summary::of(&[]).percentiles(PS), None);
+        assert_eq!(Summary::new().percentiles([50.0]), None);
+        let mut rng = crate::rng::SimRng::seed_from_u64(5);
+        let mut inputs = vec![vec![3.25]];
+        for n in [2, 7, 100, 1_001] {
+            inputs.push((0..n).map(|_| rng.range_f64(-50.0, 2_000.0)).collect());
+        }
+        for xs in &inputs {
+            let s = Summary::of(xs);
+            let got = s.percentiles(PS).expect("non-empty");
+            for (v, p) in got.into_iter().zip(PS) {
+                assert_eq!(v.to_bits(), s.percentile(p).unwrap().to_bits());
+                assert_eq!(v.to_bits(), reference(xs, p).to_bits());
+            }
+        }
     }
 
     #[test]

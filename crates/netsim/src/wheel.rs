@@ -15,8 +15,12 @@
 //! * a **wheel** of `slot_count` buckets ([`SLOTS`] by default,
 //!   configurable via [`CalendarQueue::with_slots`]) covers the next
 //!   `slot_count` ticks with O(1) insertion — a bucket is an unsorted
-//!   `Vec`, found by `tick % slot_count`, with a bitmap for fast
-//!   next-occupied scans;
+//!   singly linked list, found by `tick % slot_count`, with a bitmap for
+//!   fast next-occupied scans. Every bucket's nodes live in one item
+//!   arena per queue, and a slot is just the `u32` index of its list
+//!   head; emptied nodes go onto a free list, so a steady-state queue
+//!   allocates nothing per bucket and opening a bucket refills the front
+//!   heap's existing buffer;
 //! * an **overflow stage** absorbs far-future items beyond the wheel
 //!   horizon with an O(1) append; when the wheel needs them it sorts the
 //!   stage once and moves a whole window's worth into the slots, so each
@@ -39,9 +43,8 @@
 //! that is *entirely* due is sorted once and appended wholesale,
 //! skipping the heap entirely.
 
-use std::any::{Any, TypeId};
-use std::cell::{Cell, RefCell};
-use std::collections::{BinaryHeap, HashMap};
+use std::cell::Cell;
+use std::collections::BinaryHeap;
 
 /// Default number of wheel slots; live ticks cover
 /// `(front_tick, front_tick + slots]`.
@@ -53,12 +56,12 @@ use std::collections::{BinaryHeap, HashMap};
 /// At the default 4096 slots this is ≈4.3 s for the simulator's ~1 ms
 /// quantum (`1 << 20` ns) and ≈41 s for the 10 ms modulation tick —
 /// comfortably past any single-client schedule. Memory is what scales
-/// with slots: each slot is a `Vec` header (24 B) plus a bitmap bit, so
-/// 4096 slots cost ~96 KiB per queue before any items. A fleet of 10k
-/// per-client queues cannot afford that; fleet clients therefore
-/// construct narrow wheels (e.g. 64–256 slots via
+/// with slots: each slot is a 4 B list head plus a bitmap bit, so 4096
+/// slots cost ~16 KiB per queue before any items (queued items live in
+/// the shared arena and cost the same at any width). Fleet clients
+/// still construct narrow wheels (e.g. 64–256 slots via
 /// [`CalendarQueue::with_slots`]), trading horizon for footprint: a
-/// 10 ms tick × 64 slots still covers 640 ms, and the rare
+/// 10 ms tick × 64 slots covers 640 ms in 256 B, and the rare
 /// beyond-horizon hold simply rides the overflow stage with identical
 /// pop order.
 pub const SLOTS: usize = 4096;
@@ -66,10 +69,7 @@ pub const SLOTS: usize = 4096;
 /// Sort keys for calendar-queue items. `(due_ns, seq)` must be unique
 /// per queue (the schedulers guarantee this with a monotone sequence
 /// counter), which makes pop order total and deterministic.
-///
-/// `'static` is required so retired queue allocations can be pooled in
-/// a type-keyed thread-local free list (see [`CalendarQueue::with_slots`]).
-pub trait WheelItem: 'static {
+pub trait WheelItem {
     /// Absolute due time in nanoseconds.
     fn due_ns(&self) -> u64;
     /// Tie-break sequence number (scheduling order).
@@ -97,6 +97,16 @@ impl<T: WheelItem> Ord for Front<T> {
     }
 }
 
+/// End-of-list marker for bucket lists and the free list.
+const NIL: u32 = u32::MAX;
+
+/// One arena cell: a bucketed item (`None` while on the free list) and
+/// the index of the next node in its bucket or free list.
+struct Node<T> {
+    item: Option<T>,
+    next: u32,
+}
+
 /// Counters describing how the queue has been exercised. Tracked in
 /// virtual time only, so they are identical across reruns of the same
 /// schedule.
@@ -121,8 +131,14 @@ pub struct CalendarQueue<T: WheelItem> {
     /// All front items have `tick <= front_tick`; all bucketed items
     /// have `tick > front_tick`.
     front_tick: u64,
-    slots: Vec<Vec<T>>,
+    /// Per slot, the arena index of its bucket's first node (`NIL` when
+    /// empty). Lists are pushed at the head, so they run newest first.
+    heads: Vec<u32>,
     occupied: Vec<u64>,
+    /// Item arena backing every bucket list.
+    nodes: Vec<Node<T>>,
+    /// Head of the free-node list threaded through `nodes`.
+    free: u32,
     /// Far-future items, unsorted — O(1) push, merged into `sorted` on
     /// the next refill.
     staging: Vec<T>,
@@ -137,64 +153,7 @@ pub struct CalendarQueue<T: WheelItem> {
     /// `len > 0` means "recompute on demand". Interior-mutable so
     /// `next_due_ns(&self)` can memoize.
     min_cache: Cell<Option<(u64, u64)>>,
-    /// Recycled bucket allocations (refilled by wholesale drains).
-    spare: Vec<Vec<T>>,
     stats: WheelStats,
-}
-
-/// Retired allocations of one queue: item-free, capacity preserved.
-/// Boxed behind `dyn Any` in the thread-local pool, keyed by
-/// `(TypeId, slot count)` so a hit always hands back vectors of the
-/// right shape.
-struct PooledParts<T> {
-    slots: Vec<Vec<T>>,
-    occupied: Vec<u64>,
-    staging: Vec<T>,
-    sorted: Vec<T>,
-    spare: Vec<Vec<T>>,
-    front: BinaryHeap<Front<T>>,
-}
-
-/// Retired queues kept per key; enough to cover a handful of live
-/// queues per thread (the bench constructs two per iteration) without
-/// letting a burst of drops pin memory forever.
-const POOL_MAX_PER_KEY: usize = 8;
-
-/// Pool storage: retired queue parts boxed as `dyn Any`, keyed by
-/// `(item type, slot count)`.
-type PoolMap = HashMap<(TypeId, usize), Vec<Box<dyn Any>>>;
-
-thread_local! {
-    /// Thread-local free list of retired queue allocations. Purely an
-    /// allocator-level cache: hits and misses never touch [`WheelStats`]
-    /// or any other virtual-time-deterministic surface, because pool
-    /// state depends on wall-clock construction order across runs.
-    static WHEEL_POOL: RefCell<PoolMap> = RefCell::new(HashMap::new());
-}
-
-fn pool_acquire<T: WheelItem>(slot_count: usize) -> Option<PooledParts<T>> {
-    WHEEL_POOL.with(|p| {
-        let mut map = p.try_borrow_mut().ok()?;
-        let boxed = map.get_mut(&(TypeId::of::<T>(), slot_count))?.pop()?;
-        boxed.downcast::<PooledParts<T>>().ok().map(|b| *b)
-    })
-}
-
-fn pool_retire<T: WheelItem>(parts: PooledParts<T>) {
-    let key = (TypeId::of::<T>(), parts.slots.len());
-    let boxed: Box<dyn Any> = Box::new(parts);
-    WHEEL_POOL.with(|p| {
-        // `try_borrow_mut` keeps a re-entrant retire (a pooled box being
-        // evicted while the map is borrowed cannot happen — parts hold
-        // no items — but a hostile `T::drop` could construct queues) a
-        // silent miss instead of a panic.
-        if let Ok(mut map) = p.try_borrow_mut() {
-            let v = map.entry(key).or_default();
-            if v.len() < POOL_MAX_PER_KEY {
-                v.push(boxed);
-            }
-        }
-    });
 }
 
 impl<T: WheelItem> CalendarQueue<T> {
@@ -208,38 +167,26 @@ impl<T: WheelItem> CalendarQueue<T> {
     /// A queue with an explicit wheel width. `slot_count` trades
     /// footprint for horizon (see the [`SLOTS`] doc for the math) and
     /// must be a positive multiple of 64 (the occupancy-bitmap word
-    /// size). Reuses a retired queue's allocations from a thread-local
-    /// pool when one of the same item type and width is available, so
-    /// construct-per-run call sites stop paying the slot-vector
-    /// allocation after their first run on a thread.
+    /// size).
     pub fn with_slots(tick_ns: u64, slot_count: usize) -> Self {
         assert!(tick_ns > 0, "calendar queue tick must be positive");
         assert!(
             slot_count > 0 && slot_count.is_multiple_of(64),
             "slot count must be a positive multiple of 64"
         );
-        let parts = pool_acquire::<T>(slot_count).unwrap_or_else(|| PooledParts {
-            slots: (0..slot_count).map(|_| Vec::new()).collect(),
-            occupied: vec![0u64; slot_count / 64],
-            staging: Vec::new(),
-            sorted: Vec::new(),
-            spare: Vec::new(),
-            front: BinaryHeap::new(),
-        });
-        debug_assert!(parts.slots.iter().all(Vec::is_empty));
-        debug_assert!(parts.occupied.iter().all(|w| *w == 0));
         CalendarQueue {
             tick_ns,
-            front: parts.front,
+            front: BinaryHeap::new(),
             front_tick: 0,
-            slots: parts.slots,
-            occupied: parts.occupied,
-            staging: parts.staging,
+            heads: vec![NIL; slot_count],
+            occupied: vec![0u64; slot_count / 64],
+            nodes: Vec::new(),
+            free: NIL,
+            staging: Vec::new(),
             staging_min: None,
-            sorted: parts.sorted,
+            sorted: Vec::new(),
             len: 0,
             min_cache: Cell::new(None),
-            spare: parts.spare,
             stats: WheelStats::default(),
         }
     }
@@ -251,7 +198,7 @@ impl<T: WheelItem> CalendarQueue<T> {
 
     /// Number of wheel slots (the live-window width in ticks).
     pub fn slot_count(&self) -> usize {
-        self.slots.len()
+        self.heads.len()
     }
 
     /// Items currently queued.
@@ -286,7 +233,7 @@ impl<T: WheelItem> CalendarQueue<T> {
         let tick = key.0 / self.tick_ns;
         if tick <= self.front_tick {
             self.front.push(Front(item));
-        } else if tick - self.front_tick <= self.slots.len() as u64 {
+        } else if tick - self.front_tick <= self.heads.len() as u64 {
             self.slot_push(tick, item);
         } else {
             if self.staging_min.is_none_or(|m| key < m) {
@@ -299,16 +246,46 @@ impl<T: WheelItem> CalendarQueue<T> {
 
     // File an item under a live tick's slot.
     fn slot_push(&mut self, tick: u64, item: T) {
-        debug_assert!(tick > self.front_tick && tick - self.front_tick <= self.slots.len() as u64);
-        let slot = (tick % self.slots.len() as u64) as usize;
-        if self.slots[slot].is_empty() {
-            if let Some(mut spare) = self.spare.pop() {
-                spare.clear();
-                self.slots[slot] = spare;
-            }
-        }
-        self.slots[slot].push(item);
+        debug_assert!(tick > self.front_tick && tick - self.front_tick <= self.heads.len() as u64);
+        let slot = (tick % self.heads.len() as u64) as usize;
+        let node = Node {
+            item: Some(item),
+            next: self.heads[slot],
+        };
+        let idx = if self.free == NIL {
+            assert!(
+                self.nodes.len() < NIL as usize,
+                "calendar queue arena exceeds u32 indices"
+            );
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let idx = self.free;
+            self.free = self.nodes[idx as usize].next;
+            self.nodes[idx as usize] = node;
+            idx
+        };
+        self.heads[slot] = idx;
         self.occupied[slot / 64] |= 1u64 << (slot % 64);
+    }
+
+    /// Unlink `slot`'s whole bucket, appending its items to `out` in
+    /// push order (the list runs newest first, so the appended range is
+    /// reversed in place) and returning its nodes to the free list.
+    /// Returns the number of items moved.
+    fn take_slot_into<U>(&mut self, slot: usize, out: &mut Vec<U>, wrap: impl Fn(T) -> U) -> usize {
+        self.occupied[slot / 64] &= !(1u64 << (slot % 64));
+        let mark = out.len();
+        let mut idx = std::mem::replace(&mut self.heads[slot], NIL);
+        while idx != NIL {
+            let node = &mut self.nodes[idx as usize];
+            out.push(wrap(node.item.take().expect("bucket nodes hold items")));
+            let next = std::mem::replace(&mut node.next, self.free);
+            self.free = idx;
+            idx = next;
+        }
+        out[mark..].reverse();
+        out.len() - mark
     }
 
     /// Remove and return the earliest item by `(due, seq)`.
@@ -401,18 +378,16 @@ impl<T: WheelItem> CalendarQueue<T> {
     }
 
     /// Move every item in buckets with `tick <= full_max` into `out`,
-    /// unsorted: occupied slots in ascending-tick order (drained in
-    /// place, keeping their capacity), then any overflow items that far.
-    /// Advances the window past `full_max`.
+    /// unsorted: occupied slots in ascending-tick order (nodes back to
+    /// the free list), then any overflow items that far. Advances the
+    /// window past `full_max`.
     fn sweep_full(&mut self, full_max: u64, out: &mut Vec<T>) {
         while let Some(slot) = self.first_occupied_slot() {
-            let tick = self.slots[slot][0].due_ns() / self.tick_ns;
+            let tick = self.slot_tick(slot);
             if tick > full_max {
                 break;
             }
-            self.occupied[slot / 64] &= !(1u64 << (slot % 64));
-            self.len -= self.slots[slot].len();
-            out.append(&mut self.slots[slot]);
+            self.len -= self.take_slot_into(slot, out, |t| t);
             // Advancing per bucket keeps the next occupancy scan O(1)
             // under dense backlogs (it starts at the very next slot).
             self.front_tick = tick;
@@ -450,12 +425,18 @@ impl<T: WheelItem> CalendarQueue<T> {
         self.open_bucket_at(tick);
     }
 
-    /// Open the bucket at `tick` (from a wheel scan) into the front heap.
+    /// Open the bucket at `tick` (from a wheel scan after
+    /// [`next_bucket_tick`](Self::next_bucket_tick), so its slot holds
+    /// exactly that tick's items) into the empty front heap, reusing
+    /// the heap's buffer.
     fn open_bucket_at(&mut self, tick: u64) {
-        let items = self.take_bucket(tick);
-        debug_assert!(!items.is_empty(), "next_bucket_tick found an empty bucket");
+        let slot = (tick % self.heads.len() as u64) as usize;
+        debug_assert!(self.heads[slot] != NIL && self.slot_tick(slot) == tick);
+        let mut buf = std::mem::take(&mut self.front).into_vec();
+        debug_assert!(buf.is_empty(), "buckets open only into an empty front");
+        self.take_slot_into(slot, &mut buf, Front);
         self.front_tick = tick;
-        self.front = BinaryHeap::from(items.into_iter().map(Front).collect::<Vec<_>>());
+        self.front = BinaryHeap::from(buf);
         self.stats.buckets_opened += 1;
     }
 
@@ -474,9 +455,7 @@ impl<T: WheelItem> CalendarQueue<T> {
     /// stage first if the overflow minimum would otherwise be missed,
     /// so afterwards the wheel scan alone is authoritative.
     fn next_bucket_tick(&mut self) -> Option<u64> {
-        let wheel = self
-            .first_occupied_slot()
-            .map(|slot| self.slots[slot][0].due_ns() / self.tick_ns);
+        let wheel = self.first_occupied_slot().map(|slot| self.slot_tick(slot));
         match (wheel, self.overflow_min_tick()) {
             // `o == w` still refills: the bucket can be split between
             // its slot and the overflow stage, and both halves must be
@@ -487,8 +466,7 @@ impl<T: WheelItem> CalendarQueue<T> {
             _ => {
                 // Overflow holds (part of) the earliest pending tick.
                 self.refill_overflow();
-                self.first_occupied_slot()
-                    .map(|slot| self.slots[slot][0].due_ns() / self.tick_ns)
+                self.first_occupied_slot().map(|slot| self.slot_tick(slot))
             }
         }
     }
@@ -509,11 +487,11 @@ impl<T: WheelItem> CalendarQueue<T> {
             None => return,
         };
         if self.first_occupied_slot().is_none()
-            && min_tick > self.front_tick.saturating_add(self.slots.len() as u64)
+            && min_tick > self.front_tick.saturating_add(self.heads.len() as u64)
         {
             self.front_tick = min_tick - 1;
         }
-        let horizon = self.front_tick.saturating_add(self.slots.len() as u64);
+        let horizon = self.front_tick.saturating_add(self.heads.len() as u64);
         while let Some(it) = self.sorted.last() {
             let tick = it.due_ns() / self.tick_ns;
             if tick > horizon {
@@ -524,16 +502,22 @@ impl<T: WheelItem> CalendarQueue<T> {
         }
     }
 
-    /// Remove every item scheduled for `tick`. Precondition: `tick` came
-    /// from a wheel scan after [`next_bucket_tick`](Self::next_bucket_tick),
-    /// so its slot is occupied and holds exactly that tick's items.
-    fn take_bucket(&mut self, tick: u64) -> Vec<T> {
-        let slot = (tick % self.slots.len() as u64) as usize;
-        debug_assert!(
-            !self.slots[slot].is_empty() && self.slots[slot][0].due_ns() / self.tick_ns == tick
+    /// The tick an occupied slot holds: live ticks fill the window
+    /// `(front_tick, front_tick + slot_count]` one slot each, so the
+    /// slot's offset from the window start names its tick without
+    /// touching the bucket.
+    fn slot_tick(&self, slot: usize) -> u64 {
+        let n = self.heads.len() as u64;
+        let start = (self.front_tick + 1) % n;
+        let tick = self.front_tick + 1 + (slot as u64 + n - start) % n;
+        debug_assert_eq!(
+            self.nodes[self.heads[slot] as usize]
+                .item
+                .as_ref()
+                .map(|it| it.due_ns() / self.tick_ns),
+            Some(tick)
         );
-        self.occupied[slot / 64] &= !(1u64 << (slot % 64));
-        std::mem::replace(&mut self.slots[slot], self.spare.pop().unwrap_or_default())
+        tick
     }
 
     /// First occupied slot in circular order starting just after the
@@ -541,7 +525,7 @@ impl<T: WheelItem> CalendarQueue<T> {
     /// ticks map injectively onto slots.
     fn first_occupied_slot(&self) -> Option<usize> {
         let words = self.occupied.len();
-        let start = ((self.front_tick + 1) % self.slots.len() as u64) as usize;
+        let start = ((self.front_tick + 1) % self.heads.len() as u64) as usize;
         let w0 = start / 64;
         let b0 = start % 64;
         let head = self.occupied[w0] & (!0u64 << b0);
@@ -578,8 +562,13 @@ impl<T: WheelItem> CalendarQueue<T> {
             }
         };
         if let Some(slot) = self.first_occupied_slot() {
-            for it in &self.slots[slot] {
-                consider((it.due_ns(), it.seq()));
+            let mut idx = self.heads[slot];
+            while idx != NIL {
+                let node = &self.nodes[idx as usize];
+                if let Some(it) = &node.item {
+                    consider((it.due_ns(), it.seq()));
+                }
+                idx = node.next;
             }
         }
         if let Some(it) = self.sorted.last() {
@@ -589,30 +578,6 @@ impl<T: WheelItem> CalendarQueue<T> {
             consider(key);
         }
         best.expect("len > 0 with empty front means occupied buckets")
-    }
-}
-
-impl<T: WheelItem> Drop for CalendarQueue<T> {
-    /// Return the queue's allocations to the thread-local pool. Items
-    /// are dropped *first* — before the pool cell is borrowed — so an
-    /// item `Drop` that itself retires a queue cannot re-enter the
-    /// borrow.
-    fn drop(&mut self) {
-        self.front.clear();
-        self.staging.clear();
-        self.sorted.clear();
-        for s in &mut self.slots {
-            s.clear();
-        }
-        self.occupied.iter_mut().for_each(|w| *w = 0);
-        pool_retire(PooledParts {
-            slots: std::mem::take(&mut self.slots),
-            occupied: std::mem::take(&mut self.occupied),
-            staging: std::mem::take(&mut self.staging),
-            sorted: std::mem::take(&mut self.sorted),
-            spare: std::mem::take(&mut self.spare),
-            front: std::mem::take(&mut self.front),
-        });
     }
 }
 
@@ -855,48 +820,132 @@ mod tests {
         assert_eq!(out, sorted(items));
     }
 
-    /// A distinctive width no other test uses, so pool hits observed
-    /// here can only come from this test's own retired queues.
-    const POOLED_WIDTH: usize = 192;
-
     #[test]
-    fn retired_allocations_are_reused() {
-        let mut q = CalendarQueue::with_slots(1_000, POOLED_WIDTH);
-        for i in 0..POOLED_WIDTH as u64 {
-            q.push(Item {
-                due: 1_000 + i * 1_000, // one per slot
-                seq: i,
-            });
+    fn arena_never_outgrows_peak_len() {
+        // Long push/drain churn: freed nodes must be reused, so the arena
+        // only grows when every node is holding a bucketed item.
+        let mut rng = SimRng::seed_from_u64(37);
+        let mut q = CalendarQueue::with_slots(1_000_000, 64);
+        let mut out = Vec::new();
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        for _ in 0..20_000 {
+            for _ in 0..rng.range_u64(0, 6) {
+                q.push(Item {
+                    due: now + rng.range_u64(0, 100_000_000),
+                    seq,
+                });
+                seq += 1;
+            }
+            now += rng.range_u64(0, 3_000_000);
+            q.drain_due_into(now, &mut out);
+            assert!(q.nodes.len() <= q.stats().peak_len);
         }
-        drop(q);
-        let q2 = CalendarQueue::<Item>::with_slots(1_000, POOLED_WIDTH);
-        // Pool hit: the slot vectors keep the capacity the first queue
-        // grew, while a fresh construction would start at zero.
-        assert!(
-            q2.slots.iter().any(|s| s.capacity() > 0),
-            "expected recycled slot capacity"
-        );
-        assert!(q2.is_empty());
-        assert_eq!(q2.stats(), WheelStats::default());
-        assert!(q2.occupied.iter().all(|w| *w == 0));
+        assert!(q.stats().pushes > 10 * q.nodes.len() as u64);
     }
 
     #[test]
-    fn pool_reuse_keeps_behavior_identical() {
-        let mut rng = SimRng::seed_from_u64(31);
-        let items = random_items(&mut rng, 2_000, 500 * 1_000_000);
-        let run = |items: &[Item]| {
-            let mut q = CalendarQueue::with_slots(1_000_000, POOLED_WIDTH);
-            for it in items {
-                q.push(*it);
+    fn dropping_a_loaded_queue_drops_each_item_once() {
+        use std::rc::Rc;
+
+        struct Counted {
+            due: u64,
+            seq: u64,
+            drops: Rc<Cell<u32>>,
+        }
+        impl WheelItem for Counted {
+            fn due_ns(&self) -> u64 {
+                self.due
             }
-            let mut out = Vec::new();
-            q.drain_due_into(u64::MAX, &mut out);
-            (out, q.stats())
+            fn seq(&self) -> u64 {
+                self.seq
+            }
+        }
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.drops.set(self.drops.get() + 1);
+            }
+        }
+
+        let drops = Rc::new(Cell::new(0));
+        let mut q = CalendarQueue::with_slots(1_000, 64);
+        let mut seq = 0;
+        let mut push = |q: &mut CalendarQueue<Counted>, due| {
+            q.push(Counted {
+                due,
+                seq,
+                drops: Rc::clone(&drops),
+            });
+            seq += 1;
         };
-        let first = run(&items);
-        let second = run(&items); // second run constructs from the pool
-        assert_eq!(first, second);
-        assert_eq!(first.0, sorted(items));
+        for due in [0, 1_500, 40_000, 900_000, 2_000_000] {
+            push(&mut q, due);
+        }
+        let mut out = Vec::new();
+        q.drain_due_into(40_999, &mut out);
+        assert_eq!(out.len(), 3);
+        drop(out);
+        // Refills from the overflow stage, leaving 2 ms in `sorted`.
+        drop(q.pop_next());
+        assert_eq!(drops.get(), 4);
+        // One item each in the open bucket, a slot and the staging area.
+        for due in [900_500, 950_000, 5_000_000] {
+            push(&mut q, due);
+        }
+        assert!(!q.front.is_empty() && !q.sorted.is_empty() && !q.staging.is_empty());
+        assert!(q.nodes.iter().any(|n| n.item.is_some()));
+        assert_eq!(q.len(), 4);
+        drop(q);
+        assert_eq!(drops.get(), 8);
+    }
+
+    #[test]
+    fn fleet_shaped_schedule_keeps_its_stats() {
+        // A fleet client's hold queue: 64 slots at the 10 ms tick, a few
+        // holds per step reaching past the 640 ms horizon, drained by
+        // both pop loops and batch collects. The expected counters were
+        // taken from the per-slot `Vec` implementation this arena
+        // replaced; bucket storage must not move any of them.
+        const TICK: u64 = 10_000_000;
+        let mut rng = SimRng::seed_from_u64(41);
+        let mut q = CalendarQueue::with_slots(TICK, 64);
+        let mut all = Vec::new();
+        let mut out = Vec::new();
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        for step in 0..5_000u64 {
+            now += rng.range_u64(1_000_000, 40_000_000);
+            for _ in 0..rng.range_u64(0, 4) {
+                let hold = rng.range_u64(0, 900_000_000);
+                let due = if seq.is_multiple_of(2) {
+                    (now + hold).div_ceil(TICK) * TICK
+                } else {
+                    now + hold
+                };
+                let it = Item { due, seq };
+                q.push(it);
+                all.push(it);
+                seq += 1;
+            }
+            if step % 4 == 0 {
+                while q.next_due_ns().is_some_and(|d| d <= now) {
+                    out.push(q.pop_next().expect("due item"));
+                }
+            } else {
+                q.drain_due_into(now, &mut out);
+            }
+        }
+        q.drain_due_into(u64::MAX, &mut out);
+        assert_eq!(out, sorted(all));
+        assert_eq!(
+            q.stats(),
+            WheelStats {
+                pushes: 7551,
+                overflow_pushes: 2439,
+                buckets_opened: 2915,
+                buckets_drained_whole: 2373,
+                peak_len: 66,
+            }
+        );
     }
 }

@@ -168,15 +168,19 @@ impl FidelityCollector {
         } else {
             self.dropped as f64 / self.modulated as f64
         };
+        let [abs_p50, abs_p95, abs_p99] = self
+            .abs_error_ms
+            .percentiles([50.0, 95.0, 99.0])
+            .unwrap_or_default();
         FidelityReport {
             modulated_packets: self.modulated,
             unmodulated_packets: self.unmodulated,
             dropped_packets: self.dropped,
             released_packets: self.released,
             delay_error_ms: self.delay_error_ms.snapshot(),
-            abs_delay_error_p50_ms: self.abs_error_ms.p50(),
-            abs_delay_error_p95_ms: self.abs_error_ms.p95(),
-            abs_delay_error_p99_ms: self.abs_error_ms.p99(),
+            abs_delay_error_p50_ms: abs_p50,
+            abs_delay_error_p95_ms: abs_p95,
+            abs_delay_error_p99_ms: abs_p99,
             deadline_misses: self.deadline_misses,
             deadline_miss_rate: self.deadline_misses as f64 / released,
             drift_clamps: self.drift_clamps,

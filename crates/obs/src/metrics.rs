@@ -133,15 +133,19 @@ impl Hist {
 
     /// A serializable snapshot of the distribution.
     pub fn snapshot(&self) -> HistSnapshot {
+        let [p50, p95, p99] = self
+            .summary
+            .percentiles([50.0, 95.0, 99.0])
+            .unwrap_or_default();
         HistSnapshot {
             count: self.summary.count(),
             mean: self.summary.mean(),
             stddev: self.summary.stddev(),
             min: self.summary.min(),
             max: self.summary.max(),
-            p50: self.summary.p50(),
-            p95: self.summary.p95(),
-            p99: self.summary.p99(),
+            p50,
+            p95,
+            p99,
             bins: self.buckets.bins().to_vec(),
         }
     }
