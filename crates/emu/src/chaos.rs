@@ -60,29 +60,20 @@ pub fn chaos_live_run(
     let span_ns = (scenario.duration.as_secs_f64() * 1e9) as u64;
     let mut injector = FaultInjector::new(seed, plan, span_ns);
 
-    if let Some((idx, at_record)) = injector.kill() {
-        if idx == cell_index {
-            // First pass with a throwaway injector, aborted at the kill
-            // point; its only purpose is to establish the virtual time
-            // the kill lands at.
-            let mut probe = FaultInjector::new(seed, plan, span_ns);
-            if let Err(killed_at_ns) = live_modulated_run_inner(
-                scenario,
-                trial,
-                benchmark,
-                dcfg,
-                cfg,
-                Some(&mut probe),
-                Some(at_record),
-            ) {
-                // Restart protocol: fresh injector, kill pre-registered,
-                // then the definitive (uninterrupted) run.
-                injector.note_worker_kill(killed_at_ns);
-            }
-            // If the probe completed, collection never reached
-            // `at_record` records: the kill does not fire.
-        }
-    }
+    injector.restart_on_kill(cell_index, |at_record| {
+        // The probe pass runs with a throwaway injector: its only
+        // purpose is to establish the virtual time the kill lands at.
+        let mut probe = FaultInjector::new(seed, plan, span_ns);
+        live_modulated_run_inner(
+            scenario,
+            trial,
+            benchmark,
+            dcfg,
+            cfg,
+            Some(&mut probe),
+            Some(at_record),
+        )
+    });
 
     let outcome = live_modulated_run_inner(
         scenario,

@@ -38,7 +38,8 @@ use crate::plan::{CellKind, Exec, TrialCell, TrialPlan};
 use crate::runs::RunConfig;
 use faultkit::{FaultCounters, FaultEvent, FaultInjector, FaultPlan};
 use modulate::{Modulator, TickClock};
-use netsim::fleet::{FleetSim, FleetStep, PacketStore, StationTable};
+use netsim::fleet::{FleetEvent, FleetSim, PacketStore, StationTable};
+use netsim::Step;
 use netsim::{SimDuration, SimRng, SimTime};
 use netstack::{Direction, LinkShim, ShimRelease, ShimVerdict};
 use obs::fleet::FleetReport;
@@ -348,16 +349,9 @@ impl FleetShard {
         };
         let span_ns = self.plan.duration().as_nanos() + DRAIN_GRACE_NS;
         let mut injector = FaultInjector::new(*seed, fplan, span_ns);
-        if let Some((idx, at_event)) = injector.kill() {
-            if idx == cell_index {
-                // Probe pass: find the virtual time the kill lands at.
-                // If the shard finishes under `at_event` events the kill
-                // never fires.
-                if let Err(killed_at_ns) = run_shard(&self.plan, self.lo, self.hi, Some(at_event)) {
-                    injector.note_worker_kill(killed_at_ns);
-                }
-            }
-        }
+        injector.restart_on_kill(cell_index, |at_event| {
+            run_shard(&self.plan, self.lo, self.hi, Some(at_event))
+        });
         let mut out = run_shard(&self.plan, self.lo, self.hi, None)
             .unwrap_or_else(|_| unreachable!("definitive run has no abort point"));
         out.counters = *injector.counters();
@@ -526,9 +520,9 @@ fn run_shard(
         p.enter("run");
     }
     let killed = {
-        let mut handler = |step: FleetStep<Ev>, sim: &mut FleetSim<Ev>| {
+        let mut handler = |step: Step<FleetEvent<Ev>>, sim: &mut FleetSim<Ev>| {
             let ev = match step {
-                FleetStep::Sample(t_ns) => {
+                Step::Sample(t_ns) => {
                     let tel = telemetry
                         .as_mut()
                         .expect("samples only fire with telemetry enabled");
@@ -544,7 +538,7 @@ fn run_shard(
                     );
                     return;
                 }
-                FleetStep::Event(ev) => ev,
+                Step::Event(ev) => ev,
             };
             let span = match ev.kind {
                 Ev::Probe => "probe",
@@ -649,15 +643,12 @@ fn run_shard(
                 p.exit(span);
             }
         };
-        match kill_after {
-            Some(limit) => {
-                sim.run_until_sampled_limit(end_ns, sample_interval, limit, &mut handler)
-            }
-            None => {
-                sim.run_until_sampled(end_ns, sample_interval, &mut handler);
-                false
-            }
-        }
+        sim.run(
+            end_ns,
+            sample_interval,
+            kill_after.unwrap_or(u64::MAX),
+            &mut handler,
+        )
     };
     if killed {
         return Err(sim.now_ns());

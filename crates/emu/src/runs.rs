@@ -463,7 +463,7 @@ pub(crate) fn live_modulated_run_inner(
         "netsim.modulate.peak_queue_depth",
         eth.sim.peak_queue_depth() as u64,
     );
-    // Calendar-queue health for both event cores: all virtual-time
+    // Calendar-queue health for both simulators: all virtual-time
     // deterministic, so they are part of the cross-worker byte-identity
     // surface like every other counter here.
     for (prefix, qs) in [

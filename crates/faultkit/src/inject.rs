@@ -273,15 +273,29 @@ impl FaultInjector {
         }
     }
 
-    /// The `kill_worker` directive `(cell_index, at_record)`, if any.
-    pub fn kill(&self) -> Option<(usize, u64)> {
-        self.kill
-    }
-
-    /// Record that the targeted worker was killed (and its cell
-    /// restarted) at virtual time `at_ns`.
-    pub fn note_worker_kill(&mut self, at_ns: u64) {
-        if let Some((idx, at_record)) = self.kill {
+    /// The `kill_worker` restart protocol for plan cell `cell_index`,
+    /// run before the cell's definitive pass.
+    ///
+    /// If the plan kills this cell, `probe(at_record)` runs the cell
+    /// aborted after `at_record` units of work and returns `Err(virtual
+    /// ns)` where the kill landed; the kill is then recorded with its
+    /// tally and fault event. A probe that completes means the cell
+    /// finished first, so the kill never fires. Either way the caller
+    /// then does the definitive, uninterrupted run: cells are pure
+    /// functions of their plan entry, so the rerun is bitwise identical
+    /// to an unkilled one except for the kill's record.
+    pub fn restart_on_kill<T>(
+        &mut self,
+        cell_index: usize,
+        probe: impl FnOnce(u64) -> Result<T, u64>,
+    ) {
+        let Some((idx, at_record)) = self.kill else {
+            return;
+        };
+        if idx != cell_index {
+            return;
+        }
+        if let Err(at_ns) = probe(at_record) {
             self.counters.worker_kills += 1;
             self.events.push(FaultEvent {
                 t_virtual_ns: at_ns,

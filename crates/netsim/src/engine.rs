@@ -1,34 +1,28 @@
-//! The discrete-event simulator: owns nodes, links, and the event queue.
+//! The discrete-event simulator: nodes and links on top of the event
+//! core.
 
+use crate::core::{EventCore, Step};
 use crate::event::{EventKind, NodeId, PortId, Scheduled};
 use crate::link::{Link, LinkId, LinkParams, LinkStats};
 use crate::node::{Context, FrameHook, Node, PortBinding};
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use crate::wheel::{CalendarQueue, WheelStats};
+use crate::wheel::WheelStats;
 use std::collections::HashMap;
-
-/// Event-queue bucket width: ~1 ms (power of two so the divide is a
-/// shift). Quantization affects only where the calendar queue files an
-/// event, never dispatch order, which stays exact `(time, seq)`.
-const QUEUE_TICK_NS: u64 = 1 << 20;
 
 /// A deterministic discrete-event network simulator.
 ///
 /// Construction: add nodes, connect ports with links, seed initial events,
 /// then [`run`](Simulator::run) / [`run_until`](Simulator::run_until). The
-/// same seed and topology always produce the same event trace.
+/// same seed and topology always produce the same event trace. The clock,
+/// the queue and the dispatch loop are an [`EventCore`]; this type routes
+/// each event to its target node.
 pub struct Simulator {
-    now: SimTime,
-    seq: u64,
-    queue: CalendarQueue<Scheduled>,
+    core: EventCore<Scheduled>,
     nodes: Vec<Option<Box<dyn Node>>>,
     links: Vec<Link>,
     ports: HashMap<(NodeId, PortId), PortBinding>,
     rng: SimRng,
-    pending: Vec<Scheduled>,
-    processed: u64,
-    queue_peak: usize,
     frame_hook: Option<Box<dyn FrameHook>>,
 }
 
@@ -36,16 +30,11 @@ impl Simulator {
     /// Create a simulator with a deterministic RNG seed.
     pub fn new(seed: u64) -> Self {
         Simulator {
-            now: SimTime::ZERO,
-            seq: 0,
-            queue: CalendarQueue::new(QUEUE_TICK_NS),
+            core: EventCore::new(),
             nodes: Vec::new(),
             links: Vec::new(),
             ports: HashMap::new(),
             rng: SimRng::seed_from_u64(seed),
-            pending: Vec::new(),
-            processed: 0,
-            queue_peak: 0,
             frame_hook: None,
         }
     }
@@ -59,30 +48,25 @@ impl Simulator {
 
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
-        self.now
+        SimTime::from_nanos(self.core.now_ns())
     }
 
     /// Number of events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Events currently waiting in the queue.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
+        self.core.events_processed()
     }
 
     /// High-water mark of the event-queue depth — keyed to event
     /// scheduling only (virtual time), so it is identical across runs
     /// regardless of wall-clock interleaving.
     pub fn peak_queue_depth(&self) -> usize {
-        self.queue_peak
+        self.core.peak_queue_depth()
     }
 
     /// Calendar-queue usage counters (pushes, overflow pushes, buckets
     /// opened/drained, peak length). Virtual-time deterministic.
     pub fn queue_stats(&self) -> WheelStats {
-        self.queue.stats()
+        self.core.queue_stats()
     }
 
     /// Fork an independent RNG stream (e.g. to pre-generate workloads).
@@ -160,15 +144,12 @@ impl Simulator {
     /// Seed an event from outside any node (e.g. to kick off an
     /// application at t=0).
     pub fn schedule_event(&mut self, time: SimTime, target: NodeId, kind: EventKind) {
-        assert!(time >= self.now, "cannot schedule into the past");
-        self.seq += 1;
-        self.queue.push(Scheduled {
+        self.core.push(|seq| Scheduled {
             time,
-            seq: self.seq,
+            seq,
             target,
             kind,
         });
-        self.queue_peak = self.queue_peak.max(self.queue.len());
     }
 
     /// Borrow a node, downcast to its concrete type. Panics on a type
@@ -192,68 +173,43 @@ impl Simulator {
             .expect("node type mismatch")
     }
 
-    /// Process the next event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some(ev) = self.queue.pop_next() else {
-            return false;
-        };
-        debug_assert!(ev.time >= self.now, "event queue went backwards");
-        self.now = ev.time;
-        self.processed += 1;
+    /// Run until the queue is empty or `limit` events have been processed,
+    /// leaving the clock at the last event. Returns the number of events
+    /// processed by this call.
+    pub fn run(&mut self, limit: u64) -> u64 {
+        let start = self.core.events_processed();
+        self.dispatch(u64::MAX, limit);
+        self.core.events_processed() - start
+    }
 
-        let mut node = self.nodes[ev.target.0]
-            .take()
-            .expect("re-entrant dispatch of a node");
-        {
+    /// Run until simulated time reaches `deadline` (events at exactly
+    /// `deadline` are processed) or the queue empties; the clock then
+    /// advances to `deadline`.
+    pub fn run_until(&mut self, deadline: SimTime) {
+        self.dispatch(deadline.as_nanos(), u64::MAX);
+    }
+
+    /// Drive the core, handing each event to its target node.
+    fn dispatch(&mut self, deadline_ns: u64, limit: u64) {
+        self.core.run(deadline_ns, 0, limit, &mut |step, core| {
+            let Step::Event(ev) = step else {
+                unreachable!("sampling is off")
+            };
+            let mut node = self.nodes[ev.target.0]
+                .take()
+                .expect("re-entrant dispatch of a node");
             let mut ctx = Context {
-                now: self.now,
+                now: ev.time,
                 node: ev.target,
-                seq: &mut self.seq,
-                pending: &mut self.pending,
+                core,
                 links: &mut self.links,
                 ports: &self.ports,
                 rng: &mut self.rng,
                 hook: &mut self.frame_hook,
             };
             node.on_event(ev.kind, &mut ctx);
-        }
-        self.nodes[ev.target.0] = Some(node);
-        for s in self.pending.drain(..) {
-            self.queue.push(s);
-        }
-        self.queue_peak = self.queue_peak.max(self.queue.len());
-        true
-    }
-
-    /// Run until the queue is empty or `limit` events have been processed.
-    /// Returns the number of events processed by this call.
-    pub fn run(&mut self, limit: u64) -> u64 {
-        let start = self.processed;
-        while self.processed - start < limit {
-            if !self.step() {
-                break;
-            }
-        }
-        self.processed - start
-    }
-
-    /// Run until simulated time reaches `deadline` (events at exactly
-    /// `deadline` are processed) or the queue empties.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(due) = self.queue.next_due_ns() {
-            if due > deadline.as_nanos() {
-                break;
-            }
-            self.step();
-        }
-        if self.now < deadline {
-            self.now = deadline;
-        }
-    }
-
-    /// True if no events remain.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
+            self.nodes[ev.target.0] = Some(node);
+        });
     }
 }
 
@@ -349,7 +305,7 @@ mod tests {
         let (mut sim, _a, _b) = two_node_sim();
         sim.run_until(SimTime::from_secs(5));
         assert_eq!(sim.now(), SimTime::from_secs(5));
-        assert!(sim.is_idle());
+        assert_eq!(sim.events_processed(), 0);
     }
 
     #[test]

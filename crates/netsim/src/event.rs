@@ -1,7 +1,6 @@
 //! Events, node identity, and frames carried by the engine.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
 
 /// Identifies a node registered with the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -87,55 +86,9 @@ impl crate::wheel::WheelItem for Scheduled {
     }
 }
 
-// Order by (time, seq) ascending; BinaryHeap is a max-heap so invert.
-// Kept alongside the calendar queue as the reference ordering (tests
-// compare wheel pop order against this).
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BinaryHeap;
-
-    fn ev(t: u64, seq: u64) -> Scheduled {
-        Scheduled {
-            time: SimTime::from_nanos(t),
-            seq,
-            target: NodeId(0),
-            kind: EventKind::Timer { token: 0 },
-        }
-    }
-
-    #[test]
-    fn heap_pops_in_time_then_seq_order() {
-        let mut h = BinaryHeap::new();
-        h.push(ev(10, 2));
-        h.push(ev(5, 3));
-        h.push(ev(10, 1));
-        h.push(ev(1, 4));
-        let order: Vec<(u64, u64)> = std::iter::from_fn(|| h.pop())
-            .map(|e| (e.time.as_nanos(), e.seq))
-            .collect();
-        assert_eq!(order, vec![(1, 4), (5, 3), (10, 1), (10, 2)]);
-    }
 
     #[test]
     fn frame_len() {

@@ -1,16 +1,18 @@
-//! Fleet event core: one calendar queue driving N independent mobile
-//! clients.
+//! The fleet front end of the event core: one queue driving N
+//! independent mobile clients.
 //!
 //! The single-client [`Simulator`](crate::engine::Simulator) dispatches
 //! through boxed [`Node`](crate::node::Node) trait objects — the right
 //! shape for a handful of richly-typed nodes, but at fleet scale
 //! (10k clients × a Porter walk each) the per-event indirection, the
 //! per-node allocations, and above all per-client *queues* dominate.
-//! This module is the fleet-shaped counterpart:
+//! A fleet therefore runs on the same [`EventCore`] with a flatter
+//! event type:
 //!
-//! * **one** [`CalendarQueue`] carries every client's events — a
-//!   [`FleetEvent`] is a flat `(due_ns, seq, client, kind)` record, so
-//!   scheduling is one slot push with no allocation;
+//! * **one** core carries every client's events — a [`FleetEvent`] is
+//!   a flat `(due_ns, seq, client, kind)` record, so scheduling is one
+//!   slot push with no allocation, and [`FleetSim`] is simply the core
+//!   over it;
 //! * dispatch is a caller-supplied `FnMut` over the event — clients are
 //!   plain indices into the caller's own state arrays (struct-of-arrays
 //!   at the call site), not trait objects;
@@ -33,8 +35,11 @@
 //! events at the same instant dispatch in schedule order, which can
 //! differ between shard layouts — safe precisely because handlers may
 //! only touch their own client's state and commutative aggregates.
+//! Telemetry samples follow the core's boundary rule
+//! ([`EventCore::run`]), which makes them shard-invariant too.
 
-use crate::wheel::{CalendarQueue, WheelItem, WheelStats};
+use crate::core::EventCore;
+use crate::wheel::WheelItem;
 
 /// One scheduled fleet event: when, for whom, and what.
 #[derive(Debug, Clone, Copy)]
@@ -49,7 +54,7 @@ pub struct FleetEvent<K> {
     pub kind: K,
 }
 
-impl<K: 'static> WheelItem for FleetEvent<K> {
+impl<K> WheelItem for FleetEvent<K> {
     fn due_ns(&self) -> u64 {
         self.due_ns
     }
@@ -58,11 +63,8 @@ impl<K: 'static> WheelItem for FleetEvent<K> {
     }
 }
 
-/// Engine-queue bucket width: ~1 ms, matching the single-client
-/// simulator's quantum.
-const FLEET_TICK_NS: u64 = 1 << 20;
-
-/// A deterministic multi-client event core over one calendar queue.
+/// A deterministic multi-client event core: the [`EventCore`] over
+/// [`FleetEvent`]s.
 ///
 /// ```
 /// use netsim::fleet::FleetSim;
@@ -80,191 +82,19 @@ const FLEET_TICK_NS: u64 = 1 << 20;
 /// assert_eq!(seen, vec![(1, 9), (1, 10), (0, 7)]);
 /// assert_eq!(sim.now_ns(), 10_000);
 /// ```
-pub struct FleetSim<K: 'static> {
-    now_ns: u64,
-    seq: u64,
-    queue: CalendarQueue<FleetEvent<K>>,
-    processed: u64,
-    queue_peak: usize,
-}
+pub type FleetSim<K> = EventCore<FleetEvent<K>>;
 
-impl<K: 'static> Default for FleetSim<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: 'static> FleetSim<K> {
-    /// A fleet engine with the default wheel geometry (~1 ms tick,
-    /// 4096 slots: a ~4.3 s live window).
-    pub fn new() -> Self {
-        FleetSim {
-            now_ns: 0,
-            seq: 0,
-            queue: CalendarQueue::new(FLEET_TICK_NS),
-            processed: 0,
-            queue_peak: 0,
-        }
-    }
-
-    /// Current virtual time in nanoseconds.
-    pub fn now_ns(&self) -> u64 {
-        self.now_ns
-    }
-
-    /// Events dispatched so far.
-    pub fn events_processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Events currently queued.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// High-water mark of the queue depth. Depends on how clients
-    /// interleave in *this* engine, so it is per-shard diagnostic
-    /// data — never part of shard-invariant output.
-    pub fn peak_queue_depth(&self) -> usize {
-        self.queue_peak
-    }
-
-    /// Calendar-queue usage counters for this engine.
-    pub fn queue_stats(&self) -> WheelStats {
-        self.queue.stats()
-    }
-
+impl<K> FleetSim<K> {
     /// Schedule `kind` for `client` at absolute time `due_ns`. Panics
     /// on scheduling into the past.
     pub fn schedule(&mut self, due_ns: u64, client: u32, kind: K) {
-        assert!(due_ns >= self.now_ns, "cannot schedule into the past");
-        self.seq += 1;
-        self.queue.push(FleetEvent {
+        self.push(|seq| FleetEvent {
             due_ns,
-            seq: self.seq,
+            seq,
             client,
             kind,
         });
-        self.queue_peak = self.queue_peak.max(self.queue.len());
     }
-
-    /// Dispatch events in `(due, seq)` order until the queue is empty
-    /// or the next event lies beyond `deadline_ns`; the clock then
-    /// advances to the deadline. The handler receives each event plus
-    /// the engine, so it can schedule follow-ups directly.
-    pub fn run_until<F>(&mut self, deadline_ns: u64, handler: &mut F)
-    where
-        F: FnMut(FleetEvent<K>, &mut Self),
-    {
-        self.run_until_limit(deadline_ns, u64::MAX, handler);
-    }
-
-    /// [`run_until`](Self::run_until) with an event budget: dispatch at
-    /// most `limit` events, returning `true` if the budget ran out
-    /// first (the chaos kill/restart protocol aborts probe runs this
-    /// way).
-    pub fn run_until_limit<F>(&mut self, deadline_ns: u64, limit: u64, handler: &mut F) -> bool
-    where
-        F: FnMut(FleetEvent<K>, &mut Self),
-    {
-        self.run_until_sampled_limit(deadline_ns, 0, limit, &mut |step, sim| {
-            if let FleetStep::Event(ev) = step {
-                handler(ev, sim);
-            }
-        })
-    }
-
-    /// [`run_until`](Self::run_until) with telemetry sampling:
-    /// interleave [`FleetStep::Sample`] callbacks at every multiple of
-    /// `interval_ns` up to `deadline_ns` (0 disables sampling).
-    pub fn run_until_sampled<F>(&mut self, deadline_ns: u64, interval_ns: u64, handler: &mut F)
-    where
-        F: FnMut(FleetStep<K>, &mut Self),
-    {
-        self.run_until_sampled_limit(deadline_ns, interval_ns, u64::MAX, handler);
-    }
-
-    /// The full run loop: dispatch events in `(due, seq)` order up to
-    /// `deadline_ns` under an event budget of `limit`, delivering a
-    /// [`FleetStep::Sample`] at every virtual boundary `t` that is a
-    /// positive multiple of `interval_ns` (0 disables sampling).
-    ///
-    /// **Boundary rule** — the sample at boundary `t` is delivered
-    /// after every event with `due < t` and before any event with
-    /// `due >= t`, with the clock advanced to `t`. A client therefore
-    /// contributes identically to a sample no matter which shard's
-    /// engine hosts it: this is what makes merged telemetry series
-    /// byte-identical across shard layouts. Trailing boundaries `<=
-    /// deadline_ns` past the last event are still delivered.
-    ///
-    /// Samples do **not** count against `limit` and do not increment
-    /// [`events_processed`](Self::events_processed), so enabling
-    /// telemetry cannot shift the chaos protocol's event-budget kill
-    /// points. Returns `true` if the event budget ran out first (no
-    /// trailing samples are delivered in that case — the aborted probe
-    /// run's telemetry is discarded anyway).
-    pub fn run_until_sampled_limit<F>(
-        &mut self,
-        deadline_ns: u64,
-        interval_ns: u64,
-        limit: u64,
-        handler: &mut F,
-    ) -> bool
-    where
-        F: FnMut(FleetStep<K>, &mut Self),
-    {
-        let start = self.processed;
-        // Next boundary strictly after `now`; u64::MAX = disabled.
-        let mut next_sample = self
-            .now_ns
-            .checked_div(interval_ns)
-            .map_or(u64::MAX, |q| (q + 1).saturating_mul(interval_ns));
-        while let Some(due) = self.queue.next_due_ns() {
-            if due > deadline_ns {
-                break;
-            }
-            while next_sample != u64::MAX && next_sample <= due && next_sample <= deadline_ns {
-                if self.now_ns < next_sample {
-                    self.now_ns = next_sample;
-                }
-                handler(FleetStep::Sample(next_sample), self);
-                next_sample = next_sample.saturating_add(interval_ns);
-            }
-            if self.processed - start >= limit {
-                return true;
-            }
-            let ev = self.queue.pop_next().expect("next_due_ns saw an item");
-            debug_assert!(ev.due_ns >= self.now_ns, "event queue went backwards");
-            self.now_ns = ev.due_ns;
-            self.processed += 1;
-            handler(FleetStep::Event(ev), self);
-            self.queue_peak = self.queue_peak.max(self.queue.len());
-        }
-        while next_sample != u64::MAX && next_sample <= deadline_ns {
-            if self.now_ns < next_sample {
-                self.now_ns = next_sample;
-            }
-            handler(FleetStep::Sample(next_sample), self);
-            next_sample = next_sample.saturating_add(interval_ns);
-        }
-        if self.now_ns < deadline_ns {
-            self.now_ns = deadline_ns;
-        }
-        false
-    }
-}
-
-/// One step of a sampled run loop
-/// ([`FleetSim::run_until_sampled_limit`]): either a dispatched engine
-/// event or a telemetry sample boundary.
-#[derive(Debug)]
-pub enum FleetStep<K> {
-    /// An engine event, dispatched in `(due, seq)` order.
-    Event(FleetEvent<K>),
-    /// A telemetry boundary at this virtual time: every event with an
-    /// earlier due time has been dispatched, none with a later-or-equal
-    /// one has.
-    Sample(u64),
 }
 
 /// Struct-of-arrays storage for a fleet's in-flight packets.
@@ -464,113 +294,6 @@ impl StationTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn events_dispatch_in_due_seq_order_across_clients() {
-        let mut sim: FleetSim<u8> = FleetSim::new();
-        sim.schedule(300, 2, 0);
-        sim.schedule(100, 0, 0);
-        sim.schedule(100, 1, 0); // same due: schedule order breaks the tie
-        let mut order = Vec::new();
-        sim.run_until(1_000, &mut |ev, _| order.push((ev.due_ns, ev.client)));
-        assert_eq!(order, vec![(100, 0), (100, 1), (300, 2)]);
-        assert_eq!(sim.events_processed(), 3);
-        assert_eq!(sim.now_ns(), 1_000);
-    }
-
-    #[test]
-    fn handler_can_chain_events() {
-        let mut sim: FleetSim<u32> = FleetSim::new();
-        sim.schedule(10, 5, 0);
-        let mut hops = 0u32;
-        sim.run_until(10_000, &mut |ev, sim| {
-            hops += 1;
-            if ev.kind < 3 {
-                sim.schedule(sim.now_ns() + 10, ev.client, ev.kind + 1);
-            }
-        });
-        assert_eq!(hops, 4);
-        assert!(sim.queue_depth() == 0);
-    }
-
-    #[test]
-    fn event_budget_aborts_mid_run() {
-        let mut sim: FleetSim<u8> = FleetSim::new();
-        for i in 0..10u64 {
-            sim.schedule(i * 100, 0, 0);
-        }
-        let killed = sim.run_until_limit(u64::MAX, 4, &mut |_, _| {});
-        assert!(killed);
-        assert_eq!(sim.events_processed(), 4);
-        assert_eq!(sim.queue_depth(), 6);
-        let killed = sim.run_until_limit(u64::MAX, u64::MAX, &mut |_, _| {});
-        assert!(!killed);
-        assert_eq!(sim.events_processed(), 10);
-    }
-
-    #[test]
-    fn samples_land_between_events_on_the_boundary_rule() {
-        let mut sim: FleetSim<u8> = FleetSim::new();
-        sim.schedule(50, 0, 0);
-        sim.schedule(100, 0, 0); // due exactly at a boundary
-        sim.schedule(150, 0, 0);
-        sim.schedule(320, 0, 0);
-        let mut steps = Vec::new();
-        sim.run_until_sampled(400, 100, &mut |step, sim| match step {
-            FleetStep::Event(ev) => steps.push(('e', ev.due_ns, sim.events_processed())),
-            FleetStep::Sample(t) => steps.push(('s', t, sim.events_processed())),
-        });
-        // Boundary t sits after events due < t, before events due >= t
-        // (the event at exactly 100 lands after sample 100); trailing
-        // boundaries up to the deadline are flushed.
-        assert_eq!(
-            steps,
-            vec![
-                ('e', 50, 1),
-                ('s', 100, 1),
-                ('e', 100, 2),
-                ('e', 150, 3),
-                ('s', 200, 3),
-                ('s', 300, 3),
-                ('e', 320, 4),
-                ('s', 400, 4),
-            ]
-        );
-        assert_eq!(sim.now_ns(), 400);
-    }
-
-    #[test]
-    fn samples_do_not_consume_the_event_budget() {
-        let mut sim: FleetSim<u8> = FleetSim::new();
-        for i in 1..=6u64 {
-            sim.schedule(i * 100, 0, 0);
-        }
-        let mut samples = 0;
-        let mut events = 0;
-        let killed = sim.run_until_sampled_limit(u64::MAX, 50, 4, &mut |step, _| match step {
-            FleetStep::Sample(_) => samples += 1,
-            FleetStep::Event(_) => events += 1,
-        });
-        assert!(killed);
-        assert_eq!(events, 4, "kill point identical to the unsampled run");
-        assert_eq!(sim.events_processed(), 4);
-        assert!(samples >= 7, "boundaries up to the 4th event sampled");
-    }
-
-    #[test]
-    fn zero_interval_disables_sampling() {
-        let mut sim: FleetSim<u8> = FleetSim::new();
-        sim.schedule(10, 0, 0);
-        let mut samples = 0;
-        sim.run_until_sampled(1_000, 0, &mut |step, _| {
-            if matches!(step, FleetStep::Sample(_)) {
-                samples += 1;
-            }
-        });
-        assert_eq!(samples, 0);
-        assert_eq!(sim.now_ns(), 1_000);
-        assert_eq!(sim.events_processed(), 1);
-    }
 
     #[test]
     fn packet_store_recycles_rows() {

@@ -6,9 +6,11 @@
 //! * virtual time ([`SimTime`], [`SimDuration`]) — experiments run in
 //!   simulated nanoseconds, deterministically and far faster than real
 //!   time;
-//! * an event queue and dispatcher ([`Simulator`]) with strict
-//!   `(time, sequence)` ordering, so identical seeds reproduce identical
-//!   runs;
+//! * one event core ([`EventCore`]): a virtual clock and a calendar
+//!   queue dispatched in strict `(time, sequence)` order by a single
+//!   run loop, so identical seeds reproduce identical runs. The paper
+//!   pipeline's [`Simulator`] routes its events to nodes; the
+//!   [`fleet`]'s `FleetSim` is the same core over client-tagged events;
 //! * the [`Node`] trait — hosts, wireless channels, and routers are nodes
 //!   that exchange byte [`Frame`]s and set timers via a [`Context`];
 //! * duplex [links](link::LinkParams) with serialization, propagation, and
@@ -45,6 +47,7 @@
 
 #![warn(missing_docs)]
 
+pub mod core;
 mod engine;
 mod event;
 pub mod fleet;
@@ -55,6 +58,7 @@ pub mod stats;
 mod time;
 pub mod wheel;
 
+pub use self::core::{EventCore, Step};
 pub use engine::Simulator;
 pub use event::{EventKind, Frame, NodeId, PortId};
 pub use link::{LinkId, LinkParams, LinkStats};

@@ -1,5 +1,6 @@
 //! The [`Node`] trait and the [`Context`] handed to nodes during dispatch.
 
+use crate::core::EventCore;
 use crate::event::{EventKind, Frame, NodeId, PortId, Scheduled};
 use crate::link::Link;
 use crate::rng::SimRng;
@@ -63,8 +64,7 @@ pub trait FrameHook: Send {
 pub struct Context<'a> {
     pub(crate) now: SimTime,
     pub(crate) node: NodeId,
-    pub(crate) seq: &'a mut u64,
-    pub(crate) pending: &'a mut Vec<Scheduled>,
+    pub(crate) core: &'a mut EventCore<Scheduled>,
     pub(crate) links: &'a mut Vec<Link>,
     pub(crate) ports: &'a HashMap<(NodeId, PortId), PortBinding>,
     pub(crate) rng: &'a mut SimRng,
@@ -88,10 +88,9 @@ impl Context<'_> {
     }
 
     fn push(&mut self, time: SimTime, target: NodeId, kind: EventKind) {
-        *self.seq += 1;
-        self.pending.push(Scheduled {
+        self.core.push(|seq| Scheduled {
             time,
-            seq: *self.seq,
+            seq,
             target,
             kind,
         });

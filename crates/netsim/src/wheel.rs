@@ -1,7 +1,7 @@
 //! A calendar queue (hierarchical timing wheel) for deterministic event
 //! scheduling.
 //!
-//! The simulator and the modulation layer both need a priority queue
+//! The event core and the modulation layer both need a priority queue
 //! ordered by `(due, seq)`. A binary heap pays `O(log n)` sift cost on
 //! every push and pop, and under the paper's workload — a saturated
 //! bottleneck holding thousands of packets — that per-packet churn

@@ -26,6 +26,7 @@
 
 use crate::fleet::FleetReport;
 use crate::telemetry::SamplePoint;
+use crate::toml::{self, Line};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -134,30 +135,18 @@ impl RuleSet {
     /// values; `#` comments and blank lines are ignored.
     pub fn from_toml(s: &str) -> Result<RuleSet, String> {
         let mut rules: Vec<RuleSpec> = Vec::new();
-        for (idx, raw) in s.lines().enumerate() {
-            let line = strip_toml_comment(raw).trim().to_string();
-            let at = |msg: String| format!("rules line {}: {msg}", idx + 1);
-            if line.is_empty() {
-                continue;
-            }
-            if line == "[[rule]]" {
+        toml::read(s, "rules", "rule", |line| match line {
+            Line::Table => {
                 rules.push(RuleSpec::default());
-                continue;
+                Ok(())
             }
-            if line.starts_with('[') {
-                return Err(at(format!(
-                    "unsupported table '{line}' (only [[rule]] tables)"
-                )));
+            Line::Entry(key, value) => {
+                let rule = rules
+                    .last_mut()
+                    .ok_or_else(|| format!("'{key}' appears before any [[rule]] table"))?;
+                apply_toml_entry(rule, key, value)
             }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| at(format!("expected key = value, got '{line}'")))?;
-            let (key, value) = (key.trim(), value.trim());
-            let rule = rules
-                .last_mut()
-                .ok_or_else(|| at(format!("'{key}' appears before any [[rule]] table")))?;
-            apply_toml_entry(rule, key, value).map_err(at)?;
-        }
+        })?;
         Ok(RuleSet { rules })
     }
 
@@ -217,33 +206,10 @@ suppress = ["stall_feed", "clock_jump"]
     }
 }
 
-/// Drop a `#` comment unless the `#` sits inside a quoted string.
-fn strip_toml_comment(line: &str) -> &str {
-    let mut in_str = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
 /// Apply one `key = value` TOML entry to a rule under construction.
 fn apply_toml_entry(rule: &mut RuleSpec, key: &str, value: &str) -> Result<(), String> {
-    let as_str = |v: &str| -> Result<String, String> {
-        let v = v.trim();
-        if v.len() >= 2 && v.starts_with('"') && v.ends_with('"') {
-            Ok(v[1..v.len() - 1].to_string())
-        } else {
-            Err(format!("expected a quoted string for '{key}', got '{v}'"))
-        }
-    };
-    let as_num = |v: &str| -> Result<f64, String> {
-        v.parse::<f64>()
-            .map_err(|_| format!("expected a number for '{key}', got '{v}'"))
-    };
+    let as_str = |v: &str| toml::string(key, v);
+    let as_num = |v: &str| toml::number(key, v);
     match key {
         "name" => rule.name = as_str(value)?,
         "metric" => rule.metric = as_str(value)?,

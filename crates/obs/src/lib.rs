@@ -4,17 +4,11 @@
 //! reproduces collected network conditions; this crate turns that claim
 //! into an always-on, machine-readable health signal. It provides:
 //!
-//! * [`Counter`] / [`Gauge`] — atomic scalar metrics for wall-clock
-//!   (runner-side) accounting;
 //! * [`Hist`] — a fixed-bucket histogram built on
 //!   [`netsim::stats::Histogram`] + [`netsim::stats::Summary`] (exact
 //!   p50/p95/p99 via retained samples — no duplicated math);
-//! * [`SpanTimer`] — span timing keyed to **virtual** time
-//!   ([`netsim::SimTime`]), so measurements are identical however the
-//!   host schedules worker threads;
 //! * [`MetricsRegistry`] — a serializable snapshot of named counters,
 //!   gauges, and histogram summaries, mergeable under a stage prefix;
-//! * [`JsonlSink`] — an append-only JSON-lines event sink;
 //! * [`FidelityCollector`] / [`FidelityReport`] — the modulation-layer
 //!   self-check (intended-vs-actual delay error percentiles, deadline
 //!   misses, drift clamps, loss-rate delta vs the replay trace) with
@@ -42,6 +36,8 @@
 //!   virtual time over the telemetry series and fleet aggregates, with
 //!   chaos-aware suppression windows keyed off injected-fault
 //!   timestamps, exported as byte-deterministic JSONL + markdown;
+//! * [`mod@toml`] — the line-oriented TOML subset that alert rules and
+//!   scenario packs are written in;
 //! * [`diff`] — cross-run divergence forensics: a first-divergence
 //!   finder that walks two runs' artifacts in lockstep and names the
 //!   earliest differing field with virtual-time / client / shard
@@ -64,9 +60,8 @@ pub mod manifest;
 pub mod metrics;
 pub mod profile;
 pub mod registry;
-pub mod sink;
-pub mod span;
 pub mod telemetry;
+pub mod toml;
 
 pub use alerts::{
     evaluate as evaluate_alerts, Alert, AlertInputs, AlertReport, FaultStamp, RuleSet, Severity,
@@ -78,11 +73,9 @@ pub use fidelity::{FidelityCollector, FidelityReport, FidelityThresholds};
 pub use fleet::{FleetReport, ModelUsage, FLEET_SCHEMA};
 pub use flight::{FlightHandle, FlightRecord, FlightRecorder, PacketId, PacketJourney, Stage};
 pub use manifest::{ModelInfo, RunManifest, RunnerSection, MANIFEST_SCHEMA};
-pub use metrics::{Counter, Gauge, Hist, HistSnapshot};
+pub use metrics::{Hist, HistSnapshot};
 pub use profile::{ProfEntry, Profiler};
 pub use registry::MetricsRegistry;
-pub use sink::{Event, JsonlSink, SharedSink};
-pub use span::SpanTimer;
 pub use telemetry::{
     FleetTelemetry, SampleInputs, SamplePoint, ShardTelemetry, TelemetryConfig, TopEntry, TopK,
     TELEMETRY_SCHEMA,

@@ -1,93 +1,10 @@
-//! Scalar and distribution metrics.
+//! Distribution metrics.
 //!
-//! [`Counter`] and [`Gauge`] are atomic and may be shared across
-//! runner threads; [`Hist`] is single-owner and meant for per-cell
-//! (deterministic, virtual-time-keyed) measurement.
+//! [`Hist`] is single-owner and meant for per-cell (deterministic,
+//! virtual-time-keyed) measurement.
 
 use netsim::stats::{Histogram, Summary};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A monotonically increasing atomic counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A counter starting at zero.
-    pub fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Increment by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Increment by `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// An atomic floating-point gauge that also tracks its peak.
-#[derive(Debug)]
-pub struct Gauge {
-    bits: AtomicU64,
-    peak_bits: AtomicU64,
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge::new()
-    }
-}
-
-impl Gauge {
-    /// A gauge starting at zero.
-    pub fn new() -> Self {
-        Gauge {
-            bits: AtomicU64::new(0f64.to_bits()),
-            peak_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-        }
-    }
-
-    /// Set the current value (and raise the peak if exceeded).
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-        let mut peak = self.peak_bits.load(Ordering::Relaxed);
-        while v > f64::from_bits(peak) {
-            match self.peak_bits.compare_exchange_weak(
-                peak,
-                v.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => peak = actual,
-            }
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-
-    /// Largest value ever set (0 if never set).
-    pub fn peak(&self) -> f64 {
-        let p = f64::from_bits(self.peak_bits.load(Ordering::Relaxed));
-        if p.is_finite() {
-            p
-        } else {
-            0.0
-        }
-    }
-}
 
 /// A fixed-bucket histogram with exact percentiles.
 ///
@@ -195,20 +112,6 @@ impl HistSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_and_gauge_basics() {
-        let c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        let g = Gauge::new();
-        assert_eq!(g.peak(), 0.0);
-        g.set(3.5);
-        g.set(1.0);
-        assert_eq!(g.get(), 1.0);
-        assert_eq!(g.peak(), 3.5);
-    }
 
     #[test]
     fn hist_reuses_summary_percentiles() {

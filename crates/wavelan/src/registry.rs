@@ -25,6 +25,7 @@ use crate::scenario::Scenario;
 use crate::signal::SignalInfo;
 use crate::wavepoint::{PhysicalModel, WavePoint};
 use netsim::{SimDuration, SimRng};
+use obs::toml::{self, Line};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -476,54 +477,43 @@ impl ScenarioPack {
         let mut name = String::new();
         let mut duration_secs: Option<u64> = None;
         let mut entries: Vec<PackEntry> = Vec::new();
-        for (idx, raw) in s.lines().enumerate() {
-            let line = strip_toml_comment(raw).trim().to_string();
-            let at = |msg: String| format!("pack line {}: {msg}", idx + 1);
-            if line.is_empty() {
-                continue;
-            }
-            if line == "[[model]]" {
-                entries.push(PackEntry {
-                    spec: ModelSpec::family(""),
-                    share: 1,
-                });
-                continue;
-            }
-            if line.starts_with('[') {
-                return Err(at(format!(
-                    "unsupported table '{line}' (only [[model]] tables)"
-                )));
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| at(format!("expected key = value, got '{line}'")))?;
-            let (key, value) = (key.trim(), value.trim());
+        toml::read(s, "pack", "model", |line| {
+            let (key, value) = match line {
+                Line::Table => {
+                    entries.push(PackEntry {
+                        spec: ModelSpec::family(""),
+                        share: 1,
+                    });
+                    return Ok(());
+                }
+                Line::Entry(key, value) => (key, value),
+            };
             match entries.last_mut() {
                 None => match key {
-                    "name" => name = toml_str(key, value).map_err(at)?,
+                    "name" => name = toml::string(key, value)?,
                     "duration_secs" => {
-                        let n = toml_num(key, value).map_err(at)?;
+                        let n = toml::number(key, value)?;
                         if n < 1.0 || n.fract() != 0.0 || n > 1e9 {
-                            return Err(at(format!(
+                            return Err(format!(
                                 "'duration_secs' must be a positive integer, got '{value}'"
-                            )));
+                            ));
                         }
                         duration_secs = Some(n as u64);
                     }
                     other => {
-                        return Err(at(format!(
+                        return Err(format!(
                             "unknown top-level key '{other}' (expected name, duration_secs, or [[model]] tables)"
-                        )))
+                        ))
                     }
                 },
                 Some(entry) => match key {
-                    "family" => entry.spec.family = toml_str(key, value).map_err(at)?,
+                    "family" => entry.spec.family = toml::string(key, value)?,
                     "share" => {
-                        let n = toml_num(key, value).map_err(at)?;
+                        let n = toml::number(key, value)?;
                         if n < 1.0 || n.fract() != 0.0 || n > 1e6 {
-                            return Err(at(format!(
+                            return Err(format!(
                                 "'share' must be a positive integer, got '{value}'"
-                            )));
+                            ));
                         }
                         entry.share = n as u32;
                     }
@@ -532,17 +522,18 @@ impl ScenarioPack {
                             entry
                                 .spec
                                 .params
-                                .set_str(param, &toml_str(param, value).map_err(at)?);
+                                .set_str(param, &toml::string(param, value)?);
                         } else {
                             entry
                                 .spec
                                 .params
-                                .set_num(param, toml_num(param, value).map_err(at)?);
+                                .set_num(param, toml::number(param, value)?);
                         }
                     }
                 },
             }
-        }
+            Ok(())
+        })?;
         let duration_secs =
             duration_secs.ok_or_else(|| "pack: missing 'duration_secs'".to_string())?;
         if name.is_empty() {
@@ -658,33 +649,6 @@ impl ScenarioPack {
         sc.model_spec = Some(self.entries[0].spec.clone());
         sc
     }
-}
-
-fn toml_str(key: &str, v: &str) -> Result<String, String> {
-    let v = v.trim();
-    if v.len() >= 2 && v.starts_with('"') && v.ends_with('"') {
-        Ok(v[1..v.len() - 1].to_string())
-    } else {
-        Err(format!("expected a quoted string for '{key}', got '{v}'"))
-    }
-}
-
-fn toml_num(key: &str, v: &str) -> Result<f64, String> {
-    v.parse::<f64>()
-        .map_err(|_| format!("expected a number for '{key}', got '{v}'"))
-}
-
-/// Drop a `#` comment unless the `#` sits inside a quoted string.
-fn strip_toml_comment(line: &str) -> &str {
-    let mut in_str = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
-        }
-    }
-    line
 }
 
 /// Load a pack from file contents, picking the parser from the path
@@ -819,6 +783,48 @@ rat = "4g"
         spec.params.set_num("frobnicate", 1.0);
         let err = reg.build(&spec, dur, &mut rng).err().unwrap();
         assert!(err.contains("unknown param 'frobnicate'"), "{err}");
+    }
+
+    #[test]
+    fn packs_and_rules_read_the_same_toml_subset() {
+        let pack = ScenarioPack::from_toml;
+        let rules = obs::RuleSet::from_toml;
+
+        // An unterminated string value.
+        assert_eq!(
+            pack("[[model]]\nname = \"leo").unwrap_err(),
+            "pack line 2: expected a quoted string for 'name', got '\"leo'"
+        );
+        assert_eq!(
+            rules("[[rule]]\nname = \"leo").unwrap_err(),
+            "rules line 2: expected a quoted string for 'name', got '\"leo'"
+        );
+
+        // A `#` inside quotes is text; the one after them starts a comment.
+        let p = pack("name = \"p\"\nduration_secs = 9\n[[model]]\nname = \"a#b\" # c").unwrap();
+        assert_eq!(p.entries[0].spec.params.str_value("name"), Ok(Some("a#b")));
+        let r = rules("[[rule]]\nname = \"a#b\" # c").unwrap();
+        assert_eq!(r.rules[0].name, "a#b");
+
+        // A key before any table: packs have top-level keys, rules none.
+        assert_eq!(
+            pack("window = 3").unwrap_err(),
+            "pack line 1: unknown top-level key 'window' (expected name, duration_secs, or [[model]] tables)"
+        );
+        assert_eq!(
+            rules("window = 3").unwrap_err(),
+            "rules line 1: 'window' appears before any [[rule]] table"
+        );
+
+        // An unknown table.
+        assert_eq!(
+            pack("# header\n[[scenario]]").unwrap_err(),
+            "pack line 2: unsupported table '[[scenario]]' (only [[model]] tables)"
+        );
+        assert_eq!(
+            rules("# header\n[[scenario]]").unwrap_err(),
+            "rules line 2: unsupported table '[[scenario]]' (only [[rule]] tables)"
+        );
     }
 
     #[test]

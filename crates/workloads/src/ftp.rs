@@ -333,11 +333,22 @@ impl App for FtpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{LinkParams, Simulator};
-    use netstack::{start_host, Host, HostConfig, NIC_PORT};
+    use netsim::{LinkParams, NodeId, Simulator, WheelStats};
+    use netstack::{start_host, AppId, Host, HostConfig, NIC_PORT};
     use packet::MacAddr;
 
     fn run_transfer(direction: FtpDirection, size: usize) -> (f64, bool) {
+        let (sim, nc, app) = transfer_sim(direction, size);
+        let c: &FtpClient = sim.node::<Host>(nc).app(app);
+        (
+            c.elapsed().map(|d| d.as_secs_f64()).unwrap_or(f64::NAN),
+            c.is_done(),
+        )
+    }
+
+    /// A client and a server host on a 10 Mb/s Ethernet, run for two
+    /// virtual minutes.
+    fn transfer_sim(direction: FtpDirection, size: usize) -> (Simulator, NodeId, AppId) {
         let ip_c = Ipv4Addr::new(10, 0, 0, 1);
         let ip_s = Ipv4Addr::new(10, 0, 0, 2);
         let mut client_host = Host::new(
@@ -356,11 +367,7 @@ mod tests {
         start_host(&mut sim, ns, SimTime::ZERO);
         start_host(&mut sim, nc, SimTime::from_millis(10));
         sim.run_until(SimTime::from_secs(120));
-        let c: &FtpClient = sim.node::<Host>(nc).app(app);
-        (
-            c.elapsed().map(|d| d.as_secs_f64()).unwrap_or(f64::NAN),
-            c.is_done(),
-        )
+        (sim, nc, app)
     }
 
     #[test]
@@ -385,5 +392,26 @@ mod tests {
             assert!(done, "{dir:?}");
             assert!(secs < 1.0, "{dir:?}: {secs}");
         }
+    }
+
+    #[test]
+    fn ftp_run_pins_the_engine_counters() {
+        // A fixed 1 MB fetch between two hosts: the single-client
+        // event core must dispatch, queue and bucket it exactly as it
+        // did when these counters were recorded.
+        let (sim, nc, app) = transfer_sim(FtpDirection::Recv, 1_000_000);
+        assert!(sim.node::<Host>(nc).app::<FtpClient>(app).is_done());
+        assert_eq!(sim.events_processed(), 1059);
+        assert_eq!(sim.peak_queue_depth(), 39);
+        assert_eq!(
+            sim.queue_stats(),
+            WheelStats {
+                pushes: 1060,
+                overflow_pushes: 3,
+                buckets_opened: 725,
+                buckets_drained_whole: 0,
+                peak_len: 39,
+            }
+        );
     }
 }
