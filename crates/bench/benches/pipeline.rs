@@ -8,7 +8,7 @@ use distill::{distill, distill_stream, DistillConfig, Distiller};
 use modulate::{Modulator, TickClock};
 use netsim::{SimRng, SimTime};
 use netstack::{Direction, LinkShim, ShimRelease};
-use tracekit::format::{encode_trace, ChunkDecoder, TraceDecoder};
+use tracekit::format::{encode_trace, ChunkDecoder};
 use tracekit::{
     Dir, PacketRecord, ProtoInfo, QualityTuple, ReplayTrace, RingBuffer, Trace, TraceRecord,
     VecStream,
@@ -107,21 +107,21 @@ fn bench_streaming_distillation(c: &mut Criterion) {
 
 fn bench_chunked_decode(c: &mut Criterion) {
     // Incremental binary decode in 64 KiB chunks vs the trace size:
-    // the buffering `TraceDecoder` (quarantine path) against the
-    // zero-copy `ChunkDecoder` (production path).
+    // the quarantine path (the fault injector's mode) against the
+    // strict production path, both on the one `ChunkDecoder`.
     let trace = synth_trace(600);
     let bytes = encode_trace(&trace);
     let mut g = c.benchmark_group("tracekit");
     g.throughput(Throughput::Bytes(bytes.len() as u64));
     g.bench_function("chunked_decode_10min_trace", |b| {
+        let mut batch: Vec<TraceRecord> = Vec::new();
         b.iter(|| {
-            let mut dec = TraceDecoder::new();
+            let mut dec = ChunkDecoder::new().quarantining();
             let mut n = 0usize;
             for chunk in std::hint::black_box(&bytes).chunks(64 * 1024) {
-                dec.feed(chunk);
-                while let Some(_r) = dec.next_record().unwrap() {
-                    n += 1;
-                }
+                dec.decode_chunk(chunk, &mut batch).unwrap();
+                n += batch.len();
+                batch.clear();
             }
             dec.finish().unwrap();
             assert_eq!(n, trace.records.len());

@@ -64,6 +64,11 @@ const STATION_ALPHA: f64 = 0.02;
 /// Cadence at which each client's channel model is sampled into replay
 /// tuples (the distiller's interval scale).
 const TUPLE_CADENCE_NS: u64 = 2_000_000_000;
+/// Per-client modulation-wheel width: 64 slots × the NetBSD 10 ms tick
+/// every client's modulator runs on still cover 640 ms of holds, with
+/// 256 B of slot heads per client instead of ~16 KiB (see
+/// `netsim::wheel::SLOTS`).
+const CLIENT_WHEEL_SLOTS: usize = 64;
 /// Virtual grace past the scenario end for in-flight drains.
 const DRAIN_GRACE_NS: u64 = 10_000_000_000;
 
@@ -94,12 +99,6 @@ pub struct FleetPlan {
     pub seed: u64,
     /// Shard count (contiguous client ranges, one engine each).
     pub shards: usize,
-    /// Scheduling clock for every client's modulator.
-    pub clock: TickClock,
-    /// Per-client modulation-wheel width (narrow by default: 64 slots
-    /// × the 10 ms tick still covers 640 ms of holds with 256 B of slot
-    /// heads per client instead of ~16 KiB; see `netsim::wheel::SLOTS`).
-    pub wheel_slots: usize,
     /// Base-station count (clients attach round-robin).
     pub stations: u32,
     /// Probe cadence per client.
@@ -121,8 +120,9 @@ pub struct FleetPlan {
 
 impl FleetPlan {
     /// A fleet of `clients` walking `scenario` with the defaults: one
-    /// shard, NetBSD 10 ms clock, 64-slot per-client wheels, one
-    /// station per 32 clients, 1 s probe cadence.
+    /// shard, one station per 32 clients, 1 s probe cadence. Every
+    /// client's modulator runs the NetBSD 10 ms clock on a 64-slot
+    /// wheel.
     pub fn new(scenario: Scenario, clients: u32) -> Self {
         assert!(clients > 0, "a fleet needs at least one client");
         FleetPlan {
@@ -130,8 +130,6 @@ impl FleetPlan {
             clients,
             seed: 7,
             shards: 1,
-            clock: TickClock::netbsd(),
-            wheel_slots: 64,
             stations: (clients / 32).max(1),
             probe_interval: SimDuration::from_secs(1),
             duration: None,
@@ -493,8 +491,8 @@ fn run_shard(
     let mut clients: Vec<ClientState> = Vec::with_capacity((hi - lo) as usize);
     for c in lo..hi {
         let mut m = Modulator::from_replay(client_replay(plan, c))
-            .with_clock(plan.clock)
-            .with_wheel_slots(plan.wheel_slots);
+            .with_clock(TickClock::netbsd())
+            .with_wheel_slots(CLIENT_WHEEL_SLOTS);
         m.begin(SimTime::ZERO);
         let phase = client_seed(plan.seed, c, PURPOSE_PHASE) % interval_ns;
         sim.schedule(phase, c, Ev::Probe);

@@ -4,7 +4,7 @@
 //! of freshly collected records is pushed through an
 //! encode → byte-fault → quarantine-decode → sanitize chain, so the
 //! byte-level faults (`corrupt_chunk`) exercise the *real* wire format
-//! and the real [`TraceDecoder`] recovery path — not a mock. Faults
+//! and the real [`ChunkDecoder`] quarantine path — not a mock. Faults
 //! that live outside the record path (feed stalls, ring caps, worker
 //! kills, tuple drops) are exposed as hooks the embedding run loop
 //! queries at the matching injection point.
@@ -12,7 +12,7 @@
 use crate::plan::{Fault, FaultPlan};
 use serde::{Deserialize, Serialize};
 use tracekit::format::{encode_record, encode_trace_header};
-use tracekit::{QualityTuple, TraceDecoder, TraceRecord, TupleSink};
+use tracekit::{ChunkDecoder, QualityTuple, TraceRecord, TupleSink};
 
 /// Ceiling for `clock_jump` deltas: ±1 hour. Keeps shifted timestamps
 /// inside the distiller's windowing bounds (its step loops are linear
@@ -60,8 +60,8 @@ pub struct FaultEvent {
 }
 
 /// Serialize fault events as JSONL, one event per line in emission
-/// order — the `--fault-out` artifact, and the suppression-window feed
-/// for the alert engine (`tracemod alerts --faults`). Deterministic:
+/// order — the `faults.jsonl` run-directory artifact, and the
+/// suppression-window feed for the alert engine. Deterministic:
 /// events carry only virtual time and plan-derived detail.
 pub fn events_to_jsonl(events: &[FaultEvent]) -> String {
     let mut s = String::new();
@@ -160,7 +160,7 @@ pub struct FaultInjector {
     jump: Option<ClockJump>,
     kill: Option<(usize, u64)>,
     oom_cap: Option<usize>,
-    decoder: TraceDecoder,
+    decoder: ChunkDecoder,
     plausible_max_ns: u64,
     bytes_emitted: u64,
     records_out: u64,
@@ -230,8 +230,11 @@ impl FaultInjector {
         // The record path decodes through the real wire format with a
         // synthetic streaming header (count = u32::MAX: the live path
         // drains records as they come and never calls finish).
-        let mut decoder = TraceDecoder::new().quarantining();
-        decoder.feed(&encode_trace_header("faultkit", "chaos", 0, u32::MAX));
+        let mut decoder = ChunkDecoder::new().quarantining();
+        let header = encode_trace_header("faultkit", "chaos", 0, u32::MAX);
+        decoder
+            .decode_chunk(&header, &mut Vec::new())
+            .expect("the synthetic header is well-formed");
         FaultInjector {
             corrupt,
             truncate_cutoff_ns,
@@ -326,6 +329,7 @@ impl FaultInjector {
     /// timestamp sanitize → clock jump. Returns the surviving records
     /// in order.
     pub fn process_records(&mut self, fresh: &[TraceRecord]) -> Vec<TraceRecord> {
+        let mut wire = Vec::new();
         for rec in fresh {
             if let Some(cutoff) = self.truncate_cutoff_ns {
                 if rec.timestamp_ns() >= cutoff {
@@ -356,17 +360,24 @@ impl FaultInjector {
                 }
             }
             self.bytes_emitted = end;
-            self.decoder.feed(&bytes);
+            wire.extend_from_slice(&bytes);
         }
-        self.drain_decoder()
+        // Quarantine mode absorbs record-level damage, so decoding cannot
+        // fail; a skip run that reaches the end of `wire` resumes with
+        // the next slice.
+        let mut decoded = Vec::new();
+        self.decoder
+            .decode_chunk(&wire, &mut decoded)
+            .expect("the header is well-formed");
+        self.counters.quarantined_records = self.decoder.quarantined_records();
+        self.counters.quarantined_bytes = self.decoder.quarantined_bytes();
+        self.sanitize(decoded)
     }
 
-    fn drain_decoder(&mut self) -> Vec<TraceRecord> {
-        let mut out = Vec::new();
-        // The synthetic header is well-formed and the decoder
-        // quarantines record-level damage, so errors cannot reach here;
-        // treat one defensively as end-of-slice.
-        while let Ok(Some(mut rec)) = self.decoder.next_record() {
+    /// Reject implausible timestamps and apply the clock jump.
+    fn sanitize(&mut self, decoded: Vec<TraceRecord>) -> Vec<TraceRecord> {
+        let mut out = Vec::with_capacity(decoded.len());
+        for mut rec in decoded {
             // Corruption can forge timestamps far past the collection
             // span; downstream windowing is linear in the virtual span,
             // so implausible times must be quarantined, not processed.
@@ -392,8 +403,6 @@ impl FaultInjector {
             }
             out.push(rec);
         }
-        self.counters.quarantined_records = self.decoder.quarantined_records();
-        self.counters.quarantined_bytes = self.decoder.quarantined_bytes();
         out
     }
 

@@ -641,12 +641,6 @@ impl LinkShim for Modulator {
         self.held.next_due_ns().map(SimTime::from_nanos)
     }
 
-    fn collect_due(&mut self, now: SimTime, rng: &mut SimRng) -> Vec<ShimRelease> {
-        let mut out = Vec::new();
-        self.collect_due_into(now, rng, &mut out);
-        out
-    }
-
     fn collect_due_into(&mut self, now: SimTime, _rng: &mut SimRng, out: &mut Vec<ShimRelease>) {
         // Drain in one batch (wholesale-sorted buckets), then account
         // each release in `(due, seq)` order.
@@ -704,6 +698,13 @@ mod tests {
         SimRng::seed_from_u64(42)
     }
 
+    /// Drain every release due at `now` through a fresh buffer.
+    fn drain_due(m: &mut Modulator, now: SimTime, r: &mut SimRng) -> Vec<ShimRelease> {
+        let mut out = Vec::new();
+        m.collect_due_into(now, r, &mut out);
+        out
+    }
+
     fn offer(
         m: &mut Modulator,
         dir: Direction,
@@ -725,7 +726,7 @@ mod tests {
         assert!(matches!(v, ShimVerdict::Hold));
         // due = s·Vb (4 ms) + F (50 ms) + s·Vr (1 ms) = 55 ms.
         assert_eq!(m.next_wakeup(), Some(SimTime::from_millis(55)));
-        let rel = m.collect_due(SimTime::from_millis(55), &mut r);
+        let rel = drain_due(&mut m, SimTime::from_millis(55), &mut r);
         assert_eq!(rel.len(), 1);
         assert_eq!(rel[0].bytes.len(), 1000);
     }
@@ -742,7 +743,7 @@ mod tests {
         offer(&mut m, Direction::Inbound, 1000, SimTime::ZERO, &mut r);
         let due1 = m.next_wakeup().unwrap();
         assert_eq!(due1, SimTime::from_millis(4));
-        let rel = m.collect_due(SimTime::from_millis(8), &mut r);
+        let rel = drain_due(&mut m, SimTime::from_millis(8), &mut r);
         assert_eq!(rel.len(), 2);
         assert!(matches!(rel[0].dir, Direction::Outbound));
         assert!(matches!(rel[1].dir, Direction::Inbound));
@@ -758,7 +759,7 @@ mod tests {
         offer(&mut m, Direction::Inbound, 1000, SimTime::ZERO, &mut r);
         // Inbound service = (4000−800) ns/B × 1000 B = 3.2 ms.
         assert_eq!(m.next_wakeup(), Some(SimTime::from_nanos(3_200_000)));
-        m.collect_due(SimTime::from_secs(1), &mut r);
+        drain_due(&mut m, SimTime::from_secs(1), &mut r);
         offer(
             &mut m,
             Direction::Outbound,
@@ -854,7 +855,7 @@ mod tests {
         // First tuple: 5 ms latency.
         offer(&mut m, Direction::Outbound, 10, SimTime::ZERO, &mut r);
         assert_eq!(m.next_wakeup(), Some(SimTime::from_millis(5)));
-        m.collect_due(SimTime::from_secs(1), &mut r);
+        drain_due(&mut m, SimTime::from_secs(1), &mut r);
         // Second tuple active after 1 s: 40 ms latency.
         offer(
             &mut m,
@@ -865,7 +866,7 @@ mod tests {
         );
         assert_eq!(m.next_wakeup(), Some(SimTime::from_millis(1540)));
         // Starved buffer: last tuple stretches.
-        m.collect_due(SimTime::from_secs(10), &mut r);
+        drain_due(&mut m, SimTime::from_secs(10), &mut r);
         offer(
             &mut m,
             Direction::Outbound,
@@ -895,7 +896,7 @@ mod tests {
         let mut r = rng();
         offer(&mut m, Direction::Outbound, 10, SimTime::ZERO, &mut r);
         assert_eq!(m.next_wakeup(), Some(SimTime::from_millis(5)));
-        m.collect_due(SimTime::from_secs(1), &mut r);
+        drain_due(&mut m, SimTime::from_secs(1), &mut r);
         // Tuple expired at 1 s, buffer open + empty → starvation hold:
         // the stale 5 ms tuple still modulates.
         offer(
@@ -910,7 +911,7 @@ mod tests {
             !m.fidelity().degraded,
             "transient starvation is not degradation"
         );
-        m.collect_due(SimTime::from_millis(1150), &mut r);
+        drain_due(&mut m, SimTime::from_millis(1150), &mut r);
         // Within the 250 ms backoff window the buffer is NOT re-polled:
         // a fresh tuple sits unread while the stale one replays.
         buf.write(&[mk(40)]);
@@ -923,7 +924,7 @@ mod tests {
         );
         assert_eq!(m.next_wakeup(), Some(SimTime::from_millis(1205)));
         assert_eq!(m.fidelity().starvation_holds, 1);
-        m.collect_due(SimTime::from_secs(2), &mut r);
+        drain_due(&mut m, SimTime::from_secs(2), &mut r);
         // Past the window: recovery pops the fresh tuple and restarts
         // its clock from now.
         offer(
@@ -935,14 +936,14 @@ mod tests {
         );
         assert_eq!(m.next_wakeup(), Some(SimTime::from_millis(1440)));
         assert_eq!(m.fidelity().starvation_holds, 1);
-        m.collect_due(SimTime::from_secs(3), &mut r);
+        drain_due(&mut m, SimTime::from_secs(3), &mut r);
         // Sustained starvation (no refill): consecutive empty polls
         // escalate 250→500→1000→2000→4000 ms; when the next window
         // reaches the 8 s cap the run is marked degraded.
         let mut t = SimTime::from_millis(2500);
         for _ in 0..5 {
             offer(&mut m, Direction::Outbound, 10, t, &mut r);
-            m.collect_due(t + SimDuration::from_secs(20), &mut r);
+            drain_due(&mut m, t + SimDuration::from_secs(20), &mut r);
             t += SimDuration::from_secs(20);
         }
         assert_eq!(m.fidelity().starvation_holds, 6);
@@ -954,7 +955,7 @@ mod tests {
         buf2.close();
         let mut m2 = Modulator::from_buffer(buf2).with_clock(TickClock::ideal());
         offer(&mut m2, Direction::Outbound, 10, SimTime::ZERO, &mut r);
-        m2.collect_due(SimTime::from_secs(5), &mut r);
+        drain_due(&mut m2, SimTime::from_secs(5), &mut r);
         // Long after the tuple expired: still modulates with it, with
         // no starvation accounting — the stream simply ended.
         offer(
@@ -997,7 +998,7 @@ mod tests {
                 &mut r,
             );
         }
-        let rel = m.collect_due(SimTime::from_secs(1), &mut r);
+        let rel = drain_due(&mut m, SimTime::from_secs(1), &mut r);
         assert_eq!(rel.len(), 5);
         let sizes: Vec<usize> = rel.iter().map(|p| p.bytes.len()).collect();
         assert_eq!(sizes, vec![100, 110, 120, 130, 140]);
@@ -1013,7 +1014,7 @@ mod tests {
         offer(&mut m, Direction::Outbound, 1000, SimTime::ZERO, &mut r);
         // Outbound: 6 ms bottleneck + 10 ms latency = 16 ms.
         assert_eq!(m.next_wakeup(), Some(SimTime::from_millis(16)));
-        m.collect_due(SimTime::from_secs(1), &mut r);
+        drain_due(&mut m, SimTime::from_secs(1), &mut r);
         // Inbound at t=2s: 2 ms bottleneck + 2 ms latency = 4 ms.
         offer(
             &mut m,

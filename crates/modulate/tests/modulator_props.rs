@@ -2,9 +2,16 @@
 
 use modulate::{Modulator, TickClock};
 use netsim::{SimDuration, SimRng, SimTime};
-use netstack::{Direction, LinkShim, ShimVerdict};
+use netstack::{Direction, LinkShim, ShimRelease, ShimVerdict};
 use proptest::prelude::*;
 use tracekit::{QualityTuple, ReplayTrace};
+
+/// Drain every release due at `now` through a fresh buffer.
+fn drain_due(m: &mut Modulator, now: SimTime, rng: &mut SimRng) -> Vec<ShimRelease> {
+    let mut out = Vec::new();
+    m.collect_due_into(now, rng, &mut out);
+    out
+}
 
 fn arb_tuple() -> impl Strategy<Value = QualityTuple> {
     (
@@ -73,7 +80,7 @@ proptest! {
         for (i, o) in offers.iter().enumerate() {
             now += SimDuration::from_micros(o.gap_us);
             // Collect anything due before this offer.
-            for rel in m.collect_due(now, &mut rng) {
+            for rel in drain_due(&mut m, now, &mut rng) {
                 released += 1;
                 match rel.dir {
                     Direction::Outbound => {
@@ -103,7 +110,7 @@ proptest! {
             }
         }
         // Drain everything.
-        for rel in m.collect_due(SimTime::MAX, &mut rng) {
+        for rel in drain_due(&mut m, SimTime::MAX, &mut rng) {
             released += 1;
             match rel.dir {
                 Direction::Outbound => {
@@ -152,7 +159,7 @@ proptest! {
             let due = m.next_wakeup().expect("held");
             prop_assert!(due >= now + SimDuration::from_millis(lat_ms));
             // Drain so next_wakeup refers to the most recent packet.
-            m.collect_due(SimTime::MAX, &mut rng);
+            drain_due(&mut m, SimTime::MAX, &mut rng);
         }
     }
 }

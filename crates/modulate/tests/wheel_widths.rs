@@ -138,7 +138,8 @@ fn transcript(slots: usize, tuples: &[QualityTuple], steps: &[Step], tick_ms: u6
             }
             Step::Collect { gap_us } => {
                 now += SimDuration::from_micros(gap_us);
-                for rel in m.collect_due(now, &mut rng) {
+                m.collect_due_into(now, &mut rng, &mut out);
+                for rel in out.drain(..) {
                     log.push(format!("{i} rel {:?} {}", rel.dir, rel.bytes.len()));
                 }
             }
@@ -150,7 +151,8 @@ fn transcript(slots: usize, tuples: &[QualityTuple], steps: &[Step], tick_ms: u6
         ));
     }
     // Drain the stragglers, then freeze the end-of-run reports.
-    for rel in m.collect_due(SimTime::MAX, &mut rng) {
+    m.collect_due_into(SimTime::MAX, &mut rng, &mut out);
+    for rel in out.drain(..) {
         log.push(format!("end rel {:?} {}", rel.dir, rel.bytes.len()));
     }
     log.push(format!("stats {:?}", m.stats()));

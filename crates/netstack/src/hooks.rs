@@ -39,7 +39,7 @@ pub enum ShimVerdict {
     /// Silently discard.
     Drop,
     /// The shim has queued the frame and will release it from
-    /// [`LinkShim::collect_due`] at or after [`LinkShim::next_wakeup`].
+    /// [`LinkShim::collect_due_into`] at or after [`LinkShim::next_wakeup`].
     Hold,
 }
 
@@ -70,16 +70,10 @@ pub trait LinkShim: Any + Send {
     /// needs service, if any. The host keeps a timer armed for this.
     fn next_wakeup(&self) -> Option<SimTime>;
 
-    /// Remove and return every frame due at or before `now`, in order.
-    fn collect_due(&mut self, now: SimTime, rng: &mut SimRng) -> Vec<ShimRelease>;
-
-    /// Like [`collect_due`](LinkShim::collect_due) but appending into a
-    /// caller-owned buffer, so a host servicing its shim timer every
-    /// tick can reuse one allocation. The default forwards to
-    /// `collect_due`; shims with a batch-drain fast path override it.
-    fn collect_due_into(&mut self, now: SimTime, rng: &mut SimRng, out: &mut Vec<ShimRelease>) {
-        out.extend(self.collect_due(now, rng));
-    }
+    /// Remove every frame due at or before `now` and append it, in
+    /// order, to the caller-owned `out`, so a host servicing its shim
+    /// timer every tick can reuse one allocation.
+    fn collect_due_into(&mut self, now: SimTime, rng: &mut SimRng, out: &mut Vec<ShimRelease>);
 }
 
 /// A shim that passes everything through — useful as a baseline and in
@@ -102,9 +96,7 @@ impl LinkShim for PassthroughShim {
         None
     }
 
-    fn collect_due(&mut self, _now: SimTime, _rng: &mut SimRng) -> Vec<ShimRelease> {
-        Vec::new()
-    }
+    fn collect_due_into(&mut self, _now: SimTime, _rng: &mut SimRng, _out: &mut Vec<ShimRelease>) {}
 }
 
 /// A tap that counts frames and bytes per direction — useful baseline and
@@ -159,6 +151,8 @@ mod tests {
             other => panic!("expected Pass, got {other:?}"),
         }
         assert!(shim.next_wakeup().is_none());
-        assert!(shim.collect_due(SimTime::MAX, &mut rng).is_empty());
+        let mut out = Vec::new();
+        shim.collect_due_into(SimTime::MAX, &mut rng, &mut out);
+        assert!(out.is_empty());
     }
 }

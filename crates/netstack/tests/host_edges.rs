@@ -21,9 +21,7 @@ impl LinkShim for BlackHole {
     fn next_wakeup(&self) -> Option<SimTime> {
         None
     }
-    fn collect_due(&mut self, _n: SimTime, _r: &mut SimRng) -> Vec<ShimRelease> {
-        Vec::new()
-    }
+    fn collect_due_into(&mut self, _n: SimTime, _r: &mut SimRng, _o: &mut Vec<ShimRelease>) {}
 }
 
 /// App that sends one ping at start and counts replies.

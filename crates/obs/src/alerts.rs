@@ -521,7 +521,7 @@ pub struct FaultStamp {
     pub info: String,
 }
 
-/// Parse fault stamps from a `--fault-out` JSONL log.
+/// Parse fault stamps from a run directory's `faults.jsonl` log.
 pub fn parse_fault_stamps(text: &str) -> Result<Vec<FaultStamp>, String> {
     text.lines()
         .filter(|l| !l.trim().is_empty())

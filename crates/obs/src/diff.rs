@@ -26,14 +26,13 @@ use std::fmt::Write as _;
 /// the kind picks which context fields get extracted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArtifactKind {
-    /// Telemetry `SamplePoint` JSONL (`--telemetry-out`).
+    /// Telemetry `SamplePoint` JSONL (`telemetry.jsonl`).
     Telemetry,
-    /// Per-client run-manifest JSONL (`--manifests-out`, chaos
-    /// `--obs-out`).
+    /// Per-client or per-trial run-manifest JSONL (`manifests.jsonl`).
     Manifests,
-    /// Fault-event JSONL (`--fault-out`).
+    /// Fault-event JSONL (`faults.jsonl`).
     Faults,
-    /// Alert-report JSONL (`tracemod alerts --out`).
+    /// Alert-report JSONL (`alerts.jsonl`).
     Alerts,
     /// A fleet aggregate report (single JSON document).
     FleetReport,

@@ -1,4 +1,5 @@
-//! The aggregate fleet fidelity report (`tracemod fleet --obs-out`).
+//! The aggregate fleet fidelity report (`report.json` in a fleet run
+//! directory).
 //!
 //! A fleet run produces one [`RunManifest`] per client (trial = client
 //! index); this module folds them into a single machine-readable
@@ -209,7 +210,7 @@ impl FleetReport {
         out
     }
 
-    /// Pretty-printed JSON form (what `--obs-out` writes).
+    /// Pretty-printed JSON form (the `report.json` artifact).
     pub fn to_json_pretty(&self) -> String {
         serde_json::to_string_pretty(self).expect("fleet report serializes")
     }

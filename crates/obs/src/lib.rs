@@ -13,7 +13,8 @@
 //!   self-check (intended-vs-actual delay error percentiles, deadline
 //!   misses, drift clamps, loss-rate delta vs the replay trace) with
 //!   [`FidelityThresholds`] for CI gating;
-//! * [`RunManifest`] — the per-run artifact (`tracemod --obs-out`)
+//! * [`RunManifest`] — the per-run artifact (`manifest.json` in a run
+//!   directory)
 //!   separating deterministic sim-path metrics from the wall-clock
 //!   runner section, so serial and parallel executions of the same
 //!   cell compare bitwise equal on
@@ -41,7 +42,10 @@
 //! * [`diff`] — cross-run divergence forensics: a first-divergence
 //!   finder that walks two runs' artifacts in lockstep and names the
 //!   earliest differing field with virtual-time / client / shard
-//!   context (`tracemod diff-runs`).
+//!   context (`tracemod diff-runs`);
+//! * [`run_dir`] — the run directory: one table of artifact file names,
+//!   determinism and causal order, with the one writer and reader every
+//!   `--out DIR` command and run-directory reader goes through.
 //!
 //! **Determinism rule**: everything under [`RunManifest::metrics`] and
 //! [`RunManifest::fidelity`] must derive only from simulation state
@@ -60,6 +64,7 @@ pub mod manifest;
 pub mod metrics;
 pub mod profile;
 pub mod registry;
+pub mod run_dir;
 pub mod telemetry;
 pub mod toml;
 
@@ -76,6 +81,7 @@ pub use manifest::{ModelInfo, RunManifest, RunnerSection, MANIFEST_SCHEMA};
 pub use metrics::{Hist, HistSnapshot};
 pub use profile::{ProfEntry, Profiler};
 pub use registry::MetricsRegistry;
+pub use run_dir::{Artifact, DirDiff};
 pub use telemetry::{
     FleetTelemetry, SampleInputs, SamplePoint, ShardTelemetry, TelemetryConfig, TopEntry, TopK,
     TELEMETRY_SCHEMA,

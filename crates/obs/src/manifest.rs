@@ -1,4 +1,6 @@
-//! The per-run observability manifest (`tracemod --obs-out`).
+//! The per-run observability manifest (`manifest.json` in a
+//! live-pipeline run directory; runner-stripped, one line per run in
+//! `manifests.jsonl`).
 
 use crate::fidelity::{FidelityReport, FidelityThresholds};
 use crate::registry::MetricsRegistry;
@@ -86,7 +88,7 @@ impl RunManifest {
         });
     }
 
-    /// Pretty-printed JSON form (what `--obs-out` writes).
+    /// Pretty-printed JSON form (the `manifest.json` artifact).
     pub fn to_json_pretty(&self) -> String {
         serde_json::to_string_pretty(self).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
     }

@@ -13,10 +13,11 @@
 //! ([`Profiler::add_virtual`]) so a scope can report how much simulated
 //! time it advanced per wall second.
 //!
-//! Profiling reads the wall clock, so it is opt-in (`fleet
-//! --profile-out`), carries no determinism promise, and is **excluded**
-//! from all deterministic artifacts — the same rule the manifest's
-//! `RunnerSection` follows. Per-shard profiles merge by summation.
+//! Profiling reads the wall clock, so it is opt-in (`fleet --profile`,
+//! written as `profile.txt`), carries no determinism promise, and is
+//! **excluded** from all deterministic artifacts — the same rule the
+//! manifest's `RunnerSection` follows. Per-shard profiles merge by
+//! summation.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -497,7 +497,7 @@ impl FleetTelemetry {
     }
 
     /// One JSON object per sample row, in series order — the
-    /// `--telemetry-out` artifact. Byte-identical across shard layouts.
+    /// `telemetry.jsonl` artifact. Byte-identical across shard layouts.
     pub fn to_jsonl(&self) -> String {
         let mut s = String::new();
         for row in &self.series {

@@ -3,8 +3,8 @@
 //!
 //! Two guarantees matter downstream:
 //!
-//! * **JSONL round-trip** — `tracemod alerts --telemetry F` re-reads
-//!   the rows `fleet --telemetry-out` wrote; every [`SamplePoint`]
+//! * **JSONL round-trip** — `tracemod alerts DIR` re-reads the
+//!   `telemetry.jsonl` rows `fleet --out DIR` wrote; every [`SamplePoint`]
 //!   field must survive serialize → parse bit-exactly, and a whole
 //!   series must survive `to_jsonl` → per-line parse in order.
 //! * **Prometheus exposition shape** — scrapers only tolerate the text

@@ -4,11 +4,11 @@
 //! Two decoding styles share one record codec:
 //!
 //! * [`decode_trace`] — batch: the whole file is in memory;
-//! * [`TraceDecoder`] — incremental: bytes are [fed](TraceDecoder::feed)
-//!   in arbitrary chunks and records are pulled out as soon as they are
-//!   complete, holding only the undecoded tail in memory. This is what
-//!   the streaming file reader ([`crate::io::TraceFileStream`]) builds
-//!   on.
+//! * [`ChunkDecoder`] — incremental: bytes arrive in arbitrary chunks
+//!   and records are decoded in place as soon as they are complete,
+//!   holding only an item that straddles a chunk boundary. This is what
+//!   the streaming file reader ([`crate::io::TraceFileStream`]) and the
+//!   fault injector's quarantine path build on.
 
 use crate::record::{
     DeviceRecord, Dir, OverrunRecord, PacketRecord, ProtoInfo, Trace, TraceRecord,
@@ -360,46 +360,64 @@ pub fn decode_trace(data: &[u8]) -> Result<Trace, FormatError> {
     })
 }
 
-/// Incremental (push) decoder for the binary trace format.
+/// How far the carry buffer is topped up per attempt while completing
+/// an item that straddles a chunk boundary. Records are at most ~41
+/// wire bytes, so one step almost always completes a record; headers
+/// (variable-length strings) may take a few.
+const CARRY_STEP: usize = 64;
+
+/// One step of chunk decoding: a parsed item (header or quarantined byte
+/// → `None`, record → `Some`) plus the bytes it consumed, or a request
+/// for more input.
+enum Parsed {
+    Item(Option<TraceRecord>, usize),
+    NeedMore,
+}
+
+/// Zero-copy incremental decoder for the binary trace format.
 ///
 /// Feed it bytes in whatever chunk sizes arrive — a 64 KiB file read, a
-/// network segment, one byte at a time — and pull decoded records out.
-/// Only the not-yet-decoded tail is buffered, so memory stays bounded by
-/// the chunk size plus one record, never the whole trace.
+/// network segment, one byte at a time. It parses records *directly
+/// from the caller's chunk slice*; only the bytes of an item that
+/// straddles a chunk boundary are copied into a small carry buffer
+/// (bounded by one record — or the header — plus a small top-up step).
+/// Memory stays bounded whatever the trace length, and the distillation
+/// ingest path pays no per-chunk memcpy.
 ///
-/// `next_record` returning `Ok(None)` means "need more bytes" (or, once
-/// the declared record count has been decoded, "done"). A truncation
-/// error is only reported by [`finish`](TraceDecoder::finish), when the
-/// caller knows no more bytes are coming; mid-stream, an incomplete
-/// record is simply held until its remaining bytes arrive.
+/// Decoded records are appended to a caller-owned `Vec`, so a streaming
+/// reader can reuse one allocation across the whole file. An incomplete
+/// item is held until its remaining bytes arrive; a truncation error is
+/// only reported by [`finish`](ChunkDecoder::finish), when the caller
+/// knows no more bytes are coming.
 ///
 /// # Quarantine mode
 ///
-/// With [`quarantining`](TraceDecoder::quarantining) enabled, a
+/// With [`quarantining`](ChunkDecoder::quarantining) enabled, a
 /// malformed record body (an unknown tag byte) no longer errors the
 /// whole stream. The decoder instead skips forward one byte at a time
 /// until a record decodes again, counting each contiguous skip run as
-/// one quarantined record and every skipped byte in
-/// [`quarantined_bytes`](TraceDecoder::quarantined_bytes). Header
-/// corruption ([`FormatError::BadMagic`] / [`FormatError::BadVersion`])
-/// is still a hard error: without a trusted header nothing downstream
-/// is meaningful.
+/// one quarantined record (charged against the declared count) and
+/// every skipped byte in
+/// [`quarantined_bytes`](ChunkDecoder::quarantined_bytes). A skip run
+/// may span chunk boundaries: the carry buffer holds the bytes still
+/// being tried. Header corruption ([`FormatError::BadMagic`] /
+/// [`FormatError::BadVersion`]) is still a hard error: without a
+/// trusted header nothing downstream is meaningful.
 #[derive(Debug, Default)]
-pub struct TraceDecoder {
-    buf: Vec<u8>,
-    pos: usize,
+pub struct ChunkDecoder {
     header: Option<TraceHeader>,
     remaining: u32,
+    carry: Vec<u8>,
     quarantine: bool,
     skipping: bool,
     quarantined_records: u64,
     quarantined_bytes: u64,
 }
 
-impl TraceDecoder {
-    /// A decoder with no bytes fed yet.
+impl ChunkDecoder {
+    /// A decoder with no bytes seen yet.
     pub fn new() -> Self {
-        TraceDecoder::default()
+        ChunkDecoder::default()
     }
 
     /// Enable quarantine mode: malformed record bodies are skipped and
@@ -419,148 +437,6 @@ impl TraceDecoder {
     /// records.
     pub fn quarantined_bytes(&self) -> u64 {
         self.quarantined_bytes
-    }
-
-    /// Append a chunk of the trace file.
-    pub fn feed(&mut self, chunk: &[u8]) {
-        self.buf.extend_from_slice(chunk);
-    }
-
-    /// The file header, once enough bytes have been fed to decode it.
-    pub fn header(&self) -> Option<&TraceHeader> {
-        self.header.as_ref()
-    }
-
-    /// Bytes fed but not yet decoded (bounded by chunk size + one
-    /// record once decoding is under way).
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Have all records declared by the header been decoded?
-    pub fn is_complete(&self) -> bool {
-        self.header.is_some() && self.remaining == 0
-    }
-
-    /// Declare end-of-input: errors with [`FormatError::Truncated`] if
-    /// the header or any declared record is still missing.
-    pub fn finish(&self) -> Result<(), FormatError> {
-        if self.is_complete() {
-            Ok(())
-        } else {
-            Err(FormatError::Truncated)
-        }
-    }
-
-    /// Attempt to decode the header from the buffered bytes. Returns
-    /// `Ok(false)` if more bytes are needed.
-    pub fn try_parse_header(&mut self) -> Result<bool, FormatError> {
-        if self.header.is_some() {
-            return Ok(true);
-        }
-        let mut r = Reader::new(&self.buf[self.pos..]);
-        match read_trace_header(&mut r) {
-            Ok(h) => {
-                self.pos += r.pos;
-                self.remaining = h.count;
-                self.header = Some(h);
-                self.compact();
-                Ok(true)
-            }
-            Err(FormatError::Truncated) => Ok(false),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Decode the next record, or `Ok(None)` if more bytes are needed
-    /// (or all declared records have been produced).
-    pub fn next_record(&mut self) -> Result<Option<TraceRecord>, FormatError> {
-        if !self.try_parse_header()? {
-            return Ok(None);
-        }
-        loop {
-            if self.remaining == 0 {
-                return Ok(None);
-            }
-            let mut r = Reader::new(&self.buf[self.pos..]);
-            match read_record(&mut r) {
-                Ok(rec) => {
-                    self.pos += r.pos;
-                    self.remaining -= 1;
-                    self.skipping = false;
-                    self.compact();
-                    return Ok(Some(rec));
-                }
-                Err(FormatError::Truncated) => return Ok(None),
-                Err(e) => {
-                    if !self.quarantine {
-                        return Err(e);
-                    }
-                    // Start of a new malformed run: charge one record
-                    // against the declared count so the stream can
-                    // still complete.
-                    if !self.skipping {
-                        self.skipping = true;
-                        self.quarantined_records += 1;
-                        self.remaining -= 1;
-                    }
-                    self.pos += 1;
-                    self.quarantined_bytes += 1;
-                    self.compact();
-                }
-            }
-        }
-    }
-
-    // Reclaim consumed bytes once they dominate the buffer; amortized
-    // O(1) per byte since each drain at least halves the buffer.
-    fn compact(&mut self) {
-        if self.pos > 0 && self.pos * 2 >= self.buf.len() {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-    }
-}
-
-/// How far the carry buffer is topped up per attempt while completing
-/// an item that straddles a chunk boundary. Records are at most ~41
-/// wire bytes, so one step almost always completes a record; headers
-/// (variable-length strings) may take a few.
-const CARRY_STEP: usize = 64;
-
-/// One step of chunk decoding: a parsed item (header → `None`, record →
-/// `Some`) plus the bytes it consumed, or a request for more input.
-enum Parsed {
-    Item(Option<TraceRecord>, usize),
-    NeedMore,
-}
-
-/// Zero-copy incremental decoder for the binary trace format.
-///
-/// Where [`TraceDecoder`] copies every fed byte into an internal buffer
-/// before parsing, this decoder parses records *directly from the
-/// caller's chunk slice*. Only the bytes of an item that straddles a
-/// chunk boundary are copied into a small carry buffer (bounded by one
-/// record — or the header — plus a small top-up step); everything else is
-/// decoded in place. That removes the per-chunk memcpy from the
-/// distillation ingest path.
-///
-/// Decoded records are appended to a caller-owned `Vec`, so a streaming
-/// reader can reuse one allocation across the whole file.
-///
-/// Malformed input is a hard error; for the fault-injection quarantine
-/// mode, use [`TraceDecoder`].
-#[derive(Debug, Default)]
-pub struct ChunkDecoder {
-    header: Option<TraceHeader>,
-    remaining: u32,
-    carry: Vec<u8>,
-}
-
-impl ChunkDecoder {
-    /// A decoder with no bytes seen yet.
-    pub fn new() -> Self {
-        ChunkDecoder::default()
     }
 
     /// The file header, once enough bytes have been decoded.
@@ -653,7 +529,7 @@ impl ChunkDecoder {
     }
 
     /// Try to parse one item (header first, then records) from the
-    /// front of `buf`.
+    /// front of `buf`. A quarantined byte is an item with no record.
     fn parse_step(&mut self, buf: &[u8]) -> Result<Parsed, FormatError> {
         let mut r = Reader::new(buf);
         if self.header.is_none() {
@@ -671,10 +547,23 @@ impl ChunkDecoder {
         match read_record(&mut r) {
             Ok(rec) => {
                 self.remaining -= 1;
+                self.skipping = false;
                 Ok(Parsed::Item(Some(rec), r.pos))
             }
             Err(FormatError::Truncated) => Ok(Parsed::NeedMore),
-            Err(e) => Err(e),
+            Err(e) if !self.quarantine => Err(e),
+            Err(_) => {
+                // Start of a new malformed run: charge one record
+                // against the declared count so the stream can still
+                // complete. Then skip one byte and try again.
+                if !self.skipping {
+                    self.skipping = true;
+                    self.quarantined_records += 1;
+                    self.remaining -= 1;
+                }
+                self.quarantined_bytes += 1;
+                Ok(Parsed::Item(None, 1))
+            }
         }
     }
 }
@@ -839,87 +728,152 @@ mod tests {
         assert_eq!(bytes, encode_trace(&t));
     }
 
+    /// Decode `bytes` in `chunk`-sized pieces, returning the records and
+    /// the decoder.
+    fn decode_in_chunks(
+        mut dec: ChunkDecoder,
+        bytes: &[u8],
+        chunk: usize,
+    ) -> (Vec<TraceRecord>, ChunkDecoder) {
+        let mut records = Vec::new();
+        for piece in bytes.chunks(chunk) {
+            dec.decode_chunk(piece, &mut records).unwrap();
+        }
+        (records, dec)
+    }
+
+    /// A device record whose every wire byte is 4, an invalid tag: once
+    /// its own tag is damaged, quarantine skips all of it in one run.
+    fn all_fours() -> TraceRecord {
+        TraceRecord::Device(DeviceRecord {
+            timestamp_ns: 0x0404_0404_0404_0404,
+            signal: 0x0404_0404,
+            quality: 0x0404_0404,
+            silence: 0x0404_0404,
+        })
+    }
+
     #[test]
     fn incremental_decoder_single_byte_chunks() {
         let t = sample();
         let bytes = encode_trace(&t);
-        let mut dec = TraceDecoder::new();
-        let mut records = Vec::new();
-        for b in &bytes {
-            dec.feed(std::slice::from_ref(b));
-            while let Some(rec) = dec.next_record().unwrap() {
-                records.push(rec);
-            }
+        let reference = decode_trace(&bytes).unwrap();
+        for dec in [ChunkDecoder::new(), ChunkDecoder::new().quarantining()] {
+            let (records, dec) = decode_in_chunks(dec, &bytes, 1);
+            dec.finish().unwrap();
+            assert_eq!(records, reference.records);
+            let h = dec.header().unwrap();
+            assert_eq!((h.host.as_str(), h.scenario.as_str()), ("thinkpad", "wean"));
+            assert_eq!(h.count as usize, t.records.len());
+            assert_eq!(dec.quarantined_records(), 0);
         }
-        dec.finish().unwrap();
-        assert_eq!(records, t.records);
-        let h = dec.header().unwrap();
-        assert_eq!((h.host.as_str(), h.scenario.as_str()), ("thinkpad", "wean"));
-        assert_eq!(h.count as usize, t.records.len());
     }
 
     #[test]
     fn incremental_decoder_bounded_buffer() {
+        // Quarantine mode over a long, periodically damaged trace: the
+        // carry never grows past one straddling item plus a top-up step.
         let mut t = Trace::new("h", "s", 1);
         for i in 0..10_000u64 {
-            t.records.push(TraceRecord::Device(DeviceRecord {
-                timestamp_ns: i,
-                signal: 1,
-                quality: 2,
-                silence: 3,
-            }));
+            t.records.push(if i % 100 == 50 {
+                all_fours()
+            } else {
+                TraceRecord::Device(DeviceRecord {
+                    timestamp_ns: i,
+                    signal: 1,
+                    quality: 2,
+                    silence: 3,
+                })
+            });
         }
-        let bytes = encode_trace(&t);
-        let mut dec = TraceDecoder::new();
+        let mut bytes = encode_trace(&t);
+        let header_len = bytes.len() - t.records.len() * 21;
+        for i in (50..10_000).step_by(100) {
+            bytes[header_len + i * 21] = 4;
+        }
+        let mut dec = ChunkDecoder::new().quarantining();
         let mut n = 0;
         let mut peak = 0;
+        let mut records = Vec::new();
         for chunk in bytes.chunks(256) {
-            dec.feed(chunk);
-            while let Some(_rec) = dec.next_record().unwrap() {
-                n += 1;
-            }
+            dec.decode_chunk(chunk, &mut records).unwrap();
+            n += records.len();
+            records.clear();
             peak = peak.max(dec.buffered());
         }
         dec.finish().unwrap();
-        assert_eq!(n, 10_000);
-        // The undecoded tail never grows past a chunk plus one record.
-        assert!(peak < 256 + 64, "peak buffered {peak}");
+        assert_eq!(n, 9_900);
+        assert_eq!(dec.quarantined_records(), 100);
+        assert_eq!(dec.quarantined_bytes(), 100 * 21);
+        assert!(peak < 64 + CARRY_STEP, "peak carry {peak}");
     }
 
     #[test]
     fn incremental_decoder_truncation_only_at_finish() {
         let bytes = encode_trace(&sample());
         let cut = bytes.len() - 3;
-        let mut dec = TraceDecoder::new();
-        dec.feed(&bytes[..cut]);
-        while dec.next_record().unwrap().is_some() {}
+        let mut dec = ChunkDecoder::new().quarantining();
+        let mut records = Vec::new();
+        dec.decode_chunk(&bytes[..cut], &mut records).unwrap();
         assert!(!dec.is_complete());
         assert_eq!(dec.finish(), Err(FormatError::Truncated));
-        // Feeding the missing tail completes the stream.
-        dec.feed(&bytes[cut..]);
-        assert!(dec.next_record().unwrap().is_some());
+        // Feeding the missing tail completes the stream; a short tail
+        // is held, not quarantined.
+        dec.decode_chunk(&bytes[cut..], &mut records).unwrap();
         dec.finish().unwrap();
+        assert_eq!(records, decode_trace(&bytes).unwrap().records);
+        assert_eq!(dec.quarantined_bytes(), 0);
     }
 
     #[test]
     fn incremental_decoder_bad_magic() {
-        let mut dec = TraceDecoder::new();
-        dec.feed(b"XXXX not a trace");
-        assert_eq!(dec.next_record(), Err(FormatError::BadMagic));
+        // Header damage stays a hard error even in quarantine mode.
+        let mut dec = ChunkDecoder::new().quarantining();
+        assert_eq!(
+            dec.decode_chunk(b"XXXX not a trace", &mut Vec::new()),
+            Err(FormatError::BadMagic)
+        );
     }
 
     #[test]
-    fn chunk_decoder_matches_trace_decoder_at_every_chunk_size() {
+    fn quarantine_resyncs_across_chunk_boundaries() {
+        let mut t = sample();
+        t.records.insert(3, all_fours());
+        let mut bytes = encode_trace(&t);
+        let damaged = encode_trace(&Trace {
+            records: t.records[..3].to_vec(),
+            ..t.clone()
+        })
+        .len();
+        bytes[damaged] = 4;
+        let mut expected = t.records.clone();
+        expected.remove(3);
+        // Every chunk size splits the 21-byte skip run differently.
+        for chunk in 1..=bytes.len() {
+            let (records, dec) =
+                decode_in_chunks(ChunkDecoder::new().quarantining(), &bytes, chunk);
+            dec.finish().unwrap();
+            assert_eq!(records, expected, "chunk size {chunk}");
+            assert_eq!(dec.quarantined_records(), 1, "chunk size {chunk}");
+            assert_eq!(dec.quarantined_bytes(), 21, "chunk size {chunk}");
+        }
+        // Strict mode stops at the damaged tag.
+        let mut strict = ChunkDecoder::new();
+        assert_eq!(
+            strict.decode_chunk(&bytes, &mut Vec::new()),
+            Err(FormatError::BadTag(4))
+        );
+    }
+
+    #[test]
+    fn chunk_decoder_matches_decode_trace_at_every_chunk_size() {
         let t = sample();
         let bytes = encode_trace(&t);
+        let reference = decode_trace(&bytes).unwrap();
         for chunk_size in [1usize, 2, 3, 7, 16, 64, 1024, bytes.len()] {
-            let mut dec = ChunkDecoder::new();
-            let mut records = Vec::new();
-            for chunk in bytes.chunks(chunk_size) {
-                dec.decode_chunk(chunk, &mut records).unwrap();
-            }
+            let (records, dec) = decode_in_chunks(ChunkDecoder::new(), &bytes, chunk_size);
             dec.finish().unwrap();
-            assert_eq!(records, t.records, "chunk size {chunk_size}");
+            assert_eq!(records, reference.records, "chunk size {chunk_size}");
             let h = dec.header().unwrap();
             assert_eq!((h.host.as_str(), h.scenario.as_str()), ("thinkpad", "wean"));
         }

@@ -10,8 +10,7 @@
 //! not scale).
 
 use crate::format::{
-    decode_replay, encode_record, encode_replay, encode_trace_header, ChunkDecoder, TraceDecoder,
-    TraceHeader,
+    decode_replay, encode_record, encode_replay, encode_trace_header, ChunkDecoder, TraceHeader,
 };
 use crate::record::{Trace, TraceRecord};
 use crate::replay::ReplayTrace;
@@ -93,26 +92,15 @@ impl ChunkedTraceWriter {
     }
 }
 
-// Which decoder a `TraceFileStream` runs on. The zero-copy
-// `ChunkDecoder` is the default; quarantine mode needs the buffering
-// `TraceDecoder` because resynchronizing after a malformed record can
-// scan arbitrarily far across chunk boundaries.
-#[derive(Debug)]
-enum FileDecoder {
-    Chunk(ChunkDecoder),
-    Quarantine(TraceDecoder),
-}
-
 /// Streaming reader for binary trace files: a [`RecordStream`] that
 /// reads the file in fixed-size chunks through a zero-copy
 /// [`ChunkDecoder`], so memory stays bounded by the chunk size
 /// regardless of trace length and only record bytes straddling a chunk
-/// boundary are ever copied. [`quarantining`](TraceFileStream::quarantining)
-/// switches to the buffering [`TraceDecoder`] path.
+/// boundary are ever copied.
 #[derive(Debug)]
 pub struct TraceFileStream {
     file: fs::File,
-    decoder: FileDecoder,
+    decoder: ChunkDecoder,
     chunk: Vec<u8>,
     ready: VecDeque<TraceRecord>,
     batch: Vec<TraceRecord>,
@@ -135,7 +123,7 @@ impl TraceFileStream {
         }
         Ok(TraceFileStream {
             file: fs::File::open(path)?,
-            decoder: FileDecoder::Chunk(ChunkDecoder::new()),
+            decoder: ChunkDecoder::new(),
             chunk: vec![0; chunk.max(1)],
             ready: VecDeque::new(),
             batch: Vec::new(),
@@ -153,83 +141,28 @@ impl TraceFileStream {
             self.eof = true;
             return Ok(false);
         }
-        match &mut self.decoder {
-            FileDecoder::Chunk(d) => {
-                let mut batch = std::mem::take(&mut self.batch);
-                let res = d.decode_chunk(&self.chunk[..n], &mut batch);
-                self.ready.extend(batch.drain(..));
-                self.batch = batch;
-                res?;
-            }
-            FileDecoder::Quarantine(d) => d.feed(&self.chunk[..n]),
-        }
+        let mut batch = std::mem::take(&mut self.batch);
+        let res = self.decoder.decode_chunk(&self.chunk[..n], &mut batch);
+        self.ready.extend(batch.drain(..));
+        self.batch = batch;
+        res?;
         Ok(true)
     }
 
     /// The trace header (reads just enough of the file to decode it).
     pub fn header(&mut self) -> Result<&TraceHeader, StreamError> {
-        loop {
-            let parsed = match &mut self.decoder {
-                FileDecoder::Chunk(d) => d.header().is_some(),
-                FileDecoder::Quarantine(d) => d.try_parse_header()?,
-            };
-            if parsed {
-                break;
-            }
+        while self.decoder.header().is_none() {
             if !self.fill()? {
                 return Err(crate::format::FormatError::Truncated.into());
             }
         }
-        let header = match &self.decoder {
-            FileDecoder::Chunk(d) => d.header(),
-            FileDecoder::Quarantine(d) => d.header(),
-        };
-        match header {
-            Some(h) => Ok(h),
-            None => Err(crate::format::FormatError::Truncated.into()),
-        }
+        Ok(self.decoder.header().expect("header decoded"))
     }
 
     /// Bytes currently buffered but not yet decoded (diagnostics; stays
-    /// bounded by chunk size + one record on the quarantine path, and by
-    /// one straddling item on the default path).
+    /// bounded by one straddling item).
     pub fn buffered(&self) -> usize {
-        match &self.decoder {
-            FileDecoder::Chunk(d) => d.buffered(),
-            FileDecoder::Quarantine(d) => d.buffered(),
-        }
-    }
-
-    /// Switch the underlying decoder into quarantine mode: malformed
-    /// record bodies are skipped and counted instead of erroring the
-    /// stream (see [`TraceDecoder::quarantining`]). Must be called
-    /// before any reads — it is a builder-style knob, not a mid-stream
-    /// mode switch.
-    pub fn quarantining(mut self) -> Self {
-        if let FileDecoder::Chunk(d) = &self.decoder {
-            assert!(
-                d.header().is_none() && d.buffered() == 0 && self.ready.is_empty(),
-                "quarantining() must be applied before reading from the stream"
-            );
-            self.decoder = FileDecoder::Quarantine(TraceDecoder::new().quarantining());
-        }
-        self
-    }
-
-    /// Malformed-record runs quarantined so far (quarantine mode only).
-    pub fn quarantined_records(&self) -> u64 {
-        match &self.decoder {
-            FileDecoder::Chunk(_) => 0,
-            FileDecoder::Quarantine(d) => d.quarantined_records(),
-        }
-    }
-
-    /// Bytes skipped while resynchronizing (quarantine mode only).
-    pub fn quarantined_bytes(&self) -> u64 {
-        match &self.decoder {
-            FileDecoder::Chunk(_) => 0,
-            FileDecoder::Quarantine(d) => d.quarantined_bytes(),
-        }
+        self.decoder.buffered()
     }
 }
 
@@ -239,24 +172,12 @@ impl RecordStream for TraceFileStream {
             if let Some(rec) = self.ready.pop_front() {
                 return Ok(Some(rec));
             }
-            if let FileDecoder::Quarantine(d) = &mut self.decoder {
-                if let Some(rec) = d.next_record()? {
-                    return Ok(Some(rec));
-                }
-            }
-            let complete = match &self.decoder {
-                FileDecoder::Chunk(d) => d.is_complete(),
-                FileDecoder::Quarantine(d) => d.is_complete(),
-            };
-            if complete {
+            if self.decoder.is_complete() {
                 return Ok(None);
             }
             if !self.fill()? {
                 // No more bytes: any missing record is a real truncation.
-                match &mut self.decoder {
-                    FileDecoder::Chunk(d) => d.finish()?,
-                    FileDecoder::Quarantine(d) => d.finish()?,
-                }
+                self.decoder.finish()?;
                 return Ok(None);
             }
         }

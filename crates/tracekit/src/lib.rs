@@ -34,7 +34,7 @@ pub mod stream;
 
 pub use collector::{Collector, SignalSource};
 pub use daemon::CollectionDaemon;
-pub use format::{ChunkDecoder, FormatError, TraceDecoder, TraceHeader};
+pub use format::{ChunkDecoder, FormatError, TraceHeader};
 pub use io::{ChunkedTraceWriter, TraceFileStream};
 pub use pseudodev::PseudoDevice;
 pub use record::{DeviceRecord, Dir, OverrunRecord, PacketRecord, ProtoInfo, Trace, TraceRecord};

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tracekit::format::{encode_trace, TraceDecoder};
+use tracekit::format::{decode_trace, encode_trace, ChunkDecoder};
 use tracekit::{
     ChunkedTraceWriter, DeviceRecord, Dir, OverrunRecord, PacketRecord, ProtoInfo, RecordStream,
     Trace, TraceFileStream, TraceRecord,
@@ -164,15 +164,13 @@ proptest! {
         trace.records = records;
         let bytes = encode_trace(&trace);
 
-        let mut dec = TraceDecoder::new();
+        let mut dec = ChunkDecoder::new();
         let mut back = Vec::new();
         for piece in bytes.chunks(feed) {
-            dec.feed(piece);
-            while let Some(r) = dec.next_record().unwrap() {
-                back.push(r);
-            }
+            dec.decode_chunk(piece, &mut back).unwrap();
         }
         dec.finish().unwrap();
+        prop_assert_eq!(&back, &decode_trace(&bytes).unwrap().records);
         prop_assert_eq!(back, trace.records);
     }
 }

@@ -1,22 +1,24 @@
 //! Differential decoder fuzz: hostile inputs (truncation, bit flips,
-//! raw garbage) against both the strict and the quarantining decoder.
+//! raw garbage) against the incremental [`ChunkDecoder`] in strict and
+//! quarantining mode, with the batch [`decode_trace`] as the reference.
 //!
 //! The contract under attack:
 //!
-//! * the strict paths ([`decode_trace`], [`TraceDecoder`]) report
+//! * the strict paths ([`decode_trace`], [`ChunkDecoder`]) report
 //!   [`FormatError`] — they never panic, whatever the bytes;
 //! * a truncated stream decodes a clean *prefix* of the original
 //!   records before `finish()` reports [`FormatError::Truncated`];
 //! * the quarantining decoder, given an intact header, never errors at
-//!   all on body corruption — it skips, counts, and keeps decoding;
+//!   all on body corruption — it skips, counts, and keeps decoding, and
+//!   what it decodes and counts does not depend on how the bytes were
+//!   chunked;
 //! * on well-formed input, quarantine mode is byte-for-byte identical
-//!   to strict mode (differential check), with zero quarantines.
+//!   to strict mode and to [`decode_trace`], with zero quarantines.
 
 use proptest::collection;
 use proptest::prelude::*;
-use tracekit::format::{
-    decode_trace, encode_trace, encode_trace_header, FormatError, TraceDecoder,
-};
+use tracekit::format::{decode_trace, encode_trace, encode_trace_header, FormatError};
+use tracekit::ChunkDecoder;
 use tracekit::{DeviceRecord, Dir, OverrunRecord, PacketRecord, ProtoInfo, Trace, TraceRecord};
 
 fn arb_proto() -> impl Strategy<Value = ProtoInfo> {
@@ -81,16 +83,25 @@ fn encoded(records: Vec<TraceRecord>, trial: u32) -> (Vec<u8>, Vec<TraceRecord>)
     (bytes, trace.records)
 }
 
-/// Drain an incremental decoder, stopping at the first error.
-fn drain(dec: &mut TraceDecoder) -> (Vec<TraceRecord>, Option<FormatError>) {
+/// Decode one chunk, returning the records it completed and the error,
+/// if any.
+fn drain(dec: &mut ChunkDecoder, piece: &[u8]) -> (Vec<TraceRecord>, Option<FormatError>) {
     let mut out = Vec::new();
-    loop {
-        match dec.next_record() {
-            Ok(Some(r)) => out.push(r),
-            Ok(None) => return (out, None),
-            Err(e) => return (out, Some(e)),
-        }
+    let err = dec.decode_chunk(piece, &mut out).err();
+    (out, err)
+}
+
+/// Flip `flips` bytes of the record body (the header stays intact).
+fn corrupt_body(bytes: &mut [u8], trial: u32, flips: &[(usize, u8)]) -> bool {
+    let header_len = encode_trace_header("h", "fuzz", trial, 0).len();
+    if bytes.len() <= header_len {
+        return false;
     }
+    let body = bytes.len() - header_len;
+    for &(pos_seed, mask) in flips {
+        bytes[header_len + pos_seed % body] ^= mask;
+    }
+    true
 }
 
 proptest! {
@@ -116,11 +127,10 @@ proptest! {
 
         // Incremental strict decode: whatever came out is a prefix of
         // the original records, and finish() reports the truncation.
-        let mut dec = TraceDecoder::new();
+        let mut dec = ChunkDecoder::new();
         let mut got = Vec::new();
         for piece in short.chunks(feed) {
-            dec.feed(piece);
-            let (mut part, err) = drain(&mut dec);
+            let (mut part, err) = drain(&mut dec, piece);
             got.append(&mut part);
             prop_assert!(err.is_none(), "well-formed prefix must not error mid-stream");
         }
@@ -147,10 +157,9 @@ proptest! {
         // harmless); absence of panic is the property.
         let _ = decode_trace(&bytes);
 
-        let mut dec = TraceDecoder::new();
+        let mut dec = ChunkDecoder::new();
         for piece in bytes.chunks(feed) {
-            dec.feed(piece);
-            if drain(&mut dec).1.is_some() {
+            if drain(&mut dec, piece).1.is_some() {
                 break; // strict mode stops at the first error
             }
         }
@@ -168,18 +177,12 @@ proptest! {
         feed in 1usize..64,
     ) {
         let (mut bytes, _) = encoded(records, trial);
-        let header_len = encode_trace_header("h", "fuzz", trial, 0).len();
-        prop_assume!(bytes.len() > header_len);
-        let body = bytes.len() - header_len;
-        for &(pos_seed, mask) in &flips {
-            bytes[header_len + pos_seed % body] ^= mask;
-        }
+        prop_assume!(corrupt_body(&mut bytes, trial, &flips));
 
-        let mut dec = TraceDecoder::new().quarantining();
+        let mut dec = ChunkDecoder::new().quarantining();
         let mut got = 0u64;
         for piece in bytes.chunks(feed) {
-            dec.feed(piece);
-            let (part, err) = drain(&mut dec);
+            let (part, err) = drain(&mut dec, piece);
             prop_assert!(err.is_none(), "quarantine mode must absorb body corruption: {err:?}");
             got += part.len() as u64;
         }
@@ -194,8 +197,39 @@ proptest! {
         }
     }
 
+    /// Resync across chunk boundaries: under body corruption, decoding
+    /// in `feed`-sized chunks yields exactly the records, quarantine
+    /// counts, held bytes and end state of decoding in one chunk.
+    #[test]
+    fn quarantine_outcome_does_not_depend_on_chunking(
+        records in collection::vec(arb_record(), 1..60),
+        trial in any::<u32>(),
+        flips in collection::vec((any::<usize>(), 1u8..=255), 1..6),
+        feed in 1usize..64,
+    ) {
+        let (mut bytes, _) = encoded(records, trial);
+        prop_assume!(corrupt_body(&mut bytes, trial, &flips));
+
+        let mut whole = ChunkDecoder::new().quarantining();
+        let (a, err) = drain(&mut whole, &bytes);
+        prop_assert!(err.is_none());
+        let mut chunked = ChunkDecoder::new().quarantining();
+        let mut b = Vec::new();
+        for piece in bytes.chunks(feed) {
+            let (part, err) = drain(&mut chunked, piece);
+            prop_assert!(err.is_none());
+            b.extend(part);
+        }
+        prop_assert_eq!(&a, &b);
+        prop_assert_eq!(whole.quarantined_records(), chunked.quarantined_records());
+        prop_assert_eq!(whole.quarantined_bytes(), chunked.quarantined_bytes());
+        prop_assert_eq!(whole.buffered(), chunked.buffered());
+        prop_assert_eq!(whole.finish(), chunked.finish());
+    }
+
     /// Differential: on well-formed input, quarantine mode decodes
-    /// exactly what strict mode decodes, with zero quarantines.
+    /// exactly what strict mode and [`decode_trace`] decode, with zero
+    /// quarantines.
     #[test]
     fn quarantine_mode_is_identity_on_clean_traces(
         records in collection::vec(arb_record(), 0..60),
@@ -204,21 +238,20 @@ proptest! {
     ) {
         let (bytes, originals) = encoded(records, trial);
 
-        let mut strict = TraceDecoder::new();
-        let mut lenient = TraceDecoder::new().quarantining();
+        let mut strict = ChunkDecoder::new();
+        let mut lenient = ChunkDecoder::new().quarantining();
         let mut a = Vec::new();
         let mut b = Vec::new();
         for piece in bytes.chunks(feed) {
-            strict.feed(piece);
-            lenient.feed(piece);
-            let (part, err) = drain(&mut strict);
+            let (part, err) = drain(&mut strict, piece);
             prop_assert!(err.is_none());
             a.extend(part);
-            let (part, err) = drain(&mut lenient);
+            let (part, err) = drain(&mut lenient, piece);
             prop_assert!(err.is_none());
             b.extend(part);
         }
         prop_assert_eq!(&a, &b);
+        prop_assert_eq!(&a, &decode_trace(&bytes).unwrap().records);
         prop_assert_eq!(&a[..], &originals[..]);
         prop_assert_eq!(lenient.quarantined_records(), 0);
         prop_assert_eq!(lenient.quarantined_bytes(), 0);
@@ -235,10 +268,9 @@ proptest! {
     ) {
         let _ = decode_trace(&bytes);
 
-        let mut dec = TraceDecoder::new().quarantining();
+        let mut dec = ChunkDecoder::new().quarantining();
         for piece in bytes.chunks(feed) {
-            dec.feed(piece);
-            if drain(&mut dec).1.is_some() {
+            if drain(&mut dec, piece).1.is_some() {
                 break; // header-level corruption is a hard error
             }
         }

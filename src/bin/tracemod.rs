@@ -7,21 +7,27 @@
 //! tracemod inspect  wean1.mntr | wean1.mnrp
 //! tracemod replay   wean1.mnrp --benchmark ftp-recv [--trial 1] [--tick-ms 10]
 //! tracemod live     --scenario wean --benchmark ftp-recv [--trial 1]
-//! tracemod live-pipeline --scenario wean --benchmark ftp-recv [--trial 1] [--obs-out run.json]
-//! tracemod obs-report run.json [--check] [--format text|json|md]
+//! tracemod live-pipeline --scenario wean --benchmark ftp-recv [--trial 1] [--out run/]
+//! tracemod obs-report run/ [--check] [--format text|json|md]
 //! tracemod trace-export --scenario porter --benchmark web --out flight.json
 //! tracemod journey [--packet-id N | --window T0..T1]
 //! tracemod bench-diff current.jsonl [--baseline BENCH_baseline.json] [--check] [--json]
-//! tracemod fleet --clients 10000 [--shards 8] [--jobs 8] [--obs-out fleet.json] [--check]
-//! tracemod alerts --rules builtin --telemetry tel.jsonl --report fleet.json [--check]
-//! tracemod diff-runs a.jsonl b.jsonl [--shards 8] [--check]
+//! tracemod fleet --clients 10000 [--shards 8] [--jobs 8] [--out run/] [--check]
+//! tracemod alerts run/ --rules builtin [--out alerts/] [--check]
+//! tracemod diff-runs run_a/ run_b/ [--shards 8] [--check]
 //! tracemod help
 //! ```
 //!
-//! Files use the binary formats by default; any path ending in `.json`
-//! reads/writes the JSON encoding instead. `distill` streams binary
-//! traces through the incremental distiller in bounded memory; JSON
-//! inputs fall back to the batch path (identical output).
+//! Trace files use the binary formats by default; any path ending in
+//! `.json` reads/writes the JSON encoding instead. `distill` streams
+//! binary traces through the incremental distiller in bounded memory;
+//! JSON inputs fall back to the batch path (identical output).
+//!
+//! Run evidence goes into one run directory per run (`--out DIR`, see
+//! [`obs::run_dir`]): fixed file names such as `manifests.jsonl`,
+//! `telemetry.jsonl` and `report.json`. A directory that already holds
+//! files is refused before the run starts, and the readers
+//! (`obs-report`, `alerts`, `diff-runs`) take the directory as a unit.
 //!
 //! Every command validates its flags: unknown flags, missing required
 //! flags, and unreadable files produce an error message and a nonzero
@@ -39,6 +45,7 @@ use netsim::SimDuration;
 use obs::alerts::parse_fault_stamps;
 use obs::bench::{parse_bench_jsonl, BenchDiff, BenchDiffConfig, OverheadGate};
 use obs::flight::PacketId;
+use obs::run_dir::{self, Artifact, DirDiff};
 use obs::{
     diff_artifacts, evaluate_alerts, AlertInputs, DiffOptions, FidelityThresholds, FleetReport,
     RuleSet, RunManifest, SamplePoint, Severity, TelemetryConfig,
@@ -579,10 +586,11 @@ fn cmd_live_pipeline(args: &Args) -> CliResult {
             "trial",
             "window-secs",
             "horizon",
-            "obs-out",
+            "out",
         ],
         1,
     )?;
+    let out_dir = out_dir(args)?;
     let sc = scenario_arg(args)?;
     let benchmark = benchmark_arg(args)?;
     let trial = args.parse_num("trial", 1u32)?;
@@ -606,84 +614,130 @@ fn cmd_live_pipeline(args: &Args) -> CliResult {
         ),
         None => eprintln!("modulation never consumed a tuple (collection too short?)"),
     }
-    if let Some(obs_out) = args.get("obs-out") {
-        std::fs::write(obs_out, out.manifest.to_json_pretty())
-            .map_err(|e| CliError::runtime(format!("write {obs_out}: {e}")))?;
-        eprintln!("wrote run manifest → {obs_out}");
-    }
-    Ok(())
+    write_run_dir(
+        out_dir.as_deref(),
+        &[(Artifact::MANIFEST, out.manifest.to_json_pretty())],
+    )
 }
 
 fn cmd_obs_report(args: &Args) -> CliResult {
     args.check(&["check", "format"], 2)?;
-    let input = args.positional.get(1).ok_or_else(|| {
-        CliError::usage("usage: tracemod obs-report <run.json> [--check] [--format text|json|md]")
+    let dir = args.positional.get(1).ok_or_else(|| {
+        CliError::usage("usage: tracemod obs-report <run-dir> [--check] [--format text|json|md]")
     })?;
-    let text = std::fs::read_to_string(input)
-        .map_err(|e| CliError::runtime(format!("read {input}: {e}")))?;
-    // A fleet aggregate report is the other artifact this command
-    // understands: try the per-run manifest first (the common case),
-    // fall back to the fleet schema.
-    let manifest = match RunManifest::from_json(&text) {
-        Ok(m) => m,
-        Err(manifest_err) => {
-            if let Ok(fleet) = FleetReport::from_json(&text) {
-                return obs_report_fleet(args, &fleet);
-            }
-            return Err(CliError::runtime(format!("{input}: {manifest_err}")));
-        }
-    };
-    match args.get("format").unwrap_or("text") {
-        "text" => print!("{}", manifest.render_text()),
-        "json" => println!("{}", manifest.to_json_pretty()),
-        "md" => print!("{}", manifest.render_markdown()),
-        other => {
-            return Err(CliError::usage(format!(
-                "unknown format '{other}' (try: text, json, md)"
-            )))
-        }
-    }
+    let dir = Path::new(dir);
+    let th = FidelityThresholds::default();
+    // A fleet run leaves an aggregate report; a live-pipeline run, one
+    // run manifest.
+    let (rendered, violations, gate_name) =
+        if let Some(r) = read_artifact(dir, Artifact::REPORT, FleetReport::from_json)? {
+            let text = pick_format(
+                args,
+                || r.render_text(),
+                || r.to_json_pretty(),
+                || r.render_markdown(),
+            )?;
+            (text, r.check(&th), "fleet fidelity gate")
+        } else if let Some(m) = read_artifact(dir, Artifact::MANIFEST, RunManifest::from_json)? {
+            let text = pick_format(
+                args,
+                || m.render_text(),
+                || m.to_json_pretty(),
+                || m.render_markdown(),
+            )?;
+            (text, m.check(&th), "fidelity self-check")
+        } else {
+            return Err(CliError::runtime(format!(
+                "{}: no {} or {} to report on",
+                dir.display(),
+                Artifact::REPORT.file,
+                Artifact::MANIFEST.file
+            )));
+        };
+    print!("{rendered}");
     if args.get("check").is_some() {
-        let violations = manifest.check(&FidelityThresholds::default());
-        if !violations.is_empty() {
-            let mut msg = String::from("fidelity self-check failed:");
-            for v in &violations {
-                msg.push_str("\n  - ");
-                msg.push_str(v);
-            }
-            return Err(CliError::runtime(msg));
-        }
-        eprintln!("fidelity self-check: PASS");
+        gate(gate_name, violations)?;
     }
     Ok(())
 }
 
-/// `obs-report` on a fleet aggregate: render, then gate on the fleet
-/// thresholds when `--check` is set.
-fn obs_report_fleet(args: &Args, report: &FleetReport) -> CliResult {
+/// The `--format` rendering (`text`, `json` or `md`) of a report.
+fn pick_format(
+    args: &Args,
+    text: impl FnOnce() -> String,
+    json: impl FnOnce() -> String,
+    md: impl FnOnce() -> String,
+) -> Result<String, CliError> {
     match args.get("format").unwrap_or("text") {
-        "text" => print!("{}", report.render_text()),
-        "md" => print!("{}", report.render_markdown()),
-        "json" => println!("{}", report.to_json_pretty()),
-        other => {
-            return Err(CliError::usage(format!(
-                "unknown format '{other}' (try: text, json, md)"
-            )))
-        }
+        "text" => Ok(text()),
+        "json" => Ok(json() + "\n"),
+        "md" => Ok(md()),
+        other => Err(CliError::usage(format!(
+            "unknown format '{other}' (try: text, json, md)"
+        ))),
     }
-    if args.get("check").is_some() {
-        let violations = report.check(&FidelityThresholds::default());
-        if !violations.is_empty() {
-            let mut msg = String::from("fleet fidelity gate failed:");
-            for v in &violations {
-                msg.push_str("\n  - ");
-                msg.push_str(v);
-            }
-            return Err(CliError::runtime(msg));
-        }
-        eprintln!("fleet fidelity gate: PASS");
+}
+
+/// Fail with every violation listed, or report the gate passed.
+fn gate(name: &str, violations: Vec<String>) -> CliResult {
+    if violations.is_empty() {
+        eprintln!("{name}: PASS");
+        return Ok(());
     }
+    let mut msg = format!("{name} failed:");
+    for v in &violations {
+        msg.push_str("\n  - ");
+        msg.push_str(v);
+    }
+    Err(CliError::runtime(msg))
+}
+
+/// The `--out DIR` run directory, if given. A directory that already
+/// holds files is a bad invocation, refused before the run starts.
+fn out_dir(args: &Args) -> Result<Option<PathBuf>, CliError> {
+    let Some(dir) = args.get("out") else {
+        return Ok(None);
+    };
+    run_dir::ensure_fresh(Path::new(dir)).map_err(CliError::usage)?;
+    Ok(Some(PathBuf::from(dir)))
+}
+
+/// Write `artifacts` into the run directory, when there is one.
+fn write_run_dir(dir: Option<&Path>, artifacts: &[(Artifact, String)]) -> CliResult {
+    let Some(dir) = dir else {
+        return Ok(());
+    };
+    let names: Vec<&str> = artifacts.iter().map(|(a, _)| a.file).collect();
+    let names = names.join(", ");
+    run_dir::write(dir, artifacts)
+        .map_err(|e| CliError::runtime(format!("write {}: {e}", dir.display())))?;
+    eprintln!("wrote {names} → {}", dir.display());
     Ok(())
+}
+
+/// Read and parse one artifact of a run directory (`None` when the
+/// directory does not hold it).
+fn read_artifact<T, E: std::fmt::Display>(
+    dir: &Path,
+    artifact: Artifact,
+    parse: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<Option<T>, CliError> {
+    let path = dir.join(artifact.file);
+    let text = run_dir::read(dir, artifact)
+        .map_err(|e| CliError::runtime(format!("read {}: {e}", path.display())))?;
+    text.map(|t| parse(&t).map_err(|e| CliError::runtime(format!("{}: {e}", path.display()))))
+        .transpose()
+}
+
+/// Runner-stripped manifests as JSONL, one per line: byte-comparable
+/// across `--jobs` and `--shards`.
+fn manifests_jsonl<'a>(manifests: impl IntoIterator<Item = &'a RunManifest>) -> String {
+    let mut s = String::new();
+    for m in manifests {
+        s.push_str(&m.deterministic_json());
+        s.push('\n');
+    }
+    s
 }
 
 /// Flags shared by the flight-recorder commands (`trace-export`,
@@ -857,8 +911,7 @@ fn cmd_chaos(args: &Args) -> CliResult {
             "window-secs",
             "horizon",
             "jobs",
-            "obs-out",
-            "fault-out",
+            "out",
             "fault-budget",
             "check",
         ],
@@ -876,6 +929,7 @@ fn cmd_chaos(args: &Args) -> CliResult {
         .map_err(|e| CliError::usage(format!("read fault plan {plan_path}: {e}")))?;
     let fault_plan = FaultPlan::from_json(&plan_text)
         .map_err(|e| CliError::usage(format!("{plan_path}: {e}")))?;
+    let out_dir = out_dir(args)?;
     let sc = scenario_arg_default(args, Some("porter"))?;
     let benchmark = benchmark_named(args.get("benchmark").unwrap_or("web"))?;
     let trial0 = args.parse_num("trial", 1u32)?;
@@ -910,7 +964,6 @@ fn cmd_chaos(args: &Args) -> CliResult {
     let results = tplan.run(&Exec::with_workers(jobs));
     let outcomes = results.chaos(sc.name, benchmark);
 
-    let mut manifests = String::new();
     let mut fault_log = String::new();
     let mut injected_total = 0u64;
     for (i, o) in outcomes.iter().enumerate() {
@@ -941,20 +994,17 @@ fn cmd_chaos(args: &Args) -> CliResult {
                 "no"
             }
         );
-        // Runner-stripped manifests: byte-comparable across --jobs.
-        manifests.push_str(&o.outcome.manifest.deterministic_json());
-        manifests.push('\n');
     }
-    if let Some(obs_out) = args.get("obs-out") {
-        std::fs::write(obs_out, &manifests)
-            .map_err(|e| CliError::runtime(format!("write {obs_out}: {e}")))?;
-        eprintln!("wrote {} run manifest(s) → {obs_out}", outcomes.len());
-    }
-    if let Some(fault_out) = args.get("fault-out") {
-        std::fs::write(fault_out, &fault_log)
-            .map_err(|e| CliError::runtime(format!("write {fault_out}: {e}")))?;
-        eprintln!("wrote fault-event log → {fault_out}");
-    }
+    write_run_dir(
+        out_dir.as_deref(),
+        &[
+            (Artifact::FAULTS, fault_log),
+            (
+                Artifact::MANIFESTS,
+                manifests_jsonl(outcomes.iter().map(|o| &o.outcome.manifest)),
+            ),
+        ],
+    )?;
     if let Some(budget) = args.get("fault-budget") {
         let budget: u64 = budget
             .parse()
@@ -966,21 +1016,13 @@ fn cmd_chaos(args: &Args) -> CliResult {
         }
     }
     if args.get("check").is_some() {
-        let mut msgs = Vec::new();
+        let mut violations = Vec::new();
         for (i, o) in outcomes.iter().enumerate() {
             for v in o.outcome.manifest.check(&FidelityThresholds::default()) {
-                msgs.push(format!("trial {}: {v}", trial0 + i as u32));
+                violations.push(format!("trial {}: {v}", trial0 + i as u32));
             }
         }
-        if !msgs.is_empty() {
-            let mut msg = String::from("fidelity self-check failed under faults:");
-            for v in &msgs {
-                msg.push_str("\n  - ");
-                msg.push_str(v);
-            }
-            return Err(CliError::runtime(msg));
-        }
-        eprintln!("fidelity self-check: PASS");
+        gate("fidelity self-check under faults", violations)?;
     }
     Ok(())
 }
@@ -997,24 +1039,18 @@ fn cmd_fleet(args: &Args) -> CliResult {
             "jobs",
             "stations",
             "probe-interval-ms",
-            "wheel-slots",
             "fault-seed",
             "fault-plan",
-            "obs-out",
-            "manifests-out",
-            "telemetry-out",
-            "telemetry-prom",
             "telemetry-interval-secs",
-            "profile-out",
-            "fault-out",
+            "profile",
             "alerts",
-            "alerts-out",
-            "alerts-md",
             "alerts-baseline",
+            "out",
             "check",
         ],
         1,
     )?;
+    let out_dir = out_dir(args)?;
     let (sc, pack) = scenario_or_pack(args, Some("porter"))?;
     let clients: u32 = args.parse_num("clients", 1000u32)?;
     if clients == 0 {
@@ -1042,21 +1078,9 @@ fn cmd_fleet(args: &Args) -> CliResult {
         return Err(CliError::usage("--probe-interval-ms must be positive"));
     }
     plan = plan.with_probe_interval(SimDuration::from_millis(probe_ms));
-    let wheel_slots = args.parse_num("wheel-slots", 64usize)?;
-    if wheel_slots == 0 || wheel_slots % 64 != 0 {
-        return Err(CliError::usage(
-            "--wheel-slots must be a positive multiple of 64",
-        ));
-    }
-    plan.wheel_slots = wheel_slots;
-
-    // Any telemetry flag switches the sampling plane on; the interval
-    // flag alone is enough for `--obs-out` consumers who only want the
-    // series embedded in the aggregate report.
-    let telemetry_requested = args.get("telemetry-out").is_some()
-        || args.get("telemetry-prom").is_some()
-        || args.get("telemetry-interval-secs").is_some();
-    if telemetry_requested {
+    // The interval switches the sampling plane on; the series is then
+    // embedded in the report and written as telemetry.jsonl/.prom.
+    if args.get("telemetry-interval-secs").is_some() {
         let secs = args.parse_num("telemetry-interval-secs", 1u64)?;
         if secs == 0 {
             return Err(CliError::usage(
@@ -1065,9 +1089,11 @@ fn cmd_fleet(args: &Args) -> CliResult {
         }
         plan = plan.with_telemetry(TelemetryConfig::default().with_interval_secs(secs));
     }
-    if args.get("profile-out").is_some() {
+    if args.get("profile").is_some() {
         plan = plan.with_profile(true);
     }
+    let rules = args.get("alerts").map(load_rules).transpose()?;
+    let baseline = read_baseline(args.get("alerts-baseline"))?;
 
     eprintln!(
         "fleet: {} clients × '{}' ({} stations, {} shard(s), {} worker(s))...",
@@ -1097,109 +1123,55 @@ fn cmd_fleet(args: &Args) -> CliResult {
             ev.info
         );
     }
-    if let Some(fault_out) = args.get("fault-out") {
-        std::fs::write(fault_out, events_to_jsonl(&out.faults))
-            .map_err(|e| CliError::runtime(format!("write {fault_out}: {e}")))?;
-        eprintln!(
-            "wrote fault-event log ({} event(s)) → {fault_out}",
-            out.faults.len()
-        );
-    }
     if let Some(r) = &out.report.runner {
         eprintln!(
             "engine: {:.0} events/s over {:.2}s wall, peak queue depth {}, peak packets live {}",
             r.records_per_sec, r.wall_secs, out.peak_queue_depth, out.peak_packets_live
         );
     }
-    if let Some(manifests_out) = args.get("manifests-out") {
-        // Runner-stripped JSONL, one manifest per client in client
-        // order: byte-comparable across --shards and --jobs.
-        let mut s = String::new();
-        for m in &out.manifests {
-            s.push_str(&m.deterministic_json());
-            s.push('\n');
-        }
-        std::fs::write(manifests_out, &s)
-            .map_err(|e| CliError::runtime(format!("write {manifests_out}: {e}")))?;
-        eprintln!(
-            "wrote {} client manifest(s) → {manifests_out}",
-            out.manifests.len()
-        );
-    }
-    if let Some(obs_out) = args.get("obs-out") {
-        std::fs::write(obs_out, out.report.to_json_pretty())
-            .map_err(|e| CliError::runtime(format!("write {obs_out}: {e}")))?;
-        eprintln!("wrote fleet report → {obs_out}");
-    }
-    if let Some(tel_out) = args.get("telemetry-out") {
-        let tel = out.report.telemetry.as_ref().expect("telemetry enabled");
-        std::fs::write(tel_out, tel.to_jsonl())
-            .map_err(|e| CliError::runtime(format!("write {tel_out}: {e}")))?;
-        eprintln!(
-            "wrote telemetry series ({} samples) → {tel_out}",
-            tel.series.len()
-        );
-    }
-    if let Some(prom_out) = args.get("telemetry-prom") {
-        let tel = out.report.telemetry.as_ref().expect("telemetry enabled");
-        std::fs::write(prom_out, tel.to_prometheus())
-            .map_err(|e| CliError::runtime(format!("write {prom_out}: {e}")))?;
-        eprintln!("wrote Prometheus exposition → {prom_out}");
-    }
-    if let Some(prof_out) = args.get("profile-out") {
-        let prof = out
-            .profile
-            .as_ref()
-            .ok_or_else(|| CliError::runtime("profiler produced no data"))?;
-        std::fs::write(prof_out, prof.render_collapsed())
-            .map_err(|e| CliError::runtime(format!("write {prof_out}: {e}")))?;
-        eprintln!("wrote collapsed-stack profile → {prof_out}");
+    if let Some(prof) = &out.profile {
         eprint!("{}", prof.render_text());
     }
-    if args.get("check").is_some() {
-        let violations = out.report.check(&FidelityThresholds::default());
-        if !violations.is_empty() {
-            let mut msg = String::from("fleet fidelity gate failed:");
-            for v in &violations {
-                msg.push_str("\n  - ");
-                msg.push_str(v);
-            }
-            return Err(CliError::runtime(msg));
+    let alerts = match &rules {
+        Some(rules) => {
+            let alerts = fleet_alerts(&out, rules, baseline.as_ref()).map_err(CliError::runtime)?;
+            eprintln!(
+                "alerts: {} active, {} suppressed ({} rule(s) over {} boundaries)",
+                alerts.active().count(),
+                alerts.suppressed().count(),
+                alerts.rules,
+                alerts.boundaries
+            );
+            Some(alerts)
         }
-        eprintln!("fleet fidelity gate: PASS");
+        None => None,
+    };
+    if let Some(dir) = &out_dir {
+        let mut artifacts = vec![
+            (Artifact::FAULTS, events_to_jsonl(&out.faults)),
+            (Artifact::MANIFESTS, manifests_jsonl(&out.manifests)),
+            (Artifact::REPORT, out.report.to_json_pretty()),
+        ];
+        if let Some(tel) = &out.report.telemetry {
+            artifacts.push((Artifact::TELEMETRY, tel.to_jsonl()));
+            artifacts.push((Artifact::TELEMETRY_PROM, tel.to_prometheus()));
+        }
+        if let Some(prof) = &out.profile {
+            artifacts.push((Artifact::PROFILE, prof.render_collapsed()));
+        }
+        if let Some(alerts) = &alerts {
+            artifacts.push((Artifact::ALERTS, alerts.to_jsonl()));
+            artifacts.push((Artifact::ALERTS_MD, alerts.render_markdown()));
+        }
+        write_run_dir(Some(dir), &artifacts)?;
     }
-    if let Some(rules_spec) = args.get("alerts") {
-        let rules = load_rules(rules_spec)?;
-        let baseline = read_fleet_report(args, "alerts-baseline")?;
-        let alerts = fleet_alerts(&out, &rules, baseline.as_ref()).map_err(CliError::runtime)?;
-        eprintln!(
-            "alerts: {} active, {} suppressed ({} rule(s) over {} boundaries)",
-            alerts.active().count(),
-            alerts.suppressed().count(),
-            alerts.rules,
-            alerts.boundaries
-        );
-        if let Some(p) = args.get("alerts-out") {
-            std::fs::write(p, alerts.to_jsonl())
-                .map_err(|e| CliError::runtime(format!("write {p}: {e}")))?;
-            eprintln!("wrote alert report → {p}");
-        }
-        if let Some(p) = args.get("alerts-md") {
-            std::fs::write(p, alerts.render_markdown())
-                .map_err(|e| CliError::runtime(format!("write {p}: {e}")))?;
-            eprintln!("wrote alert summary → {p}");
-        }
-        if args.get("check").is_some() {
-            let violations = alerts.check(Severity::Warn);
-            if !violations.is_empty() {
-                let mut msg = String::from("fleet alert gate failed:");
-                for v in &violations {
-                    msg.push_str("\n  - ");
-                    msg.push_str(v);
-                }
-                return Err(CliError::runtime(msg));
-            }
-            eprintln!("fleet alert gate: PASS");
+    if args.get("check").is_some() {
+        gate(
+            "fleet fidelity gate",
+            out.report.check(&FidelityThresholds::default()),
+        )?;
+        if let Some(alerts) = &alerts {
+            gate("fleet alert gate", alerts.check(Severity::Warn))?;
         }
     }
     Ok(())
@@ -1227,75 +1199,49 @@ fn load_rules(spec: &str) -> Result<RuleSet, CliError> {
     Ok(rules)
 }
 
-/// Read an optional `--<key> fleet.json` aggregate report.
-fn read_fleet_report(args: &Args, key: &str) -> Result<Option<FleetReport>, CliError> {
-    match args.get(key) {
-        None => Ok(None),
-        Some(p) => {
-            let text = std::fs::read_to_string(p)
-                .map_err(|e| CliError::runtime(format!("read {p}: {e}")))?;
-            FleetReport::from_json(&text)
-                .map(Some)
-                .map_err(|e| CliError::runtime(format!("{p}: {e}")))
-        }
-    }
+/// The fleet report of a baseline run directory (`--baseline`,
+/// `--alerts-baseline`), which feeds delta rules.
+fn read_baseline(dir: Option<&str>) -> Result<Option<FleetReport>, CliError> {
+    let Some(dir) = dir else {
+        return Ok(None);
+    };
+    read_artifact(Path::new(dir), Artifact::REPORT, FleetReport::from_json)?
+        .map(Some)
+        .ok_or_else(|| CliError::runtime(format!("baseline {dir} holds no report.json")))
 }
 
 fn cmd_alerts(args: &Args) -> CliResult {
-    args.check(
-        &[
-            "rules",
-            "telemetry",
-            "report",
-            "baseline",
-            "faults",
-            "out",
-            "md",
-            "min-severity",
-            "check",
-        ],
-        1,
-    )?;
+    args.check(&["rules", "baseline", "out", "min-severity", "check"], 2)?;
     let rules = load_rules(args.require("rules")?)?;
-    let report = read_fleet_report(args, "report")?;
-    let baseline = read_fleet_report(args, "baseline")?;
-    // The series comes from an exported `--telemetry-out` JSONL when
-    // given, else from the series embedded in the fleet report.
-    let series: Vec<SamplePoint> = match args.get("telemetry") {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::runtime(format!("read {path}: {e}")))?;
-            let mut rows = Vec::new();
-            for (i, line) in text.lines().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                rows.push(
-                    serde_json::from_str::<SamplePoint>(line)
-                        .map_err(|e| CliError::runtime(format!("{path}:{}: {e}", i + 1)))?,
-                );
-            }
-            rows
-        }
-        None => report
-            .as_ref()
-            .and_then(|r| r.telemetry.as_ref())
-            .map(|t| t.series.clone())
-            .unwrap_or_default(),
-    };
+    let out_dir = out_dir(args)?;
+    let dir = Path::new(args.positional.get(1).ok_or_else(|| {
+        CliError::usage("nothing to evaluate: pass a run directory (tracemod alerts <run-dir>)")
+    })?);
+    let report = read_artifact(dir, Artifact::REPORT, FleetReport::from_json)?;
+    let baseline = read_baseline(args.get("baseline"))?;
+    // The series comes from the exported telemetry.jsonl when the
+    // directory holds one, else from the series embedded in the report.
+    let series = read_artifact(dir, Artifact::TELEMETRY, |text| {
+        text.lines()
+            .enumerate()
+            .filter(|(_, line)| !line.trim().is_empty())
+            .map(|(i, line)| {
+                serde_json::from_str::<SamplePoint>(line)
+                    .map_err(|e| format!("line {}: {e}", i + 1))
+            })
+            .collect::<Result<Vec<_>, _>>()
+    })?
+    .or_else(|| Some(report.as_ref()?.telemetry.as_ref()?.series.clone()))
+    .unwrap_or_default();
     if series.is_empty() && report.is_none() {
-        return Err(CliError::usage(
-            "nothing to evaluate: pass --telemetry F.jsonl and/or --report fleet.json",
-        ));
+        return Err(CliError::usage(format!(
+            "nothing to evaluate: {} holds no {} or {}",
+            dir.display(),
+            Artifact::TELEMETRY.file,
+            Artifact::REPORT.file
+        )));
     }
-    let faults = match args.get("faults") {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::runtime(format!("read {path}: {e}")))?;
-            parse_fault_stamps(&text).map_err(|e| CliError::runtime(format!("{path}: {e}")))?
-        }
-        None => Vec::new(),
-    };
+    let faults = read_artifact(dir, Artifact::FAULTS, parse_fault_stamps)?.unwrap_or_default();
     let alert_report = evaluate_alerts(
         &rules,
         &AlertInputs {
@@ -1307,30 +1253,19 @@ fn cmd_alerts(args: &Args) -> CliResult {
     )
     .map_err(CliError::runtime)?;
     print!("{}", alert_report.render_markdown());
-    if let Some(p) = args.get("out") {
-        std::fs::write(p, alert_report.to_jsonl())
-            .map_err(|e| CliError::runtime(format!("write {p}: {e}")))?;
-        eprintln!("wrote alert report → {p}");
-    }
-    if let Some(p) = args.get("md") {
-        std::fs::write(p, alert_report.render_markdown())
-            .map_err(|e| CliError::runtime(format!("write {p}: {e}")))?;
-        eprintln!("wrote alert summary → {p}");
-    }
+    write_run_dir(
+        out_dir.as_deref(),
+        &[
+            (Artifact::ALERTS, alert_report.to_jsonl()),
+            (Artifact::ALERTS_MD, alert_report.render_markdown()),
+        ],
+    )?;
     if args.get("check").is_some() {
         let floor =
             Severity::parse(args.get("min-severity").unwrap_or("warn")).map_err(CliError::usage)?;
-        let violations = alert_report.check(floor);
-        if !violations.is_empty() {
-            let mut msg = String::from("alert gate failed:");
-            for v in &violations {
-                msg.push_str("\n  - ");
-                msg.push_str(v);
-            }
-            return Err(CliError::runtime(msg));
-        }
+        gate("alert gate", alert_report.check(floor))?;
         eprintln!(
-            "alert gate: PASS ({} suppressed alert(s) attributed to faults)",
+            "{} suppressed alert(s) attributed to faults",
             alert_report.suppressed().count()
         );
     }
@@ -1347,10 +1282,6 @@ fn cmd_diff_runs(args: &Args) -> CliResult {
         .positional
         .get(2)
         .ok_or_else(|| CliError::usage("missing second run artifact: tracemod diff-runs A B"))?;
-    let a = std::fs::read_to_string(a_path)
-        .map_err(|e| CliError::runtime(format!("read {a_path}: {e}")))?;
-    let b = std::fs::read_to_string(b_path)
-        .map_err(|e| CliError::runtime(format!("read {b_path}: {e}")))?;
     let mut opts = DiffOptions::default();
     if let Some(s) = args.get("shards") {
         let n: usize = s
@@ -1361,24 +1292,59 @@ fn cmd_diff_runs(args: &Args) -> CliResult {
         }
         opts.shards = Some(n);
     }
-    match diff_artifacts(&a, &b, &opts) {
-        None => {
+    let (a_dir, b_dir) = (Path::new(a_path).is_dir(), Path::new(b_path).is_dir());
+    let divergence = if a_dir && b_dir {
+        match run_dir::diff_dirs(Path::new(a_path), Path::new(b_path), &opts)
+            .map_err(|e| CliError::runtime(e.to_string()))?
+        {
+            DirDiff::Identical(0, _) => {
+                return Err(CliError::runtime(format!(
+                    "no deterministic artifacts in {a_path} or {b_path} to compare"
+                )))
+            }
+            DirDiff::Identical(artifacts, records) => {
+                println!(
+                    "runs identical: {a_path} == {b_path} ({artifacts} artifact(s), \
+                     {records} record(s))"
+                );
+                None
+            }
+            DirDiff::OneSided(artifact, in_a) => Some(format!(
+                "{}: only in {}",
+                artifact.file,
+                if in_a { a_path } else { b_path }
+            )),
+            DirDiff::Diverged(artifact, d) => Some(format!("{}: {}", artifact.file, d.render())),
+        }
+    } else if a_dir || b_dir {
+        return Err(CliError::usage(
+            "diff-runs compares two files or two run directories, not one of each",
+        ));
+    } else {
+        let a = std::fs::read_to_string(a_path)
+            .map_err(|e| CliError::runtime(format!("read {a_path}: {e}")))?;
+        let b = std::fs::read_to_string(b_path)
+            .map_err(|e| CliError::runtime(format!("read {b_path}: {e}")))?;
+        let divergence = diff_artifacts(&a, &b, &opts).map(|d| d.render());
+        if divergence.is_none() {
             println!(
                 "runs identical: {a_path} == {b_path} ({} record(s))",
                 obs::diff::record_count(&a)
             );
+        }
+        divergence
+    };
+    match divergence {
+        Some(d) => {
+            println!("first divergence: {d}");
+            if args.get("check").is_some() {
+                return Err(CliError::runtime(format!(
+                    "runs diverge: {a_path} vs {b_path}"
+                )));
+            }
             Ok(())
         }
-        Some(d) => {
-            println!("first divergence: {}", d.render());
-            if args.get("check").is_some() {
-                Err(CliError::runtime(format!(
-                    "runs diverge: {a_path} vs {b_path}"
-                )))
-            } else {
-                Ok(())
-            }
-        }
+        None => Ok(()),
     }
 }
 
@@ -1405,9 +1371,10 @@ commands:
   replay   <replay> --benchmark B          run a benchmark under modulation
   live     --scenario S --benchmark B      run a benchmark live on the wireless scenario
   live-pipeline --scenario S --benchmark B collect, distill, and modulate concurrently
-                                           (--obs-out F writes the observability manifest)
-  obs-report <run.json> [--check]          pretty-print a run manifest (--format text|json|md);
-                                           --check gates on the fidelity thresholds
+                                           (--out DIR writes manifest.json)
+  obs-report <run-dir> [--check]           pretty-print a run directory's report.json, else its
+                                           manifest.json (--format text|json|md); --check gates
+                                           on the fidelity thresholds
   trace-export --out F                     run the live pipeline with the flight recorder and
                                            export Perfetto/chrome://tracing JSON
                                            (defaults: --scenario porter --benchmark web)
@@ -1420,46 +1387,43 @@ commands:
                                            median at R× BASE)
   chaos --seed N --plan F                  run the live pipeline under a deterministic fault plan
                                            (defaults: --scenario porter --benchmark web; --trials T
-                                           --jobs J for a matrix; --obs-out F / --fault-out F write
-                                           runner-stripped manifests and the fault-event JSONL;
-                                           --fault-budget N gates on injected faults; --check gates
-                                           on the fidelity thresholds)
+                                           --jobs J for a matrix; --out DIR writes runner-stripped
+                                           manifests.jsonl and faults.jsonl; --fault-budget N
+                                           gates on injected faults; --check gates on the
+                                           fidelity thresholds)
   fleet --clients N                        run N mobile clients under one fleet engine
                                            (defaults: --scenario porter, 1000 clients; --shards S
                                            shards clients across engines with byte-identical
                                            output, --jobs J workers; --stations K, --seed N,
-                                           --probe-interval-ms M, --wheel-slots W tune the fleet;
-                                           --fault-plan F [--fault-seed N] injects faults;
-                                           --manifests-out F writes per-client manifest JSONL,
-                                           --obs-out F the aggregate report; --telemetry-out F /
-                                           --telemetry-prom F write the sampled series as JSONL /
-                                           Prometheus text [--telemetry-interval-secs N, default 1];
-                                           --profile-out F writes a collapsed-stack self-profile;
-                                           --fault-out F writes the fault-event JSONL;
-                                           --alerts RULES evaluates SLO alert rules over the run
-                                           [--alerts-out F / --alerts-md F export JSONL/markdown,
-                                           --alerts-baseline fleet.json feeds delta rules];
-                                           --check gates on the fleet fidelity thresholds and,
-                                           with --alerts, on active alerts)
-  alerts --rules RULES                     evaluate SLO alert rules over exported run artifacts
-                                           (RULES is a TOML/JSON rule file or 'builtin';
-                                           --telemetry F.jsonl --report fleet.json --faults F.jsonl
-                                           feed the engine, --baseline fleet.json feeds delta
-                                           rules; --out F / --md F export JSONL/markdown; --check
+                                           --probe-interval-ms M tune the fleet; --fault-plan F
+                                           [--fault-seed N] injects faults; --out DIR writes
+                                           manifests.jsonl, report.json and faults.jsonl;
+                                           --telemetry-interval-secs N samples telemetry
+                                           (telemetry.jsonl/.prom); --profile self-profiles
+                                           (profile.txt); --alerts RULES evaluates SLO alert
+                                           rules (alerts.jsonl/.md; --alerts-baseline DIR feeds
+                                           delta rules); --check gates on the fleet fidelity
+                                           thresholds and, with --alerts, on active alerts)
+  alerts <run-dir> --rules RULES           evaluate SLO alert rules over a run directory's
+                                           telemetry, report and faults (RULES is a TOML/JSON
+                                           rule file or 'builtin'; --baseline DIR feeds delta
+                                           rules; --out DIR writes alerts.jsonl/.md; --check
                                            [--min-severity info|warn|critical] fails on active
                                            alerts at or above the floor)
-  diff-runs A B                            report the first field where two runs' artifacts
-                                           diverge, with virtual-time/client/shard context
-                                           (works on telemetry/manifest/fault/alert JSONL, fleet
-                                           reports, and flight traces; --shards N names the owning
-                                           shard; --check exits nonzero on divergence — the CI
-                                           replacement for cmp)
+  diff-runs A B                            report the first field where two runs diverge, with
+                                           virtual-time/client/shard context: two files
+                                           (telemetry/manifest/fault/alert JSONL, fleet reports,
+                                           flight traces) or two run directories (each
+                                           deterministic artifact in causal order, named);
+                                           --shards N names the owning shard; --check exits
+                                           nonzero on divergence — the CI replacement for cmp
   help                                     print this usage and exit 0 (also --help / -h)
 benchmarks: web, ftp-send, ftp-recv, andrew
 scenario commands also accept --duration-secs N to shorten the traversal;
 --scenario also takes a scenario-pack path (*.toml / *.json) built from the
 channel-model registry — fleets split clients across the pack's weighted model
-mix, single-channel commands run the pack's first model";
+mix, single-channel commands run the pack's first model;
+--out DIR must be missing or empty: one run directory holds one run";
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();

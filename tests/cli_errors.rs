@@ -212,23 +212,23 @@ fn fleet_runs_a_valid_pack_end_to_end() {
          pass_secs = 6\noutage_ms = 150\n\n[[model]]\nfamily = \"errant\"\noperator = \"op2\"\n",
     )
     .unwrap();
-    let report = temp_path("mini-fleet.json");
+    let run = temp_path("mini-fleet");
     let out = tracemod(&[
         "fleet",
         "--clients",
         "8",
         "--scenario",
         pack.to_str().unwrap(),
-        "--obs-out",
-        report.to_str().unwrap(),
+        "--out",
+        run.to_str().unwrap(),
         "--check",
     ]);
     let stderr = stderr_of(&out);
     assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
     assert!(stderr.contains("fleet fidelity gate: PASS"), "{stderr}");
-    let json = std::fs::read_to_string(&report).unwrap();
+    let json = std::fs::read_to_string(run.join("report.json")).unwrap();
     std::fs::remove_file(&pack).ok();
-    std::fs::remove_file(&report).ok();
+    std::fs::remove_dir_all(&run).ok();
     // The aggregate report carries the per-family client breakdown.
     assert!(json.contains("\"family\": \"leo\""), "{json}");
     assert!(json.contains("\"family\": \"errant\""), "{json}");
@@ -307,8 +307,7 @@ fn chaos_artifacts_identical_across_jobs_and_reruns() {
     .unwrap();
 
     let run = |jobs: &str, tag: &str| -> (Vec<u8>, Vec<u8>) {
-        let obs = temp_path(&format!("obs-{jobs}-{tag}.json"));
-        let faults = temp_path(&format!("faults-{jobs}-{tag}.jsonl"));
+        let dir = temp_path(&format!("chaos-{jobs}-{tag}"));
         let out = tracemod(&[
             "chaos",
             "--seed",
@@ -323,10 +322,8 @@ fn chaos_artifacts_identical_across_jobs_and_reruns() {
             "3",
             "--jobs",
             jobs,
-            "--obs-out",
-            obs.to_str().unwrap(),
-            "--fault-out",
-            faults.to_str().unwrap(),
+            "--out",
+            dir.to_str().unwrap(),
         ]);
         assert_eq!(
             out.status.code(),
@@ -335,11 +332,10 @@ fn chaos_artifacts_identical_across_jobs_and_reruns() {
             stderr_of(&out)
         );
         let pair = (
-            std::fs::read(&obs).expect("obs artifact written"),
-            std::fs::read(&faults).expect("fault artifact written"),
+            std::fs::read(dir.join("manifests.jsonl")).expect("manifests written"),
+            std::fs::read(dir.join("faults.jsonl")).expect("fault log written"),
         );
-        std::fs::remove_file(&obs).ok();
-        std::fs::remove_file(&faults).ok();
+        std::fs::remove_dir_all(&dir).ok();
         pair
     };
 
@@ -436,7 +432,18 @@ fn alerts_needs_rules_and_inputs() {
     assert_exit(&out, 2, "missing required flag --rules");
     let out = tracemod(&["alerts", "--rules", "builtin"]);
     assert_exit(&out, 2, "nothing to evaluate");
-    let out = tracemod(&["alerts", "--rules", "/nonexistent/rules.toml"]);
+    // A run directory with neither telemetry nor a report.
+    let empty = temp_path("empty-run");
+    std::fs::create_dir_all(&empty).unwrap();
+    let out = tracemod(&["alerts", empty.to_str().unwrap(), "--rules", "builtin"]);
+    assert_exit(&out, 2, "nothing to evaluate");
+    let out = tracemod(&[
+        "alerts",
+        empty.to_str().unwrap(),
+        "--rules",
+        "/nonexistent/rules.toml",
+    ]);
+    std::fs::remove_dir_all(&empty).ok();
     assert_exit(&out, 2, "read rules");
 }
 
@@ -454,7 +461,8 @@ fn alerts_check_gates_on_telemetry_and_respects_suppression() {
          suppress_window_secs = 5.0\n",
     )
     .unwrap();
-    let telemetry = temp_path("tel.jsonl");
+    let run = temp_path("alerts-run");
+    std::fs::create_dir_all(&run).unwrap();
     let row = |t_s: u64, depth: u64| {
         format!(
             "{{\"t_ns\":{},\"events\":10,\"queue_depth\":{depth},\"packets_live\":0,\
@@ -464,35 +472,34 @@ fn alerts_check_gates_on_telemetry_and_respects_suppression() {
             t_s * 1_000_000_000
         )
     };
-    std::fs::write(&telemetry, format!("{}{}", row(1, 5), row(2, 500))).unwrap();
+    std::fs::write(
+        run.join("telemetry.jsonl"),
+        format!("{}{}", row(1, 5), row(2, 500)),
+    )
+    .unwrap();
 
     // The breach is active: --check fails with the rule named.
     let out = tracemod(&[
         "alerts",
+        run.to_str().unwrap(),
         "--rules",
         rules.to_str().unwrap(),
-        "--telemetry",
-        telemetry.to_str().unwrap(),
         "--check",
     ]);
     assert_exit(&out, 1, "queue-depth");
 
     // The same breach inside a matching fault's suppression window is
     // attributed, not gated on.
-    let faults = temp_path("faults.jsonl");
     std::fs::write(
-        &faults,
+        run.join("faults.jsonl"),
         "{\"t_virtual_ns\":1500000000,\"fault\":\"stall_feed\",\"info\":\"feed stalled\"}\n",
     )
     .unwrap();
     let out = tracemod(&[
         "alerts",
+        run.to_str().unwrap(),
         "--rules",
         rules.to_str().unwrap(),
-        "--telemetry",
-        telemetry.to_str().unwrap(),
-        "--faults",
-        faults.to_str().unwrap(),
         "--check",
     ]);
     let stderr = stderr_of(&out);
@@ -508,6 +515,117 @@ fn alerts_check_gates_on_telemetry_and_respects_suppression() {
     );
 
     std::fs::remove_file(&rules).ok();
-    std::fs::remove_file(&telemetry).ok();
-    std::fs::remove_file(&faults).ok();
+    std::fs::remove_dir_all(&run).ok();
+}
+
+#[test]
+fn out_into_a_non_empty_directory_is_a_usage_error() {
+    let dir = temp_path("used-run");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("report.json"), "{}").unwrap();
+    let out = tracemod(&["fleet", "--clients", "4", "--out", dir.to_str().unwrap()]);
+    assert_exit(&out, 2, "not empty");
+    // Refused before the run: nothing was printed or overwritten.
+    assert!(out.stdout.is_empty(), "the fleet must not have run");
+    assert_eq!(
+        std::fs::read_to_string(dir.join("report.json")).unwrap(),
+        "{}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn removed_output_flags_are_usage_errors_that_point_at_out() {
+    for (cmd, flag) in [
+        ("fleet", "--obs-out"),
+        ("fleet", "--manifests-out"),
+        ("fleet", "--telemetry-out"),
+        ("fleet", "--wheel-slots"),
+        ("chaos", "--fault-out"),
+    ] {
+        let out = tracemod(&[cmd, flag, "x.json"]);
+        assert_exit(&out, 2, &format!("unknown flag {flag}"));
+        assert!(
+            stderr_of(&out).contains("--out"),
+            "{cmd} {flag}: the allowed list must name --out"
+        );
+    }
+}
+
+#[test]
+fn diff_runs_compares_run_directories_artifact_by_artifact() {
+    let a = temp_path("dir-run-a");
+    let b = temp_path("dir-run-b");
+    let write_run = |dir: &PathBuf, released: u64, alerts: bool| {
+        std::fs::remove_dir_all(dir).ok();
+        std::fs::create_dir_all(dir).unwrap();
+        std::fs::write(dir.join("faults.jsonl"), "").unwrap();
+        std::fs::write(
+            dir.join("telemetry.jsonl"),
+            format!(
+                "{{\"t_ns\":1000000000,\"events\":10,\"released\":4}}\n\
+                 {{\"t_ns\":2000000000,\"events\":12,\"released\":{released}}}\n"
+            ),
+        )
+        .unwrap();
+        // Wall-clock artifacts are skipped.
+        std::fs::write(dir.join("report.json"), format!("{{\"wall\":{released}}}")).unwrap();
+        if alerts {
+            std::fs::write(dir.join("alerts.md"), "# Alerts\n").unwrap();
+        }
+    };
+    let diff = |check: bool| {
+        let mut argv = vec!["diff-runs", a.to_str().unwrap(), b.to_str().unwrap()];
+        if check {
+            argv.push("--check");
+        }
+        tracemod(&argv)
+    };
+
+    // Identical directories: exit 0 under --check.
+    write_run(&a, 5, true);
+    write_run(&b, 5, true);
+    let out = diff(true);
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{}", stderr_of(&out));
+    assert!(stdout.contains("runs identical"), "got:\n{stdout}");
+    assert!(stdout.contains("3 artifact(s)"), "got:\n{stdout}");
+
+    // An artifact only one side holds is a divergence, named.
+    write_run(&b, 5, false);
+    let out = diff(false);
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        stdout.contains("first divergence: alerts.md: only in"),
+        "got:\n{stdout}"
+    );
+    assert_exit(&diff(true), 1, "runs diverge");
+
+    // A content mismatch is named by artifact, with the per-file detail.
+    write_run(&b, 9, true);
+    let out = diff(false);
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    for needle in [
+        "first divergence: telemetry.jsonl",
+        "record 1",
+        "released",
+        "t=2.0s",
+    ] {
+        assert!(
+            stdout.contains(needle),
+            "must mention {needle:?}; got:\n{stdout}"
+        );
+    }
+    assert_exit(&diff(true), 1, "runs diverge");
+
+    // A directory against a file is a usage error.
+    let out = tracemod(&[
+        "diff-runs",
+        a.to_str().unwrap(),
+        a.join("faults.jsonl").to_str().unwrap(),
+    ]);
+    assert_exit(&out, 2, "not one of each");
+
+    std::fs::remove_dir_all(&a).ok();
+    std::fs::remove_dir_all(&b).ok();
 }
