@@ -35,8 +35,8 @@ pub mod window;
 
 pub use asymmetric::{distill_asymmetric, AsymmetricReport};
 pub use pipeline::{
-    distill, distill_chunks, distill_stream, distill_with_report, DistillConfig, DistillReport,
-    DistillStats, Distiller,
+    distill, distill_stream, distill_with_report, DistillConfig, DistillReport, DistillStats,
+    Distiller,
 };
 pub use solver::{correct, solve, solve_or_correct, DelayEstimate, SolveIssue, TripletObservation};
 pub use synthetic::NetworkParams;

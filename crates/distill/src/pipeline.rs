@@ -189,16 +189,6 @@ impl Distiller {
         self
     }
 
-    /// Probe groups currently open (awaiting retirement).
-    pub fn open_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Tuples emitted so far.
-    pub fn tuples_emitted(&self) -> usize {
-        self.stats.tuples
-    }
-
     /// Consume one trace record; completed tuples land in `sink`.
     pub fn push_record<S: TupleSink + ?Sized>(&mut self, rec: &TraceRecord, sink: &mut S) {
         let ts = rec.timestamp_ns();
@@ -418,37 +408,6 @@ where
     Ok(d.finish(sink))
 }
 
-/// Distill a binary-encoded trace presented as borrowed byte chunks,
-/// without ever materializing the whole record set: each chunk is
-/// decoded in place by a [`ChunkDecoder`](tracekit::ChunkDecoder)
-/// (copying only record bytes that straddle a chunk boundary) into a
-/// reused batch buffer, and the records flow straight into the
-/// incremental [`Distiller`]. Peak memory is O(window + chunk), and the
-/// emitted tuples are bit-identical to [`distill_stream`] over the same
-/// records.
-pub fn distill_chunks<'a, I, S>(
-    chunks: I,
-    cfg: &DistillConfig,
-    sink: &mut S,
-) -> Result<DistillStats, StreamError>
-where
-    I: IntoIterator<Item = &'a [u8]>,
-    S: TupleSink + ?Sized,
-{
-    let mut decoder = tracekit::ChunkDecoder::new();
-    let mut distiller = Distiller::new(cfg);
-    let mut batch: Vec<TraceRecord> = Vec::new();
-    for chunk in chunks {
-        decoder.decode_chunk(chunk, &mut batch)?;
-        for rec in &batch {
-            distiller.push_record(rec, sink);
-        }
-        batch.clear();
-    }
-    decoder.finish()?;
-    Ok(distiller.finish(sink))
-}
-
 /// Distill a collected trace into a replay trace.
 pub fn distill(trace: &Trace, cfg: &DistillConfig) -> ReplayTrace {
     distill_with_report(trace, cfg).replay
@@ -621,28 +580,6 @@ mod tests {
             assert_eq!(s.loss.to_bits(), b.loss.to_bits());
         }
         assert_eq!(stats.late_records, 0);
-    }
-
-    #[test]
-    fn chunked_bytes_match_batch_bitwise() {
-        let trace = synth_trace(60, 2e-3, 4e-6, 0.8e-6, |seq| seq % 7 == 3);
-        let cfg = DistillConfig::default();
-        let batch = distill(&trace, &cfg);
-        let bytes = tracekit::format::encode_trace(&trace);
-        for chunk in [1usize, 13, 256, 4096, bytes.len()] {
-            let mut chunked: Vec<QualityTuple> = Vec::new();
-            let stats = distill_chunks(bytes.chunks(chunk), &cfg, &mut chunked)
-                .expect("chunked distillation");
-            assert_eq!(chunked.len(), batch.tuples.len(), "chunk size {chunk}");
-            for (c, b) in chunked.iter().zip(&batch.tuples) {
-                assert_eq!(c.duration_ns, b.duration_ns);
-                assert_eq!(c.latency_ns, b.latency_ns);
-                assert_eq!(c.vb_ns_per_byte.to_bits(), b.vb_ns_per_byte.to_bits());
-                assert_eq!(c.vr_ns_per_byte.to_bits(), b.vr_ns_per_byte.to_bits());
-                assert_eq!(c.loss.to_bits(), b.loss.to_bits());
-            }
-            assert_eq!(stats.tuples, batch.tuples.len());
-        }
     }
 
     #[test]

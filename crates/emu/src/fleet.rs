@@ -43,7 +43,7 @@ use netsim::Step;
 use netsim::{SimDuration, SimRng, SimTime};
 use netstack::{Direction, LinkShim, ShimRelease, ShimVerdict};
 use obs::fleet::FleetReport;
-use obs::telemetry::{FleetTelemetry, SampleInputs, ShardTelemetry, TelemetryConfig};
+use obs::telemetry::{FleetTelemetry, SamplePoint, ShardTelemetry, TelemetryConfig};
 use obs::{FidelityThresholds, Hist, Profiler, RunManifest, RunnerSection};
 use tracekit::{QualityTuple, ReplayTrace};
 use wavelan::{ChannelModel, Registry, Scenario, ScenarioPack};
@@ -419,9 +419,9 @@ fn update_wake(sim: &mut FleetSim<Ev>, cl: &mut ClientState, client: u32) {
 
 /// One client's share of the shard's telemetry totals (the engine-wide
 /// fields stay zero).
-fn client_reading(cl: &ClientState) -> SampleInputs {
+fn client_reading(cl: &ClientState) -> SamplePoint {
     let (released, abs_delay_error_ns) = cl.m.error_accum();
-    SampleInputs {
+    SamplePoint {
         mod_held: cl.m.held_count() as u64,
         probes_sent: cl.probes_sent,
         rtts_completed: cl.completed,
@@ -429,22 +429,8 @@ fn client_reading(cl: &ClientState) -> SampleInputs {
         released,
         abs_delay_error_ns,
         degraded_clients: u64::from(cl.m.is_degraded()),
-        ..SampleInputs::default()
+        ..SamplePoint::default()
     }
-}
-
-/// Swap one client's reading in the running shard totals: `old` out,
-/// `new` in. Every client field is a sum over clients, so the totals
-/// stay exactly what a scan of all clients would read.
-fn retotal(totals: &mut SampleInputs, old: &SampleInputs, new: &SampleInputs) {
-    totals.mod_held = totals.mod_held + new.mod_held - old.mod_held;
-    totals.probes_sent = totals.probes_sent + new.probes_sent - old.probes_sent;
-    totals.rtts_completed = totals.rtts_completed + new.rtts_completed - old.rtts_completed;
-    totals.packets_lost = totals.packets_lost + new.packets_lost - old.packets_lost;
-    totals.released = totals.released + new.released - old.released;
-    totals.abs_delay_error_ns =
-        totals.abs_delay_error_ns + new.abs_delay_error_ns - old.abs_delay_error_ns;
-    totals.degraded_clients = totals.degraded_clients + new.degraded_clients - old.degraded_clients;
 }
 
 /// Run one shard's clients to completion. `kill_after` aborts the run
@@ -511,7 +497,9 @@ fn run_shard(
 
     // Running client totals for telemetry: fresh clients read all
     // zeros, and every event swaps its client's reading out and back in.
-    let mut totals = SampleInputs::default();
+    // Every client field is a sum over clients, so the totals stay
+    // exactly what a scan of all clients would read.
+    let mut totals = SamplePoint::default();
 
     if let Some(p) = prof.as_mut() {
         p.exit("setup");
@@ -526,7 +514,7 @@ fn run_shard(
                         .expect("samples only fire with telemetry enabled");
                     tel.sample(
                         t_ns,
-                        SampleInputs {
+                        SamplePoint {
                             events: sim.events_processed(),
                             queue_depth: sim.queue_depth() as u64,
                             packets_live: store.live() as u64,
@@ -635,7 +623,7 @@ fn run_shard(
                 }
             }
             if let Some(before) = before {
-                retotal(&mut totals, &before, &client_reading(cl));
+                totals.retotal(&before, &client_reading(cl));
             }
             if let Some(p) = prof.as_mut() {
                 p.exit(span);
@@ -754,19 +742,6 @@ pub fn fleet_run(plan: &FleetPlan, exec: &Exec) -> FleetOutcome {
     fleet_run_inner(plan, exec, None)
 }
 
-/// Convert injected-fault events into the alert engine's stamps (the
-/// `obs` crate sits below `faultkit`, so the types cannot be shared).
-pub fn fault_stamps(faults: &[FaultEvent]) -> Vec<obs::FaultStamp> {
-    faults
-        .iter()
-        .map(|f| obs::FaultStamp {
-            t_virtual_ns: f.t_virtual_ns,
-            fault: f.fault.clone(),
-            info: f.info.clone(),
-        })
-        .collect()
-}
-
 /// Evaluate an alert rule set over a finished fleet run: the run's
 /// telemetry series, its aggregate report, and its injected-fault
 /// timestamps (for suppression windows) feed [`obs::alerts`], with an
@@ -779,7 +754,6 @@ pub fn fleet_alerts(
     rules: &obs::RuleSet,
     baseline: Option<&FleetReport>,
 ) -> Result<obs::AlertReport, String> {
-    let stamps = fault_stamps(&out.faults);
     let series = out
         .report
         .telemetry
@@ -791,7 +765,7 @@ pub fn fleet_alerts(
             series,
             report: Some(&out.report),
             baseline,
-            faults: &stamps,
+            faults: &out.faults,
         },
     )
 }
@@ -843,7 +817,7 @@ fn fleet_run_inner(plan: &FleetPlan, exec: &Exec, fault: Option<(u64, FaultPlan)
         manifests.extend(shard.manifests.iter().cloned());
         stations.merge(&shard.stations);
         faults.extend(shard.faults.iter().cloned());
-        add_counters(&mut counters, &shard.counters);
+        counters.add(&shard.counters);
         events += shard.events_processed;
         peak_queue_depth = peak_queue_depth.max(shard.peak_queue_depth);
         peak_packets_live += shard.peak_packets_live;
@@ -903,20 +877,6 @@ fn fleet_run_inner(plan: &FleetPlan, exec: &Exec, fault: Option<(u64, FaultPlan)
         peak_packets_live,
         profile,
     }
-}
-
-fn add_counters(a: &mut FaultCounters, b: &FaultCounters) {
-    a.corrupt_chunks += b.corrupt_chunks;
-    a.truncations += b.truncations;
-    a.dropped_tuples += b.dropped_tuples;
-    a.stalls += b.stalls;
-    a.clock_jumps += b.clock_jumps;
-    a.worker_kills += b.worker_kills;
-    a.oom_rings += b.oom_rings;
-    a.truncated_records += b.truncated_records;
-    a.quarantined_records += b.quarantined_records;
-    a.quarantined_bytes += b.quarantined_bytes;
-    a.rejected_timestamps += b.rejected_timestamps;
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ pub use chaos::{chaos_live_run, ChaosOutcome};
 pub use experiment::{compare, compare_with, comparison_from_plan, ethernet_baseline, Comparison};
 pub use figures::{scenario_figure, scenario_figure_with, CheckpointSeries, ScenarioFigure};
 pub use fleet::{
-    fault_stamps, fleet_alerts, fleet_run, fleet_run_chaos, FleetOutcome, FleetPlan, FleetShard,
+    fleet_alerts, fleet_run, fleet_run_chaos, FleetOutcome, FleetPlan, FleetShard,
     FleetShardOutcome,
 };
 pub use hooks::FlightFrameHook;

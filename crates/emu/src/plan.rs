@@ -258,15 +258,6 @@ impl PlanMetrics {
             0.0
         }
     }
-
-    /// Cells executed per wall-clock second.
-    pub fn cells_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.cells as f64 / self.wall_secs
-        } else {
-            0.0
-        }
-    }
 }
 
 /// An ordered list of cells plus the machinery to run them.

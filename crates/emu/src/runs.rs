@@ -542,17 +542,9 @@ pub(crate) fn live_modulated_run_inner(
         // entirely on clean runs so baselines stay unchanged.
         let c = inj.counters();
         m.set_counter("fault.injected_total", c.injected_total());
-        m.set_counter("fault.corrupt_chunks", c.corrupt_chunks);
-        m.set_counter("fault.truncations", c.truncations);
-        m.set_counter("fault.dropped_tuples", c.dropped_tuples);
-        m.set_counter("fault.stalls", c.stalls);
-        m.set_counter("fault.clock_jumps", c.clock_jumps);
-        m.set_counter("fault.worker_kills", c.worker_kills);
-        m.set_counter("fault.oom_rings", c.oom_rings);
-        m.set_counter("fault.truncated_records", c.truncated_records);
-        m.set_counter("fault.quarantined_records", c.quarantined_records);
-        m.set_counter("fault.quarantined_bytes", c.quarantined_bytes);
-        m.set_counter("fault.rejected_timestamps", c.rejected_timestamps);
+        for (name, v) in c.entries() {
+            m.set_counter(&format!("fault.{name}"), v);
+        }
     }
     manifest.metrics = m;
 

@@ -10,6 +10,7 @@
 //! queries at the matching injection point.
 
 use crate::plan::{Fault, FaultPlan};
+use obs::FaultEvent;
 use serde::{Deserialize, Serialize};
 use tracekit::format::{encode_record, encode_trace_header};
 use tracekit::{ChunkDecoder, QualityTuple, TraceRecord, TupleSink};
@@ -46,19 +47,6 @@ fn mix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One injected fault, virtual-time stamped — the JSONL record emitted
-/// per injection so chaos runs are auditable and injected faults stay
-/// distinguishable from organic ones.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultEvent {
-    /// Virtual time of the injection (ns from run start).
-    pub t_virtual_ns: u64,
-    /// Fault kind (stable name, e.g. `corrupt_chunk`).
-    pub fault: String,
-    /// Human-readable detail (offsets, indices, deltas).
-    pub info: String,
-}
-
 /// Serialize fault events as JSONL, one event per line in emission
 /// order — the `faults.jsonl` run-directory artifact, and the
 /// suppression-window feed for the alert engine. Deterministic:
@@ -70,14 +58,6 @@ pub fn events_to_jsonl(events: &[FaultEvent]) -> String {
         s.push('\n');
     }
     s
-}
-
-/// Parse a fault-event JSONL log back into events (skips blank lines).
-pub fn events_from_jsonl(text: &str) -> Result<Vec<FaultEvent>, String> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| serde_json::from_str(l).map_err(|e| format!("bad fault-event line: {e}")))
-        .collect()
 }
 
 /// Counter block summarizing a chaos run; lands in the `RunManifest`
@@ -118,15 +98,47 @@ pub struct FaultCounters {
 impl FaultCounters {
     /// Total injected faults: one per emitted [`FaultEvent`].
     pub fn injected_total(&self) -> u64 {
-        self.corrupt_chunks
-            + self.truncations
-            + self.dropped_tuples
-            + self.stalls
-            + self.clock_jumps
-            + self.worker_kills
-            + self.oom_rings
+        self.entries()[..INJECTION_KINDS]
+            .iter()
+            .map(|(_, v)| v)
+            .sum()
+    }
+
+    /// Every tally with its stable name (the manifest key is
+    /// `fault.<name>`): the seven injection counts, then the
+    /// degradation tallies.
+    pub fn entries(&self) -> [(&'static str, u64); 11] {
+        let mut copy = *self;
+        copy.slots().map(|(name, v)| (name, *v))
+    }
+
+    /// Add another block's tallies into this one (merging shards).
+    pub fn add(&mut self, other: &FaultCounters) {
+        for ((_, v), (_, o)) in self.slots().into_iter().zip(other.entries()) {
+            *v += o;
+        }
+    }
+
+    /// The one listing of the tallies, by name, mutably.
+    fn slots(&mut self) -> [(&'static str, &mut u64); 11] {
+        [
+            ("corrupt_chunks", &mut self.corrupt_chunks),
+            ("truncations", &mut self.truncations),
+            ("dropped_tuples", &mut self.dropped_tuples),
+            ("stalls", &mut self.stalls),
+            ("clock_jumps", &mut self.clock_jumps),
+            ("worker_kills", &mut self.worker_kills),
+            ("oom_rings", &mut self.oom_rings),
+            ("truncated_records", &mut self.truncated_records),
+            ("quarantined_records", &mut self.quarantined_records),
+            ("quarantined_bytes", &mut self.quarantined_bytes),
+            ("rejected_timestamps", &mut self.rejected_timestamps),
+        ]
     }
 }
+
+/// How many leading [`FaultCounters::entries`] count injections.
+const INJECTION_KINDS: usize = 7;
 
 #[derive(Debug, Clone)]
 struct CorruptSite {
@@ -500,6 +512,7 @@ impl<S: TupleSink + ?Sized> TupleSink for ChaosSink<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::alerts::parse_fault_stamps;
     use tracekit::{Dir, PacketRecord, ProtoInfo};
 
     fn packet(ts: u64, seq: u16) -> TraceRecord {
@@ -644,10 +657,30 @@ mod tests {
         ];
         let jsonl = events_to_jsonl(&events);
         assert_eq!(jsonl.lines().count(), 2);
-        assert_eq!(events_from_jsonl(&jsonl).unwrap(), events);
+        assert_eq!(parse_fault_stamps(&jsonl).unwrap(), events);
         assert_eq!(events_to_jsonl(&events), jsonl, "export is deterministic");
-        assert!(events_from_jsonl("garbage\n").is_err());
-        assert!(events_from_jsonl("\n\n").unwrap().is_empty());
+        assert!(parse_fault_stamps("garbage\n").is_err());
+        assert!(parse_fault_stamps("\n\n").unwrap().is_empty());
+    }
+
+    #[test]
+    fn counters_list_every_tally_once_and_add_field_wise() {
+        let mut c = FaultCounters::default();
+        for (i, (_, v)) in c.slots().into_iter().enumerate() {
+            *v = 1 << i;
+        }
+        let names: Vec<&str> = c.entries().iter().map(|(n, _)| *n).collect();
+        assert_eq!(names.len(), 11);
+        assert_eq!(names[..2], ["corrupt_chunks", "truncations"]);
+        assert_eq!(names[10], "rejected_timestamps");
+        // The seven injection kinds, not the degradation tallies.
+        assert_eq!(c.injected_total(), 0b111_1111);
+        let mut sum = c;
+        sum.add(&c);
+        for ((_, a), (_, b)) in sum.entries().into_iter().zip(c.entries()) {
+            assert_eq!(a, 2 * b);
+        }
+        assert_eq!(sum.worker_kills, 2 * c.worker_kills);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! * [`ChaosSink`] — a [`TupleSink`] adapter that drops distilled
 //!   tuples by emission index on the way to the modulation feed;
 //! * [`FaultEvent`] / [`FaultCounters`] — the observable side: one
-//!   event per injected fault (virtual-time stamped, JSONL-ready) and
+//!   event per injected fault (virtual-time stamped, JSONL-ready; the
+//!   type is `obs`'s, so the alert engine reads the same struct) and
 //!   the counter block that lands in the `RunManifest` under `fault.*`.
 //!
 //! **Determinism rule**: every fault fires off virtual time, record
@@ -35,7 +36,6 @@
 mod inject;
 mod plan;
 
-pub use inject::{
-    events_from_jsonl, events_to_jsonl, ChaosSink, FaultCounters, FaultEvent, FaultInjector,
-};
+pub use inject::{events_to_jsonl, ChaosSink, FaultCounters, FaultInjector};
+pub use obs::FaultEvent;
 pub use plan::{Fault, FaultPlan};

@@ -195,11 +195,6 @@ impl TupleFeed {
         }
     }
 
-    /// True while the feed is paused.
-    pub fn is_paused(&self) -> bool {
-        self.paused
-    }
-
     /// Total tuples accepted from the distiller so far.
     pub fn fed(&self) -> u64 {
         self.fed

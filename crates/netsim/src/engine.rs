@@ -69,11 +69,6 @@ impl Simulator {
         self.core.queue_stats()
     }
 
-    /// Fork an independent RNG stream (e.g. to pre-generate workloads).
-    pub fn fork_rng(&mut self, salt: u64) -> SimRng {
-        self.rng.fork(salt)
-    }
-
     /// Register a node; returns its id.
     pub fn add_node(&mut self, node: Box<dyn Node>) -> NodeId {
         self.nodes.push(Some(node));

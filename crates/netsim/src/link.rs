@@ -107,14 +107,6 @@ impl Direction {
         self.stats.delivered_bytes += bytes as u64;
         Some(depart + self.params.propagation)
     }
-
-    /// Current number of frames queued or in service at `now`.
-    pub fn occupancy(&mut self, now: SimTime) -> usize {
-        while matches!(self.in_flight.front(), Some(&d) if d <= now) {
-            self.in_flight.pop_front();
-        }
-        self.in_flight.len()
-    }
 }
 
 /// A duplex link: direction 0 carries a→b traffic, direction 1 carries b→a.
@@ -182,16 +174,5 @@ mod tests {
         let mut d = Direction::new(LinkParams::instant());
         let a = d.offer(SimTime::from_secs(3), 100_000).unwrap();
         assert_eq!(a, SimTime::from_secs(3));
-    }
-
-    #[test]
-    fn occupancy_tracks_queue() {
-        let mut d = Direction::new(params(8_000_000, 0, 16));
-        assert_eq!(d.occupancy(SimTime::ZERO), 0);
-        d.offer(SimTime::ZERO, 1000);
-        d.offer(SimTime::ZERO, 1000);
-        assert_eq!(d.occupancy(SimTime::ZERO), 2);
-        assert_eq!(d.occupancy(SimTime::from_millis(1)), 1);
-        assert_eq!(d.occupancy(SimTime::from_millis(2)), 0);
     }
 }

@@ -77,11 +77,6 @@ impl Context<'_> {
         self.now
     }
 
-    /// The id of the node being dispatched.
-    pub fn node_id(&self) -> NodeId {
-        self.node
-    }
-
     /// Deterministic RNG shared by the simulation.
     pub fn rng(&mut self) -> &mut SimRng {
         self.rng
@@ -129,16 +124,6 @@ impl Context<'_> {
         }
     }
 
-    /// Number of frames currently queued (or in service) on the outgoing
-    /// direction of `port`.
-    pub fn send_queue_len(&mut self, port: PortId) -> usize {
-        let binding = *self
-            .ports
-            .get(&(self.node, port))
-            .unwrap_or_else(|| panic!("node {:?} port {:?} is not connected", self.node, port));
-        self.links[binding.link].dirs[binding.dir].occupancy(self.now)
-    }
-
     /// Arrange for a `Timer { token }` event on this node after `delay`.
     pub fn schedule_in(&mut self, delay: SimDuration, token: u64) {
         let t = self.now + delay;
@@ -160,12 +145,5 @@ impl Context<'_> {
         let now = self.now;
         let from = self.node;
         self.push(now, target, EventKind::Message { from, tag, data });
-    }
-
-    /// Deliver an out-of-band control message after `delay`.
-    pub fn post_in(&mut self, delay: SimDuration, target: NodeId, tag: u64, data: Vec<u8>) {
-        let t = self.now + delay;
-        let from = self.node;
-        self.push(t, target, EventKind::Message { from, tag, data });
     }
 }

@@ -100,12 +100,6 @@ impl HostConfig {
         self.arp.insert(ip, mac);
         self
     }
-
-    /// Replace the TCP parameters.
-    pub fn with_tcp(mut self, tcp: TcpConfig) -> Self {
-        self.tcp = tcp;
-        self
-    }
 }
 
 #[cfg(test)]

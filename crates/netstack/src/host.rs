@@ -6,7 +6,7 @@
 use crate::app::{App, AppEvent, AppId};
 use crate::config::HostConfig;
 use crate::hooks::{DeviceTap, Direction, LinkShim, ShimRelease, ShimVerdict};
-use crate::tcp::{ConnEvent, EngineOut, TcpEngine, TcpHandle, TcpState};
+use crate::tcp::{ConnEvent, EngineOut, TcpEngine, TcpHandle};
 use netsim::{Context, EventKind, Frame, Node, PortId, SimDuration, SimRng, SimTime};
 use packet::{EtherHeader, EtherType, IcmpMessage, IpProtocol, Ipv4Header, MacAddr, UdpHeader};
 use std::collections::{HashMap, VecDeque};
@@ -569,14 +569,6 @@ impl Host {
             .expect("shim type mismatch")
     }
 
-    /// Downcast-borrow the shim mutably.
-    pub fn shim_mut<T: LinkShim>(&mut self) -> &mut T {
-        let s = self.core.shim.as_deref_mut().expect("no shim attached");
-        (s as &mut dyn std::any::Any)
-            .downcast_mut::<T>()
-            .expect("shim type mismatch")
-    }
-
     fn drain_pending(&mut self, ctx: &mut Context<'_>) {
         let mut guard = 0u32;
         while let Some((app_id, ev)) = self.core.pending.pop_front() {
@@ -733,16 +725,6 @@ impl HostApi<'_, '_> {
         let n = self.core.tcp.send(conn, data, self.ctx.now(), &mut out);
         self.core.tcp_flush(out, self.ctx);
         n
-    }
-
-    /// Free space in the connection's send buffer.
-    pub fn tcp_send_space(&self, conn: TcpHandle) -> usize {
-        self.core.tcp.send_space(conn)
-    }
-
-    /// Connection state, if alive.
-    pub fn tcp_state(&self, conn: TcpHandle) -> Option<TcpState> {
-        self.core.tcp.state(conn)
     }
 
     /// Graceful close.

@@ -91,11 +91,6 @@ impl TcpEngine {
         self.listeners.insert(port, ());
     }
 
-    /// Stop listening on `port`.
-    pub fn unlisten(&mut self, port: u16) {
-        self.listeners.remove(&port);
-    }
-
     /// Active open to `remote`. Returns the handle; the SYN lands in
     /// `out`.
     pub fn connect(

@@ -1,17 +1,19 @@
 //! The fidelity SLO engine: declarative alert rules evaluated in
 //! virtual time over the telemetry plane.
 //!
-//! A rule names a metric — a [`SamplePoint`] field (`sample.*`), a
-//! [`FleetReport`] aggregate (`fleet.*`), or a fleet counter
-//! (`fleet.metrics.*`) — and one predicate: a plain threshold
-//! (`above` / `below`), a windowed burn rate (`window` + `frac`: the
-//! fraction of the trailing window's boundaries violating the
-//! threshold), or a delta-vs-baseline bound (`baseline_max_abs` /
-//! `baseline_max_rel` against a second run's report). Rules carry a
-//! severity and an optional chaos-aware suppression clause: fault
-//! kinds plus a window length, keyed off `faultkit` event timestamps,
-//! so alerts raised in the shadow of an injected fault are *attributed*
-//! to it instead of firing as false positives.
+//! A rule names a metric — a [`SamplePoint`] field from the telemetry
+//! field table `FIELDS` or the derived mean delay error (`sample.*`),
+//! a [`FleetReport`] aggregate from the `FLEET_AGGREGATES` table
+//! (`fleet.*`), or a fleet counter (`fleet.metrics.*`) — and one
+//! predicate: a plain threshold (`above` / `below`), a windowed burn
+//! rate (`window` + `frac`: the fraction of the trailing window's
+//! boundaries violating the threshold), or a delta-vs-baseline bound
+//! (`baseline_max_abs` / `baseline_max_rel` against a second run's
+//! report). Rules carry a severity and an optional chaos-aware
+//! suppression clause: fault kinds plus a window length, keyed off
+//! [`FaultEvent`] timestamps, so alerts raised in the shadow of an
+//! injected fault are *attributed* to it instead of firing as false
+//! positives.
 //!
 //! **Determinism.** Evaluation reads only deterministic inputs — the
 //! merged integer telemetry series, the deterministic fields of the
@@ -25,7 +27,7 @@
 //! starter set used by CI and the README walkthrough.
 
 use crate::fleet::FleetReport;
-use crate::telemetry::SamplePoint;
+use crate::telemetry::{SamplePoint, FIELDS};
 use crate::toml::{self, Line};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -253,10 +255,10 @@ fn apply_toml_entry(rule: &mut RuleSpec, key: &str, value: &str) -> Result<(), S
 /// The metric a compiled rule reads.
 #[derive(Debug, Clone, PartialEq)]
 enum MetricSel {
-    /// A per-boundary [`SamplePoint`] field, by stable field name.
-    Sample(&'static str),
-    /// A [`FleetReport`] aggregate field, by stable field name.
-    Fleet(&'static str),
+    /// A per-boundary series of the telemetry rows.
+    Sample(Series),
+    /// Entry `i` of [`FLEET_AGGREGATES`].
+    Fleet(usize),
     /// A fleet counter from the report's metrics registry.
     FleetCounter(String),
 }
@@ -329,53 +331,55 @@ pub struct CompiledRule {
     suppress_window_ns: u64,
 }
 
-/// A named accessor over one [`SamplePoint`] field.
-type SampleAccessor = (&'static str, fn(&SamplePoint) -> f64);
-
-/// Look up a `sample.*` selector by field name.
-fn sample_selector(field: &str) -> Option<SampleAccessor> {
-    let sel: SampleAccessor = match field {
-        "events" => ("events", |r| r.events as f64),
-        "queue_depth" => ("queue_depth", |r| r.queue_depth as f64),
-        "packets_live" => ("packets_live", |r| r.packets_live as f64),
-        "mod_held" => ("mod_held", |r| r.mod_held as f64),
-        "probes_sent" => ("probes_sent", |r| r.probes_sent as f64),
-        "rtts_completed" => ("rtts_completed", |r| r.rtts_completed as f64),
-        "packets_lost" => ("packets_lost", |r| r.packets_lost as f64),
-        "released" => ("released", |r| r.released as f64),
-        "abs_delay_error_ns" => ("abs_delay_error_ns", |r| r.abs_delay_error_ns as f64),
-        "station_frames" => ("station_frames", |r| r.station_frames as f64),
-        "degraded_clients" => ("degraded_clients", |r| r.degraded_clients as f64),
-        "mean_abs_delay_error_ms" => (
-            "mean_abs_delay_error_ms",
-            SamplePoint::mean_abs_delay_error_ms,
-        ),
-        _ => return None,
-    };
-    Some(sel)
+/// A `sample.<name>` series: a field of the telemetry table
+/// [`FIELDS`], or the one derived value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Series {
+    /// Field `i` of [`FIELDS`].
+    Field(usize),
+    /// [`SamplePoint::mean_abs_delay_error_ms`].
+    MeanAbsDelayErrorMs,
 }
 
-/// Read a `fleet.*` aggregate off a report by field name.
-fn fleet_value(report: &FleetReport, field: &str) -> Option<f64> {
-    Some(match field {
-        "clients" => f64::from(report.clients),
-        "modulated_packets" => report.modulated_packets as f64,
-        "released_packets" => report.released_packets as f64,
-        "dropped_packets" => report.dropped_packets as f64,
-        "deadline_misses" => report.deadline_misses as f64,
-        "deadline_miss_rate" => report.deadline_miss_rate,
-        "mean_abs_delay_error_p95_ms" => report.mean_abs_delay_error_p95_ms,
-        "worst_abs_delay_error_p95_ms" => report.worst_abs_delay_error_p95_ms,
-        "failed_clients" => f64::from(report.failed_clients),
-        "degraded_clients" => f64::from(report.degraded_clients),
-        _ => return None,
-    })
+impl Series {
+    fn parse(name: &str) -> Option<Series> {
+        if name == "mean_abs_delay_error_ms" {
+            return Some(Series::MeanAbsDelayErrorMs);
+        }
+        FIELDS
+            .iter()
+            .position(|f| f.name == name)
+            .map(Series::Field)
+    }
+
+    fn read(self, row: &SamplePoint) -> f64 {
+        match self {
+            Series::Field(i) => row.values()[i] as f64,
+            Series::MeanAbsDelayErrorMs => row.mean_abs_delay_error_ms(),
+        }
+    }
 }
 
-/// Stable names accepted after `fleet.` (error-message helper).
-const FLEET_FIELDS: &str = "clients, modulated_packets, released_packets, dropped_packets, \
-     deadline_misses, deadline_miss_rate, mean_abs_delay_error_p95_ms, \
-     worst_abs_delay_error_p95_ms, failed_clients, degraded_clients";
+/// A `fleet.<name>` selector: the aggregate's name and its reader.
+type Aggregate = (&'static str, fn(&FleetReport) -> f64);
+
+/// The alertable aggregates of a [`FleetReport`], one entry each.
+const FLEET_AGGREGATES: [Aggregate; 10] = [
+    ("clients", |r| f64::from(r.clients)),
+    ("modulated_packets", |r| r.modulated_packets as f64),
+    ("released_packets", |r| r.released_packets as f64),
+    ("dropped_packets", |r| r.dropped_packets as f64),
+    ("deadline_misses", |r| r.deadline_misses as f64),
+    ("deadline_miss_rate", |r| r.deadline_miss_rate),
+    ("mean_abs_delay_error_p95_ms", |r| {
+        r.mean_abs_delay_error_p95_ms
+    }),
+    ("worst_abs_delay_error_p95_ms", |r| {
+        r.worst_abs_delay_error_p95_ms
+    }),
+    ("failed_clients", |r| f64::from(r.failed_clients)),
+    ("degraded_clients", |r| f64::from(r.degraded_clients)),
+];
 
 impl CompiledRule {
     fn from_spec(spec: &RuleSpec) -> Result<CompiledRule, String> {
@@ -390,29 +394,26 @@ impl CompiledRule {
             return Err(ctx("missing 'name'".into()));
         }
         let metric = if let Some(field) = spec.metric.strip_prefix("sample.") {
-            let (name, _) = sample_selector(field)
+            let series = Series::parse(field)
                 .ok_or_else(|| ctx(format!("unknown sample field '{field}'")))?;
-            MetricSel::Sample(name)
+            MetricSel::Sample(series)
         } else if let Some(counter) = spec.metric.strip_prefix("fleet.metrics.") {
             if counter.is_empty() {
                 return Err(ctx("empty fleet counter name".into()));
             }
             MetricSel::FleetCounter(counter.to_string())
         } else if let Some(field) = spec.metric.strip_prefix("fleet.") {
-            let probe = FleetReport::from_manifests(
-                "",
-                &[],
-                &crate::fidelity::FidelityThresholds::default(),
-            );
-            if fleet_value(&probe, field).is_none() {
-                return Err(ctx(format!(
-                    "unknown fleet field '{field}' (try: {FLEET_FIELDS})"
-                )));
-            }
-            MetricSel::Fleet(match fleet_field_name(field) {
-                Some(n) => n,
-                None => return Err(ctx(format!("unknown fleet field '{field}'"))),
-            })
+            let i = FLEET_AGGREGATES
+                .iter()
+                .position(|(name, _)| *name == field)
+                .ok_or_else(|| {
+                    let names: Vec<&str> = FLEET_AGGREGATES.iter().map(|(n, _)| *n).collect();
+                    ctx(format!(
+                        "unknown fleet field '{field}' (try: {})",
+                        names.join(", ")
+                    ))
+                })?;
+            MetricSel::Fleet(i)
         } else {
             return Err(ctx(format!(
                 "metric '{}' must start with sample., fleet., or fleet.metrics.",
@@ -488,41 +489,44 @@ impl CompiledRule {
             suppress_window_ns,
         })
     }
+
+    /// Read this rule's whole-run value off `rep` (a `fleet.*` or
+    /// `fleet.metrics.*` selector); `which` names the report in errors.
+    fn aggregate(&self, rep: &FleetReport, which: &str) -> Result<f64, String> {
+        match &self.metric {
+            MetricSel::Fleet(i) => Ok(FLEET_AGGREGATES[*i].1(rep)),
+            MetricSel::FleetCounter(name) => {
+                rep.metrics.counter(name).map(|v| v as f64).ok_or_else(|| {
+                    format!(
+                        "rule '{}': fleet counter '{name}' not in {which}",
+                        self.name
+                    )
+                })
+            }
+            MetricSel::Sample(_) => unreachable!("sample selectors read the series"),
+        }
+    }
 }
 
-/// Canonical `fleet.*` field name (static str for [`MetricSel`]).
-fn fleet_field_name(field: &str) -> Option<&'static str> {
-    Some(match field {
-        "clients" => "clients",
-        "modulated_packets" => "modulated_packets",
-        "released_packets" => "released_packets",
-        "dropped_packets" => "dropped_packets",
-        "deadline_misses" => "deadline_misses",
-        "deadline_miss_rate" => "deadline_miss_rate",
-        "mean_abs_delay_error_p95_ms" => "mean_abs_delay_error_p95_ms",
-        "worst_abs_delay_error_p95_ms" => "worst_abs_delay_error_p95_ms",
-        "failed_clients" => "failed_clients",
-        "degraded_clients" => "degraded_clients",
-        _ => return None,
-    })
-}
-
-/// A fault event as the alert engine consumes it (mirrors
-/// `faultkit::FaultEvent` without a crate dependency: `obs` sits below
-/// `faultkit` in the workspace graph).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultStamp {
+/// One injected fault, virtual-time stamped: the line `faultkit`
+/// writes to a run directory's `faults.jsonl` per injection (re-exported
+/// there as `faultkit::FaultEvent`), and the suppression-window input
+/// of the alert engine.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FaultEvent {
     /// Virtual time of the injection (ns from run start).
     pub t_virtual_ns: u64,
     /// Fault kind (stable name, e.g. `kill_worker`).
     pub fault: String,
-    /// Human-readable detail.
+    /// Human-readable detail (offsets, indices, deltas). Optional on
+    /// read, since `alerts DIR` accepts fault logs written elsewhere.
     #[serde(default)]
     pub info: String,
 }
 
-/// Parse fault stamps from a run directory's `faults.jsonl` log.
-pub fn parse_fault_stamps(text: &str) -> Result<Vec<FaultStamp>, String> {
+/// Parse fault events from a run directory's `faults.jsonl` log
+/// (blank lines are skipped).
+pub fn parse_fault_stamps(text: &str) -> Result<Vec<FaultEvent>, String> {
     text.lines()
         .filter(|l| !l.trim().is_empty())
         .map(|l| serde_json::from_str(l).map_err(|e| format!("bad fault line: {e}")))
@@ -541,8 +545,8 @@ pub struct AlertInputs<'a> {
     /// A baseline run's report (its embedded telemetry serves
     /// `sample.*` baseline rules) for delta-vs-baseline predicates.
     pub baseline: Option<&'a FleetReport>,
-    /// Injected-fault stamps driving suppression windows.
-    pub faults: &'a [FaultStamp],
+    /// Injected faults driving suppression windows.
+    pub faults: &'a [FaultEvent],
 }
 
 /// One fired alert. A `sample.*` alert covers a maximal run of
@@ -706,9 +710,9 @@ impl AlertReport {
 /// `[fault.t, fault.t + window]`.
 fn covering_fault<'a>(
     rule: &CompiledRule,
-    faults: &'a [FaultStamp],
+    faults: &'a [FaultEvent],
     t: u64,
-) -> Option<&'a FaultStamp> {
+) -> Option<&'a FaultEvent> {
     faults
         .iter()
         .filter(|f| {
@@ -720,7 +724,7 @@ fn covering_fault<'a>(
 }
 
 /// Render a fault attribution (`kind@12.0s`).
-fn attribution(f: &FaultStamp) -> String {
+fn attribution(f: &FaultEvent) -> String {
     format!("{}@{:.1}s", f.fault, f.t_virtual_ns as f64 / 1e9)
 }
 
@@ -737,45 +741,17 @@ pub fn evaluate(rules: &RuleSet, inputs: &AlertInputs) -> Result<AlertReport, St
     };
     for rule in &compiled {
         match &rule.metric {
-            MetricSel::Sample(field) => evaluate_series(rule, field, inputs, &mut report.alerts)?,
-            MetricSel::Fleet(field) => {
-                let Some(rep) = inputs.report else {
-                    return Err(format!(
-                        "rule '{}' reads {} but no fleet report was provided",
-                        rule.name, rule.metric_name
-                    ));
-                };
-                let value = fleet_value(rep, field).expect("validated at compile");
-                let violated = match &rule.predicate {
-                    Predicate::Threshold { above, limit } => {
-                        threshold_violated(value, *above, *limit)
-                    }
-                    Predicate::DeltaVsBaseline { max_abs, max_rel } => {
-                        let Some(base) = inputs.baseline else {
-                            return Err(format!(
-                                "rule '{}' needs a baseline report for {}",
-                                rule.name, rule.metric_name
-                            ));
-                        };
-                        let b = fleet_value(base, field).expect("validated at compile");
-                        (value - b).abs() > max_abs + max_rel * b.abs()
-                    }
-                    Predicate::BurnRate { .. } => unreachable!("rejected at compile"),
-                };
-                if violated {
-                    push_aggregate_alert(rule, value, inputs, &mut report.alerts);
-                }
+            MetricSel::Sample(series) => {
+                evaluate_series(rule, *series, inputs, &mut report.alerts)?
             }
-            MetricSel::FleetCounter(name) => {
+            MetricSel::Fleet(_) | MetricSel::FleetCounter(_) => {
                 let Some(rep) = inputs.report else {
                     return Err(format!(
                         "rule '{}' reads {} but no fleet report was provided",
                         rule.name, rule.metric_name
                     ));
                 };
-                let value = rep.metrics.counter(name).ok_or_else(|| {
-                    format!("rule '{}': fleet counter '{name}' not in report", rule.name)
-                })? as f64;
+                let value = rule.aggregate(rep, "report")?;
                 let violated = match &rule.predicate {
                     Predicate::Threshold { above, limit } => {
                         threshold_violated(value, *above, *limit)
@@ -787,12 +763,7 @@ pub fn evaluate(rules: &RuleSet, inputs: &AlertInputs) -> Result<AlertReport, St
                                 rule.name, rule.metric_name
                             ));
                         };
-                        let b = base.metrics.counter(name).ok_or_else(|| {
-                            format!(
-                                "rule '{}': fleet counter '{name}' not in baseline",
-                                rule.name
-                            )
-                        })? as f64;
+                        let b = rule.aggregate(base, "baseline")?;
                         (value - b).abs() > max_abs + max_rel * b.abs()
                     }
                     Predicate::BurnRate { .. } => unreachable!("rejected at compile"),
@@ -847,18 +818,17 @@ fn push_aggregate_alert(
 /// suppression status collapse into one alert each.
 fn evaluate_series(
     rule: &CompiledRule,
-    field: &str,
+    sel: Series,
     inputs: &AlertInputs,
     alerts: &mut Vec<Alert>,
 ) -> Result<(), String> {
-    let (_, sel) = sample_selector(field).expect("validated at compile");
     let series = inputs.series;
     // Per-boundary (violates, worst value observed for the alert row).
     let mut flags: Vec<Option<f64>> = Vec::with_capacity(series.len());
     match &rule.predicate {
         Predicate::Threshold { above, limit } => {
             for row in series {
-                let v = sel(row);
+                let v = sel.read(row);
                 flags.push(threshold_violated(v, *above, *limit).then_some(v));
             }
         }
@@ -874,11 +844,11 @@ fn evaluate_series(
                 let win = &series[lo..=i];
                 let bad = win
                     .iter()
-                    .filter(|r| threshold_violated(sel(r), *above, *limit))
+                    .filter(|r| threshold_violated(sel.read(r), *above, *limit))
                     .count();
                 // Full windows only: the first w-1 boundaries cannot burn.
                 let burns = win.len() == w && bad as f64 >= *frac * w as f64;
-                flags.push(burns.then(|| sel(&series[i])));
+                flags.push(burns.then(|| sel.read(&series[i])));
             }
         }
         Predicate::DeltaVsBaseline { max_abs, max_rel } => {
@@ -899,7 +869,7 @@ fn evaluate_series(
                 flags.push(match b {
                     None => None,
                     Some(b) => {
-                        let (v, bv) = (sel(row), sel(b));
+                        let (v, bv) = (sel.read(row), sel.read(b));
                         ((v - bv).abs() > max_abs + max_rel * bv.abs()).then_some(v)
                     }
                 });
@@ -1100,7 +1070,7 @@ suppress_window_secs = 7.5
             row(4, 20, 0, 0), // within window (t - 2s = 2s <= 2s): suppressed
             row(5, 20, 0, 0), // window expired: active again
         ];
-        let faults = [FaultStamp {
+        let faults = [FaultEvent {
             t_virtual_ns: 2_000_000_000,
             fault: "kill_worker".into(),
             info: "shard 1".into(),
@@ -1124,7 +1094,7 @@ suppress_window_secs = 7.5
         // Only the unsuppressed runs gate.
         assert_eq!(rep.check(Severity::Warn).len(), 2);
         // A different fault kind does not suppress.
-        let other = [FaultStamp {
+        let other = [FaultEvent {
             t_virtual_ns: 2_000_000_000,
             fault: "stall_feed".into(),
             info: String::new(),
@@ -1175,7 +1145,7 @@ suppress_window_secs = 7.5
         assert!(!out.alerts[0].suppressed);
         assert_eq!(out.check(Severity::Critical).len(), 1);
         // Any matching fault suppresses the whole-run aggregate.
-        let faults = [FaultStamp {
+        let faults = [FaultEvent {
             t_virtual_ns: 40_000_000_000,
             fault: "stall_feed".into(),
             info: String::new(),
@@ -1266,7 +1236,7 @@ suppress_window_secs = 7.5
         let mut rep = fleet_report_with(series.to_vec(), 0.9);
         rep.clients = 3;
         rep.released_packets = 10;
-        let faults = [FaultStamp {
+        let faults = [FaultEvent {
             t_virtual_ns: 1_000_000_000,
             fault: "kill_worker".into(),
             info: String::new(),

@@ -29,14 +29,17 @@
 //! * [`telemetry`] — the fleet telemetry plane: per-shard virtual-time
 //!   sample rings merged into a layout-invariant [`FleetTelemetry`]
 //!   (JSONL / Prometheus / markdown sparklines) with space-saving
-//!   [`TopK`] outlier tracking;
+//!   [`TopK`] outlier tracking. Each [`SamplePoint`] field is declared
+//!   once, in the field table every export and alert selector
+//!   iterates;
 //! * [`profile`] — an opt-in scoped wall-clock [`Profiler`] with
 //!   flamegraph collapsed-stack output for the fleet hot paths;
 //! * [`alerts`] — the fidelity SLO engine: declarative TOML/JSON rules
 //!   (thresholds, windowed burn rates, delta-vs-baseline) evaluated in
 //!   virtual time over the telemetry series and fleet aggregates, with
-//!   chaos-aware suppression windows keyed off injected-fault
-//!   timestamps, exported as byte-deterministic JSONL + markdown;
+//!   chaos-aware suppression windows keyed off injected faults (the one
+//!   [`FaultEvent`] type, which `faultkit` re-exports), exported as
+//!   byte-deterministic JSONL + markdown;
 //! * [`mod@toml`] — the line-oriented TOML subset that alert rules and
 //!   scenario packs are written in;
 //! * [`diff`] — cross-run divergence forensics: a first-divergence
@@ -69,7 +72,7 @@ pub mod telemetry;
 pub mod toml;
 
 pub use alerts::{
-    evaluate as evaluate_alerts, Alert, AlertInputs, AlertReport, FaultStamp, RuleSet, Severity,
+    evaluate as evaluate_alerts, Alert, AlertInputs, AlertReport, FaultEvent, RuleSet, Severity,
     ALERTS_SCHEMA,
 };
 pub use bench::{BenchDiff, BenchDiffConfig, BenchRecord, BenchStatus, BenchVerdict, OverheadGate};
@@ -83,6 +86,5 @@ pub use profile::{ProfEntry, Profiler};
 pub use registry::MetricsRegistry;
 pub use run_dir::{Artifact, DirDiff};
 pub use telemetry::{
-    FleetTelemetry, SampleInputs, SamplePoint, ShardTelemetry, TelemetryConfig, TopEntry, TopK,
-    TELEMETRY_SCHEMA,
+    FleetTelemetry, SamplePoint, ShardTelemetry, TelemetryConfig, TopEntry, TopK, TELEMETRY_SCHEMA,
 };

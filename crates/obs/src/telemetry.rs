@@ -22,6 +22,13 @@
 //! Floating-point derived values (means, rates) are computed only at
 //! render time from the merged integers.
 //!
+//! **One field table.** Each [`SamplePoint`] field is declared once, in
+//! the `sample_fields!` list below, with its kind (interval delta or
+//! boundary level), its Prometheus series and its markdown row. The
+//! list expands to the struct and to the crate-private `FIELDS` table;
+//! sampling, merging, the exports and the `sample.*` alert selectors
+//! all iterate `FIELDS` rather than naming fields.
+//!
 //! Exports: JSONL time-series ([`FleetTelemetry::to_jsonl`]), a
 //! Prometheus-style text exposition ([`FleetTelemetry::to_prometheus`]),
 //! and a markdown sparkline/table section
@@ -78,44 +85,147 @@ impl TelemetryConfig {
     }
 }
 
-/// One merged telemetry row: the fleet's state at virtual boundary
-/// `t_ns`. Every field is an integer so shard rows merge exactly;
-/// `events`, the tallies, and the error sum are **interval deltas**,
-/// the depth fields are instantaneous at the boundary.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct SamplePoint {
-    /// Virtual boundary time (ns); the row covers `(t_ns - interval, t_ns]`
-    /// for deltas, exclusive of events due exactly at `t_ns`.
-    pub t_ns: u64,
+/// How a [`SamplePoint`] field relates to its sampling interval.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    /// Counted over the interval: a shard reads a running total and the
+    /// ring differences consecutive readings. Prometheus exports it as
+    /// a `counter` summed over the retained window.
+    Delta,
+    /// Read at the boundary and kept as is. Prometheus exports it as a
+    /// `gauge` read from the last row.
+    Level,
+}
+
+/// How the markdown section renders a [`SamplePoint`] field.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Markdown {
+    /// Not rendered.
+    Hidden,
+    /// The field's values, under this label.
+    Row(&'static str),
+    /// The derived [`SamplePoint::mean_abs_delay_error_ms`], under this
+    /// label, in place of the field it is derived from.
+    MeanMs(&'static str),
+}
+
+/// One row of the field table [`FIELDS`]: everything the exports and
+/// the alert selectors know about one [`SamplePoint`] field.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Field {
+    /// The JSON key and the `sample.<name>` alert selector.
+    pub name: &'static str,
+    /// Interval delta or boundary level.
+    pub kind: Kind,
+    /// Prometheus metric name and HELP text, when exported; the TYPE
+    /// follows from `kind`.
+    pub prometheus: Option<(&'static str, &'static str)>,
+    /// The markdown row, if any.
+    pub markdown: Markdown,
+}
+
+/// Declares [`SamplePoint`] and its field table [`FIELDS`] from one
+/// list, so each field is written down once: its doc, name, kind,
+/// Prometheus series and markdown row.
+macro_rules! sample_fields {
+    ($(
+        $(#[doc = $doc:literal])*
+        $name:ident: $kind:ident, $prometheus:expr, $markdown:expr;
+    )*) => {
+        /// One merged telemetry row: the fleet's state at virtual
+        /// boundary `t_ns`. Every field is an integer so shard rows merge
+        /// exactly; the field table says which are interval deltas and
+        /// which are boundary levels.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+        pub struct SamplePoint {
+            /// Virtual boundary time (ns); the row covers
+            /// `(t_ns - interval, t_ns]` for deltas, exclusive of events
+            /// due exactly at `t_ns`.
+            pub t_ns: u64,
+            $($(#[doc = $doc])* pub $name: u64,)*
+        }
+
+        /// The field table: one entry per [`SamplePoint`] field after
+        /// `t_ns`, in JSON order. Sampling, merging, every export and
+        /// the `sample.*` alert selectors iterate it.
+        pub(crate) const FIELDS: &[Field] = &[$(Field {
+            name: stringify!($name),
+            kind: Kind::$kind,
+            prometheus: $prometheus,
+            markdown: $markdown,
+        },)*];
+
+        impl SamplePoint {
+            /// The field values in [`FIELDS`] order.
+            pub(crate) fn values(&self) -> [u64; FIELDS.len()] {
+                [$(self.$name),*]
+            }
+
+            /// The fields, mutably, in [`FIELDS`] order.
+            fn values_mut(&mut self) -> [&mut u64; FIELDS.len()] {
+                [$(&mut self.$name),*]
+            }
+        }
+    };
+}
+
+use Markdown::{Hidden, MeanMs, Row};
+
+sample_fields! {
     /// Engine events dispatched in the interval.
-    pub events: u64,
+    events: Delta,
+        Some(("fleet_engine_events_total", "Engine events dispatched over the retained window.")),
+        Row("events / interval");
     /// Engine events pending at the boundary.
-    pub queue_depth: u64,
+    queue_depth: Level,
+        Some(("fleet_queue_depth", "Engine events pending at the last boundary.")),
+        Row("queue depth");
     /// Packet-store rows in flight at the boundary.
-    pub packets_live: u64,
+    packets_live: Level,
+        Some(("fleet_packets_live", "Packets in flight at the last boundary.")),
+        Row("packets live");
     /// Packets held across all modulation wheels at the boundary.
-    pub mod_held: u64,
+    mod_held: Level,
+        Some(("fleet_mod_held", "Packets held in modulation wheels at the last boundary.")),
+        Row("mod held");
     /// Probes emitted in the interval.
-    pub probes_sent: u64,
+    probes_sent: Delta,
+        Some(("fleet_probes_sent_total", "Probes emitted over the retained window.")),
+        Hidden;
     /// Round trips completed in the interval.
-    pub rtts_completed: u64,
+    rtts_completed: Delta,
+        Some(("fleet_rtts_completed_total", "Round trips completed over the retained window.")),
+        Row("rtts completed");
     /// Packets lost to the loss processes in the interval.
-    pub packets_lost: u64,
+    packets_lost: Delta,
+        Some(("fleet_packets_lost_total", "Packets lost over the retained window.")),
+        Hidden;
     /// Modulated releases in the interval.
-    pub released: u64,
+    released: Delta,
+        Some(("fleet_released_total", "Modulated releases over the retained window.")),
+        Row("released");
     /// Integer-ns sum of |intended − actual| release delay error over
     /// the interval's releases (divide by `released` for the mean).
-    pub abs_delay_error_ns: u64,
+    abs_delay_error_ns: Delta, None, MeanMs("mean \\|delay err\\|");
     /// Frames forwarded through base stations in the interval.
-    pub station_frames: u64,
+    station_frames: Delta,
+        Some((
+            "fleet_station_frames_total",
+            "Frames forwarded through base stations over the retained window.",
+        )),
+        Row("station frames");
     /// Clients whose modulator has marked itself degraded, cumulative
     /// at the boundary.
-    pub degraded_clients: u64,
+    degraded_clients: Level,
+        Some(("fleet_degraded_clients", "Clients marked degraded at the last boundary.")),
+        Row("degraded clients");
 }
 
 impl SamplePoint {
     /// Mean |release delay error| over the interval, in milliseconds
-    /// (0 when nothing was released).
+    /// (0 when nothing was released). The one derived series: the
+    /// `sample.mean_abs_delay_error_ms` selector and the markdown's
+    /// delay-error row.
     pub fn mean_abs_delay_error_ms(&self) -> f64 {
         if self.released == 0 {
             0.0
@@ -124,55 +234,26 @@ impl SamplePoint {
         }
     }
 
-    /// Sum every count into `self` (all fields except `t_ns`, which
-    /// must already agree).
+    /// Swap one contributor's reading in running totals: `old` out,
+    /// `new` in, field by field (`t_ns` is untouched). Fleet shards
+    /// keep their per-client sums current this way.
+    pub fn retotal(&mut self, old: &SamplePoint, new: &SamplePoint) {
+        let (old, new) = (old.values(), new.values());
+        for (i, v) in self.values_mut().into_iter().enumerate() {
+            *v = *v + new[i] - old[i];
+        }
+    }
+
+    /// Sum every field into `self` (`t_ns` must already agree).
     fn absorb(&mut self, other: &SamplePoint) {
         debug_assert_eq!(
             self.t_ns, other.t_ns,
             "merging rows from different boundaries"
         );
-        self.events += other.events;
-        self.queue_depth += other.queue_depth;
-        self.packets_live += other.packets_live;
-        self.mod_held += other.mod_held;
-        self.probes_sent += other.probes_sent;
-        self.rtts_completed += other.rtts_completed;
-        self.packets_lost += other.packets_lost;
-        self.released += other.released;
-        self.abs_delay_error_ns += other.abs_delay_error_ns;
-        self.station_frames += other.station_frames;
-        self.degraded_clients += other.degraded_clients;
+        for (v, o) in self.values_mut().into_iter().zip(other.values()) {
+            *v += o;
+        }
     }
-}
-
-/// Cumulative totals a shard reads out at a sample boundary; the ring
-/// differences consecutive readings into interval rows. Counter-like
-/// fields are running totals; `queue_depth`, `packets_live`, and
-/// `mod_held` are instantaneous.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SampleInputs {
-    /// Engine events dispatched so far.
-    pub events: u64,
-    /// Engine events pending right now.
-    pub queue_depth: u64,
-    /// Packet-store rows in flight right now.
-    pub packets_live: u64,
-    /// Packets held in modulation wheels right now.
-    pub mod_held: u64,
-    /// Probes emitted so far.
-    pub probes_sent: u64,
-    /// Round trips completed so far.
-    pub rtts_completed: u64,
-    /// Packets lost so far.
-    pub packets_lost: u64,
-    /// Modulated releases so far.
-    pub released: u64,
-    /// Integer-ns |delay error| sum so far.
-    pub abs_delay_error_ns: u64,
-    /// Station frames forwarded so far.
-    pub station_frames: u64,
-    /// Clients currently marked degraded.
-    pub degraded_clients: u64,
 }
 
 /// One shard's telemetry: a bounded virtual-time series ring plus a
@@ -182,7 +263,7 @@ pub struct SampleInputs {
 #[derive(Debug, Clone)]
 pub struct ShardTelemetry {
     cfg: TelemetryConfig,
-    prev: SampleInputs,
+    prev: SamplePoint,
     ring: VecDeque<SamplePoint>,
     evicted: u64,
     worst_clients: TopK,
@@ -193,7 +274,7 @@ impl ShardTelemetry {
     pub fn new(cfg: TelemetryConfig) -> Self {
         ShardTelemetry {
             cfg,
-            prev: SampleInputs::default(),
+            prev: SamplePoint::default(),
             ring: VecDeque::with_capacity(cfg.ring_capacity.min(1024)),
             evicted: 0,
             worst_clients: TopK::new(cfg.top_k),
@@ -205,24 +286,18 @@ impl ShardTelemetry {
         self.cfg.interval_ns
     }
 
-    /// Record the boundary at virtual time `t_ns` from cumulative
-    /// readings, differencing counters against the previous boundary.
-    pub fn sample(&mut self, t_ns: u64, cur: SampleInputs) {
-        let p = &self.prev;
-        let row = SamplePoint {
-            t_ns,
-            events: cur.events - p.events,
-            queue_depth: cur.queue_depth,
-            packets_live: cur.packets_live,
-            mod_held: cur.mod_held,
-            probes_sent: cur.probes_sent - p.probes_sent,
-            rtts_completed: cur.rtts_completed - p.rtts_completed,
-            packets_lost: cur.packets_lost - p.packets_lost,
-            released: cur.released - p.released,
-            abs_delay_error_ns: cur.abs_delay_error_ns - p.abs_delay_error_ns,
-            station_frames: cur.station_frames - p.station_frames,
-            degraded_clients: cur.degraded_clients,
-        };
+    /// Record the boundary at virtual time `t_ns` from a cumulative
+    /// reading (its `t_ns` is ignored): interval-delta fields are
+    /// running totals, differenced against the previous boundary;
+    /// boundary-level fields are kept as read.
+    pub fn sample(&mut self, t_ns: u64, cur: SamplePoint) {
+        let mut row = SamplePoint { t_ns, ..cur };
+        let prev = self.prev.values();
+        for (i, v) in row.values_mut().into_iter().enumerate() {
+            if FIELDS[i].kind == Kind::Delta {
+                *v -= prev[i];
+            }
+        }
         if self.ring.len() == self.cfg.ring_capacity {
             self.ring.pop_front();
             self.evicted += 1;
@@ -514,73 +589,36 @@ impl FleetTelemetry {
     /// ([`escape_help`], [`escape_label_value`]).
     pub fn to_prometheus(&self) -> String {
         let mut s = String::new();
-        let total = |f: fn(&SamplePoint) -> u64| self.series.iter().map(f).sum::<u64>();
-        let mut counter = |name: &str, help: &str, v: u64| {
+        let mut metric = |name: &str, help: &str, kind: &str, v: u64| {
             let _ = writeln!(s, "# HELP {name} {}", escape_help(help));
-            let _ = writeln!(s, "# TYPE {name} counter");
+            let _ = writeln!(s, "# TYPE {name} {kind}");
             let _ = writeln!(s, "{name} {v}");
         };
-        counter(
-            "fleet_engine_events_total",
-            "Engine events dispatched over the retained window.",
-            total(|r| r.events),
-        );
-        counter(
-            "fleet_probes_sent_total",
-            "Probes emitted over the retained window.",
-            total(|r| r.probes_sent),
-        );
-        counter(
-            "fleet_rtts_completed_total",
-            "Round trips completed over the retained window.",
-            total(|r| r.rtts_completed),
-        );
-        counter(
-            "fleet_packets_lost_total",
-            "Packets lost over the retained window.",
-            total(|r| r.packets_lost),
-        );
-        counter(
-            "fleet_released_total",
-            "Modulated releases over the retained window.",
-            total(|r| r.released),
-        );
-        counter(
-            "fleet_station_frames_total",
-            "Frames forwarded through base stations over the retained window.",
-            total(|r| r.station_frames),
-        );
-        counter(
+        let mut totals = [0u64; FIELDS.len()];
+        for row in &self.series {
+            for (t, v) in totals.iter_mut().zip(row.values()) {
+                *t += v;
+            }
+        }
+        let last = self.series.last().copied().unwrap_or_default().values();
+        // Counters first, then the ring's own eviction counter, then
+        // the gauges.
+        for (i, f) in FIELDS.iter().enumerate() {
+            if let (Kind::Delta, Some((name, help))) = (f.kind, f.prometheus) {
+                metric(name, help, "counter", totals[i]);
+            }
+        }
+        metric(
             "fleet_telemetry_evicted_rows_total",
             "Series rows evicted by the bounded ring.",
+            "counter",
             self.evicted,
         );
-        let last = self.series.last().copied().unwrap_or_default();
-        let mut gauge = |name: &str, help: &str, v: u64| {
-            let _ = writeln!(s, "# HELP {name} {}", escape_help(help));
-            let _ = writeln!(s, "# TYPE {name} gauge");
-            let _ = writeln!(s, "{name} {v}");
-        };
-        gauge(
-            "fleet_queue_depth",
-            "Engine events pending at the last boundary.",
-            last.queue_depth,
-        );
-        gauge(
-            "fleet_packets_live",
-            "Packets in flight at the last boundary.",
-            last.packets_live,
-        );
-        gauge(
-            "fleet_mod_held",
-            "Packets held in modulation wheels at the last boundary.",
-            last.mod_held,
-        );
-        gauge(
-            "fleet_degraded_clients",
-            "Clients marked degraded at the last boundary.",
-            last.degraded_clients,
-        );
+        for (i, f) in FIELDS.iter().enumerate() {
+            if let (Kind::Level, Some((name, help))) = (f.kind, f.prometheus) {
+                metric(name, help, "gauge", last[i]);
+            }
+        }
         if !self.worst_clients.is_empty() {
             let _ = writeln!(
                 s,
@@ -635,35 +673,37 @@ impl FleetTelemetry {
         }
         let _ = writeln!(s, "| series | spark | min | mean | max | last |");
         let _ = writeln!(s, "|---|---|---|---|---|---|");
-        let mut row = |name: &str, values: Vec<f64>, unit: &str| {
+        for (i, f) in FIELDS.iter().enumerate() {
+            let (label, unit, values): (_, _, Vec<f64>) = match f.markdown {
+                Hidden => continue,
+                Row(label) => (
+                    label,
+                    "",
+                    self.series.iter().map(|r| r.values()[i] as f64).collect(),
+                ),
+                MeanMs(label) => (
+                    label,
+                    " ms",
+                    self.series
+                        .iter()
+                        .map(SamplePoint::mean_abs_delay_error_ms)
+                        .collect(),
+                ),
+            };
             let min = values.iter().copied().fold(f64::INFINITY, f64::min);
             let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             let mean = values.iter().sum::<f64>() / values.len() as f64;
             let last = *values.last().expect("non-empty series");
             let _ = writeln!(
                 s,
-                "| {name} | `{}` | {} | {} | {} | {} |",
+                "| {label} | `{}` | {} | {} | {} | {} |",
                 sparkline(&values),
                 fmt_val(min, unit),
                 fmt_val(mean, unit),
                 fmt_val(max, unit),
                 fmt_val(last, unit)
             );
-        };
-        let col = |f: fn(&SamplePoint) -> f64| self.series.iter().map(f).collect::<Vec<_>>();
-        row("events / interval", col(|r| r.events as f64), "");
-        row("queue depth", col(|r| r.queue_depth as f64), "");
-        row("packets live", col(|r| r.packets_live as f64), "");
-        row("mod held", col(|r| r.mod_held as f64), "");
-        row("rtts completed", col(|r| r.rtts_completed as f64), "");
-        row("released", col(|r| r.released as f64), "");
-        row(
-            "mean \\|delay err\\|",
-            col(SamplePoint::mean_abs_delay_error_ms),
-            " ms",
-        );
-        row("station frames", col(|r| r.station_frames as f64), "");
-        row("degraded clients", col(|r| r.degraded_clients as f64), "");
+        }
         if !self.worst_clients.is_empty() {
             let _ = writeln!(s, "\n#### Worst clients (p95 RTT)\n");
             let _ = writeln!(s, "| client | p95 RTT |");
@@ -773,13 +813,13 @@ pub fn sparkline(values: &[f64]) -> String {
 mod tests {
     use super::*;
 
-    fn inputs(events: u64, released: u64, err_ns: u64) -> SampleInputs {
-        SampleInputs {
+    fn inputs(events: u64, released: u64, err_ns: u64) -> SamplePoint {
+        SamplePoint {
             events,
             released,
             abs_delay_error_ns: err_ns,
             queue_depth: 3,
-            ..SampleInputs::default()
+            ..SamplePoint::default()
         }
     }
 
@@ -857,29 +897,6 @@ mod tests {
         assert_eq!((r[1].key, r[1].weight, r[1].error), (3, 4, 3));
         t.add(1, 1);
         assert_eq!(t.ranked()[0].weight, 6);
-    }
-
-    #[test]
-    fn prometheus_and_markdown_render() {
-        let cfg = TelemetryConfig::default();
-        let mut a = ShardTelemetry::new(cfg);
-        a.sample(1_000_000_000, inputs(100, 10, 20_000_000));
-        a.sample(2_000_000_000, inputs(250, 30, 60_000_000));
-        a.note_client_p95(7, 12_345);
-        let mut tel = FleetTelemetry::merge([&a]);
-        tel.set_hot_stations(4, [(0u32, 50u64), (1, 80), (2, 0)]);
-        let prom = tel.to_prometheus();
-        assert!(prom.contains("fleet_engine_events_total 250"));
-        assert!(prom.contains("fleet_client_rtt_p95_us{client=\"7\"} 12345"));
-        assert!(prom.contains("fleet_station_hot_frames{station=\"1\"} 80"));
-        let md = tel.render_markdown_section();
-        assert!(md.contains("### Telemetry (2 samples"));
-        assert!(md.contains("| events / interval |"));
-        assert!(md.contains("12.35 ms") || md.contains("12.34 ms"));
-        // Round-trips as part of a serialized report payload.
-        let json = serde_json::to_string(&tel).unwrap();
-        let back: FleetTelemetry = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, tel);
     }
 
     #[test]

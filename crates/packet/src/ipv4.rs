@@ -1,6 +1,6 @@
 //! IPv4 header codec (no options on emit; options skipped on parse).
 
-use crate::checksum::{checksum, Checksum};
+use crate::checksum::checksum;
 use crate::error::{ParseError, Result};
 use std::net::Ipv4Addr;
 
@@ -141,14 +141,6 @@ impl Ipv4Header {
         out[10..12].copy_from_slice(&c.to_be_bytes());
         out.extend_from_slice(payload);
         out
-    }
-
-    /// Start a transport checksum accumulator seeded with this header's
-    /// pseudo-header for a transport payload of `len` bytes.
-    pub fn pseudo_checksum(&self, len: u16) -> Checksum {
-        let mut c = Checksum::new();
-        c.add_pseudo_header(self.src, self.dst, self.protocol.into(), len);
-        c
     }
 }
 

@@ -13,7 +13,7 @@
 //! * the user-level [`CollectionDaemon`] that drains the pseudo-device
 //!   to "disk";
 //! * pull-based [streaming](stream) abstractions — [`RecordStream`]
-//!   sources (in-memory, live device, chunked file) and [`TupleSink`]
+//!   sources (in-memory, chunked file) and [`TupleSink`]
 //!   consumers — that let distillation and modulation run with
 //!   O(window) memory while collection is still in progress;
 //! * the [`ReplayTrace`] type — the distilled ⟨d, F, Vb, Vr, L⟩ quality
@@ -40,4 +40,4 @@ pub use pseudodev::PseudoDevice;
 pub use record::{DeviceRecord, Dir, OverrunRecord, PacketRecord, ProtoInfo, Trace, TraceRecord};
 pub use replay::{QualityTuple, ReplayTrace};
 pub use ringbuf::RingBuffer;
-pub use stream::{DeviceStream, RecordStream, SliceStream, StreamError, TupleSink, VecStream};
+pub use stream::{RecordStream, StreamError, TupleSink, VecStream};

@@ -68,11 +68,6 @@ impl PseudoDevice {
     pub fn buffered(&self) -> usize {
         self.state.lock().ring.len()
     }
-
-    /// Total records ever offered while open.
-    pub fn total_offered(&self) -> u64 {
-        self.state.lock().ring.total_pushed()
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Replay traces: the distilled list `S` of network quality tuples
 //! ⟨d, F, Vb, Vr, L⟩ (§3.2.1) that drives the modulation layer.
 
-use netsim::{SimDuration, SimTime};
+use netsim::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// One interval of invariant network behaviour.
@@ -138,12 +138,6 @@ impl ReplayTrace {
             pos -= t.duration_ns;
         }
         self.tuples.last()
-    }
-
-    /// Tuple in effect at absolute time `now` given playback began at
-    /// `start`.
-    pub fn at_time(&self, start: SimTime, now: SimTime) -> Option<&QualityTuple> {
-        self.at(now.since(start))
     }
 
     /// Like [`at`](ReplayTrace::at) but without looping: past the end of

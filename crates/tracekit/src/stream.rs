@@ -6,8 +6,8 @@
 //! make that shape explicit:
 //!
 //! * [`RecordStream`] — a pull source of [`TraceRecord`]s: an in-memory
-//!   trace ([`VecStream`]), the tracing pseudo-device ([`DeviceStream`]),
-//!   or a chunked binary file ([`crate::io::TraceFileStream`]);
+//!   trace ([`VecStream`]) or a chunked binary file
+//!   ([`crate::io::TraceFileStream`]);
 //! * [`TupleSink`] — a push sink for distilled ⟨d, F, Vb, Vr, L⟩
 //!   [`QualityTuple`]s: a plain `Vec`, a [`ReplayTrace`], or the
 //!   modulation layer's live tuple feed.
@@ -16,10 +16,8 @@
 //! adapter over these, so figures and ablations stay byte-identical.
 
 use crate::format::FormatError;
-use crate::pseudodev::PseudoDevice;
 use crate::record::{Trace, TraceRecord};
 use crate::replay::{QualityTuple, ReplayTrace};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Errors produced while pulling records from a stream: a malformed
@@ -75,8 +73,8 @@ impl From<StreamError> for std::io::Error {
 ///
 /// `Ok(None)` means the source has (currently) nothing more to give.
 /// For finite sources (files, in-memory traces) that is end-of-stream;
-/// for live sources ([`DeviceStream`]) it only means "nothing buffered
-/// right now" and the caller decides when collection is over.
+/// for a live source it only means "nothing buffered right now" and the
+/// caller decides when collection is over.
 pub trait RecordStream {
     /// Pull the next record.
     fn next_record(&mut self) -> Result<Option<TraceRecord>, StreamError>;
@@ -138,75 +136,6 @@ impl RecordStream for VecStream {
     }
 }
 
-/// A finite stream over borrowed records (clones each one out).
-#[derive(Debug)]
-pub struct SliceStream<'a> {
-    records: std::slice::Iter<'a, TraceRecord>,
-}
-
-impl<'a> SliceStream<'a> {
-    /// Stream over a borrowed record slice.
-    pub fn new(records: &'a [TraceRecord]) -> Self {
-        SliceStream {
-            records: records.iter(),
-        }
-    }
-}
-
-impl RecordStream for SliceStream<'_> {
-    fn next_record(&mut self) -> Result<Option<TraceRecord>, StreamError> {
-        Ok(self.records.next().cloned())
-    }
-}
-
-/// A live stream draining the tracing [`PseudoDevice`] — the user-level
-/// side of §3.1.2, but feeding a consumer directly instead of writing
-/// records to disk first.
-///
-/// `Ok(None)` is non-terminal here: it means the ring buffer is empty
-/// *right now*. The driver advances [`set_now`](DeviceStream::set_now)
-/// as simulated time progresses (drain timestamps mark any overrun
-/// records the ring prepends) and keeps pulling until it decides
-/// collection is over.
-#[derive(Debug)]
-pub struct DeviceStream {
-    dev: PseudoDevice,
-    pending: VecDeque<TraceRecord>,
-    batch: usize,
-    now_ns: u64,
-}
-
-impl DeviceStream {
-    /// Stream draining `dev` in batches of `batch` records.
-    pub fn new(dev: PseudoDevice, batch: usize) -> Self {
-        DeviceStream {
-            dev,
-            pending: VecDeque::new(),
-            batch: batch.max(1),
-            now_ns: 0,
-        }
-    }
-
-    /// Advance the drain clock (stamps overrun markers).
-    pub fn set_now(&mut self, now_ns: u64) {
-        self.now_ns = now_ns;
-    }
-
-    /// Records drained from the ring but not yet pulled.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-}
-
-impl RecordStream for DeviceStream {
-    fn next_record(&mut self) -> Result<Option<TraceRecord>, StreamError> {
-        if self.pending.is_empty() {
-            self.pending.extend(self.dev.read(self.batch, self.now_ns));
-        }
-        Ok(self.pending.pop_front())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,27 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_stream_matches_vec_stream() {
-        let records = vec![pkt(5), pkt(9)];
-        let mut s = SliceStream::new(&records);
-        assert_eq!(
-            s.next_record()
-                .expect("stream ok")
-                .expect("record present")
-                .timestamp_ns(),
-            5
-        );
-        assert_eq!(
-            s.next_record()
-                .expect("stream ok")
-                .expect("record present")
-                .timestamp_ns(),
-            9
-        );
-        assert!(s.next_record().expect("stream ok").is_none());
-    }
-
-    #[test]
     fn tuple_sink_impls_collect() {
         let q = QualityTuple {
             duration_ns: 1,
@@ -268,54 +176,5 @@ mod tests {
         let mut r = ReplayTrace::new("sink");
         r.push_tuple(q);
         assert_eq!(r.tuples.len(), 1);
-    }
-
-    #[test]
-    fn device_stream_drains_live() {
-        let dev = PseudoDevice::new(16);
-        dev.open();
-        let mut s = DeviceStream::new(dev.clone(), 4);
-        // Empty now — non-terminal None.
-        assert!(s.next_record().expect("stream ok").is_none());
-        dev.offer(pkt(1));
-        dev.offer(pkt(2));
-        s.set_now(10);
-        assert_eq!(
-            s.next_record()
-                .expect("stream ok")
-                .expect("record present")
-                .timestamp_ns(),
-            1
-        );
-        assert_eq!(
-            s.next_record()
-                .expect("stream ok")
-                .expect("record present")
-                .timestamp_ns(),
-            2
-        );
-        assert!(s.next_record().expect("stream ok").is_none());
-        // More records arrive later; the stream picks them up.
-        dev.offer(pkt(3));
-        assert_eq!(
-            s.next_record()
-                .expect("stream ok")
-                .expect("record present")
-                .timestamp_ns(),
-            3
-        );
-    }
-
-    #[test]
-    fn device_stream_surfaces_overruns() {
-        let dev = PseudoDevice::new(2);
-        dev.open();
-        let mut s = DeviceStream::new(dev.clone(), 8);
-        for i in 0..5 {
-            dev.offer(pkt(i));
-        }
-        s.set_now(99);
-        let first = s.next_record().expect("stream ok").expect("record present");
-        assert!(matches!(first, TraceRecord::Overrun(_)));
     }
 }

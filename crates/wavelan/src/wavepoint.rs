@@ -164,24 +164,6 @@ impl PhysicalModel {
         }
     }
 
-    /// Override propagation parameters.
-    pub fn with_propagation(mut self, p: Propagation) -> Self {
-        self.prop = p;
-        self
-    }
-
-    /// Override the signal-response curve.
-    pub fn with_response(mut self, r: SignalResponse) -> Self {
-        self.response = r;
-        self
-    }
-
-    /// Override handoff behaviour.
-    pub fn with_handoff(mut self, h: HandoffConfig) -> Self {
-        self.handoff = h;
-        self
-    }
-
     /// Diagnostics.
     pub fn stats(&self) -> PhysicalStats {
         self.stats
