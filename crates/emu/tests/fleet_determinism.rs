@@ -6,7 +6,9 @@
 //! on one worker or many. The proptest drives that across arbitrary
 //! client counts and fleet seeds; the chaos test kills a shard worker
 //! mid-run and checks the restart protocol leaves no trace in the
-//! output.
+//! output. The pinned tests fix the exact bytes of every artifact, and
+//! the kill points, of two small fleets, so a change to how a shard
+//! schedules its work cannot move them.
 
 use emu::{fleet_alerts, fleet_run, fleet_run_chaos, Exec, FleetOutcome, FleetPlan};
 use faultkit::FaultPlan;
@@ -255,4 +257,145 @@ fn out_of_reach_kills_are_inert() {
     let out = fleet_run_chaos(&plan, &Exec::serial(), 3, &wrong_cell);
     assert_eq!(out.counters.worker_kills, 0);
     assert_eq!(manifest_bytes(&clean), manifest_bytes(&out));
+}
+
+/// FNV-1a over an artifact's bytes: the pinned tests below compare
+/// digests rather than kilobytes of golden text.
+fn fnv(bytes: &str) -> u64 {
+    bytes.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Digests of every deterministic artifact a fleet run writes:
+/// manifests (one JSON line each), the deterministic report, telemetry
+/// JSONL and Prometheus text, and the alerts of two rules that fire on
+/// every busy boundary (the built-in rules stay quiet on these fleets).
+fn artifact_digests(out: &FleetOutcome) -> Vec<(&'static str, u64)> {
+    let tel = out.report.telemetry.as_ref().expect("telemetry on");
+    let rules = RuleSet::from_toml(
+        "[[rule]]\n\
+         name = \"engine-activity\"\n\
+         metric = \"sample.events\"\n\
+         severity = \"warn\"\n\
+         above = 0\n\
+         \n\
+         [[rule]]\n\
+         name = \"holding\"\n\
+         metric = \"sample.mod_held\"\n\
+         severity = \"info\"\n\
+         above = 0\n",
+    )
+    .expect("rules parse");
+    let alerts = fleet_alerts(out, &rules, None).expect("rules evaluate");
+    vec![
+        ("manifests", fnv(&manifest_bytes(out).join("\n"))),
+        ("report", fnv(&out.report.deterministic_json())),
+        ("telemetry.jsonl", fnv(&tel.to_jsonl())),
+        ("telemetry.prom", fnv(&tel.to_prometheus())),
+        ("alerts.jsonl", fnv(&alerts.to_jsonl())),
+    ]
+}
+
+fn assert_digests(out: &FleetOutcome, pinned: &[(&str, u64)]) {
+    let show = |digests: &[(&str, u64)]| -> Vec<String> {
+        digests
+            .iter()
+            .map(|(name, d)| format!("{name} {d:#018x}"))
+            .collect()
+    };
+    assert_eq!(
+        show(&artifact_digests(out)),
+        show(pinned),
+        "artifact bytes moved"
+    );
+}
+
+/// A 24-client Porter walk at 3 shards with a 4-row telemetry ring on
+/// a 5 s interval: 10 boundaries over the 40 s walk plus the 10 s drain
+/// grace, so each shard evicts 6 rows and keeps two busy ones.
+fn pinned_porter_plan() -> FleetPlan {
+    FleetPlan::new(Scenario::porter(), 24)
+        .with_seed(11)
+        .with_duration(SimDuration::from_secs(40))
+        .with_probe_interval(SimDuration::from_millis(500))
+        .with_shards(3)
+        .with_telemetry(
+            TelemetryConfig::default()
+                .with_interval_secs(5)
+                .with_ring_capacity(4),
+        )
+}
+
+const PORTER_DIGESTS: &[(&str, u64)] = &[
+    ("manifests", 0xc0df_383e_ac41_d4ab),
+    ("report", 0x90c3_7165_c010_ff3c),
+    ("telemetry.jsonl", 0x8fb5_88fc_be0e_7d78),
+    ("telemetry.prom", 0xc4a3_7bb5_21ba_d270),
+    ("alerts.jsonl", 0x5c34_f7d7_dc5f_89b8),
+];
+
+const LEO_DIGESTS: &[(&str, u64)] = &[
+    ("manifests", 0x4116_346d_fd59_b6ed),
+    ("report", 0xc11f_3c1f_d383_0c9a),
+    ("telemetry.jsonl", 0x294e_cb54_4698_b954),
+    ("telemetry.prom", 0x2ffe_707c_623f_288d),
+    ("alerts.jsonl", 0x3336_5c3f_43fb_cacf),
+];
+
+/// Events shard 1 (clients 8..16) of [`pinned_porter_plan`] dispatches.
+const PORTER_SHARD1_EVENTS: u64 = 2_293;
+
+/// The fleet's output contract, pinned to exact bytes: how a shard
+/// orders its work must never move an artifact.
+#[test]
+fn porter_fleet_artifacts_are_pinned() {
+    let out = fleet_run(&pinned_porter_plan(), &Exec::with_workers(2));
+    let tel = out.report.telemetry.as_ref().expect("telemetry on");
+    assert_eq!(tel.evicted, 18, "3 shards × (10 boundaries − 4 kept)");
+    assert_digests(&out, PORTER_DIGESTS);
+}
+
+#[test]
+fn leo_pack_fleet_artifacts_are_pinned() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../packs/leo.toml");
+    let text = std::fs::read_to_string(path).expect("the LEO pack is committed");
+    let pack = wavelan::load_pack(path, &text).expect("the LEO pack loads");
+    let plan = FleetPlan::from_pack(pack, 12)
+        .with_shards(2)
+        .with_probe_interval(SimDuration::from_millis(500))
+        .with_telemetry(TelemetryConfig::default());
+    let out = fleet_run(&plan, &Exec::with_workers(2));
+    assert_digests(&out, LEO_DIGESTS);
+}
+
+/// Kill points are pinned too: a `kill_worker(1, n)` fault stamps the
+/// virtual time of shard 1's n-th event, fires only when the shard has
+/// more than n events, and the restarted run still writes the pinned
+/// bytes.
+#[test]
+fn kill_points_are_pinned() {
+    let plan = pinned_porter_plan();
+    let stamp = |at_event: u64| {
+        let faults = FaultPlan::new().kill_worker(1, at_event);
+        let out = fleet_run_chaos(&plan, &Exec::with_workers(2), 7, &faults);
+        assert_digests(&out, PORTER_DIGESTS);
+        out.faults.first().map(|f| f.t_virtual_ns)
+    };
+    let stamps = [
+        stamp(40),
+        stamp(1),
+        stamp(PORTER_SHARD1_EVENTS),
+        stamp(PORTER_SHARD1_EVENTS - 1),
+    ];
+    // kill_worker(1, 40), (1, 1), (1, count) and (1, count − 1).
+    assert_eq!(
+        stamps,
+        [
+            Some(590_976_610),
+            Some(13_451_532),
+            None,
+            Some(40_000_976_610)
+        ]
+    );
 }
