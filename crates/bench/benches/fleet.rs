@@ -1,14 +1,18 @@
-//! Criterion benchmark for the fleet engine: 10 000 concurrent mobile
-//! clients under one process.
+//! Criterion benchmark for the fleet engine: 10 000 mobile clients
+//! under one process.
 //!
 //! The entry prices the whole per-client pipeline — channel-model
-//! synthesis, per-client modulation through narrow calendar
-//! queues, the shared station/core hops, and manifest assembly — at
-//! the headline client count. The walk is shortened to 10 virtual
-//! seconds so one iteration stays around a second of wall time; the
-//! client count, not the walk length, is what the entry guards (the
-//! engine's cost is linear in events, and events scale with
-//! clients × duration).
+//! synthesis, per-client modulation through narrow calendar queues,
+//! the shared station/core hops, and manifest assembly — at the
+//! headline client count. The one shard plays its clients one at a
+//! time, each client's whole timeline on an event core of its own, so
+//! the entry also guards that order: `BENCH_baseline.json` gives both
+//! entries a 2.0 tolerance, which a return to one core interleaving
+//! every client (~2.5× slower) fails. The walk is shortened to 10
+//! virtual seconds so one iteration stays well under a second of wall
+//! time; the client count, not the walk length, is what the entry
+//! guards (the engine's cost is linear in events, and events scale
+//! with clients × duration).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use emu::{fleet_run, Exec, FleetPlan};

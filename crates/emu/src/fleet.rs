@@ -1,5 +1,6 @@
-//! Fleet orchestration: N mobile clients, one virtual-time engine per
-//! shard, byte-identical output at any shard count.
+//! Fleet orchestration: N mobile clients cut into shards, each client's
+//! timeline on a virtual-time engine of its own, byte-identical output
+//! at any shard count.
 //!
 //! A [`FleetPlan`] describes a fleet — N clients all walking one
 //! scenario, each with its *own* synthesized channel (per-client seeds
@@ -9,11 +10,11 @@
 //! further: clients split across the pack's weighted mix of registry
 //! model specs — a mixed-radio fleet where some clients ride a LEO
 //! constellation while others walk an ERRANT cellular profile.
-//! [`fleet_run`] shards the clients into contiguous ranges, runs one
-//! [`FleetSim`] engine per shard as a [`TrialPlan`] cell (reusing the
-//! plan-order reassembly machinery, so shard outputs merge
-//! deterministically no matter how workers interleave), and
-//! concatenates the per-client [`RunManifest`]s in client order.
+//! [`fleet_run`] shards the clients into contiguous ranges, runs each
+//! shard as a [`TrialPlan`] cell (reusing the plan-order reassembly
+//! machinery, so shard outputs merge deterministically no matter how
+//! workers interleave), and concatenates the per-client
+//! [`RunManifest`]s in client order.
 //!
 //! **Shard invariance.** A client's entire simulation depends only on
 //! plan parameters and its own client index: its channel and traffic
@@ -23,8 +24,12 @@
 //! the full fleet layout rather than runtime queue state. Cross-client
 //! coupling is therefore commutative (station counters sum), and the
 //! merged output is byte-identical at 1, 2, or 8 shards. The
-//! determinism proptest in `tests/fleet_determinism.rs` holds the
-//! runner to exactly that.
+//! determinism tests in `tests/fleet_determinism.rs` hold the runner to
+//! exactly that, and pin the bytes of two small fleets. The same fact
+//! sets the execution order: a client's events dispatch in the same
+//! relative order whoever shares its event core, so a shard plays its
+//! clients' whole timelines one after another, each on a [`FleetSim`]
+//! of its own, and only one client's state is ever hot.
 //!
 //! **Traffic model.** Each client probes like the paper's collection
 //! daemon: alternating 106- and 542-byte pings on a fixed cadence
@@ -38,7 +43,7 @@ use crate::plan::{CellKind, Exec, TrialCell, TrialPlan};
 use crate::runs::RunConfig;
 use faultkit::{FaultCounters, FaultEvent, FaultInjector, FaultPlan};
 use modulate::{Modulator, TickClock};
-use netsim::fleet::{FleetEvent, FleetSim, PacketStore, StationTable};
+use netsim::fleet::{FleetSim, PacketStore, StationTable};
 use netsim::Step;
 use netsim::{SimDuration, SimRng, SimTime};
 use netstack::{Direction, LinkShim, ShimRelease, ShimVerdict};
@@ -289,6 +294,57 @@ struct ClientState {
     rtt_ms: Hist,
 }
 
+impl ClientState {
+    /// Client `c` at time zero: its own channel realization behind a
+    /// fresh modulator, and its own traffic stream.
+    fn new(plan: &FleetPlan, c: u32, station: u32) -> Self {
+        let mut m = Modulator::from_replay(client_replay(plan, c))
+            .with_clock(TickClock::netbsd())
+            .with_wheel_slots(CLIENT_WHEEL_SLOTS);
+        m.begin(SimTime::ZERO);
+        ClientState {
+            m,
+            rng: SimRng::seed_from_u64(client_seed(plan.seed, c, PURPOSE_TRAFFIC)),
+            next_wake_ns: u64::MAX,
+            small_next: true,
+            station,
+            probes_sent: 0,
+            completed: 0,
+            lost: 0,
+            rtt_ms: Hist::new(0.0, 2_000.0, 200),
+        }
+    }
+
+    /// The client's run manifest.
+    fn manifest(&self, plan: &FleetPlan, c: u32) -> RunManifest {
+        let mut man = RunManifest::new(plan.scenario.name, "fleet-probe", c);
+        let (family, params) = plan.model_info_for(c);
+        man.set_model(&family, &params);
+        man.fidelity = self.m.fidelity();
+        let mm = &mut man.metrics;
+        mm.set_counter("fleet.probes_sent", self.probes_sent);
+        mm.set_counter("fleet.rtts_completed", self.completed);
+        mm.set_counter("fleet.packets_lost", self.lost);
+        mm.set_counter("fleet.station", u64::from(self.station));
+        mm.set_hist("fleet.rtt_ms", self.rtt_ms.snapshot());
+        let s = self.m.stats();
+        mm.set_counter("modulate.offered", s.offered);
+        mm.set_counter("modulate.immediate", s.immediate);
+        mm.set_counter("modulate.held", s.held);
+        mm.set_counter("modulate.dropped", s.dropped);
+        mm.set_counter("modulate.unmodulated", s.unmodulated);
+        let w = self.m.sched_stats();
+        mm.set_counter("modulate.sched.pushes", w.pushes);
+        mm.set_counter("modulate.sched.overflow_pushes", w.overflow_pushes);
+        mm.set_counter("modulate.sched.buckets_opened", w.buckets_opened);
+        mm.set_counter(
+            "modulate.sched.buckets_drained_whole",
+            w.buckets_drained_whole,
+        );
+        man
+    }
+}
+
 /// One shard of a fleet: the clients in `[lo, hi)` plus the fault
 /// configuration, packaged as a [`TrialPlan`] cell payload.
 pub struct FleetShard {
@@ -308,14 +364,13 @@ pub struct FleetShardOutcome {
     /// This shard's station traffic counters (summed into the fleet
     /// table on merge).
     pub stations: StationTable,
-    /// Events the shard engine dispatched (layout-invariant in sum).
+    /// Events the shard's clients dispatched (layout-invariant in sum).
     pub events_processed: u64,
-    /// Engine queue high-water mark (diagnostic; depends on how
-    /// clients interleave, so never part of deterministic output).
+    /// Largest per-client engine queue high-water mark (diagnostic;
+    /// never part of deterministic output).
     pub peak_queue_depth: usize,
-    /// Packet-arena rows grown (diagnostic, layout-dependent).
-    pub packet_rows: usize,
-    /// Peak concurrent in-flight packets (diagnostic).
+    /// Largest per-client count of concurrent in-flight packets, which
+    /// is also the shard packet arena's row count (diagnostic).
     pub peak_packets_live: usize,
     /// Virtual seconds the shard covered.
     pub virtual_secs: f64,
@@ -336,7 +391,7 @@ impl FleetShard {
     /// trial plan: `kill_worker(idx, at_event)` faults target cell
     /// indices (exactly like [`chaos_live_run`](crate::chaos_live_run)),
     /// so kills land on the same shard at any worker count. A killed
-    /// shard runs a probe pass aborted at the kill point, notes the
+    /// shard runs a probe pass that finds the kill point, notes the
     /// kill, and restarts; since shards are pure functions of the plan,
     /// the definitive rerun is bitwise identical to an uninterrupted
     /// one, preserving merge order.
@@ -417,8 +472,8 @@ fn update_wake(sim: &mut FleetSim<Ev>, cl: &mut ClientState, client: u32) {
     }
 }
 
-/// One client's share of the shard's telemetry totals (the engine-wide
-/// fields stay zero).
+/// One client's modulation and traffic share of a telemetry row (the
+/// engine-wide fields stay zero).
 fn client_reading(cl: &ClientState) -> SamplePoint {
     let (released, abs_delay_error_ns) = cl.m.error_accum();
     SamplePoint {
@@ -433,18 +488,21 @@ fn client_reading(cl: &ClientState) -> SamplePoint {
     }
 }
 
-/// Run one shard's clients to completion. `kill_after` aborts the run
-/// after that many dispatched events and returns `Err(virtual ns)` —
-/// the chaos probe pass.
+/// Run one shard's clients to completion, one at a time: each client's
+/// whole timeline runs on its own [`FleetSim`] from t = 0 to the shard
+/// deadline, and whole-shard outputs come out as from one core carrying
+/// every client (module doc).
 ///
-/// When the plan enables telemetry, the engine delivers sample
-/// boundaries on the configured virtual interval. The shard keeps its
-/// client totals current around every event (two O(1) readings of the
-/// event's own client), so a boundary reads them without scanning the
-/// clients.
-/// Telemetry is skipped during chaos probe passes: their output is
-/// discarded, and samples never count against the kill budget, so the
-/// definitive rerun's bytes are unchanged.
+/// `kill_after = Some(N)` makes this a chaos probe pass: `Err(virtual
+/// ns)` when the shard dispatches more than N events, stamped with the
+/// N-th smallest due over its dispatched events (0 for N = 0) — where
+/// one core dispatching in `(due, seq)` order would have stopped. Probe
+/// passes skip telemetry, since their output is discarded.
+///
+/// With telemetry on, each client adds its reading at every sampling
+/// boundary to that boundary's summed row. Only the last
+/// `ring_capacity + 1` boundaries are summed (the extra one differences
+/// the first row the ring keeps), so memory is bounded by the ring.
 fn run_shard(
     plan: &FleetPlan,
     lo: u32,
@@ -458,74 +516,61 @@ fn run_shard(
     let mut store = PacketStore::new();
     let mut pool: Vec<Vec<u8>> = Vec::new();
     let mut scratch: Vec<ShimRelease> = Vec::new();
-    let mut sim: FleetSim<Ev> = FleetSim::new();
-    let mut prof = if plan.profile {
+    let mut prof = plan.profile.then(|| {
         let mut p = Profiler::new();
         p.enter("shard");
-        p.enter("setup");
-        Some(p)
-    } else {
-        None
-    };
-    let mut telemetry = if kill_after.is_none() {
-        plan.telemetry.map(ShardTelemetry::new)
-    } else {
-        None
-    };
-    let sample_interval = telemetry.as_ref().map_or(0, |t| t.interval_ns());
+        p
+    });
+    let tel_cfg = plan.telemetry.filter(|_| kill_after.is_none());
+    let sample_interval = tel_cfg.map_or(0, |cfg| cfg.interval_ns);
+    let boundaries = end_ns.checked_div(sample_interval).unwrap_or(0);
+    let first_summed = boundaries
+        .saturating_sub(tel_cfg.map_or(0, |cfg| (cfg.ring_capacity as u64).saturating_add(1)));
+    let mut sums: Vec<SamplePoint> = (first_summed..boundaries)
+        .map(|k| SamplePoint {
+            t_ns: (k + 1) * sample_interval,
+            ..SamplePoint::default()
+        })
+        .collect();
+    let mut dues: Option<Vec<u64>> = kill_after.map(|_| Vec::new());
+    let mut manifests = Vec::with_capacity((hi - lo) as usize);
+    let mut events = 0u64;
+    let mut peak_queue_depth = 0usize;
 
-    let mut clients: Vec<ClientState> = Vec::with_capacity((hi - lo) as usize);
     for c in lo..hi {
-        let mut m = Modulator::from_replay(client_replay(plan, c))
-            .with_clock(TickClock::netbsd())
-            .with_wheel_slots(CLIENT_WHEEL_SLOTS);
-        m.begin(SimTime::ZERO);
+        if let Some(p) = prof.as_mut() {
+            p.enter("setup");
+        }
+        let mut cl = ClientState::new(plan, c, stations.station_of(c));
+        let frames_before = stations.frames(cl.station);
+        let mut sim: FleetSim<Ev> = FleetSim::new();
         let phase = client_seed(plan.seed, c, PURPOSE_PHASE) % interval_ns;
         sim.schedule(phase, c, Ev::Probe);
-        clients.push(ClientState {
-            m,
-            rng: SimRng::seed_from_u64(client_seed(plan.seed, c, PURPOSE_TRAFFIC)),
-            next_wake_ns: u64::MAX,
-            small_next: true,
-            station: stations.station_of(c),
-            probes_sent: 0,
-            completed: 0,
-            lost: 0,
-            rtt_ms: Hist::new(0.0, 2_000.0, 200),
-        });
-    }
-
-    // Running client totals for telemetry: fresh clients read all
-    // zeros, and every event swaps its client's reading out and back in.
-    // Every client field is a sum over clients, so the totals stay
-    // exactly what a scan of all clients would read.
-    let mut totals = SamplePoint::default();
-
-    if let Some(p) = prof.as_mut() {
-        p.exit("setup");
-        p.enter("run");
-    }
-    let killed = {
-        let mut handler = |step: Step<FleetEvent<Ev>>, sim: &mut FleetSim<Ev>| {
+        if let Some(p) = prof.as_mut() {
+            p.exit("setup");
+            p.enter("run");
+        }
+        sim.run(end_ns, sample_interval, u64::MAX, &mut |step, sim| {
             let ev = match step {
                 Step::Sample(t_ns) => {
-                    let tel = telemetry
-                        .as_mut()
-                        .expect("samples only fire with telemetry enabled");
-                    tel.sample(
-                        t_ns,
-                        SamplePoint {
+                    let k = t_ns / sample_interval - 1;
+                    if let Some(i) = k.checked_sub(first_summed) {
+                        sums[i as usize].absorb(&SamplePoint {
+                            t_ns,
                             events: sim.events_processed(),
                             queue_depth: sim.queue_depth() as u64,
                             packets_live: store.live() as u64,
-                            station_frames: stations.total_frames(),
-                            ..totals
-                        },
-                    );
+                            station_frames: stations.frames(cl.station) - frames_before,
+                            ..client_reading(&cl)
+                        });
+                    }
                     return;
                 }
                 Step::Event(ev) => ev,
             };
+            if let Some(dues) = dues.as_mut() {
+                dues.push(ev.due_ns);
+            }
             let span = match ev.kind {
                 Ev::Probe => "probe",
                 Ev::ModWake => "mod_wake",
@@ -534,8 +579,6 @@ fn run_shard(
             if let Some(p) = prof.as_mut() {
                 p.enter(span);
             }
-            let cl = &mut clients[(ev.client - lo) as usize];
-            let before = telemetry.is_some().then(|| client_reading(cl));
             let now_ns = ev.due_ns;
             let now = SimTime::from_nanos(now_ns);
             match ev.kind {
@@ -570,7 +613,7 @@ fn run_shard(
                     if now_ns + interval_ns <= duration_ns {
                         sim.schedule(now_ns + interval_ns, ev.client, Ev::Probe);
                     }
-                    update_wake(sim, cl, ev.client);
+                    update_wake(sim, &mut cl, ev.client);
                 }
                 Ev::ModWake => {
                     // A stale wake (a newer one is armed) falls through
@@ -596,12 +639,12 @@ fn run_shard(
                                     );
                                 }
                                 Direction::Inbound => {
-                                    complete(cl, &mut store, packet, now_ns);
+                                    complete(&mut cl, &mut store, packet, now_ns);
                                     pool.push(rel.bytes);
                                 }
                             }
                         }
-                        update_wake(sim, cl, ev.client);
+                        update_wake(sim, &mut cl, ev.client);
                     }
                 }
                 Ev::Return { packet } => {
@@ -610,7 +653,7 @@ fn run_shard(
                     let frame = frame_for(&mut pool, packet, size);
                     match cl.m.offer(Direction::Inbound, frame, now, &mut cl.rng) {
                         ShimVerdict::Pass(bytes) => {
-                            complete(cl, &mut store, packet, now_ns);
+                            complete(&mut cl, &mut store, packet, now_ns);
                             pool.push(bytes);
                         }
                         ShimVerdict::Hold => {}
@@ -619,65 +662,45 @@ fn run_shard(
                             store.release(packet);
                         }
                     }
-                    update_wake(sim, cl, ev.client);
+                    update_wake(sim, &mut cl, ev.client);
                 }
-            }
-            if let Some(before) = before {
-                totals.retotal(&before, &client_reading(cl));
             }
             if let Some(p) = prof.as_mut() {
                 p.exit(span);
             }
-        };
-        sim.run(
-            end_ns,
-            sample_interval,
-            kill_after.unwrap_or(u64::MAX),
-            &mut handler,
-        )
-    };
-    if killed {
-        return Err(sim.now_ns());
+        });
+        events += sim.events_processed();
+        peak_queue_depth = peak_queue_depth.max(sim.peak_queue_depth());
+        // Probes still held or in transit at the deadline end with the
+        // client, so the store only ever holds one client's packets.
+        store.release_all();
+        if let Some(p) = prof.as_mut() {
+            p.add_virtual(end_ns);
+            p.exit("run");
+            p.enter("finalize");
+        }
+        manifests.push(cl.manifest(plan, c));
+        if let Some(p) = prof.as_mut() {
+            p.exit("finalize");
+        }
+    }
+
+    if let (Some(n), Some(mut dues)) = (kill_after, dues) {
+        if events > n {
+            return Err(n
+                .checked_sub(1)
+                .map_or(0, |i| *dues.select_nth_unstable(i as usize).1));
+        }
     }
     if let Some(p) = prof.as_mut() {
-        p.add_virtual(sim.now_ns());
-        p.exit("run");
         p.enter("finalize");
     }
-
-    let manifests: Vec<RunManifest> = clients
-        .iter()
-        .zip(lo..hi)
-        .map(|(cl, c)| {
-            let mut man = RunManifest::new(plan.scenario.name, "fleet-probe", c);
-            let (family, params) = plan.model_info_for(c);
-            man.set_model(&family, &params);
-            man.fidelity = cl.m.fidelity();
-            let mm = &mut man.metrics;
-            mm.set_counter("fleet.probes_sent", cl.probes_sent);
-            mm.set_counter("fleet.rtts_completed", cl.completed);
-            mm.set_counter("fleet.packets_lost", cl.lost);
-            mm.set_counter("fleet.station", u64::from(cl.station));
-            mm.set_hist("fleet.rtt_ms", cl.rtt_ms.snapshot());
-            let s = cl.m.stats();
-            mm.set_counter("modulate.offered", s.offered);
-            mm.set_counter("modulate.immediate", s.immediate);
-            mm.set_counter("modulate.held", s.held);
-            mm.set_counter("modulate.dropped", s.dropped);
-            mm.set_counter("modulate.unmodulated", s.unmodulated);
-            let w = cl.m.sched_stats();
-            mm.set_counter("modulate.sched.pushes", w.pushes);
-            mm.set_counter("modulate.sched.overflow_pushes", w.overflow_pushes);
-            mm.set_counter("modulate.sched.buckets_opened", w.buckets_opened);
-            mm.set_counter(
-                "modulate.sched.buckets_drained_whole",
-                w.buckets_drained_whole,
-            );
-            man
-        })
-        .collect();
-
-    if let Some(tel) = telemetry.as_mut() {
+    let telemetry = tel_cfg.map(|cfg| {
+        let mut tel = ShardTelemetry::new(cfg);
+        tel.skip_evicted(first_summed);
+        for row in &sums {
+            tel.sample(row.t_ns, *row);
+        }
         // Per-client p95 RTT is a pure function of the client's own
         // history, so the shard-local trackers merge into an exact,
         // layout-invariant fleet-wide top K (each client lives in
@@ -689,7 +712,8 @@ fn run_shard(
                 tel.note_client_p95(c, (rtt.p95 * 1_000.0).round() as u64);
             }
         }
-    }
+        tel
+    });
     if let Some(p) = prof.as_mut() {
         p.exit("finalize");
         p.exit("shard");
@@ -699,9 +723,8 @@ fn run_shard(
         first_client: lo,
         manifests,
         stations,
-        events_processed: sim.events_processed(),
-        peak_queue_depth: sim.peak_queue_depth(),
-        packet_rows: store.rows(),
+        events_processed: events,
+        peak_queue_depth,
         peak_packets_live: store.peak_live(),
         virtual_secs: end_ns as f64 / 1e9,
         faults: Vec::new(),
@@ -726,10 +749,11 @@ pub struct FleetOutcome {
     pub faults: Vec<FaultEvent>,
     /// Summed fault tallies across shards.
     pub counters: FaultCounters,
-    /// Largest shard-engine queue high-water mark (diagnostic).
+    /// Largest per-client engine queue high-water mark (diagnostic).
     pub peak_queue_depth: usize,
-    /// Summed packet-arena peaks across shards (diagnostic bound on
-    /// in-flight packet memory).
+    /// Largest per-client count of concurrent in-flight packets
+    /// (diagnostic; each shard's packet arena holds this many rows at
+    /// most, since its clients run one at a time).
     pub peak_packets_live: usize,
     /// Merged shard self-profiles, when the plan enabled profiling
     /// (wall-clock — diagnostic only, like the runner section).
@@ -820,7 +844,7 @@ fn fleet_run_inner(plan: &FleetPlan, exec: &Exec, fault: Option<(u64, FaultPlan)
         counters.add(&shard.counters);
         events += shard.events_processed;
         peak_queue_depth = peak_queue_depth.max(shard.peak_queue_depth);
-        peak_packets_live += shard.peak_packets_live;
+        peak_packets_live = peak_packets_live.max(shard.peak_packets_live);
         if let Some(tel) = &shard.telemetry {
             shard_telemetry.push(tel);
         }
@@ -987,6 +1011,23 @@ mod tests {
         assert!(stacks.contains(&"shard;setup"), "{stacks:?}");
         let collapsed = prof.render_collapsed();
         assert!(collapsed.contains("shard;run;probe "));
+    }
+
+    #[test]
+    fn engine_peaks_are_per_client() {
+        // Clients run one at a time, so the peaks are per-client maxima
+        // and no longer depend on how clients are grouped into shards.
+        let serial = fleet_run(&tiny_plan(6), &Exec::serial());
+        let sharded = fleet_run(&tiny_plan(6).with_shards(3), &Exec::serial());
+        assert_eq!(serial.peak_queue_depth, sharded.peak_queue_depth);
+        assert_eq!(serial.peak_packets_live, sharded.peak_packets_live);
+        // One client probes every 500 ms over ~30 ms round trips.
+        assert!(serial.peak_queue_depth <= 4, "{}", serial.peak_queue_depth);
+        assert!(
+            serial.peak_packets_live <= 2,
+            "{}",
+            serial.peak_packets_live
+        );
     }
 
     #[test]

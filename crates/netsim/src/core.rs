@@ -11,14 +11,16 @@
 //! replays the same way.
 //!
 //! [`run`](EventCore::run) is the only loop that pops the queue. Its
-//! two extras over plain dispatch serve the fleet runner but cost a
-//! caller that does not use them two comparisons per event:
+//! two extras over plain dispatch cost a caller that does not use them
+//! two comparisons per event:
 //!
 //! * **sampling boundaries** — a [`Step::Sample`] at every multiple of
-//!   an interval, ordered against events by a fixed rule, so telemetry
-//!   reads the same state in any shard layout;
-//! * **an event budget** — an abort after a fixed number of events,
-//!   which the chaos kill/restart protocol uses to find its kill point.
+//!   an interval, ordered against events by a fixed rule. A fleet shard
+//!   runs each client on a core of its own and sums the clients'
+//!   readings per boundary; the rule makes each reading the same as on
+//!   one core shared by every client;
+//! * **an event budget** — an abort after a fixed number of events
+//!   (the single-client `Simulator::run(limit)`).
 
 use crate::wheel::{CalendarQueue, WheelItem, WheelStats};
 
@@ -89,9 +91,8 @@ impl<T: WheelItem> EventCore<T> {
 
     /// High-water mark of the queue depth. Keyed to scheduling only
     /// (virtual time), so it is identical across runs of the same
-    /// schedule. For a fleet shard it depends on which clients share
-    /// the core, so it is per-shard diagnostic data, never part of
-    /// shard-invariant output.
+    /// schedule. A fleet reports it as diagnostic data, never as part
+    /// of its shard-invariant output.
     pub fn peak_queue_depth(&self) -> usize {
         self.queue_peak
     }

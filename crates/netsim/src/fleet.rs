@@ -1,18 +1,20 @@
-//! The fleet front end of the event core: one queue driving N
-//! independent mobile clients.
+//! The fleet front end of the event core: flat client-tagged events,
+//! a packet arena and shared base stations for N independent mobile
+//! clients.
 //!
 //! The single-client [`Simulator`](crate::engine::Simulator) dispatches
 //! through boxed [`Node`](crate::node::Node) trait objects — the right
 //! shape for a handful of richly-typed nodes, but at fleet scale
-//! (10k clients × a Porter walk each) the per-event indirection, the
-//! per-node allocations, and above all per-client *queues* dominate.
-//! A fleet therefore runs on the same [`EventCore`] with a flatter
-//! event type:
+//! (10k clients × a Porter walk each) the per-event indirection and the
+//! per-node allocations dominate. A fleet therefore runs on the same
+//! [`EventCore`] with a flatter event type:
 //!
-//! * **one** core carries every client's events — a [`FleetEvent`] is
-//!   a flat `(due_ns, seq, client, kind)` record, so scheduling is one
-//!   slot push with no allocation, and [`FleetSim`] is simply the core
-//!   over it;
+//! * a [`FleetEvent`] is a flat `(due_ns, seq, client, kind)` record,
+//!   so scheduling is one slot push with no allocation, and
+//!   [`FleetSim`] is simply the core over it. A core may carry any
+//!   number of clients' events; the fleet runner gives each client its
+//!   own and runs them one after another (`emu::fleet`), so the hot
+//!   state is one client's;
 //! * dispatch is a caller-supplied `FnMut` over the event — clients are
 //!   plain indices into the caller's own state arrays (struct-of-arrays
 //!   at the call site), not trait objects;
@@ -26,17 +28,18 @@
 //!   from the full fleet layout. Service time inflates with station
 //!   population, but deliberately not with instantaneous queue state:
 //!   runtime cross-client coupling would make per-client results
-//!   depend on which clients share an engine, and shard-invariance
+//!   depend on which clients run together, and shard-invariance
 //!   (byte-identical output at 1/2/8 shards) is the property the fleet
 //!   runner is built on. Station counters are commutative sums, so
 //!   per-shard tables merge exactly.
 //!
 //! Determinism: pop order is exact `(due_ns, seq)`. Two clients'
 //! events at the same instant dispatch in schedule order, which can
-//! differ between shard layouts — safe precisely because handlers may
-//! only touch their own client's state and commutative aggregates.
+//! differ between layouts — safe precisely because handlers may only
+//! touch their own client's state and commutative aggregates, which is
+//! also what lets a runner give each client a core of its own.
 //! Telemetry samples follow the core's boundary rule
-//! ([`EventCore::run`]), which makes them shard-invariant too.
+//! ([`EventCore::run`]), which makes them layout-invariant too.
 
 use crate::core::EventCore;
 use crate::wheel::WheelItem;
@@ -151,6 +154,14 @@ impl PacketStore {
             self.client[id as usize] = u32::MAX;
         }
         self.free.push(id);
+    }
+
+    /// Release every live row at once: the caller is done with all the
+    /// packets in flight (a fleet shard, when a client's timeline ends).
+    pub fn release_all(&mut self) {
+        self.free.clear();
+        self.free.extend((0..self.client.len() as u32).rev());
+        self.live = 0;
     }
 
     /// Owning client of a live packet.
@@ -309,6 +320,20 @@ mod tests {
         assert_eq!(s.peak_live(), 2);
         assert_eq!(s.total_allocated(), 3);
         assert_eq!(s.sent_ns(c), 30);
+    }
+
+    #[test]
+    fn release_all_frees_every_row_for_reuse() {
+        let mut s = PacketStore::new();
+        let ids: Vec<u32> = (0..3).map(|i| s.alloc(0, 106, i)).collect();
+        s.release(ids[1]);
+        s.release_all();
+        assert_eq!(s.live(), 0);
+        for i in 0..3 {
+            s.alloc(1, 542, i);
+        }
+        assert_eq!(s.rows(), 3, "released rows are reused, none grown");
+        assert_eq!(s.peak_live(), 3);
     }
 
     #[test]

@@ -234,18 +234,10 @@ impl SamplePoint {
         }
     }
 
-    /// Swap one contributor's reading in running totals: `old` out,
-    /// `new` in, field by field (`t_ns` is untouched). Fleet shards
-    /// keep their per-client sums current this way.
-    pub fn retotal(&mut self, old: &SamplePoint, new: &SamplePoint) {
-        let (old, new) = (old.values(), new.values());
-        for (i, v) in self.values_mut().into_iter().enumerate() {
-            *v = *v + new[i] - old[i];
-        }
-    }
-
-    /// Sum every field into `self` (`t_ns` must already agree).
-    fn absorb(&mut self, other: &SamplePoint) {
+    /// Sum every field of `other` into `self`: how a fleet shard adds
+    /// one client's reading to a boundary's row, and how shard rows
+    /// merge. `t_ns` must already agree.
+    pub fn absorb(&mut self, other: &SamplePoint) {
         debug_assert_eq!(
             self.t_ns, other.t_ns,
             "merging rows from different boundaries"
@@ -304,6 +296,13 @@ impl ShardTelemetry {
         }
         self.ring.push_back(row);
         self.prev = cur;
+    }
+
+    /// Count `boundaries` rows as evicted without recording them: a
+    /// shard that knows the ring could never keep them need not sum
+    /// them. They precede every row passed to [`sample`](Self::sample).
+    pub fn skip_evicted(&mut self, boundaries: u64) {
+        self.evicted += boundaries;
     }
 
     /// Record a finished client's p95 RTT (microseconds) into the
@@ -843,6 +842,43 @@ mod tests {
         assert_eq!(rows[1].events, 5);
         assert_eq!(rows[1].released, 0);
         assert_eq!(rows[1].mean_abs_delay_error_ms(), 0.0);
+    }
+
+    #[test]
+    fn skipping_rows_the_ring_would_evict_changes_nothing() {
+        let cfg = TelemetryConfig::default()
+            .with_interval_secs(1)
+            .with_ring_capacity(2);
+        let readings: Vec<SamplePoint> = (1..=5u64)
+            .map(|k| SamplePoint {
+                t_ns: k * 1_000_000_000,
+                ..inputs(10 * k * k, k, 1_000_000 * k)
+            })
+            .collect();
+        let mut full = ShardTelemetry::new(cfg);
+        for r in &readings {
+            full.sample(r.t_ns, *r);
+        }
+        // Only the last capacity + 1 readings, each a sum of two halves.
+        let mut summed = ShardTelemetry::new(cfg);
+        summed.skip_evicted(2);
+        for r in &readings[2..] {
+            let mut row = SamplePoint {
+                t_ns: r.t_ns,
+                events: r.events / 2,
+                ..SamplePoint::default()
+            };
+            row.absorb(&SamplePoint {
+                events: r.events - r.events / 2,
+                ..*r
+            });
+            summed.sample(row.t_ns, row);
+        }
+        assert_eq!(summed.evicted(), full.evicted());
+        assert_eq!(
+            summed.series().collect::<Vec<_>>(),
+            full.series().collect::<Vec<_>>()
+        );
     }
 
     #[test]

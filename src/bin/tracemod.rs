@@ -1125,7 +1125,7 @@ fn cmd_fleet(args: &Args) -> CliResult {
     }
     if let Some(r) = &out.report.runner {
         eprintln!(
-            "engine: {:.0} events/s over {:.2}s wall, peak queue depth {}, peak packets live {}",
+            "engine: {:.0} events/s over {:.2}s wall; per-client peaks: {} queued events, {} packets in flight",
             r.records_per_sec, r.wall_secs, out.peak_queue_depth, out.peak_packets_live
         );
     }
