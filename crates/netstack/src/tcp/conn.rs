@@ -89,10 +89,13 @@ pub struct TcpConn {
     cwnd: usize,
     ssthresh: usize,
     mss: usize,
-    /// Bytes accepted from the app but not yet transmitted.
-    send_q: VecDeque<u8>,
-    /// Bytes transmitted but unacknowledged; front is sequence `snd_una`.
-    rtx_q: VecDeque<u8>,
+    /// Bytes accepted from the app and not yet acknowledged; the front
+    /// byte is sequence `snd_una`. Its first `sent` bytes are in flight
+    /// (retransmission never rewinds `snd_nxt`, so they are always that
+    /// prefix) and the rest are not yet transmitted.
+    snd_buf: VecDeque<u8>,
+    /// Bytes at the front of `snd_buf` already transmitted.
+    sent: usize,
     fin_queued: bool,
     fin_sent: bool,
     dup_acks: u32,
@@ -140,8 +143,8 @@ impl TcpConn {
             cwnd: mss,
             ssthresh: usize::MAX / 2,
             mss,
-            send_q: VecDeque::new(),
-            rtx_q: VecDeque::new(),
+            snd_buf: VecDeque::new(),
+            sent: 0,
             fin_queued: false,
             fin_sent: false,
             dup_acks: 0,
@@ -286,10 +289,8 @@ impl TcpConn {
         {
             return 0;
         }
-        let used = self.send_q.len() + self.rtx_q.len();
-        let room = self.cfg.send_buf.saturating_sub(used);
-        let n = room.min(data.len());
-        self.send_q.extend(&data[..n]);
+        let n = self.send_space().min(data.len());
+        self.snd_buf.extend(&data[..n]);
         if n < data.len() {
             self.app_blocked = true;
         }
@@ -299,9 +300,7 @@ impl TcpConn {
 
     /// Bytes of free space in the send buffer.
     pub fn send_space(&self) -> usize {
-        self.cfg
-            .send_buf
-            .saturating_sub(self.send_q.len() + self.rtx_q.len())
+        self.cfg.send_buf.saturating_sub(self.snd_buf.len())
     }
 
     /// Graceful close: send remaining data, then FIN.
@@ -450,12 +449,13 @@ impl TcpConn {
             // New data acknowledged.
             let mut acked = ack.wrapping_sub(self.snd_una) as usize;
             // FIN consumes one sequence number beyond the data.
-            if self.fin_sent && ack == self.snd_nxt && acked > self.rtx_q.len() {
+            if self.fin_sent && ack == self.snd_nxt && acked > self.sent {
                 acked -= 1;
                 self.on_fin_acked(now, out);
             }
-            let take = acked.min(self.rtx_q.len());
-            self.rtx_q.drain(..take);
+            let take = acked.min(self.sent);
+            self.snd_buf.drain(..take);
+            self.sent -= take;
             self.snd_una = ack;
             self.snd_wnd = h.window as u32;
             self.retries = 0;
@@ -592,6 +592,11 @@ impl TcpConn {
     // Output engine
     // ------------------------------------------------------------------
 
+    /// Bytes in `snd_buf` not yet transmitted.
+    fn unsent(&self) -> usize {
+        self.snd_buf.len() - self.sent
+    }
+
     fn usable_window(&self) -> usize {
         let wnd = (self.cwnd).min(self.snd_wnd as usize);
         wnd.saturating_sub(self.flight() as usize)
@@ -611,7 +616,7 @@ impl TcpConn {
         // Zero-window probe: one byte past the window keeps things alive.
         if self.snd_wnd == 0
             && self.flight() == 0
-            && !self.send_q.is_empty()
+            && self.unsent() > 0
             && matches!(self.state, TcpState::Established | TcpState::CloseWait)
         {
             self.emit_data_segment(1, now, out);
@@ -619,13 +624,12 @@ impl TcpConn {
         }
         loop {
             let room = self.usable_window();
-            let n = room.min(self.mss).min(self.send_q.len());
+            let n = room.min(self.mss).min(self.unsent());
             if n == 0 {
                 break;
             }
             // Nagle-lite: send sub-MSS only if nothing is in flight.
-            if n < self.mss && self.flight() > 0 && self.send_q.len() < self.mss && !self.fin_queued
-            {
+            if n < self.mss && self.flight() > 0 && self.unsent() < self.mss && !self.fin_queued {
                 break;
             }
             self.emit_data_segment(n, now, out);
@@ -633,7 +637,7 @@ impl TcpConn {
         // Emit FIN once all data is out.
         if self.fin_queued
             && !self.fin_sent
-            && self.send_q.is_empty()
+            && self.unsent() == 0
             && matches!(self.state, TcpState::Established | TcpState::CloseWait)
         {
             let mut h = self.header(TcpFlags {
@@ -656,17 +660,18 @@ impl TcpConn {
     }
 
     fn emit_data_segment(&mut self, n: usize, now: SimTime, out: &mut Out) {
-        let payload: Vec<u8> = self.send_q.drain(..n).collect();
+        let start = self.sent;
+        self.sent += n;
+        let payload: Vec<u8> = self.snd_buf.range(start..self.sent).copied().collect();
         let mut h = self.header(TcpFlags {
             ack: true,
-            psh: self.send_q.is_empty(),
+            psh: self.unsent() == 0,
             ..Default::default()
         });
         h.seq = self.snd_nxt;
         if self.rtt_sample.is_none() {
             self.rtt_sample = Some((self.snd_nxt.wrapping_add(n as u32), now));
         }
-        self.rtx_q.extend(payload.iter().copied());
         self.snd_nxt = self.snd_nxt.wrapping_add(n as u32);
         out.seg(h, payload);
         if self.rtx_deadline.is_none() {
@@ -677,7 +682,7 @@ impl TcpConn {
     }
 
     fn retransmit_front(&mut self, now: SimTime, out: &mut Out) {
-        if self.rtx_q.is_empty() {
+        if self.sent == 0 {
             // Handshake or FIN retransmission.
             match self.state {
                 TcpState::SynSent => {
@@ -708,8 +713,8 @@ impl TcpConn {
                 _ => {}
             }
         } else {
-            let n = self.rtx_q.len().min(self.mss);
-            let payload: Vec<u8> = self.rtx_q.iter().take(n).copied().collect();
+            let n = self.sent.min(self.mss);
+            let payload: Vec<u8> = self.snd_buf.range(..n).copied().collect();
             let mut h = self.header(TcpFlags {
                 ack: true,
                 ..Default::default()
