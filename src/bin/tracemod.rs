@@ -1,39 +1,18 @@
-//! `tracemod` — command-line front end for the trace-modulation pipeline.
+//! `tracemod` — command-line front end for the trace-modulation
+//! pipeline: collection, distillation and modulation, plus the tools
+//! that read and compare the evidence runs leave behind.
 //!
-//! ```text
-//! tracemod scenarios
-//! tracemod collect  --scenario wean --trial 1 --out wean1.mntr [--target-out wean1-srv.mntr]
-//! tracemod distill  wean1.mntr --out wean1.mnrp [--window-secs 5] [--horizon 30]
-//! tracemod inspect  wean1.mntr | wean1.mnrp
-//! tracemod replay   wean1.mnrp --benchmark ftp-recv [--trial 1] [--tick-ms 10]
-//! tracemod live     --scenario wean --benchmark ftp-recv [--trial 1]
-//! tracemod live-pipeline --scenario wean --benchmark ftp-recv [--trial 1] [--out run/]
-//! tracemod obs-report run/ [--check] [--format text|json|md]
-//! tracemod trace-export --scenario porter --benchmark web --out flight.json
-//! tracemod journey [--packet-id N | --window T0..T1]
-//! tracemod bench-diff current.jsonl [--baseline BENCH_baseline.json] [--check] [--json]
-//! tracemod fleet --clients 10000 [--shards 8] [--jobs 8] [--out run/] [--check]
-//! tracemod alerts run/ --rules builtin [--out alerts/] [--check]
-//! tracemod diff-runs run_a/ run_b/ [--shards 8] [--check]
-//! tracemod help
-//! ```
-//!
-//! Trace files use the binary formats by default; any path ending in
-//! `.json` reads/writes the JSON encoding instead. `distill` streams
-//! binary traces through the incremental distiller in bounded memory;
-//! JSON inputs fall back to the batch path (identical output).
+//! `tracemod help` lists every command with its operands and flags,
+//! each flag with its default. Both come from the `COMMANDS` table
+//! below, the one place a flag is declared: it drives parsing, defaults,
+//! value checks, the unknown-flag error and the help text.
 //!
 //! Run evidence goes into one run directory per run (`--out DIR`, see
-//! [`obs::run_dir`]): fixed file names such as `manifests.jsonl`,
-//! `telemetry.jsonl` and `report.json`. A directory that already holds
-//! files is refused before the run starts, and the readers
-//! (`obs-report`, `alerts`, `diff-runs`) take the directory as a unit.
-//!
-//! Every command validates its flags: unknown flags, missing required
-//! flags, and unreadable files produce an error message and a nonzero
-//! exit code (2 for usage errors, 1 for runtime failures) — no panics.
+//! [`obs::run_dir`]), which the readers (`obs-report`, `alerts`,
+//! `diff-runs`) take as a unit. Usage errors exit 2 and runtime
+//! failures exit 1, each with a message and never with a panic.
 
-use distill::{distill_stream, distill_with_report, DistillConfig, WindowConfig};
+use distill::{distill_stream, DistillConfig, WindowConfig};
 use emu::{fleet_alerts, fleet_run, fleet_run_chaos, FleetPlan};
 use emu::{
     live_modulated_run, live_run, modulated_run, Benchmark, CellKind, Exec, LiveModOutcome,
@@ -50,11 +29,14 @@ use obs::{
     diff_artifacts, evaluate_alerts, AlertInputs, DiffOptions, FidelityThresholds, FleetReport,
     RuleSet, RunManifest, SamplePoint, Severity, TelemetryConfig,
 };
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::exit;
+use std::str::FromStr;
 use tracekit::io::{read_replay, read_trace, write_replay, write_trace};
-use tracekit::{ReplayTrace, TraceFileStream};
+use tracekit::{RecordStream, ReplayTrace, TraceFileStream, VecStream};
 use wavelan::{Scenario, ScenarioPack};
+use Kind::{Positive, Switch, Text, F64, U64};
 
 /// A command failure: usage errors exit 2, runtime failures exit 1.
 enum CliError {
@@ -76,122 +58,371 @@ impl CliError {
 
 type CliResult = Result<(), CliError>;
 
-/// Minimal flag parser: positionals + `--key value` pairs.
+/// How a flag's value is read.
+#[derive(Clone, Copy, PartialEq)]
+enum Kind {
+    /// Takes no value: present or absent.
+    Switch,
+    /// Any text.
+    Text,
+    /// An integer of at least 1.
+    Positive,
+    /// An integer of at least 0.
+    U64,
+    /// A finite decimal number.
+    F64,
+}
+
+impl Kind {
+    /// The value placeholder in the help text, and what it stands for.
+    fn metavar(self) -> (&'static str, &'static str) {
+        match self {
+            Switch => ("", "no value"),
+            Text => ("TEXT", "text"),
+            Positive => ("N", "a positive integer"),
+            U64 => ("INT", "a non-negative integer"),
+            F64 => ("NUM", "a finite number"),
+        }
+    }
+
+    /// Reject a value this kind cannot hold.
+    fn check(self, flag: &str, value: &str) -> CliResult {
+        let int = value.parse::<u64>();
+        let ok = match self {
+            Switch | Text => true,
+            Positive if int == Ok(0) => {
+                return Err(CliError::usage(format!("--{flag} must be positive")))
+            }
+            Positive | U64 => int.is_ok(),
+            F64 => value.parse::<f64>().is_ok_and(f64::is_finite),
+        };
+        if ok {
+            return Ok(());
+        }
+        Err(CliError::usage(format!(
+            "invalid value for --{flag}: '{value}' (expected {})",
+            self.metavar().1
+        )))
+    }
+}
+
+/// One flag of one command: its name, value kind, default (`""` for
+/// none) and help line. Written nowhere else.
+#[derive(Clone, Copy)]
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    default: &'static str,
+    required: bool,
+    help: &'static str,
+}
+
+/// One subcommand: the operands it takes (the parser caps their count;
+/// [`Args::operand`] reports a missing one), its flag groups and its
+/// body.
+struct Command {
+    name: &'static str,
+    operands: &'static [&'static str],
+    run: fn(&Args) -> CliResult,
+    flags: &'static [&'static [Flag]],
+    about: &'static str,
+}
+
+impl Command {
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        self.flags.iter().flat_map(|group| group.iter())
+    }
+}
+
+/// The command table. Groups of flags that several commands share are
+/// declared once; the table is left unformatted so each row stays on
+/// one line.
+#[rustfmt::skip]
+mod table {
+    use super::*;
+
+    /// An optional flag, with its default (`""` for none).
+    const fn flag(name: &'static str, kind: Kind, default: &'static str, help: &'static str) -> Flag {
+        Flag { name, kind, default, required: false, help }
+    }
+
+    /// A flag every invocation must give.
+    const fn need(name: &'static str, kind: Kind, help: &'static str) -> Flag {
+        Flag { name, kind, default: "", required: true, help }
+    }
+
+    const fn cmd(name: &'static str, operands: &'static [&'static str], run: fn(&Args) -> CliResult,
+                 flags: &'static [&'static [Flag]], about: &'static str) -> Command {
+        Command { name, operands, run, flags, about }
+    }
+
+    const SCENARIO_HELP: &str = "wean, porter, flagstaff, chatterbox, or a pack (*.toml/*.json)";
+    const SCENARIO: &[Flag] = &[
+        flag("scenario", Text, "", SCENARIO_HELP),
+        flag("scenario-file", Text, "", "custom scenario JSON (see dump-scenario), in place of --scenario"),
+        flag("duration-secs", Positive, "", "shorten or stretch the traversal"),
+    ];
+    /// [`SCENARIO`], defaulting to the Porter walk.
+    const PORTER: &[Flag] = &[flag("scenario", Text, "porter", SCENARIO_HELP), SCENARIO[1], SCENARIO[2]];
+    const BENCHMARK_HELP: &str = "web, ftp-send, ftp-recv or andrew";
+    const BENCHMARK: &[Flag] = &[need("benchmark", Text, BENCHMARK_HELP)];
+    /// [`BENCHMARK`], defaulting to the Web benchmark.
+    const WEB: &[Flag] = &[flag("benchmark", Text, "web", BENCHMARK_HELP)];
+    const TRIAL: &[Flag] = &[flag("trial", U64, "1", "trial number (seeds the run)")];
+    const WINDOW: &[Flag] = &[
+        flag("window-secs", Positive, "5", "distillation sliding-window width"),
+        flag("horizon", U64, "30", "probe groups a group may trail before it is retired"),
+    ];
+    const OUT_FILE: &[Flag] = &[need("out", Text, "file to write")];
+    const RUN_DIR: &[Flag] = &[flag("out", Text, "", "run directory to write (missing or empty)")];
+    const JOBS: &[Flag] = &[flag("jobs", Positive, "1", "worker threads")];
+
+    const COLLECT: &[Flag] = &[flag("target-out", Text, "", "also write the target's trace (two-sided)")];
+    const INSPECT: &[Flag] = &[flag("records", U64, "0", "also list this many trace records")];
+    const REPLAY: &[Flag] = &[flag("tick-ms", U64, "10", "modulation clock tick (0 = ideal clock)")];
+    const OBS_REPORT: &[Flag] = &[
+        flag("format", Text, "text", "text, json or md"),
+        flag("check", Switch, "", "exit 1 when the fidelity thresholds fail"),
+    ];
+    const JOURNEY: &[Flag] = &[
+        flag("packet-id", U64, "", "the packet to follow"),
+        flag("window", Text, "", "T0..T1 seconds: every record in the window instead"),
+    ];
+    const BENCH_DIFF: &[Flag] = &[
+        flag("baseline", Text, "BENCH_baseline.json", "baseline JSONL"),
+        flag("json", Switch, "", "machine-readable verdicts"),
+        flag("tolerance", F64, "3", "default allowed slowdown ratio (at least 1)"),
+        flag("overhead", Text, "", "BASE=VARIANT:R gates VARIANT's same-run median at R x BASE"),
+        flag("check", Switch, "", "exit 1 on a regression"),
+    ];
+    const CHAOS: &[Flag] = &[
+        need("seed", U64, "fault-injection seed"),
+        need("plan", Text, "fault plan JSON (see packs/faults/)"),
+    ];
+    const CHAOS_RUN: &[Flag] = &[
+        flag("trials", Positive, "1", "consecutive trials from --trial"),
+        flag("fault-budget", U64, "", "exit 1 when more faults are injected"),
+        flag("check", Switch, "", "exit 1 when a trial fails the fidelity thresholds"),
+    ];
+    const FLEET: &[Flag] = &[
+        flag("clients", Positive, "1000", "mobile clients"),
+        flag("seed", U64, "7", "fleet plan seed"),
+        flag("shards", Positive, "1", "engines the clients are split across"),
+        flag("stations", Positive, "", "base stations (default: one per 32 clients)"),
+        flag("probe-interval-ms", Positive, "1000", "probe period"),
+        flag("fault-plan", Text, "", "fault plan JSON"),
+        flag("fault-seed", U64, "42", "fault-injection seed for --fault-plan"),
+        flag("telemetry-interval-secs", Positive, "", "sample telemetry this often"),
+        flag("profile", Switch, "", "self-profile (profile.txt)"),
+        flag("alerts", Text, "", "alert rules: builtin, or a TOML/JSON rule file"),
+        flag("alerts-baseline", Text, "", "baseline run directory for delta rules"),
+        flag("check", Switch, "", "exit 1 when the fidelity gate or an alert fails"),
+    ];
+    const ALERTS: &[Flag] = &[
+        need("rules", Text, "builtin, or a TOML/JSON rule file"),
+        flag("baseline", Text, "", "baseline run directory for delta rules"),
+        flag("min-severity", Text, "warn", "floor for --check: info, warn or critical"),
+        flag("check", Switch, "", "exit 1 on an active alert at or above the floor"),
+    ];
+    const DIFF_RUNS: &[Flag] = &[
+        flag("shards", Positive, "", "name the shard owning a divergent client"),
+        flag("check", Switch, "", "exit 1 on divergence"),
+    ];
+
+    /// Every subcommand, in the order `tracemod help` lists them.
+    pub(super) const COMMANDS: &[Command] = &[
+        cmd("scenarios", &[], cmd_scenarios, &[],
+            "list the built-in scenarios and the registered channel-model families"),
+        cmd("dump-scenario", &[], cmd_dump_scenario, &[SCENARIO],
+            "print a scenario as editable JSON (input for --scenario-file)"),
+        cmd("collect", &[], cmd_collect, &[SCENARIO, TRIAL, OUT_FILE, COLLECT],
+            "collect a trace of a scenario"),
+        cmd("distill", &["<trace>"], cmd_distill, &[OUT_FILE, WINDOW],
+            "distill a trace into a replay trace, streaming in bounded memory"),
+        cmd("inspect", &["<file>"], cmd_inspect, &[INSPECT], "summarize a trace or replay file"),
+        cmd("replay", &["<replay>"], cmd_replay, &[BENCHMARK, TRIAL, REPLAY],
+            "run a benchmark under modulation by a replay trace"),
+        cmd("live", &[], cmd_live, &[SCENARIO, BENCHMARK, TRIAL],
+            "run a benchmark live on the wireless scenario"),
+        cmd("live-pipeline", &[], cmd_live_pipeline, &[SCENARIO, BENCHMARK, TRIAL, WINDOW, RUN_DIR],
+            "collect, distill and modulate concurrently (the run directory gets manifest.json)"),
+        cmd("obs-report", &["<run-dir>"], cmd_obs_report, &[OBS_REPORT],
+            "print a run directory's report.json, else its manifest.json"),
+        cmd("trace-export", &[], cmd_trace_export, &[PORTER, WEB, TRIAL, WINDOW, OUT_FILE],
+            "run the live pipeline with the flight recorder; export Perfetto JSON"),
+        cmd("journey", &[], cmd_journey, &[PORTER, WEB, TRIAL, WINDOW, JOURNEY],
+            "run the live pipeline; print one packet's causal timeline\n\
+             (default: the packet covering most stages)"),
+        cmd("bench-diff", &["<current.jsonl>"], cmd_bench_diff, &[BENCH_DIFF],
+            "compare criterion JSONL against a baseline"),
+        cmd("chaos", &[], cmd_chaos, &[CHAOS, PORTER, WEB, TRIAL, WINDOW, JOBS, RUN_DIR, CHAOS_RUN],
+            "run the live pipeline under a deterministic fault plan\n\
+             (the run directory gets manifests.jsonl and faults.jsonl)"),
+        cmd("fleet", &[], cmd_fleet, &[FLEET, PORTER, JOBS, RUN_DIR],
+            "run mobile clients under one fleet engine (the run directory gets manifests.jsonl,\n\
+             report.json, faults.jsonl, and per flag the telemetry, profile and alert files)"),
+        cmd("alerts", &["<run-dir>"], cmd_alerts, &[ALERTS, RUN_DIR],
+            "evaluate SLO alert rules over a run directory's telemetry, report and faults"),
+        cmd("diff-runs", &["A", "B"], cmd_diff_runs, &[DIFF_RUNS],
+            "report the first field where two runs diverge: two artifact files, or two\n\
+             run directories compared artifact by artifact in causal order"),
+        cmd("help", &[], cmd_help, &[], "print this usage and exit 0 (also --help anywhere, or -h)"),
+    ];
+}
+use table::COMMANDS;
+
+/// The usage text for `cmds`, generated from their table rows.
+fn usage(cmds: &[Command]) -> String {
+    let mut s =
+        String::from("usage: tracemod <command> [operands] [--flag VALUE ...]\n\ncommands:\n");
+    for cmd in cmds {
+        let _ = writeln!(s, "  {}", [&[cmd.name], cmd.operands].concat().join(" "));
+        for line in cmd.about.lines() {
+            let _ = writeln!(s, "      {}", line.trim_start());
+        }
+        for f in cmd.flags() {
+            let spec = format!("--{} {}", f.name, f.kind.metavar().0);
+            let note = match (f.required, f.default) {
+                (true, _) => " (required)".to_string(),
+                (false, "") => String::new(),
+                (false, d) => format!(" [default: {d}]"),
+            };
+            let _ = writeln!(s, "      {:<28} {}{note}", spec.trim_end(), f.help);
+        }
+    }
+    s.push_str(
+        "\nTEXT is any text, N a positive integer, INT a non-negative integer, NUM a number.\n\
+         Trace paths ending in .json use the JSON encoding. A scenario pack fleet splits its\n\
+         clients across the pack's weighted model mix; single-channel commands run its first\n\
+         model. One run directory holds one run.\n",
+    );
+    s
+}
+
+/// A parsed invocation of one command: its operands and the flags
+/// given, each checked against the command's table.
 struct Args {
-    positional: Vec<String>,
-    flags: Vec<(String, String)>,
+    cmd: &'static Command,
+    operands: Vec<String>,
+    given: Vec<(&'static Flag, String)>,
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Args {
-        let mut positional = Vec::new();
-        let mut flags = Vec::new();
-        let mut it = raw.iter().peekable();
-        while let Some(a) = it.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                let value = match it.peek() {
-                    Some(v) if !v.starts_with("--") => {
-                        let v = (*v).clone();
-                        it.next();
-                        v
-                    }
-                    _ => String::from("true"),
+    /// Parse the words after the command name. A switch never takes a
+    /// value; any other flag takes the next word, which must not itself
+    /// be a flag.
+    fn parse(cmd: &'static Command, words: &[String]) -> Result<Args, CliError> {
+        let mut args = Args {
+            cmd,
+            operands: Vec::new(),
+            given: Vec::new(),
+        };
+        let mut words = words.iter().peekable();
+        while let Some(word) = words.next() {
+            let Some(name) = word.strip_prefix("--") else {
+                if args.operands.len() == cmd.operands.len() {
+                    return Err(CliError::usage(format!("unexpected argument '{word}'")));
+                }
+                args.operands.push(word.clone());
+                continue;
+            };
+            let Some(f) = cmd.flags().find(|f| f.name == name) else {
+                let allowed: Vec<String> = cmd.flags().map(|f| format!("--{}", f.name)).collect();
+                let allowed = if allowed.is_empty() {
+                    "none".into()
+                } else {
+                    allowed.join(", ")
                 };
-                flags.push((key.to_string(), value));
-            } else {
-                positional.push(a.clone());
-            }
-        }
-        Args { positional, flags }
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn require(&self, key: &str) -> Result<&str, CliError> {
-        self.get(key)
-            .ok_or_else(|| CliError::usage(format!("missing required flag --{key}")))
-    }
-
-    fn parse_num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError::usage(format!("invalid value for --{key}: {v}"))),
-        }
-    }
-
-    /// Reject flags outside `allowed` and surplus positionals beyond
-    /// `max_positional` (the command word counts as one).
-    fn check(&self, allowed: &[&str], max_positional: usize) -> CliResult {
-        for (k, _) in &self.flags {
-            if !allowed.contains(&k.as_str()) {
                 return Err(CliError::usage(format!(
-                    "unknown flag --{k} (allowed: {})",
-                    if allowed.is_empty() {
-                        "none".to_string()
-                    } else {
-                        allowed
-                            .iter()
-                            .map(|f| format!("--{f}"))
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    }
+                    "unknown flag --{name} (allowed: {allowed})"
                 )));
+            };
+            if args.given.iter().any(|(g, _)| g.name == name) {
+                return Err(CliError::usage(format!("--{name} given twice")));
             }
+            let value = match f.kind {
+                Switch => String::new(),
+                _ => (words.next_if(|v| !v.starts_with("--")).cloned())
+                    .ok_or_else(|| CliError::usage(format!("--{name} needs a value")))?,
+            };
+            f.kind.check(name, &value)?;
+            args.given.push((f, value));
         }
-        if self.positional.len() > max_positional {
-            return Err(CliError::usage(format!(
-                "unexpected argument '{}'",
-                self.positional[max_positional]
-            )));
+        match cmd
+            .flags()
+            .find(|f| f.required && args.get(f.name).is_none())
+        {
+            Some(f) => Err(missing(f.name)),
+            None => Ok(args),
         }
-        Ok(())
+    }
+
+    /// Operand `i` (0 = the first after the command name).
+    fn operand(&self, i: usize) -> Result<&str, CliError> {
+        let missing = || CliError::usage(format!("missing {}", self.cmd.operands[i]));
+        self.operands.get(i).map(String::as_str).ok_or_else(missing)
+    }
+
+    /// The flag's value as given, else its default; `None` if neither.
+    fn get(&self, name: &str) -> Option<&str> {
+        if let Some((_, v)) = self.given.iter().find(|(f, _)| f.name == name) {
+            return Some(v);
+        }
+        let f = self.cmd.flags().find(|f| f.name == name);
+        let f = f.unwrap_or_else(|| panic!("--{name} is not a {} flag", self.cmd.name));
+        (!f.default.is_empty()).then_some(f.default)
+    }
+
+    /// Was the switch given?
+    fn on(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    /// The value of a required or defaulted flag.
+    fn require(&self, name: &str) -> Result<&str, CliError> {
+        self.get(name).ok_or_else(|| missing(name))
+    }
+
+    /// The parsed value of an optional flag. Parsing into a narrower
+    /// type than the kind's is the range check.
+    fn opt<T: FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        self.get(name)
+            .map(|v| v.parse().map_err(|_| out_of_range(name, v)))
+            .transpose()
+    }
+
+    /// The parsed value of a required or defaulted flag.
+    fn num<T: FromStr>(&self, name: &str) -> Result<T, CliError> {
+        self.opt(name)?.ok_or_else(|| missing(name))
+    }
+
+    /// A duration flag counted in `unit`s. A count the nanosecond clock
+    /// cannot hold is out of range.
+    fn time(&self, name: &str, unit: SimDuration) -> Result<SimDuration, CliError> {
+        let n: u64 = self.num(name)?;
+        let ns = n.checked_mul(unit.as_nanos());
+        ns.map(SimDuration::from_nanos)
+            .ok_or_else(|| out_of_range(name, &n.to_string()))
     }
 }
 
-/// Resolve `--scenario`/`--scenario-file` plus the optional
-/// `--duration-secs` override (shortens or stretches the traversal —
-/// handy for quick smoke runs and CI).
-fn scenario_arg(args: &Args) -> Result<Scenario, CliError> {
-    scenario_arg_default(args, None)
+fn missing(name: &str) -> CliError {
+    CliError::usage(format!("missing required flag --{name}"))
 }
 
-/// Like [`scenario_arg`] but falls back to `default` when neither
-/// `--scenario` nor `--scenario-file` is given (flight-recorder
-/// commands default to the Porter walk).
-fn scenario_arg_default(args: &Args, default: Option<&str>) -> Result<Scenario, CliError> {
-    Ok(scenario_or_pack(args, default)?.0)
+fn out_of_range(name: &str, value: &str) -> CliError {
+    CliError::usage(format!("--{name}: '{value}' is out of range"))
 }
 
-/// Does a `--scenario` value name a scenario-pack file rather than a
-/// built-in scenario?
-fn is_pack_path(v: &str) -> bool {
-    v.ends_with(".toml") || v.ends_with(".json")
-}
+const SECOND: SimDuration = SimDuration::from_secs(1);
+const MILLISECOND: SimDuration = SimDuration::from_millis(1);
 
-/// Load and validate a scenario pack. A bad pack is a bad invocation
-/// (exit 2): the run has not started yet.
-fn load_pack_arg(path: &str) -> Result<ScenarioPack, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::usage(format!("read scenario pack {path}: {e}")))?;
-    wavelan::load_pack(path, &text).map_err(|e| CliError::usage(format!("{path}: {e}")))
-}
-
-/// Resolve the scenario flags, also returning the [`ScenarioPack`]
-/// when `--scenario` named a pack file (`*.toml` / `*.json`): fleet
-/// runs use the pack's full weighted model mix, while single-channel
-/// commands run the pack's scenario stub (its first model spec).
-fn scenario_or_pack(
-    args: &Args,
-    default: Option<&str>,
-) -> Result<(Scenario, Option<ScenarioPack>), CliError> {
+/// Resolve `--scenario`/`--scenario-file` and `--duration-secs`, also
+/// returning the [`ScenarioPack`] when `--scenario` named a pack file
+/// (`*.toml` / `*.json`): fleet runs use the pack's full weighted model
+/// mix, while single-channel commands run the pack's scenario stub (its
+/// first model spec).
+fn scenario_arg(args: &Args) -> Result<(Scenario, Option<ScenarioPack>), CliError> {
     let (mut sc, pack) = if let Some(path) = args.get("scenario-file") {
         let json = std::fs::read_to_string(path)
             .map_err(|e| CliError::runtime(format!("read {path}: {e}")))?;
@@ -200,13 +431,14 @@ fn scenario_or_pack(
             .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
         (sc, None)
     } else {
-        let name = match (args.get("scenario"), default) {
-            (Some(n), _) => n,
-            (None, Some(d)) => d,
-            (None, None) => return Err(CliError::usage("missing required flag --scenario")),
-        };
-        if is_pack_path(name) {
-            let pack = load_pack_arg(name)?;
+        let name = args.require("scenario")?;
+        if name.ends_with(".toml") || name.ends_with(".json") {
+            // A bad pack is a bad invocation (exit 2): the run has not
+            // started yet.
+            let text = std::fs::read_to_string(name)
+                .map_err(|e| CliError::usage(format!("read scenario pack {name}: {e}")))?;
+            let pack = wavelan::load_pack(name, &text)
+                .map_err(|e| CliError::usage(format!("{name}: {e}")))?;
             (pack.scenario(), Some(pack))
         } else {
             let sc = Scenario::by_name(name).ok_or_else(|| {
@@ -218,27 +450,20 @@ fn scenario_or_pack(
             (sc, None)
         }
     };
-    if let Some(secs) = args.get("duration-secs") {
-        let secs: u64 = secs
-            .parse()
-            .map_err(|_| CliError::usage(format!("invalid value for --duration-secs: {secs}")))?;
-        if secs == 0 {
-            return Err(CliError::usage("--duration-secs must be positive"));
-        }
-        sc.duration = SimDuration::from_secs(secs);
+    if args.get("duration-secs").is_some() {
+        sc.duration = args.time("duration-secs", SECOND)?;
     }
     Ok((sc, pack))
 }
 
 fn cmd_dump_scenario(args: &Args) -> CliResult {
-    args.check(&["scenario", "scenario-file", "duration-secs"], 1)?;
-    let sc = scenario_arg(args)?;
+    let (sc, _) = scenario_arg(args)?;
     println!("{}", wavelan::ScenarioSpec::from_scenario(&sc).to_json());
     Ok(())
 }
 
-fn benchmark_named(name: &str) -> Result<Benchmark, CliError> {
-    match name {
+fn benchmark_arg(args: &Args) -> Result<Benchmark, CliError> {
+    match args.require("benchmark")? {
         "web" => Ok(Benchmark::Web),
         "ftp-send" => Ok(Benchmark::FtpSend),
         "ftp-recv" => Ok(Benchmark::FtpRecv),
@@ -249,12 +474,7 @@ fn benchmark_named(name: &str) -> Result<Benchmark, CliError> {
     }
 }
 
-fn benchmark_arg(args: &Args) -> Result<Benchmark, CliError> {
-    benchmark_named(args.require("benchmark")?)
-}
-
-fn cmd_scenarios(args: &Args) -> CliResult {
-    args.check(&[], 1)?;
+fn cmd_scenarios(_: &Args) -> CliResult {
     println!(
         "{:<12} {:>9} {:>12} {:>8}  notes",
         "name", "duration", "checkpoints", "asym"
@@ -290,100 +510,67 @@ fn cmd_scenarios(args: &Args) -> CliResult {
 }
 
 fn cmd_collect(args: &Args) -> CliResult {
-    args.check(
-        &[
-            "scenario",
-            "scenario-file",
-            "duration-secs",
-            "trial",
-            "out",
-            "target-out",
-        ],
-        1,
-    )?;
-    let sc = scenario_arg(args)?;
-    let trial = args.parse_num("trial", 1u32)?;
-    let out = PathBuf::from(args.require("out")?);
+    let (sc, _) = scenario_arg(args)?;
+    let trial: u32 = args.num("trial")?;
     let cfg = RunConfig::default();
+    let write = |path: &str, trace: &tracekit::Trace| {
+        write_trace(Path::new(path), trace)
+            .map_err(|e| CliError::runtime(format!("write {path}: {e}")))?;
+        eprintln!("wrote {path} ({} records)", trace.records.len());
+        Ok::<_, CliError>(())
+    };
+    eprintln!("collecting trace of '{}' trial {trial}...", sc.name);
     if let Some(target_out) = args.get("target-out") {
-        eprintln!(
-            "collecting two-sided trace of '{}' trial {trial}...",
-            sc.name
-        );
         let (mobile, target) = emu::collect_trace_two_sided(&sc, trial, &cfg);
-        write_trace(&out, &mobile)
-            .map_err(|e| CliError::runtime(format!("write {}: {e}", out.display())))?;
-        let tp = PathBuf::from(target_out);
-        write_trace(&tp, &target)
-            .map_err(|e| CliError::runtime(format!("write {}: {e}", tp.display())))?;
-        eprintln!(
-            "wrote {} ({} records) and {} ({} records)",
-            out.display(),
-            mobile.records.len(),
-            tp.display(),
-            target.records.len()
-        );
+        write(args.require("out")?, &mobile)?;
+        write(target_out, &target)
     } else {
-        eprintln!("collecting trace of '{}' trial {trial}...", sc.name);
-        let trace = emu::collect_trace(&sc, trial, &cfg);
-        write_trace(&out, &trace)
-            .map_err(|e| CliError::runtime(format!("write {}: {e}", out.display())))?;
-        eprintln!("wrote {} ({} records)", out.display(), trace.records.len());
+        write(args.require("out")?, &emu::collect_trace(&sc, trial, &cfg))
     }
-    Ok(())
 }
 
 fn distill_cfg(args: &Args) -> Result<DistillConfig, CliError> {
     Ok(DistillConfig {
         window: WindowConfig {
-            width: SimDuration::from_secs(args.parse_num("window-secs", 5u64)?),
-            step: SimDuration::from_secs(1),
+            width: args.time("window-secs", SECOND)?,
+            ..WindowConfig::default()
         },
-        reorder_horizon: args.parse_num("horizon", DistillConfig::default().reorder_horizon)?,
+        reorder_horizon: args.num("horizon")?,
     })
 }
 
 fn cmd_distill(args: &Args) -> CliResult {
-    args.check(&["out", "window-secs", "horizon"], 2)?;
-    let input = args
-        .positional
-        .get(1)
-        .ok_or_else(|| CliError::usage("usage: tracemod distill <trace> --out <replay>"))?;
+    let input = args.operand(0)?;
     let out = PathBuf::from(args.require("out")?);
     let cfg = distill_cfg(args)?;
     let path = Path::new(input);
-    let (replay, solved, corrected, triplets) = if path.extension().is_some_and(|e| e == "json") {
-        // JSON has no incremental decoder: batch path (same output).
-        let trace =
-            read_trace(path).map_err(|e| CliError::runtime(format!("read {input}: {e}")))?;
-        let report = distill_with_report(&trace, &cfg);
-        (
-            report.replay,
-            report.solved,
-            report.corrected,
-            report.triplets,
-        )
-    } else {
-        // Binary traces stream through the incremental distiller: memory
-        // stays O(window) however large the trace file is.
-        let mut stream = TraceFileStream::open(path)
-            .map_err(|e| CliError::runtime(format!("open {input}: {e}")))?;
-        let header = stream
-            .header()
-            .map_err(|e| CliError::runtime(format!("read {input}: {e}")))?
-            .clone();
-        let mut replay = ReplayTrace::new(&format!("{} trial {}", header.scenario, header.trial));
-        let stats = distill_stream(&mut stream, &cfg, &mut replay)
-            .map_err(|e| CliError::runtime(format!("distill {input}: {e}")))?;
-        (replay, stats.solved, stats.corrected, stats.triplets)
-    };
+    // Either encoding becomes one record stream; a binary trace is read
+    // chunk by chunk, so memory stays O(window) however large it is.
+    let (mut stream, source): (Box<dyn RecordStream>, String) =
+        if path.extension().is_some_and(|e| e == "json") {
+            let trace =
+                read_trace(path).map_err(|e| CliError::runtime(format!("read {input}: {e}")))?;
+            let source = format!("{} trial {}", trace.scenario, trace.trial);
+            (Box::new(VecStream::from_trace(trace)), source)
+        } else {
+            let mut stream = TraceFileStream::open(path)
+                .map_err(|e| CliError::runtime(format!("open {input}: {e}")))?;
+            let header = stream
+                .header()
+                .map_err(|e| CliError::runtime(format!("read {input}: {e}")))?;
+            let source = format!("{} trial {}", header.scenario, header.trial);
+            (Box::new(stream), source)
+        };
+    let mut replay = ReplayTrace::new(&source);
+    let stats = distill_stream(&mut *stream, &cfg, &mut replay)
+        .map_err(|e| CliError::runtime(format!("distill {input}: {e}")))?;
     write_replay(&out, &replay)
         .map_err(|e| CliError::runtime(format!("write {}: {e}", out.display())))?;
     eprintln!(
         "distilled {} triplets ({} solved, {} corrected) → {} tuples → {}",
-        triplets,
-        solved,
-        corrected,
+        stats.triplets,
+        stats.solved,
+        stats.corrected,
         replay.tuples.len(),
         out.display()
     );
@@ -391,11 +578,7 @@ fn cmd_distill(args: &Args) -> CliResult {
 }
 
 fn cmd_inspect(args: &Args) -> CliResult {
-    args.check(&["records"], 2)?;
-    let input = args
-        .positional
-        .get(1)
-        .ok_or_else(|| CliError::usage("usage: tracemod inspect <file>"))?;
+    let input = args.operand(0)?;
     let path = Path::new(input);
     // Try replay trace first (cheap), then collected trace.
     if let Ok(replay) = read_replay(path) {
@@ -440,7 +623,7 @@ fn cmd_inspect(args: &Args) -> CliResult {
                 .count();
             println!("  probes:         {echoes} echo, {replies} reply");
             // tcpdump-style record listing.
-            let n: usize = args.parse_num("records", 0usize)?;
+            let n: usize = args.num("records")?;
             for r in trace.records.iter().take(n) {
                 println!("  {}", format_record(r));
             }
@@ -523,29 +706,22 @@ fn format_record(r: &tracekit::TraceRecord) -> String {
 }
 
 fn cmd_replay(args: &Args) -> CliResult {
-    args.check(&["benchmark", "trial", "tick-ms"], 2)?;
-    let input = args
-        .positional
-        .get(1)
-        .ok_or_else(|| CliError::usage("usage: tracemod replay <replay> --benchmark <b>"))?;
+    let input = args.operand(0)?;
     let replay = read_replay(Path::new(input))
         .map_err(|e| CliError::runtime(format!("read {input}: {e}")))?;
     let benchmark = benchmark_arg(args)?;
-    let trial = args.parse_num("trial", 1u32)?;
-    let tick_ms = args.parse_num("tick-ms", 10u64)?;
+    let trial = args.num("trial")?;
+    let tick = args.time("tick-ms", MILLISECOND)?;
     let cfg = RunConfig {
-        clock: if tick_ms == 0 {
-            TickClock::ideal()
-        } else {
-            TickClock::with_resolution(SimDuration::from_millis(tick_ms))
-        },
+        // A zero resolution is the ideal clock.
+        clock: TickClock::with_resolution(tick),
         ..RunConfig::default()
     };
     eprintln!(
         "running {} under modulation by '{}' (tick {} ms)...",
         benchmark.name(),
         replay.source,
-        tick_ms
+        tick.as_millis_f64()
     );
     let r = modulated_run(&replay, trial, benchmark, &cfg);
     report_result(&r);
@@ -553,19 +729,9 @@ fn cmd_replay(args: &Args) -> CliResult {
 }
 
 fn cmd_live(args: &Args) -> CliResult {
-    args.check(
-        &[
-            "scenario",
-            "scenario-file",
-            "duration-secs",
-            "benchmark",
-            "trial",
-        ],
-        1,
-    )?;
-    let sc = scenario_arg(args)?;
+    let (sc, _) = scenario_arg(args)?;
     let benchmark = benchmark_arg(args)?;
-    let trial = args.parse_num("trial", 1u32)?;
+    let trial = args.num("trial")?;
     eprintln!(
         "running {} live on '{}' trial {trial}...",
         benchmark.name(),
@@ -577,30 +743,8 @@ fn cmd_live(args: &Args) -> CliResult {
 }
 
 fn cmd_live_pipeline(args: &Args) -> CliResult {
-    args.check(
-        &[
-            "scenario",
-            "scenario-file",
-            "duration-secs",
-            "benchmark",
-            "trial",
-            "window-secs",
-            "horizon",
-            "out",
-        ],
-        1,
-    )?;
     let out_dir = out_dir(args)?;
-    let sc = scenario_arg(args)?;
-    let benchmark = benchmark_arg(args)?;
-    let trial = args.parse_num("trial", 1u32)?;
-    let dcfg = distill_cfg(args)?;
-    eprintln!(
-        "live pipeline: collecting '{}' trial {trial} while running {} modulated...",
-        sc.name,
-        benchmark.name()
-    );
-    let out = live_modulated_run(&sc, trial, benchmark, &dcfg, &RunConfig::default());
+    let out = pipeline_run(args)?;
     report_result(&out.result);
     let s = &out.stats;
     eprintln!(
@@ -621,30 +765,27 @@ fn cmd_live_pipeline(args: &Args) -> CliResult {
 }
 
 fn cmd_obs_report(args: &Args) -> CliResult {
-    args.check(&["check", "format"], 2)?;
-    let dir = args.positional.get(1).ok_or_else(|| {
-        CliError::usage("usage: tracemod obs-report <run-dir> [--check] [--format text|json|md]")
-    })?;
-    let dir = Path::new(dir);
+    let dir = Path::new(args.operand(0)?);
+    let format = args.require("format")?;
+    if !["text", "json", "md"].contains(&format) {
+        return Err(CliError::usage(format!(
+            "unknown format '{format}' (try: text, json, md)"
+        )));
+    }
+    let pick = |text: String, json: String, md: String| match format {
+        "json" => json + "\n",
+        "md" => md,
+        _ => text,
+    };
     let th = FidelityThresholds::default();
     // A fleet run leaves an aggregate report; a live-pipeline run, one
     // run manifest.
     let (rendered, violations, gate_name) =
         if let Some(r) = read_artifact(dir, Artifact::REPORT, FleetReport::from_json)? {
-            let text = pick_format(
-                args,
-                || r.render_text(),
-                || r.to_json_pretty(),
-                || r.render_markdown(),
-            )?;
+            let text = pick(r.render_text(), r.to_json_pretty(), r.render_markdown());
             (text, r.check(&th), "fleet fidelity gate")
         } else if let Some(m) = read_artifact(dir, Artifact::MANIFEST, RunManifest::from_json)? {
-            let text = pick_format(
-                args,
-                || m.render_text(),
-                || m.to_json_pretty(),
-                || m.render_markdown(),
-            )?;
+            let text = pick(m.render_text(), m.to_json_pretty(), m.render_markdown());
             (text, m.check(&th), "fidelity self-check")
         } else {
             return Err(CliError::runtime(format!(
@@ -655,27 +796,10 @@ fn cmd_obs_report(args: &Args) -> CliResult {
             )));
         };
     print!("{rendered}");
-    if args.get("check").is_some() {
+    if args.on("check") {
         gate(gate_name, violations)?;
     }
     Ok(())
-}
-
-/// The `--format` rendering (`text`, `json` or `md`) of a report.
-fn pick_format(
-    args: &Args,
-    text: impl FnOnce() -> String,
-    json: impl FnOnce() -> String,
-    md: impl FnOnce() -> String,
-) -> Result<String, CliError> {
-    match args.get("format").unwrap_or("text") {
-        "text" => Ok(text()),
-        "json" => Ok(json() + "\n"),
-        "md" => Ok(md()),
-        other => Err(CliError::usage(format!(
-            "unknown format '{other}' (try: text, json, md)"
-        ))),
-    }
 }
 
 /// Fail with every violation listed, or report the gate passed.
@@ -684,12 +808,10 @@ fn gate(name: &str, violations: Vec<String>) -> CliResult {
         eprintln!("{name}: PASS");
         return Ok(());
     }
-    let mut msg = format!("{name} failed:");
-    for v in &violations {
-        msg.push_str("\n  - ");
-        msg.push_str(v);
-    }
-    Err(CliError::runtime(msg))
+    Err(CliError::runtime(format!(
+        "{name} failed:\n  - {}",
+        violations.join("\n  - ")
+    )))
 }
 
 /// The `--out DIR` run directory, if given. A directory that already
@@ -707,8 +829,11 @@ fn write_run_dir(dir: Option<&Path>, artifacts: &[(Artifact, String)]) -> CliRes
     let Some(dir) = dir else {
         return Ok(());
     };
-    let names: Vec<&str> = artifacts.iter().map(|(a, _)| a.file).collect();
-    let names = names.join(", ");
+    let names = artifacts
+        .iter()
+        .map(|(a, _)| a.file)
+        .collect::<Vec<_>>()
+        .join(", ");
     run_dir::write(dir, artifacts)
         .map_err(|e| CliError::runtime(format!("write {}: {e}", dir.display())))?;
     eprintln!("wrote {names} → {}", dir.display());
@@ -732,36 +857,21 @@ fn read_artifact<T, E: std::fmt::Display>(
 /// Runner-stripped manifests as JSONL, one per line: byte-comparable
 /// across `--jobs` and `--shards`.
 fn manifests_jsonl<'a>(manifests: impl IntoIterator<Item = &'a RunManifest>) -> String {
-    let mut s = String::new();
-    for m in manifests {
-        s.push_str(&m.deterministic_json());
-        s.push('\n');
-    }
-    s
+    manifests
+        .into_iter()
+        .map(|m| m.deterministic_json() + "\n")
+        .collect()
 }
 
-/// Flags shared by the flight-recorder commands (`trace-export`,
-/// `journey`): which live pipeline to run.
-const FLIGHT_RUN_FLAGS: [&str; 7] = [
-    "scenario",
-    "scenario-file",
-    "duration-secs",
-    "benchmark",
-    "trial",
-    "window-secs",
-    "horizon",
-];
-
-/// Run the live pipeline the flight-recorder commands observe.
-/// Scenario defaults to the Porter walk and benchmark to `web`, so
-/// `tracemod journey` works bare.
-fn flight_run(args: &Args) -> Result<LiveModOutcome, CliError> {
-    let sc = scenario_arg_default(args, Some("porter"))?;
-    let benchmark = benchmark_named(args.get("benchmark").unwrap_or("web"))?;
-    let trial = args.parse_num("trial", 1u32)?;
+/// Run the live pipeline (collect, distill and modulate at once) that
+/// `live-pipeline` reports on and the flight-recorder commands observe.
+fn pipeline_run(args: &Args) -> Result<LiveModOutcome, CliError> {
+    let (sc, _) = scenario_arg(args)?;
+    let benchmark = benchmark_arg(args)?;
+    let trial = args.num("trial")?;
     let dcfg = distill_cfg(args)?;
     eprintln!(
-        "recording flight of '{}' trial {trial} under {}...",
+        "live pipeline: collecting '{}' trial {trial} while running {} modulated...",
         sc.name,
         benchmark.name()
     );
@@ -775,11 +885,8 @@ fn flight_run(args: &Args) -> Result<LiveModOutcome, CliError> {
 }
 
 fn cmd_trace_export(args: &Args) -> CliResult {
-    let mut allowed: Vec<&str> = FLIGHT_RUN_FLAGS.to_vec();
-    allowed.push("out");
-    args.check(&allowed, 1)?;
     let out_path = PathBuf::from(args.require("out")?);
-    let outcome = flight_run(args)?;
+    let outcome = pipeline_run(args)?;
     let json = outcome.flight.to_chrome_trace();
     std::fs::write(&out_path, &json)
         .map_err(|e| CliError::runtime(format!("write {}: {e}", out_path.display())))?;
@@ -795,7 +902,8 @@ fn cmd_trace_export(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// Parse `--window T0..T1` (seconds, decimals allowed) into ns bounds.
+/// Parse `--window T0..T1` (finite seconds, decimals allowed,
+/// 0 <= T0 <= T1) into ns bounds.
 fn window_arg(spec: &str) -> Result<(u64, u64), CliError> {
     let bad = || {
         CliError::usage(format!(
@@ -805,30 +913,22 @@ fn window_arg(spec: &str) -> Result<(u64, u64), CliError> {
     let (a, b) = spec.split_once("..").ok_or_else(bad)?;
     let t0: f64 = a.trim().parse().map_err(|_| bad())?;
     let t1: f64 = b.trim().parse().map_err(|_| bad())?;
-    if t0 < 0.0 || t1 < t0 {
+    let ordered = 0.0 <= t0 && t0 <= t1 && t1.is_finite();
+    if !ordered {
         return Err(bad());
     }
     Ok(((t0 * 1e9) as u64, (t1 * 1e9) as u64))
 }
 
 fn cmd_journey(args: &Args) -> CliResult {
-    let mut allowed: Vec<&str> = FLIGHT_RUN_FLAGS.to_vec();
-    allowed.extend(["packet-id", "window"]);
-    args.check(&allowed, 1)?;
     if args.get("packet-id").is_some() && args.get("window").is_some() {
         return Err(CliError::usage(
             "--packet-id and --window are mutually exclusive",
         ));
     }
     let window = args.get("window").map(window_arg).transpose()?;
-    let packet_id: Option<u64> = match args.get("packet-id") {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| CliError::usage(format!("invalid value for --packet-id: {v}")))?,
-        ),
-    };
-    let outcome = flight_run(args)?;
+    let packet_id = args.opt("packet-id")?;
+    let outcome = pipeline_run(args)?;
     let rendered = outcome.flight.with(|r| -> Result<String, CliError> {
         if let Some((t0_ns, t1_ns)) = window {
             return Ok(r.render_window(t0_ns, t1_ns));
@@ -849,11 +949,8 @@ fn cmd_journey(args: &Args) -> CliResult {
 }
 
 fn cmd_bench_diff(args: &Args) -> CliResult {
-    args.check(&["baseline", "check", "json", "tolerance", "overhead"], 2)?;
-    let current_path = args.positional.get(1).ok_or_else(|| {
-        CliError::usage("usage: tracemod bench-diff <current.jsonl> [--baseline F] [--check]")
-    })?;
-    let baseline_path = args.get("baseline").unwrap_or("BENCH_baseline.json");
+    let current_path = args.operand(0)?;
+    let baseline_path = args.require("baseline")?;
     let read = |p: &str| {
         std::fs::read_to_string(p)
             .map_err(|e| CliError::runtime(format!("read {p}: {e}")))
@@ -862,22 +959,19 @@ fn cmd_bench_diff(args: &Args) -> CliResult {
     let baseline = read(baseline_path)?;
     let current = read(current_path)?;
     let cfg = BenchDiffConfig {
-        default_tolerance_ratio: args.parse_num(
-            "tolerance",
-            BenchDiffConfig::default().default_tolerance_ratio,
-        )?,
+        default_tolerance_ratio: args.num("tolerance")?,
         ..BenchDiffConfig::default()
     };
     if cfg.default_tolerance_ratio < 1.0 {
         return Err(CliError::usage("--tolerance must be >= 1.0"));
     }
     let diff = BenchDiff::compare(&baseline, &current, &cfg);
-    if args.get("json").is_some() {
+    if args.on("json") {
         println!("{}", diff.to_json());
     } else {
         print!("{}", diff.render_text());
     }
-    if args.get("check").is_some() && !diff.pass() {
+    if args.on("check") && !diff.pass() {
         let names: Vec<&str> = diff.failures().map(|v| v.name.as_str()).collect();
         return Err(CliError::runtime(format!(
             "benchmark regression gate failed: {}",
@@ -897,45 +991,38 @@ fn cmd_bench_diff(args: &Args) -> CliResult {
     Ok(())
 }
 
+/// One stderr line per injected fault, each after `prefix`.
+fn print_faults(prefix: &str, faults: &[faultkit::FaultEvent]) {
+    for ev in faults {
+        let t = ev.t_virtual_ns as f64 / 1e9;
+        eprintln!("[fault] {prefix}t={t:9.3}s {:<13} {}", ev.fault, ev.info);
+    }
+}
+
+/// Load a fault plan. A bad plan file is a bad invocation, not a
+/// mid-run failure: the run has not started yet, so both unreadable and
+/// unparseable plans are usage errors (exit 2).
+fn load_fault_plan(path: &str) -> Result<FaultPlan, CliError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CliError::usage(format!("read fault plan {path}: {e}")))?;
+    FaultPlan::from_json(&text).map_err(|e| CliError::usage(format!("{path}: {e}")))
+}
+
 fn cmd_chaos(args: &Args) -> CliResult {
-    args.check(
-        &[
-            "seed",
-            "plan",
-            "scenario",
-            "scenario-file",
-            "duration-secs",
-            "benchmark",
-            "trial",
-            "trials",
-            "window-secs",
-            "horizon",
-            "jobs",
-            "out",
-            "fault-budget",
-            "check",
-        ],
-        1,
-    )?;
-    let seed: u64 = args
-        .require("seed")?
-        .parse()
-        .map_err(|_| CliError::usage("invalid value for --seed (expected u64)"))?;
-    let plan_path = args.require("plan")?;
-    // A bad plan file is a bad invocation, not a mid-run failure: the
-    // run has not started yet, so both unreadable and unparseable plans
-    // are usage errors (exit 2).
-    let plan_text = std::fs::read_to_string(plan_path)
-        .map_err(|e| CliError::usage(format!("read fault plan {plan_path}: {e}")))?;
-    let fault_plan = FaultPlan::from_json(&plan_text)
-        .map_err(|e| CliError::usage(format!("{plan_path}: {e}")))?;
+    let seed: u64 = args.num("seed")?;
+    let fault_plan = load_fault_plan(args.require("plan")?)?;
     let out_dir = out_dir(args)?;
-    let sc = scenario_arg_default(args, Some("porter"))?;
-    let benchmark = benchmark_named(args.get("benchmark").unwrap_or("web"))?;
-    let trial0 = args.parse_num("trial", 1u32)?;
-    let trials = args.parse_num("trials", 1u32)?.max(1);
+    let (sc, _) = scenario_arg(args)?;
+    let benchmark = benchmark_arg(args)?;
+    let trial0: u32 = args.num("trial")?;
+    let trials: u32 = args.num("trials")?;
+    if trial0.checked_add(trials - 1).is_none() {
+        return Err(CliError::usage(
+            "--trial plus --trials passes the last trial number",
+        ));
+    }
     let dcfg = distill_cfg(args)?;
-    let jobs = args.parse_num("jobs", 1usize)?.max(1);
+    let jobs = args.num("jobs")?;
 
     eprintln!(
         "chaos: '{}' under {} with {} fault(s), seed {seed}, {} trial(s), {} worker(s)...",
@@ -966,18 +1053,9 @@ fn cmd_chaos(args: &Args) -> CliResult {
 
     let mut fault_log = String::new();
     let mut injected_total = 0u64;
-    for (i, o) in outcomes.iter().enumerate() {
-        let trial = trial0 + i as u32;
+    for (trial, o) in (trial0..).zip(&outcomes) {
         report_result(&o.outcome.result);
-        for ev in &o.faults {
-            // One observable event per injected fault.
-            eprintln!(
-                "[fault] trial {trial} t={:9.3}s {:<13} {}",
-                ev.t_virtual_ns as f64 / 1e9,
-                ev.fault,
-                ev.info
-            );
-        }
+        print_faults(&format!("trial {trial} "), &o.faults);
         fault_log.push_str(&events_to_jsonl(&o.faults));
         let c = &o.counters;
         injected_total += c.injected_total();
@@ -1005,93 +1083,48 @@ fn cmd_chaos(args: &Args) -> CliResult {
             ),
         ],
     )?;
-    if let Some(budget) = args.get("fault-budget") {
-        let budget: u64 = budget
-            .parse()
-            .map_err(|_| CliError::usage(format!("invalid value for --fault-budget: {budget}")))?;
+    if let Some(budget) = args.opt::<u64>("fault-budget")? {
         if injected_total > budget {
             return Err(CliError::runtime(format!(
                 "fault budget exceeded: {injected_total} faults injected > budget {budget}"
             )));
         }
     }
-    if args.get("check").is_some() {
-        let mut violations = Vec::new();
-        for (i, o) in outcomes.iter().enumerate() {
-            for v in o.outcome.manifest.check(&FidelityThresholds::default()) {
-                violations.push(format!("trial {}: {v}", trial0 + i as u32));
-            }
-        }
-        gate("fidelity self-check under faults", violations)?;
+    if args.on("check") {
+        let th = FidelityThresholds::default();
+        let violations = (trial0..).zip(&outcomes).flat_map(|(trial, o)| {
+            let violations = o.outcome.manifest.check(&th).into_iter();
+            violations.map(move |v| format!("trial {trial}: {v}"))
+        });
+        gate("fidelity self-check under faults", violations.collect())?;
     }
     Ok(())
 }
 
 fn cmd_fleet(args: &Args) -> CliResult {
-    args.check(
-        &[
-            "clients",
-            "scenario",
-            "scenario-file",
-            "duration-secs",
-            "seed",
-            "shards",
-            "jobs",
-            "stations",
-            "probe-interval-ms",
-            "fault-seed",
-            "fault-plan",
-            "telemetry-interval-secs",
-            "profile",
-            "alerts",
-            "alerts-baseline",
-            "out",
-            "check",
-        ],
-        1,
-    )?;
     let out_dir = out_dir(args)?;
-    let (sc, pack) = scenario_or_pack(args, Some("porter"))?;
-    let clients: u32 = args.parse_num("clients", 1000u32)?;
-    if clients == 0 {
-        return Err(CliError::usage("--clients must be positive"));
-    }
-    let shards = args.parse_num("shards", 1usize)?.max(1);
-    let jobs = args.parse_num("jobs", 1usize)?.max(1);
-    let mut plan = FleetPlan::new(sc, clients)
-        .with_seed(args.parse_num("seed", 7u64)?)
-        .with_shards(shards);
+    let (sc, pack) = scenario_arg(args)?;
+    let jobs = args.num("jobs")?;
+    let mut plan = FleetPlan::new(sc, args.num("clients")?)
+        .with_seed(args.num("seed")?)
+        .with_shards(args.num("shards")?)
+        .with_probe_interval(args.time("probe-interval-ms", MILLISECOND)?);
     // A pack fleet mixes models across clients; single-model runs keep
     // the scenario path.
     plan.pack = pack;
-    if let Some(stations) = args.get("stations") {
-        let n: u32 = stations
-            .parse()
-            .map_err(|_| CliError::usage(format!("invalid value for --stations: {stations}")))?;
-        if n == 0 {
-            return Err(CliError::usage("--stations must be positive"));
-        }
-        plan.stations = n;
-    }
-    let probe_ms = args.parse_num("probe-interval-ms", 1000u64)?;
-    if probe_ms == 0 {
-        return Err(CliError::usage("--probe-interval-ms must be positive"));
-    }
-    plan = plan.with_probe_interval(SimDuration::from_millis(probe_ms));
+    plan.stations = args.opt("stations")?.unwrap_or(plan.stations);
     // The interval switches the sampling plane on; the series is then
     // embedded in the report and written as telemetry.jsonl/.prom.
     if args.get("telemetry-interval-secs").is_some() {
-        let secs = args.parse_num("telemetry-interval-secs", 1u64)?;
-        if secs == 0 {
-            return Err(CliError::usage(
-                "--telemetry-interval-secs must be positive",
-            ));
-        }
-        plan = plan.with_telemetry(TelemetryConfig::default().with_interval_secs(secs));
+        let interval_ns = args.time("telemetry-interval-secs", SECOND)?.as_nanos();
+        plan = plan.with_telemetry(TelemetryConfig {
+            interval_ns,
+            ..TelemetryConfig::default()
+        });
     }
-    if args.get("profile").is_some() {
-        plan = plan.with_profile(true);
-    }
+    plan = plan.with_profile(args.on("profile"));
+    let faults = args.get("fault-plan").map(load_fault_plan).transpose()?;
+    let fault_seed: u64 = args.num("fault-seed")?;
     let rules = args.get("alerts").map(load_rules).transpose()?;
     let baseline = read_baseline(args.get("alerts-baseline"))?;
 
@@ -1100,29 +1133,13 @@ fn cmd_fleet(args: &Args) -> CliResult {
         plan.clients, plan.scenario.name, plan.stations, plan.shards, jobs
     );
     let exec = Exec::with_workers(jobs);
-    let out = match args.get("fault-plan") {
-        Some(plan_path) => {
-            let fault_seed: u64 = args
-                .parse_num("fault-seed", 42u64)
-                .map_err(|_| CliError::usage("invalid value for --fault-seed (expected u64)"))?;
-            let plan_text = std::fs::read_to_string(plan_path)
-                .map_err(|e| CliError::usage(format!("read fault plan {plan_path}: {e}")))?;
-            let fault_plan = FaultPlan::from_json(&plan_text)
-                .map_err(|e| CliError::usage(format!("{plan_path}: {e}")))?;
-            fleet_run_chaos(&plan, &exec, fault_seed, &fault_plan)
-        }
+    let out = match &faults {
+        Some(fault_plan) => fleet_run_chaos(&plan, &exec, fault_seed, fault_plan),
         None => fleet_run(&plan, &exec),
     };
 
     print!("{}", out.report.render_text());
-    for ev in &out.faults {
-        eprintln!(
-            "[fault] t={:9.3}s {:<13} {}",
-            ev.t_virtual_ns as f64 / 1e9,
-            ev.fault,
-            ev.info
-        );
-    }
+    print_faults("", &out.faults);
     if let Some(r) = &out.report.runner {
         eprintln!(
             "engine: {:.0} events/s over {:.2}s wall; per-client peaks: {} queued events, {} packets in flight",
@@ -1132,20 +1149,19 @@ fn cmd_fleet(args: &Args) -> CliResult {
     if let Some(prof) = &out.profile {
         eprint!("{}", prof.render_text());
     }
-    let alerts = match &rules {
-        Some(rules) => {
-            let alerts = fleet_alerts(&out, rules, baseline.as_ref()).map_err(CliError::runtime)?;
-            eprintln!(
-                "alerts: {} active, {} suppressed ({} rule(s) over {} boundaries)",
-                alerts.active().count(),
-                alerts.suppressed().count(),
-                alerts.rules,
-                alerts.boundaries
-            );
-            Some(alerts)
-        }
-        None => None,
-    };
+    let alerts = (rules.as_ref())
+        .map(|rules| fleet_alerts(&out, rules, baseline.as_ref()))
+        .transpose()
+        .map_err(CliError::runtime)?;
+    if let Some(alerts) = &alerts {
+        eprintln!(
+            "alerts: {} active, {} suppressed ({} rule(s) over {} boundaries)",
+            alerts.active().count(),
+            alerts.suppressed().count(),
+            alerts.rules,
+            alerts.boundaries
+        );
+    }
     if let Some(dir) = &out_dir {
         let mut artifacts = vec![
             (Artifact::FAULTS, events_to_jsonl(&out.faults)),
@@ -1165,7 +1181,7 @@ fn cmd_fleet(args: &Args) -> CliResult {
         }
         write_run_dir(Some(dir), &artifacts)?;
     }
-    if args.get("check").is_some() {
+    if args.on("check") {
         gate(
             "fleet fidelity gate",
             out.report.check(&FidelityThresholds::default()),
@@ -1211,10 +1227,9 @@ fn read_baseline(dir: Option<&str>) -> Result<Option<FleetReport>, CliError> {
 }
 
 fn cmd_alerts(args: &Args) -> CliResult {
-    args.check(&["rules", "baseline", "out", "min-severity", "check"], 2)?;
     let rules = load_rules(args.require("rules")?)?;
     let out_dir = out_dir(args)?;
-    let dir = Path::new(args.positional.get(1).ok_or_else(|| {
+    let dir = Path::new(args.operand(0).map_err(|_| {
         CliError::usage("nothing to evaluate: pass a run directory (tracemod alerts <run-dir>)")
     })?);
     let report = read_artifact(dir, Artifact::REPORT, FleetReport::from_json)?;
@@ -1260,9 +1275,8 @@ fn cmd_alerts(args: &Args) -> CliResult {
             (Artifact::ALERTS_MD, alert_report.render_markdown()),
         ],
     )?;
-    if args.get("check").is_some() {
-        let floor =
-            Severity::parse(args.get("min-severity").unwrap_or("warn")).map_err(CliError::usage)?;
+    if args.on("check") {
+        let floor = Severity::parse(args.require("min-severity")?).map_err(CliError::usage)?;
         gate("alert gate", alert_report.check(floor))?;
         eprintln!(
             "{} suppressed alert(s) attributed to faults",
@@ -1273,25 +1287,15 @@ fn cmd_alerts(args: &Args) -> CliResult {
 }
 
 fn cmd_diff_runs(args: &Args) -> CliResult {
-    args.check(&["shards", "check"], 3)?;
     let a_path = args
-        .positional
-        .get(1)
-        .ok_or_else(|| CliError::usage("missing run artifacts: tracemod diff-runs A B"))?;
+        .operand(0)
+        .map_err(|_| CliError::usage("missing run artifacts: tracemod diff-runs A B"))?;
     let b_path = args
-        .positional
-        .get(2)
-        .ok_or_else(|| CliError::usage("missing second run artifact: tracemod diff-runs A B"))?;
-    let mut opts = DiffOptions::default();
-    if let Some(s) = args.get("shards") {
-        let n: usize = s
-            .parse()
-            .map_err(|_| CliError::usage(format!("invalid value for --shards: {s}")))?;
-        if n == 0 {
-            return Err(CliError::usage("--shards must be positive"));
-        }
-        opts.shards = Some(n);
-    }
+        .operand(1)
+        .map_err(|_| CliError::usage("missing second run artifact: tracemod diff-runs A B"))?;
+    let opts = DiffOptions {
+        shards: args.opt("shards")?,
+    };
     let (a_dir, b_dir) = (Path::new(a_path).is_dir(), Path::new(b_path).is_dir());
     let divergence = if a_dir && b_dir {
         match run_dir::diff_dirs(Path::new(a_path), Path::new(b_path), &opts)
@@ -1334,18 +1338,15 @@ fn cmd_diff_runs(args: &Args) -> CliResult {
         }
         divergence
     };
-    match divergence {
-        Some(d) => {
-            println!("first divergence: {d}");
-            if args.get("check").is_some() {
-                return Err(CliError::runtime(format!(
-                    "runs diverge: {a_path} vs {b_path}"
-                )));
-            }
-            Ok(())
+    if let Some(d) = divergence {
+        println!("first divergence: {d}");
+        if args.on("check") {
+            return Err(CliError::runtime(format!(
+                "runs diverge: {a_path} vs {b_path}"
+            )));
         }
-        None => Ok(()),
     }
+    Ok(())
 }
 
 fn report_result(r: &emu::RunResult) {
@@ -1358,117 +1359,95 @@ fn report_result(r: &emu::RunResult) {
     }
 }
 
-const USAGE: &str = "usage: tracemod <command> [args]
-commands:
-  scenarios                                list the built-in mobile scenarios and the
-                                           registered channel-model families
-  dump-scenario --scenario S               print a scenario as editable JSON
-  collect  --scenario S --trial N --out F  collect a trace (add --target-out F2 for two-sided;
-                                           --scenario-file F.json uses a custom scenario)
-  distill  <trace> --out F                 distill a trace into a replay trace (binary traces
-                                           stream in bounded memory; --window-secs W --horizon H)
-  inspect  <file> [--records N]            summarize a trace/replay file (optionally list records)
-  replay   <replay> --benchmark B          run a benchmark under modulation
-  live     --scenario S --benchmark B      run a benchmark live on the wireless scenario
-  live-pipeline --scenario S --benchmark B collect, distill, and modulate concurrently
-                                           (--out DIR writes manifest.json)
-  obs-report <run-dir> [--check]           pretty-print a run directory's report.json, else its
-                                           manifest.json (--format text|json|md); --check gates
-                                           on the fidelity thresholds
-  trace-export --out F                     run the live pipeline with the flight recorder and
-                                           export Perfetto/chrome://tracing JSON
-                                           (defaults: --scenario porter --benchmark web)
-  journey [--packet-id N | --window T0..T1] run the live pipeline and print one packet's causal
-                                           timeline (default: the packet covering most stages)
-  bench-diff <current.jsonl> [--check]     compare criterion JSONL against a baseline
-                                           (--baseline F, default BENCH_baseline.json;
-                                           --json for machine-readable verdicts; --tolerance R;
-                                           --overhead BASE=VARIANT:R gates VARIANT's same-run
-                                           median at R× BASE)
-  chaos --seed N --plan F                  run the live pipeline under a deterministic fault plan
-                                           (defaults: --scenario porter --benchmark web; --trials T
-                                           --jobs J for a matrix; --out DIR writes runner-stripped
-                                           manifests.jsonl and faults.jsonl; --fault-budget N
-                                           gates on injected faults; --check gates on the
-                                           fidelity thresholds)
-  fleet --clients N                        run N mobile clients under one fleet engine
-                                           (defaults: --scenario porter, 1000 clients; --shards S
-                                           shards clients across engines with byte-identical
-                                           output, --jobs J workers; --stations K, --seed N,
-                                           --probe-interval-ms M tune the fleet; --fault-plan F
-                                           [--fault-seed N] injects faults; --out DIR writes
-                                           manifests.jsonl, report.json and faults.jsonl;
-                                           --telemetry-interval-secs N samples telemetry
-                                           (telemetry.jsonl/.prom); --profile self-profiles
-                                           (profile.txt); --alerts RULES evaluates SLO alert
-                                           rules (alerts.jsonl/.md; --alerts-baseline DIR feeds
-                                           delta rules); --check gates on the fleet fidelity
-                                           thresholds and, with --alerts, on active alerts)
-  alerts <run-dir> --rules RULES           evaluate SLO alert rules over a run directory's
-                                           telemetry, report and faults (RULES is a TOML/JSON
-                                           rule file or 'builtin'; --baseline DIR feeds delta
-                                           rules; --out DIR writes alerts.jsonl/.md; --check
-                                           [--min-severity info|warn|critical] fails on active
-                                           alerts at or above the floor)
-  diff-runs A B                            report the first field where two runs diverge, with
-                                           virtual-time/client/shard context: two files
-                                           (telemetry/manifest/fault/alert JSONL, fleet reports,
-                                           flight traces) or two run directories (each
-                                           deterministic artifact in causal order, named);
-                                           --shards N names the owning shard; --check exits
-                                           nonzero on divergence — the CI replacement for cmp
-  help                                     print this usage and exit 0 (also --help / -h)
-benchmarks: web, ftp-send, ftp-recv, andrew
-scenario commands also accept --duration-secs N to shorten the traversal;
---scenario also takes a scenario-pack path (*.toml / *.json) built from the
-channel-model registry — fleets split clients across the pack's weighted model
-mix, single-channel commands run the pack's first model;
---out DIR must be missing or empty: one run directory holds one run";
+fn cmd_help(_: &Args) -> CliResult {
+    print!("{}", usage(COMMANDS));
+    Ok(())
+}
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = Args::parse(&raw);
-    // `help` in any spelling prints the full usage to stdout and exits
-    // 0 — it is the one successful invocation that takes no action.
-    // Unknown commands still print it to stderr and exit 2.
-    let wants_help = matches!(
-        args.positional.first().map(String::as_str),
-        Some("help") | Some("-h")
-    ) || args.get("help").is_some();
-    if wants_help {
-        println!("{USAGE}");
+    let words: Vec<String> = std::env::args().skip(1).collect();
+    let word = words.first().map_or("", String::as_str);
+    // `--help` anywhere, or `-h` first, prints the usage to stdout and
+    // exits 0 like `tracemod help`.
+    if word == "-h" || words.iter().any(|w| w == "--help") {
+        print!("{}", usage(COMMANDS));
         return;
     }
-    let result = match args.positional.first().map(String::as_str) {
-        Some("scenarios") => cmd_scenarios(&args),
-        Some("dump-scenario") => cmd_dump_scenario(&args),
-        Some("collect") => cmd_collect(&args),
-        Some("distill") => cmd_distill(&args),
-        Some("inspect") => cmd_inspect(&args),
-        Some("replay") => cmd_replay(&args),
-        Some("live") => cmd_live(&args),
-        Some("live-pipeline") => cmd_live_pipeline(&args),
-        Some("obs-report") => cmd_obs_report(&args),
-        Some("trace-export") => cmd_trace_export(&args),
-        Some("journey") => cmd_journey(&args),
-        Some("bench-diff") => cmd_bench_diff(&args),
-        Some("chaos") => cmd_chaos(&args),
-        Some("fleet") => cmd_fleet(&args),
-        Some("alerts") => cmd_alerts(&args),
-        Some("diff-runs") => cmd_diff_runs(&args),
-        Some(other) => Err(CliError::usage(format!("unknown command '{other}'"))),
-        None => Err(CliError::usage("no command given")),
+    let cmd = COMMANDS.iter().find(|c| c.name == word);
+    let result = match cmd {
+        Some(cmd) => Args::parse(cmd, &words[1..]).and_then(|args| (cmd.run)(&args)),
+        None if word.is_empty() || word.starts_with("--") => {
+            Err(CliError::usage("no command given"))
+        }
+        None => Err(CliError::usage(format!("unknown command '{word}'"))),
     };
     match result {
         Ok(()) => {}
         Err(CliError::Usage(msg)) => {
             eprintln!("tracemod: {msg}");
-            eprintln!("{USAGE}");
+            // A known command's usage error shows that command's flags.
+            eprint!("{}", usage(cmd.map_or(COMMANDS, std::slice::from_ref)));
             exit(2);
         }
         Err(CliError::Runtime(msg)) => {
             eprintln!("tracemod: {msg}");
             exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn default_of(cmd: &str, flag: &str) -> &'static str {
+        let cmd = COMMANDS.iter().find(|c| c.name == cmd).unwrap();
+        cmd.flags().find(|f| f.name == flag).unwrap().default
+    }
+
+    /// No command declares a flag twice, and every default is a value
+    /// its own kind accepts.
+    #[test]
+    fn flag_table_is_consistent() {
+        for cmd in COMMANDS {
+            let mut names = Vec::new();
+            for f in cmd.flags() {
+                assert!(!names.contains(&f.name), "{}: --{} twice", cmd.name, f.name);
+                names.push(f.name);
+                if !f.default.is_empty() {
+                    assert!(
+                        f.kind != Switch,
+                        "{}: switch --{} has a default",
+                        cmd.name,
+                        f.name
+                    );
+                    assert!(f.kind.check(f.name, f.default).is_ok(), "--{}", f.name);
+                }
+            }
+        }
+    }
+
+    /// Defaults the libraries also define agree with them.
+    #[test]
+    fn defaults_match_the_libraries() {
+        let distill = DistillConfig::default();
+        let secs = |d: SimDuration| (d.as_nanos() / 1_000_000_000).to_string();
+        assert_eq!(
+            default_of("distill", "window-secs"),
+            secs(distill.window.width)
+        );
+        assert_eq!(
+            default_of("distill", "horizon"),
+            distill.reorder_horizon.to_string()
+        );
+        let tolerance = BenchDiffConfig::default().default_tolerance_ratio;
+        assert_eq!(default_of("bench-diff", "tolerance").parse(), Ok(tolerance));
+        let fleet = FleetPlan::new(Scenario::porter(), 1);
+        assert_eq!(default_of("fleet", "seed"), fleet.seed.to_string());
+        let probe_ms = fleet.probe_interval.as_nanos() / 1_000_000;
+        assert_eq!(
+            default_of("fleet", "probe-interval-ms"),
+            probe_ms.to_string()
+        );
     }
 }

@@ -1,0 +1,277 @@
+//! Argv fuzzing for `tracemod`, driven through the real binary.
+//!
+//! Each subcommand's operands and flags are read from `tracemod help`,
+//! so a newly declared flag is fuzzed without editing this file. Every
+//! generated invocation must exit 0, 1 or 2 without a panic, and an
+//! unknown, repeated or value-less flag must be a usage error (exit 2).
+//! The run-directory readers (`alerts`, `obs-report`, `diff-runs`) get
+//! directories of random artifact bytes, and `--rules`/`--alerts` a
+//! random alert-rule file.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+/// Cases per run; each spawns one `tracemod`.
+const CASES: u64 = 300;
+
+/// One subcommand as `tracemod help` lists it.
+struct Cmd {
+    name: String,
+    operands: usize,
+    /// `(name without --, takes a value)`.
+    flags: Vec<(String, bool)>,
+}
+
+fn tracemod(cwd: &Path, argv: &[String]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_tracemod"))
+        .current_dir(cwd)
+        .args(argv)
+        .output()
+        .expect("tracemod binary runs")
+}
+
+/// Parse the command list out of `tracemod help`: a command line is
+/// indented two spaces (name, then operands); its flag lines are
+/// indented further and start with `--name`, followed by a value
+/// placeholder unless the flag is a switch.
+fn commands_from_help() -> Vec<Cmd> {
+    let out = tracemod(&std::env::temp_dir(), &["help".to_string()]);
+    assert_eq!(out.status.code(), Some(0));
+    let help = String::from_utf8(out.stdout).expect("help is UTF-8");
+    let mut cmds: Vec<Cmd> = Vec::new();
+    for line in help.lines() {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        if line.starts_with("  ") && !line.starts_with("   ") {
+            cmds.push(Cmd {
+                name: words[0].to_string(),
+                operands: words.len() - 1,
+                flags: Vec::new(),
+            });
+        } else if let (Some(cmd), Some(flag)) = (cmds.last_mut(), words.first()) {
+            if let Some(name) = flag.strip_prefix("--") {
+                let valued = words
+                    .get(1)
+                    .is_some_and(|w| ["TEXT", "N", "INT", "NUM"].contains(w));
+                cmd.flags.push((name.to_string(), valued));
+            }
+        }
+    }
+    cmds
+}
+
+/// SplitMix64: a small deterministic generator, so a failing case
+/// reproduces from its index.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
+        items[self.below(items.len())]
+    }
+}
+
+/// Artifact names a run directory may hold.
+const ARTIFACTS: [&str; 9] = [
+    "faults.jsonl",
+    "manifests.jsonl",
+    "telemetry.jsonl",
+    "telemetry.prom",
+    "alerts.jsonl",
+    "alerts.md",
+    "report.json",
+    "manifest.json",
+    "profile.txt",
+];
+
+/// Write a run directory of random artifacts: random bytes, a record
+/// that parses as JSON, or a truncated one.
+fn random_run_dir(rng: &mut Rng, dir: &Path) {
+    std::fs::create_dir_all(dir).unwrap();
+    for name in ARTIFACTS {
+        let bytes: Vec<u8> = match rng.below(4) {
+            0 => continue,
+            1 => (0..rng.below(64)).map(|_| rng.next() as u8).collect(),
+            2 => b"{\"t_ns\":1000000000,\"events\":3,\"queue_depth\":2}\n".to_vec(),
+            _ => b"{\"t_ns\":10".to_vec(),
+        };
+        std::fs::write(dir.join(name), bytes).unwrap();
+    }
+}
+
+/// Lines a random alert-rule file is built from: valid rule fields,
+/// bad values and broken TOML.
+const RULE_LINES: [&str; 12] = [
+    "[[rule]]",
+    "name = \"q\"",
+    "metric = \"sample.queue_depth\"",
+    "metric = \"fleet.counter.nope\"",
+    "severity = \"warn\"",
+    "above = 1",
+    "below = -1e400",
+    "window = 3",
+    "frac = 2.0",
+    "suppress = [\"stall_feed\"",
+    "name = \"unterminated",
+    "[rule]",
+];
+
+/// Write `rules.toml`: 0–7 random rule-file lines.
+fn random_rules(rng: &mut Rng, path: &Path) {
+    let lines: Vec<&str> = (0..rng.below(8)).map(|_| rng.pick(&RULE_LINES)).collect();
+    std::fs::write(path, lines.join("\n")).unwrap();
+}
+
+/// A value for `--flag`: valid-looking, a boundary (0, -1, `u64::MAX`,
+/// 2^64, empty) or junk.
+fn value(rng: &mut Rng, flag: &str, plan: &str) -> String {
+    let valid: &[&str] = match flag {
+        "scenario" => &["porter", "wean", "x.toml"],
+        "benchmark" => &["web", "ftp-recv", "andrew"],
+        "format" => &["text", "json", "md"],
+        "rules" | "alerts" => &["builtin", "rules.toml"],
+        "min-severity" => &["info", "critical"],
+        "window" => &["0..1", "1.5..0.5"],
+        "plan" | "fault-plan" => &[plan],
+        "baseline" | "alerts-baseline" => &["run_a"],
+        "out" | "target-out" => &["out", "run_a"],
+        _ => &["1", "2", "3"],
+    };
+    match rng.below(10) {
+        0..=4 => rng.pick(valid).to_string(),
+        5 => "0".into(),
+        6 => "-1".into(),
+        7 => rng
+            .pick(&["18446744073709551615", "18446744073709551616"])
+            .into(),
+        8 => String::new(),
+        _ => rng.pick(&["zz", "1..", "é", "1e309", "nan"]).into(),
+    }
+}
+
+/// Build one argv for `cmd`: 0–4 flags, stray operands, and now and
+/// then an unknown or a repeated flag, in random order.
+fn random_argv(rng: &mut Rng, cmd: &Cmd, plan: &str) -> Vec<String> {
+    // Items are shuffled as units: an operand, or a flag with its value.
+    let mut items: Vec<Vec<String>> = Vec::new();
+    for _ in 0..rng.below(cmd.operands + 2) {
+        items.push(vec![rng.pick(&["run_a", "run_b", "stray", ""]).into()]);
+    }
+    // Pinned so the cases that do run stay cheap.
+    let pinned = ["duration-secs", "clients"];
+    let free: Vec<&(String, bool)> = cmd
+        .flags
+        .iter()
+        .filter(|(n, _)| !pinned.contains(&n.as_str()))
+        .collect();
+    for _ in 0..rng.below(5) {
+        if free.is_empty() {
+            break;
+        }
+        let (name, valued) = free[rng.below(free.len())];
+        let mut item = vec![format!("--{name}")];
+        // One in eight valued flags goes without its value.
+        if *valued && rng.below(8) != 0 {
+            item.push(value(rng, name, plan));
+        }
+        items.push(item);
+    }
+    if rng.below(8) == 0 {
+        items.push(vec!["--bogus-flag".into(), "1".into()]);
+    }
+    if rng.below(8) == 0 && !items.is_empty() {
+        let again = items[rng.below(items.len())].clone();
+        items.push(again);
+    }
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.below(i + 1));
+    }
+    let mut argv = vec![cmd.name.clone()];
+    argv.extend(items.into_iter().flatten());
+    for (name, value) in [
+        ("duration-secs", "2".to_string()),
+        ("clients", format!("{}", 1 + rng.below(4))),
+    ] {
+        if cmd.flags.iter().any(|(n, _)| n == name) {
+            argv.extend([format!("--{name}"), value]);
+        }
+    }
+    argv
+}
+
+/// Why `argv` must exit 2, read the way the parser reads it: a word
+/// after a valued flag is its value unless it starts with `--`.
+fn must_be_usage_error(cmd: &Cmd, argv: &[String]) -> Option<String> {
+    let mut seen = Vec::new();
+    let mut words = argv[1..].iter().peekable();
+    while let Some(word) = words.next() {
+        let Some(name) = word.strip_prefix("--") else {
+            continue;
+        };
+        let Some((_, valued)) = cmd.flags.iter().find(|(n, _)| n == name) else {
+            return Some(format!("unknown flag {word}"));
+        };
+        if seen.contains(&name) {
+            return Some(format!("{word} given twice"));
+        }
+        seen.push(name);
+        if *valued {
+            match words.peek() {
+                Some(v) if !v.starts_with("--") => {
+                    words.next();
+                }
+                _ => return Some(format!("{word} without a value")),
+            }
+        }
+    }
+    None
+}
+
+#[test]
+fn every_generated_argv_exits_cleanly() {
+    let cmds = commands_from_help();
+    assert!(cmds.len() >= 17, "help lists every command");
+    let plan = format!("{}/packs/faults/9-combo.json", env!("CARGO_MANIFEST_DIR"));
+    let root = std::env::temp_dir().join(format!("tracemod-argv-{}", std::process::id()));
+    let mut rng = Rng(0x7ace_0d00);
+    let mut exits = [0u32; 3];
+    for case in 0..CASES {
+        let cmd = &cmds[rng.below(cmds.len())];
+        let cwd: PathBuf = root.join(case.to_string());
+        std::fs::create_dir_all(&cwd).unwrap();
+        if ["alerts", "obs-report", "diff-runs"].contains(&cmd.name.as_str()) {
+            random_run_dir(&mut rng, &cwd.join("run_a"));
+            random_run_dir(&mut rng, &cwd.join("run_b"));
+        }
+        random_rules(&mut rng, &cwd.join("rules.toml"));
+        let argv = random_argv(&mut rng, cmd, &plan);
+        let out = tracemod(&cwd, &argv);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let code = out.status.code();
+        assert!(
+            matches!(code, Some(0..=2)) && !stderr.contains("panicked"),
+            "case {case}: {argv:?} exited {code:?}; stderr:\n{stderr}"
+        );
+        exits[code.unwrap() as usize] += 1;
+        match must_be_usage_error(cmd, &argv) {
+            Some(why) => assert_eq!(code, Some(2), "case {case}: {argv:?} has {why}"),
+            None => assert!(
+                !stderr.contains("unknown flag"),
+                "case {case}: {argv:?}: a flag from help was rejected:\n{stderr}"
+            ),
+        }
+    }
+    std::fs::remove_dir_all(&root).ok();
+    // The cases reach past the parser: some run, some fail at runtime.
+    assert!(exits.iter().all(|&n| n > 0), "exit 0/1/2 counts: {exits:?}");
+}

@@ -143,3 +143,50 @@ fn rpc_survives_server_outage() {
     assert!(total > 8.0, "outage not felt: {total}");
     assert!(total < 60.0, "recovery took too long: {total}");
 }
+
+/// The committed fault plans under `packs/faults/` (the chaos soak's
+/// rotation) all parse, and together they hold a clean control, every
+/// fault kind alone, and one plan combining several kinds.
+#[test]
+fn committed_fault_plans_cover_every_fault_alone_and_combined() {
+    use faultkit::{Fault, FaultPlan};
+    // Exhaustive on purpose: a new fault kind must get a plan of its own.
+    fn kind(f: &Fault) -> usize {
+        match f {
+            Fault::CorruptChunk { .. } => 0,
+            Fault::TruncateTrace { .. } => 1,
+            Fault::DropTuples { .. } => 2,
+            Fault::StallFeed { .. } => 3,
+            Fault::ClockJump { .. } => 4,
+            Fault::KillWorker { .. } => 5,
+            Fault::OomRing { .. } => 6,
+        }
+    }
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/packs/faults");
+    let mut clean = 0;
+    let mut alone = [0; 7];
+    let mut combined = 0;
+    for entry in std::fs::read_dir(dir).expect("packs/faults exists") {
+        let path = entry.unwrap().path();
+        if path.extension() != Some("json".as_ref()) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let plan =
+            FaultPlan::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let mut kinds: Vec<usize> = plan.faults().iter().map(kind).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        match kinds[..] {
+            [] => clean += 1,
+            [k] => alone[k] += 1,
+            _ => combined += 1,
+        }
+    }
+    assert!(clean > 0, "no clean control plan");
+    assert!(
+        alone.iter().all(|&n| n > 0),
+        "plans per fault kind: {alone:?}"
+    );
+    assert!(combined > 0, "no combined plan");
+}
