@@ -1,0 +1,174 @@
+//! Pins the single-client event core's dispatch order. A passive
+//! [`FrameHook`] folds every link transit and tail-drop into an FNV-1a
+//! digest; together with the engine's event count and peak queue depth
+//! it fixes the exact `(due, seq)` order in which three fixed runs fire:
+//!
+//! * a 1 MB FTP fetch between two hosts on a 10 Mb/s Ethernet;
+//! * live Web runs (trial 1) over the WaveLAN channel: Wean, with
+//!   channel losses, and Chatterbox, with cross traffic as well.
+//!
+//! Any change to how the core queues events must leave all three
+//! numbers untouched.
+
+use std::net::Ipv4Addr;
+use std::sync::{Arc, Mutex};
+
+use emu::{build_wireless, install, live_run, run_to_completion, Benchmark, Hardware, RunConfig};
+use netsim::{FrameHook, LinkParams, NodeId, SimRng, SimTime, Simulator};
+use netstack::{start_host, Host, HostConfig, NIC_PORT};
+use packet::MacAddr;
+use wavelan::{ChannelStats, Scenario, WirelessChannel};
+use workloads::{FtpClient, FtpDirection, FtpServer};
+
+/// FNV-1a over every hooked frame, shared with the test body.
+#[derive(Clone)]
+struct Digest(Arc<Mutex<(u64, u64, u64)>>);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(Arc::new(Mutex::new((0xcbf2_9ce4_8422_2325, 0, 0))))
+    }
+
+    fn fold(&self, tag: u8, words: [u64; 4], bytes: &[u8]) {
+        let mut g = self.0.lock().unwrap();
+        let mut h = g.0;
+        let mut eat = |b: u8| {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        };
+        eat(tag);
+        for w in words {
+            w.to_le_bytes().into_iter().for_each(&mut eat);
+        }
+        (bytes.len() as u64)
+            .to_le_bytes()
+            .into_iter()
+            .for_each(&mut eat);
+        bytes.iter().copied().for_each(eat);
+        g.0 = h;
+        if tag == b't' {
+            g.1 += 1;
+        } else {
+            g.2 += 1;
+        }
+    }
+
+    /// `(digest, transits, drops)`.
+    fn read(&self) -> (u64, u64, u64) {
+        *self.0.lock().unwrap()
+    }
+}
+
+impl FrameHook for Digest {
+    fn on_transit(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        bytes: &[u8],
+        sent: SimTime,
+        arrival: SimTime,
+    ) {
+        let words = [
+            from.0 as u64,
+            to.0 as u64,
+            sent.as_nanos(),
+            arrival.as_nanos(),
+        ];
+        self.fold(b't', words, bytes);
+    }
+
+    fn on_link_drop(&mut self, from: NodeId, to: NodeId, bytes: &[u8], now: SimTime) {
+        self.fold(b'd', [from.0 as u64, to.0 as u64, now.as_nanos(), 0], bytes);
+    }
+}
+
+#[test]
+fn ftp_fetch_dispatches_in_the_pinned_order() {
+    let ip_c = Ipv4Addr::new(10, 0, 0, 1);
+    let ip_s = Ipv4Addr::new(10, 0, 0, 2);
+    let mut client = Host::new(
+        HostConfig::new("client", ip_c, MacAddr::local(1)).with_arp(ip_s, MacAddr::local(2)),
+    );
+    let app = client.add_app(Box::new(FtpClient::new(
+        ip_s,
+        FtpDirection::Recv,
+        1_000_000,
+    )));
+    let mut server = Host::new(
+        HostConfig::new("server", ip_s, MacAddr::local(2)).with_arp(ip_c, MacAddr::local(1)),
+    );
+    server.add_app(Box::new(FtpServer::new()));
+
+    let mut sim = Simulator::new(11);
+    let digest = Digest::new();
+    sim.set_frame_hook(Box::new(digest.clone()));
+    let nc = sim.add_node(Box::new(client));
+    let ns = sim.add_node(Box::new(server));
+    sim.connect_sym(nc, NIC_PORT, ns, NIC_PORT, LinkParams::ethernet_10mbps());
+    start_host(&mut sim, ns, SimTime::ZERO);
+    start_host(&mut sim, nc, SimTime::from_millis(10));
+    sim.run_until(SimTime::from_secs(120));
+
+    assert!(sim.node::<Host>(nc).app::<FtpClient>(app).is_done());
+    assert_eq!(sim.events_processed(), 1059);
+    assert_eq!(sim.peak_queue_depth(), 39);
+    assert_eq!(digest.read(), (0x1a9f6f6a7acbcf36, 1044, 0));
+}
+
+/// A live Web run (trial 1) on `scenario`, seeded as `live_run` seeds
+/// it, with the digest hook installed: `(digest, events, peak depth,
+/// channel stats)`.
+fn hooked_web_run(scenario: &Scenario) -> ((u64, u64, u64), u64, usize, ChannelStats) {
+    let seed = |purpose: u64| {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ purpose;
+        for b in scenario.name.bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+        h ^ 1 << 32
+    };
+    let channel = scenario.channel(&mut SimRng::seed_from_u64(seed(3)));
+    let (mut tb, inst) = build_wireless(seed(4), Hardware::default(), channel, |l, s| {
+        install(Benchmark::Web, l, s)
+    });
+    let digest = Digest::new();
+    tb.sim.set_frame_hook(Box::new(digest.clone()));
+    let result = run_to_completion(&mut tb, &inst);
+
+    // The hooked run is `live_run`'s run: the hook is passive.
+    let live = live_run(scenario, 1, Benchmark::Web, &RunConfig::default());
+    assert!(result.elapsed.is_some(), "the Web run completes");
+    assert_eq!(
+        result.elapsed.map(f64::to_bits),
+        live.elapsed.map(f64::to_bits)
+    );
+    let stats = tb
+        .sim
+        .node::<WirelessChannel>(tb.channel.expect("wireless testbed"))
+        .stats();
+    (
+        digest.read(),
+        tb.sim.events_processed(),
+        tb.sim.peak_queue_depth(),
+        stats,
+    )
+}
+
+#[test]
+fn wean_web_run_dispatches_in_the_pinned_order() {
+    let (digest, events, peak, cs) = hooked_web_run(&Scenario::wean());
+    assert!(cs.dropped > 0, "channel losses: {cs:?}");
+    assert_eq!(events, 49971);
+    assert_eq!(peak, 357);
+    assert_eq!(digest, (0x754b48761c9ff6d, 7356, 0));
+}
+
+#[test]
+fn chatterbox_web_run_dispatches_in_the_pinned_order() {
+    // Wean has no cross traffic; Chatterbox is the scenario that does.
+    let (digest, events, peak, cs) = hooked_web_run(&Scenario::chatterbox());
+    assert!(cs.cross_frames > 0 && cs.dropped > 0, "{cs:?}");
+    assert_eq!(events, 66093);
+    assert_eq!(peak, 510);
+    assert_eq!(digest, (0xd70ce6805c6cddd3, 7339, 0));
+}
