@@ -463,21 +463,6 @@ pub(crate) fn live_modulated_run_inner(
         "netsim.modulate.peak_queue_depth",
         eth.sim.peak_queue_depth() as u64,
     );
-    // Calendar-queue health for both simulators: all virtual-time
-    // deterministic, so they are part of the cross-worker byte-identity
-    // surface like every other counter here.
-    for (prefix, qs) in [
-        ("netsim.collect", wl.sim.queue_stats()),
-        ("netsim.modulate", eth.sim.queue_stats()),
-    ] {
-        m.set_counter(&format!("{prefix}.wheel_pushes"), qs.pushes);
-        m.set_counter(&format!("{prefix}.wheel_overflow"), qs.overflow_pushes);
-        m.set_counter(&format!("{prefix}.wheel_buckets"), qs.buckets_opened);
-        m.set_counter(
-            &format!("{prefix}.wheel_whole_drains"),
-            qs.buckets_drained_whole,
-        );
-    }
     if let Some(ch) = wl.channel {
         let cs = wl.sim.node::<WirelessChannel>(ch).stats();
         m.set_counter("wavelan.up_frames", cs.up_frames);

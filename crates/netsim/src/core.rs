@@ -1,4 +1,4 @@
-//! The event core: one virtual clock, one calendar queue, one dispatch
+//! The event core: one virtual clock, one binary heap, one dispatch
 //! loop.
 //!
 //! Both simulators in this crate run on [`EventCore`]. The paper
@@ -9,6 +9,13 @@
 //! owns no threads and no wall clock: it advances only when
 //! [`run`](EventCore::run) dispatches, so the same schedule always
 //! replays the same way.
+//!
+//! The queue is a plain binary heap on `(due, seq)` because it is
+//! always nearly empty: a fleet client's core peaks at 2 queued events,
+//! a single-client run at a few hundred. At those depths a sift costs a
+//! handful of comparisons, less than any bucket bookkeeping. The
+//! modulator's hold queue, which batch-drains a tick at a time, is the
+//! one user of the calendar queue in [`wheel`](crate::wheel).
 //!
 //! [`run`](EventCore::run) is the only loop that pops the queue. Its
 //! two extras over plain dispatch cost a caller that does not use them
@@ -22,15 +29,11 @@
 //! * **an event budget** — an abort after a fixed number of events
 //!   (the single-client `Simulator::run(limit)`).
 
-use crate::wheel::{CalendarQueue, WheelItem, WheelStats};
+use crate::wheel::{Front, WheelItem};
+use std::collections::BinaryHeap;
 
-/// Calendar-queue bucket width: ~1 ms (a power of two, so the divide
-/// is a shift). Quantization affects only where the queue files an
-/// event, never dispatch order, which stays exact `(due, seq)`.
-const TICK_NS: u64 = 1 << 20;
-
-/// A deterministic event core: a virtual clock plus a calendar queue
-/// of `T`s dispatched in `(due, seq)` order.
+/// A deterministic event core: a virtual clock plus a min-heap of `T`s
+/// dispatched in `(due, seq)` order.
 ///
 /// `seq` is assigned by [`push`](Self::push) in schedule order, so two
 /// events due at the same instant dispatch in the order they were
@@ -38,7 +41,7 @@ const TICK_NS: u64 = 1 << 20;
 pub struct EventCore<T: WheelItem> {
     now_ns: u64,
     seq: u64,
-    queue: CalendarQueue<T>,
+    queue: BinaryHeap<Front<T>>,
     processed: u64,
     queue_peak: usize,
 }
@@ -62,13 +65,12 @@ impl<T: WheelItem> Default for EventCore<T> {
 }
 
 impl<T: WheelItem> EventCore<T> {
-    /// An empty core at time zero with the default wheel geometry
-    /// (~1 ms tick, 4096 slots: a ~4.3 s live window).
+    /// An empty core at time zero.
     pub fn new() -> Self {
         EventCore {
             now_ns: 0,
             seq: 0,
-            queue: CalendarQueue::new(TICK_NS),
+            queue: BinaryHeap::new(),
             processed: 0,
             queue_peak: 0,
         }
@@ -97,12 +99,6 @@ impl<T: WheelItem> EventCore<T> {
         self.queue_peak
     }
 
-    /// Calendar-queue usage counters (pushes, overflow pushes, buckets
-    /// opened/drained, peak length). Virtual-time deterministic.
-    pub fn queue_stats(&self) -> WheelStats {
-        self.queue.stats()
-    }
-
     /// Queue the event `make(seq)` builds from its schedule-order
     /// sequence number. Panics if the event is due before now.
     pub fn push(&mut self, make: impl FnOnce(u64) -> T) {
@@ -112,7 +108,7 @@ impl<T: WheelItem> EventCore<T> {
             item.due_ns() >= self.now_ns,
             "cannot schedule into the past"
         );
-        self.queue.push(item);
+        self.queue.push(Front(item));
         self.queue_peak = self.queue_peak.max(self.queue.len());
     }
 
@@ -171,7 +167,7 @@ impl<T: WheelItem> EventCore<T> {
             .now_ns
             .checked_div(interval_ns)
             .map_or(u64::MAX, |q| (q + 1).saturating_mul(interval_ns));
-        while let Some(due) = self.queue.next_due_ns() {
+        while let Some(due) = self.queue.peek().map(|f| f.0.due_ns()) {
             if due > deadline_ns {
                 break;
             }
@@ -182,7 +178,7 @@ impl<T: WheelItem> EventCore<T> {
             if self.processed - start >= limit {
                 return true;
             }
-            let ev = self.queue.pop_next().expect("next_due_ns saw an item");
+            let ev = self.queue.pop().expect("peek saw an item").0;
             debug_assert!(ev.due_ns() >= self.now_ns, "event queue went backwards");
             self.now_ns = ev.due_ns();
             self.processed += 1;

@@ -7,7 +7,6 @@ use crate::link::{Link, LinkId, LinkParams, LinkStats};
 use crate::node::{Context, FrameHook, Node, PortBinding};
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use crate::wheel::WheelStats;
 use std::collections::HashMap;
 
 /// A deterministic discrete-event network simulator.
@@ -61,12 +60,6 @@ impl Simulator {
     /// regardless of wall-clock interleaving.
     pub fn peak_queue_depth(&self) -> usize {
         self.core.peak_queue_depth()
-    }
-
-    /// Calendar-queue usage counters (pushes, overflow pushes, buckets
-    /// opened/drained, peak length). Virtual-time deterministic.
-    pub fn queue_stats(&self) -> WheelStats {
-        self.core.queue_stats()
     }
 
     /// Register a node; returns its id.

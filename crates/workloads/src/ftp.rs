@@ -333,7 +333,7 @@ impl App for FtpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{LinkParams, NodeId, Simulator, WheelStats};
+    use netsim::{LinkParams, NodeId, Simulator};
     use netstack::{start_host, AppId, Host, HostConfig, NIC_PORT};
     use packet::MacAddr;
 
@@ -397,21 +397,11 @@ mod tests {
     #[test]
     fn ftp_run_pins_the_engine_counters() {
         // A fixed 1 MB fetch between two hosts: the single-client
-        // event core must dispatch, queue and bucket it exactly as it
+        // event core must dispatch and queue it exactly as it
         // did when these counters were recorded.
         let (sim, nc, app) = transfer_sim(FtpDirection::Recv, 1_000_000);
         assert!(sim.node::<Host>(nc).app::<FtpClient>(app).is_done());
         assert_eq!(sim.events_processed(), 1059);
         assert_eq!(sim.peak_queue_depth(), 39);
-        assert_eq!(
-            sim.queue_stats(),
-            WheelStats {
-                pushes: 1060,
-                overflow_pushes: 3,
-                buckets_opened: 725,
-                buckets_drained_whole: 0,
-                peak_len: 39,
-            }
-        );
     }
 }
