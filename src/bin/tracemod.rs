@@ -107,13 +107,14 @@ impl Kind {
 }
 
 /// One flag of one command: its name, value kind, default (`""` for
-/// none) and help line. Written nowhere else.
+/// none), largest integer value and help line. Written nowhere else.
 #[derive(Clone, Copy)]
 struct Flag {
     name: &'static str,
     kind: Kind,
     default: &'static str,
     required: bool,
+    max: u64,
     help: &'static str,
 }
 
@@ -143,12 +144,12 @@ mod table {
 
     /// An optional flag, with its default (`""` for none).
     const fn flag(name: &'static str, kind: Kind, default: &'static str, help: &'static str) -> Flag {
-        Flag { name, kind, default, required: false, help }
+        Flag { name, kind, default, required: false, max: u64::MAX, help }
     }
 
     /// A flag every invocation must give.
     const fn need(name: &'static str, kind: Kind, help: &'static str) -> Flag {
-        Flag { name, kind, default: "", required: true, help }
+        Flag { name, kind, default: "", required: true, max: u64::MAX, help }
     }
 
     const fn cmd(name: &'static str, operands: &'static [&'static str], run: fn(&Args) -> CliResult,
@@ -160,7 +161,8 @@ mod table {
     const SCENARIO: &[Flag] = &[
         flag("scenario", Text, "", SCENARIO_HELP),
         flag("scenario-file", Text, "", "custom scenario JSON (see dump-scenario), in place of --scenario"),
-        flag("duration-secs", Positive, "", "shorten or stretch the traversal"),
+        // At most one virtual day: anything longer is a typo, not an experiment.
+        Flag { max: 86_400, ..flag("duration-secs", Positive, "", "shorten or stretch the traversal") },
     ];
     /// [`SCENARIO`], defaulting to the Porter walk.
     const PORTER: &[Flag] = &[flag("scenario", Text, "porter", SCENARIO_HELP), SCENARIO[1], SCENARIO[2]];
@@ -287,6 +289,10 @@ fn usage(cmds: &[Command]) -> String {
                 (false, "") => String::new(),
                 (false, d) => format!(" [default: {d}]"),
             };
+            let note = match f.max {
+                u64::MAX => note,
+                max => format!("{note} [max: {max}]"),
+            };
             let _ = writeln!(s, "      {:<28} {}{note}", spec.trim_end(), f.help);
         }
     }
@@ -346,6 +352,12 @@ impl Args {
                     .ok_or_else(|| CliError::usage(format!("--{name} needs a value")))?,
             };
             f.kind.check(name, &value)?;
+            if value.parse::<u64>().is_ok_and(|n| n > f.max) {
+                let cap = f.max;
+                return Err(CliError::usage(format!(
+                    "--{name}: '{value}' is above the cap of {cap}"
+                )));
+            }
             args.given.push((f, value));
         }
         match cmd
@@ -1414,6 +1426,9 @@ mod tests {
             for f in cmd.flags() {
                 assert!(!names.contains(&f.name), "{}: --{} twice", cmd.name, f.name);
                 names.push(f.name);
+                if f.max != u64::MAX {
+                    assert!(matches!(f.kind, Positive | U64), "--{} caps text", f.name);
+                }
                 if !f.default.is_empty() {
                     assert!(
                         f.kind != Switch,

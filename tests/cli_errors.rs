@@ -775,3 +775,33 @@ fn journey_window_rejects_non_finite_bounds() {
         assert_exit(&out, 2, "invalid --window");
     }
 }
+
+#[test]
+fn duration_secs_is_capped_at_one_day() {
+    // Past the cap is a usage error that names the cap, on a command
+    // that would otherwise simulate; the cap itself is accepted (by a
+    // command that does not simulate).
+    for (cmd, value) in [
+        ("fleet", "10000000000"),
+        ("live", "86401"),
+        ("chaos", "86401"),
+    ] {
+        let out = tracemod(&[cmd, "--duration-secs", value]);
+        assert_exit(
+            &out,
+            2,
+            &format!("--duration-secs: '{value}' is above the cap of 86400"),
+        );
+    }
+    let out = tracemod(&[
+        "dump-scenario",
+        "--scenario",
+        "porter",
+        "--duration-secs",
+        "86400",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{}", stderr_of(&out));
+    let help = tracemod(&["help"]);
+    let help = String::from_utf8_lossy(&help.stdout);
+    assert!(help.contains("shorten or stretch the traversal [max: 86400]"));
+}
