@@ -6,8 +6,8 @@
 //! * virtual time ([`SimTime`], [`SimDuration`]) — experiments run in
 //!   simulated nanoseconds, deterministically and far faster than real
 //!   time;
-//! * one event core ([`EventCore`]): a virtual clock and a calendar
-//!   queue dispatched in strict `(time, sequence)` order by a single
+//! * one event core ([`EventCore`]): a virtual clock and a binary
+//!   heap dispatched in strict `(time, sequence)` order by a single
 //!   run loop, so identical seeds reproduce identical runs. The paper
 //!   pipeline's [`Simulator`] routes its events to nodes; the
 //!   [`fleet`]'s `FleetSim` is the same core over client-tagged events;
