@@ -2,7 +2,7 @@
 //! under one process.
 //!
 //! The entry prices the whole per-client pipeline — channel-model
-//! synthesis, per-client modulation through narrow calendar queues,
+//! synthesis, per-client modulation through two-FIFO hold queues,
 //! the shared station/core hops, and manifest assembly — at the
 //! headline client count. The one shard plays its clients one at a
 //! time, each client's whole timeline on an event core of its own, so

@@ -69,11 +69,6 @@ const STATION_ALPHA: f64 = 0.02;
 /// Cadence at which each client's channel model is sampled into replay
 /// tuples (the distiller's interval scale).
 const TUPLE_CADENCE_NS: u64 = 2_000_000_000;
-/// Per-client modulation-wheel width: 64 slots × the NetBSD 10 ms tick
-/// every client's modulator runs on still cover 640 ms of holds, with
-/// 256 B of slot heads per client instead of ~16 KiB (see
-/// `netsim::wheel::SLOTS`).
-const CLIENT_WHEEL_SLOTS: usize = 64;
 /// Virtual grace past the scenario end for in-flight drains.
 const DRAIN_GRACE_NS: u64 = 10_000_000_000;
 
@@ -126,8 +121,7 @@ pub struct FleetPlan {
 impl FleetPlan {
     /// A fleet of `clients` walking `scenario` with the defaults: one
     /// shard, one station per 32 clients, 1 s probe cadence. Every
-    /// client's modulator runs the NetBSD 10 ms clock on a 64-slot
-    /// wheel.
+    /// client's modulator runs the NetBSD 10 ms clock.
     pub fn new(scenario: Scenario, clients: u32) -> Self {
         assert!(clients > 0, "a fleet needs at least one client");
         FleetPlan {
@@ -298,9 +292,7 @@ impl ClientState {
     /// Client `c` at time zero: its own channel realization behind a
     /// fresh modulator, and its own traffic stream.
     fn new(plan: &FleetPlan, c: u32, station: u32) -> Self {
-        let mut m = Modulator::from_replay(client_replay(plan, c))
-            .with_clock(TickClock::netbsd())
-            .with_wheel_slots(CLIENT_WHEEL_SLOTS);
+        let mut m = Modulator::from_replay(client_replay(plan, c)).with_clock(TickClock::netbsd());
         m.begin(SimTime::ZERO);
         ClientState {
             m,
@@ -333,14 +325,7 @@ impl ClientState {
         mm.set_counter("modulate.held", s.held);
         mm.set_counter("modulate.dropped", s.dropped);
         mm.set_counter("modulate.unmodulated", s.unmodulated);
-        let w = self.m.sched_stats();
-        mm.set_counter("modulate.sched.pushes", w.pushes);
-        mm.set_counter("modulate.sched.overflow_pushes", w.overflow_pushes);
-        mm.set_counter("modulate.sched.buckets_opened", w.buckets_opened);
-        mm.set_counter(
-            "modulate.sched.buckets_drained_whole",
-            w.buckets_drained_whole,
-        );
+        mm.set_counter("modulate.sched.pushes", s.held);
         man
     }
 }

@@ -494,10 +494,8 @@ pub(crate) fn live_modulated_run_inner(
         m.set_counter("modulate.dropped", ms.dropped);
         m.set_counter("modulate.unmodulated", ms.unmodulated);
         m.set_gauge("modulate.held_now", modulator.held_count() as f64);
-        let ss = modulator.sched_stats();
-        m.set_counter("modulate.sched.pushes", ss.pushes);
-        m.set_counter("modulate.sched.whole_drains", ss.buckets_drained_whole);
-        m.set_gauge("modulate.sched.peak_held", ss.peak_len as f64);
+        m.set_counter("modulate.sched.pushes", ms.held);
+        m.set_gauge("modulate.sched.peak_held", modulator.peak_held() as f64);
         manifest.fidelity = modulator.fidelity();
     }
     m.set_counter("modulate.buffer_written", buf.total_written());

@@ -328,7 +328,7 @@ fn pinned_porter_plan() -> FleetPlan {
 }
 
 const PORTER_DIGESTS: &[(&str, u64)] = &[
-    ("manifests", 0xc0df_383e_ac41_d4ab),
+    ("manifests", 0xaae9_529a_45de_062f),
     ("report", 0x90c3_7165_c010_ff3c),
     ("telemetry.jsonl", 0x8fb5_88fc_be0e_7d78),
     ("telemetry.prom", 0xc4a3_7bb5_21ba_d270),
@@ -336,7 +336,7 @@ const PORTER_DIGESTS: &[(&str, u64)] = &[
 ];
 
 const LEO_DIGESTS: &[(&str, u64)] = &[
-    ("manifests", 0x4116_346d_fd59_b6ed),
+    ("manifests", 0xc84f_f1bf_84b8_dd78),
     ("report", 0xc11f_3c1f_d383_0c9a),
     ("telemetry.jsonl", 0x294e_cb54_4698_b954),
     ("telemetry.prom", 0x2ffe_707c_623f_288d),

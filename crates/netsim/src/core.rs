@@ -13,9 +13,7 @@
 //! The queue is a plain binary heap on `(due, seq)` because it is
 //! always nearly empty: a fleet client's core peaks at 2 queued events,
 //! a single-client run at a few hundred. At those depths a sift costs a
-//! handful of comparisons, less than any bucket bookkeeping. The
-//! modulator's hold queue, which batch-drains a tick at a time, is the
-//! one user of the calendar queue in [`wheel`](crate::wheel).
+//! handful of comparisons, less than any bucket bookkeeping.
 //!
 //! [`run`](EventCore::run) is the only loop that pops the queue. Its
 //! two extras over plain dispatch cost a caller that does not use them
@@ -29,8 +27,39 @@
 //! * **an event budget** — an abort after a fixed number of events
 //!   (the single-client `Simulator::run(limit)`).
 
-use crate::wheel::{Front, WheelItem};
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+
+/// Sort keys for queued events. `(due_ns, seq)` must be unique per
+/// queue ([`EventCore::push`] guarantees this with a monotone sequence
+/// counter), which makes dispatch order total and deterministic.
+pub trait WheelItem {
+    /// Absolute due time in nanoseconds.
+    fn due_ns(&self) -> u64;
+    /// Tie-break sequence number (scheduling order).
+    fn seq(&self) -> u64;
+}
+
+/// Min-heap adapter: reverses `(due, seq)` so `BinaryHeap` pops the
+/// earliest item first.
+struct Front<T>(T);
+
+impl<T: WheelItem> PartialEq for Front<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl<T: WheelItem> Eq for Front<T> {}
+impl<T: WheelItem> PartialOrd for Front<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T: WheelItem> Ord for Front<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.0.due_ns(), other.0.seq()).cmp(&(self.0.due_ns(), self.0.seq()))
+    }
+}
 
 /// A deterministic event core: a virtual clock plus a min-heap of `T`s
 /// dispatched in `(due, seq)` order.

@@ -77,7 +77,7 @@ pub(crate) struct Scheduled {
     pub kind: EventKind,
 }
 
-impl crate::wheel::WheelItem for Scheduled {
+impl crate::core::WheelItem for Scheduled {
     fn due_ns(&self) -> u64 {
         self.time.as_nanos()
     }

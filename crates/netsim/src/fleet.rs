@@ -41,8 +41,7 @@
 //! Telemetry samples follow the core's boundary rule
 //! ([`EventCore::run`]), which makes them layout-invariant too.
 
-use crate::core::EventCore;
-use crate::wheel::WheelItem;
+use crate::core::{EventCore, WheelItem};
 
 /// One scheduled fleet event: when, for whom, and what.
 #[derive(Debug, Clone, Copy)]

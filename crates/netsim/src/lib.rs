@@ -56,13 +56,11 @@ mod node;
 mod rng;
 pub mod stats;
 mod time;
-pub mod wheel;
 
-pub use self::core::{EventCore, Step};
+pub use self::core::{EventCore, Step, WheelItem};
 pub use engine::Simulator;
 pub use event::{EventKind, Frame, NodeId, PortId};
 pub use link::{LinkId, LinkParams, LinkStats};
 pub use node::{Context, FrameHook, Node};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use wheel::{CalendarQueue, WheelItem, WheelStats};

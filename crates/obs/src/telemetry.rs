@@ -184,7 +184,7 @@ sample_fields! {
     packets_live: Level,
         Some(("fleet_packets_live", "Packets in flight at the last boundary.")),
         Row("packets live");
-    /// Packets held across all modulation wheels at the boundary.
+    /// Packets held across all modulators' hold queues at the boundary.
     mod_held: Level,
         Some(("fleet_mod_held", "Packets held in modulation wheels at the last boundary.")),
         Row("mod held");
