@@ -32,6 +32,10 @@ pub mod signal;
 pub mod spec;
 pub mod wavepoint;
 
+/// Longest run a scenario, a pack or `--duration-secs` may ask for:
+/// one virtual day. Anything longer is a typo, not an experiment.
+pub const MAX_DURATION_SECS: u64 = 86_400;
+
 pub use channel::{ChannelStats, WirelessChannel, MOBILE_PORT, WIRED_PORT};
 pub use crosstraffic::{CrossTraffic, CrossTrafficCfg};
 pub use errant::{ErrantModel, ErrantProfile, Rat};

@@ -24,6 +24,7 @@ use crate::model::{ChannelModel, ConstantModel, LinkConditions, PiecewiseModel};
 use crate::scenario::Scenario;
 use crate::signal::SignalInfo;
 use crate::wavepoint::{PhysicalModel, WavePoint};
+use crate::MAX_DURATION_SECS;
 use netsim::{SimDuration, SimRng};
 use obs::toml::{self, Line};
 use serde::{Deserialize, Serialize};
@@ -493,9 +494,14 @@ impl ScenarioPack {
                     "name" => name = toml::string(key, value)?,
                     "duration_secs" => {
                         let n = toml::number(key, value)?;
-                        if n < 1.0 || n.fract() != 0.0 || n > 1e9 {
+                        if n < 1.0 || n.fract() != 0.0 {
                             return Err(format!(
                                 "'duration_secs' must be a positive integer, got '{value}'"
+                            ));
+                        }
+                        if n > MAX_DURATION_SECS as f64 {
+                            return Err(format!(
+                                "'duration_secs' {value} is above the cap of {MAX_DURATION_SECS}"
                             ));
                         }
                         duration_secs = Some(n as u64);
@@ -550,8 +556,14 @@ impl ScenarioPack {
     /// — call [`validate`](Self::validate) next.
     pub fn from_json(s: &str) -> Result<ScenarioPack, String> {
         let pj: PackJson = serde_json::from_str(s).map_err(|e| format!("pack: {e}"))?;
-        if pj.duration_secs == 0 || pj.duration_secs > 1_000_000_000 {
+        if pj.duration_secs == 0 {
             return Err("pack: 'duration_secs' must be a positive integer".to_string());
+        }
+        if pj.duration_secs > MAX_DURATION_SECS {
+            return Err(format!(
+                "pack: 'duration_secs' {} is above the cap of {MAX_DURATION_SECS}",
+                pj.duration_secs
+            ));
         }
         if pj.name.is_empty() {
             return Err("pack: missing 'name'".to_string());

@@ -6,6 +6,7 @@
 use crate::crosstraffic::CrossTrafficCfg;
 use crate::model::Checkpoint;
 use crate::scenario::Scenario;
+use crate::MAX_DURATION_SECS;
 use netsim::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -100,6 +101,12 @@ impl ScenarioSpec {
         }
         if self.duration_secs == 0 {
             return Err("duration_secs must be positive".into());
+        }
+        if self.duration_secs > MAX_DURATION_SECS {
+            return Err(format!(
+                "duration_secs {} is above the cap of {MAX_DURATION_SECS}",
+                self.duration_secs
+            ));
         }
         for c in &self.checkpoints {
             if !(0.0..=1.0).contains(&c.loss.0) || !(0.0..=1.0).contains(&c.loss.1) {

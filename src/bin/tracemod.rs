@@ -161,8 +161,7 @@ mod table {
     const SCENARIO: &[Flag] = &[
         flag("scenario", Text, "", SCENARIO_HELP),
         flag("scenario-file", Text, "", "custom scenario JSON (see dump-scenario), in place of --scenario"),
-        // At most one virtual day: anything longer is a typo, not an experiment.
-        Flag { max: 86_400, ..flag("duration-secs", Positive, "", "shorten or stretch the traversal") },
+        Flag { max: wavelan::MAX_DURATION_SECS, ..flag("duration-secs", Positive, "", "shorten or stretch the traversal") },
     ];
     /// [`SCENARIO`], defaulting to the Porter walk.
     const PORTER: &[Flag] = &[flag("scenario", Text, "porter", SCENARIO_HELP), SCENARIO[1], SCENARIO[2]];

@@ -805,3 +805,62 @@ fn duration_secs_is_capped_at_one_day() {
     let help = String::from_utf8_lossy(&help.stdout);
     assert!(help.contains("shorten or stretch the traversal [max: 86400]"));
 }
+
+#[test]
+fn scenario_files_and_packs_are_capped_at_one_day() {
+    let day = "\"duration_secs\": 86400";
+    let dumped = tracemod(&[
+        "dump-scenario",
+        "--scenario",
+        "porter",
+        "--duration-secs",
+        "86400",
+    ]);
+    let spec = String::from_utf8(dumped.stdout).unwrap();
+    assert!(spec.contains(day), "{spec}");
+    // Each input at `secs`: a scenario file, a TOML pack and a JSON pack.
+    let inputs = |secs: u64| {
+        let files = [
+            (
+                "scenario.json",
+                spec.replace(day, &format!("\"duration_secs\": {secs}")),
+            ),
+            (
+                "pack.toml",
+                format!(
+                    "name = \"cap\"\nduration_secs = {secs}\n\n[[model]]\nfamily = \"constant\"\n"
+                ),
+            ),
+            (
+                "pack.json",
+                format!(
+                    r#"{{"name":"cap","duration_secs":{secs},"models":[{{"family":"constant"}}]}}"#
+                ),
+            ),
+        ];
+        files.map(|(tag, text)| {
+            let path = temp_path(tag);
+            std::fs::write(&path, text).unwrap();
+            let flag = if tag.starts_with("scenario") {
+                "--scenario-file"
+            } else {
+                "--scenario"
+            };
+            (flag, path)
+        })
+    };
+    for (flag, path) in inputs(86_401) {
+        let out = tracemod(&["fleet", "--clients", "4", flag, path.to_str().unwrap()]);
+        std::fs::remove_file(&path).ok();
+        // A scenario file that does not hold a valid scenario is a
+        // runtime error (exit 1); a bad pack is a usage error (exit 2).
+        let code = if flag == "--scenario-file" { 1 } else { 2 };
+        assert_exit(&out, code, "86401 is above the cap of 86400");
+    }
+    for (flag, path) in inputs(86_400) {
+        let out = tracemod(&["dump-scenario", flag, path.to_str().unwrap()]);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(out.status.code(), Some(0), "stderr:\n{}", stderr_of(&out));
+        assert!(String::from_utf8_lossy(&out.stdout).contains(day));
+    }
+}
