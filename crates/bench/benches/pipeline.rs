@@ -4,7 +4,7 @@
 //! buffer.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use distill::{distill, distill_stream, DistillConfig, Distiller};
+use distill::{distill_stream, distill_with_report, DistillConfig, Distiller};
 use modulate::{Modulator, TickClock};
 use netsim::{SimRng, SimTime};
 use netstack::{Direction, LinkShim, ShimRelease};
@@ -66,7 +66,8 @@ fn bench_distillation(c: &mut Criterion) {
     g.throughput(Throughput::Elements(trace.records.len() as u64));
     g.bench_function("distill_10min_trace", |b| {
         b.iter(|| {
-            let replay = distill(std::hint::black_box(&trace), &DistillConfig::default());
+            let replay =
+                distill_with_report(std::hint::black_box(&trace), &DistillConfig::default()).replay;
             assert!(replay.is_valid());
         });
     });

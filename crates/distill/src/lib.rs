@@ -17,7 +17,8 @@
 //! * [`pipeline`] — the one-pass distillation gluing these together,
 //!   exposed both as the incremental [`Distiller`] operator (records
 //!   in, tuples out, O(window) state — usable while collection is
-//!   still running) and as the batch [`distill`] adapter over it;
+//!   still running) and as the batch [`distill_with_report`] adapter
+//!   over it;
 //! * [`synthetic`] — hand-built replay traces (constant/step/impulse and
 //!   the Figure 1 WaveLAN-like / slow-network pairs);
 //! * [`asymmetric`] — the §6 future-work extension: one-way distillation
@@ -35,8 +36,7 @@ pub mod window;
 
 pub use asymmetric::{distill_asymmetric, AsymmetricReport};
 pub use pipeline::{
-    distill, distill_stream, distill_with_report, DistillConfig, DistillReport, DistillStats,
-    Distiller,
+    distill_stream, distill_with_report, DistillConfig, DistillReport, DistillStats, Distiller,
 };
 pub use solver::{correct, solve, solve_or_correct, DelayEstimate, SolveIssue, TripletObservation};
 pub use synthetic::NetworkParams;

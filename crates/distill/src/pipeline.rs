@@ -8,8 +8,8 @@
 //! [`TupleSink`] as soon as each window step is provably final — so
 //! modulation can start consuming tuples while collection is still
 //! running, and peak state is O(window), never the whole trace. The
-//! batch [`distill`] / [`distill_with_report`] entry points are thin
-//! adapters over the same operator and produce bit-identical output.
+//! batch [`distill_with_report`] entry point is a thin adapter over the
+//! same operator and produces bit-identical output.
 
 use crate::loss::LossWindow;
 use crate::solver::{solve_or_correct, DelayEstimate, TripletObservation};
@@ -408,14 +408,10 @@ where
     Ok(d.finish(sink))
 }
 
-/// Distill a collected trace into a replay trace.
-pub fn distill(trace: &Trace, cfg: &DistillConfig) -> ReplayTrace {
-    distill_with_report(trace, cfg).replay
-}
-
-/// Distill, returning the full report. Batch adapter over the
-/// incremental [`Distiller`] — output is bit-identical to the original
-/// whole-trace pipeline.
+/// Distill a whole collected trace, returning the replay trace and the
+/// per-group estimates. Batch adapter over the incremental
+/// [`Distiller`] — output is bit-identical to the original whole-trace
+/// pipeline.
 pub fn distill_with_report(trace: &Trace, cfg: &DistillConfig) -> DistillReport {
     let mut replay = ReplayTrace::new(&format!("{} trial {}", trace.scenario, trace.trial));
     let mut distiller = Distiller::new(cfg).record_estimates();
@@ -539,7 +535,7 @@ mod tests {
     #[test]
     fn tuple_durations_cover_trace_span() {
         let trace = synth_trace(25, 1e-3, 4e-6, 1e-6, |_| false);
-        let replay = distill(&trace, &DistillConfig::default());
+        let replay = distill_with_report(&trace, &DistillConfig::default()).replay;
         let total = replay.total_duration().as_secs_f64();
         let span = trace.span_ns() as f64 / 1e9;
         assert!((total - span).abs() < 0.1, "total {total}, span {span}");
@@ -548,7 +544,7 @@ mod tests {
     #[test]
     fn empty_trace_produces_empty_replay() {
         let trace = Trace::new("h", "empty", 1);
-        let replay = distill(&trace, &DistillConfig::default());
+        let replay = distill_with_report(&trace, &DistillConfig::default()).replay;
         assert!(replay.tuples.is_empty());
     }
 
@@ -558,7 +554,7 @@ mod tests {
         // effectively instant (well under a second even in debug builds).
         let trace = synth_trace(3600, 2e-3, 4e-6, 0.8e-6, |_| false);
         let start = std::time::Instant::now();
-        let replay = distill(&trace, &DistillConfig::default());
+        let replay = distill_with_report(&trace, &DistillConfig::default()).replay;
         assert!(replay.is_valid());
         assert!(start.elapsed().as_secs_f64() < 5.0);
     }
@@ -567,7 +563,7 @@ mod tests {
     fn stream_matches_batch_bitwise() {
         let trace = synth_trace(60, 2e-3, 4e-6, 0.8e-6, |seq| seq % 7 == 3);
         let cfg = DistillConfig::default();
-        let batch = distill(&trace, &cfg);
+        let batch = distill_with_report(&trace, &cfg).replay;
         let mut streamed: Vec<QualityTuple> = Vec::new();
         let mut stream = VecStream::from_trace(trace);
         let stats = distill_stream(&mut stream, &cfg, &mut streamed).unwrap();
