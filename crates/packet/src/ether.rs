@@ -104,13 +104,20 @@ impl EtherHeader {
         ))
     }
 
+    /// Write the header into the first [`ETHER_HEADER_LEN`] bytes of
+    /// `frame`; the payload after them is left as it is. Panics if
+    /// `frame` is shorter than the header.
+    pub fn write(&self, frame: &mut [u8]) {
+        let h = &mut frame[..ETHER_HEADER_LEN];
+        h[0..6].copy_from_slice(&self.dst.0);
+        h[6..12].copy_from_slice(&self.src.0);
+        h[12..14].copy_from_slice(&u16::from(self.ethertype).to_be_bytes());
+    }
+
     /// Serialize the header followed by `payload`.
     pub fn emit(&self, payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(ETHER_HEADER_LEN + payload.len());
-        out.extend_from_slice(&self.dst.0);
-        out.extend_from_slice(&self.src.0);
-        out.extend_from_slice(&u16::from(self.ethertype).to_be_bytes());
-        out.extend_from_slice(payload);
+        let mut out = crate::with_headroom(ETHER_HEADER_LEN, payload);
+        self.write(&mut out);
         out
     }
 }

@@ -117,29 +117,37 @@ impl Ipv4Header {
         Ok((header, &data[ihl..total_len]))
     }
 
-    /// Serialize a 20-byte header followed by `payload`, computing the
-    /// header checksum and total length.
-    pub fn emit(&self, payload: &[u8]) -> Vec<u8> {
-        let total = IPV4_HEADER_LEN + payload.len();
+    /// Write a 20-byte header into the front of `datagram`, whose whole
+    /// length (header plus the payload already in place after it) is the
+    /// total length; computes the header checksum. Panics if `datagram`
+    /// is shorter than the header or longer than 65 535 bytes.
+    pub fn write(&self, datagram: &mut [u8]) {
+        let total = datagram.len();
         assert!(total <= u16::MAX as usize, "IPv4 datagram too large");
-        let mut out = Vec::with_capacity(total);
-        out.push(0x45); // version 4, IHL 5
-        out.push(0); // DSCP/ECN
-        out.extend_from_slice(&(total as u16).to_be_bytes());
-        out.extend_from_slice(&self.ident.to_be_bytes());
+        let h = &mut datagram[..IPV4_HEADER_LEN];
+        h[0] = 0x45; // version 4, IHL 5
+        h[1] = 0; // DSCP/ECN
+        h[2..4].copy_from_slice(&(total as u16).to_be_bytes());
+        h[4..6].copy_from_slice(&self.ident.to_be_bytes());
         // Flags+fragment-offset: MF when more fragments follow; DF is
         // left clear so the stack may fragment large datagrams.
         let flags_frag =
             (if self.more_fragments { 0x2000u16 } else { 0 }) | (self.frag_offset & 0x1FFF);
-        out.extend_from_slice(&flags_frag.to_be_bytes());
-        out.push(self.ttl);
-        out.push(self.protocol.into());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&self.src.octets());
-        out.extend_from_slice(&self.dst.octets());
-        let c = checksum(&out[..IPV4_HEADER_LEN]);
-        out[10..12].copy_from_slice(&c.to_be_bytes());
-        out.extend_from_slice(payload);
+        h[6..8].copy_from_slice(&flags_frag.to_be_bytes());
+        h[8] = self.ttl;
+        h[9] = self.protocol.into();
+        h[10..12].copy_from_slice(&[0, 0]); // checksum placeholder
+        h[12..16].copy_from_slice(&self.src.octets());
+        h[16..20].copy_from_slice(&self.dst.octets());
+        let c = checksum(h);
+        h[10..12].copy_from_slice(&c.to_be_bytes());
+    }
+
+    /// Serialize a 20-byte header followed by `payload`, computing the
+    /// header checksum and total length.
+    pub fn emit(&self, payload: &[u8]) -> Vec<u8> {
+        let mut out = crate::with_headroom(IPV4_HEADER_LEN, payload);
+        self.write(&mut out);
         out
     }
 }

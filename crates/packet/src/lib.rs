@@ -52,6 +52,20 @@ pub use ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
 pub use tcp::{TcpFlags, TcpHeader, TCP_HEADER_LEN};
 pub use udp::{UdpHeader, UDP_HEADER_LEN};
 
+/// Bytes a frame built in place reserves in front of its transport
+/// header: room for [`EtherHeader::write`] and [`Ipv4Header::write`].
+pub const LINK_IP_HEADROOM: usize = ETHER_HEADER_LEN + IPV4_HEADER_LEN;
+
+/// A buffer of `headroom` zero bytes followed by a copy of `payload`,
+/// allocated once at its final size; a header `write` then fills the
+/// front.
+pub fn with_headroom(headroom: usize, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(headroom + payload.len());
+    out.resize(headroom, 0);
+    out.extend_from_slice(payload);
+    out
+}
+
 /// Convenience: total on-wire size of a TCP data segment with the standard
 /// header stack (Ethernet + IPv4 + TCP), as the modulation model charges
 /// per-byte costs on full frame sizes.

@@ -173,31 +173,38 @@ impl TcpHeader {
         ))
     }
 
+    /// Write the header into the front of `segment`, whose remainder is
+    /// the payload already in place, and compute the checksum over the
+    /// pseudo-header and the whole segment. Panics if `segment` is
+    /// shorter than [`wire_len`](Self::wire_len).
+    pub fn write(&self, segment: &mut [u8], src: Ipv4Addr, dst: Ipv4Addr) {
+        let hlen = self.wire_len();
+        let h = &mut segment[..hlen];
+        h[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        h[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        h[4..8].copy_from_slice(&self.seq.to_be_bytes());
+        h[8..12].copy_from_slice(&self.ack.to_be_bytes());
+        h[12] = ((hlen / 4) as u8) << 4;
+        h[13] = self.flags.to_byte();
+        h[14..16].copy_from_slice(&self.window.to_be_bytes());
+        h[16..18].copy_from_slice(&[0, 0]); // checksum placeholder
+        h[18..20].copy_from_slice(&[0, 0]); // urgent pointer (unused)
+        if let Some(mss) = self.mss {
+            h[20] = 2;
+            h[21] = 4;
+            h[22..24].copy_from_slice(&mss.to_be_bytes());
+        }
+        let mut c = Checksum::new();
+        c.add_pseudo_header(src, dst, 6, segment.len() as u16);
+        c.add_bytes(segment);
+        let ck = c.finish();
+        segment[16..18].copy_from_slice(&ck.to_be_bytes());
+    }
+
     /// Serialize header + payload, computing the checksum.
     pub fn emit(&self, payload: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
-        let hlen = self.wire_len();
-        let total = hlen + payload.len();
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.ack.to_be_bytes());
-        out.push(((hlen / 4) as u8) << 4);
-        out.push(self.flags.to_byte());
-        out.extend_from_slice(&self.window.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&[0, 0]); // urgent pointer (unused)
-        if let Some(mss) = self.mss {
-            out.push(2);
-            out.push(4);
-            out.extend_from_slice(&mss.to_be_bytes());
-        }
-        out.extend_from_slice(payload);
-        let mut c = Checksum::new();
-        c.add_pseudo_header(src, dst, 6, total as u16);
-        c.add_bytes(&out);
-        let ck = c.finish();
-        out[16..18].copy_from_slice(&ck.to_be_bytes());
+        let mut out = crate::with_headroom(self.wire_len(), payload);
+        self.write(&mut out, src, dst);
         out
     }
 }

@@ -1,6 +1,7 @@
 //! Property-based round-trip tests for every codec: arbitrary field values
-//! must survive emit → parse unchanged, and any single-bit corruption of a
-//! checksummed region must be detected.
+//! must survive emit → parse unchanged, any single-bit corruption of a
+//! checksummed region must be detected, and a frame whose headers are
+//! written in place must equal the nested emits byte for byte.
 
 use packet::*;
 use proptest::prelude::*;
@@ -190,6 +191,54 @@ proptest! {
         let i = idx.index(wire.len());
         wire[i] ^= mask;
         prop_assert!(TcpHeader::parse(&wire, src, dst).is_err());
+    }
+
+    #[test]
+    fn in_place_writes_match_nested_emits(
+        src in arb_ipv4(),
+        dst in arb_ipv4(),
+        sp in any::<u16>(),
+        dp in any::<u16>(),
+        seq in any::<u32>(),
+        ack in any::<u32>(),
+        flags in arb_flags(),
+        window in any::<u16>(),
+        mss in proptest::option::of(any::<u16>()),
+        ident in any::<u16>(),
+        ttl in any::<u8>(),
+        mac_dst in any::<[u8; 6]>(),
+        mac_src in any::<[u8; 6]>(),
+        full in proptest::collection::vec(any::<u8>(), 1460..1461),
+        empty in any::<bool>(),
+        stale in any::<u8>(),
+    ) {
+        let payload = if empty { &[][..] } else { &full[..] };
+        let tcp = TcpHeader { src_port: sp, dst_port: dp, seq, ack, flags, window, mss };
+        let ip = Ipv4Header {
+            src, dst,
+            protocol: IpProtocol::Tcp,
+            ttl,
+            ident,
+            total_len: 0,
+            more_fragments: false,
+            frag_offset: 0,
+        };
+        let ether = EtherHeader {
+            dst: MacAddr(mac_dst),
+            src: MacAddr(mac_src),
+            ethertype: EtherType::Ipv4,
+        };
+        let nested = ether.emit(&ip.emit(&tcp.emit(payload, src, dst)));
+
+        // The stack's layout: headroom for all three headers, then the
+        // payload. Stale bytes in the headroom must not reach the wire.
+        let headroom = LINK_IP_HEADROOM + tcp.wire_len();
+        let mut frame = with_headroom(headroom, payload);
+        frame[..headroom].fill(stale);
+        tcp.write(&mut frame[LINK_IP_HEADROOM..], src, dst);
+        ip.write(&mut frame[ETHER_HEADER_LEN..]);
+        ether.write(&mut frame);
+        prop_assert_eq!(frame, nested);
     }
 
     #[test]
