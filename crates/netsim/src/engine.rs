@@ -4,10 +4,9 @@
 use crate::core::{EventCore, Step};
 use crate::event::{EventKind, NodeId, PortId, Scheduled};
 use crate::link::{Link, LinkId, LinkParams, LinkStats};
-use crate::node::{Context, FrameHook, Node, PortBinding};
+use crate::node::{Context, FrameHook, Node, PortTable};
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use std::collections::HashMap;
 
 /// A deterministic discrete-event network simulator.
 ///
@@ -20,7 +19,7 @@ pub struct Simulator {
     core: EventCore<Scheduled>,
     nodes: Vec<Option<Box<dyn Node>>>,
     links: Vec<Link>,
-    ports: HashMap<(NodeId, PortId), PortBinding>,
+    ports: PortTable,
     rng: SimRng,
     frame_hook: Option<Box<dyn FrameHook>>,
 }
@@ -32,7 +31,7 @@ impl Simulator {
             core: EventCore::new(),
             nodes: Vec::new(),
             links: Vec::new(),
-            ports: HashMap::new(),
+            ports: PortTable::default(),
             rng: SimRng::seed_from_u64(seed),
             frame_hook: None,
         }
@@ -81,33 +80,17 @@ impl Simulator {
         ba: LinkParams,
     ) -> LinkId {
         assert!(
-            !self.ports.contains_key(&(a, pa)),
+            self.ports.get(a, pa).is_none(),
             "port {pa:?} of node {a:?} already connected"
         );
         assert!(
-            !self.ports.contains_key(&(b, pb)),
+            self.ports.get(b, pb).is_none(),
             "port {pb:?} of node {b:?} already connected"
         );
         self.links.push(Link::new(ab, ba));
         let link = self.links.len() - 1;
-        self.ports.insert(
-            (a, pa),
-            PortBinding {
-                link,
-                dir: 0,
-                peer: b,
-                peer_port: pb,
-            },
-        );
-        self.ports.insert(
-            (b, pb),
-            PortBinding {
-                link,
-                dir: 1,
-                peer: a,
-                peer_port: pa,
-            },
-        );
+        self.ports.bind(a, pa, link, 0, (b, pb));
+        self.ports.bind(b, pb, link, 1, (a, pa));
         LinkId(link)
     }
 

@@ -6,7 +6,6 @@ use crate::link::Link;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use std::any::Any;
-use std::collections::HashMap;
 
 /// Where a node's port attaches: which link, which direction index for
 /// transmission, and who is on the far end.
@@ -17,6 +16,43 @@ pub(crate) struct PortBinding {
     pub dir: usize,
     pub peer: NodeId,
     pub peer_port: PortId,
+}
+
+/// Every node's port bindings, indexed by node and then by port: a
+/// frame's route is two `Vec` lookups, with no hashing per send.
+#[derive(Debug, Default)]
+pub(crate) struct PortTable(Vec<Vec<Option<PortBinding>>>);
+
+impl PortTable {
+    /// The binding of `node`'s `port`, if it is connected.
+    pub fn get(&self, node: NodeId, port: PortId) -> Option<&PortBinding> {
+        self.0.get(node.0)?.get(port.0)?.as_ref()
+    }
+
+    /// Bind `node`'s `port` to direction `dir` of `link`, whose far end
+    /// is `peer`.
+    pub fn bind(
+        &mut self,
+        node: NodeId,
+        port: PortId,
+        link: usize,
+        dir: usize,
+        peer: (NodeId, PortId),
+    ) {
+        if self.0.len() <= node.0 {
+            self.0.resize_with(node.0 + 1, Vec::new);
+        }
+        let ports = &mut self.0[node.0];
+        if ports.len() <= port.0 {
+            ports.resize(port.0 + 1, None);
+        }
+        ports[port.0] = Some(PortBinding {
+            link,
+            dir,
+            peer: peer.0,
+            peer_port: peer.1,
+        });
+    }
 }
 
 /// A simulated component: a host, a wireless channel, a router, a daemon.
@@ -66,7 +102,7 @@ pub struct Context<'a> {
     pub(crate) node: NodeId,
     pub(crate) core: &'a mut EventCore<Scheduled>,
     pub(crate) links: &'a mut Vec<Link>,
-    pub(crate) ports: &'a HashMap<(NodeId, PortId), PortBinding>,
+    pub(crate) ports: &'a PortTable,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) hook: &'a mut Option<Box<dyn FrameHook>>,
 }
@@ -97,7 +133,7 @@ impl Context<'_> {
     pub fn send(&mut self, port: PortId, frame: Frame) -> bool {
         let binding = *self
             .ports
-            .get(&(self.node, port))
+            .get(self.node, port)
             .unwrap_or_else(|| panic!("node {:?} port {:?} is not connected", self.node, port));
         let dir = &mut self.links[binding.link].dirs[binding.dir];
         match dir.offer(self.now, frame.len()) {

@@ -8,7 +8,10 @@ use crate::config::HostConfig;
 use crate::hooks::{DeviceTap, Direction, LinkShim, ShimRelease, ShimVerdict};
 use crate::tcp::{ConnEvent, EngineOut, TcpEngine, TcpHandle};
 use netsim::{Context, EventKind, Frame, Node, PortId, SimDuration, SimRng, SimTime};
-use packet::{EtherHeader, EtherType, IcmpMessage, IpProtocol, Ipv4Header, MacAddr, UdpHeader};
+use packet::{
+    with_headroom, EtherHeader, EtherType, IcmpMessage, IpProtocol, Ipv4Header, MacAddr, UdpHeader,
+    ETHER_HEADER_LEN, LINK_IP_HEADROOM,
+};
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
@@ -77,6 +80,8 @@ pub struct HostCore {
     /// Reused release buffer for shim-timer service (one allocation for
     /// the life of the host instead of one per timer fire).
     shim_scratch: Vec<ShimRelease>,
+    /// Reused TCP engine output, drained by every `tcp_flush`.
+    tcp_scratch: EngineOut,
     /// Device status poll cadence while a tracer is attached.
     pub poll_interval: SimDuration,
     stats: HostStats,
@@ -104,6 +109,7 @@ impl HostCore {
             tcp_timer_armed: None,
             shim_timer_armed: None,
             shim_scratch: Vec::new(),
+            tcp_scratch: EngineOut::default(),
             poll_interval: SimDuration::from_millis(100),
             stats: HostStats::default(),
         }
@@ -111,11 +117,16 @@ impl HostCore {
 
     // ---------------- outbound path ----------------
 
+    /// Send the transport bytes that follow `frame`'s first
+    /// [`LINK_IP_HEADROOM`] bytes. A datagram that fits the MTU gets its
+    /// IPv4 and Ethernet headers written into that headroom and leaves in
+    /// `frame` itself; a larger one is cut into fragments, each built in
+    /// a buffer of its own.
     fn ip_output(
         &mut self,
         proto: IpProtocol,
         dst: Ipv4Addr,
-        payload: &[u8],
+        mut frame: Vec<u8>,
         ctx: &mut Context<'_>,
     ) {
         let ident = self.ip_ident;
@@ -131,40 +142,37 @@ impl HostCore {
             src: self.cfg.mac,
             ethertype: EtherType::Ipv4,
         };
+        let mut header = Ipv4Header {
+            src: self.cfg.ip,
+            dst,
+            protocol: proto,
+            ttl: 64,
+            ident,
+            total_len: 0,
+            more_fragments: false,
+            frag_offset: 0,
+        };
         let max_payload = self.cfg.mtu.saturating_sub(packet::IPV4_HEADER_LEN);
-        if payload.len() <= max_payload {
-            let header = Ipv4Header {
-                src: self.cfg.ip,
-                dst,
-                protocol: proto,
-                ttl: 64,
-                ident,
-                total_len: 0,
-                more_fragments: false,
-                frag_offset: 0,
-            };
-            let frame = ether.emit(&header.emit(payload));
+        let l4_len = frame.len() - LINK_IP_HEADROOM;
+        if l4_len <= max_payload {
+            header.write(&mut frame[ETHER_HEADER_LEN..]);
+            ether.write(&mut frame);
             self.out_through_shim(frame, ctx);
             return;
         }
         // Fragment: every piece except the last carries a multiple of 8
         // bytes (the fragment-offset unit).
+        let payload = &frame[LINK_IP_HEADROOM..];
         let piece = max_payload & !7;
         let mut off = 0usize;
         while off < payload.len() {
             let end = (off + piece).min(payload.len());
-            let header = Ipv4Header {
-                src: self.cfg.ip,
-                dst,
-                protocol: proto,
-                ttl: 64,
-                ident,
-                total_len: 0,
-                more_fragments: end < payload.len(),
-                frag_offset: (off / 8) as u16,
-            };
-            let frame = ether.emit(&header.emit(&payload[off..end]));
-            self.out_through_shim(frame, ctx);
+            header.more_fragments = end < payload.len();
+            header.frag_offset = (off / 8) as u16;
+            let mut fragment = with_headroom(LINK_IP_HEADROOM, &payload[off..end]);
+            header.write(&mut fragment[ETHER_HEADER_LEN..]);
+            ether.write(&mut fragment);
+            self.out_through_shim(fragment, ctx);
             off = end;
         }
     }
@@ -297,11 +305,11 @@ impl HostCore {
             entry.total = Some(off + data.len());
         }
         let total = entry.total?;
-        // Check contiguity 0..total.
-        let mut pieces = entry.pieces.clone();
-        pieces.sort_by_key(|&(o, _)| o);
+        // Check contiguity 0..total. The sort is stable, so pieces at one
+        // offset stay in arrival order and the later one wins below.
+        entry.pieces.sort_by_key(|&(o, _)| o);
         let mut have = 0usize;
-        for (o, d) in &pieces {
+        for (o, d) in &entry.pieces {
             if *o > have {
                 return None; // gap
             }
@@ -310,13 +318,17 @@ impl HostCore {
         if have < total {
             return None;
         }
-        // Complete: assemble and drop the entry.
+        // Complete: drop the entry and assemble its pieces.
+        let pieces = self
+            .frags
+            .remove(&key)
+            .expect("entry looked up above")
+            .pieces;
         let mut out = vec![0u8; total];
         for (o, d) in pieces {
             let end = (o + d.len()).min(total);
             out[o..end].copy_from_slice(&d[..end - o]);
         }
-        self.frags.remove(&key);
         Some(out)
     }
 
@@ -325,7 +337,7 @@ impl HostCore {
             IpProtocol::Icmp => self.icmp_input(src, l4, ctx),
             IpProtocol::Udp => self.udp_input(src, l4, ctx),
             IpProtocol::Tcp => {
-                let mut out = EngineOut::default();
+                let mut out = std::mem::take(&mut self.tcp_scratch);
                 let now = ctx.now();
                 self.tcp.on_segment(src, l4, now, ctx.rng(), &mut out);
                 self.tcp_flush(out, ctx);
@@ -342,7 +354,8 @@ impl HostCore {
         match msg {
             IcmpMessage::Echo { .. } => {
                 let reply = msg.reply().expect("echo always has a reply");
-                self.ip_output(IpProtocol::Icmp, src, &reply.emit(), ctx);
+                let frame = with_headroom(LINK_IP_HEADROOM, &reply.emit());
+                self.ip_output(IpProtocol::Icmp, src, frame, ctx);
             }
             IcmpMessage::EchoReply {
                 ident,
@@ -384,15 +397,17 @@ impl HostCore {
         // workloads never do this, so we silently drop.
     }
 
-    fn tcp_flush(&mut self, out: EngineOut, ctx: &mut Context<'_>) {
-        for (port, handle) in out.accepted {
+    /// Hand one engine operation's output on (accepts and events to the
+    /// apps, frames to IP), then keep its emptied buffers for the next.
+    fn tcp_flush(&mut self, mut out: EngineOut, ctx: &mut Context<'_>) {
+        for (port, handle) in out.accepted.drain(..) {
             if let Some(&owner) = self.listener_owner.get(&port) {
                 self.tcp_owner.insert(handle, owner);
                 self.pending
                     .push_back((owner, AppEvent::TcpAccepted { port, conn: handle }));
             }
         }
-        for (handle, ev) in out.events {
+        for (handle, ev) in out.events.drain(..) {
             let Some(&owner) = self.tcp_owner.get(&handle) else {
                 continue;
             };
@@ -415,16 +430,17 @@ impl HostCore {
             };
             self.pending.push_back((owner, app_ev));
         }
-        for (dst, seg) in out.segments {
-            self.ip_output(IpProtocol::Tcp, dst, &seg, ctx);
+        for (dst, frame) in out.segments.drain(..) {
+            self.ip_output(IpProtocol::Tcp, dst, frame, ctx);
         }
+        self.tcp_scratch = out;
     }
 
     // ---------------- timers ----------------
 
     fn tcp_timer(&mut self, ctx: &mut Context<'_>) {
         self.tcp_timer_armed = None;
-        let mut out = EngineOut::default();
+        let mut out = std::mem::take(&mut self.tcp_scratch);
         self.tcp.on_timer(ctx.now(), &mut out);
         self.tcp_flush(out, ctx);
     }
@@ -696,8 +712,12 @@ impl HostApi<'_, '_> {
             dst_port: dst.1,
         }
         .emit(payload, self.core.cfg.ip, dst.0);
-        self.core
-            .ip_output(IpProtocol::Udp, dst.0, &bytes, self.ctx);
+        self.core.ip_output(
+            IpProtocol::Udp,
+            dst.0,
+            with_headroom(LINK_IP_HEADROOM, &bytes),
+            self.ctx,
+        );
     }
 
     // ---- TCP ----
@@ -711,7 +731,7 @@ impl HostApi<'_, '_> {
 
     /// Open a connection; completion arrives as `TcpConnected`.
     pub fn tcp_connect(&mut self, dst: (Ipv4Addr, u16)) -> TcpHandle {
-        let mut out = EngineOut::default();
+        let mut out = std::mem::take(&mut self.core.tcp_scratch);
         let now = self.ctx.now();
         let handle = self.core.tcp.connect(dst, now, self.ctx.rng(), &mut out);
         self.core.tcp_owner.insert(handle, self.app);
@@ -721,7 +741,7 @@ impl HostApi<'_, '_> {
 
     /// Queue data on a connection; returns bytes accepted.
     pub fn tcp_send(&mut self, conn: TcpHandle, data: &[u8]) -> usize {
-        let mut out = EngineOut::default();
+        let mut out = std::mem::take(&mut self.core.tcp_scratch);
         let n = self.core.tcp.send(conn, data, self.ctx.now(), &mut out);
         self.core.tcp_flush(out, self.ctx);
         n
@@ -729,14 +749,14 @@ impl HostApi<'_, '_> {
 
     /// Graceful close.
     pub fn tcp_close(&mut self, conn: TcpHandle) {
-        let mut out = EngineOut::default();
+        let mut out = std::mem::take(&mut self.core.tcp_scratch);
         self.core.tcp.close(conn, self.ctx.now(), &mut out);
         self.core.tcp_flush(out, self.ctx);
     }
 
     /// Abortive close.
     pub fn tcp_abort(&mut self, conn: TcpHandle) {
-        let mut out = EngineOut::default();
+        let mut out = std::mem::take(&mut self.core.tcp_scratch);
         self.core.tcp.abort(conn, &mut out);
         self.core.tcp_flush(out, self.ctx);
     }
@@ -760,8 +780,12 @@ impl HostApi<'_, '_> {
             seq,
             payload,
         };
-        self.core
-            .ip_output(IpProtocol::Icmp, dst, &msg.emit(), self.ctx);
+        self.core.ip_output(
+            IpProtocol::Icmp,
+            dst,
+            with_headroom(LINK_IP_HEADROOM, &msg.emit()),
+            self.ctx,
+        );
     }
 }
 

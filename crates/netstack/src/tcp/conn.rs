@@ -7,9 +7,14 @@ use super::reasm::{seq_le, seq_lt, Reassembly};
 use super::rtt::RttEstimator;
 use crate::config::TcpConfig;
 use netsim::{SimDuration, SimTime};
-use packet::{TcpFlags, TcpHeader};
+use packet::{TcpFlags, TcpHeader, LINK_IP_HEADROOM, TCP_HEADER_LEN};
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
+use std::ops::Range;
+
+/// Headroom of a data segment's frame: Ethernet, IPv4 and an option-less
+/// TCP header, in front of the payload.
+const FRAME_HEADROOM: usize = LINK_IP_HEADROOM + TCP_HEADER_LEN;
 
 /// Connection states (RFC 793).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,19 +59,70 @@ pub enum ConnEvent {
     Reset(&'static str),
 }
 
+/// One segment to transmit: its header (ports already filled in) and the
+/// frame it goes out in. The frame starts with zeroed room for the
+/// Ethernet, IPv4 and TCP headers, `LINK_IP_HEADROOM +
+/// header.wire_len()` bytes, followed by the payload; the engine writes
+/// the TCP header there and the IP layer the rest.
+#[derive(Debug)]
+pub struct Segment {
+    /// The TCP header to write.
+    pub header: TcpHeader,
+    frame: Vec<u8>,
+}
+
+impl Segment {
+    /// A segment without payload (SYN, ACK, FIN, RST).
+    pub(super) fn control(header: TcpHeader) -> Segment {
+        Segment {
+            header,
+            frame: vec![0; LINK_IP_HEADROOM + header.wire_len()],
+        }
+    }
+
+    /// A data segment carrying `range` of `buf`, copied once, straight
+    /// into the frame.
+    fn data(header: TcpHeader, buf: &VecDeque<u8>, range: Range<usize>) -> Segment {
+        debug_assert!(header.mss.is_none(), "data segments carry no options");
+        let mut frame = Vec::with_capacity(FRAME_HEADROOM + range.len());
+        frame.resize(FRAME_HEADROOM, 0);
+        // The ring's two halves: `range` may start in the first, end in
+        // the second, or lie within one.
+        let (a, b) = buf.as_slices();
+        let split = a.len();
+        frame.extend_from_slice(&a[range.start.min(split)..range.end.min(split)]);
+        frame.extend_from_slice(
+            &b[range.start.saturating_sub(split)..range.end.saturating_sub(split)],
+        );
+        Segment { header, frame }
+    }
+
+    /// The payload bytes.
+    pub fn payload(&self) -> &[u8] {
+        &self.frame[LINK_IP_HEADROOM + self.header.wire_len()..]
+    }
+
+    /// Write the TCP header and checksum into the frame, in place, and
+    /// hand the frame on to the IP layer.
+    pub(super) fn into_frame(mut self, src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
+        self.header
+            .write(&mut self.frame[LINK_IP_HEADROOM..], src, dst);
+        self.frame
+    }
+}
+
 /// Segments and events produced while processing an input.
 #[derive(Debug, Default)]
 pub struct Out {
-    /// Segments to transmit: header plus payload (ports already filled
-    /// in; the engine adds the IP layer).
-    pub segs: Vec<(TcpHeader, Vec<u8>)>,
+    /// Segments to transmit.
+    pub segs: Vec<Segment>,
     /// Events for the owning application.
     pub events: Vec<ConnEvent>,
 }
 
 impl Out {
-    fn seg(&mut self, h: TcpHeader, p: Vec<u8>) {
-        self.segs.push((h, p));
+    fn seg(&mut self, h: TcpHeader) {
+        self.segs.push(Segment::control(h));
     }
     fn ev(&mut self, e: ConnEvent) {
         self.events.push(e);
@@ -180,7 +236,7 @@ impl TcpConn {
         c.cwnd = c.cfg.init_cwnd_segs * c.mss;
         let mut h = c.header(TcpFlags::SYN);
         h.mss = Some(c.cfg.mss as u16);
-        out.seg(h, Vec::new());
+        out.seg(h);
         c.snd_nxt = iss.wrapping_add(1);
         c.arm_rtx(now);
         c
@@ -209,7 +265,7 @@ impl TcpConn {
             ..Default::default()
         });
         h.mss = Some(c.cfg.mss as u16);
-        out.seg(h, Vec::new());
+        out.seg(h);
         c.snd_nxt = iss.wrapping_add(1);
         c.arm_rtx(now);
         c
@@ -269,7 +325,7 @@ impl TcpConn {
     fn send_pure_ack(&mut self, out: &mut Out) {
         let mut h = self.header(TcpFlags::ACK);
         h.seq = self.snd_nxt;
-        out.seg(h, Vec::new());
+        out.seg(h);
         self.segs_since_ack = 0;
         self.delack_deadline = None;
     }
@@ -328,7 +384,7 @@ impl TcpConn {
                 ..Default::default()
             });
             h.seq = self.snd_nxt;
-            out.seg(h, Vec::new());
+            out.seg(h);
         }
         self.state = TcpState::Closed;
         self.clear_timers();
@@ -396,7 +452,7 @@ impl TcpConn {
                     });
                     sa.seq = self.snd_una;
                     sa.mss = Some(self.cfg.mss as u16);
-                    out.seg(sa, Vec::new());
+                    out.seg(sa);
                     return;
                 } else {
                     return;
@@ -646,7 +702,7 @@ impl TcpConn {
                 ..Default::default()
             });
             h.seq = self.snd_nxt;
-            out.seg(h, Vec::new());
+            out.seg(h);
             self.snd_nxt = self.snd_nxt.wrapping_add(1);
             self.fin_sent = true;
             self.state = match self.state {
@@ -662,7 +718,6 @@ impl TcpConn {
     fn emit_data_segment(&mut self, n: usize, now: SimTime, out: &mut Out) {
         let start = self.sent;
         self.sent += n;
-        let payload: Vec<u8> = self.snd_buf.range(start..self.sent).copied().collect();
         let mut h = self.header(TcpFlags {
             ack: true,
             psh: self.unsent() == 0,
@@ -673,7 +728,8 @@ impl TcpConn {
             self.rtt_sample = Some((self.snd_nxt.wrapping_add(n as u32), now));
         }
         self.snd_nxt = self.snd_nxt.wrapping_add(n as u32);
-        out.seg(h, payload);
+        out.segs
+            .push(Segment::data(h, &self.snd_buf, start..start + n));
         if self.rtx_deadline.is_none() {
             self.arm_rtx(now);
         }
@@ -689,7 +745,7 @@ impl TcpConn {
                     let mut h = self.header(TcpFlags::SYN);
                     h.seq = self.snd_una;
                     h.mss = Some(self.cfg.mss as u16);
-                    out.seg(h, Vec::new());
+                    out.seg(h);
                 }
                 TcpState::SynRcvd => {
                     let mut h = self.header(TcpFlags {
@@ -699,7 +755,7 @@ impl TcpConn {
                     });
                     h.seq = self.snd_una;
                     h.mss = Some(self.cfg.mss as u16);
-                    out.seg(h, Vec::new());
+                    out.seg(h);
                 }
                 _ if self.fin_sent => {
                     let mut h = self.header(TcpFlags {
@@ -708,20 +764,19 @@ impl TcpConn {
                         ..Default::default()
                     });
                     h.seq = self.snd_nxt.wrapping_sub(1);
-                    out.seg(h, Vec::new());
+                    out.seg(h);
                 }
                 _ => {}
             }
         } else {
             let n = self.sent.min(self.mss);
-            let payload: Vec<u8> = self.snd_buf.range(..n).copied().collect();
             let mut h = self.header(TcpFlags {
                 ack: true,
                 ..Default::default()
             });
             h.seq = self.snd_una;
             self.retransmitted_bytes += n as u64;
-            out.seg(h, payload);
+            out.segs.push(Segment::data(h, &self.snd_buf, 0..n));
         }
         // Karn: never sample a retransmitted sequence range.
         self.rtt_sample = None;
@@ -822,18 +877,18 @@ mod tests {
     fn established_pair() -> (TcpConn, TcpConn) {
         let mut out_c = Out::default();
         let mut client = TcpConn::connect(cfg(), LP, (rip(), RP), 1000, t(0), &mut out_c);
-        let (syn, _) = out_c.segs.pop().unwrap();
+        let syn = out_c.segs.pop().unwrap().header;
         assert!(syn.flags.syn && !syn.flags.ack);
 
         let mut out_s = Out::default();
         let mut server = TcpConn::accept(cfg(), RP, (rip(), LP), 5000, &syn, t(1), &mut out_s);
-        let (synack, _) = out_s.segs.pop().unwrap();
+        let synack = out_s.segs.pop().unwrap().header;
         assert!(synack.flags.syn && synack.flags.ack);
 
         let mut out_c = Out::default();
         client.on_segment(&synack, &[], t(2), &mut out_c);
         assert!(out_c.events.contains(&ConnEvent::Connected));
-        let (ack, _) = out_c.segs.pop().unwrap();
+        let ack = out_c.segs.pop().unwrap().header;
 
         let mut out_s = Out::default();
         server.on_segment(&ack, &[], t(3), &mut out_s);
@@ -841,6 +896,34 @@ mod tests {
         assert_eq!(client.state(), TcpState::Established);
         assert_eq!(server.state(), TcpState::Established);
         (client, server)
+    }
+
+    #[test]
+    fn data_segments_copy_any_range_of_a_wrapped_ring() {
+        let mut buf = VecDeque::with_capacity(8);
+        buf.extend(0..8u8);
+        buf.drain(..5);
+        buf.extend(8..13u8);
+        assert!(!buf.as_slices().1.is_empty(), "the ring wraps");
+        for start in 0..=buf.len() {
+            for end in start..=buf.len() {
+                let seg = Segment::data(ack_header(), &buf, start..end);
+                let want: Vec<u8> = buf.range(start..end).copied().collect();
+                assert_eq!(seg.payload(), want, "{start}..{end}");
+            }
+        }
+    }
+
+    fn ack_header() -> TcpHeader {
+        TcpHeader {
+            src_port: LP,
+            dst_port: RP,
+            seq: 0,
+            ack: 0,
+            flags: TcpFlags::ACK,
+            window: 0,
+            mss: None,
+        }
     }
 
     #[test]
@@ -855,11 +938,11 @@ mod tests {
         let n = c.send(b"hello world", t(10), &mut out);
         assert_eq!(n, 11);
         assert_eq!(out.segs.len(), 1);
-        let (h, p) = &out.segs[0];
-        assert_eq!(p.as_slice(), b"hello world");
+        let seg = &out.segs[0];
+        assert_eq!(seg.payload(), b"hello world");
 
         let mut sout = Out::default();
-        s.on_segment(h, p, t(11), &mut sout);
+        s.on_segment(&seg.header, seg.payload(), t(11), &mut sout);
         assert!(sout
             .events
             .iter()
@@ -872,7 +955,7 @@ mod tests {
         let mut sout = Out::default();
         s.on_timer(t(300), &mut sout);
         assert_eq!(sout.segs.len(), 1);
-        let (ack, _) = &sout.segs[0];
+        let ack = &sout.segs[0].header;
         assert!(ack.flags.ack);
 
         let mut cout = Out::default();
@@ -888,8 +971,8 @@ mod tests {
         c.send(&vec![0u8; 2920], t(10), &mut out); // exactly 2 MSS segments
         assert_eq!(out.segs.len(), 2);
         let mut sout = Out::default();
-        for (h, p) in &out.segs {
-            s.on_segment(h, p, t(11), &mut sout);
+        for seg in &out.segs {
+            s.on_segment(&seg.header, seg.payload(), t(11), &mut sout);
         }
         // Every-other-segment ACK policy.
         assert_eq!(sout.segs.len(), 1);
@@ -906,32 +989,31 @@ mod tests {
 
         // Drop the first segment; deliver 2..5.
         let mut sout = Out::default();
-        for (h, p) in &out.segs[1..] {
-            s.on_segment(h, p, t(11), &mut sout);
+        for seg in &out.segs[1..] {
+            s.on_segment(&seg.header, seg.payload(), t(11), &mut sout);
         }
         // Each out-of-order segment forces an immediate dup ACK.
         assert_eq!(sout.segs.len(), 4);
-        for (h, _) in &sout.segs {
-            assert_eq!(h.ack, out.segs[0].0.seq);
+        for seg in &sout.segs {
+            assert_eq!(seg.header.ack, out.segs[0].header.seq);
         }
 
         // Feed dup ACKs back: the third triggers fast retransmit.
         let mut cout = Out::default();
-        for (h, _) in &sout.segs {
-            c.on_segment(h, &[], t(12), &mut cout);
+        for seg in &sout.segs {
+            c.on_segment(&seg.header, &[], t(12), &mut cout);
         }
         assert_eq!(c.fast_retransmits, 1);
         let rtx: Vec<_> = cout
             .segs
             .iter()
-            .filter(|(h, p)| !p.is_empty() && h.seq == out.segs[0].0.seq)
+            .filter(|seg| !seg.payload().is_empty() && seg.header.seq == out.segs[0].header.seq)
             .collect();
         assert_eq!(rtx.len(), 1);
 
         // Deliver the retransmission: receiver drains reassembly fully.
-        let (h, p) = rtx[0];
         let mut sout2 = Out::default();
-        s.on_segment(h, p, t(13), &mut sout2);
+        s.on_segment(&rtx[0].header, rtx[0].payload(), t(13), &mut sout2);
         let delivered: usize = sout2
             .events
             .iter()
@@ -956,7 +1038,7 @@ mod tests {
         assert_eq!(c.cwnd(), 1460);
         assert!(c.cwnd() <= cwnd_before);
         assert_eq!(out2.segs.len(), 1);
-        assert_eq!(out2.segs[0].0.seq, out.segs[0].0.seq);
+        assert_eq!(out2.segs[0].header.seq, out.segs[0].header.seq);
         assert_eq!(c.retransmitted_bytes, 1460);
         // Deadline re-armed with backoff.
         assert!(c.next_deadline().unwrap() > deadline);
@@ -986,14 +1068,14 @@ mod tests {
         let mut cout = Out::default();
         c.close(t(10), &mut cout);
         assert_eq!(c.state(), TcpState::FinWait1);
-        let (fin, _) = cout.segs.pop().unwrap();
+        let fin = cout.segs.pop().unwrap().header;
         assert!(fin.flags.fin);
 
         let mut sout = Out::default();
         s.on_segment(&fin, &[], t(11), &mut sout);
         assert_eq!(s.state(), TcpState::CloseWait);
         assert!(sout.events.contains(&ConnEvent::PeerClosed));
-        let (ack, _) = sout.segs.pop().unwrap();
+        let ack = sout.segs.pop().unwrap().header;
 
         let mut cout = Out::default();
         c.on_segment(&ack, &[], t(12), &mut cout);
@@ -1003,12 +1085,12 @@ mod tests {
         let mut sout = Out::default();
         s.close(t(13), &mut sout);
         assert_eq!(s.state(), TcpState::LastAck);
-        let (fin2, _) = sout.segs.pop().unwrap();
+        let fin2 = sout.segs.pop().unwrap().header;
         let mut cout = Out::default();
         c.on_segment(&fin2, &[], t(14), &mut cout);
         assert_eq!(c.state(), TcpState::TimeWait);
         assert!(cout.events.contains(&ConnEvent::PeerClosed));
-        let (ack2, _) = cout.segs.pop().unwrap();
+        let ack2 = cout.segs.pop().unwrap().header;
 
         let mut sout = Out::default();
         s.on_segment(&ack2, &[], t(15), &mut sout);
@@ -1034,19 +1116,19 @@ mod tests {
         // Segments: data(1460), data(540), fin.
         let all: Vec<_> = out.segs.into_iter().chain(cout.segs).collect();
         assert_eq!(all.len(), 3);
-        assert!(all[2].0.flags.fin);
+        assert!(all[2].header.flags.fin);
 
         // Deliver FIN and second segment only.
         let mut sout = Out::default();
-        s.on_segment(&all[2].0, &all[2].1, t(11), &mut sout);
-        s.on_segment(&all[1].0, &all[1].1, t(11), &mut sout);
+        s.on_segment(&all[2].header, all[2].payload(), t(11), &mut sout);
+        s.on_segment(&all[1].header, all[1].payload(), t(11), &mut sout);
         // FIN must not be consumed: first 1460 bytes missing.
         assert_eq!(s.state(), TcpState::Established);
         assert!(!sout.events.contains(&ConnEvent::PeerClosed));
 
         // Now the missing first segment arrives.
         let mut sout = Out::default();
-        s.on_segment(&all[0].0, &all[0].1, t(12), &mut sout);
+        s.on_segment(&all[0].header, all[0].payload(), t(12), &mut sout);
         assert_eq!(s.state(), TcpState::CloseWait);
         let total: usize = sout
             .events
@@ -1078,14 +1160,19 @@ mod tests {
             if segs.is_empty() {
                 break;
             }
-            for (h, p) in &segs {
-                s.on_segment(h, p, now, &mut sout);
+            for seg in &segs {
+                s.on_segment(&seg.header, seg.payload(), now, &mut sout);
             }
             // Flush server's delayed ack if armed.
             let mut fl = Out::default();
             s.on_timer(now + SimDuration::from_millis(250), &mut fl);
-            for (h, p) in sout.segs.iter().chain(fl.segs.iter()) {
-                c.on_segment(h, p, now + SimDuration::from_millis(260), &mut out);
+            for seg in sout.segs.iter().chain(fl.segs.iter()) {
+                c.on_segment(
+                    &seg.header,
+                    seg.payload(),
+                    now + SimDuration::from_millis(260),
+                    &mut out,
+                );
             }
             acked_events.append(&mut out.events);
             now += SimDuration::from_millis(500);
@@ -1123,12 +1210,12 @@ mod tests {
         let mut out = Out::default();
         c.send(&vec![0u8; 1460 * 2], t(10), &mut out);
         let mut sout = Out::default();
-        for (h, p) in &out.segs {
-            s.on_segment(h, p, t(11), &mut sout);
+        for seg in &out.segs {
+            s.on_segment(&seg.header, seg.payload(), t(11), &mut sout);
         }
         let mut cout = Out::default();
-        for (h, p) in &sout.segs {
-            c.on_segment(h, p, t(12), &mut cout);
+        for seg in &sout.segs {
+            c.on_segment(&seg.header, seg.payload(), t(12), &mut cout);
         }
         assert!(c.cwnd() > initial, "{} vs {initial}", c.cwnd());
     }
@@ -1153,7 +1240,7 @@ mod tests {
         assert_eq!(n, 10);
         // A 1-byte probe goes out despite the zero window.
         assert_eq!(out.segs.len(), 1);
-        assert_eq!(out.segs[0].1.len(), 1);
+        assert_eq!(out.segs[0].payload().len(), 1);
     }
 
     #[test]
@@ -1164,8 +1251,8 @@ mod tests {
         let mut o = Out::default();
         c.on_timer(d1, &mut o);
         assert_eq!(o.segs.len(), 1);
-        assert!(o.segs[0].0.flags.syn);
-        assert_eq!(o.segs[0].0.seq, 1);
+        assert!(o.segs[0].header.flags.syn);
+        assert_eq!(o.segs[0].header.seq, 1);
     }
 
     #[test]
@@ -1191,6 +1278,6 @@ mod tests {
         // Large send is chunked at the negotiated MSS.
         let mut o = Out::default();
         c.send(&vec![0u8; 2000], t(2), &mut o);
-        assert!(o.segs.iter().all(|(_, p)| p.len() <= 512));
+        assert!(o.segs.iter().all(|seg| seg.payload().len() <= 512));
     }
 }

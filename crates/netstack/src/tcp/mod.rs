@@ -1,11 +1,12 @@
 //! TCP: connection state machines plus the per-host engine that demuxes
-//! segments, allocates ports, and serializes wire bytes.
+//! segments, allocates ports, and writes each segment's header into the
+//! frame it leaves in.
 
 mod conn;
 mod reasm;
 mod rtt;
 
-pub use conn::{ConnEvent, Out, TcpConn, TcpState};
+pub use conn::{ConnEvent, Out, Segment, TcpConn, TcpState};
 pub use reasm::{seq_le, seq_lt, Reassembly};
 pub use rtt::RttEstimator;
 
@@ -19,11 +20,13 @@ use std::net::Ipv4Addr;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TcpHandle(pub u32);
 
-/// Output of one engine operation: wire segments (destination IP + raw TCP
-/// bytes) and application events tagged with their connection.
+/// Output of one engine operation: wire segments (destination IP + frame)
+/// and application events tagged with their connection.
 #[derive(Debug, Default)]
 pub struct EngineOut {
-    /// `(dst_ip, tcp_segment_bytes)` ready for the IP layer.
+    /// `(dst_ip, frame)` ready for the IP layer: the frame's first
+    /// [`packet::LINK_IP_HEADROOM`] bytes are left for the Ethernet and IPv4
+    /// headers, and the finished TCP segment follows them.
     pub segments: Vec<(Ipv4Addr, Vec<u8>)>,
     /// `(conn, event)` for the application layer.
     pub events: Vec<(TcpHandle, ConnEvent)>,
@@ -40,6 +43,8 @@ pub struct TcpEngine {
     by_tuple: HashMap<(u16, Ipv4Addr, u16), usize>,
     listeners: HashMap<u16, ()>,
     next_ephemeral: u16,
+    /// Reused per-operation connection output, drained by `merge`.
+    scratch: Out,
 }
 
 impl TcpEngine {
@@ -52,6 +57,7 @@ impl TcpEngine {
             by_tuple: HashMap::new(),
             listeners: HashMap::new(),
             next_ephemeral: 40_000,
+            scratch: Out::default(),
         }
     }
 
@@ -102,27 +108,29 @@ impl TcpEngine {
     ) -> TcpHandle {
         let port = self.alloc_port();
         let iss = rng.u64() as u32;
-        let mut cout = Out::default();
+        let mut cout = std::mem::take(&mut self.scratch);
         let conn = TcpConn::connect(self.cfg.clone(), port, remote, iss, now, &mut cout);
         let handle = self.alloc_slot(conn, (port, remote.0, remote.1));
         self.merge(handle, cout, out);
         handle
     }
 
-    fn merge(&mut self, handle: TcpHandle, cout: Out, out: &mut EngineOut) {
+    /// Move `cout` into `out`, framing its segments, and keep its
+    /// emptied buffers for the next operation.
+    fn merge(&mut self, handle: TcpHandle, mut cout: Out, out: &mut EngineOut) {
         let idx = handle.0 as usize;
         let (remote, local_port) = {
             let c = self.conns[idx].as_ref().expect("merged for live conn");
             (c.remote, c.local_port())
         };
-        for (h, p) in cout.segs {
-            debug_assert_eq!(h.src_port, local_port);
+        for seg in cout.segs.drain(..) {
+            debug_assert_eq!(seg.header.src_port, local_port);
             out.segments
-                .push((remote.0, h.emit(&p, self.local_ip, remote.0)));
+                .push((remote.0, seg.into_frame(self.local_ip, remote.0)));
         }
-        for e in cout.events {
-            out.events.push((handle, e));
-        }
+        out.events
+            .extend(cout.events.drain(..).map(|e| (handle, e)));
+        self.scratch = cout;
         // Reap fully closed connections once their events are out.
         if self.conns[idx].as_ref().is_some_and(TcpConn::is_closed) {
             self.by_tuple.remove(&(local_port, remote.0, remote.1));
@@ -140,7 +148,7 @@ impl TcpEngine {
         let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
             return; // stale handle: connection already reaped
         };
-        let mut cout = Out::default();
+        let mut cout = std::mem::take(&mut self.scratch);
         f(conn, &mut cout);
         self.merge(handle, cout, out);
     }
@@ -207,7 +215,7 @@ impl TcpEngine {
         let tuple = (h.dst_port, src_ip, h.src_port);
         if let Some(&idx) = self.by_tuple.get(&tuple) {
             let handle = TcpHandle(idx as u32);
-            let mut cout = Out::default();
+            let mut cout = std::mem::take(&mut self.scratch);
             self.conns[idx]
                 .as_mut()
                 .expect("tuple table points at live conn")
@@ -217,7 +225,7 @@ impl TcpEngine {
         }
         if h.flags.syn && !h.flags.ack && self.listeners.contains_key(&h.dst_port) {
             let iss = rng.u64() as u32;
-            let mut cout = Out::default();
+            let mut cout = std::mem::take(&mut self.scratch);
             let conn = TcpConn::accept(
                 self.cfg.clone(),
                 h.dst_port,
@@ -249,8 +257,8 @@ impl TcpEngine {
                 window: 0,
                 mss: None,
             };
-            out.segments
-                .push((src_ip, rst.emit(&[], self.local_ip, src_ip)));
+            let frame = Segment::control(rst).into_frame(self.local_ip, src_ip);
+            out.segments.push((src_ip, frame));
         }
     }
 
@@ -278,7 +286,7 @@ impl TcpEngine {
             .collect();
         for idx in due {
             let handle = TcpHandle(idx as u32);
-            let mut cout = Out::default();
+            let mut cout = std::mem::take(&mut self.scratch);
             if let Some(c) = self.conns[idx].as_mut() {
                 c.on_timer(now, &mut cout);
             }
@@ -295,6 +303,7 @@ impl TcpEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use packet::LINK_IP_HEADROOM;
 
     const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -330,7 +339,13 @@ mod tests {
             for (_dst, bytes) in segs {
                 let mut out = EngineOut::default();
                 if from_c {
-                    server.on_segment(CLIENT_IP, &bytes, now, &mut rng, &mut out);
+                    server.on_segment(
+                        CLIENT_IP,
+                        &bytes[LINK_IP_HEADROOM..],
+                        now,
+                        &mut rng,
+                        &mut out,
+                    );
                     for (h, e) in out.events {
                         events.push((false, h, e));
                     }
@@ -341,7 +356,13 @@ mod tests {
                         queue.push((false, out.segments));
                     }
                 } else {
-                    client.on_segment(SERVER_IP, &bytes, now, &mut rng, &mut out);
+                    client.on_segment(
+                        SERVER_IP,
+                        &bytes[LINK_IP_HEADROOM..],
+                        now,
+                        &mut rng,
+                        &mut out,
+                    );
                     for (h, e) in out.events {
                         events.push((true, h, e));
                     }

@@ -7,6 +7,7 @@
 //! SEND with `OK\n`. Completion is measured at the client: for SEND,
 //! when `OK` arrives; for RECV, when the last byte arrives.
 
+use crate::{Fill, CHUNK};
 use netsim::SimTime;
 use netstack::{App, AppEvent, HostApi, TcpHandle};
 use std::collections::HashMap;
@@ -14,6 +15,11 @@ use std::net::Ipv4Addr;
 
 /// Default FTP data port.
 pub const FTP_PORT: u16 = 2021;
+
+/// What the server streams for a RECV.
+static SERVER_FILL: Fill = Fill::new(0x46);
+/// What the client uploads for a SEND.
+static CLIENT_FILL: Fill = Fill::new(0x55);
 
 /// Transfer direction, from the client's perspective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +47,6 @@ pub struct FtpServer {
     conns: HashMap<TcpHandle, SrvConn>,
     /// Completed transfers (diagnostics).
     pub completed: u32,
-    chunk: usize,
 }
 
 impl FtpServer {
@@ -51,7 +56,6 @@ impl FtpServer {
             port: FTP_PORT,
             conns: HashMap::new(),
             completed: 0,
-            chunk: 8192,
         }
     }
 
@@ -60,8 +64,8 @@ impl FtpServer {
             return;
         };
         while *remaining > 0 {
-            let n = (*remaining).min(self.chunk);
-            let sent = api.tcp_send(conn, &vec![0x46u8; n]);
+            let n = (*remaining).min(CHUNK);
+            let sent = api.tcp_send(conn, SERVER_FILL.chunk(n));
             *remaining -= sent;
             if sent < n {
                 return; // backpressure: wait for SendSpace
@@ -191,7 +195,6 @@ pub struct FtpClient {
     /// behind a total blackout).
     pub idle_timeout: netsim::SimDuration,
     last_progress: Option<SimTime>,
-    chunk: usize,
 }
 
 impl FtpClient {
@@ -208,7 +211,6 @@ impl FtpClient {
             error: None,
             idle_timeout: netsim::SimDuration::from_secs(300),
             last_progress: None,
-            chunk: 8192,
         }
     }
 
@@ -231,8 +233,8 @@ impl FtpClient {
             return;
         };
         while *remaining > 0 {
-            let n = (*remaining).min(self.chunk);
-            let sent = api.tcp_send(conn, &vec![0x55u8; n]);
+            let n = (*remaining).min(CHUNK);
+            let sent = api.tcp_send(conn, CLIENT_FILL.chunk(n));
             *remaining -= sent;
             if sent < n {
                 return;

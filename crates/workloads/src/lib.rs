@@ -16,6 +16,8 @@
 
 #![warn(missing_docs)]
 
+use std::sync::OnceLock;
+
 pub mod andrew;
 pub mod ftp;
 pub mod nfs;
@@ -29,3 +31,30 @@ pub use nfs::{NfsProc, NfsServer, RpcClient, NFS_PORT};
 pub use ping::{PingConfig, PingWorkload};
 pub use synrgen::{SynRGenConfig, SynRGenUser};
 pub use web::{search_task_trace, WebClient, WebServer, WEB_PORT};
+
+/// Most bytes a bulk sender offers its connection per `tcp_send`.
+const CHUNK: usize = 8192;
+
+/// A bulk sender's payload: `CHUNK` copies of one filler byte, built on
+/// first use and then shared by every send, so no pump builds a buffer
+/// per call. It is held on the heap rather than as a `static` array,
+/// whose read-only pages enter the resident set together with their
+/// file-backed neighbours.
+struct Fill {
+    byte: u8,
+    buf: OnceLock<Vec<u8>>,
+}
+
+impl Fill {
+    const fn new(byte: u8) -> Fill {
+        Fill {
+            byte,
+            buf: OnceLock::new(),
+        }
+    }
+
+    /// The first `n` bytes; `n` is at most `CHUNK`.
+    fn chunk(&self, n: usize) -> &[u8] {
+        &self.buf.get_or_init(|| vec![self.byte; CHUNK])[..n]
+    }
+}

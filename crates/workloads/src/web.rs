@@ -8,6 +8,7 @@
 //! and closes. The client caches objects it has seen (Mosaic's cache)
 //! and charges a per-object browser processing cost.
 
+use crate::{Fill, CHUNK};
 use netsim::{SimDuration, SimRng, SimTime};
 use netstack::{App, AppEvent, HostApi, TcpHandle};
 use std::collections::{HashMap, HashSet};
@@ -15,6 +16,9 @@ use std::net::Ipv4Addr;
 
 /// The private web server's port.
 pub const WEB_PORT: u16 = 8080;
+
+/// Response body filler.
+static FILL: Fill = Fill::new(0x77);
 
 /// Deterministic size of object `id`: a long-tailed 1996-era mix of
 /// small HTML pages and larger inline images.
@@ -77,7 +81,6 @@ pub struct WebServer {
     next_timer: u32,
     /// Requests served.
     pub served: u32,
-    chunk: usize,
 }
 
 impl WebServer {
@@ -91,7 +94,6 @@ impl WebServer {
             timer_conn: HashMap::new(),
             next_timer: 1,
             served: 0,
-            chunk: 8192,
         }
     }
 
@@ -100,8 +102,8 @@ impl WebServer {
             return;
         };
         while *remaining > 0 {
-            let n = (*remaining).min(self.chunk);
-            let sent = api.tcp_send(conn, &vec![0x77u8; n]);
+            let n = (*remaining).min(CHUNK);
+            let sent = api.tcp_send(conn, FILL.chunk(n));
             *remaining -= sent;
             if sent < n {
                 return;
