@@ -9,11 +9,19 @@
 //!
 //! Any change to how the core queues events must leave all three
 //! numbers untouched.
+//!
+//! The Wean run also pins the laptop's TCP-timer fires, and a stepped
+//! replay of it checks that no host fires its TCP timer twice at one
+//! instant: a host queues at most one TCP-timer event per instant.
 
 use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
 
-use emu::{build_wireless, install, live_run, run_to_completion, Benchmark, Hardware, RunConfig};
+use emu::workload::is_done;
+use emu::{
+    build_wireless, install, live_run, run_to_completion, Benchmark, Hardware, Installed,
+    RunConfig, Testbed,
+};
 use netsim::{FrameHook, LinkParams, NodeId, SimRng, SimTime, Simulator};
 use netstack::{start_host, Host, HostConfig, NIC_PORT};
 use packet::MacAddr;
@@ -110,15 +118,14 @@ fn ftp_fetch_dispatches_in_the_pinned_order() {
     sim.run_until(SimTime::from_secs(120));
 
     assert!(sim.node::<Host>(nc).app::<FtpClient>(app).is_done());
-    assert_eq!(sim.events_processed(), 1059);
+    assert_eq!(sim.events_processed(), 1057);
     assert_eq!(sim.peak_queue_depth(), 39);
     assert_eq!(digest.read(), (0x1a9f6f6a7acbcf36, 1044, 0));
 }
 
-/// A live Web run (trial 1) on `scenario`, seeded as `live_run` seeds
-/// it, with the digest hook installed: `(digest, events, peak depth,
-/// channel stats)`.
-fn hooked_web_run(scenario: &Scenario) -> ((u64, u64, u64), u64, usize, ChannelStats) {
+/// The testbed of a live Web run (trial 1) on `scenario`, seeded as
+/// `live_run` seeds it, not yet started.
+fn web_testbed(scenario: &Scenario) -> (Testbed, Installed) {
     let seed = |purpose: u64| {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ purpose;
         for b in scenario.name.bytes() {
@@ -128,9 +135,15 @@ fn hooked_web_run(scenario: &Scenario) -> ((u64, u64, u64), u64, usize, ChannelS
         h ^ 1 << 32
     };
     let channel = scenario.channel(&mut SimRng::seed_from_u64(seed(3)));
-    let (mut tb, inst) = build_wireless(seed(4), Hardware::default(), channel, |l, s| {
+    build_wireless(seed(4), Hardware::default(), channel, |l, s| {
         install(Benchmark::Web, l, s)
-    });
+    })
+}
+
+/// A live Web run (trial 1) on `scenario` with the digest hook installed:
+/// `(digest, events, peak depth, channel stats, laptop TCP-timer fires)`.
+fn hooked_web_run(scenario: &Scenario) -> ((u64, u64, u64), u64, usize, ChannelStats, u64) {
+    let (mut tb, inst) = web_testbed(scenario);
     let digest = Digest::new();
     tb.sim.set_frame_hook(Box::new(digest.clone()));
     let result = run_to_completion(&mut tb, &inst);
@@ -151,24 +164,47 @@ fn hooked_web_run(scenario: &Scenario) -> ((u64, u64, u64), u64, usize, ChannelS
         tb.sim.events_processed(),
         tb.sim.peak_queue_depth(),
         stats,
+        tb.laptop_host().core().stats().tcp_timer_fires,
     )
 }
 
 #[test]
 fn wean_web_run_dispatches_in_the_pinned_order() {
-    let (digest, events, peak, cs) = hooked_web_run(&Scenario::wean());
+    let (digest, events, peak, cs, tcp_timer_fires) = hooked_web_run(&Scenario::wean());
     assert!(cs.dropped > 0, "channel losses: {cs:?}");
-    assert_eq!(events, 49971);
-    assert_eq!(peak, 357);
+    assert_eq!(events, 21673);
+    assert_eq!(tcp_timer_fires, 389);
+    assert_eq!(peak, 125);
     assert_eq!(digest, (0x754b48761c9ff6d, 7356, 0));
 }
 
 #[test]
 fn chatterbox_web_run_dispatches_in_the_pinned_order() {
     // Wean has no cross traffic; Chatterbox is the scenario that does.
-    let (digest, events, peak, cs) = hooked_web_run(&Scenario::chatterbox());
+    let (digest, events, peak, cs, _) = hooked_web_run(&Scenario::chatterbox());
     assert!(cs.cross_frames > 0 && cs.dropped > 0, "{cs:?}");
-    assert_eq!(events, 66093);
-    assert_eq!(peak, 510);
+    assert_eq!(events, 21979);
+    assert_eq!(peak, 148);
     assert_eq!(digest, (0xd70ce6805c6cddd3, 7339, 0));
+}
+
+#[test]
+fn wean_web_run_fires_each_tcp_timer_once_per_host_instant() {
+    let (mut tb, inst) = web_testbed(&Scenario::wean());
+    tb.start();
+    let hosts = [tb.laptop, tb.server];
+    // Per host: TCP-timer fires so far and the instant of the last one.
+    let mut seen = [(0u64, None); 2];
+    while !is_done(&tb, &inst) {
+        assert_eq!(tb.sim.run(1), 1, "the Web run completes");
+        let now = tb.sim.now();
+        for (&host, (fires, last)) in hosts.iter().zip(&mut seen) {
+            let n = tb.sim.node::<Host>(host).core().stats().tcp_timer_fires;
+            if n > *fires {
+                assert_ne!(*last, Some(now), "{host:?}: two TCP-timer fires at {now:?}");
+                (*fires, *last) = (n, Some(now));
+            }
+        }
+    }
+    assert!(seen.iter().all(|&(fires, _)| fires > 0), "{seen:?}");
 }

@@ -2,7 +2,6 @@
 
 use netsim::SimDuration;
 use packet::MacAddr;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Parameters of the TCP implementation (1997-era BSD Reno defaults).
@@ -58,10 +57,11 @@ pub struct HostConfig {
     pub ip: Ipv4Addr,
     /// Host's MAC address.
     pub mac: MacAddr,
-    /// Static ARP table: next-hop MAC per destination IP. Destinations not
-    /// listed are sent to the broadcast MAC (our single-segment topologies
-    /// deliver those fine).
-    pub arp: HashMap<Ipv4Addr, MacAddr>,
+    /// Static ARP table: next-hop MAC per destination IP, one entry per
+    /// IP (hosts here have one or two, so a lookup is a short scan).
+    /// Destinations not listed are sent to the broadcast MAC (our
+    /// single-segment topologies deliver those fine).
+    pub arp: Vec<(Ipv4Addr, MacAddr)>,
     /// Per-frame host processing cost (driver + protocol + copy overhead).
     /// Models the paper's 75 MHz 486 laptop, which kept a 10 Mb/s Ethernet
     /// from ever running at wire speed. Applied as output pacing.
@@ -81,7 +81,7 @@ impl HostConfig {
         HostConfig {
             ip,
             mac,
-            arp: HashMap::new(),
+            arp: Vec::new(),
             cpu_per_frame: SimDuration::ZERO,
             mtu: 1500,
             tcp: TcpConfig::default(),
@@ -95,10 +95,21 @@ impl HostConfig {
         self
     }
 
-    /// Add a static ARP entry.
+    /// Add a static ARP entry, replacing any earlier one for `ip`.
     pub fn with_arp(mut self, ip: Ipv4Addr, mac: MacAddr) -> Self {
-        self.arp.insert(ip, mac);
+        match self.arp.iter_mut().find(|(known, _)| *known == ip) {
+            Some(entry) => entry.1 = mac,
+            None => self.arp.push((ip, mac)),
+        }
         self
+    }
+
+    /// The static ARP entry for `ip`, if any.
+    pub fn arp_lookup(&self, ip: Ipv4Addr) -> Option<MacAddr> {
+        self.arp
+            .iter()
+            .find(|(known, _)| *known == ip)
+            .map(|&(_, mac)| mac)
     }
 }
 
@@ -112,7 +123,10 @@ mod tests {
             .with_cpu(SimDuration::from_millis(1))
             .with_arp(Ipv4Addr::new(10, 0, 0, 2), MacAddr::local(2));
         assert_eq!(cfg.cpu_per_frame, SimDuration::from_millis(1));
-        assert_eq!(cfg.arp[&Ipv4Addr::new(10, 0, 0, 2)], MacAddr::local(2));
+        assert_eq!(
+            cfg.arp_lookup(Ipv4Addr::new(10, 0, 0, 2)),
+            Some(MacAddr::local(2))
+        );
         assert_eq!(cfg.tcp.mss, 1460);
     }
 

@@ -48,6 +48,8 @@ pub struct HostStats {
     pub shim_dropped_out: u64,
     /// Frames that failed to parse at some layer (coerced to losses).
     pub parse_errors: u64,
+    /// TCP-timer events dispatched to this host.
+    pub tcp_timer_fires: u64,
 }
 
 /// A partially reassembled fragmented datagram.
@@ -63,7 +65,8 @@ pub struct HostCore {
     tcp: TcpEngine,
     udp_bound: HashMap<u16, AppId>,
     udp_next_ephemeral: u16,
-    tcp_owner: HashMap<TcpHandle, AppId>,
+    /// Owning application per TCP handle, indexed by the handle.
+    tcp_owner: Vec<Option<AppId>>,
     listener_owner: HashMap<u16, AppId>,
     icmp_app: Option<AppId>,
     tracer: Option<Box<dyn DeviceTap>>,
@@ -75,7 +78,10 @@ pub struct HostCore {
     rx_queue: VecDeque<Vec<u8>>,
     rx_last_done: SimTime,
     frags: HashMap<(Ipv4Addr, u16, u8), FragBuf>,
-    tcp_timer_armed: Option<SimTime>,
+    /// Instants at which a TCP-timer event is queued, one event each,
+    /// latest first: each push is earlier than every queued instant, so
+    /// the last entry is always the next to fire.
+    tcp_timers_queued: Vec<SimTime>,
     shim_timer_armed: Option<SimTime>,
     /// Reused release buffer for shim-timer service (one allocation for
     /// the life of the host instead of one per timer fire).
@@ -94,7 +100,7 @@ impl HostCore {
             cfg,
             udp_bound: HashMap::new(),
             udp_next_ephemeral: 50_000,
-            tcp_owner: HashMap::new(),
+            tcp_owner: Vec::new(),
             listener_owner: HashMap::new(),
             icmp_app: None,
             tracer: None,
@@ -106,7 +112,7 @@ impl HostCore {
             rx_queue: VecDeque::new(),
             rx_last_done: SimTime::ZERO,
             frags: HashMap::new(),
-            tcp_timer_armed: None,
+            tcp_timers_queued: Vec::new(),
             shim_timer_armed: None,
             shim_scratch: Vec::new(),
             tcp_scratch: EngineOut::default(),
@@ -131,12 +137,7 @@ impl HostCore {
     ) {
         let ident = self.ip_ident;
         self.ip_ident = self.ip_ident.wrapping_add(1);
-        let dst_mac = self
-            .cfg
-            .arp
-            .get(&dst)
-            .copied()
-            .unwrap_or(MacAddr::BROADCAST);
+        let dst_mac = self.cfg.arp_lookup(dst).unwrap_or(MacAddr::BROADCAST);
         let ether = EtherHeader {
             dst: dst_mac,
             src: self.cfg.mac,
@@ -402,13 +403,13 @@ impl HostCore {
     fn tcp_flush(&mut self, mut out: EngineOut, ctx: &mut Context<'_>) {
         for (port, handle) in out.accepted.drain(..) {
             if let Some(&owner) = self.listener_owner.get(&port) {
-                self.tcp_owner.insert(handle, owner);
+                self.set_tcp_owner(handle, Some(owner));
                 self.pending
                     .push_back((owner, AppEvent::TcpAccepted { port, conn: handle }));
             }
         }
         for (handle, ev) in out.events.drain(..) {
-            let Some(&owner) = self.tcp_owner.get(&handle) else {
+            let Some(owner) = self.tcp_owner.get(handle.0 as usize).copied().flatten() else {
                 continue;
             };
             let app_ev = match ev {
@@ -417,11 +418,11 @@ impl HostCore {
                 ConnEvent::SendSpace => AppEvent::TcpSendSpace { conn: handle },
                 ConnEvent::PeerClosed => AppEvent::TcpPeerClosed { conn: handle },
                 ConnEvent::Closed => {
-                    self.tcp_owner.remove(&handle);
+                    self.set_tcp_owner(handle, None);
                     AppEvent::TcpClosed { conn: handle }
                 }
                 ConnEvent::Reset(reason) => {
-                    self.tcp_owner.remove(&handle);
+                    self.set_tcp_owner(handle, None);
                     AppEvent::TcpReset {
                         conn: handle,
                         reason,
@@ -436,10 +437,20 @@ impl HostCore {
         self.tcp_scratch = out;
     }
 
+    fn set_tcp_owner(&mut self, handle: TcpHandle, owner: Option<AppId>) {
+        let idx = handle.0 as usize;
+        if idx >= self.tcp_owner.len() {
+            self.tcp_owner.resize(idx + 1, None);
+        }
+        self.tcp_owner[idx] = owner;
+    }
+
     // ---------------- timers ----------------
 
     fn tcp_timer(&mut self, ctx: &mut Context<'_>) {
-        self.tcp_timer_armed = None;
+        self.stats.tcp_timer_fires += 1;
+        let fired = self.tcp_timers_queued.pop();
+        debug_assert_eq!(fired, Some(ctx.now()), "the earliest queued instant fires");
         let mut out = std::mem::take(&mut self.tcp_scratch);
         self.tcp.on_timer(ctx.now(), &mut out);
         self.tcp_flush(out, ctx);
@@ -474,15 +485,18 @@ impl HostCore {
     }
 
     /// Re-arm the TCP and shim timers after any state change.
+    ///
+    /// A TCP-timer event is pushed only when the engine's next deadline is
+    /// earlier than every one already queued. A deadline at or after the
+    /// earliest queued instant waits: that event's own `rearm` schedules
+    /// it. So at most one TCP-timer event is queued per instant, and the
+    /// engine's next deadline never passes without a host event.
     fn rearm(&mut self, ctx: &mut Context<'_>) {
         if let Some(d) = self.tcp.next_deadline() {
-            let need = match self.tcp_timer_armed {
-                None => true,
-                Some(armed) => d < armed,
-            };
-            if need {
-                ctx.schedule_at(d, SUB_TCP);
-                self.tcp_timer_armed = Some(d);
+            let at = d.max(ctx.now());
+            if self.tcp_timers_queued.last().is_none_or(|&next| at < next) {
+                ctx.schedule_at(at, SUB_TCP);
+                self.tcp_timers_queued.push(at);
             }
         }
         if let Some(shim) = self.shim.as_ref() {
@@ -734,7 +748,7 @@ impl HostApi<'_, '_> {
         let mut out = std::mem::take(&mut self.core.tcp_scratch);
         let now = self.ctx.now();
         let handle = self.core.tcp.connect(dst, now, self.ctx.rng(), &mut out);
-        self.core.tcp_owner.insert(handle, self.app);
+        self.core.set_tcp_owner(handle, Some(self.app));
         self.core.tcp_flush(out, self.ctx);
         handle
     }

@@ -35,12 +35,23 @@ pub struct EngineOut {
     pub accepted: Vec<(u16, TcpHandle)>,
 }
 
+/// A connection's demux key: `(local port, remote IP, remote port)`.
+type Tuple = (u16, Ipv4Addr, u16);
+
 /// The per-host TCP engine.
+///
+/// `tuples` and `deadlines` are compact columns beside `conns`, one entry
+/// per slot: the live connection's demux key and its next deadline
+/// (`None` for a free slot). Every operation on a connection ends in
+/// `merge`, which refreshes the deadline or frees the slot, so the
+/// per-segment demux and the per-event deadline scan never touch the
+/// connections themselves.
 pub struct TcpEngine {
     cfg: TcpConfig,
     local_ip: Ipv4Addr,
     conns: Vec<Option<TcpConn>>,
-    by_tuple: HashMap<(u16, Ipv4Addr, u16), usize>,
+    tuples: Vec<Option<Tuple>>,
+    deadlines: Vec<Option<SimTime>>,
     listeners: HashMap<u16, ()>,
     next_ephemeral: u16,
     /// Reused per-operation connection output, drained by `merge`.
@@ -54,24 +65,29 @@ impl TcpEngine {
             cfg,
             local_ip,
             conns: Vec::new(),
-            by_tuple: HashMap::new(),
+            tuples: Vec::new(),
+            deadlines: Vec::new(),
             listeners: HashMap::new(),
             next_ephemeral: 40_000,
             scratch: Out::default(),
         }
     }
 
-    fn alloc_slot(&mut self, conn: TcpConn, tuple: (u16, Ipv4Addr, u16)) -> TcpHandle {
+    /// Put `conn` in the first free slot. Its deadline is filled in by
+    /// the `merge` that follows every allocation.
+    fn alloc_slot(&mut self, conn: TcpConn, tuple: Tuple) -> TcpHandle {
         let idx = self
-            .conns
+            .tuples
             .iter()
             .position(Option::is_none)
             .unwrap_or_else(|| {
                 self.conns.push(None);
+                self.tuples.push(None);
+                self.deadlines.push(None);
                 self.conns.len() - 1
             });
         self.conns[idx] = Some(conn);
-        self.by_tuple.insert(tuple, idx);
+        self.tuples[idx] = Some(tuple);
         TcpHandle(idx as u32)
     }
 
@@ -84,8 +100,7 @@ impl TcpEngine {
             } else {
                 self.next_ephemeral + 1
             };
-            if !self.listeners.contains_key(&p) && !self.by_tuple.keys().any(|&(lp, _, _)| lp == p)
-            {
+            if !self.listeners.contains_key(&p) && !self.tuples.iter().flatten().any(|t| t.0 == p) {
                 return p;
             }
         }
@@ -115,26 +130,28 @@ impl TcpEngine {
         handle
     }
 
-    /// Move `cout` into `out`, framing its segments, and keep its
-    /// emptied buffers for the next operation.
+    /// Move `cout` into `out`, framing its segments, keep its emptied
+    /// buffers for the next operation, and refresh the slot's deadline
+    /// (or free the slot once the connection is closed).
     fn merge(&mut self, handle: TcpHandle, mut cout: Out, out: &mut EngineOut) {
         let idx = handle.0 as usize;
-        let (remote, local_port) = {
-            let c = self.conns[idx].as_ref().expect("merged for live conn");
-            (c.remote, c.local_port())
-        };
+        let (local_port, remote_ip, _) = self.tuples[idx].expect("merged for live conn");
         for seg in cout.segs.drain(..) {
             debug_assert_eq!(seg.header.src_port, local_port);
             out.segments
-                .push((remote.0, seg.into_frame(self.local_ip, remote.0)));
+                .push((remote_ip, seg.into_frame(self.local_ip, remote_ip)));
         }
         out.events
             .extend(cout.events.drain(..).map(|e| (handle, e)));
         self.scratch = cout;
-        // Reap fully closed connections once their events are out.
-        if self.conns[idx].as_ref().is_some_and(TcpConn::is_closed) {
-            self.by_tuple.remove(&(local_port, remote.0, remote.1));
+        let conn = self.conns[idx].as_ref().expect("merged for live conn");
+        if conn.is_closed() {
+            // Reap fully closed connections once their events are out.
             self.conns[idx] = None;
+            self.tuples[idx] = None;
+            self.deadlines[idx] = None;
+        } else {
+            self.deadlines[idx] = conn.next_deadline();
         }
     }
 
@@ -213,7 +230,7 @@ impl TcpEngine {
             return; // corrupt segment: the model coerces it to a loss
         };
         let tuple = (h.dst_port, src_ip, h.src_port);
-        if let Some(&idx) = self.by_tuple.get(&tuple) {
+        if let Some(idx) = self.tuples.iter().position(|&t| t == Some(tuple)) {
             let handle = TcpHandle(idx as u32);
             let mut cout = std::mem::take(&mut self.scratch);
             self.conns[idx]
@@ -264,33 +281,21 @@ impl TcpEngine {
 
     /// Earliest deadline across all connections.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.conns
-            .iter()
-            .flatten()
-            .filter_map(TcpConn::next_deadline)
-            .min()
+        self.deadlines.iter().flatten().min().copied()
     }
 
-    /// Service every connection whose deadline is due.
+    /// Service every connection whose deadline is due, in slot order.
     pub fn on_timer(&mut self, now: SimTime, out: &mut EngineOut) {
-        let due: Vec<usize> = self
-            .conns
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| {
-                c.as_ref()
-                    .and_then(TcpConn::next_deadline)
-                    .filter(|&d| d <= now)
-                    .map(|_| i)
-            })
-            .collect();
-        for idx in due {
-            let handle = TcpHandle(idx as u32);
-            let mut cout = std::mem::take(&mut self.scratch);
-            if let Some(c) = self.conns[idx].as_mut() {
-                c.on_timer(now, &mut cout);
+        for idx in 0..self.deadlines.len() {
+            if self.deadlines[idx].is_none_or(|d| d > now) {
+                continue;
             }
-            self.merge(handle, cout, out);
+            let mut cout = std::mem::take(&mut self.scratch);
+            self.conns[idx]
+                .as_mut()
+                .expect("a deadline belongs to a live conn")
+                .on_timer(now, &mut cout);
+            self.merge(TcpHandle(idx as u32), cout, out);
         }
     }
 

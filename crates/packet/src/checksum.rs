@@ -3,9 +3,14 @@
 use std::net::Ipv4Addr;
 
 /// Incremental ones-complement sum accumulator.
+///
+/// Bytes are summed as big-endian 32-bit words into a 64-bit total and
+/// folded to 16 bits in [`finish`](Checksum::finish). Since 2¹⁶ ≡ 1
+/// (mod 2¹⁶ − 1), a 32-bit word adds the same ones-complement value as
+/// its two 16-bit halves, so the result is the RFC 1071 checksum.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Checksum {
-    sum: u32,
+    sum: u64,
 }
 
 impl Checksum {
@@ -19,18 +24,23 @@ impl Checksum {
     /// 16-bit alignment they occupy in the packet (all our callers feed
     /// even-length prefixes, so this holds).
     pub fn add_bytes(&mut self, data: &[u8]) {
-        let mut chunks = data.chunks_exact(2);
-        for c in &mut chunks {
-            self.sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
+        let mut words = data.chunks_exact(4);
+        for w in &mut words {
+            self.sum += u64::from(u32::from_be_bytes([w[0], w[1], w[2], w[3]]));
         }
-        if let [last] = chunks.remainder() {
-            self.sum += u32::from(u16::from_be_bytes([*last, 0]));
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            // A 3-, 2- or 1-byte tail, zero-padded: its 16-bit halves are
+            // the words (and the odd byte's zero pad) RFC 1071 adds.
+            let mut tail = [0u8; 4];
+            tail[..rest.len()].copy_from_slice(rest);
+            self.sum += u64::from(u32::from_be_bytes(tail));
         }
     }
 
     /// Fold a single big-endian 16-bit word into the sum.
     pub fn add_u16(&mut self, v: u16) {
-        self.sum += u32::from(v);
+        self.sum += u64::from(v);
     }
 
     /// Fold the TCP/UDP pseudo-header: src, dst, zero+protocol, length.

@@ -1,8 +1,10 @@
 //! Property-based round-trip tests for every codec: arbitrary field values
 //! must survive emit → parse unchanged, any single-bit corruption of a
-//! checksummed region must be detected, and a frame whose headers are
-//! written in place must equal the nested emits byte for byte.
+//! checksummed region must be detected, a frame whose headers are
+//! written in place must equal the nested emits byte for byte, and the
+//! word-wide checksum must equal the 16-bit RFC 1071 sum.
 
+use packet::checksum::Checksum;
 use packet::*;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -28,7 +30,57 @@ fn arb_flags() -> impl Strategy<Value = TcpFlags> {
         })
 }
 
+/// RFC 1071 one 16-bit word at a time, each part zero-padded to an even
+/// length: the reference the word-wide [`Checksum`] is checked against.
+fn checksum_16bit(parts: &[&[u8]], pseudo: Option<(Ipv4Addr, Ipv4Addr, u8, u16)>) -> u16 {
+    let mut sum = 0u32;
+    let mut add = |data: &[u8]| {
+        for c in data.chunks(2) {
+            sum += u32::from(u16::from_be_bytes([c[0], c.get(1).copied().unwrap_or(0)]));
+        }
+    };
+    if let Some((src, dst, protocol, len)) = pseudo {
+        add(&src.octets());
+        add(&dst.octets());
+        add(&[0, protocol]);
+        add(&len.to_be_bytes());
+    }
+    parts.iter().for_each(|p| add(p));
+    while sum >> 16 != 0 {
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    !(sum as u16)
+}
+
 proptest! {
+    #[test]
+    fn word_wide_checksum_matches_the_16bit_sum(
+        data in proptest::collection::vec(any::<u8>(), 0..1601),
+        cuts in proptest::collection::vec(any::<u16>(), 0..4),
+        pseudo in proptest::option::of((arb_ipv4(), arb_ipv4(), any::<u8>(), any::<u16>())),
+    ) {
+        // Split at even offsets, as every caller feeds the sum.
+        let mut at: Vec<usize> = cuts
+            .iter()
+            .map(|&c| c as usize % (data.len() / 2 + 1) * 2)
+            .collect();
+        at.sort_unstable();
+        let mut parts = Vec::new();
+        let mut start = 0;
+        for end in at.into_iter().chain([data.len()]) {
+            parts.push(&data[start..end]);
+            start = end;
+        }
+        let mut c = Checksum::new();
+        if let Some((src, dst, protocol, len)) = pseudo {
+            c.add_pseudo_header(src, dst, protocol, len);
+        }
+        for p in &parts {
+            c.add_bytes(p);
+        }
+        prop_assert_eq!(c.finish(), checksum_16bit(&parts, pseudo));
+    }
+
     #[test]
     fn ether_round_trip(
         dst in any::<[u8; 6]>(),
