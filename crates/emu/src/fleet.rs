@@ -807,6 +807,8 @@ fn fleet_run_inner(plan: &FleetPlan, exec: &Exec, fault: Option<(u64, FaultPlan)
         });
     }
     let results = tp.run(exec);
+    let wall = results.metrics.wall_secs;
+    let worker_utilization = results.metrics.worker_utilization();
 
     let mut manifests: Vec<RunManifest> = Vec::with_capacity(plan.clients as usize);
     let mut stations = StationTable::for_fleet(plan.clients, plan.stations, STATION_ALPHA);
@@ -815,24 +817,22 @@ fn fleet_run_inner(plan: &FleetPlan, exec: &Exec, fault: Option<(u64, FaultPlan)
     let mut events = 0u64;
     let mut peak_queue_depth = 0usize;
     let mut peak_packets_live = 0usize;
-    let mut shard_telemetry: Vec<&ShardTelemetry> = Vec::new();
+    let mut shard_telemetry: Vec<ShardTelemetry> = Vec::new();
     let mut profile: Option<Profiler> = None;
-    for shard in results.fleet_outcomes() {
+    for mut shard in results.into_fleet_outcomes() {
         debug_assert_eq!(
             shard.first_client,
             manifests.len() as u32,
             "shards merge in client order"
         );
-        manifests.extend(shard.manifests.iter().cloned());
+        manifests.append(&mut shard.manifests);
         stations.merge(&shard.stations);
-        faults.extend(shard.faults.iter().cloned());
+        faults.append(&mut shard.faults);
         counters.add(&shard.counters);
         events += shard.events_processed;
         peak_queue_depth = peak_queue_depth.max(shard.peak_queue_depth);
         peak_packets_live = peak_packets_live.max(shard.peak_packets_live);
-        if let Some(tel) = &shard.telemetry {
-            shard_telemetry.push(tel);
-        }
+        shard_telemetry.extend(shard.telemetry);
         if let Some(p) = &shard.profile {
             profile.get_or_insert_with(Profiler::new).merge(p);
         }
@@ -847,7 +847,7 @@ fn fleet_run_inner(plan: &FleetPlan, exec: &Exec, fault: Option<(u64, FaultPlan)
         // Shard rings merge in plan order; station hot spots come from
         // the *merged* station table (stations span shards, so exact
         // fleet-wide counts are the only layout-invariant source).
-        let mut tel = FleetTelemetry::merge(shard_telemetry.iter().copied());
+        let mut tel = FleetTelemetry::merge(&shard_telemetry);
         tel.set_hot_stations(
             cfg.top_k,
             (0..stations.stations() as u32).map(|s| (s, stations.frames(s))),
@@ -864,7 +864,6 @@ fn fleet_run_inner(plan: &FleetPlan, exec: &Exec, fault: Option<(u64, FaultPlan)
     report
         .metrics
         .set_counter("fleet.station_bytes", stations.total_bytes());
-    let wall = results.metrics.wall_secs;
     report.runner = Some(RunnerSection {
         wall_secs: wall,
         workers: exec.workers,
@@ -873,7 +872,7 @@ fn fleet_run_inner(plan: &FleetPlan, exec: &Exec, fault: Option<(u64, FaultPlan)
         } else {
             0.0
         },
-        worker_utilization: results.metrics.worker_utilization(),
+        worker_utilization,
     });
 
     FleetOutcome {

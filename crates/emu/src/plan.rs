@@ -535,16 +535,14 @@ impl PlanResults {
         self.cells.iter().zip(&self.outputs)
     }
 
-    /// Fleet shard outcomes, in plan order (= ascending client range,
-    /// the order [`crate::fleet::fleet_run`] merges them in).
-    pub fn fleet_outcomes(&self) -> Vec<&crate::fleet::FleetShardOutcome> {
-        self.outputs
-            .iter()
-            .filter_map(|o| match o {
-                CellOutput::Fleet(s) => Some(s.as_ref()),
-                _ => None,
-            })
-            .collect()
+    /// Fleet shard outcomes by value, in plan order (= ascending client
+    /// range, the order [`crate::fleet::fleet_run`] merges them in).
+    /// Consumes the results, so read [`metrics`](Self::metrics) first.
+    pub fn into_fleet_outcomes(self) -> impl Iterator<Item = crate::fleet::FleetShardOutcome> {
+        self.outputs.into_iter().filter_map(|o| match o {
+            CellOutput::Fleet(s) => Some(*s),
+            _ => None,
+        })
     }
 
     /// Live run results for (scenario, benchmark), in plan order.

@@ -97,17 +97,38 @@ impl Summary {
             return None;
         }
         let mut xs = s.clone();
+        // The last rank selected: everything left of it is no greater,
+        // everything right of it no less, so the next rank is selected
+        // within the side it falls on.
+        let mut last: Option<usize> = None;
         Some(ps.map(|p| {
             let rank = (p / 100.0).clamp(0.0, 1.0) * (xs.len() - 1) as f64;
             let lo = rank.floor() as usize;
             let hi = rank.ceil() as usize;
             let frac = rank - lo as f64;
-            let (_, &mut at_lo, right) = xs.select_nth_unstable_by(lo, f64::total_cmp);
+            match last {
+                Some(l) if lo == l => {}
+                Some(l) if lo > l => {
+                    xs[l + 1..].select_nth_unstable_by(lo - l - 1, f64::total_cmp);
+                }
+                Some(l) => {
+                    xs[..l].select_nth_unstable_by(lo, f64::total_cmp);
+                }
+                None => {
+                    xs.select_nth_unstable_by(lo, f64::total_cmp);
+                }
+            }
+            last = Some(lo);
+            let at_lo = xs[lo];
             // A fractional rank's upper neighbour: the least element above.
             let at_hi = if hi == lo {
                 at_lo
             } else {
-                *right.select_nth_unstable_by(0, f64::total_cmp).1
+                xs[lo + 1..]
+                    .iter()
+                    .copied()
+                    .min_by(f64::total_cmp)
+                    .expect("a fractional rank is below the last")
             };
             at_lo + (at_hi - at_lo) * frac
         }))
@@ -351,6 +372,9 @@ mod tests {
             sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
         }
         const PS: [f64; 5] = [0.0, 50.0, 95.0, 99.0, 100.0];
+        // Repeated and descending ranks select on either side of the
+        // previous pick.
+        const MIXED: [f64; 7] = [99.0, 50.0, 50.0, 0.0, 100.0, 37.5, 62.5];
         assert_eq!(Summary::of(&[]).percentiles(PS), None);
         assert_eq!(Summary::new().percentiles([50.0]), None);
         let mut rng = crate::rng::SimRng::seed_from_u64(5);
@@ -364,6 +388,10 @@ mod tests {
             for (v, p) in got.into_iter().zip(PS) {
                 assert_eq!(v.to_bits(), s.percentile(p).unwrap().to_bits());
                 assert_eq!(v.to_bits(), reference(xs, p).to_bits());
+            }
+            let got = s.percentiles(MIXED).expect("non-empty");
+            for (v, p) in got.into_iter().zip(MIXED) {
+                assert_eq!(v.to_bits(), reference(xs, p).to_bits(), "p{p}");
             }
         }
     }

@@ -11,7 +11,7 @@
 //! byte-identical across worker counts and shard layouts.
 
 use crate::fidelity::FidelityThresholds;
-use crate::manifest::{RunManifest, RunnerSection};
+use crate::manifest::{runner_stripped_json, RunManifest, RunnerSection};
 use crate::registry::MetricsRegistry;
 use crate::telemetry::FleetTelemetry;
 use serde::{Deserialize, Serialize};
@@ -224,9 +224,7 @@ impl FleetReport {
     /// runs produce equal bytes regardless of machine, worker count,
     /// or shard layout.
     pub fn deterministic_json(&self) -> String {
-        let mut clone = self.clone();
-        clone.runner = None;
-        serde_json::to_string(&clone).expect("fleet report serializes")
+        runner_stripped_json(self).expect("fleet report serializes")
     }
 
     /// Human-readable summary.
@@ -477,6 +475,11 @@ mod tests {
             worker_utilization: 0.5,
         });
         assert_eq!(r.deterministic_json(), det);
+        let stripped = FleetReport {
+            runner: None,
+            ..r.clone()
+        };
+        assert_eq!(det, serde_json::to_string(&stripped).unwrap());
         let parsed = FleetReport::from_json(&r.to_json_pretty()).unwrap();
         assert_eq!(parsed, r);
     }

@@ -4,7 +4,7 @@
 
 use crate::fidelity::{FidelityReport, FidelityThresholds};
 use crate::registry::MetricsRegistry;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt::Write as _;
 
 /// Manifest schema version, bumped on incompatible layout changes.
@@ -24,6 +24,21 @@ pub struct RunnerSection {
     /// Fraction of worker-seconds spent executing cells (1.0 = all
     /// workers busy the whole run).
     pub worker_utilization: f64,
+}
+
+/// Compact JSON of `value` with its top-level `runner` entry written as
+/// `null`: the bytes a copy with `runner: None` gives, from one
+/// serialization and no copy.
+pub(crate) fn runner_stripped_json<T: Serialize>(value: &T) -> Result<String, serde_json::Error> {
+    let mut tree = value.serialize();
+    if let Value::Object(entries) = &mut tree {
+        for (key, v) in entries.iter_mut() {
+            if key == "runner" {
+                *v = Value::Null;
+            }
+        }
+    }
+    serde_json::value_to_string(&tree)
 }
 
 /// The channel model that produced a run's conditions, identified by
@@ -102,9 +117,7 @@ impl RunManifest {
     /// runs of the same cell must match **byte for byte**, regardless
     /// of `--jobs`.
     pub fn deterministic_json(&self) -> String {
-        let mut c = self.clone();
-        c.runner = None;
-        serde_json::to_string(&c).unwrap_or_default()
+        runner_stripped_json(self).unwrap_or_default()
     }
 
     /// Check the fidelity section against `th` (empty = pass).
@@ -374,6 +387,11 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a.deterministic_json(), b.deterministic_json());
         assert!(!a.deterministic_json().contains("wall_secs"));
+        let stripped = RunManifest { runner: None, ..a };
+        assert_eq!(
+            b.deterministic_json(),
+            serde_json::to_string(&stripped).unwrap()
+        );
     }
 
     #[test]

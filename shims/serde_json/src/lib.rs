@@ -2,14 +2,15 @@
 //!
 //! JSON text ⇄ the serde shim's [`Value`] tree. Covers the API surface
 //! this workspace uses: [`to_string`], [`to_string_pretty`], [`to_vec`],
-//! [`to_vec_pretty`], [`from_str`], [`from_slice`]. Numbers round-trip
+//! [`to_vec_pretty`], [`from_str`], [`from_slice`], plus
+//! [`value_to_string`] for a tree that is already built. Numbers round-trip
 //! faithfully: integers stay integers, and floats are printed with
 //! Rust's shortest round-trip formatting.
 
 #![warn(missing_docs)]
 
 use serde::{DeError, Deserialize, Num, Serialize, Value};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Serialization or parse error.
 #[derive(Debug, Clone)]
@@ -37,8 +38,15 @@ impl From<DeError> for Error {
 
 /// Serialize to compact JSON text.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+    value_to_string(&value.serialize())
+}
+
+/// Write an already-built tree as compact JSON text. Same bytes as
+/// [`to_string`] of the tree, without the copy `Value`'s own
+/// [`Serialize`] impl makes.
+pub fn value_to_string(value: &Value) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.serialize(), None, 0)?;
+    write_value(&mut out, value, None, 0)?;
     Ok(out)
 }
 
@@ -92,20 +100,7 @@ fn write_value(
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::Num(Num::U(x)) => out.push_str(&x.to_string()),
-        Value::Num(Num::I(x)) => out.push_str(&x.to_string()),
-        Value::Num(Num::F(x)) => {
-            if !x.is_finite() {
-                return Err(Error::new("cannot serialize non-finite float"));
-            }
-            // Rust's Display for f64 is shortest-round-trip; add `.0`
-            // to keep integral floats recognizable as floats.
-            let s = x.to_string();
-            out.push_str(&s);
-            if !s.contains(['.', 'e', 'E']) {
-                out.push_str(".0");
-            }
-        }
+        Value::Num(n) => write_num(out, n)?,
         Value::Str(s) => write_string(out, s),
         Value::Seq(items) => {
             write_sequence(out, items.len(), indent, depth, '[', ']', |out, i, d| {
@@ -125,6 +120,47 @@ fn write_value(
         }
     }
     Ok(())
+}
+
+/// Write a number in place: integers in decimal, floats in Rust's
+/// shortest round-trip form.
+fn write_num(out: &mut String, n: &Num) -> Result<(), Error> {
+    match *n {
+        Num::U(x) => write_digits(out, x),
+        Num::I(x) => {
+            if x < 0 {
+                out.push('-');
+            }
+            write_digits(out, x.unsigned_abs());
+        }
+        Num::F(x) => {
+            if !x.is_finite() {
+                return Err(Error::new("cannot serialize non-finite float"));
+            }
+            let start = out.len();
+            write!(out, "{x}").expect("writing to a String cannot fail");
+            // Add `.0` to keep integral floats recognizable as floats.
+            if !out[start..].contains(['.', 'e', 'E']) {
+                out.push_str(".0");
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Decimal digits of `x`, most significant first.
+fn write_digits(out: &mut String, mut x: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
 }
 
 fn write_sequence(
@@ -422,6 +458,58 @@ mod tests {
             // Float-valued entries come back as the narrowest numeric
             // type; normalize 1500.0 → matches because we append `.0`.
             assert_eq!(back.0, v, "through {text}");
+        }
+    }
+
+    #[test]
+    fn numbers_write_as_display_did() {
+        // The writer before numbers were written in place: `Display`,
+        // plus `.0` on a float with no `.` or exponent.
+        fn display_form(n: &Num) -> String {
+            match *n {
+                Num::U(x) => x.to_string(),
+                Num::I(x) => x.to_string(),
+                Num::F(x) => {
+                    let s = x.to_string();
+                    if s.contains(['.', 'e', 'E']) {
+                        s
+                    } else {
+                        s + ".0"
+                    }
+                }
+            }
+        }
+        let mut nums = vec![
+            Num::U(0),
+            Num::U(u64::MAX),
+            Num::I(i64::MIN),
+            Num::I(-1),
+            Num::F(-0.0),
+            Num::F(0.0),
+            Num::F(5e-324),
+            Num::F(1e21),
+            Num::F(0.1 + 0.2),
+            Num::F(f64::MAX),
+            Num::F(f64::MIN_POSITIVE),
+        ];
+        for k in 0..=19 {
+            let p = 10u64.pow(k);
+            nums.extend([Num::U(p - 1), Num::U(p), Num::U(p + 1)]);
+            if let Ok(q) = i64::try_from(p) {
+                nums.extend([Num::I(1 - q), Num::I(-q), Num::I(-1 - q)]);
+            }
+            let f = p as f64;
+            nums.extend([Num::F(f - 1.0), Num::F(f), Num::F(-f), Num::F(f + 0.5)]);
+        }
+        for x in [1.5e300, -2.0e-300, 123456789012345680000.0, -7.0, 4096.0] {
+            nums.push(Num::F(x));
+        }
+        for n in &nums {
+            let v = Value::Num(*n);
+            assert_eq!(value_to_string(&v).unwrap(), display_form(n), "{n:?}");
+        }
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(value_to_string(&Value::Num(Num::F(x))).is_err());
         }
     }
 
