@@ -1,83 +1,4 @@
-//! Shared helpers for the experiment binaries (`src/bin/fig*.rs`), which
-//! regenerate every figure and table of the paper's evaluation section.
-//! See EXPERIMENTS.md for the recorded outputs.
-
-#![warn(missing_docs)]
-
-/// Number of trials per cell: the paper uses 4; override with the
-/// `TRIALS` environment variable (e.g. `TRIALS=1` for a smoke run).
-pub fn trials() -> u32 {
-    std::env::var("TRIALS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4)
-}
-
-/// Scenario-duration cap in seconds (0 = paper-length). Override with
-/// `SCENARIO_SECS` for quick runs.
-pub fn scenario_secs_override() -> Option<u64> {
-    std::env::var("SCENARIO_SECS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-}
-
-/// Apply the override to a scenario.
-pub fn maybe_trim(mut sc: wavelan::Scenario) -> wavelan::Scenario {
-    if let Some(secs) = scenario_secs_override() {
-        sc.duration = netsim::SimDuration::from_secs(secs);
-    }
-    sc
-}
-
-/// Execution for the experiment binaries: parallel across the
-/// machine's cores by default (or `EMU_JOBS`), `--jobs N` to pick a
-/// pool size, `--serial` as the single-threaded escape hatch. Summary
-/// tables are byte-identical whichever is chosen; progress and metrics
-/// go to stderr.
-pub fn exec_from_args() -> emu::Exec {
-    let jobs = |n: usize| {
-        if n == 0 {
-            eprintln!("--jobs needs a worker count of at least 1 (use --serial for one worker)");
-            std::process::exit(2);
-        }
-        emu::Exec::with_workers(n).with_progress(true)
-    };
-    let mut exec = emu::Exec::from_env();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--serial" => exec = emu::Exec::serial(),
-            "--jobs" => {
-                let n = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--jobs needs a worker count");
-                    std::process::exit(2);
-                });
-                exec = jobs(n);
-            }
-            other => {
-                if let Some(v) = other.strip_prefix("--jobs=") {
-                    let n = v.parse().unwrap_or_else(|_| {
-                        eprintln!("--jobs needs a worker count, got '{v}'");
-                        std::process::exit(2);
-                    });
-                    exec = jobs(n);
-                }
-            }
-        }
-    }
-    exec
-}
-
-/// First non-flag command-line argument, for binaries that also take a
-/// positional argument (e.g. a scenario name).
-pub fn positional_arg() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--jobs" {
-            args.next();
-        } else if !arg.starts_with("--") {
-            return Some(arg);
-        }
-    }
-    None
-}
+//! Criterion micro-benchmarks for the reproduction's layers (`benches/`:
+//! event engine, packet codec, modulation pipeline, fleet). The paper's
+//! figures and ablations are `tracemod figure <name>`; see
+//! EXPERIMENTS.md.

@@ -152,13 +152,6 @@ pub fn compare(
     compare_with(scenario, benchmark, trials, cfg, &Exec::serial())
 }
 
-/// The Ethernet reference row of each table.
-pub fn ethernet_baseline(benchmark: Benchmark, trials: u32, cfg: &RunConfig) -> Summary {
-    let mut plan = TrialPlan::new();
-    plan.push_ethernet(benchmark, trials, cfg);
-    plan.run(&Exec::serial()).ethernet_baseline(benchmark)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

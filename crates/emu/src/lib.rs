@@ -48,8 +48,8 @@ pub mod testbed;
 pub mod workload;
 
 pub use chaos::{chaos_live_run, ChaosOutcome};
-pub use experiment::{compare, compare_with, comparison_from_plan, ethernet_baseline, Comparison};
-pub use figures::{scenario_figure, scenario_figure_with, CheckpointSeries, ScenarioFigure};
+pub use experiment::{compare, compare_with, comparison_from_plan, Comparison};
+pub use figures::{scenario_figure, CheckpointSeries, FigureOpts, ScenarioFigure, FIGURES};
 pub use fleet::{
     fleet_alerts, fleet_run, fleet_run_chaos, FleetOutcome, FleetPlan, FleetShard,
     FleetShardOutcome,

@@ -28,54 +28,25 @@ use std::time::Instant;
 use tracekit::Trace;
 use wavelan::Scenario;
 
-/// How to execute a plan: worker count and progress reporting.
+/// How to execute a plan: the worker count.
 #[derive(Debug, Clone, Copy)]
 pub struct Exec {
     /// Worker threads (1 = run serially on the calling thread).
     pub workers: usize,
-    /// Emit per-cell progress lines on stderr.
-    pub progress: bool,
 }
 
 impl Exec {
     /// Serial execution — the escape hatch, and the reference the
     /// parallel path must match byte-for-byte.
     pub fn serial() -> Self {
-        Exec {
-            workers: 1,
-            progress: false,
-        }
+        Exec { workers: 1 }
     }
 
     /// A fixed-size pool of `workers` threads.
     pub fn with_workers(workers: usize) -> Self {
         Exec {
             workers: workers.max(1),
-            progress: false,
         }
-    }
-
-    /// Pool sized from the `EMU_JOBS` environment variable, falling
-    /// back to the machine's available parallelism.
-    pub fn from_env() -> Self {
-        let workers = std::env::var("EMU_JOBS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            });
-        Exec {
-            workers: workers.max(1),
-            progress: true,
-        }
-    }
-
-    /// Same execution with progress lines switched on or off.
-    pub fn with_progress(mut self, progress: bool) -> Self {
-        self.progress = progress;
-        self
     }
 }
 
@@ -151,7 +122,7 @@ pub type CustomCell = Box<dyn Fn(u32, &RunConfig) -> Vec<RunResult> + Send + Syn
 
 /// One independently executable unit of the matrix.
 pub struct TrialCell {
-    /// Label shown in progress lines and per-cell metrics.
+    /// Label shown in per-cell metrics.
     pub label: String,
     /// Trial number (feeds the deterministic seeding).
     pub trial: u32,
@@ -361,17 +332,12 @@ impl TrialPlan {
 
         if exec.workers <= 1 || n <= 1 {
             for (i, cell) in self.cells.iter().enumerate() {
-                let out = execute_cell(cell, i);
-                if exec.progress {
-                    progress_line(i + 1, n, &out.1);
-                }
-                outputs.push(Some(out));
+                outputs.push(Some(execute_cell(cell, i)));
             }
         } else {
             let slots: Vec<Mutex<Option<(CellOutput, CellReport)>>> =
                 (0..n).map(|_| Mutex::new(None)).collect();
             let cursor = AtomicUsize::new(0);
-            let done = AtomicUsize::new(0);
             let cells = &self.cells;
             std::thread::scope(|scope| {
                 for _ in 0..exec.workers.min(n) {
@@ -381,10 +347,6 @@ impl TrialPlan {
                             break;
                         }
                         let out = execute_cell(&cells[i], i);
-                        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        if exec.progress {
-                            progress_line(finished, n, &out.1);
-                        }
                         *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(out);
                     });
                 }
@@ -418,16 +380,6 @@ impl TrialPlan {
             metrics,
         }
     }
-}
-
-fn progress_line(done: usize, total: usize, report: &CellReport) {
-    eprintln!(
-        "[plan {done:>3}/{total}] {:<28} {:>6.1}s wall  {:>7.1}s virtual{}",
-        report.label,
-        report.wall_secs,
-        report.virtual_secs,
-        if report.failed > 0 { "  FAILED" } else { "" }
-    );
 }
 
 fn virtual_secs_of(result: &RunResult) -> f64 {
@@ -596,8 +548,8 @@ impl PlanResults {
             .collect()
     }
 
-    /// Ethernet baseline summary for one benchmark, identical to the
-    /// serial [`crate::experiment::ethernet_baseline`].
+    /// Ethernet baseline summary for one benchmark: its runs' elapsed
+    /// times in plan (trial) order.
     pub fn ethernet_baseline(&self, benchmark: Benchmark) -> Summary {
         let mut s = Summary::new();
         for (c, o) in self.iter() {

@@ -13,7 +13,8 @@
 //! failures exit 1, each with a message and never with a panic.
 
 use distill::{distill_stream, DistillConfig, WindowConfig};
-use emu::{fleet_alerts, fleet_run, fleet_run_chaos, FleetPlan};
+use emu::report::plan_metrics_text;
+use emu::{fleet_alerts, fleet_run, fleet_run_chaos, FigureOpts, FleetPlan, FIGURES};
 use emu::{
     live_modulated_run, live_run, modulated_run, Benchmark, CellKind, Exec, LiveModOutcome,
     RunConfig, TrialCell, TrialPlan,
@@ -225,6 +226,10 @@ mod table {
         flag("min-severity", Text, "warn", "floor for --check: info, warn or critical"),
         flag("check", Switch, "", "exit 1 on an active alert at or above the floor"),
     ];
+    const FIGURE: &[Flag] = &[
+        flag("trials", Positive, "4", "trials per cell (all but fig1)"),
+        Flag { max: wavelan::MAX_DURATION_SECS, ..flag("duration-secs", Positive, "", "cap each scenario traversal (fig2to5 to fig8)") },
+    ];
     const DIFF_RUNS: &[Flag] = &[
         flag("shards", Positive, "", "name the shard owning a divergent client"),
         flag("check", Switch, "", "exit 1 on divergence"),
@@ -267,6 +272,9 @@ mod table {
         cmd("diff-runs", &["A", "B"], cmd_diff_runs, &[DIFF_RUNS],
             "report the first field where two runs diverge: two artifact files, or two\n\
              run directories compared artifact by artifact in causal order"),
+        cmd("figure", &["<name>"], cmd_figure, &[FIGURE, JOBS],
+            "print one of the paper's figures or ablations: fig1, fig2to5, fig6, fig7, fig8,\n\
+             ablation-tick, ablation-window or ablation-symmetry (plan metrics on stderr)"),
         cmd("help", &[], cmd_help, &[], "print this usage and exit 0 (also --help anywhere, or -h)"),
     ];
 }
@@ -1360,6 +1368,30 @@ fn cmd_diff_runs(args: &Args) -> CliResult {
     Ok(())
 }
 
+fn cmd_figure(args: &Args) -> CliResult {
+    let names = || FIGURES.map(|(name, _)| name).join(", ");
+    let name = args
+        .operand(0)
+        .map_err(|_| CliError::usage(format!("missing figure name (one of: {})", names())))?;
+    let Some((_, figure)) = FIGURES.iter().find(|(n, _)| *n == name) else {
+        return Err(CliError::usage(format!(
+            "unknown figure '{name}' (one of: {})",
+            names()
+        )));
+    };
+    let duration = args
+        .get("duration-secs")
+        .map(|_| args.time("duration-secs", SECOND));
+    let opts = FigureOpts {
+        trials: args.num("trials")?,
+        duration: duration.transpose()?,
+    };
+    let (text, metrics) = figure(&opts, &Exec::with_workers(args.num("jobs")?));
+    print!("{text}");
+    eprint!("{}", plan_metrics_text(&metrics));
+    Ok(())
+}
+
 fn report_result(r: &emu::RunResult) {
     match r.elapsed {
         Some(secs) => println!("{}: {:.2} s", r.benchmark.name(), secs),
@@ -1438,6 +1470,15 @@ mod tests {
                     assert!(f.kind.check(f.name, f.default).is_ok(), "--{}", f.name);
                 }
             }
+        }
+    }
+
+    /// The figure command's help names every figure.
+    #[test]
+    fn figure_help_names_every_figure() {
+        let about = COMMANDS.iter().find(|c| c.name == "figure").unwrap().about;
+        for (name, _) in FIGURES {
+            assert!(about.contains(name), "help omits {name}");
         }
     }
 

@@ -6,7 +6,8 @@
 //! unknown, repeated or value-less flag must be a usage error (exit 2).
 //! The run-directory readers (`alerts`, `obs-report`, `diff-runs`) get
 //! directories of random artifact bytes, and `--rules`/`--alerts` a
-//! random alert-rule file.
+//! random alert-rule file. No generated operand names a figure, so
+//! `figure` cases stop at the name check without running one.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -240,7 +241,8 @@ fn must_be_usage_error(cmd: &Cmd, argv: &[String]) -> Option<String> {
 #[test]
 fn every_generated_argv_exits_cleanly() {
     let cmds = commands_from_help();
-    assert!(cmds.len() >= 17, "help lists every command");
+    assert!(cmds.len() >= 18, "help lists every command");
+    assert!(cmds.iter().any(|c| c.name == "figure" && c.operands == 1));
     let plan = format!("{}/packs/faults/9-combo.json", env!("CARGO_MANIFEST_DIR"));
     let root = std::env::temp_dir().join(format!("tracemod-argv-{}", std::process::id()));
     let mut rng = Rng(0x7ace_0d00);
@@ -263,6 +265,9 @@ fn every_generated_argv_exits_cleanly() {
             "case {case}: {argv:?} exited {code:?}; stderr:\n{stderr}"
         );
         exits[code.unwrap() as usize] += 1;
+        if cmd.name == "figure" {
+            assert_eq!(code, Some(2), "case {case}: {argv:?} ran a figure");
+        }
         match must_be_usage_error(cmd, &argv) {
             Some(why) => assert_eq!(code, Some(2), "case {case}: {argv:?} has {why}"),
             None => assert!(

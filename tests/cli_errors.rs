@@ -66,6 +66,7 @@ fn unknown_command_is_a_usage_error() {
         "fleet",
         "alerts",
         "diff-runs",
+        "figure",
         "help",
     ] {
         assert!(stderr.contains(cmd), "usage must list {cmd:?}");
@@ -749,6 +750,65 @@ fn zero_counts_are_usage_errors() {
     }
 }
 
+const FIGURE_NAMES: [&str; 8] = [
+    "fig1",
+    "fig2to5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "ablation-tick",
+    "ablation-window",
+    "ablation-symmetry",
+];
+
+/// A missing or unknown figure name is a usage error whose message
+/// lists every figure, and nothing runs.
+#[test]
+fn figure_needs_a_known_name() {
+    for (argv, needle) in [
+        (&["figure"][..], "missing figure name"),
+        (&["figure", "fig9"], "unknown figure 'fig9'"),
+        (
+            &["figure", "fig2to5", "porter"],
+            "unexpected argument 'porter'",
+        ),
+    ] {
+        let out = tracemod(argv);
+        assert_exit(&out, 2, needle);
+        assert!(out.stdout.is_empty(), "{argv:?} must not run");
+        let stderr = stderr_of(&out);
+        for name in FIGURE_NAMES {
+            assert!(stderr.contains(name), "{argv:?}: stderr must list {name}");
+        }
+    }
+}
+
+/// `--trials` must be a positive count that fits a trial number, and
+/// `--jobs` needs its value; each is refused before any figure work.
+#[test]
+fn figure_rejects_bad_counts() {
+    for (argv, needle) in [
+        (
+            &["figure", "fig6", "--trials", "0"][..],
+            "--trials must be positive",
+        ),
+        (
+            &["figure", "fig6", "--trials", "4294967296"],
+            "--trials: '4294967296' is out of range",
+        ),
+        (&["figure", "fig6", "--jobs"], "--jobs needs a value"),
+        (
+            &["figure", "fig6", "--jobs", "0"],
+            "--jobs must be positive",
+        ),
+        (&["figure", "fig6", "--serial"], "unknown flag --serial"),
+    ] {
+        let out = tracemod(argv);
+        assert_exit(&out, 2, needle);
+        assert!(out.stdout.is_empty(), "{argv:?} must not run");
+    }
+}
+
 /// Every trial of a chaos matrix needs a trial number that fits:
 /// `--trial 4294967295 --trials 2` would otherwise wrap round to 0.
 #[test]
@@ -785,6 +845,7 @@ fn duration_secs_is_capped_at_one_day() {
         ("fleet", "10000000000"),
         ("live", "86401"),
         ("chaos", "86401"),
+        ("figure", "86401"),
     ] {
         let out = tracemod(&[cmd, "--duration-secs", value]);
         assert_exit(
