@@ -3,7 +3,7 @@
 
 use crate::core::{EventCore, Step};
 use crate::event::{EventKind, NodeId, PortId, Scheduled};
-use crate::link::{Link, LinkId, LinkParams, LinkStats};
+use crate::link::{Link, LinkId, LinkParams};
 use crate::node::{Context, FrameHook, Node, PortTable};
 use crate::rng::SimRng;
 use crate::time::SimTime;
@@ -104,12 +104,6 @@ impl Simulator {
         params: LinkParams,
     ) -> LinkId {
         self.connect(a, pa, b, pb, params, params)
-    }
-
-    /// Counters for one direction of a link (0 = a→b as passed to
-    /// `connect`).
-    pub fn link_stats(&self, link: LinkId, dir: usize) -> LinkStats {
-        self.links[link.0].dirs[dir].stats
     }
 
     /// Seed an event from outside any node (e.g. to kick off an
@@ -321,24 +315,5 @@ mod tests {
         let (mut sim, a, _b) = two_node_sim();
         let c = sim.add_node(Box::new(Echo::new(false)));
         sim.connect_sym(a, PortId(0), c, PortId(0), LinkParams::instant());
-    }
-
-    #[test]
-    fn link_stats_account_traffic() {
-        let (mut sim, _a, b) = two_node_sim();
-        sim.schedule_event(
-            SimTime::ZERO,
-            b,
-            EventKind::Deliver {
-                port: PortId(0),
-                frame: Frame::new(vec![0u8; 200], SimTime::ZERO),
-            },
-        );
-        sim.run(1000);
-        // b sent one 100-byte frame back on direction 1 (b→a).
-        let stats = sim.link_stats(LinkId(0), 1);
-        assert_eq!(stats.delivered_frames, 1);
-        assert_eq!(stats.delivered_bytes, 100);
-        assert_eq!(stats.dropped_frames, 0);
     }
 }

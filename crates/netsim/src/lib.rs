@@ -60,7 +60,7 @@ mod time;
 pub use self::core::{EventCore, Step, WheelItem};
 pub use engine::Simulator;
 pub use event::{EventKind, Frame, NodeId, PortId};
-pub use link::{LinkId, LinkParams, LinkStats};
+pub use link::{LinkId, LinkParams};
 pub use node::{Context, FrameHook, Node};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -55,22 +55,10 @@ impl LinkParams {
     }
 }
 
-/// Counters for one direction of a link.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LinkStats {
-    /// Frames accepted and delivered (scheduled for arrival).
-    pub delivered_frames: u64,
-    /// Bytes accepted and delivered.
-    pub delivered_bytes: u64,
-    /// Frames tail-dropped because the queue was full.
-    pub dropped_frames: u64,
-}
-
 /// Dynamic state of one direction.
 #[derive(Debug)]
 pub(crate) struct Direction {
     pub params: LinkParams,
-    pub stats: LinkStats,
     /// Transmitter is busy until this instant.
     busy_until: SimTime,
     /// Departure times of frames currently queued or in service, used to
@@ -82,7 +70,6 @@ impl Direction {
     pub fn new(params: LinkParams) -> Self {
         Direction {
             params,
-            stats: LinkStats::default(),
             busy_until: SimTime::ZERO,
             in_flight: VecDeque::new(),
         }
@@ -96,15 +83,12 @@ impl Direction {
             self.in_flight.pop_front();
         }
         if self.in_flight.len() >= self.params.queue_frames {
-            self.stats.dropped_frames += 1;
             return None;
         }
         let start = self.busy_until.max(now);
         let depart = start + SimDuration::transmission(bytes, self.params.bandwidth_bps);
         self.busy_until = depart;
         self.in_flight.push_back(depart);
-        self.stats.delivered_frames += 1;
-        self.stats.delivered_bytes += bytes as u64;
         Some(depart + self.params.propagation)
     }
 }
@@ -163,8 +147,6 @@ mod tests {
         assert!(d.offer(SimTime::ZERO, 1000).is_some());
         assert!(d.offer(SimTime::ZERO, 1000).is_some());
         assert!(d.offer(SimTime::ZERO, 1000).is_none());
-        assert_eq!(d.stats.dropped_frames, 1);
-        assert_eq!(d.stats.delivered_frames, 2);
         // After the queue drains, frames are accepted again.
         assert!(d.offer(SimTime::from_secs(1), 1000).is_some());
     }

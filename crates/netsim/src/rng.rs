@@ -22,15 +22,6 @@ impl SimRng {
         }
     }
 
-    /// Derive an independent child stream, keyed by `salt`.
-    ///
-    /// Used to give each host / channel / workload its own stream so adding
-    /// one consumer does not perturb another's sequence.
-    pub fn fork(&mut self, salt: u64) -> SimRng {
-        let base: u64 = self.inner.gen();
-        SimRng::seed_from_u64(base ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
     /// Uniform in `[0, 1)`.
     pub fn f64(&mut self) -> f64 {
         self.inner.gen::<f64>()
@@ -68,16 +59,6 @@ impl SimRng {
         }
     }
 
-    /// Exponentially distributed value with the given mean.
-    pub fn exp(&mut self, mean: f64) -> f64 {
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        // Inverse-CDF sampling; 1-u avoids ln(0).
-        let u: f64 = self.f64();
-        -mean * (1.0 - u).ln()
-    }
-
     /// Normally distributed value (Box–Muller), mean `mu`, std dev `sigma`.
     pub fn normal(&mut self, mu: f64, sigma: f64) -> f64 {
         if sigma <= 0.0 {
@@ -104,41 +85,12 @@ mod tests {
     }
 
     #[test]
-    fn forks_are_independent_but_deterministic() {
-        let mut a = SimRng::seed_from_u64(7);
-        let mut b = SimRng::seed_from_u64(7);
-        let mut fa = a.fork(1);
-        let mut fb = b.fork(1);
-        for _ in 0..10 {
-            assert_eq!(fa.u64(), fb.u64());
-        }
-        let mut other = SimRng::seed_from_u64(7).fork(2);
-        // Different salt should (overwhelmingly) give a different stream.
-        let same = (0..10).all(|_| {
-            let x = SimRng::seed_from_u64(7).fork(1).u64();
-            x == other.u64()
-        });
-        assert!(!same);
-    }
-
-    #[test]
     fn chance_extremes() {
         let mut r = SimRng::seed_from_u64(1);
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
         assert!(!r.chance(-0.5));
         assert!(r.chance(1.5));
-    }
-
-    #[test]
-    fn exp_mean_reasonable() {
-        let mut r = SimRng::seed_from_u64(42);
-        let n = 20_000;
-        let mean = 3.0;
-        let sum: f64 = (0..n).map(|_| r.exp(mean)).sum();
-        let observed = sum / n as f64;
-        assert!((observed - mean).abs() < 0.1, "observed {observed}");
-        assert_eq!(r.exp(0.0), 0.0);
     }
 
     #[test]

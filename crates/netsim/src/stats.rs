@@ -67,11 +67,6 @@ impl Summary {
         s
     }
 
-    /// True when observations are retained for percentile queries.
-    pub fn retains_samples(&self) -> bool {
-        self.samples.is_some()
-    }
-
     /// The retained observations, in insertion order (`None` unless
     /// built with [`keeping_samples`](Summary::keeping_samples) or
     /// [`of`](Summary::of)).
@@ -421,7 +416,7 @@ mod tests {
     fn summary_without_samples_has_no_percentiles() {
         let mut s = Summary::new();
         s.add(5.0);
-        assert!(!s.retains_samples());
+        assert_eq!(s.samples(), None);
         assert_eq!(s.percentile(50.0), None);
         assert_eq!(s.p95(), 0.0);
         assert_eq!(Summary::keeping_samples().percentile(50.0), None);

@@ -298,11 +298,6 @@ impl TcpEngine {
             self.merge(TcpHandle(idx as u32), cout, out);
         }
     }
-
-    /// Number of live connections (diagnostics).
-    pub fn live_connections(&self) -> usize {
-        self.conns.iter().flatten().count()
-    }
 }
 
 #[cfg(test)]
@@ -452,7 +447,7 @@ mod tests {
             true,
         );
         assert!(events.contains(&(true, ch, ConnEvent::Reset("connection refused"))));
-        assert_eq!(client.live_connections(), 0);
+        assert_eq!(client.conns.iter().flatten().count(), 0);
     }
 
     #[test]
@@ -502,14 +497,14 @@ mod tests {
             false,
         );
 
-        assert_eq!(server.live_connections(), 0);
+        assert_eq!(server.conns.iter().flatten().count(), 0);
         // Client is in TIME-WAIT; fire its timer.
         assert_eq!(client.state(ch), Some(TcpState::TimeWait));
         let dl = client.next_deadline().unwrap();
         let mut out = EngineOut::default();
         client.on_timer(dl, &mut out);
         assert!(out.events.contains(&(ch, ConnEvent::Closed)));
-        assert_eq!(client.live_connections(), 0);
+        assert_eq!(client.conns.iter().flatten().count(), 0);
     }
 
     #[test]

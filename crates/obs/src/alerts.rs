@@ -605,13 +605,6 @@ impl AlertReport {
         self.alerts.iter().filter(|a| !a.suppressed)
     }
 
-    /// Count active (unsuppressed) alerts at or above `floor`.
-    pub fn active_at_or_above(&self, floor: Severity) -> usize {
-        self.active()
-            .filter(|a| Severity::parse(&a.severity).map(|s| s >= floor) == Ok(true))
-            .count()
-    }
-
     /// The gate: violation strings for every active alert at or above
     /// `floor` (empty = pass). Suppressed alerts never gate — they are
     /// attributed to their injected fault instead.
@@ -643,15 +636,6 @@ impl AlertReport {
             s.push('\n');
         }
         s
-    }
-
-    /// Parse alerts back from a JSONL export (tallies recomputed from
-    /// the lines; schema/boundary counts are not round-tripped).
-    pub fn alerts_from_jsonl(text: &str) -> Result<Vec<Alert>, String> {
-        text.lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(|l| serde_json::from_str(l).map_err(|e| format!("bad alert line: {e}")))
-            .collect()
     }
 
     /// Markdown report: summary counts plus one table row per alert.
@@ -1024,7 +1008,7 @@ suppress_window_secs = 7.5
         assert_eq!(a.value, 30.0);
         assert!(!a.suppressed);
         assert_eq!(rep.alerts[1].t_first_ns, 5_000_000_000);
-        assert_eq!(rep.active_at_or_above(Severity::Warn), 2);
+        assert_eq!(rep.check(Severity::Warn).len(), 2);
         assert_eq!(rep.check(Severity::Critical).len(), 0, "warn < critical");
     }
 
@@ -1251,7 +1235,11 @@ suppress_window_secs = 7.5
         let b = evaluate(&rs, &inputs).unwrap();
         assert_eq!(a.to_jsonl(), b.to_jsonl());
         assert_eq!(a.render_markdown(), b.render_markdown());
-        let back = AlertReport::alerts_from_jsonl(&a.to_jsonl()).unwrap();
+        let jsonl = a.to_jsonl();
+        let back: Vec<Alert> = jsonl
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
         assert_eq!(back, a.alerts);
         let md = a.render_markdown();
         assert!(md.contains("## Alerts"));

@@ -95,23 +95,6 @@ impl MetricsRegistry {
             self.set_hist(&format!("{prefix}.{k}"), v.clone());
         }
     }
-
-    /// True when at least one metric under `"{prefix}."` has a nonzero
-    /// value (counter > 0, gauge ≠ 0, or histogram with observations).
-    pub fn has_nonzero(&self, prefix: &str) -> bool {
-        let pre = format!("{prefix}.");
-        self.counters
-            .iter()
-            .any(|(k, &v)| k.starts_with(&pre) && v > 0)
-            || self
-                .gauges
-                .iter()
-                .any(|(k, &v)| k.starts_with(&pre) && v != 0.0)
-            || self
-                .hists
-                .iter()
-                .any(|(k, v)| k.starts_with(&pre) && v.count > 0)
-    }
 }
 
 fn map_to_value<T: Serialize>(m: &BTreeMap<String, T>) -> Value {
@@ -191,7 +174,5 @@ mod tests {
         root.merge("netsim", &stage); // counters accumulate
         assert_eq!(root.counter("netsim.events"), Some(20));
         assert_eq!(root.gauge("netsim.depth"), Some(4.0));
-        assert!(root.has_nonzero("netsim"));
-        assert!(!root.has_nonzero("wavelan"));
     }
 }

@@ -66,22 +66,9 @@ pub fn with_headroom(headroom: usize, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Convenience: total on-wire size of a TCP data segment with the standard
-/// header stack (Ethernet + IPv4 + TCP), as the modulation model charges
-/// per-byte costs on full frame sizes.
-pub fn tcp_frame_len(payload: usize) -> usize {
-    ETHER_HEADER_LEN + IPV4_HEADER_LEN + TCP_HEADER_LEN + payload
-}
-
 /// Convenience: on-wire size of a UDP datagram frame.
 pub fn udp_frame_len(payload: usize) -> usize {
     ETHER_HEADER_LEN + IPV4_HEADER_LEN + UDP_HEADER_LEN + payload
-}
-
-/// Convenience: on-wire size of an ICMP echo frame with `payload` bytes of
-/// echo data (the probe "size" in the paper counts the echo payload).
-pub fn icmp_frame_len(payload: usize) -> usize {
-    ETHER_HEADER_LEN + IPV4_HEADER_LEN + ICMP_ECHO_HEADER_LEN + payload
 }
 
 #[cfg(test)]
@@ -90,8 +77,6 @@ mod tests {
 
     #[test]
     fn frame_len_helpers() {
-        assert_eq!(tcp_frame_len(0), 54);
         assert_eq!(udp_frame_len(100), 142);
-        assert_eq!(icmp_frame_len(56), 98);
     }
 }

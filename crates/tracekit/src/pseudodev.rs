@@ -43,11 +43,6 @@ impl PseudoDevice {
         s.ring.clear();
     }
 
-    /// Is tracing currently enabled?
-    pub fn is_open(&self) -> bool {
-        self.state.lock().open
-    }
-
     /// Kernel side: offer a record (no-op while closed). Returns whether
     /// it was buffered.
     pub fn offer(&self, rec: TraceRecord) -> bool {
@@ -100,7 +95,7 @@ mod tests {
         dev.open();
         dev.offer(pkt(1));
         dev.close();
-        assert!(!dev.is_open());
+        assert!(!dev.state.lock().open);
         assert_eq!(dev.buffered(), 0);
         assert!(dev.read(10, 0).is_empty());
     }
@@ -110,7 +105,7 @@ mod tests {
         let dev = PseudoDevice::new(8);
         let clone = dev.clone();
         dev.open();
-        assert!(clone.is_open());
+        assert!(clone.state.lock().open);
         clone.offer(pkt(1));
         assert_eq!(dev.read(10, 0).len(), 1);
     }

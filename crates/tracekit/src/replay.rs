@@ -36,11 +36,6 @@ impl QualityTuple {
         SimDuration::from_nanos((self.vr_ns_per_byte * bytes as f64).round().max(0.0) as u64)
     }
 
-    /// Bottleneck service time for a packet of `bytes`: `s · Vb`.
-    pub fn bottleneck_service(&self, bytes: usize) -> SimDuration {
-        SimDuration::from_nanos((self.vb_ns_per_byte * bytes as f64).round().max(0.0) as u64)
-    }
-
     /// Equivalent bottleneck bandwidth in bits per second.
     pub fn bottleneck_bandwidth_bps(&self) -> f64 {
         if self.vb_ns_per_byte <= 0.0 {
@@ -301,7 +296,6 @@ mod tests {
             vr_ns_per_byte: 800.0,
             loss: 0.1,
         };
-        assert_eq!(q.bottleneck_service(1000), SimDuration::from_millis(4));
         assert_eq!(q.residual_delay(1000), SimDuration::from_micros(800));
         assert!((q.bottleneck_bandwidth_bps() - 2_000_000.0).abs() < 1.0);
         assert!(q.is_valid());

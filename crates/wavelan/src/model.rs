@@ -63,19 +63,6 @@ impl ConstantModel {
     pub fn new(conditions: LinkConditions, span: SimDuration) -> Self {
         ConstantModel { conditions, span }
     }
-
-    /// A WaveLAN-like steady channel: 2 ms latency, 1.5 Mb/s, 2% loss.
-    pub fn wavelan_typical(span: SimDuration) -> Self {
-        ConstantModel::new(
-            LinkConditions {
-                latency: SimDuration::from_millis(2),
-                bandwidth_bps: 1_500_000,
-                loss: 0.02,
-                signal: SignalInfo::from_level(20.0),
-            },
-            span,
-        )
-    }
 }
 
 impl ChannelModel for ConstantModel {
@@ -355,7 +342,13 @@ mod tests {
 
     #[test]
     fn constant_model_is_constant() {
-        let mut m = ConstantModel::wavelan_typical(SimDuration::from_secs(60));
+        let conditions = LinkConditions {
+            latency: SimDuration::from_millis(2),
+            bandwidth_bps: 1_500_000,
+            loss: 0.02,
+            signal: SignalInfo::from_level(20.0),
+        };
+        let mut m = ConstantModel::new(conditions, SimDuration::from_secs(60));
         let mut rng = SimRng::seed_from_u64(3);
         let a = m.sample(SimTime::ZERO, &mut rng);
         let b = m.sample(SimTime::from_secs(30), &mut rng);

@@ -17,9 +17,6 @@ pub struct SignalInfo {
 }
 
 impl SignalInfo {
-    /// The driver's noise threshold: levels below this are background.
-    pub const NOISE_FLOOR: f64 = 5.0;
-
     /// A dead-air reading.
     pub fn none() -> Self {
         SignalInfo {
@@ -39,11 +36,6 @@ impl SignalInfo {
             quality: (level * 0.6).clamp(0.0, 15.0),
             silence: 2.0,
         }
-    }
-
-    /// Whether the driver would consider this usable signal.
-    pub fn is_usable(&self) -> bool {
-        self.level >= Self::NOISE_FLOOR
     }
 
     /// Quantized form for trace records (the on-disk format stores
@@ -68,16 +60,8 @@ mod tests {
         assert_eq!(s.quality, 15.0); // saturated
         let s = SignalInfo::from_level(-3.0);
         assert_eq!(s.level, 0.0);
-        assert!(!s.is_usable());
         let s = SignalInfo::from_level(100.0);
         assert_eq!(s.level, 50.0);
-    }
-
-    #[test]
-    fn usability_threshold() {
-        assert!(SignalInfo::from_level(5.0).is_usable());
-        assert!(!SignalInfo::from_level(4.9).is_usable());
-        assert!(!SignalInfo::none().is_usable());
     }
 
     #[test]

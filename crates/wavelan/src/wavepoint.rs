@@ -169,11 +169,6 @@ impl PhysicalModel {
         self.stats
     }
 
-    /// Index of the currently associated station.
-    pub fn associated_station(&self) -> usize {
-        self.associated
-    }
-
     fn mean_level(&self, station: usize, pos: &Position) -> f64 {
         let st = &self.stations[station];
         self.prop.level_at(st.pos.distance(pos)) + st.power_offset
@@ -291,7 +286,7 @@ mod tests {
             }
         }
         assert_eq!(m.stats().handoffs, 1, "expected exactly one handoff");
-        assert_eq!(m.associated_station(), 1);
+        assert_eq!(m.associated, 1);
         assert!(outage_seen, "handoff outage not observed");
     }
 

@@ -210,11 +210,6 @@ impl NfsServer {
         }
     }
 
-    /// Number of filesystem nodes (diagnostics).
-    pub fn node_count(&self) -> usize {
-        self.fs.len()
-    }
-
     fn execute(&mut self, req: Request) -> Vec<u8> {
         match req.proc_ {
             NfsProc::Null => encode_reply(req.xid, 0, 0, 0),
@@ -589,7 +584,7 @@ mod tests {
             data_len: 0,
         });
         assert_eq!(decode_reply(&r).unwrap().1, 0);
-        assert_eq!(s.node_count(), 2); // root + sub
+        assert_eq!(s.fs.len(), 2); // root + sub
     }
 
     #[test]
