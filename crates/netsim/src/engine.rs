@@ -221,7 +221,7 @@ mod tests {
                         self.bounce = false; // only once
                     }
                 }
-                EventKind::Message { .. } => {}
+                EventKind::Held { .. } => {}
             }
         }
     }
@@ -307,6 +307,94 @@ mod tests {
         assert_eq!(an.timers, vec![1, 2, 3]);
         assert_eq!(sim.now(), SimTime::from_millis(9));
         assert_eq!(sim.events_processed(), 3);
+    }
+
+    /// Test node: on its kick timer (token 0) it holds frames and sets
+    /// timers at the scripted instants, then logs what comes back.
+    struct Holder {
+        /// `(at_ms, token, is_hold)`.
+        script: Vec<(u64, u64, bool)>,
+        log: Vec<(SimTime, &'static str, u64)>,
+    }
+
+    impl Node for Holder {
+        fn on_event(&mut self, event: EventKind, ctx: &mut Context<'_>) {
+            match event {
+                EventKind::Timer { token: 0 } => {
+                    for &(at_ms, token, is_hold) in &self.script {
+                        let at = SimTime::from_millis(at_ms);
+                        if is_hold {
+                            let frame = Frame::new(vec![0u8; token as usize], ctx.now());
+                            ctx.hold(at, token, frame);
+                        } else {
+                            ctx.schedule_at(at, token);
+                        }
+                    }
+                }
+                EventKind::Timer { token } => self.log.push((ctx.now(), "timer", token)),
+                EventKind::Held { token, frame } => {
+                    assert_eq!(frame.len(), token as usize, "held frame came back changed");
+                    self.log.push((ctx.now(), "held", token));
+                }
+                EventKind::Deliver { .. } => {}
+            }
+        }
+    }
+
+    fn run_holder(
+        kick_ms: u64,
+        script: Vec<(u64, u64, bool)>,
+    ) -> Vec<(SimTime, &'static str, u64)> {
+        let mut sim = Simulator::new(1);
+        let h = sim.add_node(Box::new(Holder {
+            script,
+            log: Vec::new(),
+        }));
+        sim.schedule_event(
+            SimTime::from_millis(kick_ms),
+            h,
+            EventKind::Timer { token: 0 },
+        );
+        sim.run(100);
+        sim.node::<Holder>(h).log.clone()
+    }
+
+    #[test]
+    fn held_frames_return_in_hold_order() {
+        let log = run_holder(0, vec![(5, 3, true), (5, 1, true), (5, 2, true)]);
+        let t = SimTime::from_millis(5);
+        assert_eq!(log, vec![(t, "held", 3), (t, "held", 1), (t, "held", 2)]);
+    }
+
+    #[test]
+    fn held_frames_interleave_with_timers_by_due_then_seq() {
+        let log = run_holder(
+            0,
+            vec![
+                (5, 1, true),
+                (5, 10, false),
+                (2, 2, true),
+                (5, 3, true),
+                (2, 11, false),
+            ],
+        );
+        let (t2, t5) = (SimTime::from_millis(2), SimTime::from_millis(5));
+        assert_eq!(
+            log,
+            vec![
+                (t2, "held", 2),
+                (t2, "timer", 11),
+                (t5, "held", 1),
+                (t5, "timer", 10),
+                (t5, "held", 3),
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn holding_into_the_past_panics() {
+        run_holder(5, vec![(1, 1, true)]);
     }
 
     #[test]

@@ -56,15 +56,13 @@ pub enum EventKind {
         /// Caller-defined discriminator set when the timer was scheduled.
         token: u64,
     },
-    /// An out-of-band message from another node (control plane, not wire
-    /// traffic): used for daemon/kernel style coordination.
-    Message {
-        /// The sending node.
-        from: NodeId,
-        /// Caller-defined discriminator.
-        tag: u64,
-        /// Opaque payload.
-        data: Vec<u8>,
+    /// A frame this node held with [`Context::hold`](crate::Context::hold)
+    /// came back at the instant it asked for. `token` is caller-defined.
+    Held {
+        /// Caller-defined discriminator set when the frame was held.
+        token: u64,
+        /// The frame, unchanged.
+        frame: Frame,
     },
 }
 

@@ -12,7 +12,12 @@
 //!   pipeline's [`Simulator`] routes its events to nodes; the
 //!   [`fleet`]'s `FleetSim` is the same core over client-tagged events;
 //! * the [`Node`] trait — hosts, wireless channels, and routers are nodes
-//!   that exchange byte [`Frame`]s and set timers via a [`Context`];
+//!   that act through a [`Context`]: [`send`](Context::send) a byte
+//!   [`Frame`] onto a link, set a timer with
+//!   [`schedule_at`](Context::schedule_at) /
+//!   [`schedule_in`](Context::schedule_in), or [`hold`](Context::hold)
+//!   a frame until a later instant. A delayed frame waits only in the
+//!   engine queue, as one event in `(time, sequence)` order;
 //! * duplex [links](link::LinkParams) with serialization, propagation, and
 //!   drop-tail queues;
 //! * deterministic randomness ([`SimRng`]) and statistics helpers

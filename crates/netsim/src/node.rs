@@ -58,7 +58,7 @@ impl PortTable {
 /// A simulated component: a host, a wireless channel, a router, a daemon.
 ///
 /// Nodes receive [`EventKind`]s and react by sending frames, setting
-/// timers, and posting control messages through the [`Context`]. All state
+/// timers, and holding frames for later through the [`Context`]. All state
 /// lives inside the node; the engine owns scheduling and links.
 pub trait Node: Any + Send {
     /// Handle one event. Called with monotonically non-decreasing
@@ -175,11 +175,12 @@ impl Context<'_> {
         self.push(t, node, EventKind::Timer { token });
     }
 
-    /// Deliver an out-of-band control message to another node at the
-    /// current instant (it is processed after the current event completes).
-    pub fn post(&mut self, target: NodeId, tag: u64, data: Vec<u8>) {
-        let now = self.now;
-        let from = self.node;
-        self.push(now, target, EventKind::Message { from, tag, data });
+    /// Hand `frame` back to this node as a `Held { token, frame }` event
+    /// at absolute time `at`: a frame waiting out a delay waits in the
+    /// engine's queue, in the same `(due, seq)` order as every other
+    /// event. Panics if `at` is before now.
+    pub fn hold(&mut self, at: SimTime, token: u64, frame: Frame) {
+        let node = self.node;
+        self.push(at, node, EventKind::Held { token, frame });
     }
 }

@@ -2,7 +2,7 @@
 //! causal event ordering, and link conservation/FIFO.
 
 use netsim::{
-    Context, EventKind, Frame, LinkParams, Node, NodeId, PortId, SimDuration, SimTime, Simulator,
+    Context, EventKind, Frame, LinkParams, Node, PortId, SimDuration, SimTime, Simulator,
 };
 use proptest::prelude::*;
 
@@ -16,7 +16,7 @@ impl Node for Recorder {
         let desc = match &ev {
             EventKind::Deliver { port, frame } => format!("deliver p{} len{}", port.0, frame.len()),
             EventKind::Timer { token } => format!("timer {token}"),
-            EventKind::Message { tag, .. } => format!("msg {tag}"),
+            EventKind::Held { token, frame } => format!("held {token} len{}", frame.len()),
         };
         self.log.push((ctx.now().as_nanos(), desc));
     }
@@ -39,7 +39,7 @@ proptest! {
                 let ev = if kind == 0 {
                     EventKind::Timer { token }
                 } else {
-                    EventKind::Message { from: NodeId(0), tag: token, data: vec![] }
+                    EventKind::Held { token, frame: Frame::new(vec![0u8; (token % 64) as usize], SimTime::ZERO) }
                 };
                 sim.schedule_event(SimTime::from_micros(t_us), n, ev);
             }

@@ -15,7 +15,8 @@ use packet::{
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
-/// Timer-token subsystem tags (top 8 bits).
+/// Event-token subsystem tags (top 8 bits): timers use the first
+/// five, frames held for the host CPU the last two.
 const SUB_TCP: u64 = 1 << 56;
 const SUB_APP: u64 = 2 << 56;
 const SUB_SHIM: u64 = 3 << 56;
@@ -73,9 +74,7 @@ pub struct HostCore {
     shim: Option<Box<dyn LinkShim>>,
     pending: VecDeque<(AppId, AppEvent)>,
     ip_ident: u16,
-    tx_queue: VecDeque<Vec<u8>>,
     tx_last_done: SimTime,
-    rx_queue: VecDeque<Vec<u8>>,
     rx_last_done: SimTime,
     frags: HashMap<(Ipv4Addr, u16, u8), FragBuf>,
     /// Instants at which a TCP-timer event is queued, one event each,
@@ -107,9 +106,7 @@ impl HostCore {
             shim: None,
             pending: VecDeque::new(),
             ip_ident: 1,
-            tx_queue: VecDeque::new(),
             tx_last_done: SimTime::ZERO,
-            rx_queue: VecDeque::new(),
             rx_last_done: SimTime::ZERO,
             frags: HashMap::new(),
             tcp_timers_queued: Vec::new(),
@@ -190,21 +187,16 @@ impl HostCore {
         self.device_tx(frame, ctx);
     }
 
+    /// Outbound host-CPU pacing: each frame waits in the engine queue
+    /// until the CPU is done with it.
     fn device_tx(&mut self, frame: Vec<u8>, ctx: &mut Context<'_>) {
-        if self.cfg.cpu_per_frame.is_zero() && self.tx_queue.is_empty() {
+        if self.cfg.cpu_per_frame.is_zero() {
             self.wire_send(frame, ctx);
             return;
         }
         let done = self.tx_last_done.max(ctx.now()) + self.cfg.cpu_per_frame;
         self.tx_last_done = done;
-        self.tx_queue.push_back(frame);
-        ctx.schedule_at(done, SUB_TX);
-    }
-
-    fn tx_fire(&mut self, ctx: &mut Context<'_>) {
-        if let Some(frame) = self.tx_queue.pop_front() {
-            self.wire_send(frame, ctx);
-        }
+        ctx.hold(done, SUB_TX, Frame::new(frame, ctx.now()));
     }
 
     fn wire_send(&mut self, frame: Vec<u8>, ctx: &mut Context<'_>) {
@@ -226,20 +218,13 @@ impl HostCore {
         }
         // Inbound host-CPU pacing (interrupt + protocol processing): the
         // receive path of a slow host is just as CPU-bound as transmit.
-        if !self.cfg.cpu_per_frame.is_zero() || !self.rx_queue.is_empty() {
+        if !self.cfg.cpu_per_frame.is_zero() {
             let done = self.rx_last_done.max(ctx.now()) + self.cfg.cpu_per_frame;
             self.rx_last_done = done;
-            self.rx_queue.push_back(frame);
-            ctx.schedule_at(done, SUB_RX);
+            ctx.hold(done, SUB_RX, Frame::new(frame, ctx.now()));
             return;
         }
         self.rx_deliver(frame, ctx);
-    }
-
-    fn rx_fire(&mut self, ctx: &mut Context<'_>) {
-        if let Some(frame) = self.rx_queue.pop_front() {
-            self.rx_deliver(frame, ctx);
-        }
     }
 
     fn rx_deliver(&mut self, frame: Vec<u8>, ctx: &mut Context<'_>) {
@@ -645,11 +630,13 @@ impl Node for Host {
                         self.core.tap_poll(ctx);
                     }
                 }
-                SUB_TX => self.core.tx_fire(ctx),
-                SUB_RX => self.core.rx_fire(ctx),
                 _ => {}
             },
-            EventKind::Message { .. } => {}
+            EventKind::Held { token, frame } => match token {
+                SUB_TX => self.core.wire_send(frame.data, ctx),
+                SUB_RX => self.core.rx_deliver(frame.data, ctx),
+                _ => {}
+            },
         }
         self.drain_pending(ctx);
         self.core.rearm(ctx);
