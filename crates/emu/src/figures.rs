@@ -118,8 +118,11 @@ pub fn figure_from_collected(
         for q in &report.replay.tuples {
             let at = SimTime::from_nanos(t);
             lat.push(at, q.latency_ns as f64 / 1e6);
+            // The radio's nominal 2 Mb/s caps the plot: a Vb of 0, or
+            // one under the 4 000 ns/B that rate implies, plots at that
+            // rate rather than faster than the radio can send.
             let kbps = if q.vb_ns_per_byte > 0.0 {
-                8e6 / q.vb_ns_per_byte
+                (8e6 / q.vb_ns_per_byte).min(2000.0)
             } else {
                 2000.0
             };
@@ -172,8 +175,8 @@ pub fn figure_from_collected(
 
 /// How a paper figure runs: trials per cell, and a cap on the scenario
 /// traversals of Figures 2–8 (`None` runs them at paper length). Figure
-/// 1 replays synthetic traces and runs neither; the ablations set their
-/// own channels and use only the trial count.
+/// 1 replays synthetic traces and the ablations set their own
+/// channels, so both use only the trial count.
 #[derive(Debug, Clone, Copy)]
 pub struct FigureOpts {
     /// Trials per cell.
@@ -244,8 +247,9 @@ fn ftp(
 /// unaffected by compensation), Fetch uncompensated and Fetch
 /// compensated, which should move close to Store. A second sweep over
 /// a much slower trace checks that the compensation term depends only
-/// on the modulating testbed (§3.3). Each size is one plan cell.
-pub fn fig1(_: &FigureOpts, exec: &Exec) -> (String, PlanMetrics) {
+/// on the modulating testbed (§3.3). Each size runs `trials` times,
+/// one plan cell per trial, and the table prints the mean.
+pub fn fig1(opts: &FigureOpts, exec: &Exec) -> (String, PlanMetrics) {
     let mut out = String::from(
         "=== Figure 1: Effect of Delay Compensation ===\n\
          (measuring the modulating network once with ping + distillation)\n",
@@ -276,20 +280,24 @@ pub fn fig1(_: &FigureOpts, exec: &Exec) -> (String, PlanMetrics) {
     let mut plan = TrialPlan::new();
     for ((name, _, sizes), replay) in sweeps.iter().zip(&replays) {
         for (i, &size) in sizes.iter().enumerate() {
-            let seed = 100 + i as u64;
-            let replay = replay.clone();
-            plan.push(TrialCell {
-                label: format!("{name}/{size}"),
-                trial: 1,
-                cfg: RunConfig::default(),
-                kind: CellKind::Custom(Box::new(move |_, _| {
-                    vec![
-                        ftp(&replay, Benchmark::FtpSend, size, None, seed),
-                        ftp(&replay, Benchmark::FtpRecv, size, None, seed + 50),
-                        ftp(&replay, Benchmark::FtpRecv, size, Some(comp), seed + 90),
-                    ]
-                })),
-            });
+            for trial in 1..=opts.trials {
+                let replay = replay.clone();
+                plan.push(TrialCell {
+                    label: format!("{name}/{size}"),
+                    trial,
+                    cfg: RunConfig::default(),
+                    kind: CellKind::Custom(Box::new(move |trial, _| {
+                        // Seeds stride by 1000 per trial; trial 1 keeps
+                        // the one-transfer figure's seeds.
+                        let seed = 100 + i as u64 + 1000 * u64::from(trial - 1);
+                        vec![
+                            ftp(&replay, Benchmark::FtpSend, size, None, seed),
+                            ftp(&replay, Benchmark::FtpRecv, size, None, seed + 50),
+                            ftp(&replay, Benchmark::FtpRecv, size, Some(comp), seed + 90),
+                        ]
+                    })),
+                });
+            }
         }
     }
     let results = plan.run(exec);
@@ -308,8 +316,15 @@ pub fn fig1(_: &FigureOpts, exec: &Exec) -> (String, PlanMetrics) {
             "{:>10}  {:>12}  {:>18}  {:>16}",
             "size (B)", "store (s)", "fetch uncomp (s)", "fetch comp (s)"
         );
-        for (size, runs) in sizes.iter().zip(results.custom_runs(&format!("{name}/"))) {
-            let secs = |i: usize| runs[i].elapsed.unwrap_or(f64::NAN);
+        let cells = results.custom_runs(&format!("{name}/"));
+        for (size, trials) in sizes.iter().zip(cells.chunks(opts.trials as usize)) {
+            let secs = |i: usize| {
+                let sum: f64 = trials
+                    .iter()
+                    .map(|runs| runs[i].elapsed.unwrap_or(f64::NAN))
+                    .sum();
+                sum / trials.len() as f64
+            };
             let _ = writeln!(
                 out,
                 "{size:>10}  {:>12.2}  {:>18.2}  {:>16.2}",

@@ -9,10 +9,11 @@ use crate::workload::{extract, install, is_done, run_to_completion, Benchmark, R
 use distill::{distill_with_report, DistillConfig, DistillReport, DistillStats, Distiller};
 use faultkit::{ChaosSink, FaultInjector};
 use modulate::{Modulator, TickClock, TupleBuffer, TupleFeed};
-use netsim::{SimDuration, SimRng, SimTime};
+use netsim::{NodeId, SimDuration, SimRng, SimTime, Simulator};
+use netstack::{AppId, Host};
 use obs::flight::FlightHandle;
 use obs::{MetricsRegistry, RunManifest, RunnerSection};
-use tracekit::{CollectionDaemon, Collector, PseudoDevice, ReplayTrace, Trace};
+use tracekit::{CollectionDaemon, Collector, PseudoDevice, ReplayTrace, SignalSource, Trace};
 use wavelan::{Scenario, WirelessChannel};
 use workloads::{PingConfig, PingWorkload};
 
@@ -48,43 +49,79 @@ fn seed_for(scenario: &str, trial: u32, purpose: u64) -> u64 {
     h ^ (trial as u64) << 32
 }
 
+/// The channel a collection trial traverses, plus a signal source
+/// reading its meter for the laptop's tracer.
+fn collection_channel(scenario: &Scenario, trial: u32) -> (WirelessChannel, SignalSource) {
+    let mut trial_rng = SimRng::seed_from_u64(seed_for(scenario.name, trial, 1));
+    let channel = scenario.channel(&mut trial_rng);
+    let meter = channel.meter();
+    (channel, Box::new(move || meter.lock().quantized()))
+}
+
+/// Equip `laptop` to collect a trace, the same way on every
+/// collection testbed: a [`Collector`] on `dev` (sampling `signal` and
+/// stamping `flight` when given), the paper's ping workload for
+/// `ping_secs`, and the daemon that drains `dev` into a trace labelled
+/// `(scenario, trial)`. Returns the daemon's id.
+fn install_collection(
+    laptop: &mut Host,
+    dev: &PseudoDevice,
+    signal: Option<SignalSource>,
+    flight: Option<FlightHandle>,
+    ping_secs: u64,
+    (scenario, trial): (&str, u32),
+) -> AppId {
+    let mut collector = Collector::new(dev.clone());
+    if let Some(signal) = signal {
+        collector = collector.with_signal_source(signal);
+    }
+    if let Some(flight) = flight {
+        collector = collector.with_flight(flight);
+    }
+    laptop.set_tracer(Box::new(collector));
+    let mut ping_cfg = PingConfig::paper(SERVER_IP);
+    ping_cfg.duration = SimDuration::from_secs(ping_secs);
+    laptop.add_app(Box::new(PingWorkload::new(ping_cfg)));
+    laptop.add_app(Box::new(CollectionDaemon::new(
+        dev.clone(),
+        "thinkpad",
+        scenario,
+        trial,
+    )))
+}
+
+/// The trace `daemon` on `host` has collected up to now.
+fn finish_collection(sim: &mut Simulator, host: NodeId, daemon: AppId) -> Trace {
+    let now_ns = sim.now().as_nanos();
+    let host: &mut Host = sim.node_mut(host);
+    host.app_mut::<CollectionDaemon>(daemon).finish(now_ns)
+}
+
 /// **Collection phase**: traverse `scenario` (trial `trial`) with the
 /// instrumented laptop running the ping workload; return the collected
 /// trace.
 pub fn collect_trace(scenario: &Scenario, trial: u32, cfg: &RunConfig) -> Trace {
-    let mut trial_rng = SimRng::seed_from_u64(seed_for(scenario.name, trial, 1));
-    let channel = scenario.channel(&mut trial_rng);
-    let meter = channel.meter();
+    let (channel, signal) = collection_channel(scenario, trial);
     let dev = PseudoDevice::new(65_536);
-
     let scenario_secs = scenario.duration.as_secs_f64() as u64;
-    let (mut tb, (_ping, daemon)) = build_wireless(
+    let (mut tb, daemon) = build_wireless(
         seed_for(scenario.name, trial, 2),
         cfg.hw,
         channel,
         |laptop, _server| {
-            let collector = Collector::new(dev.clone())
-                .with_signal_source(Box::new(move || meter.lock().quantized()));
-            laptop.set_tracer(Box::new(collector));
-            let mut ping_cfg = PingConfig::paper(SERVER_IP);
-            ping_cfg.duration = SimDuration::from_secs(scenario_secs);
-            let ping = laptop.add_app(Box::new(PingWorkload::new(ping_cfg)));
-            let daemon = laptop.add_app(Box::new(CollectionDaemon::new(
-                dev.clone(),
-                "thinkpad",
-                "scenario",
-                trial,
-            )));
-            (ping, daemon)
+            install_collection(
+                laptop,
+                &dev,
+                Some(signal),
+                None,
+                scenario_secs,
+                (scenario.name, trial),
+            )
         },
     );
     tb.start();
     tb.sim.run_until(SimTime::from_secs(scenario_secs + 5));
-    let now_ns = tb.sim.now().as_nanos();
-    let host: &mut netstack::Host = tb.sim.node_mut(tb.laptop);
-    let mut trace = host.app_mut::<CollectionDaemon>(daemon).finish(now_ns);
-    trace.scenario = scenario.name.to_string();
-    trace
+    finish_collection(&mut tb.sim, tb.laptop, daemon)
 }
 
 /// Collection + distillation in one step.
@@ -102,31 +139,24 @@ pub fn collect_trace_two_sided(
     trial: u32,
     cfg: &RunConfig,
 ) -> (tracekit::Trace, tracekit::Trace) {
-    let mut trial_rng = SimRng::seed_from_u64(seed_for(scenario.name, trial, 1));
-    let channel = scenario.channel(&mut trial_rng);
-    let meter = channel.meter();
+    let (channel, signal) = collection_channel(scenario, trial);
     let dev_m = PseudoDevice::new(65_536);
     let dev_t = PseudoDevice::new(65_536);
-
     let scenario_secs = scenario.duration.as_secs_f64() as u64;
     let (mut tb, (daemon_m, daemon_t)) = build_wireless(
         seed_for(scenario.name, trial, 2),
         cfg.hw,
         channel,
         |laptop, server| {
-            let collector = Collector::new(dev_m.clone())
-                .with_signal_source(Box::new(move || meter.lock().quantized()));
-            laptop.set_tracer(Box::new(collector));
             server.set_tracer(Box::new(Collector::new(dev_t.clone())));
-            let mut ping_cfg = PingConfig::paper(SERVER_IP);
-            ping_cfg.duration = SimDuration::from_secs(scenario_secs);
-            laptop.add_app(Box::new(PingWorkload::new(ping_cfg)));
-            let daemon_m = laptop.add_app(Box::new(CollectionDaemon::new(
-                dev_m.clone(),
-                "thinkpad",
-                scenario.name,
-                trial,
-            )));
+            let daemon_m = install_collection(
+                laptop,
+                &dev_m,
+                Some(signal),
+                None,
+                scenario_secs,
+                (scenario.name, trial),
+            );
             let daemon_t = server.add_app(Box::new(CollectionDaemon::new(
                 dev_t.clone(),
                 "server",
@@ -138,15 +168,8 @@ pub fn collect_trace_two_sided(
     );
     tb.start();
     tb.sim.run_until(SimTime::from_secs(scenario_secs + 5));
-    let now_ns = tb.sim.now().as_nanos();
-    let mobile = {
-        let host: &mut netstack::Host = tb.sim.node_mut(tb.laptop);
-        host.app_mut::<CollectionDaemon>(daemon_m).finish(now_ns)
-    };
-    let target = {
-        let host: &mut netstack::Host = tb.sim.node_mut(tb.server);
-        host.app_mut::<CollectionDaemon>(daemon_t).finish(now_ns)
-    };
+    let mobile = finish_collection(&mut tb.sim, tb.laptop, daemon_m);
+    let target = finish_collection(&mut tb.sim, tb.server, daemon_t);
     (mobile, target)
 }
 
@@ -271,15 +294,13 @@ pub(crate) fn live_modulated_run_inner(
     mut injector: Option<&mut FaultInjector>,
     abort_at_record: Option<u64>,
 ) -> Result<LiveModOutcome, u64> {
-    // Collection side — identical construction to `collect_trace`,
-    // plus a flight recorder threaded through every stage. Recording is
-    // passive (no scheduling or RNG access), so the benchmark outcome
-    // and manifests are bit-identical with or without it.
+    // Collection side — `collect_trace`'s testbed, plus a flight
+    // recorder threaded through every stage. Recording is passive (no
+    // scheduling or RNG access), so the benchmark outcome and
+    // manifests are bit-identical with or without it.
     let flight = FlightHandle::new(65_536);
-    let mut trial_rng = SimRng::seed_from_u64(seed_for(scenario.name, trial, 1));
-    let mut channel = scenario.channel(&mut trial_rng);
+    let (mut channel, signal) = collection_channel(scenario, trial);
     channel.set_flight(flight.clone());
-    let meter = channel.meter();
     let mut ring_cap = 65_536;
     if let Some(inj) = injector.as_deref_mut() {
         if let Some(cap) = inj.oom_ring_cap() {
@@ -289,26 +310,19 @@ pub(crate) fn live_modulated_run_inner(
     }
     let dev = PseudoDevice::new(ring_cap);
     let scenario_secs = scenario.duration.as_secs_f64() as u64;
-    let flight_collect = flight.clone();
-    let (mut wl, (_ping, daemon)) = build_wireless(
+    let (mut wl, daemon) = build_wireless(
         seed_for(scenario.name, trial, 2),
         cfg.hw,
         channel,
         |laptop, _server| {
-            let collector = Collector::new(dev.clone())
-                .with_signal_source(Box::new(move || meter.lock().quantized()))
-                .with_flight(flight_collect);
-            laptop.set_tracer(Box::new(collector));
-            let mut ping_cfg = PingConfig::paper(SERVER_IP);
-            ping_cfg.duration = SimDuration::from_secs(scenario_secs);
-            let ping = laptop.add_app(Box::new(PingWorkload::new(ping_cfg)));
-            let daemon = laptop.add_app(Box::new(CollectionDaemon::new(
-                dev.clone(),
-                "thinkpad",
-                scenario.name,
-                trial,
-            )));
-            (ping, daemon)
+            install_collection(
+                laptop,
+                &dev,
+                Some(signal),
+                Some(flight.clone()),
+                scenario_secs,
+                (scenario.name, trial),
+            )
         },
     );
 
@@ -512,7 +526,6 @@ pub(crate) fn live_modulated_run_inner(
         m.set_counter("obs.flight.recorded", r.pushed());
         m.set_counter("obs.flight.evicted", r.evicted());
         m.set_counter("obs.flight.packets", r.packets());
-        m.set_counter("obs.flight.dropped_open", r.dropped_open());
     });
     m.set_counter("emu.records_processed", records_processed);
     m.set_gauge(
@@ -594,22 +607,11 @@ pub fn ethernet_run(trial: u32, benchmark: Benchmark, cfg: &RunConfig) -> RunRes
 pub fn measure_compensation(cfg: &RunConfig) -> f64 {
     let dev = PseudoDevice::new(65_536);
     let (mut tb, daemon) = build_ethernet(seed_for("comp", 0, 7), cfg.hw, |laptop, _server| {
-        laptop.set_tracer(Box::new(Collector::new(dev.clone())));
-        let mut ping_cfg = PingConfig::paper(SERVER_IP);
-        ping_cfg.duration = SimDuration::from_secs(60);
-        laptop.add_app(Box::new(PingWorkload::new(ping_cfg)));
-        laptop.add_app(Box::new(CollectionDaemon::new(
-            dev.clone(),
-            "thinkpad",
-            "ethernet",
-            0,
-        )))
+        install_collection(laptop, &dev, None, None, 60, ("ethernet", 0))
     });
     tb.start();
     tb.sim.run_until(SimTime::from_secs(66));
-    let now_ns = tb.sim.now().as_nanos();
-    let host: &mut netstack::Host = tb.sim.node_mut(tb.laptop);
-    let trace = host.app_mut::<CollectionDaemon>(daemon).finish(now_ns);
+    let trace = finish_collection(&mut tb.sim, tb.laptop, daemon);
     let report = distill_with_report(&trace, &DistillConfig::default());
     modulate::compensation_from_replay(&report.replay)
 }

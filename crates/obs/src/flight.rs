@@ -23,10 +23,10 @@
 //! export and journey APIs look keys up at read time, after the whole
 //! run has finished assigning.
 //!
-//! The ring holds only **complete** records. Open spans live in a
-//! bounded side table until [`FlightRecorder::end_span`] closes them,
-//! so eviction can never separate a begin from its end — the
-//! "never split a span pair" invariant holds by construction.
+//! The ring holds only **complete** records: a span enters it once,
+//! with both ends known, so eviction can never separate a begin from
+//! its end — the "never split a span pair" invariant holds by
+//! construction.
 //!
 //! Everything here derives from sim state only (no wall clock, no
 //! ambient randomness), so exports are byte-identical across worker
@@ -135,21 +135,6 @@ impl FlightRecord {
     }
 }
 
-/// Opaque handle to a span opened with [`FlightRecorder::begin_span`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanToken(u64);
-
-/// Partially built record parked until its end time is known.
-#[derive(Debug, Clone)]
-struct OpenSpan {
-    stage: Stage,
-    name: &'static str,
-    key: Option<u64>,
-    tuple: Option<u64>,
-    begin_ns: u64,
-    detail: String,
-}
-
 /// Bounded ring buffer of [`FlightRecord`]s plus the key → [`PacketId`]
 /// registry. See the module docs for the identity model.
 #[derive(Debug, Clone)]
@@ -160,9 +145,6 @@ pub struct FlightRecorder {
     evicted: u64,
     ids: BTreeMap<u64, PacketId>,
     next_id: u64,
-    open: BTreeMap<u64, OpenSpan>,
-    next_token: u64,
-    dropped_open: u64,
 }
 
 impl FlightRecorder {
@@ -176,9 +158,6 @@ impl FlightRecorder {
             evicted: 0,
             ids: BTreeMap::new(),
             next_id: 0,
-            open: BTreeMap::new(),
-            next_token: 0,
-            dropped_open: 0,
         }
     }
 
@@ -210,12 +189,6 @@ impl FlightRecorder {
     /// Distinct packets assigned an id so far.
     pub fn packets(&self) -> u64 {
         self.next_id
-    }
-
-    /// Open spans abandoned under side-table pressure plus end-span
-    /// calls whose token was unknown.
-    pub fn dropped_open(&self) -> u64 {
-        self.dropped_open
     }
 
     /// Id for `key`, assigning the next dense id on first sight.
@@ -285,54 +258,6 @@ impl FlightRecorder {
         detail: String,
     ) {
         self.span(stage, name, key, tuple, at_ns, at_ns, detail);
-    }
-
-    /// Open a span whose end time is not yet known. The open half
-    /// lives in a side table (bounded by the ring capacity; oldest
-    /// open span is abandoned under pressure) and only enters the
-    /// ring — as one complete record — when [`end_span`] closes it.
-    ///
-    /// [`end_span`]: FlightRecorder::end_span
-    pub fn begin_span(
-        &mut self,
-        stage: Stage,
-        name: &'static str,
-        key: Option<u64>,
-        tuple: Option<u64>,
-        begin_ns: u64,
-        detail: String,
-    ) -> SpanToken {
-        if self.open.len() >= self.capacity {
-            if let Some((&oldest, _)) = self.open.iter().next() {
-                self.open.remove(&oldest);
-                self.dropped_open += 1;
-            }
-        }
-        let token = self.next_token;
-        self.next_token += 1;
-        self.open.insert(
-            token,
-            OpenSpan {
-                stage,
-                name,
-                key,
-                tuple,
-                begin_ns,
-                detail,
-            },
-        );
-        SpanToken(token)
-    }
-
-    /// Close an open span at `end_ns`, committing it to the ring. An
-    /// unknown token (already abandoned) is counted, not an error.
-    pub fn end_span(&mut self, token: SpanToken, end_ns: u64) {
-        match self.open.remove(&token.0) {
-            Some(o) => self.span(
-                o.stage, o.name, o.key, o.tuple, o.begin_ns, end_ns, o.detail,
-            ),
-            None => self.dropped_open += 1,
-        }
     }
 
     /// Retained records, oldest first (ascending `seq`).
@@ -803,37 +728,6 @@ mod tests {
         assert_eq!(r.pushed(), 10);
         let seqs: Vec<u64> = r.records().map(|x| x.seq).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn open_spans_never_split_across_eviction() {
-        let mut r = FlightRecorder::new(2);
-        let t = r.begin_span(Stage::Wavelan, "air", Some(1), None, 100, String::new());
-        // Flood the ring while the span is open.
-        for n in 0..8 {
-            rec(&mut r, 100 + n);
-        }
-        r.end_span(t, 250);
-        // The completed span is one record; no half-spans anywhere.
-        let air: Vec<&FlightRecord> = r.records().filter(|x| x.name == "air").collect();
-        assert_eq!(air.len(), 1);
-        assert_eq!((air[0].begin_ns, air[0].end_ns), (100, 250));
-        assert_eq!(r.dropped_open(), 0);
-    }
-
-    #[test]
-    fn open_table_pressure_abandons_oldest_open() {
-        let mut r = FlightRecorder::new(2);
-        let t0 = r.begin_span(Stage::Netsim, "a", None, None, 0, String::new());
-        let t1 = r.begin_span(Stage::Netsim, "b", None, None, 1, String::new());
-        let _t2 = r.begin_span(Stage::Netsim, "c", None, None, 2, String::new());
-        // capacity 2: opening `c` abandoned `a`.
-        assert_eq!(r.dropped_open(), 1);
-        r.end_span(t0, 10); // unknown now — counted, not recorded
-        assert_eq!(r.dropped_open(), 2);
-        r.end_span(t1, 10);
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.records().next().unwrap().name, "b");
     }
 
     #[test]

@@ -227,7 +227,7 @@ mod table {
         flag("check", Switch, "", "exit 1 on an active alert at or above the floor"),
     ];
     const FIGURE: &[Flag] = &[
-        flag("trials", Positive, "4", "trials per cell (all but fig1)"),
+        flag("trials", Positive, "4", "trials per cell"),
         Flag { max: wavelan::MAX_DURATION_SECS, ..flag("duration-secs", Positive, "", "cap each scenario traversal (fig2to5 to fig8)") },
     ];
     const DIFF_RUNS: &[Flag] = &[

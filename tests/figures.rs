@@ -73,3 +73,70 @@ fn ablation_window_is_pinned() {
 fn ablation_symmetry_is_pinned() {
     assert_pinned("ablation-symmetry", 0x54c7_1b0a_09db_6bab);
 }
+
+/// The scenario figures plot no bandwidth above the radio's nominal
+/// 2 Mb/s: a distilled Vb under 4 000 ns/B is capped at that rate.
+#[test]
+fn fig2to5_bandwidths_stay_under_the_radio_rate() {
+    let out = Command::new(env!("CARGO_BIN_EXE_tracemod"))
+        .args(["figure", "fig2to5", "--trials", "4"])
+        .output()
+        .expect("tracemod binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 tables");
+    let mut in_bandwidth = false;
+    let mut ranges = 0;
+    for line in stdout.lines() {
+        if !line.starts_with(' ') {
+            in_bandwidth = line.starts_with("Bandwidth [kb/s]");
+            continue;
+        }
+        if !in_bandwidth {
+            continue;
+        }
+        // Range rows end in `lo..hi`; histogram rows start with their
+        // bucket centre.
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        let values = match fields.last().and_then(|f| f.split_once("..")) {
+            Some((lo, hi)) => {
+                ranges += 1;
+                vec![lo, hi]
+            }
+            None => vec![fields[0]],
+        };
+        for v in values {
+            let kbps: f64 = v.parse().expect("numeric bandwidth");
+            assert!(kbps <= 2000.0, "{kbps} kb/s is above 2 Mb/s: {line}");
+        }
+    }
+    assert!(ranges > 20, "only {ranges} bandwidth range rows");
+}
+
+/// Figure 1 runs `--trials` transfers per size and direction, one plan
+/// cell each, and prints their mean.
+#[test]
+fn fig1_averages_its_trials() {
+    let run = |trials: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_tracemod"))
+            .args(["figure", "fig1", "--trials", trials])
+            .output()
+            .expect("tracemod binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        (
+            out.stdout,
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (one, _) = run("1");
+    let (two, stderr) = run("2");
+    assert!(stderr.contains("[plan] 20 cells"), "{stderr}");
+    assert_ne!(one, two, "a second trial left every mean unchanged");
+}
