@@ -1,11 +1,13 @@
 //! End-to-end semantics of the modulation layer observed through real
-//! benchmarks: scheduling granularity, compensation, loss, and the
-//! daemon-fed kernel buffer.
+//! benchmarks: scheduling granularity, compensation and loss; and the
+//! kernel tuple buffer, pinned to the in-memory replay over the
+//! modulation layer's fixed release-order schedules.
 
 use emu::{build_ethernet, Hardware, SERVER_IP};
-use modulate::{ModulationDaemon, Modulator, TickClock, TupleBuffer};
-use netsim::{SimDuration, SimTime};
-use tracekit::ReplayTrace;
+use modulate::{Modulator, TickClock, TupleBuffer};
+use netsim::{SimDuration, SimRng, SimTime};
+use netstack::{Direction, LinkShim, ShimRelease, ShimVerdict};
+use tracekit::{QualityTuple, ReplayTrace};
 use workloads::{FtpClient, FtpDirection, FtpServer, PingConfig, PingWorkload};
 
 fn wavelan_like(span_secs: u64) -> ReplayTrace {
@@ -131,39 +133,146 @@ fn modulated_loss_slows_transfers() {
     );
 }
 
-#[test]
-fn daemon_fed_buffer_modulates_like_in_memory_trace() {
-    // The architecture of §3.3: daemon streams tuples through a bounded
-    // kernel buffer. End-to-end times must match the in-memory path.
-    let replay = wavelan_like(600);
-    let in_memory = ftp_with_modulator(Modulator::from_replay(replay.clone()), 500_000);
+/// One trace the way `crates/modulate/tests/hold_order.rs` draws it: 1–6
+/// tuples, `lat` bounding the latency in ms.
+fn schedule_trace(rng: &mut SimRng, lat: (u64, u64)) -> ReplayTrace {
+    let n = rng.range_u64(1, 7);
+    let tuples = (0..n)
+        .map(|_| QualityTuple {
+            duration_ns: rng.range_u64(100_000_000, 5_000_000_000),
+            latency_ns: rng.range_u64(lat.0, lat.1) * 1_000_000,
+            vb_ns_per_byte: rng.range_f64(0.0, 20_000.0),
+            vr_ns_per_byte: rng.range_f64(0.0, 5_000.0),
+            loss: if rng.chance(0.3) {
+                0.0
+            } else {
+                rng.range_f64(0.0, 0.3)
+            },
+        })
+        .collect();
+    ReplayTrace {
+        source: "hold-order".into(),
+        tuples,
+    }
+}
 
-    let buf = TupleBuffer::new(16);
-    let m = Modulator::from_buffer(buf.clone());
-    let (mut tb, app) = build_ethernet(3, Hardware::default(), |laptop, server| {
-        laptop.set_shim(Box::new(m));
-        server.add_app(Box::new(FtpServer::new()));
-        let daemon = ModulationDaemon::new(buf.clone(), replay.clone());
-        laptop.add_app(Box::new(daemon));
-        laptop.add_app(Box::new(FtpClient::new(
-            SERVER_IP,
-            FtpDirection::Send,
-            500_000,
-        )))
+fn schedule_dir(rng: &mut SimRng) -> Direction {
+    if rng.chance(0.5) {
+        Direction::Inbound
+    } else {
+        Direction::Outbound
+    }
+}
+
+/// Play `hold_order.rs` schedule `id` through the modulator `build`
+/// makes from the schedule's trace number `which` (even schedules draw
+/// one trace, odd ones an uplink and a downlink), and return every
+/// verdict, release, wakeup and the final counters as text. Playback
+/// starts at the first packet: no `begin`.
+fn play_schedule(id: u64, which: usize, build: impl Fn(ReplayTrace) -> Modulator) -> Vec<String> {
+    let mut gen = SimRng::seed_from_u64(0x401D_0000 + id);
+    let mut traces = vec![schedule_trace(&mut gen, (0, 100))];
+    if id % 2 == 1 {
+        traces = vec![traces.remove(0), schedule_trace(&mut gen, (40, 200))];
+    }
+    let mut m = build(traces.swap_remove(which)).with_clock(match id % 3 {
+        0 => TickClock::ideal(),
+        1 => TickClock::with_resolution(SimDuration::from_millis(1)),
+        _ => TickClock::netbsd(),
     });
-    tb.start();
-    tb.sim.run_until(SimTime::from_secs(600));
-    let via_daemon = tb
-        .laptop_host()
-        .app::<FtpClient>(app)
-        .elapsed()
-        .expect("transfer completed")
-        .as_secs_f64();
-    let ratio = in_memory.max(via_daemon) / in_memory.min(via_daemon);
-    assert!(
-        ratio < 1.1,
-        "in-memory {in_memory:.2}s vs daemon-fed {via_daemon:.2}s"
-    );
+    if id % 4 == 3 {
+        m = m.with_compensation(gen.range_f64(0.0, 10_000.0));
+    }
+    fn releases(lines: &mut Vec<String>, out: &mut Vec<ShimRelease>) {
+        for r in out.drain(..) {
+            lines.push(format!(
+                "{:?} {} {:?}",
+                r.dir,
+                r.bytes.len(),
+                r.bytes.first()
+            ));
+        }
+    }
+    let mut lines = Vec::new();
+    let mut rng = SimRng::seed_from_u64(0xC0FFEE ^ id);
+    let mut now = SimTime::ZERO;
+    let mut out = Vec::new();
+    let mut pkt = 0u8;
+    for i in 0..gen.range_u64(1, 80) {
+        match gen.range_u64(0, 10) {
+            0..=3 => {
+                now += SimDuration::from_micros(gen.range_u64(0, 30_000));
+                let d = schedule_dir(&mut gen);
+                let size = gen.range_u64(40, 1514) as usize;
+                pkt = pkt.wrapping_add(1);
+                let v = match m.offer(d, vec![pkt; size], now, &mut rng) {
+                    ShimVerdict::Pass(b) => format!("pass {}", b.len()),
+                    ShimVerdict::Drop => "drop".to_string(),
+                    ShimVerdict::Hold => "hold".to_string(),
+                };
+                lines.push(format!("{i} offer {d:?} {v}"));
+            }
+            4..=5 => {
+                now += SimDuration::from_micros(gen.range_u64(0, 20_000));
+                let d = schedule_dir(&mut gen);
+                let count = gen.range_u64(2, 20) as u8;
+                let size = gen.range_u64(40, 1514) as usize;
+                let first = pkt;
+                pkt = pkt.wrapping_add(count);
+                m.offer_batch(
+                    d,
+                    (1..=count).map(|k| vec![first.wrapping_add(k); size]),
+                    now,
+                    &mut rng,
+                    &mut out,
+                );
+                lines.push(format!("{i} burst {d:?} {count}"));
+                releases(&mut lines, &mut out);
+            }
+            step => {
+                now = match step {
+                    6 => now,
+                    7 => now + SimDuration::from_secs(gen.range_u64(3_600, 7_200)),
+                    8 => now + SimDuration::from_micros(gen.range_u64(1, 50_000)),
+                    _ => m.next_wakeup().unwrap_or(now).max(now),
+                };
+                m.collect_due_into(now, &mut rng, &mut out);
+                lines.push(format!("{i} collect at {}", now.as_nanos()));
+                releases(&mut lines, &mut out);
+            }
+        }
+        lines.push(format!(
+            "wakeup {:?} held {}",
+            m.next_wakeup(),
+            m.held_count()
+        ));
+    }
+    m.collect_due_into(SimTime::MAX, &mut rng, &mut out);
+    releases(&mut lines, &mut out);
+    lines.push(format!("stats {:?}", m.stats()));
+    lines.push(format!("fidelity {:?}", m.fidelity()));
+    lines
+}
+
+#[test]
+fn closed_buffer_modulates_like_in_memory_trace() {
+    // The architecture of §3.3 streams tuples through a bounded kernel
+    // buffer. A buffer holding the whole trace, closed by its writer,
+    // must modulate exactly like the in-memory replay: same verdicts,
+    // same release order and instants, same counters — including the
+    // hour-long jumps that play the final tuple past the trace end.
+    for id in 0..400 {
+        for which in 0..1 + (id % 2) as usize {
+            let in_memory = play_schedule(id, which, Modulator::from_replay);
+            let buffered = play_schedule(id, which, |replay| {
+                let buf = TupleBuffer::new(replay.tuples.len());
+                assert_eq!(buf.write(&replay.tuples), replay.tuples.len());
+                buf.close();
+                Modulator::from_buffer(buf)
+            });
+            assert_eq!(in_memory, buffered, "schedule {id} trace {which}");
+        }
+    }
 }
 
 #[test]
