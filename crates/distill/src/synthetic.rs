@@ -146,8 +146,8 @@ mod tests {
             SimDuration::from_secs(60),
         );
         assert_eq!(t.tuples.len(), 2);
-        let before = t.at(SimDuration::from_secs(10)).unwrap();
-        let after = t.at(SimDuration::from_secs(40)).unwrap();
+        assert_eq!(t.tuples[0].duration(), SimDuration::from_secs(30));
+        let (before, after) = (t.tuples[0], t.tuples[1]);
         assert!(after.vb_ns_per_byte > before.vb_ns_per_byte);
         assert!(after.latency_ns > before.latency_ns);
     }
@@ -163,9 +163,9 @@ mod tests {
             SimDuration::from_secs(60),
         );
         assert_eq!(t.tuples.len(), 3);
-        let base = t.at(SimDuration::from_secs(10)).unwrap().latency_ns;
-        let spike = t.at(SimDuration::from_secs(22)).unwrap().latency_ns;
-        let back = t.at(SimDuration::from_secs(40)).unwrap().latency_ns;
+        assert_eq!(t.tuples[0].duration(), SimDuration::from_secs(20));
+        assert_eq!(t.tuples[1].duration(), SimDuration::from_secs(5));
+        let [base, spike, back] = [0, 1, 2].map(|i| t.tuples[i].latency_ns);
         assert!(spike > base);
         assert_eq!(base, back);
     }

@@ -1,14 +1,13 @@
-//! The modulation replay daemon (§3.3): a user-level process that feeds
-//! quality tuples from a replay-trace file into a fixed-size in-kernel
-//! buffer. When the buffer is full the daemon waits; it may loop over
-//! the file until interrupted.
+//! The fixed-size in-kernel tuple buffer of §3.3 and its live-mode
+//! feeder. The paper's user-level daemon writes replay-trace tuples into
+//! the buffer and waits while it is full; here the incremental distiller
+//! writes into it through a [`TupleFeed`], and a whole trace can be
+//! written up front.
 
-use netsim::SimDuration;
-use netstack::{App, AppEvent, HostApi};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use tracekit::{QualityTuple, ReplayTrace, TupleSink};
+use tracekit::{QualityTuple, TupleSink};
 
 /// Occupancy bookkeeping shared with the queue itself, so every
 /// write/pop updates it under the same lock.
@@ -22,8 +21,9 @@ struct BufState {
     closed: bool,
 }
 
-/// The bounded in-kernel tuple buffer shared between the daemon (writer)
-/// and the modulation layer (reader).
+/// The bounded in-kernel tuple buffer shared between a writer (a
+/// [`TupleFeed`], or a caller writing a whole trace) and the modulation
+/// layer (reader).
 ///
 /// Besides the queue itself the buffer keeps occupancy accounting —
 /// peak occupancy, total tuples written/popped, and writes rejected for
@@ -225,77 +225,6 @@ impl TupleSink for TupleFeed {
     }
 }
 
-const FEED_TIMER: u32 = 0xFEED;
-
-/// The user-level feeder process, run as an app on the modulated host.
-pub struct ModulationDaemon {
-    buf: TupleBuffer,
-    replay: ReplayTrace,
-    pos: usize,
-    /// Loop over the trace until the experiment ends (vs. one pass).
-    pub loop_trace: bool,
-    /// Refill cadence.
-    pub interval: SimDuration,
-    /// Total tuples fed (diagnostics).
-    pub fed: u64,
-}
-
-impl ModulationDaemon {
-    /// Daemon feeding `replay` into `buf`.
-    pub fn new(buf: TupleBuffer, replay: ReplayTrace) -> Self {
-        ModulationDaemon {
-            buf,
-            replay,
-            pos: 0,
-            loop_trace: true,
-            interval: SimDuration::from_millis(250),
-            fed: 0,
-        }
-    }
-
-    fn refill(&mut self) {
-        loop {
-            if self.replay.tuples.is_empty() {
-                self.buf.close(); // nothing will ever arrive
-                return;
-            }
-            if self.pos >= self.replay.tuples.len() {
-                if !self.loop_trace {
-                    self.buf.close(); // one pass done: genuine end of trace
-                    return;
-                }
-                self.pos = 0;
-            }
-            let n = self.buf.write(&self.replay.tuples[self.pos..]);
-            self.pos += n;
-            self.fed += n as u64;
-            if n == 0 {
-                return; // buffer full: "the daemon blocks"
-            }
-        }
-    }
-}
-
-impl App for ModulationDaemon {
-    fn on_event(&mut self, event: AppEvent, api: &mut HostApi<'_, '_>) {
-        match event {
-            AppEvent::Start => {
-                self.refill();
-                api.set_timer(self.interval, FEED_TIMER);
-            }
-            AppEvent::Timer { token } if token == FEED_TIMER => {
-                self.refill();
-                api.set_timer(self.interval, FEED_TIMER);
-            }
-            _ => {}
-        }
-    }
-
-    fn name(&self) -> &str {
-        "modulation-daemon"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,39 +248,6 @@ mod tests {
         assert_eq!(buf.write(&ts), 0);
         assert!(buf.pop().is_some(), "full buffer must yield a tuple");
         assert_eq!(buf.write(&ts), 1);
-    }
-
-    #[test]
-    fn daemon_refills_and_loops() {
-        let buf = TupleBuffer::new(4);
-        let replay = ReplayTrace {
-            source: "t".into(),
-            tuples: vec![tuple(1), tuple(2), tuple(3)],
-        };
-        let mut d = ModulationDaemon::new(buf.clone(), replay);
-        d.refill();
-        assert_eq!(buf.len(), 4); // 3 + looped first
-                                  // Drain two, refill: loops through the file again.
-        buf.pop();
-        buf.pop();
-        d.refill();
-        assert_eq!(buf.len(), 4);
-        assert!(d.fed >= 6);
-    }
-
-    #[test]
-    fn one_pass_mode_stops_at_end() {
-        let buf = TupleBuffer::new(10);
-        let replay = ReplayTrace {
-            source: "t".into(),
-            tuples: vec![tuple(1), tuple(2)],
-        };
-        let mut d = ModulationDaemon::new(buf.clone(), replay);
-        d.loop_trace = false;
-        d.refill();
-        d.refill();
-        assert_eq!(buf.len(), 2);
-        assert_eq!(d.fed, 2);
     }
 
     #[test]
@@ -389,13 +285,5 @@ mod tests {
         feed.set_paused(false);
         assert_eq!(buf.len(), 3);
         assert!(buf.is_closed(), "backlog drained after resume => EOF");
-    }
-
-    #[test]
-    fn empty_replay_is_harmless() {
-        let buf = TupleBuffer::new(4);
-        let mut d = ModulationDaemon::new(buf.clone(), ReplayTrace::new("e"));
-        d.refill();
-        assert!(buf.is_empty());
     }
 }

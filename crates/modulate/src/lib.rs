@@ -8,13 +8,17 @@
 //!   queue (drop-after-bottleneck, per the model);
 //! * [`TickClock`] — the 10 ms scheduling-granularity quantizer
 //!   (round to nearest tick; sub-half-tick delays sent immediately);
-//! * [`TupleBuffer`] + [`ModulationDaemon`] — the user-level daemon that
-//!   streams tuples from a replay-trace file into the fixed-size kernel
-//!   buffer, optionally looping until interrupted;
-//! * [`TupleFeed`] — the live-mode counterpart: a
-//!   [`tracekit::TupleSink`] that forwards tuples straight from the
-//!   incremental distiller into the kernel buffer, so modulation can
-//!   begin while collection is still running;
+//!   It plays tuples through one cursor whatever feeds it: a whole
+//!   replay trace, one trace per direction, or the kernel buffer. When
+//!   the feed runs dry the cursor holds the final tuple (end of trace),
+//!   backs off on the stale one (an open buffer starved), or passes
+//!   packets through (no tuple yet);
+//! * [`TupleBuffer`] — the fixed-size kernel buffer the paper's
+//!   user-level daemon fills;
+//! * [`TupleFeed`] — its live-mode writer: a [`tracekit::TupleSink`]
+//!   that forwards tuples straight from the incremental distiller into
+//!   the kernel buffer, so modulation can begin while collection is
+//!   still running;
 //! * [`compensation`] — the inbound delay-compensation term measured
 //!   once on the modulating network (Figure 1).
 
@@ -27,5 +31,5 @@ pub mod layer;
 
 pub use clock::{Quantized, TickClock};
 pub use compensation::{compensation_from_replay, link_vb_ns_per_byte};
-pub use daemon::{ModulationDaemon, TupleBuffer, TupleFeed};
+pub use daemon::{TupleBuffer, TupleFeed};
 pub use layer::{ModStats, Modulator};

@@ -115,82 +115,6 @@ impl ReplayTrace {
         SimDuration::from_nanos(self.tuples.iter().map(|t| t.duration_ns).sum())
     }
 
-    /// The tuple in effect at `elapsed` time since playback start, with
-    /// looping. Returns `None` only for an empty trace.
-    pub fn at(&self, elapsed: SimDuration) -> Option<&QualityTuple> {
-        if self.tuples.is_empty() {
-            return None;
-        }
-        let total = self.total_duration().as_nanos();
-        if total == 0 {
-            return self.tuples.first();
-        }
-        let mut pos = elapsed.as_nanos() % total;
-        for t in &self.tuples {
-            if pos < t.duration_ns {
-                return Some(t);
-            }
-            pos -= t.duration_ns;
-        }
-        self.tuples.last()
-    }
-
-    /// Like [`at`](ReplayTrace::at) but without looping: past the end of
-    /// the trace the final tuple stays in effect (the mobile user has
-    /// stopped moving; conditions persist).
-    pub fn at_clamped(&self, elapsed: SimDuration) -> Option<&QualityTuple> {
-        if self.tuples.is_empty() {
-            return None;
-        }
-        if elapsed >= self.total_duration() {
-            return self.tuples.last();
-        }
-        self.at(elapsed)
-    }
-
-    /// Like [`at`](ReplayTrace::at) (when `looping`) or
-    /// [`at_clamped`](ReplayTrace::at_clamped) (when not), but also
-    /// returns the half-open window `[from_ns, until_ns)` of elapsed
-    /// time over which the returned tuple stays in effect — so hot
-    /// paths can cache one lookup per interval instead of scanning the
-    /// tuple list per packet. `until_ns == u64::MAX` means "forever"
-    /// (the clamped final tuple, or a zero-duration degenerate trace).
-    pub fn window_at(
-        &self,
-        elapsed: SimDuration,
-        looping: bool,
-    ) -> Option<(QualityTuple, u64, u64)> {
-        if self.tuples.is_empty() {
-            return None;
-        }
-        let total = self.total_duration().as_nanos();
-        if total == 0 {
-            // Degenerate all-zero-duration trace: mirror `at` (first
-            // tuple) and `at_clamped` (last tuple, since elapsed ≥ 0 =
-            // total).
-            let t = if looping {
-                self.tuples[0]
-            } else {
-                *self.tuples.last().expect("non-empty")
-            };
-            return Some((t, 0, u64::MAX));
-        }
-        let e = elapsed.as_nanos();
-        if !looping && e >= total {
-            return Some((*self.tuples.last().expect("non-empty"), total, u64::MAX));
-        }
-        let pos = e % total;
-        let base = e - pos; // start of the current cycle
-        let mut cum = 0u64;
-        for t in &self.tuples {
-            if pos < cum + t.duration_ns {
-                return Some((*t, base + cum, base + cum + t.duration_ns));
-            }
-            cum += t.duration_ns;
-        }
-        unreachable!("pos < total, so some tuple covers it")
-    }
-
     /// All tuples valid?
     pub fn is_valid(&self) -> bool {
         !self.tuples.is_empty() && self.tuples.iter().all(QualityTuple::is_valid)
@@ -265,18 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_by_elapsed_time_with_looping() {
-        let t = trace();
-        assert_eq!(t.at(SimDuration::from_nanos(0)).unwrap().latency_ns, 10);
-        assert_eq!(t.at(SimDuration::from_nanos(999)).unwrap().latency_ns, 10);
-        assert_eq!(t.at(SimDuration::from_nanos(1000)).unwrap().latency_ns, 30);
-        assert_eq!(t.at(SimDuration::from_nanos(3999)).unwrap().latency_ns, 30);
-        // Loops: 4000 → position 0.
-        assert_eq!(t.at(SimDuration::from_nanos(4000)).unwrap().latency_ns, 10);
-        assert_eq!(t.at(SimDuration::from_nanos(8500)).unwrap().latency_ns, 10);
-    }
-
-    #[test]
     fn weighted_means() {
         let t = trace();
         // mean Vb = (4*1000 + 8*3000) / 4000 = 7.0
@@ -334,56 +246,13 @@ mod tests {
         assert_eq!(t.tuples.len(), 1);
         assert_eq!(t.total_duration(), SimDuration::from_secs(60));
         assert!(t.is_valid());
-        assert_eq!(
-            t.at(SimDuration::from_secs(120)).unwrap().latency_ns,
-            2_000_000
-        );
+        assert_eq!(t.tuples[0].latency_ns, 2_000_000);
     }
 
     #[test]
-    fn window_at_agrees_with_scans_and_bounds_are_tight() {
-        let t = trace(); // durations 1000 + 3000
-        for looping in [true, false] {
-            for e in [0u64, 999, 1000, 3999, 4000, 8500, 123_456] {
-                let elapsed = SimDuration::from_nanos(e);
-                let (tuple, from, until) = t.window_at(elapsed, looping).unwrap();
-                let expect = if looping {
-                    *t.at(elapsed).unwrap()
-                } else {
-                    *t.at_clamped(elapsed).unwrap()
-                };
-                assert_eq!(tuple, expect, "e={e} looping={looping}");
-                assert!(from <= e && e < until, "e={e} window [{from},{until})");
-                // Every point of the window resolves to the same tuple.
-                let probe = |x: u64| {
-                    let d = SimDuration::from_nanos(x);
-                    if looping {
-                        *t.at(d).unwrap()
-                    } else {
-                        *t.at_clamped(d).unwrap()
-                    }
-                };
-                assert_eq!(probe(from), tuple);
-                if until != u64::MAX {
-                    assert_eq!(probe(until - 1), tuple);
-                    if looping {
-                        // Looping windows are maximal: the tuple
-                        // changes exactly at `until`. (Clamped lookups
-                        // may split the final tuple's infinite span.)
-                        assert_ne!(probe(until).latency_ns, tuple.latency_ns);
-                    }
-                }
-            }
-        }
-        assert!(ReplayTrace::new("e")
-            .window_at(SimDuration::ZERO, true)
-            .is_none());
-    }
-
-    #[test]
-    fn empty_trace_lookup() {
+    fn empty_trace_means() {
         let t = ReplayTrace::new("e");
-        assert!(t.at(SimDuration::ZERO).is_none());
+        assert_eq!(t.total_duration(), SimDuration::ZERO);
         assert_eq!(t.mean_vb(), 0.0);
         assert_eq!(t.mean_latency(), SimDuration::ZERO);
     }
