@@ -965,6 +965,25 @@ mod tests {
     }
 
     #[test]
+    fn hot_stations_are_the_busiest_stations() {
+        let cfg = TelemetryConfig {
+            top_k: 3,
+            ..TelemetryConfig::default()
+        };
+        let plan = tiny_plan(200).with_telemetry(cfg);
+        assert!(plan.stations > 3, "more stations than top-K slots");
+        let out = fleet_run(&plan, &Exec::serial());
+        let mut want: Vec<(u64, u64)> = (0..plan.stations)
+            .map(|s| (u64::from(s), out.stations.frames(s)))
+            .collect();
+        want.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        want.truncate(3);
+        let tel = out.report.telemetry.as_ref().expect("telemetry enabled");
+        let got: Vec<(u64, u64)> = tel.hot_stations.iter().map(|e| (e.key, e.weight)).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn telemetry_leaves_manifests_unchanged() {
         let plain = fleet_run(&tiny_plan(3), &Exec::serial());
         let with_tel = fleet_run(

@@ -28,7 +28,7 @@
 //!   plus the same-run [`OverheadGate`];
 //! * [`telemetry`] — the fleet telemetry plane: per-shard virtual-time
 //!   sample rings merged into a layout-invariant [`FleetTelemetry`]
-//!   (JSONL / Prometheus / markdown sparklines) with space-saving
+//!   (JSONL / Prometheus / markdown sparklines) with exact
 //!   [`TopK`] outlier tracking. Each [`SamplePoint`] field is declared
 //!   once, in the field table every export and alert selector
 //!   iterates;

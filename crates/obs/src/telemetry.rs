@@ -7,7 +7,7 @@
 //! [`ShardTelemetry`] that is sampled on a configurable **virtual-time**
 //! interval into a bounded time-series ring of [`SamplePoint`] rows
 //! (events/s, queue depth, packet-store occupancy, modulation hold
-//! depth, per-interval release/error tallies), plus a space-saving
+//! depth, per-interval release/error tallies), plus an exact
 //! [`TopK`] tracker surfacing the worst per-client p95 RTTs as the run
 //! progresses.
 //!
@@ -328,34 +328,22 @@ impl ShardTelemetry {
 }
 
 /// One tracked outlier: a key (client or station index) and its
-/// weight, plus the space-saving overestimation bound (`error` is 0
-/// for exact entries).
+/// weight.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TopEntry {
     /// Tracked key (client index, station index, ...).
     pub key: u64,
-    /// The entry's weight: a score for `offer_max` streams, an
-    /// estimated count for `add` streams.
+    /// The entry's score (a p95 in µs, a frame count, ...).
     pub weight: u64,
-    /// Space-saving overestimation bound (`add` streams only; an entry
-    /// counted from its first occurrence has error 0).
-    pub error: u64,
 }
 
-/// A bounded top-K tracker in the space-saving family (Metwally,
-/// Agrawal, El Abbadi, 2005): at most `capacity` monitored entries;
-/// when full, the minimum entry is evicted and — for the counting
-/// [`add`](TopK::add) stream — its weight carries into the newcomer as
-/// an error bound.
-///
-/// Two feeding modes:
-/// * [`add`](TopK::add) — classic space-saving frequency counting with
-///   error carry, for unbounded key streams;
-/// * [`offer_max`](TopK::offer_max) — keep the K largest scores with
-///   no carry. For offer-once streams (each key offered exactly once,
-///   e.g. a client's final p95) the result is the **exact** top K and
-///   is independent of offer order — which is what lets per-shard
-///   trackers merge into a layout-invariant fleet view.
+/// A bounded top-K tracker: at most `capacity` entries, fed through
+/// [`offer_max`](TopK::offer_max), which keeps the K largest scores.
+/// For offer-once streams (each key offered exactly once, e.g. a
+/// client's final p95 or a station's exact frame count) the result is
+/// the **exact** top K and is independent of offer order — which is
+/// what lets per-shard trackers merge into a layout-invariant fleet
+/// view.
 ///
 /// All ordering is deterministic: entries compare by `(weight, key)`
 /// with ties broken toward the **smaller key** (the smaller key ranks
@@ -400,55 +388,22 @@ impl TopK {
         min
     }
 
-    /// Space-saving frequency update: add `weight` to `key`'s entry,
-    /// inserting it (evicting the minimum, carrying its weight as the
-    /// newcomer's error bound) when unmonitored.
-    pub fn add(&mut self, key: u64, weight: u64) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.key == key) {
-            e.weight += weight;
-            return;
-        }
-        if (self.entries.len() as u64) < self.capacity {
-            self.entries.push(TopEntry {
-                key,
-                weight,
-                error: 0,
-            });
-            return;
-        }
-        let i = self.min_index();
-        let floor = self.entries[i].weight;
-        self.entries[i] = TopEntry {
-            key,
-            weight: floor + weight,
-            error: floor,
-        };
-    }
-
     /// Score update: keep `key` at the maximum `score` seen, admitting
-    /// it only if it outranks the current minimum when full. No error
-    /// carry — exact for offer-once streams.
+    /// it only if it outranks the current minimum when full — exact
+    /// for offer-once streams.
     pub fn offer_max(&mut self, key: u64, score: u64) {
         if let Some(e) = self.entries.iter_mut().find(|e| e.key == key) {
             e.weight = e.weight.max(score);
             return;
         }
         if (self.entries.len() as u64) < self.capacity {
-            self.entries.push(TopEntry {
-                key,
-                weight: score,
-                error: 0,
-            });
+            self.entries.push(TopEntry { key, weight: score });
             return;
         }
         let i = self.min_index();
         let m = &self.entries[i];
         if Self::beats((score, key), (m.weight, m.key)) {
-            self.entries[i] = TopEntry {
-                key,
-                weight: score,
-                error: 0,
-            };
+            self.entries[i] = TopEntry { key, weight: score };
         }
     }
 
@@ -559,12 +514,13 @@ impl FleetTelemetry {
     }
 
     /// Fill the hot-station tracker from exact per-station frame
-    /// counts (the merged station table), keeping the top `k`.
+    /// counts (the merged station table, each station offered once),
+    /// keeping the top `k`.
     pub fn set_hot_stations(&mut self, k: usize, frames: impl IntoIterator<Item = (u32, u64)>) {
         let mut top = TopK::new(k.max(1));
         for (station, count) in frames {
             if count > 0 {
-                top.add(u64::from(station), count);
+                top.offer_max(u64::from(station), count);
             }
         }
         self.hot_stations = top.ranked();
@@ -923,16 +879,25 @@ mod tests {
     }
 
     #[test]
-    fn topk_add_carries_spacesaving_error() {
-        let mut t = TopK::new(2);
-        t.add(1, 5);
-        t.add(2, 3);
-        t.add(3, 1); // evicts key 2 (min); inherits its weight as error
-        let r = t.ranked();
-        assert_eq!((r[0].key, r[0].weight, r[0].error), (1, 5, 0));
-        assert_eq!((r[1].key, r[1].weight, r[1].error), (3, 4, 3));
-        t.add(1, 1);
-        assert_eq!(t.ranked()[0].weight, 6);
+    fn entries_written_with_the_old_error_field_still_read() {
+        // Reports from before `TopEntry::error` was dropped carry it;
+        // `--alerts-baseline` must still load them.
+        let e: TopEntry = serde_json::from_str(r#"{"key":3,"weight":9,"error":4}"#).unwrap();
+        assert_eq!(e, TopEntry { key: 3, weight: 9 });
+    }
+
+    #[test]
+    fn hot_stations_are_the_exact_top_k_in_any_offer_order() {
+        // More stations than slots, the hottest offered first: each
+        // newcomer must be ranked on its own count, not inherit the
+        // evicted minimum's.
+        let frames = [(0u32, 100u64), (1, 90), (2, 5), (3, 4), (4, 0), (5, 3)];
+        let mut tel = FleetTelemetry::merge(std::iter::empty());
+        for order in [frames.to_vec(), frames.iter().rev().copied().collect()] {
+            tel.set_hot_stations(2, order);
+            let top: Vec<_> = tel.hot_stations.iter().map(|e| (e.key, e.weight)).collect();
+            assert_eq!(top, vec![(0, 100), (1, 90)]);
+        }
     }
 
     #[test]

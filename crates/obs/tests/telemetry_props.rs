@@ -53,12 +53,10 @@ fn telemetry_with(series: Vec<SamplePoint>) -> FleetTelemetry {
         worst_clients: vec![TopEntry {
             key: 7,
             weight: 1234,
-            error: 0,
         }],
         hot_stations: vec![TopEntry {
             key: 2,
             weight: 998,
-            error: 0,
         }],
     }
 }
