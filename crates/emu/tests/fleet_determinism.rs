@@ -329,7 +329,7 @@ fn pinned_porter_plan() -> FleetPlan {
 
 const PORTER_DIGESTS: &[(&str, u64)] = &[
     ("manifests", 0xaae9_529a_45de_062f),
-    ("report", 0x90c3_7165_c010_ff3c),
+    ("report", 0xf737_2174_794e_9390),
     ("telemetry.jsonl", 0x8fb5_88fc_be0e_7d78),
     ("telemetry.prom", 0xc4a3_7bb5_21ba_d270),
     ("alerts.jsonl", 0x5c34_f7d7_dc5f_89b8),
@@ -337,7 +337,7 @@ const PORTER_DIGESTS: &[(&str, u64)] = &[
 
 const LEO_DIGESTS: &[(&str, u64)] = &[
     ("manifests", 0xc84f_f1bf_84b8_dd78),
-    ("report", 0xc11f_3c1f_d383_0c9a),
+    ("report", 0xd5d0_e9f5_a28e_cc7a),
     ("telemetry.jsonl", 0x294e_cb54_4698_b954),
     ("telemetry.prom", 0x2ffe_707c_623f_288d),
     ("alerts.jsonl", 0x3336_5c3f_43fb_cacf),
