@@ -99,27 +99,6 @@ pub fn impulse(
     }
 }
 
-/// A sawtooth of bandwidth between two parameter sets, `period` per
-/// tooth, for `teeth` repetitions — exercises reactivity the way the
-/// Odyssey paper's step/impulse experiments did.
-pub fn sawtooth(
-    name: &str,
-    lo: NetworkParams,
-    hi: NetworkParams,
-    period: SimDuration,
-    teeth: usize,
-) -> ReplayTrace {
-    let mut tuples = Vec::with_capacity(teeth * 2);
-    for _ in 0..teeth {
-        tuples.push(lo.tuple(period / 2));
-        tuples.push(hi.tuple(period / 2));
-    }
-    ReplayTrace {
-        source: name.to_string(),
-        tuples,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,20 +147,6 @@ mod tests {
         let [base, spike, back] = [0, 1, 2].map(|i| t.tuples[i].latency_ns);
         assert!(spike > base);
         assert_eq!(base, back);
-    }
-
-    #[test]
-    fn sawtooth_alternates() {
-        let t = sawtooth(
-            "z",
-            NetworkParams::wavelan_like(),
-            NetworkParams::slow_network(),
-            SimDuration::from_secs(10),
-            3,
-        );
-        assert_eq!(t.tuples.len(), 6);
-        assert_eq!(t.total_duration(), SimDuration::from_secs(30));
-        assert!(t.is_valid());
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl Testbed {
     pub fn laptop_host(&self) -> &Host {
         self.sim.node(self.laptop)
     }
-
-    /// Borrow the server host.
-    pub fn server_host(&self) -> &Host {
-        self.sim.node(self.server)
-    }
 }
 
 fn host_configs(hw: Hardware) -> (HostConfig, HostConfig) {

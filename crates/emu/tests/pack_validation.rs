@@ -15,7 +15,7 @@ use wavelan::ScenarioPack;
 fn committed_pack(file: &str) -> ScenarioPack {
     let path = format!("{}/../../packs/{file}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    wavelan::load_pack(&path, &text).unwrap_or_else(|e| panic!("{path}: {e}"))
+    wavelan::load_pack(&path, &text).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Fleet plan over a committed pack, sized for test runtime.

@@ -19,26 +19,10 @@ pub fn compensation_from_replay(measured: &ReplayTrace) -> f64 {
     measured.mean_vb()
 }
 
-/// Theoretical per-byte bottleneck cost of an ideal link of the given
-/// bandwidth (ns/byte) — a sanity reference for the measured value.
-pub fn link_vb_ns_per_byte(bandwidth_bps: u64) -> f64 {
-    if bandwidth_bps == 0 {
-        return 0.0;
-    }
-    8e9 / bandwidth_bps as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use netsim::SimDuration;
-
-    #[test]
-    fn ethernet_reference_cost() {
-        // 10 Mb/s Ethernet: 0.8 µs per byte.
-        assert!((link_vb_ns_per_byte(10_000_000) - 800.0).abs() < 1e-9);
-        assert_eq!(link_vb_ns_per_byte(0), 0.0);
-    }
 
     #[test]
     fn compensation_is_mean_vb() {

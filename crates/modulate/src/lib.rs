@@ -30,6 +30,6 @@ pub mod daemon;
 pub mod layer;
 
 pub use clock::{Quantized, TickClock};
-pub use compensation::{compensation_from_replay, link_vb_ns_per_byte};
+pub use compensation::compensation_from_replay;
 pub use daemon::{TupleBuffer, TupleFeed};
 pub use layer::{ModStats, Modulator};

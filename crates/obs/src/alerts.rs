@@ -21,10 +21,10 @@
 //! wall clock, so the same run yields a byte-identical
 //! [`AlertReport`] (JSONL and markdown) at any shard or worker count.
 //!
-//! Rules load from JSON ([`RuleSet::from_json`]) or a small TOML
-//! subset ([`RuleSet::from_toml`]: `[[rule]]` tables with string /
-//! number / string-array values), and [`RuleSet::builtin`] ships a
-//! starter set used by CI and the README walkthrough.
+//! Rules load from a small TOML subset ([`RuleSet::from_toml`]:
+//! `[[rule]]` tables with string / number / string-array values), and
+//! [`RuleSet::builtin`] ships a starter set used by CI and the README
+//! walkthrough.
 
 use crate::fleet::FleetReport;
 use crate::telemetry::{SamplePoint, FIELDS};
@@ -69,9 +69,9 @@ impl Severity {
     }
 }
 
-/// One declared rule, as parsed from TOML or JSON — a flat bag of
-/// optional clauses validated into a predicate by [`RuleSet::compile`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// One declared rule, as parsed from TOML — a flat bag of optional
+/// clauses validated into a predicate by [`RuleSet::compile`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RuleSpec {
     /// Rule name (unique within a set; appears in every alert).
     pub name: String,
@@ -79,39 +79,30 @@ pub struct RuleSpec {
     /// `fleet.metrics.<counter>`.
     pub metric: String,
     /// Severity name (`info` / `warn` / `critical`; default `warn`).
-    #[serde(default)]
     pub severity: String,
     /// Threshold: violate when the metric is strictly above this.
-    #[serde(default)]
     pub above: Option<f64>,
     /// Threshold: violate when the metric is strictly below this.
-    #[serde(default)]
     pub below: Option<f64>,
     /// Burn-rate window length in sample boundaries (with `frac`).
-    #[serde(default)]
     pub window: Option<u64>,
     /// Burn-rate fraction in `[0, 1]`: the boundary violates when at
     /// least this fraction of the trailing `window` boundaries breach
     /// the threshold.
-    #[serde(default)]
     pub frac: Option<f64>,
     /// Delta-vs-baseline: absolute tolerance around the baseline value.
-    #[serde(default)]
     pub baseline_max_abs: Option<f64>,
     /// Delta-vs-baseline: relative tolerance (fraction of |baseline|).
-    #[serde(default)]
     pub baseline_max_rel: Option<f64>,
     /// Fault kinds whose injection opens a suppression window.
-    #[serde(default)]
     pub suppress: Vec<String>,
     /// Suppression window length in virtual seconds after each
     /// matching fault event (default 5 s when `suppress` is set).
-    #[serde(default)]
     pub suppress_window_secs: Option<f64>,
 }
 
 /// A parsed set of alert rules.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RuleSet {
     /// The declared rules, in declaration order.
     pub rules: Vec<RuleSpec>,
@@ -122,16 +113,6 @@ pub struct RuleSet {
 const DEFAULT_SUPPRESS_WINDOW_NS: u64 = 5_000_000_000;
 
 impl RuleSet {
-    /// Parse a rule set from JSON (`{"rules": [{...}, ...]}`).
-    pub fn from_json(s: &str) -> Result<RuleSet, String> {
-        serde_json::from_str(s).map_err(|e| format!("rule set: {e}"))
-    }
-
-    /// Serialize to pretty JSON.
-    pub fn to_json_pretty(&self) -> String {
-        serde_json::to_string_pretty(self).expect("rule set serializes")
-    }
-
     /// Parse the TOML subset: `[[rule]]` tables whose entries are
     /// `key = value` lines with string, number, or string-array
     /// values; `#` comments and blank lines are ignored.
@@ -952,14 +933,6 @@ suppress_window_secs = 7.5
         );
         assert!(RuleSet::from_toml("[rule]").is_err(), "plain table");
         assert!(RuleSet::from_toml("[[rule]]\nname = unquoted").is_err());
-    }
-
-    #[test]
-    fn json_round_trips_and_compiles_like_toml() {
-        let rs = one_rule("[[rule]]\nname = \"a\"\nmetric = \"sample.released\"\nbelow = 1\n");
-        let back = RuleSet::from_json(&rs.to_json_pretty()).unwrap();
-        assert_eq!(back, rs);
-        assert_eq!(back.compile().unwrap(), rs.compile().unwrap());
     }
 
     #[test]

@@ -227,50 +227,6 @@ impl FleetReport {
         runner_stripped_json(self).expect("fleet report serializes")
     }
 
-    /// Human-readable summary.
-    pub fn render_text(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "fleet report: {} × {}", self.scenario, self.clients);
-        let _ = writeln!(
-            s,
-            "  packets: {} modulated, {} released, {} dropped",
-            self.modulated_packets, self.released_packets, self.dropped_packets
-        );
-        let _ = writeln!(
-            s,
-            "  delay-error p95: mean {:.2} ms, worst {:.2} ms",
-            self.mean_abs_delay_error_p95_ms, self.worst_abs_delay_error_p95_ms
-        );
-        let _ = writeln!(
-            s,
-            "  deadline misses: {} ({:.4} rate)",
-            self.deadline_misses, self.deadline_miss_rate
-        );
-        let _ = writeln!(
-            s,
-            "  clients: {} failed gate, {} degraded",
-            self.failed_clients, self.degraded_clients
-        );
-        for u in &self.models {
-            let _ = writeln!(
-                s,
-                "  model {} [{}]: {} clients",
-                u.family, u.params, u.clients
-            );
-        }
-        for (k, v) in self.metrics.counters() {
-            let _ = writeln!(s, "  {k} = {v}");
-        }
-        if let Some(r) = &self.runner {
-            let _ = writeln!(
-                s,
-                "  runner: {:.2}s wall × {} workers",
-                r.wall_secs, r.workers
-            );
-        }
-        s
-    }
-
     /// Markdown report: the dedicated fleet section (client count,
     /// worst-p95 client, failed/degraded tallies) plus — when the run
     /// sampled telemetry — the shared sparkline/table section from
@@ -443,9 +399,8 @@ mod tests {
         assert_eq!(r.metrics.counter("fleet.model_clients.errant"), Some(1));
         let md = r.render_markdown();
         assert!(md.contains("### Channel models"));
+        assert!(md.contains("| `leo` | `pass_secs=45` | 2 |"));
         assert!(md.contains("| `errant` | `operator=op2 rat=4g` | 1 |"));
-        let txt = r.render_text();
-        assert!(txt.contains("model leo [pass_secs=45]: 2 clients"));
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //!   iterates;
 //! * [`profile`] — an opt-in scoped wall-clock [`Profiler`] with
 //!   flamegraph collapsed-stack output for the fleet hot paths;
-//! * [`alerts`] — the fidelity SLO engine: declarative TOML/JSON rules
+//! * [`alerts`] — the fidelity SLO engine: declarative TOML rules
 //!   (thresholds, windowed burn rates, delta-vs-baseline) evaluated in
 //!   virtual time over the telemetry series and fleet aggregates, with
 //!   chaos-aware suppression windows keyed off injected faults (the one

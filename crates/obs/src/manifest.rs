@@ -125,119 +125,8 @@ impl RunManifest {
         self.fidelity.check(th)
     }
 
-    /// Human-readable report (the `tracemod obs-report` output).
-    pub fn render_text(&self) -> String {
-        let mut s = String::new();
-        let f = &self.fidelity;
-        let _ = writeln!(
-            s,
-            "run manifest (schema {}): scenario={} benchmark={} trial={}",
-            self.schema, self.scenario, self.benchmark, self.trial
-        );
-        if let Some(m) = &self.model {
-            let _ = writeln!(s, "channel model: {} [{}]", m.family, m.params);
-        }
-
-        let _ = writeln!(s, "\n-- fidelity self-check --");
-        let _ = writeln!(
-            s,
-            "  packets:        offered {}  modulated {}  unmodulated {} ({:.1}%)",
-            f.modulated_packets + f.unmodulated_packets,
-            f.modulated_packets,
-            f.unmodulated_packets,
-            f.unmodulated_fraction * 100.0
-        );
-        let _ = writeln!(
-            s,
-            "  released:       {}   dropped: {}",
-            f.released_packets, f.dropped_packets
-        );
-        let _ = writeln!(
-            s,
-            "  delay error:    mean {:+.3} ms  (min {:+.3} / max {:+.3})",
-            f.delay_error_ms.mean, f.delay_error_ms.min, f.delay_error_ms.max
-        );
-        let _ = writeln!(
-            s,
-            "  |delay error|:  p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms",
-            f.abs_delay_error_p50_ms, f.abs_delay_error_p95_ms, f.abs_delay_error_p99_ms
-        );
-        let _ = writeln!(
-            s,
-            "  deadlines:      {} missed (rate {:.4})",
-            f.deadline_misses, f.deadline_miss_rate
-        );
-        let _ = writeln!(
-            s,
-            "  corrections:    {} drift clamps, {} delay-compensated",
-            f.drift_clamps, f.compensated_packets
-        );
-        let _ = writeln!(
-            s,
-            "  loss rate:      expected {:.4}  observed {:.4}  delta {:+.4}",
-            f.expected_loss_rate, f.observed_loss_rate, f.loss_delta
-        );
-        if f.degraded {
-            let _ = writeln!(
-                s,
-                "  degraded:       YES ({} starvation holds — stale tuples replayed)",
-                f.starvation_holds
-            );
-        }
-        let violations = self.check(&FidelityThresholds::default());
-        if violations.is_empty() {
-            let _ = writeln!(s, "  self-check:     PASS (default thresholds)");
-        } else {
-            let _ = writeln!(s, "  self-check:     FAIL");
-            for v in &violations {
-                let _ = writeln!(s, "    - {v}");
-            }
-        }
-
-        let _ = writeln!(s, "\n-- metrics ({} recorded) --", self.metrics.len());
-        let counters: Vec<_> = self.metrics.counters().collect();
-        if !counters.is_empty() {
-            let _ = writeln!(s, "  counters:");
-            for (k, v) in counters {
-                let _ = writeln!(s, "    {k:<42} {v}");
-            }
-        }
-        let gauges: Vec<_> = self.metrics.gauges().collect();
-        if !gauges.is_empty() {
-            let _ = writeln!(s, "  gauges:");
-            for (k, v) in gauges {
-                let _ = writeln!(s, "    {k:<42} {v:.4}");
-            }
-        }
-        let hists: Vec<_> = self.metrics.hists().collect();
-        if !hists.is_empty() {
-            let _ = writeln!(s, "  histograms:");
-            for (k, h) in hists {
-                let _ = writeln!(
-                    s,
-                    "    {k:<42} n={} mean={:.4} p95={:.4}",
-                    h.count, h.mean, h.p95
-                );
-            }
-        }
-
-        match &self.runner {
-            Some(r) => {
-                let _ = writeln!(s, "\n-- runner (wall clock; non-deterministic) --");
-                let _ = writeln!(s, "  wall time:      {:.3} s", r.wall_secs);
-                let _ = writeln!(s, "  workers:        {}", r.workers);
-                let _ = writeln!(s, "  records/sec:    {:.1}", r.records_per_sec);
-                let _ = writeln!(s, "  utilization:    {:.3}", r.worker_utilization);
-            }
-            None => {
-                let _ = writeln!(s, "\n-- runner: absent (deterministic form) --");
-            }
-        }
-        s
-    }
-
-    /// Markdown report (the `tracemod obs-report --format md` output) —
-    /// suitable for pasting into a PR description or CI job summary.
+    /// Markdown report (the `tracemod obs-report` output) — suitable
+    /// for pasting into a PR description or CI job summary.
     pub fn render_markdown(&self) -> String {
         let mut s = String::new();
         let f = &self.fidelity;
@@ -255,10 +144,11 @@ impl RunManifest {
         let _ = writeln!(s, "|---|---|");
         let _ = writeln!(
             s,
-            "| packets offered | {} ({} modulated, {} unmodulated) |",
+            "| packets offered | {} ({} modulated, {} unmodulated = {:.1}%) |",
             f.modulated_packets + f.unmodulated_packets,
             f.modulated_packets,
-            f.unmodulated_packets
+            f.unmodulated_packets,
+            f.unmodulated_fraction * 100.0
         );
         let _ = writeln!(
             s,
@@ -279,6 +169,11 @@ impl RunManifest {
             s,
             "| deadline misses | {} (rate {:.4}) |",
             f.deadline_misses, f.deadline_miss_rate
+        );
+        let _ = writeln!(
+            s,
+            "| corrections | {} drift clamps, {} delay-compensated |",
+            f.drift_clamps, f.compensated_packets
         );
         let _ = writeln!(
             s,
@@ -404,16 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn render_text_has_all_sections() {
-        let m = sample_manifest();
-        let text = m.render_text();
-        assert!(text.contains("fidelity self-check"));
-        assert!(text.contains("netsim.events"));
-        assert!(text.contains("PASS"));
-        assert!(text.contains("deterministic form"));
-    }
-
-    #[test]
     fn render_markdown_has_tables_and_verdict() {
         let m = sample_manifest();
         let md = m.render_markdown();
@@ -422,5 +307,33 @@ mod tests {
         assert!(md.contains("| `netsim.events` | 420 |"));
         assert!(md.contains("**Self-check: PASS**"));
         assert!(md.contains("deterministic form"));
+    }
+
+    #[test]
+    fn render_markdown_shows_every_fidelity_fact() {
+        let mut m = sample_manifest();
+        let mut fc = FidelityCollector::new();
+        for i in 0..8 {
+            fc.on_modulated(0.0);
+            fc.on_release(0.5, false);
+            if i < 3 {
+                fc.on_drift_clamp();
+            }
+            if i < 5 {
+                fc.on_compensated();
+            }
+        }
+        fc.on_unmodulated();
+        fc.on_unmodulated();
+        m.fidelity = fc.report();
+        let md = m.render_markdown();
+        assert!(
+            md.contains("| packets offered | 10 (8 modulated, 2 unmodulated = 20.0%) |"),
+            "{md}"
+        );
+        assert!(
+            md.contains("| corrections | 3 drift clamps, 5 delay-compensated |"),
+            "{md}"
+        );
     }
 }

@@ -40,9 +40,11 @@ pub fn read(
                 "unsupported table '{line}' (only [[{table}]] tables)"
             )));
         } else {
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| at(format!("expected key = value, got '{line}'")))?;
+            let (key, value) = line.split_once('=').ok_or_else(|| {
+                at(format!(
+                    "expected a TOML `key = value` line or a [[{table}]] table, got '{line}'"
+                ))
+            })?;
             Line::Entry(key.trim(), value.trim())
         };
         visit(item).map_err(at)?;

@@ -36,15 +36,6 @@ impl QualityTuple {
         SimDuration::from_nanos((self.vr_ns_per_byte * bytes as f64).round().max(0.0) as u64)
     }
 
-    /// Equivalent bottleneck bandwidth in bits per second.
-    pub fn bottleneck_bandwidth_bps(&self) -> f64 {
-        if self.vb_ns_per_byte <= 0.0 {
-            f64::INFINITY
-        } else {
-            8e9 / self.vb_ns_per_byte
-        }
-    }
-
     /// Validity: finite, non-negative costs and a loss probability.
     pub fn is_valid(&self) -> bool {
         self.duration_ns > 0
@@ -69,8 +60,6 @@ impl QualityTuple {
 /// );
 /// assert!(t.is_valid());
 /// assert_eq!(t.total_duration(), SimDuration::from_secs(30));
-/// // ~2 Mb/s bottleneck:
-/// assert!((t.tuples[0].bottleneck_bandwidth_bps() - 2e6).abs() < 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ReplayTrace {
@@ -209,7 +198,6 @@ mod tests {
             loss: 0.1,
         };
         assert_eq!(q.residual_delay(1000), SimDuration::from_micros(800));
-        assert!((q.bottleneck_bandwidth_bps() - 2_000_000.0).abs() < 1.0);
         assert!(q.is_valid());
     }
 

@@ -4,7 +4,7 @@
 //! module promotes [`ChannelModel`] into a plugin layer so the same
 //! collect → distill → modulate methodology runs against radios the
 //! paper never saw. A [`ModelSpec`] names a registered model *family*
-//! plus its parameters; a [`ScenarioPack`] (TOML or JSON file, the
+//! plus its parameters; a [`ScenarioPack`] (a TOML file, the
 //! `--scenario <pack.toml>` CLI form) bundles one or more weighted
 //! specs so a fleet can mix radios across its clients. The
 //! [`Registry`] maps family names to factory functions — models are
@@ -27,7 +27,6 @@ use crate::wavepoint::{PhysicalModel, WavePoint};
 use crate::MAX_DURATION_SECS;
 use netsim::{SimDuration, SimRng};
 use obs::toml::{self, Line};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 
@@ -451,24 +450,6 @@ pub struct ScenarioPack {
     pub entries: Vec<PackEntry>,
 }
 
-/// JSON mirror of [`ScenarioPack`]: params are `"key=value"` strings
-/// (values parse as numbers when they can, strings otherwise).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct PackJson {
-    name: String,
-    duration_secs: u64,
-    models: Vec<PackModelJson>,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct PackModelJson {
-    family: String,
-    #[serde(default)]
-    share: Option<u32>,
-    #[serde(default)]
-    params: Vec<String>,
-}
-
 impl ScenarioPack {
     /// Parse the TOML subset: top-level `name`/`duration_secs`, then
     /// `[[model]]` tables with `family`, optional `share`, and free
@@ -552,57 +533,6 @@ impl ScenarioPack {
         })
     }
 
-    /// Parse the JSON form (see the DESIGN.md §16 schema). Syntax only
-    /// — call [`validate`](Self::validate) next.
-    pub fn from_json(s: &str) -> Result<ScenarioPack, String> {
-        let pj: PackJson = serde_json::from_str(s).map_err(|e| format!("pack: {e}"))?;
-        if pj.duration_secs == 0 {
-            return Err("pack: 'duration_secs' must be a positive integer".to_string());
-        }
-        if pj.duration_secs > MAX_DURATION_SECS {
-            return Err(format!(
-                "pack: 'duration_secs' {} is above the cap of {MAX_DURATION_SECS}",
-                pj.duration_secs
-            ));
-        }
-        if pj.name.is_empty() {
-            return Err("pack: missing 'name'".to_string());
-        }
-        let mut entries = Vec::new();
-        for m in pj.models {
-            let share = m.share.unwrap_or(1);
-            if share == 0 || share > 1_000_000 {
-                return Err(format!(
-                    "pack: model '{}': 'share' must be a positive integer",
-                    m.family
-                ));
-            }
-            let mut spec = ModelSpec::family(&m.family);
-            for p in &m.params {
-                let (k, v) = p.split_once('=').ok_or_else(|| {
-                    format!("pack: model '{}': param '{p}' is not key=value", m.family)
-                })?;
-                let (k, v) = (k.trim(), v.trim());
-                if k.is_empty() {
-                    return Err(format!(
-                        "pack: model '{}': param '{p}' has an empty key",
-                        m.family
-                    ));
-                }
-                match v.parse::<f64>() {
-                    Ok(n) => spec.params.set_num(k, n),
-                    Err(_) => spec.params.set_str(k, v),
-                }
-            }
-            entries.push(PackEntry { spec, share });
-        }
-        Ok(ScenarioPack {
-            name: pj.name,
-            duration_secs: pj.duration_secs,
-            entries,
-        })
-    }
-
     /// Semantic validation: at least one model, every spec must build
     /// against `registry` (with a throwaway RNG), shares sane. After
     /// this passes, later [`Registry::build`] calls on the pack's specs
@@ -663,17 +593,12 @@ impl ScenarioPack {
     }
 }
 
-/// Load a pack from file contents, picking the parser from the path
-/// extension (`.toml` unless the path ends in `.json`), then validate
-/// against the built-in registry.
+/// Parse a pack file's TOML `contents` and validate it against the
+/// built-in registry. Errors carry a `"{path}: "` prefix.
 pub fn load_pack(path: &str, contents: &str) -> Result<ScenarioPack, String> {
-    let pack = if path.ends_with(".json") {
-        ScenarioPack::from_json(contents)?
-    } else {
-        ScenarioPack::from_toml(contents)?
-    };
-    pack.validate(Registry::builtin())?;
-    Ok(pack)
+    let pack = ScenarioPack::from_toml(contents)
+        .and_then(|pack| pack.validate(Registry::builtin()).map(|()| pack));
+    pack.map_err(|e| format!("{path}: {e}"))
 }
 
 #[cfg(test)]
@@ -716,23 +641,6 @@ rat = "4g"
             Some("op2")
         );
         pack.validate(Registry::builtin()).unwrap();
-    }
-
-    #[test]
-    fn json_pack_parses() {
-        let json = r#"{"name":"j","duration_secs":60,
-            "models":[{"family":"errant","share":2,"params":["operator=op3","rat=3g"]},
-                      {"family":"constant","params":["bw_kbps=900"]}]}"#;
-        let pack = ScenarioPack::from_json(json).unwrap();
-        pack.validate(Registry::builtin()).unwrap();
-        assert_eq!(
-            pack.entries[0].spec.params.str_value("rat").unwrap(),
-            Some("3g")
-        );
-        assert_eq!(
-            pack.entries[1].spec.params.num("bw_kbps").unwrap(),
-            Some(900.0)
-        );
     }
 
     #[test]
@@ -826,6 +734,16 @@ rat = "4g"
         assert_eq!(
             rules("window = 3").unwrap_err(),
             "rules line 1: 'window' appears before any [[rule]] table"
+        );
+
+        // A JSON document: both readers name the TOML form they expect.
+        assert_eq!(
+            pack("{\"name\": \"j\"}").unwrap_err(),
+            "pack line 1: expected a TOML `key = value` line or a [[model]] table, got '{\"name\": \"j\"}'"
+        );
+        assert_eq!(
+            rules("{\"rules\": []}").unwrap_err(),
+            "rules line 1: expected a TOML `key = value` line or a [[rule]] table, got '{\"rules\": []}'"
         );
 
         // An unknown table.

@@ -1,13 +1,13 @@
 //! Scenario-pack parser property tests: arbitrary and
-//! structurally-malformed TOML/JSON inputs must never panic the
-//! parsers, and the semantic failure modes (unknown family, missing
+//! structurally-malformed TOML inputs must never panic the parser,
+//! and the semantic failure modes (unknown family, missing
 //! params, out-of-range rates) must surface as structured errors.
 
 use proptest::collection;
 use proptest::prelude::*;
 use wavelan::registry::{Registry, ScenarioPack};
 
-/// Raw bytes → lossy string: hostile line soup for both parsers.
+/// Raw bytes → lossy string: hostile line soup for the parser.
 fn arb_garbage() -> impl Strategy<Value = String> {
     collection::vec(any::<u8>(), 0..600).prop_map(|b| String::from_utf8_lossy(&b).into_owned())
 }
@@ -43,43 +43,12 @@ fn arb_tomlish() -> impl Strategy<Value = String> {
     collection::vec(line, 0..25).prop_map(|ls| ls.join("\n"))
 }
 
-/// JSON-shaped packs with hostile field values.
-fn arb_jsonish() -> impl Strategy<Value = String> {
-    let param = prop_oneof![
-        Just("\"pass_secs=45\"".to_string()),
-        Just("\"loss=9\"".to_string()),
-        Just("\"=\"".to_string()),
-        Just("\"noequals\"".to_string()),
-        Just("\"operator=op9\"".to_string()),
-        Just("\"rat=4g\"".to_string()),
-    ];
-    let family = prop_oneof![
-        Just("\"leo\"".to_string()),
-        Just("\"errant\"".to_string()),
-        Just("\"bogus\"".to_string()),
-        Just("\"\"".to_string()),
-    ];
-    (
-        family,
-        any::<u32>(),
-        collection::vec(param, 0..4),
-        0u64..200,
-    )
-        .prop_map(|(fam, share, params, dur)| {
-            format!(
-                "{{\"name\":\"f\",\"duration_secs\":{dur},\"models\":[{{\"family\":{fam},\"share\":{share},\"params\":[{}]}}]}}",
-                params.join(",")
-            )
-        })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
 
     #[test]
     fn raw_garbage_never_panics(s in arb_garbage()) {
         let _ = ScenarioPack::from_toml(&s).map(|p| p.validate(Registry::builtin()));
-        let _ = ScenarioPack::from_json(&s).map(|p| p.validate(Registry::builtin()));
     }
 
     #[test]
@@ -95,13 +64,6 @@ proptest! {
                         .is_ok());
                 }
             }
-        }
-    }
-
-    #[test]
-    fn jsonish_inputs_never_panic(s in arb_jsonish()) {
-        if let Ok(pack) = ScenarioPack::from_json(&s) {
-            let _ = pack.validate(Registry::builtin());
         }
     }
 }

@@ -6,9 +6,7 @@
 //! * [`web`] — the private-server World-Wide-Web trace replay (§4.2);
 //! * [`nfs`] — the NFS-like UDP RPC substrate the Andrew benchmark runs
 //!   on (server, client RPC engine with retransmission);
-//! * [`andrew`] — the five-phase Andrew benchmark (§4.2, Figure 8);
-//! * [`synrgen`] — a SynRGen-style synthetic file-reference generator
-//!   (the Chatterbox interfering users, §4.1.4).
+//! * [`andrew`] — the five-phase Andrew benchmark (§4.2, Figure 8).
 //!
 //! All of these are [`netstack::App`]s: they run unmodified above the
 //! socket layer, oblivious to tracing and modulation underneath — the
@@ -22,14 +20,12 @@ pub mod andrew;
 pub mod ftp;
 pub mod nfs;
 pub mod ping;
-pub mod synrgen;
 pub mod web;
 
 pub use andrew::{AndrewBenchmark, AndrewConfig, Phase, PhaseTiming};
 pub use ftp::{FtpClient, FtpDirection, FtpServer, FTP_PORT};
 pub use nfs::{NfsProc, NfsServer, RpcClient, NFS_PORT};
 pub use ping::{PingConfig, PingWorkload};
-pub use synrgen::{SynRGenConfig, SynRGenUser};
 pub use web::{search_task_trace, WebClient, WebServer, WEB_PORT};
 
 /// Most bytes a bulk sender offers its connection per `tcp_send`.

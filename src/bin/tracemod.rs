@@ -158,7 +158,7 @@ mod table {
         Command { name, operands, run, flags, about }
     }
 
-    const SCENARIO_HELP: &str = "wean, porter, flagstaff, chatterbox, or a pack (*.toml/*.json)";
+    const SCENARIO_HELP: &str = "wean, porter, flagstaff, chatterbox, or a TOML pack (*.toml)";
     const SCENARIO: &[Flag] = &[
         flag("scenario", Text, "", SCENARIO_HELP),
         flag("scenario-file", Text, "", "custom scenario JSON (see dump-scenario), in place of --scenario"),
@@ -182,10 +182,7 @@ mod table {
     const COLLECT: &[Flag] = &[flag("target-out", Text, "", "also write the target's trace (two-sided)")];
     const INSPECT: &[Flag] = &[flag("records", U64, "0", "also list this many trace records")];
     const REPLAY: &[Flag] = &[flag("tick-ms", U64, "10", "modulation clock tick (0 = ideal clock)")];
-    const OBS_REPORT: &[Flag] = &[
-        flag("format", Text, "text", "text, json or md"),
-        flag("check", Switch, "", "exit 1 when the fidelity thresholds fail"),
-    ];
+    const OBS_REPORT: &[Flag] = &[flag("check", Switch, "", "exit 1 when the fidelity thresholds fail")];
     const JOURNEY: &[Flag] = &[
         flag("packet-id", U64, "", "the packet to follow"),
         flag("window", Text, "", "T0..T1 seconds: every record in the window instead"),
@@ -216,12 +213,12 @@ mod table {
         flag("fault-seed", U64, "42", "fault-injection seed for --fault-plan"),
         flag("telemetry-interval-secs", Positive, "", "sample telemetry this often"),
         flag("profile", Switch, "", "self-profile (profile.txt)"),
-        flag("alerts", Text, "", "alert rules: builtin, or a TOML/JSON rule file"),
+        flag("alerts", Text, "", "alert rules: builtin, or a TOML rule file"),
         flag("alerts-baseline", Text, "", "baseline run directory for delta rules"),
         flag("check", Switch, "", "exit 1 when the fidelity gate or an alert fails"),
     ];
     const ALERTS: &[Flag] = &[
-        need("rules", Text, "builtin, or a TOML/JSON rule file"),
+        need("rules", Text, "builtin, or a TOML rule file"),
         flag("baseline", Text, "", "baseline run directory for delta rules"),
         flag("min-severity", Text, "warn", "floor for --check: info, warn or critical"),
         flag("check", Switch, "", "exit 1 on an active alert at or above the floor"),
@@ -253,7 +250,7 @@ mod table {
         cmd("live-pipeline", &[], cmd_live_pipeline, &[SCENARIO, BENCHMARK, TRIAL, WINDOW, RUN_DIR],
             "collect, distill and modulate concurrently (the run directory gets manifest.json)"),
         cmd("obs-report", &["<run-dir>"], cmd_obs_report, &[OBS_REPORT],
-            "print a run directory's report.json, else its manifest.json"),
+            "print a run directory's report.json, else its manifest.json, as markdown"),
         cmd("trace-export", &[], cmd_trace_export, &[PORTER, WEB, TRIAL, WINDOW, OUT_FILE],
             "run the live pipeline with the flight recorder; export Perfetto JSON"),
         cmd("journey", &[], cmd_journey, &[PORTER, WEB, TRIAL, WINDOW, JOURNEY],
@@ -438,9 +435,9 @@ const MILLISECOND: SimDuration = SimDuration::from_millis(1);
 
 /// Resolve `--scenario`/`--scenario-file` and `--duration-secs`, also
 /// returning the [`ScenarioPack`] when `--scenario` named a pack file
-/// (`*.toml` / `*.json`): fleet runs use the pack's full weighted model
-/// mix, while single-channel commands run the pack's scenario stub (its
-/// first model spec).
+/// (`*.toml`): fleet runs use the pack's full weighted model mix, while
+/// single-channel commands run the pack's scenario stub (its first
+/// model spec).
 fn scenario_arg(args: &Args) -> Result<(Scenario, Option<ScenarioPack>), CliError> {
     let (mut sc, pack) = if let Some(path) = args.get("scenario-file") {
         let json = std::fs::read_to_string(path)
@@ -451,19 +448,18 @@ fn scenario_arg(args: &Args) -> Result<(Scenario, Option<ScenarioPack>), CliErro
         (sc, None)
     } else {
         let name = args.require("scenario")?;
-        if name.ends_with(".toml") || name.ends_with(".json") {
+        if name.ends_with(".toml") {
             // A bad pack is a bad invocation (exit 2): the run has not
             // started yet.
             let text = std::fs::read_to_string(name)
                 .map_err(|e| CliError::usage(format!("read scenario pack {name}: {e}")))?;
-            let pack = wavelan::load_pack(name, &text)
-                .map_err(|e| CliError::usage(format!("{name}: {e}")))?;
+            let pack = wavelan::load_pack(name, &text).map_err(CliError::usage)?;
             (pack.scenario(), Some(pack))
         } else {
             let sc = Scenario::by_name(name).ok_or_else(|| {
                 CliError::usage(format!(
                     "unknown scenario '{name}' (try: wean, porter, flagstaff, chatterbox, \
-                     or a scenario-pack path ending in .toml/.json)"
+                     or a TOML scenario-pack path ending in .toml)"
                 ))
             })?;
             (sc, None)
@@ -512,7 +508,7 @@ fn cmd_scenarios(_: &Args) -> CliResult {
             }
         );
     }
-    println!("\nchannel-model families (for --scenario <pack.toml|pack.json>):");
+    println!("\nchannel-model families (for --scenario <pack.toml>):");
     for f in wavelan::Registry::builtin().families() {
         println!(
             "{:<12} {}  [params: {}]",
@@ -785,27 +781,14 @@ fn cmd_live_pipeline(args: &Args) -> CliResult {
 
 fn cmd_obs_report(args: &Args) -> CliResult {
     let dir = Path::new(args.operand(0)?);
-    let format = args.require("format")?;
-    if !["text", "json", "md"].contains(&format) {
-        return Err(CliError::usage(format!(
-            "unknown format '{format}' (try: text, json, md)"
-        )));
-    }
-    let pick = |text: String, json: String, md: String| match format {
-        "json" => json + "\n",
-        "md" => md,
-        _ => text,
-    };
     let th = FidelityThresholds::default();
     // A fleet run leaves an aggregate report; a live-pipeline run, one
     // run manifest.
     let (rendered, violations, gate_name) =
         if let Some(r) = read_artifact(dir, Artifact::REPORT, FleetReport::from_json)? {
-            let text = pick(r.render_text(), r.to_json_pretty(), r.render_markdown());
-            (text, r.check(&th), "fleet fidelity gate")
+            (r.render_markdown(), r.check(&th), "fleet fidelity gate")
         } else if let Some(m) = read_artifact(dir, Artifact::MANIFEST, RunManifest::from_json)? {
-            let text = pick(m.render_text(), m.to_json_pretty(), m.render_markdown());
-            (text, m.check(&th), "fidelity self-check")
+            (m.render_markdown(), m.check(&th), "fidelity self-check")
         } else {
             return Err(CliError::runtime(format!(
                 "{}: no {} or {} to report on",
@@ -1157,7 +1140,7 @@ fn cmd_fleet(args: &Args) -> CliResult {
         None => fleet_run(&plan, &exec),
     };
 
-    print!("{}", out.report.render_text());
+    print!("{}", out.report.render_markdown());
     print_faults("", &out.faults);
     if let Some(r) = &out.report.runner {
         eprintln!(
@@ -1213,25 +1196,17 @@ fn cmd_fleet(args: &Args) -> CliResult {
 }
 
 /// Resolve a `--rules`/`--alerts` value: the literal `builtin`, or a
-/// path to a rule file — TOML (`[[rule]]` tables) unless the extension
-/// or the leading byte says JSON. Rules are compiled up front so a bad
-/// rule file is a bad invocation (exit 2), not a mid-run failure.
+/// path to a TOML rule file (`[[rule]]` tables). Rules are compiled up
+/// front so a bad rule file is a bad invocation (exit 2), not a mid-run
+/// failure.
 fn load_rules(spec: &str) -> Result<RuleSet, CliError> {
     if spec == "builtin" {
         return Ok(RuleSet::builtin());
     }
     let text = std::fs::read_to_string(spec)
         .map_err(|e| CliError::usage(format!("read rules {spec}: {e}")))?;
-    let rules = if spec.ends_with(".json") || text.trim_start().starts_with('{') {
-        RuleSet::from_json(&text)
-    } else {
-        RuleSet::from_toml(&text)
-    }
-    .map_err(|e| CliError::usage(format!("{spec}: {e}")))?;
-    rules
-        .compile()
-        .map_err(|e| CliError::usage(format!("{spec}: {e}")))?;
-    Ok(rules)
+    let rules = RuleSet::from_toml(&text).and_then(|rules| rules.compile().map(|_| rules));
+    rules.map_err(|e| CliError::usage(format!("{spec}: {e}")))
 }
 
 /// The fleet report of a baseline run directory (`--baseline`,

@@ -139,7 +139,6 @@ fn value(rng: &mut Rng, flag: &str, plan: &str) -> String {
     let valid: &[&str] = match flag {
         "scenario" => &["porter", "wean", "x.toml"],
         "benchmark" => &["web", "ftp-recv", "andrew"],
-        "format" => &["text", "json", "md"],
         "rules" | "alerts" => &["builtin", "rules.toml"],
         "min-severity" => &["info", "critical"],
         "window" => &["0..1", "1.5..0.5"],

@@ -234,7 +234,7 @@ fn fleet_runs_a_valid_pack_end_to_end() {
     assert!(json.contains("\"family\": \"leo\""), "{json}");
     assert!(json.contains("\"family\": \"errant\""), "{json}");
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(stdout.contains("model leo ["), "{stdout}");
+    assert!(stdout.contains("| `leo` |"), "{stdout}");
 }
 
 #[test]
@@ -710,7 +710,7 @@ fn switches_do_not_swallow_positionals() {
     let out = tracemod(&["obs-report", "--check", run.to_str().unwrap()]);
     std::fs::remove_dir_all(&run).ok();
     assert_exit(&out, 0, "fleet fidelity gate: PASS");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("fleet report:"));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("## Fleet report"));
 }
 
 #[test]
@@ -879,7 +879,7 @@ fn scenario_files_and_packs_are_capped_at_one_day() {
     ]);
     let spec = String::from_utf8(dumped.stdout).unwrap();
     assert!(spec.contains(day), "{spec}");
-    // Each input at `secs`: a scenario file, a TOML pack and a JSON pack.
+    // Each input at `secs`: a scenario file and a TOML pack.
     let inputs = |secs: u64| {
         let files = [
             (
@@ -890,12 +890,6 @@ fn scenario_files_and_packs_are_capped_at_one_day() {
                 "pack.toml",
                 format!(
                     "name = \"cap\"\nduration_secs = {secs}\n\n[[model]]\nfamily = \"constant\"\n"
-                ),
-            ),
-            (
-                "pack.json",
-                format!(
-                    r#"{{"name":"cap","duration_secs":{secs},"models":[{{"family":"constant"}}]}}"#
                 ),
             ),
         ];
@@ -924,4 +918,56 @@ fn scenario_files_and_packs_are_capped_at_one_day() {
         assert_eq!(out.status.code(), Some(0), "stderr:\n{}", stderr_of(&out));
         assert!(String::from_utf8_lossy(&out.stdout).contains(day));
     }
+}
+
+#[test]
+fn json_config_files_and_report_formats_are_usage_errors() {
+    let no_panic = |out: &Output| {
+        assert!(!stderr_of(out).contains("panicked"), "{}", stderr_of(out));
+    };
+    // Scenario packs are TOML: a `.json` pack path is not a scenario.
+    let pack = temp_path("pack.json");
+    std::fs::write(
+        &pack,
+        r#"{"name":"j","duration_secs":60,"models":[{"family":"constant"}]}"#,
+    )
+    .unwrap();
+    let out = tracemod(&[
+        "fleet",
+        "--clients",
+        "4",
+        "--scenario",
+        pack.to_str().unwrap(),
+    ]);
+    std::fs::remove_file(&pack).ok();
+    assert_exit(&out, 2, "TOML scenario-pack path ending in .toml");
+    no_panic(&out);
+
+    // Rule files are TOML: a JSON rule file fails on its first line,
+    // both as `alerts --rules` and as `fleet --alerts`.
+    let rules = temp_path("rules.json");
+    std::fs::write(
+        &rules,
+        "{\"rules\": [{\"name\": \"q\", \"metric\": \"sample.queue_depth\", \"above\": 100}]}\n",
+    )
+    .unwrap();
+    let run = temp_path("json-rules-run");
+    std::fs::create_dir_all(&run).unwrap();
+    let rules = rules.to_str().unwrap();
+    for argv in [
+        vec!["alerts", run.to_str().unwrap(), "--rules", rules],
+        vec!["fleet", "--clients", "4", "--alerts", rules],
+    ] {
+        let out = tracemod(&argv);
+        assert_exit(&out, 2, "rules line 1: expected a TOML `key = value` line");
+        no_panic(&out);
+        assert!(out.stdout.is_empty(), "{argv:?} must not have run");
+    }
+    std::fs::remove_file(rules).ok();
+    std::fs::remove_dir_all(&run).ok();
+
+    // obs-report prints markdown only.
+    let out = tracemod(&["obs-report", "--format", "md", "run"]);
+    assert_exit(&out, 2, "unknown flag --format (allowed: --check)");
+    no_panic(&out);
 }
