@@ -23,12 +23,13 @@
 //! bottleneck: `Vb_down = max(V_down − Vr_up, 0)`, `Vr_down = V_down −
 //! Vb_down`.
 
-use crate::loss::{windowed_loss_direct, ProbeOutcome};
-use crate::window::{slide, TimedEstimate};
+use crate::loss::{LossCount, ProbeOutcome};
+use crate::pipeline::quality_tuple;
+use crate::window::{slide, DelayMean, TimedEstimate};
 use crate::DistillConfig;
 use solver_one_way::solve_one_way;
 use std::collections::BTreeMap;
-use tracekit::{Dir, ProtoInfo, QualityTuple, ReplayTrace, Trace};
+use tracekit::{Dir, ProtoInfo, ReplayTrace, Trace};
 
 mod solver_one_way {
     use crate::solver::DelayEstimate;
@@ -190,22 +191,12 @@ fn to_replay(
     span: f64,
     cfg: &DistillConfig,
 ) -> ReplayTrace {
-    let delays = slide(estimates, span, &cfg.window);
-    let losses = windowed_loss_direct(
-        outcomes,
-        span,
-        cfg.window.width.as_secs_f64(),
-        cfg.window.step.as_secs_f64(),
-    );
+    let delays = slide(DelayMean::default(), estimates, span, &cfg.window);
+    let losses = slide(LossCount::one_way(), outcomes, span, &cfg.window);
     let mut replay = ReplayTrace::new(&source);
     for (i, d) in delays.iter().enumerate() {
-        replay.tuples.push(QualityTuple {
-            duration_ns: (d.duration * 1e9).round() as u64,
-            latency_ns: (d.est.f.max(0.0) * 1e9).round() as u64,
-            vb_ns_per_byte: d.est.vb.max(0.0) * 1e9,
-            vr_ns_per_byte: d.est.vr.max(0.0) * 1e9,
-            loss: losses.get(i).copied().unwrap_or(0.0),
-        });
+        let loss = losses.get(i).map_or(0.0, |l| l.value);
+        replay.tuples.push(quality_tuple(d, loss));
     }
     replay
 }

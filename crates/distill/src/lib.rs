@@ -10,15 +10,20 @@
 //! * [`solver`] — the exact triplet equations (5–8) with the
 //!   negative-parameter correction (reuse previous Vb/Vr, fold the
 //!   residual into F, never cascade);
-//! * [`window`] — the five-second sliding-window average that turns
-//!   per-group estimates into per-second delay tuples;
+//! * [`window`] — the one sliding-window operator
+//!   ([`window::Window`]): each step of 1 s covers the trailing 5 s
+//!   `(end − width, end]`, over an accumulator that either averages
+//!   per-group delay estimates ([`window::DelayMean`]) or counts probe
+//!   outcomes ([`loss::LossCount`]);
 //! * [`loss`] — the loss-rate estimator `L = 1 − sqrt(b/a)`
-//!   (equations 9–10);
+//!   (equations 9–10) and its one-way form `L = 1 − b/a`;
 //! * [`pipeline`] — the one-pass distillation gluing these together,
 //!   exposed both as the incremental [`Distiller`] operator (records
 //!   in, tuples out, O(window) state — usable while collection is
 //!   still running) and as the batch [`distill_with_report`] adapter
-//!   over it;
+//!   over it, which returns the replay trace and the run's
+//!   [`DistillStats`]. One function turns a delay step and a loss
+//!   value into a quality tuple, for this path and the asymmetric one;
 //! * [`synthetic`] — hand-built replay traces (constant/step/impulse and
 //!   the Figure 1 WaveLAN-like / slow-network pairs);
 //! * [`asymmetric`] — the §6 future-work extension: one-way distillation

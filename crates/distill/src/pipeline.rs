@@ -11,9 +11,9 @@
 //! batch [`distill_with_report`] entry point is a thin adapter over the
 //! same operator and produces bit-identical output.
 
-use crate::loss::LossWindow;
+use crate::loss::{LossCount, ProbeOutcome};
 use crate::solver::{solve_or_correct, DelayEstimate, TripletObservation};
-use crate::window::{DelayWindow, TimedEstimate, WindowConfig};
+use crate::window::{DelayMean, Step, TimedEstimate, Window, WindowConfig};
 use obs::flight::{FlightHandle, Stage};
 use std::collections::BTreeMap;
 use tracekit::stream::{RecordStream, StreamError, TupleSink};
@@ -44,24 +44,13 @@ impl Default for DistillConfig {
     }
 }
 
-/// Everything the pipeline learned, for diagnostics and the scenario
-/// figures.
+/// A batch distillation's product and the run's counters.
 #[derive(Debug)]
 pub struct DistillReport {
     /// The replay trace (the actual product).
     pub replay: ReplayTrace,
-    /// Per-group delay estimates before windowing.
-    pub estimates: Vec<TimedEstimate>,
-    /// Groups solved exactly.
-    pub solved: usize,
-    /// Groups that needed the previous-parameters correction.
-    pub corrected: usize,
-    /// Complete triplets found.
-    pub triplets: usize,
-    /// Echo probes sent / replies seen.
-    pub probes_sent: usize,
-    /// Replies observed.
-    pub replies_seen: usize,
+    /// What the distiller counted on the way.
+    pub stats: DistillStats,
 }
 
 /// Counters from an incremental distillation run.
@@ -91,9 +80,6 @@ pub struct DistillStats {
     /// windows — together with `peak_open_groups`, the O(window)
     /// evidence.
     pub peak_window_entries: usize,
-    /// Per-group delay estimates before windowing (only populated when
-    /// [`Distiller::record_estimates`] was requested).
-    pub estimates: Vec<TimedEstimate>,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -124,10 +110,9 @@ pub struct Distiller {
     groups: BTreeMap<u16, GroupSlot>,
     max_group: u16,
     prev_solved: Option<DelayEstimate>,
-    delay: DelayWindow,
-    loss: LossWindow,
+    delay: Window<DelayMean>,
+    loss: Window<LossCount>,
     stats: DistillStats,
-    record_estimates: bool,
     flight: Option<FlightHandle>,
     /// Estimates awaiting tuple attribution: (probe key, estimate time
     /// in trace seconds, solved-exactly flag).
@@ -156,13 +141,9 @@ impl Distiller {
             groups: BTreeMap::new(),
             max_group: 0,
             prev_solved: None,
-            delay: DelayWindow::new(&cfg.window),
-            loss: LossWindow::new(
-                cfg.window.width.as_secs_f64(),
-                cfg.window.step.as_secs_f64(),
-            ),
+            delay: Window::new(&cfg.window, DelayMean::default()),
+            loss: Window::new(&cfg.window, LossCount::round_trip()),
             stats: DistillStats::default(),
-            record_estimates: false,
             flight: None,
             pending_attr: Vec::new(),
             emitted_span: 0.0,
@@ -170,14 +151,6 @@ impl Distiller {
             loss_watermark: 0.0,
             delay_watermark: 0.0,
         }
-    }
-
-    /// Also accumulate the per-group delay estimates (needed for the
-    /// scenario figures; costs O(groups) memory, so leave it off for
-    /// unbounded live runs).
-    pub fn record_estimates(mut self) -> Self {
-        self.record_estimates = true;
-        self
     }
 
     /// Attach a flight recorder: each emitted tuple is stamped with its
@@ -262,7 +235,7 @@ impl Distiller {
             if let Some(send) = slot.send_ns[k] {
                 let at = ((send.saturating_sub(t0)) as f64 / 1e9).max(self.loss_watermark);
                 self.loss_watermark = at;
-                self.loss.push(crate::loss::ProbeOutcome {
+                self.loss.push(ProbeOutcome {
                     at,
                     replied: slot.rtt_ns[k].is_some(),
                 });
@@ -303,21 +276,19 @@ impl Distiller {
                 self.pending_attr.push((*key, timed.at, solved));
             }
         }
-        if self.record_estimates {
-            self.stats.estimates.push(timed);
-        }
         self.delay.push(timed);
     }
 
-    // Pair finalized delay windows with finalized loss values (both
-    // queues emit in step order) into sink tuples.
+    // Pair finalized delay steps with finalized loss steps (both
+    // windows emit in step order) into sink tuples.
     fn drain_ready<S: TupleSink + ?Sized>(&mut self, sink: &mut S) {
         self.stats.peak_window_entries = self
             .stats
             .peak_window_entries
             .max(self.delay.live_len() + self.loss.live_len());
         while self.delay.ready() > 0 && self.loss.ready() > 0 {
-            let (Some(d), Some(loss)) = (self.delay.pop(), self.loss.pop()) else {
+            let (Some(d), Some(Step { value: loss, .. })) = (self.delay.pop(), self.loss.pop())
+            else {
                 break;
             };
             let start = self.emitted_span;
@@ -336,7 +307,7 @@ impl Distiller {
                     at_ns(start),
                     format!(
                         "covers {start:.1}s..{end:.1}s F={:.3}ms loss={loss:.3}",
-                        d.est.f.max(0.0) * 1e3
+                        d.value.f.max(0.0) * 1e3
                     ),
                 );
                 // Attribute each waiting estimate to the first tuple
@@ -361,13 +332,7 @@ impl Distiller {
                     }
                 }
             }
-            sink.push_tuple(QualityTuple {
-                duration_ns: (d.duration * 1e9).round() as u64,
-                latency_ns: (d.est.f.max(0.0) * 1e9).round() as u64,
-                vb_ns_per_byte: (d.est.vb.max(0.0)) * 1e9,
-                vr_ns_per_byte: (d.est.vr.max(0.0)) * 1e9,
-                loss,
-            });
+            sink.push_tuple(quality_tuple(&d, loss));
             self.stats.tuples += 1;
         }
     }
@@ -386,6 +351,19 @@ impl Distiller {
         self.loss.finish(span);
         self.drain_ready(sink);
         self.stats
+    }
+}
+
+/// The quality tuple for one delay step and the loss estimate of the
+/// same step: the step's length becomes `d`, and each delay component
+/// is clamped at 0 (a leading step may carry the raw first estimate).
+pub(crate) fn quality_tuple(d: &Step<DelayEstimate>, loss: f64) -> QualityTuple {
+    QualityTuple {
+        duration_ns: (d.duration * 1e9).round() as u64,
+        latency_ns: (d.value.f.max(0.0) * 1e9).round() as u64,
+        vb_ns_per_byte: d.value.vb.max(0.0) * 1e9,
+        vr_ns_per_byte: d.value.vr.max(0.0) * 1e9,
+        loss,
     }
 }
 
@@ -409,25 +387,16 @@ where
 }
 
 /// Distill a whole collected trace, returning the replay trace and the
-/// per-group estimates. Batch adapter over the incremental
-/// [`Distiller`] — output is bit-identical to the original whole-trace
-/// pipeline.
+/// run's counters. Batch adapter over the incremental [`Distiller`] —
+/// output is bit-identical to the original whole-trace pipeline.
 pub fn distill_with_report(trace: &Trace, cfg: &DistillConfig) -> DistillReport {
     let mut replay = ReplayTrace::new(&format!("{} trial {}", trace.scenario, trace.trial));
-    let mut distiller = Distiller::new(cfg).record_estimates();
+    let mut distiller = Distiller::new(cfg);
     for rec in &trace.records {
         distiller.push_record(rec, &mut replay);
     }
     let stats = distiller.finish(&mut replay);
-    DistillReport {
-        replay,
-        estimates: stats.estimates,
-        solved: stats.solved,
-        corrected: stats.corrected,
-        triplets: stats.triplets,
-        probes_sent: stats.probes_sent,
-        replies_seen: stats.replies_seen,
-    }
+    DistillReport { replay, stats }
 }
 
 #[cfg(test)]
@@ -491,9 +460,9 @@ mod tests {
         let (f, vb, vr) = (2e-3, 4e-6, 0.8e-6);
         let trace = synth_trace(30, f, vb, vr, |_| false);
         let report = distill_with_report(&trace, &DistillConfig::default());
-        assert_eq!(report.triplets, 30);
-        assert_eq!(report.solved, 30);
-        assert_eq!(report.corrected, 0);
+        assert_eq!(report.stats.triplets, 30);
+        assert_eq!(report.stats.solved, 30);
+        assert_eq!(report.stats.corrected, 0);
         let replay = &report.replay;
         assert!(replay.is_valid());
         // Every tuple should carry the ground-truth parameters.
@@ -514,9 +483,9 @@ mod tests {
         let mean = report.replay.mean_loss();
         assert!((mean - 0.293).abs() < 0.05, "mean loss {mean}");
         // Only half the triplets complete.
-        assert_eq!(report.triplets, 20);
-        assert_eq!(report.probes_sent, 120);
-        assert_eq!(report.replies_seen, 60);
+        assert_eq!(report.stats.triplets, 20);
+        assert_eq!(report.stats.probes_sent, 120);
+        assert_eq!(report.stats.replies_seen, 60);
     }
 
     #[test]
@@ -525,8 +494,8 @@ mod tests {
         // but probes still contribute to loss accounting.
         let trace = synth_trace(10, 2e-3, 4e-6, 0.8e-6, |seq| seq % 3 == 2);
         let report = distill_with_report(&trace, &DistillConfig::default());
-        assert_eq!(report.triplets, 0);
-        assert!(report.estimates.is_empty());
+        assert_eq!(report.stats.triplets, 0);
+        assert_eq!(report.stats.solved + report.stats.corrected, 0);
         // Loss: 2/3 replied → L = 1 − sqrt(2/3) ≈ 0.184.
         let mean = report.replay.mean_loss();
         assert!((mean - 0.184).abs() < 0.05, "mean loss {mean}");

@@ -30,7 +30,7 @@ pub struct TripletObservation {
 }
 
 /// Instantaneous delay parameters (seconds / seconds-per-byte).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DelayEstimate {
     /// One-way fixed latency `F`.
     pub f: f64,

@@ -656,7 +656,11 @@ mod tests {
             2
         ];
         let report = collect_and_distill(&sc, 1, &RunConfig::default());
-        assert!(report.triplets >= 50, "triplets {}", report.triplets);
+        assert!(
+            report.stats.triplets >= 50,
+            "triplets {}",
+            report.stats.triplets
+        );
         let replay = &report.replay;
         assert!(replay.is_valid());
         // One-way latency ≈ 3 ms (+ MAC overhead ~0.3 ms + queueing).

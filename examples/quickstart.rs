@@ -23,9 +23,9 @@ fn main() {
     let report = collect_and_distill(&scenario, 1, &cfg);
     println!(
         "   {} probe triplets ({} solved exactly, {} corrected) → {} quality tuples",
-        report.triplets,
-        report.solved,
-        report.corrected,
+        report.stats.triplets,
+        report.stats.solved,
+        report.stats.corrected,
         report.replay.tuples.len()
     );
     println!(
