@@ -1,5 +1,6 @@
 //! Compact self-descriptive binary encoding for traces and replay traces,
-//! alongside the serde/JSON representation for human inspection.
+//! the one encoding of both file kinds (`tracemod inspect --records N`
+//! prints a trace for humans).
 //!
 //! Two decoding styles share one record codec:
 //!

@@ -1,13 +1,11 @@
-//! File I/O for traces and replay traces: binary (`.mntr` / `.mnrp`) or
-//! JSON (`.json`), chosen by extension.
+//! File I/O for traces (`.mntr`) and replay traces (`.mnrp`), in the
+//! binary encoding of [`crate::format`] whatever the file's extension.
 //!
-//! The binary paths are streaming end to end: [`write_trace`] appends
-//! records through a [`ChunkedTraceWriter`] and [`read_trace`] pulls
-//! them back through a [`TraceFileStream`], so neither needs the
-//! encoded file in memory. The chunked forms are public so callers can
-//! write records as they are collected and replay traces far longer
-//! than memory. JSON stays whole-file (it exists for human inspection,
-//! not scale).
+//! Trace I/O streams end to end: [`write_trace`] appends records
+//! through a [`ChunkedTraceWriter`] and [`read_trace`] pulls them back
+//! through a [`TraceFileStream`], so neither needs the encoded file in
+//! memory. The chunked forms are public so callers can write records as
+//! they are collected and replay traces far longer than memory.
 
 use crate::format::{
     decode_replay, encode_record, encode_replay, encode_trace_header, ChunkDecoder, TraceHeader,
@@ -20,19 +18,8 @@ use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-fn is_json(path: &Path) -> bool {
-    path.extension().is_some_and(|e| e == "json")
-}
-
 fn invalid<E: std::error::Error + Send + Sync + 'static>(e: E) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e)
-}
-
-fn json_only(what: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidInput,
-        format!("{what} is binary-only; JSON traces are whole-file"),
-    )
 }
 
 /// Incremental writer for the binary trace format: the header goes out
@@ -50,9 +37,6 @@ pub struct ChunkedTraceWriter {
 impl ChunkedTraceWriter {
     /// Start a binary trace file at `path` with the given provenance.
     pub fn create(path: &Path, host: &str, scenario: &str, trial: u32) -> io::Result<Self> {
-        if is_json(path) {
-            return Err(json_only("chunked trace writing"));
-        }
         let header = encode_trace_header(host, scenario, trial, 0);
         let count_offset = (header.len() - 4) as u64;
         let mut out = io::BufWriter::new(fs::File::create(path)?);
@@ -118,9 +102,6 @@ impl TraceFileStream {
 
     /// Open a binary trace file reading `chunk` bytes at a time.
     pub fn open_chunked(path: &Path, chunk: usize) -> io::Result<Self> {
-        if is_json(path) {
-            return Err(json_only("streaming trace reading"));
-        }
         Ok(TraceFileStream {
             file: fs::File::open(path)?,
             decoder: ChunkDecoder::new(),
@@ -184,63 +165,42 @@ impl RecordStream for TraceFileStream {
     }
 }
 
-/// Write a collected trace to `path` (JSON if the extension is `.json`,
-/// binary otherwise). The binary path streams records through a
+/// Write a collected trace to `path`, streaming its records through a
 /// [`ChunkedTraceWriter`].
 pub fn write_trace(path: &Path, trace: &Trace) -> io::Result<()> {
-    if is_json(path) {
-        let bytes = serde_json::to_vec_pretty(trace).map_err(invalid)?;
-        fs::write(path, bytes)
-    } else {
-        let mut w = ChunkedTraceWriter::create(path, &trace.host, &trace.scenario, trace.trial)?;
-        for r in &trace.records {
-            w.push_record(r)?;
-        }
-        w.finish()?;
-        Ok(())
+    let mut w = ChunkedTraceWriter::create(path, &trace.host, &trace.scenario, trace.trial)?;
+    for r in &trace.records {
+        w.push_record(r)?;
     }
+    w.finish()?;
+    Ok(())
 }
 
-/// Read a collected trace from `path`. The binary path streams records
-/// through a [`TraceFileStream`].
+/// Read a collected trace from `path`, streaming its records through a
+/// [`TraceFileStream`].
 pub fn read_trace(path: &Path) -> io::Result<Trace> {
-    if is_json(path) {
-        let bytes = fs::read(path)?;
-        serde_json::from_slice(&bytes).map_err(invalid)
-    } else {
-        let mut stream = TraceFileStream::open(path)?;
-        let header = stream.header().map_err(io::Error::from)?.clone();
-        let mut records = Vec::with_capacity((header.count as usize).min(1 << 20));
-        while let Some(rec) = stream.next_record().map_err(io::Error::from)? {
-            records.push(rec);
-        }
-        Ok(Trace {
-            host: header.host,
-            scenario: header.scenario,
-            trial: header.trial,
-            records,
-        })
+    let mut stream = TraceFileStream::open(path)?;
+    let header = stream.header().map_err(io::Error::from)?.clone();
+    let mut records = Vec::with_capacity((header.count as usize).min(1 << 20));
+    while let Some(rec) = stream.next_record().map_err(io::Error::from)? {
+        records.push(rec);
     }
+    Ok(Trace {
+        host: header.host,
+        scenario: header.scenario,
+        trial: header.trial,
+        records,
+    })
 }
 
 /// Write a replay trace to `path`.
 pub fn write_replay(path: &Path, replay: &ReplayTrace) -> io::Result<()> {
-    let bytes = if is_json(path) {
-        serde_json::to_vec_pretty(replay).map_err(invalid)?
-    } else {
-        encode_replay(replay)
-    };
-    fs::write(path, bytes)
+    fs::write(path, encode_replay(replay))
 }
 
 /// Read a replay trace from `path`.
 pub fn read_replay(path: &Path) -> io::Result<ReplayTrace> {
-    let bytes = fs::read(path)?;
-    if is_json(path) {
-        serde_json::from_slice(&bytes).map_err(invalid)
-    } else {
-        decode_replay(&bytes).map_err(invalid)
-    }
+    decode_replay(&fs::read(path)?).map_err(invalid)
 }
 
 #[cfg(test)]
@@ -304,23 +264,17 @@ mod tests {
     }
 
     #[test]
-    fn trace_binary_and_json_round_trip() {
-        let dir = tmpdir();
-        for name in ["t.mntr", "t.json"] {
-            let p = dir.join(name);
-            write_trace(&p, &sample_trace()).expect("write trace");
-            assert_eq!(read_trace(&p).expect("read trace"), sample_trace());
-        }
+    fn trace_binary_round_trip() {
+        let p = tmpdir().join("t.mntr");
+        write_trace(&p, &sample_trace()).expect("write trace");
+        assert_eq!(read_trace(&p).expect("read trace"), sample_trace());
     }
 
     #[test]
-    fn replay_binary_and_json_round_trip() {
-        let dir = tmpdir();
-        for name in ["r.mnrp", "r.json"] {
-            let p = dir.join(name);
-            write_replay(&p, &sample_replay()).expect("write replay");
-            assert_eq!(read_replay(&p).expect("read replay"), sample_replay());
-        }
+    fn replay_binary_round_trip() {
+        let p = tmpdir().join("r.mnrp");
+        write_replay(&p, &sample_replay()).expect("write replay");
+        assert_eq!(read_replay(&p).expect("read replay"), sample_replay());
     }
 
     #[test]
@@ -406,14 +360,5 @@ mod tests {
             err,
             StreamError::Format(crate::format::FormatError::Truncated)
         ));
-    }
-
-    #[test]
-    fn json_paths_rejected_for_chunked_io() {
-        let dir = tmpdir();
-        let p = dir.join("t.json");
-        assert!(ChunkedTraceWriter::create(&p, "h", "s", 1).is_err());
-        write_trace(&p, &sample_trace()).expect("write trace");
-        assert!(TraceFileStream::open(&p).is_err());
     }
 }

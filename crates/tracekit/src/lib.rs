@@ -17,7 +17,7 @@
 //!   consumers — that let distillation and modulation run with
 //!   O(window) memory while collection is still in progress;
 //! * the [`ReplayTrace`] type — the distilled ⟨d, F, Vb, Vr, L⟩ quality
-//!   tuples that the modulation layer plays back — with binary and JSON
+//!   tuples that the modulation layer plays back — with binary
 //!   [I/O](io), batch or chunked.
 
 #![warn(missing_docs)]

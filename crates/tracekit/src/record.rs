@@ -5,10 +5,8 @@
 //! protocol-specific fields) and device records (signal characteristics),
 //! plus explicit accounting of records lost to kernel-buffer overrun.
 
-use serde::{Deserialize, Serialize};
-
 /// Direction of a traced packet relative to the traced host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dir {
     /// Transmitted by the traced host.
     Out,
@@ -17,7 +15,7 @@ pub enum Dir {
 }
 
 /// Protocol-specific fields extracted from a traced packet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtoInfo {
     /// ICMP echo request: the known workload's probes.
     IcmpEcho {
@@ -74,7 +72,7 @@ pub enum ProtoInfo {
 }
 
 /// One traced packet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PacketRecord {
     /// Capture timestamp (ns of simulation time).
     pub timestamp_ns: u64,
@@ -151,7 +149,7 @@ impl PacketRecord {
 }
 
 /// Periodic device-status sample (WaveLAN signal characteristics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceRecord {
     /// Sample timestamp (ns).
     pub timestamp_ns: u64,
@@ -166,7 +164,7 @@ pub struct DeviceRecord {
 /// Marker emitted when the kernel buffer overran: how much was lost, by
 /// record type (§3.1.2 "we are careful to keep track of the number and
 /// type of lost records").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverrunRecord {
     /// When the overrun was noticed (at drain time, ns).
     pub timestamp_ns: u64,
@@ -177,7 +175,7 @@ pub struct OverrunRecord {
 }
 
 /// Any record in a collected trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceRecord {
     /// A traced packet.
     Packet(PacketRecord),
@@ -199,7 +197,7 @@ impl TraceRecord {
 }
 
 /// A complete collected trace: self-descriptive header plus records.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// Name of the traced host.
     pub host: String,
@@ -303,14 +301,6 @@ mod tests {
         let t = sample_trace();
         let ts: Vec<u64> = t.records.iter().map(TraceRecord::timestamp_ns).collect();
         assert_eq!(ts, vec![100, 200, 300]);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let t = sample_trace();
-        let json = serde_json::to_string(&t).unwrap();
-        let back: Trace = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t);
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //! ⟨d, F, Vb, Vr, L⟩ (§3.2.1) that drives the modulation layer.
 
 use netsim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// One interval of invariant network behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityTuple {
     /// Interval duration `d` in nanoseconds.
     pub duration_ns: u64,
@@ -61,7 +60,7 @@ impl QualityTuple {
 /// assert!(t.is_valid());
 /// assert_eq!(t.total_duration(), SimDuration::from_secs(30));
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReplayTrace {
     /// Provenance string ("porter trial 2", "synthetic step", ...).
     pub source: String,

@@ -1,6 +1,5 @@
-//! Trace inspection: collect a trace of the Porter scenario, save it in
-//! both binary and JSON form, reload it, distill it, and print a
-//! checkpoint-by-checkpoint report — the debugging/analysis workflow the
+//! Trace inspection: collect a trace of the Porter scenario, save it,
+//! reload it, distill it, and print a checkpoint-by-checkpoint report — the debugging/analysis workflow the
 //! paper's conclusion envisions ("analyses of traces can offer broad
 //! design insights").
 //!
@@ -21,20 +20,18 @@ fn main() -> std::io::Result<()> {
     );
     let trace = collect_trace(&scenario, 1, &RunConfig::default());
 
-    // Save + reload round trip, both encodings.
+    // Save + reload round trip (`tracemod inspect --records N` prints
+    // the saved file's records).
     let dir = std::env::temp_dir().join("trace-modulation-example");
     std::fs::create_dir_all(&dir)?;
     let bin_path = dir.join("porter-1.mntr");
-    let json_path = dir.join("porter-1.json");
     write_trace(&bin_path, &trace)?;
-    write_trace(&json_path, &trace)?;
     let reloaded = read_trace(&bin_path)?;
     assert_eq!(reloaded, trace);
     println!(
-        "wrote {} ({} bytes binary, {} bytes JSON)",
+        "wrote {} ({} bytes)",
         bin_path.display(),
-        std::fs::metadata(&bin_path)?.len(),
-        std::fs::metadata(&json_path)?.len()
+        std::fs::metadata(&bin_path)?.len()
     );
 
     // Basic trace statistics.
@@ -55,9 +52,9 @@ fn main() -> std::io::Result<()> {
         "distilled {} tuples → {} ({} triplets: {} solved, {} corrected)",
         report.replay.tuples.len(),
         replay_path.display(),
-        report.triplets,
-        report.solved,
-        report.corrected
+        report.stats.triplets,
+        report.stats.solved,
+        report.stats.corrected
     );
 
     // Per-checkpoint summary (the shape of Figure 2).

@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::str::FromStr;
 use tracekit::io::{read_replay, read_trace, write_replay, write_trace};
-use tracekit::{RecordStream, ReplayTrace, TraceFileStream, VecStream};
+use tracekit::{ReplayTrace, TraceFileStream};
 use wavelan::{Scenario, ScenarioPack};
 use Kind::{Positive, Switch, Text, F64, U64};
 
@@ -302,9 +302,9 @@ fn usage(cmds: &[Command]) -> String {
     }
     s.push_str(
         "\nTEXT is any text, N a positive integer, INT a non-negative integer, NUM a number.\n\
-         Trace paths ending in .json use the JSON encoding. A scenario pack fleet splits its\n\
-         clients across the pack's weighted model mix; single-channel commands run its first\n\
-         model. One run directory holds one run.\n",
+         Traces and replays are binary files. A scenario pack fleet splits its clients across\n\
+         the pack's weighted model mix; single-channel commands run its first model. One run\n\
+         directory holds one run.\n",
     );
     s
 }
@@ -558,26 +558,15 @@ fn cmd_distill(args: &Args) -> CliResult {
     let input = args.operand(0)?;
     let out = PathBuf::from(args.require("out")?);
     let cfg = distill_cfg(args)?;
-    let path = Path::new(input);
-    // Either encoding becomes one record stream; a binary trace is read
-    // chunk by chunk, so memory stays O(window) however large it is.
-    let (mut stream, source): (Box<dyn RecordStream>, String) =
-        if path.extension().is_some_and(|e| e == "json") {
-            let trace =
-                read_trace(path).map_err(|e| CliError::runtime(format!("read {input}: {e}")))?;
-            let source = format!("{} trial {}", trace.scenario, trace.trial);
-            (Box::new(VecStream::from_trace(trace)), source)
-        } else {
-            let mut stream = TraceFileStream::open(path)
-                .map_err(|e| CliError::runtime(format!("open {input}: {e}")))?;
-            let header = stream
-                .header()
-                .map_err(|e| CliError::runtime(format!("read {input}: {e}")))?;
-            let source = format!("{} trial {}", header.scenario, header.trial);
-            (Box::new(stream), source)
-        };
-    let mut replay = ReplayTrace::new(&source);
-    let stats = distill_stream(&mut *stream, &cfg, &mut replay)
+    // The trace is read chunk by chunk, so memory stays O(window)
+    // however large it is.
+    let mut stream = TraceFileStream::open(Path::new(input))
+        .map_err(|e| CliError::runtime(format!("open {input}: {e}")))?;
+    let header = stream
+        .header()
+        .map_err(|e| CliError::runtime(format!("read {input}: {e}")))?;
+    let mut replay = ReplayTrace::new(&format!("{} trial {}", header.scenario, header.trial));
+    let stats = distill_stream(&mut stream, &cfg, &mut replay)
         .map_err(|e| CliError::runtime(format!("distill {input}: {e}")))?;
     write_replay(&out, &replay)
         .map_err(|e| CliError::runtime(format!("write {}: {e}", out.display())))?;

@@ -649,33 +649,54 @@ fn fault_plan(name: &str) -> String {
 /// A JSON trace and a binary trace of the same collection distill to
 /// byte-identical replay files.
 #[test]
-fn distill_json_and_binary_traces_to_identical_replays() {
-    let dir = temp_path("distill-formats");
+fn distill_binary_trace_to_a_replay() {
+    let dir = temp_path("distill-binary");
     std::fs::create_dir_all(&dir).unwrap();
     let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
-    for trace in ["t.mntr", "t.json"] {
-        let out = tracemod(&[
-            "collect",
-            "--scenario",
-            "wean",
-            "--duration-secs",
-            "20",
-            "--trial",
-            "2",
-            "--out",
-            &file(trace),
-        ]);
-        assert_eq!(out.status.code(), Some(0), "stderr:\n{}", stderr_of(&out));
-    }
-    for (trace, replay) in [("t.mntr", "a.mnrp"), ("t.json", "b.mnrp")] {
-        let out = tracemod(&["distill", &file(trace), "--out", &file(replay)]);
-        assert_eq!(out.status.code(), Some(0), "stderr:\n{}", stderr_of(&out));
-    }
-    let a = std::fs::read(dir.join("a.mnrp")).unwrap();
-    let b = std::fs::read(dir.join("b.mnrp")).unwrap();
+    let out = tracemod(&[
+        "collect",
+        "--scenario",
+        "wean",
+        "--duration-secs",
+        "20",
+        "--trial",
+        "2",
+        "--out",
+        &file("t.mntr"),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{}", stderr_of(&out));
+    let out = tracemod(&["distill", &file("t.mntr"), "--out", &file("r.mnrp")]);
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{}", stderr_of(&out));
+    let replay = std::fs::read(dir.join("r.mnrp")).unwrap();
     std::fs::remove_dir_all(&dir).ok();
-    assert!(!a.is_empty(), "the replay must hold tuples");
-    assert!(a == b, "JSON and binary inputs distilled differently");
+    assert!(!replay.is_empty(), "the replay must hold tuples");
+}
+
+#[test]
+fn json_trace_and_replay_documents_are_runtime_errors() {
+    // Traces and replays have one encoding, the binary one; a JSON
+    // document is an unreadable file under any extension.
+    let dir = temp_path("json-docs");
+    std::fs::create_dir_all(&dir).unwrap();
+    let doc = "{\"host\":\"h\",\"scenario\":\"wean\",\"trial\":1,\"records\":[]}\n";
+    for name in ["t.json", "t.mntr", "r.mnrp"] {
+        let path = dir.join(name);
+        std::fs::write(&path, doc).unwrap();
+        let path = path.to_str().unwrap();
+        let out_file = dir.join("out.mnrp");
+        let runs = [
+            tracemod(&["distill", path, "--out", out_file.to_str().unwrap()]),
+            tracemod(&["inspect", path]),
+            tracemod(&["replay", path, "--benchmark", "ftp-recv"]),
+        ];
+        for out in &runs {
+            assert_exit(out, 1, path);
+            assert_exit(out, 1, "bad magic");
+            assert!(!stderr_of(out).contains("panicked"), "{}", stderr_of(out));
+        }
+        assert!(!out_file.exists(), "no replay is written from {name}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

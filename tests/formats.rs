@@ -1,5 +1,5 @@
 //! Property tests for the on-disk formats across crate boundaries:
-//! arbitrary traces and replay traces must survive binary and JSON
+//! arbitrary traces and replay traces must survive binary
 //! encode/decode byte-for-byte, and file I/O must round trip. A replay
 //! trace's tuples must govern the modulator in order, for exactly their
 //! durations, with the final tuple held past the end.
@@ -137,13 +137,6 @@ proptest! {
     }
 
     #[test]
-    fn trace_json_round_trip(trace in arb_trace()) {
-        let json = serde_json::to_vec(&trace).unwrap();
-        let back: Trace = serde_json::from_slice(&json).unwrap();
-        prop_assert_eq!(back, trace);
-    }
-
-    #[test]
     fn replay_binary_round_trip(
         source in "[ -~]{0,32}",
         tuples in proptest::collection::vec(arb_tuple(), 0..64),
@@ -236,9 +229,7 @@ fn file_io_round_trip() {
         800.0,
         0.1,
     );
-    for name in ["r.mnrp", "r.json"] {
-        let p = dir.join(name);
-        tracekit::io::write_replay(&p, &replay).unwrap();
-        assert_eq!(tracekit::io::read_replay(&p).unwrap(), replay);
-    }
+    let p = dir.join("r.mnrp");
+    tracekit::io::write_replay(&p, &replay).unwrap();
+    assert_eq!(tracekit::io::read_replay(&p).unwrap(), replay);
 }
