@@ -429,11 +429,6 @@ impl FaultInjector {
         }
     }
 
-    /// Number of records delivered past the fault chain so far.
-    pub fn records_out(&self) -> u64 {
-        self.records_out
-    }
-
     fn should_drop_tuple(&mut self, idx: u64) -> bool {
         if self.drop_ranges.iter().any(|&(s, e)| idx >= s && idx < e) {
             self.counters.dropped_tuples += 1;

@@ -114,7 +114,6 @@ pub struct PacketStore {
     free: Vec<u32>,
     live: usize,
     peak_live: usize,
-    total_allocated: u64,
 }
 
 impl PacketStore {
@@ -128,7 +127,6 @@ impl PacketStore {
     pub fn alloc(&mut self, client: u32, size: u32, sent_ns: u64) -> u32 {
         self.live += 1;
         self.peak_live = self.peak_live.max(self.live);
-        self.total_allocated += 1;
         if let Some(id) = self.free.pop() {
             let i = id as usize;
             self.client[i] = client;
@@ -192,11 +190,6 @@ impl PacketStore {
     /// Rows ever grown (allocated array length).
     pub fn rows(&self) -> usize {
         self.client.len()
-    }
-
-    /// Packets ever allocated (total traffic, not a memory bound).
-    pub fn total_allocated(&self) -> u64 {
-        self.total_allocated
     }
 }
 
@@ -317,7 +310,6 @@ mod tests {
         assert_eq!(c, a, "released row is reused");
         assert_eq!(s.rows(), 2, "arena bounded by peak live");
         assert_eq!(s.peak_live(), 2);
-        assert_eq!(s.total_allocated(), 3);
         assert_eq!(s.sent_ns(c), 30);
     }
 
