@@ -214,51 +214,91 @@ fn chaos_plan_identical_at_1_2_8_workers_and_across_reruns() {
     );
 }
 
+/// FNV-1a over an artifact's bytes: the pins below compare digests
+/// rather than megabytes of golden text.
+fn fnv(bytes: &str) -> u64 {
+    bytes.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
 /// Invariant 3: the empty plan is the identity transform — same
 /// benchmark outcome, same manifest once the (all-zero) `fault.*`
 /// counter block recording the chaos run itself is set aside.
+///
+/// Each cell is also pinned: the clean run's flight-recorder export,
+/// the bits of its benchmark time, and the empty-plan manifest (which
+/// carries the zero `fault.*` block).
 #[test]
 fn empty_plan_chaos_run_matches_the_clean_pipeline() {
-    let sc = porter(30);
+    let mut chatterbox = Scenario::chatterbox();
+    chatterbox.duration = SimDuration::from_secs(45);
+    let cells = [
+        (
+            porter(30),
+            Benchmark::Web,
+            0xdabd_ae86_135c_ef40,
+            None,
+            0xcd1c_e610_5826_0eca,
+        ),
+        (
+            chatterbox,
+            Benchmark::FtpRecv,
+            0x7ef3_a633_a6d8_1722,
+            Some(4_625_858_386_862_380_882),
+            0x998b_0954_2aa2_cadb,
+        ),
+    ];
     let dcfg = DistillConfig::default();
     let cfg = RunConfig::default();
 
-    let chaos = run_chaos(7, &FaultPlan::new(), 0);
-    assert_eq!(chaos.counters.injected_total(), 0);
-    assert!(chaos.faults.is_empty());
+    for (sc, benchmark, flight_pin, elapsed_pin, manifest_pin) in cells {
+        let chaos = chaos_live_run(&sc, 1, benchmark, &dcfg, &cfg, 7, &FaultPlan::new(), 0);
+        assert_eq!(chaos.counters.injected_total(), 0);
+        assert!(chaos.faults.is_empty());
 
-    let clean = emu::live_modulated_run(&sc, 1, Benchmark::Web, &dcfg, &cfg);
+        let clean = emu::live_modulated_run(&sc, 1, benchmark, &dcfg, &cfg);
 
-    assert_eq!(
-        chaos.outcome.result.elapsed.map(f64::to_bits),
-        clean.result.elapsed.map(f64::to_bits),
-        "benchmark outcome must be untouched by an empty plan"
-    );
+        assert_eq!(
+            chaos.outcome.result.elapsed.map(f64::to_bits),
+            clean.result.elapsed.map(f64::to_bits),
+            "benchmark outcome must be untouched by an empty plan"
+        );
 
-    // The deterministic form is compact JSON; splice out each
-    // `"fault.<name>":<n>,` counter entry (the block sits mid-object,
-    // so the trailing comma is always present).
-    let strip_fault_counters = |json: &str| -> String {
-        let mut s = json.to_string();
-        while let Some(i) = s.find("\"fault.") {
-            let colon = i + s[i..].find(':').expect("counter entry has a value");
-            let mut end = colon + 1;
-            let bytes = s.as_bytes();
-            while end < bytes.len() && bytes[end].is_ascii_digit() {
-                end += 1;
+        // The deterministic form is compact JSON; splice out each
+        // `"fault.<name>":<n>,` counter entry (the block sits mid-object,
+        // so the trailing comma is always present).
+        let strip_fault_counters = |json: &str| -> String {
+            let mut s = json.to_string();
+            while let Some(i) = s.find("\"fault.") {
+                let colon = i + s[i..].find(':').expect("counter entry has a value");
+                let mut end = colon + 1;
+                let bytes = s.as_bytes();
+                while end < bytes.len() && bytes[end].is_ascii_digit() {
+                    end += 1;
+                }
+                assert_eq!(
+                    bytes.get(end),
+                    Some(&b','),
+                    "fault block must sit mid-object"
+                );
+                s.replace_range(i..=end, "");
             }
-            assert_eq!(
-                bytes.get(end),
-                Some(&b','),
-                "fault block must sit mid-object"
-            );
-            s.replace_range(i..=end, "");
-        }
-        s
-    };
-    assert_eq!(
-        strip_fault_counters(&chaos.outcome.manifest.deterministic_json()),
-        clean.manifest.deterministic_json(),
-        "empty-plan manifest must match the clean pipeline byte for byte"
-    );
+            s
+        };
+        let manifest = chaos.outcome.manifest.deterministic_json();
+        assert_eq!(
+            strip_fault_counters(&manifest),
+            clean.manifest.deterministic_json(),
+            "empty-plan manifest must match the clean pipeline byte for byte"
+        );
+
+        let name = sc.name;
+        let flight = fnv(&clean.flight.to_chrome_trace());
+        let elapsed = clean.result.elapsed.map(f64::to_bits);
+        let manifest = fnv(&manifest);
+        assert_eq!(flight, flight_pin, "{name}: flight-recorder export digest");
+        assert_eq!(elapsed, elapsed_pin, "{name}: benchmark time bits");
+        assert_eq!(manifest, manifest_pin, "{name}: manifest digest");
+    }
 }
