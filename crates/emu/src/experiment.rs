@@ -5,11 +5,9 @@
 //! elapsed times [should be] less than the sum of their standard
 //! deviations".
 
-use crate::plan::{Exec, PlanResults, TrialPlan};
-use crate::runs::RunConfig;
+use crate::plan::PlanResults;
 use crate::workload::{Benchmark, RunResult};
 use netsim::stats::Summary;
-use wavelan::Scenario;
 use workloads::Phase;
 
 /// Real-vs-modulated comparison for one benchmark on one scenario.
@@ -126,36 +124,13 @@ pub fn comparison_from_plan(
     }
 }
 
-/// Run the full real-vs-modulated comparison — `trials` live runs and
-/// `trials` (collect → distill → modulate) runs — on the given
-/// execution (serial or a worker pool; the result is identical).
-pub fn compare_with(
-    scenario: &Scenario,
-    benchmark: Benchmark,
-    trials: u32,
-    cfg: &RunConfig,
-    exec: &Exec,
-) -> Comparison {
-    let mut plan = TrialPlan::new();
-    plan.push_comparison(scenario, benchmark, trials, cfg);
-    let results = plan.run(exec);
-    comparison_from_plan(&results, scenario.name, benchmark)
-}
-
-/// Serial [`compare_with`] — the paper's original loop.
-pub fn compare(
-    scenario: &Scenario,
-    benchmark: Benchmark,
-    trials: u32,
-    cfg: &RunConfig,
-) -> Comparison {
-    compare_with(scenario, benchmark, trials, cfg, &Exec::serial())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{Exec, TrialPlan};
+    use crate::runs::RunConfig;
     use netsim::SimDuration;
+    use wavelan::Scenario;
 
     /// A fast end-to-end smoke of the whole methodology: shortened
     /// scenario, one trial, FTP send with a smaller file would need a
@@ -166,8 +141,10 @@ mod tests {
     fn closed_loop_comparison_runs() {
         let mut sc = Scenario::chatterbox();
         sc.duration = SimDuration::from_secs(40);
-        let cfg = RunConfig::default();
-        let c = compare(&sc, Benchmark::FtpRecv, 1, &cfg);
+        let mut plan = TrialPlan::new();
+        plan.push_comparison(&sc, Benchmark::FtpRecv, 1, &RunConfig::default());
+        let results = plan.run(&Exec::serial());
+        let c = comparison_from_plan(&results, sc.name, Benchmark::FtpRecv);
         let real = c.real.mean();
         let modulated = c.modulated.mean();
         // 10 MB over a ~1 Mb/s contended channel: both sides should land

@@ -336,7 +336,7 @@ pub struct FleetShard {
     plan: FleetPlan,
     lo: u32,
     hi: u32,
-    fault: Option<(u64, FaultPlan)>,
+    fault: (u64, FaultPlan),
 }
 
 /// Everything one shard produced.
@@ -374,17 +374,14 @@ pub struct FleetShardOutcome {
 impl FleetShard {
     /// Execute the shard. `cell_index` is this shard's position in its
     /// trial plan: `kill_worker(idx, at_event)` faults target cell
-    /// indices (exactly like [`chaos_live_run`](crate::chaos_live_run)),
+    /// indices (exactly like [`live_modulated_run`](crate::live_modulated_run)),
     /// so kills land on the same shard at any worker count. A killed
     /// shard runs a probe pass that finds the kill point, notes the
     /// kill, and restarts; since shards are pure functions of the plan,
     /// the definitive rerun is bitwise identical to an uninterrupted
     /// one, preserving merge order.
     pub fn run(&self, cell_index: usize) -> FleetShardOutcome {
-        let Some((seed, fplan)) = &self.fault else {
-            return run_shard(&self.plan, self.lo, self.hi, None)
-                .unwrap_or_else(|_| unreachable!("unkilled run has no abort point"));
-        };
+        let (seed, fplan) = &self.fault;
         let span_ns = self.plan.duration().as_nanos() + DRAIN_GRACE_NS;
         let mut injector = FaultInjector::new(*seed, fplan, span_ns);
         injector.restart_on_kill(cell_index, |at_event| {
@@ -746,9 +743,10 @@ pub struct FleetOutcome {
 }
 
 /// Run a fleet: shard the clients, execute one engine per shard on the
-/// plan's worker pool, merge in plan order.
+/// plan's worker pool, merge in plan order. This is [`fleet_run_chaos`]
+/// under the empty fault plan.
 pub fn fleet_run(plan: &FleetPlan, exec: &Exec) -> FleetOutcome {
-    fleet_run_inner(plan, exec, None)
+    fleet_run_chaos(plan, exec, 0, &FaultPlan::new())
 }
 
 /// Evaluate an alert rule set over a finished fleet run: the run's
@@ -782,16 +780,17 @@ pub fn fleet_alerts(
 /// [`fleet_run`] under deterministic fault injection: `kill_worker`
 /// entries in `fault_plan` target shard cell indices, and a killed
 /// shard restarts without perturbing merge order or output bytes.
+///
+/// The fleet applies only `kill_worker`. Every other fault kind acts on
+/// the live pipeline's trace records, tuples, feed or collection ring,
+/// none of which a fleet client has, so such entries inject nothing
+/// here; `tracemod fleet` refuses a plan that holds them.
 pub fn fleet_run_chaos(
     plan: &FleetPlan,
     exec: &Exec,
     fault_seed: u64,
     fault_plan: &FaultPlan,
 ) -> FleetOutcome {
-    fleet_run_inner(plan, exec, Some((fault_seed, fault_plan.clone())))
-}
-
-fn fleet_run_inner(plan: &FleetPlan, exec: &Exec, fault: Option<(u64, FaultPlan)>) -> FleetOutcome {
     let mut tp = TrialPlan::new();
     for (i, (lo, hi)) in plan.shard_ranges().into_iter().enumerate() {
         tp.push(TrialCell {
@@ -802,7 +801,7 @@ fn fleet_run_inner(plan: &FleetPlan, exec: &Exec, fault: Option<(u64, FaultPlan)
                 plan: plan.clone(),
                 lo,
                 hi,
-                fault: fault.clone(),
+                fault: (fault_seed, fault_plan.clone()),
             }),
         });
     }

@@ -13,10 +13,17 @@
 //!    an isolated Ethernet whose laptop kernel delays/drops every packet
 //!    per the replay trace.
 //!
-//! [`experiment::compare`] runs the paper's validation: N live trials
-//! vs N modulated trials, with the "within the sum of the standard
-//! deviations" criterion. [`figures::scenario_figure`] regenerates the
-//! scenario characterization figures.
+//! [`TrialPlan::push_comparison`] queues the paper's validation — N
+//! live trials vs N modulated trials — and [`comparison_from_plan`]
+//! applies the "within the sum of the standard deviations" criterion.
+//! [`figures::scenario_figure`] regenerates the scenario
+//! characterization figures.
+//!
+//! **Live mode** ([`live_modulated_run`]) runs all three phases at once
+//! and is the one driver of that pipeline: it takes a
+//! [`faultkit::FaultPlan`], and the empty plan is the clean run. Every
+//! live manifest carries the `fault.*` counter block, all zero when
+//! nothing was injected.
 //!
 //! Every cell of that validation matrix is an independent simulation
 //! seeded from (scenario, trial, purpose), so [`plan::TrialPlan`] can
@@ -36,7 +43,6 @@
 
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod experiment;
 pub mod figures;
 pub mod fleet;
@@ -47,8 +53,7 @@ pub mod runs;
 pub mod testbed;
 pub mod workload;
 
-pub use chaos::{chaos_live_run, ChaosOutcome};
-pub use experiment::{compare, compare_with, comparison_from_plan, Comparison};
+pub use experiment::{comparison_from_plan, Comparison};
 pub use figures::{scenario_figure, CheckpointSeries, FigureOpts, ScenarioFigure, FIGURES};
 pub use fleet::{
     fleet_alerts, fleet_run, fleet_run_chaos, FleetOutcome, FleetPlan, FleetShard,

@@ -13,7 +13,6 @@
 //!
 //! [`Comparison`]: crate::experiment::Comparison
 
-use crate::chaos::{chaos_live_run, ChaosOutcome};
 use crate::runs::{
     collect_trace, ethernet_run, live_modulated_run, live_run, modulated_run, LiveModOutcome,
     RunConfig,
@@ -82,20 +81,11 @@ pub enum CellKind {
         distill: DistillConfig,
     },
     /// The streaming pipeline end to end: collect, distill, and
-    /// modulate concurrently ([`live_modulated_run`]).
+    /// modulate concurrently under a fault plan
+    /// ([`live_modulated_run`]; the empty plan is the clean run).
+    /// `kill_worker` plan entries target the cell's *plan index*, so
+    /// results are identical at any worker count.
     LiveModulated {
-        /// Scenario to collect while modulating.
-        scenario: Scenario,
-        /// Benchmark to run on the concurrently modulated Ethernet.
-        benchmark: Benchmark,
-        /// Distillation parameters for the incremental distiller.
-        distill: DistillConfig,
-    },
-    /// The streaming pipeline under deterministic fault injection
-    /// ([`chaos_live_run`]). `kill_worker` plan entries target the
-    /// cell's *plan index*, so results are identical at any worker
-    /// count.
-    Chaos {
         /// Scenario to collect while modulating.
         scenario: Scenario,
         /// Benchmark to run on the concurrently modulated Ethernet.
@@ -110,7 +100,7 @@ pub enum CellKind {
     },
     /// One shard of a fleet run: the clients in the shard's range run
     /// under a single event engine ([`FleetShard::run`](crate::fleet::FleetShard::run)). Kills target
-    /// the shard's plan index, exactly like [`CellKind::Chaos`].
+    /// the shard's plan index, exactly like [`CellKind::LiveModulated`].
     Fleet(crate::fleet::FleetShard),
     /// Arbitrary work for bespoke experiments (ablations): receives
     /// (trial, config), returns any run results produced.
@@ -140,11 +130,10 @@ pub enum CellOutput {
     RunWithReport(RunResult, DistillReport),
     /// A collected trace and its distillation (figure cells).
     Collected(Trace, DistillReport),
-    /// A live streaming-pipeline run with its diagnostics (boxed: the
-    /// run manifest makes this by far the largest variant).
+    /// A live streaming-pipeline run with its diagnostics and fault
+    /// ledger (boxed: the run manifest makes this by far the largest
+    /// variant).
     LiveModulated(Box<LiveModOutcome>),
-    /// A chaos run: the pipeline outcome plus its fault ledger.
-    Chaos(Box<ChaosOutcome>),
     /// One fleet shard's manifests and counters (boxed: a shard can
     /// carry thousands of per-client manifests).
     Fleet(Box<crate::fleet::FleetShardOutcome>),
@@ -157,7 +146,6 @@ impl CellOutput {
         match self {
             CellOutput::Run(r) | CellOutput::RunWithReport(r, _) => std::slice::from_ref(r),
             CellOutput::LiveModulated(o) => std::slice::from_ref(&o.result),
-            CellOutput::Chaos(o) => std::slice::from_ref(&o.outcome.result),
             CellOutput::Collected(..) | CellOutput::Fleet(..) => &[],
             CellOutput::Runs(rs) => rs,
         }
@@ -259,8 +247,9 @@ impl TrialPlan {
     }
 
     /// Queue the live + modulated cells of one comparison: `trials`
-    /// live runs and `trials` collect→distill→modulate runs, the same
-    /// cells [`crate::experiment::compare`] runs serially.
+    /// live runs and `trials` collect→distill→modulate runs, which
+    /// [`comparison_from_plan`](crate::comparison_from_plan) reads back
+    /// once the plan has run.
     pub fn push_comparison(
         &mut self,
         scenario: &Scenario,
@@ -425,28 +414,15 @@ fn execute_cell(cell: &TrialCell, cell_index: usize) -> (CellOutput, CellReport)
             scenario,
             benchmark,
             distill,
-        } => {
-            let o = live_modulated_run(scenario, cell.trial, *benchmark, distill, &cell.cfg);
-            // Both simulations advance in lockstep over the same span.
-            let v = o.stats.collection_secs.max(virtual_secs_of(&o.result));
-            (CellOutput::LiveModulated(Box::new(o)), v)
-        }
-        CellKind::Chaos {
-            scenario,
-            benchmark,
-            distill,
             seed,
             plan,
         } => {
-            let o = chaos_live_run(
+            let o = live_modulated_run(
                 scenario, cell.trial, *benchmark, distill, &cell.cfg, *seed, plan, cell_index,
             );
-            let v = o
-                .outcome
-                .stats
-                .collection_secs
-                .max(virtual_secs_of(&o.outcome.result));
-            (CellOutput::Chaos(Box::new(o)), v)
+            // Both simulations advance in lockstep over the same span.
+            let v = o.stats.collection_secs.max(virtual_secs_of(&o.result));
+            (CellOutput::LiveModulated(Box::new(o)), v)
         }
         CellKind::Fleet(shard) => {
             let o = shard.run(cell_index);
@@ -583,23 +559,6 @@ impl PlanResults {
                 {
                     Some((t, r))
                 }
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Chaos outcomes for (scenario, benchmark), in plan order.
-    pub fn chaos(&self, scenario: &str, benchmark: Benchmark) -> Vec<&ChaosOutcome> {
-        self.iter()
-            .filter_map(|(c, o)| match (&c.kind, o) {
-                (
-                    CellKind::Chaos {
-                        scenario: s,
-                        benchmark: b,
-                        ..
-                    },
-                    CellOutput::Chaos(out),
-                ) if s.name == scenario && *b == benchmark => Some(&**out),
                 _ => None,
             })
             .collect()

@@ -7,7 +7,7 @@ use crate::hooks::FlightFrameHook;
 use crate::testbed::{build_ethernet, build_wireless, Hardware, SERVER_IP};
 use crate::workload::{extract, install, is_done, run_to_completion, Benchmark, RunResult};
 use distill::{distill_with_report, DistillConfig, DistillReport, DistillStats, Distiller};
-use faultkit::{ChaosSink, FaultInjector};
+use faultkit::{ChaosSink, FaultCounters, FaultEvent, FaultInjector, FaultPlan};
 use modulate::{Modulator, TickClock, TupleBuffer, TupleFeed};
 use netsim::{NodeId, SimDuration, SimRng, SimTime, Simulator};
 use netstack::{AppId, Host};
@@ -235,7 +235,8 @@ pub struct LiveModStats {
     pub distill: DistillStats,
 }
 
-/// Benchmark result plus pipeline diagnostics from a live run.
+/// Benchmark result, pipeline diagnostics and fault ledger from a live
+/// run.
 #[derive(Debug, Clone)]
 pub struct LiveModOutcome {
     /// The benchmark outcome on the modulated Ethernet.
@@ -243,7 +244,8 @@ pub struct LiveModOutcome {
     /// Streaming-pipeline diagnostics.
     pub stats: LiveModStats,
     /// Observability manifest: deterministic metrics from every
-    /// pipeline stage, the modulation fidelity self-check, and a
+    /// pipeline stage (including the `fault.*` block, all zero under
+    /// the empty plan), the modulation fidelity self-check, and a
     /// wall-clock runner section.
     pub manifest: RunManifest,
     /// Causal flight recorder holding per-packet lifecycle events from
@@ -251,47 +253,83 @@ pub struct LiveModOutcome {
     /// [`to_chrome_trace`](obs::flight::FlightHandle::to_chrome_trace)
     /// or query with [`obs::flight::FlightRecorder::journey`].
     pub flight: FlightHandle,
+    /// Every fault injected, in virtual-time order (empty under the
+    /// empty plan).
+    pub faults: Vec<FaultEvent>,
+    /// Final injection and degradation tallies; `injected_total()`
+    /// always equals `faults.len()`.
+    pub counters: FaultCounters,
 }
 
 /// **Live modulated run**: collection, distillation, and modulation
-/// running *concurrently* — the streaming pipeline end to end. The
-/// collection testbed is built exactly like [`collect_trace`] (same
-/// seed purposes, same apps), but instead of waiting for the full
-/// trace, records are stolen from the collection daemon between
-/// lockstep slices and pushed through an incremental
-/// [`Distiller`] whose tuples flow — via a [`TupleFeed`] and the
-/// bounded kernel [`TupleBuffer`] — straight into a
-/// [`Modulator`] shimmed under the benchmark on the modulation
+/// running *concurrently* — the streaming pipeline end to end — under
+/// the fault plan `plan`, faults seeded from `seed`. The empty plan is
+/// the clean run.
+///
+/// The collection testbed is built exactly like [`collect_trace`]
+/// (same seed purposes, same apps), but instead of waiting for the
+/// full trace, records are stolen from the collection daemon between
+/// lockstep slices and pushed through a [`FaultInjector`] (encode →
+/// byte faults → quarantine-decode → sanitize) into an incremental
+/// [`Distiller`] whose tuples flow — via a [`ChaosSink`], a
+/// [`TupleFeed`] and the bounded kernel [`TupleBuffer`] — straight into
+/// a [`Modulator`] shimmed under the benchmark on the modulation
 /// Ethernet. The two simulations advance in 500 ms lockstep, so the
 /// benchmark experiences network quality distilled moments earlier.
+///
+/// Every fault is keyed off virtual time or record indices, so a
+/// faulted run is exactly as reproducible as a clean one. `cell_index`
+/// is this run's position in its trial plan (0 when run standalone):
+/// `kill_worker(idx, ..)` plan entries target plan cells, not pool
+/// workers, so the same plan produces the same kills at any worker
+/// count. A kill runs the cell until the victim has processed
+/// `at_record` records, discards the partial run, and restarts the
+/// cell from its plan entry; the restarted run is bitwise identical to
+/// an uninterrupted one except for the `worker_kills` tally and its
+/// fault event.
+#[allow(clippy::too_many_arguments)] // one parameter per pipeline input; a config struct would be pure ceremony
 pub fn live_modulated_run(
     scenario: &Scenario,
     trial: u32,
     benchmark: Benchmark,
     dcfg: &DistillConfig,
     cfg: &RunConfig,
+    seed: u64,
+    plan: &FaultPlan,
+    cell_index: usize,
 ) -> LiveModOutcome {
-    match live_modulated_run_inner(scenario, trial, benchmark, dcfg, cfg, None, None) {
-        Ok(outcome) => outcome,
-        Err(_) => unreachable!("no abort point configured"),
-    }
+    let span_ns = (scenario.duration.as_secs_f64() * 1e9) as u64;
+    let injector = || FaultInjector::new(seed, plan, span_ns);
+    let mut definitive = injector();
+    definitive.restart_on_kill(cell_index, |at_record| {
+        // The probe pass runs with a throwaway injector: its only
+        // purpose is to establish the virtual time the kill lands at.
+        live_pass(
+            scenario,
+            trial,
+            benchmark,
+            dcfg,
+            cfg,
+            injector(),
+            Some(at_record),
+        )
+    });
+    live_pass(scenario, trial, benchmark, dcfg, cfg, definitive, None)
+        .unwrap_or_else(|_| unreachable!("definitive run has no abort point"))
 }
 
-/// The chaos-aware core of [`live_modulated_run`]. With `injector:
-/// None` this is byte-for-byte the clean pipeline; with an injector the
-/// fault hooks activate (ring-cap override, record corruption/
-/// truncation/clock-jump via the injector's decode chain, tuple drops,
-/// feed stalls). `abort_at_record` simulates a worker kill: once that
-/// many records have been stolen from the collection daemon the run
-/// aborts, returning `Err(virtual_time_ns)` so the plan runner can
-/// restart the cell.
-pub(crate) fn live_modulated_run_inner(
+/// One pass of [`live_modulated_run`] with `injector` on every fault
+/// hook (ring cap, record path, tuple drops, feed stalls).
+/// `abort_at_record` simulates a worker kill: once that many records
+/// have been stolen from the collection daemon the pass aborts,
+/// returning `Err(virtual_time_ns)`.
+fn live_pass(
     scenario: &Scenario,
     trial: u32,
     benchmark: Benchmark,
     dcfg: &DistillConfig,
     cfg: &RunConfig,
-    mut injector: Option<&mut FaultInjector>,
+    mut injector: FaultInjector,
     abort_at_record: Option<u64>,
 ) -> Result<LiveModOutcome, u64> {
     // Collection side — `collect_trace`'s testbed, plus a flight
@@ -301,14 +339,8 @@ pub(crate) fn live_modulated_run_inner(
     let flight = FlightHandle::new(65_536);
     let (mut channel, signal) = collection_channel(scenario, trial);
     channel.set_flight(flight.clone());
-    let mut ring_cap = 65_536;
-    if let Some(inj) = injector.as_deref_mut() {
-        if let Some(cap) = inj.oom_ring_cap() {
-            ring_cap = cap;
-            inj.note_oom_ring();
-        }
-    }
-    let dev = PseudoDevice::new(ring_cap);
+    let dev = PseudoDevice::new(injector.oom_ring_cap().unwrap_or(65_536));
+    injector.note_oom_ring();
     let scenario_secs = scenario.duration.as_secs_f64() as u64;
     let (mut wl, daemon) = build_wireless(
         seed_for(scenario.name, trial, 2),
@@ -364,9 +396,7 @@ pub(crate) fn live_modulated_run_inner(
     let mut finished_stats: Option<DistillStats> = None;
     loop {
         now = (now + slice).min(deadline);
-        if let Some(inj) = injector.as_deref_mut() {
-            inj.set_now(now.as_nanos());
-        }
+        injector.set_now(now.as_nanos());
 
         // Advance collection (while it lasts) and stream the fresh
         // records through the distiller into the feed.
@@ -381,33 +411,17 @@ pub(crate) fn live_modulated_run_inner(
                 std::mem::take(&mut app.trace.records)
             };
             records_processed += fresh.len() as u64;
-            match injector.as_deref_mut() {
-                Some(inj) => {
-                    // Faulted path: records detour through the
-                    // injector's encode→corrupt→decode→quarantine
-                    // chain, and tuples through the dropping sink.
-                    let survivors = inj.process_records(&fresh);
-                    let mut sink = ChaosSink::new(&mut feed, inj);
-                    for rec in &survivors {
-                        d.push_record(rec, &mut sink);
-                    }
-                }
-                None => {
-                    for rec in &fresh {
-                        d.push_record(rec, &mut feed);
-                    }
-                }
+            // Records detour through the injector's encode→corrupt→
+            // decode→quarantine chain, and tuples through the dropping
+            // sink.
+            let survivors = injector.process_records(&fresh);
+            let mut sink = ChaosSink::new(&mut feed, &mut injector);
+            for rec in &survivors {
+                d.push_record(rec, &mut sink);
             }
             if wl_now >= collect_end {
                 if let Some(d) = distiller.take() {
-                    finished_stats = Some(match injector.as_deref_mut() {
-                        Some(inj) => {
-                            inj.finish_records();
-                            let mut sink = ChaosSink::new(&mut feed, inj);
-                            d.finish(&mut sink)
-                        }
-                        None => d.finish(&mut feed),
-                    });
+                    finished_stats = Some(finish_distiller(d, &mut feed, &mut injector));
                     // Collection is over: an empty buffer from here on
                     // means end-of-trace, not starvation.
                     feed.close();
@@ -419,10 +433,7 @@ pub(crate) fn live_modulated_run_inner(
                 return Err(now.as_nanos());
             }
         }
-        let stalled = injector
-            .as_deref_mut()
-            .is_some_and(|inj| inj.stall_feed_active());
-        feed.set_paused(stalled);
+        feed.set_paused(injector.stall_feed_active());
         feed.pump();
 
         // Advance the modulated benchmark over the same span.
@@ -441,14 +452,7 @@ pub(crate) fn live_modulated_run_inner(
     let distill = finished_stats
         .or_else(|| {
             distiller.take().map(|d| {
-                let stats = match injector.as_deref_mut() {
-                    Some(inj) => {
-                        inj.finish_records();
-                        let mut sink = ChaosSink::new(&mut feed, inj);
-                        d.finish(&mut sink)
-                    }
-                    None => d.finish(&mut feed),
-                };
+                let stats = finish_distiller(d, &mut feed, &mut injector);
                 // Close the buffer directly (no pump): nothing consumes
                 // after the loop, and pumping here would perturb the
                 // buffer counters relative to the established baseline.
@@ -532,15 +536,12 @@ pub(crate) fn live_modulated_run_inner(
         "emu.collection_virtual_secs",
         collect_end.min(now).as_secs_f64(),
     );
-    if let Some(inj) = injector.as_deref() {
-        // Chaos runs only: injected-fault tallies (one counter per
-        // fault kind) plus the degradation side-channels. Absent
-        // entirely on clean runs so baselines stay unchanged.
-        let c = inj.counters();
-        m.set_counter("fault.injected_total", c.injected_total());
-        for (name, v) in c.entries() {
-            m.set_counter(&format!("fault.{name}"), v);
-        }
+    // Injected-fault tallies (one counter per fault kind) plus the
+    // degradation side-channels; all zero under the empty plan.
+    let counters = *injector.counters();
+    m.set_counter("fault.injected_total", counters.injected_total());
+    for (name, v) in counters.entries() {
+        m.set_counter(&format!("fault.{name}"), v);
     }
     manifest.metrics = m;
 
@@ -568,7 +569,20 @@ pub(crate) fn live_modulated_run_inner(
         },
         manifest,
         flight,
+        faults: injector.into_events(),
+        counters,
     })
+}
+
+/// Declare the record stream over and flush the distiller through the
+/// dropping sink.
+fn finish_distiller(
+    d: Distiller,
+    feed: &mut TupleFeed,
+    injector: &mut FaultInjector,
+) -> DistillStats {
+    injector.finish_records();
+    d.finish(&mut ChaosSink::new(feed, injector))
 }
 
 /// **Asymmetric modulated run** (the §6 extension): per-direction

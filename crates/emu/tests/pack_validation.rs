@@ -7,6 +7,7 @@
 
 use distill::DistillConfig;
 use emu::{fleet_run, live_modulated_run, Benchmark, Exec, FleetPlan, RunConfig};
+use faultkit::FaultPlan;
 use netsim::SimDuration;
 use obs::{FidelityThresholds, FleetReport, RunManifest};
 use wavelan::ScenarioPack;
@@ -172,6 +173,9 @@ fn validation_cell(file: &str, want_family: &str) {
         Benchmark::Web,
         &DistillConfig::default(),
         &RunConfig::default(),
+        0,
+        &FaultPlan::new(),
+        0,
     );
     let model = out.manifest.model.as_ref().expect("manifest records model");
     assert_eq!(model.family, want_family, "{file}");

@@ -5,11 +5,25 @@
 
 use distill::DistillConfig;
 use emu::{
-    compare, compare_with, Benchmark, CellKind, Comparison, Exec, RunConfig, TrialCell, TrialPlan,
+    comparison_from_plan, Benchmark, CellKind, Comparison, Exec, RunConfig, TrialCell, TrialPlan,
 };
+use faultkit::FaultPlan;
 use netsim::stats::Summary;
 use netsim::SimDuration;
 use wavelan::Scenario;
+
+/// The real-vs-modulated comparison of `trials` trials, run on `exec`.
+fn compare(
+    sc: &Scenario,
+    benchmark: Benchmark,
+    trials: u32,
+    cfg: &RunConfig,
+    exec: &Exec,
+) -> Comparison {
+    let mut plan = TrialPlan::new();
+    plan.push_comparison(sc, benchmark, trials, cfg);
+    comparison_from_plan(&plan.run(exec), sc.name, benchmark)
+}
 
 fn exact_eq(a: &Summary, b: &Summary, what: &str) {
     assert_eq!(a.count(), b.count(), "{what}: count");
@@ -90,11 +104,11 @@ fn parallel_comparison_identical_to_serial_at_any_worker_count() {
     let cfg = RunConfig::default();
     let trials = 2;
 
-    let serial = compare(&sc, Benchmark::Web, trials, &cfg);
+    let serial = compare(&sc, Benchmark::Web, trials, &cfg, &Exec::serial());
     assert!(serial.real.count() > 0, "serial baseline must produce runs");
 
     for workers in [1, 2, 8] {
-        let parallel = compare_with(
+        let parallel = compare(
             &sc,
             Benchmark::Web,
             trials,
@@ -126,6 +140,8 @@ fn obs_manifest_identical_at_any_worker_count() {
                     scenario: sc.clone(),
                     benchmark: Benchmark::Web,
                     distill: DistillConfig::default(),
+                    seed: 0,
+                    plan: FaultPlan::new(),
                 },
             });
         }
@@ -180,6 +196,8 @@ fn flight_recorder_export_identical_at_any_worker_count() {
                 scenario: sc.clone(),
                 benchmark: Benchmark::Web,
                 distill: DistillConfig::default(),
+                seed: 0,
+                plan: FaultPlan::new(),
             },
         });
         p
@@ -236,10 +254,10 @@ fn parallel_andrew_phases_identical() {
     sc.duration = SimDuration::from_secs(30);
     let cfg = RunConfig::default();
 
-    let serial = compare(&sc, Benchmark::Andrew, 1, &cfg);
+    let serial = compare(&sc, Benchmark::Andrew, 1, &cfg, &Exec::serial());
     assert!(!serial.phases.is_empty(), "Andrew must report phases");
     for workers in [2, 8] {
-        let parallel = compare_with(
+        let parallel = compare(
             &sc,
             Benchmark::Andrew,
             1,

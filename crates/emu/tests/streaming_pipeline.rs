@@ -6,6 +6,7 @@
 
 use distill::{distill_stream, distill_with_report, DistillConfig};
 use emu::{collect_trace, live_modulated_run, Benchmark, RunConfig};
+use faultkit::FaultPlan;
 use netsim::SimDuration;
 use tracekit::{ChunkedTraceWriter, QualityTuple, RecordStream, TraceFileStream, VecStream};
 use wavelan::Scenario;
@@ -117,7 +118,16 @@ fn live_run_modulates_before_collection_finishes() {
         reorder_horizon: 5,
         ..DistillConfig::default()
     };
-    let out = live_modulated_run(&sc, 1, Benchmark::FtpRecv, &dcfg, &RunConfig::default());
+    let out = live_modulated_run(
+        &sc,
+        1,
+        Benchmark::FtpRecv,
+        &dcfg,
+        &RunConfig::default(),
+        0,
+        &FaultPlan::new(),
+        0,
+    );
 
     assert!(out.stats.tuples_fed > 0, "distiller fed no tuples");
     assert!(out.stats.tuples_consumed > 0, "modulator consumed nothing");

@@ -25,6 +25,11 @@
 //!   type is `obs`'s, so the alert engine reads the same struct) and
 //!   the counter block that lands in the `RunManifest` under `fault.*`.
 //!
+//! The live pipeline has one driver, `emu::live_modulated_run`, and the
+//! injector sits in it on every run: the empty plan is the clean run, so
+//! every live manifest carries the `fault.*` block (all zero when
+//! nothing fired). The fleet engine applies only `kill_worker`.
+//!
 //! **Determinism rule**: every fault fires off virtual time, record
 //! indices, or byte offsets — never wall clock — so the same
 //! `(seed, plan)` replays bitwise-identically at any worker count.

@@ -97,8 +97,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan (injects nothing; the chaos path is then an
-    /// identity transform over the pipeline).
+    /// An empty plan: injects nothing, so the live pipeline under it is
+    /// the clean run.
     pub fn new() -> Self {
         FaultPlan::default()
     }

@@ -13,14 +13,14 @@
 //!    same `(seed, plan)` executed twice, serially or on 1/2/8 workers,
 //!    yields byte-identical deterministic manifests and byte-identical
 //!    fault-event logs.
-//! 3. **The empty plan is the identity** — a chaos run that injects
-//!    nothing produces the same benchmark result and the same manifest
-//!    as the plain streaming pipeline (modulo the zeroed `fault.*`
-//!    counter block that records "chaos ran, nothing fired").
+//! 3. **The empty plan is the clean run** — a run that injects
+//!    nothing reproduces the clean pipeline's pinned flight-recorder
+//!    export, benchmark time and manifest, whose `fault.*` counter
+//!    block is all zero.
 
 use distill::DistillConfig;
 use emu::{
-    chaos_live_run, Benchmark, CellKind, ChaosOutcome, Exec, RunConfig, TrialCell, TrialPlan,
+    live_modulated_run, Benchmark, CellKind, Exec, LiveModOutcome, RunConfig, TrialCell, TrialPlan,
 };
 use faultkit::{Fault, FaultEvent, FaultPlan};
 use netsim::SimDuration;
@@ -67,8 +67,8 @@ fn plan_from(faults: &[Fault]) -> FaultPlan {
     })
 }
 
-fn run_chaos(seed: u64, plan: &FaultPlan, cell_index: usize) -> ChaosOutcome {
-    chaos_live_run(
+fn run_chaos(seed: u64, plan: &FaultPlan, cell_index: usize) -> LiveModOutcome {
+    live_modulated_run(
         &porter(30),
         1,
         Benchmark::Web,
@@ -105,7 +105,7 @@ proptest! {
         prop_assert_eq!(total, out.faults.len() as u64);
 
         // The manifest carries the same tally.
-        let manifest = &out.outcome.manifest;
+        let manifest = &out.manifest;
         prop_assert_eq!(manifest.metrics.counter("fault.injected_total"), Some(total));
 
         // Every per-type counter equals the number of events of that
@@ -134,10 +134,7 @@ proptest! {
         let plan = plan_from(&faults);
         let a = run_chaos(seed, &plan, 0);
         let b = run_chaos(seed, &plan, 0);
-        prop_assert_eq!(
-            a.outcome.manifest.deterministic_json(),
-            b.outcome.manifest.deterministic_json()
-        );
+        prop_assert_eq!(a.manifest.deterministic_json(), b.manifest.deterministic_json());
         prop_assert_eq!(events_jsonl(&a.faults), events_jsonl(&b.faults));
     }
 }
@@ -165,7 +162,7 @@ fn chaos_plan_identical_at_1_2_8_workers_and_across_reruns() {
                 label: format!("chaos-{trial}"),
                 trial,
                 cfg: RunConfig::default(),
-                kind: CellKind::Chaos {
+                kind: CellKind::LiveModulated {
                     scenario: sc.clone(),
                     benchmark: Benchmark::Web,
                     distill: DistillConfig::default(),
@@ -180,14 +177,9 @@ fn chaos_plan_identical_at_1_2_8_workers_and_across_reruns() {
     let snapshot = |exec: &Exec| -> Vec<(String, String)> {
         build()
             .run(exec)
-            .chaos(sc.name, Benchmark::Web)
+            .live_modulated(sc.name, Benchmark::Web)
             .iter()
-            .map(|o| {
-                (
-                    o.outcome.manifest.deterministic_json(),
-                    events_jsonl(&o.faults),
-                )
-            })
+            .map(|o| (o.manifest.deterministic_json(), events_jsonl(&o.faults)))
             .collect()
     };
 
@@ -222,13 +214,10 @@ fn fnv(bytes: &str) -> u64 {
     })
 }
 
-/// Invariant 3: the empty plan is the identity transform — same
-/// benchmark outcome, same manifest once the (all-zero) `fault.*`
-/// counter block recording the chaos run itself is set aside.
-///
-/// Each cell is also pinned: the clean run's flight-recorder export,
-/// the bits of its benchmark time, and the empty-plan manifest (which
-/// carries the zero `fault.*` block).
+/// Invariant 3: the empty plan is the clean pipeline — nothing is
+/// injected, and the run reproduces the clean pipeline's pinned
+/// flight-recorder export, benchmark time and manifest (whose `fault.*`
+/// block is all zero).
 #[test]
 fn empty_plan_chaos_run_matches_the_clean_pipeline() {
     let mut chatterbox = Scenario::chatterbox();
@@ -253,50 +242,14 @@ fn empty_plan_chaos_run_matches_the_clean_pipeline() {
     let cfg = RunConfig::default();
 
     for (sc, benchmark, flight_pin, elapsed_pin, manifest_pin) in cells {
-        let chaos = chaos_live_run(&sc, 1, benchmark, &dcfg, &cfg, 7, &FaultPlan::new(), 0);
-        assert_eq!(chaos.counters.injected_total(), 0);
-        assert!(chaos.faults.is_empty());
-
-        let clean = emu::live_modulated_run(&sc, 1, benchmark, &dcfg, &cfg);
-
-        assert_eq!(
-            chaos.outcome.result.elapsed.map(f64::to_bits),
-            clean.result.elapsed.map(f64::to_bits),
-            "benchmark outcome must be untouched by an empty plan"
-        );
-
-        // The deterministic form is compact JSON; splice out each
-        // `"fault.<name>":<n>,` counter entry (the block sits mid-object,
-        // so the trailing comma is always present).
-        let strip_fault_counters = |json: &str| -> String {
-            let mut s = json.to_string();
-            while let Some(i) = s.find("\"fault.") {
-                let colon = i + s[i..].find(':').expect("counter entry has a value");
-                let mut end = colon + 1;
-                let bytes = s.as_bytes();
-                while end < bytes.len() && bytes[end].is_ascii_digit() {
-                    end += 1;
-                }
-                assert_eq!(
-                    bytes.get(end),
-                    Some(&b','),
-                    "fault block must sit mid-object"
-                );
-                s.replace_range(i..=end, "");
-            }
-            s
-        };
-        let manifest = chaos.outcome.manifest.deterministic_json();
-        assert_eq!(
-            strip_fault_counters(&manifest),
-            clean.manifest.deterministic_json(),
-            "empty-plan manifest must match the clean pipeline byte for byte"
-        );
+        let out = live_modulated_run(&sc, 1, benchmark, &dcfg, &cfg, 7, &FaultPlan::new(), 0);
+        assert_eq!(out.counters.injected_total(), 0);
+        assert!(out.faults.is_empty());
 
         let name = sc.name;
-        let flight = fnv(&clean.flight.to_chrome_trace());
-        let elapsed = clean.result.elapsed.map(f64::to_bits);
-        let manifest = fnv(&manifest);
+        let flight = fnv(&out.flight.to_chrome_trace());
+        let elapsed = out.result.elapsed.map(f64::to_bits);
+        let manifest = fnv(&out.manifest.deterministic_json());
         assert_eq!(flight, flight_pin, "{name}: flight-recorder export digest");
         assert_eq!(elapsed, elapsed_pin, "{name}: benchmark time bits");
         assert_eq!(manifest, manifest_pin, "{name}: manifest digest");

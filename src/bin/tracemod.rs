@@ -14,12 +14,12 @@
 
 use distill::{distill_stream, DistillConfig, WindowConfig};
 use emu::report::plan_metrics_text;
-use emu::{fleet_alerts, fleet_run, fleet_run_chaos, FigureOpts, FleetPlan, FIGURES};
+use emu::{fleet_alerts, fleet_run_chaos, FigureOpts, FleetPlan, FIGURES};
 use emu::{
     live_modulated_run, live_run, modulated_run, Benchmark, CellKind, Exec, LiveModOutcome,
     RunConfig, TrialCell, TrialPlan,
 };
-use faultkit::{events_to_jsonl, FaultPlan};
+use faultkit::{events_to_jsonl, Fault, FaultPlan};
 use modulate::TickClock;
 use netsim::SimDuration;
 use obs::alerts::parse_fault_stamps;
@@ -854,8 +854,9 @@ fn manifests_jsonl<'a>(manifests: impl IntoIterator<Item = &'a RunManifest>) -> 
         .collect()
 }
 
-/// Run the live pipeline (collect, distill and modulate at once) that
-/// `live-pipeline` reports on and the flight-recorder commands observe.
+/// Run the live pipeline (collect, distill and modulate at once) under
+/// the empty fault plan: the clean run that `live-pipeline` reports on
+/// and the flight-recorder commands observe.
 fn pipeline_run(args: &Args) -> Result<LiveModOutcome, CliError> {
     let (sc, _) = scenario_arg(args)?;
     let benchmark = benchmark_arg(args)?;
@@ -872,6 +873,9 @@ fn pipeline_run(args: &Args) -> Result<LiveModOutcome, CliError> {
         benchmark,
         &dcfg,
         &RunConfig::default(),
+        0,
+        &FaultPlan::new(),
+        0,
     ))
 }
 
@@ -999,6 +1003,26 @@ fn load_fault_plan(path: &str) -> Result<FaultPlan, CliError> {
     FaultPlan::from_json(&text).map_err(|e| CliError::usage(format!("{path}: {e}")))
 }
 
+/// Load a `fleet --fault-plan`. The fleet applies only `kill_worker`
+/// (see [`fleet_run_chaos`]), so a plan holding any other kind would
+/// inject nothing; it is refused as a usage error instead.
+fn load_fleet_fault_plan(path: &str) -> Result<FaultPlan, CliError> {
+    let plan = load_fault_plan(path)?;
+    let mut others: Vec<&str> = (plan.faults().iter())
+        .filter(|f| !matches!(f, Fault::KillWorker { .. }))
+        .map(Fault::name)
+        .collect();
+    others.sort_unstable();
+    others.dedup();
+    if !others.is_empty() {
+        return Err(CliError::usage(format!(
+            "{path}: the fleet applies only kill_worker faults, not {}",
+            others.join(", ")
+        )));
+    }
+    Ok(plan)
+}
+
 fn cmd_chaos(args: &Args) -> CliResult {
     let seed: u64 = args.num("seed")?;
     let fault_plan = load_fault_plan(args.require("plan")?)?;
@@ -1030,7 +1054,7 @@ fn cmd_chaos(args: &Args) -> CliResult {
             label: format!("{}/{}/chaos#{trial}", sc.name, benchmark.name()),
             trial,
             cfg: RunConfig::default(),
-            kind: CellKind::Chaos {
+            kind: CellKind::LiveModulated {
                 scenario: sc.clone(),
                 benchmark,
                 distill: dcfg,
@@ -1040,12 +1064,12 @@ fn cmd_chaos(args: &Args) -> CliResult {
         });
     }
     let results = tplan.run(&Exec::with_workers(jobs));
-    let outcomes = results.chaos(sc.name, benchmark);
+    let outcomes = results.live_modulated(sc.name, benchmark);
 
     let mut fault_log = String::new();
     let mut injected_total = 0u64;
     for (trial, o) in (trial0..).zip(&outcomes) {
-        report_result(&o.outcome.result);
+        report_result(&o.result);
         print_faults(&format!("trial {trial} "), &o.faults);
         fault_log.push_str(&events_to_jsonl(&o.faults));
         let c = &o.counters;
@@ -1057,7 +1081,7 @@ fn cmd_chaos(args: &Args) -> CliResult {
             c.quarantined_records,
             c.truncated_records,
             c.rejected_timestamps,
-            if o.outcome.manifest.fidelity.degraded {
+            if o.manifest.fidelity.degraded {
                 "YES"
             } else {
                 "no"
@@ -1070,7 +1094,7 @@ fn cmd_chaos(args: &Args) -> CliResult {
             (Artifact::FAULTS, fault_log),
             (
                 Artifact::MANIFESTS,
-                manifests_jsonl(outcomes.iter().map(|o| &o.outcome.manifest)),
+                manifests_jsonl(outcomes.iter().map(|o| &o.manifest)),
             ),
         ],
     )?;
@@ -1084,7 +1108,7 @@ fn cmd_chaos(args: &Args) -> CliResult {
     if args.on("check") {
         let th = FidelityThresholds::default();
         let violations = (trial0..).zip(&outcomes).flat_map(|(trial, o)| {
-            let violations = o.outcome.manifest.check(&th).into_iter();
+            let violations = o.manifest.check(&th).into_iter();
             violations.map(move |v| format!("trial {trial}: {v}"))
         });
         gate("fidelity self-check under faults", violations.collect())?;
@@ -1114,7 +1138,9 @@ fn cmd_fleet(args: &Args) -> CliResult {
         });
     }
     plan = plan.with_profile(args.on("profile"));
-    let faults = args.get("fault-plan").map(load_fault_plan).transpose()?;
+    let faults = (args.get("fault-plan").map(load_fleet_fault_plan))
+        .transpose()?
+        .unwrap_or_default();
     let fault_seed: u64 = args.num("fault-seed")?;
     let rules = args.get("alerts").map(load_rules).transpose()?;
     let baseline = read_baseline(args.get("alerts-baseline"))?;
@@ -1123,11 +1149,7 @@ fn cmd_fleet(args: &Args) -> CliResult {
         "fleet: {} clients × '{}' ({} stations, {} shard(s), {} worker(s))...",
         plan.clients, plan.scenario.name, plan.stations, plan.shards, jobs
     );
-    let exec = Exec::with_workers(jobs);
-    let out = match &faults {
-        Some(fault_plan) => fleet_run_chaos(&plan, &exec, fault_seed, fault_plan),
-        None => fleet_run(&plan, &exec),
-    };
+    let out = fleet_run_chaos(&plan, &Exec::with_workers(jobs), fault_seed, &faults);
 
     print!("{}", out.report.render_markdown());
     print_faults("", &out.faults);

@@ -237,6 +237,42 @@ fn fleet_runs_a_valid_pack_end_to_end() {
     assert!(stdout.contains("| `leo` |"), "{stdout}");
 }
 
+/// The fleet applies only `kill_worker`: a plan holding any other fault
+/// kind would inject nothing, so it is refused before the run, and the
+/// message names the kinds.
+#[test]
+fn fleet_refuses_fault_kinds_it_cannot_apply() {
+    let fleet = |plan: &str| {
+        tracemod(&[
+            "fleet",
+            "--clients",
+            "4",
+            "--duration-secs",
+            "5",
+            "--fault-plan",
+            &fault_plan(plan),
+        ])
+    };
+    for (plan, kinds) in [
+        ("2-corrupt.json", "not corrupt_chunk"),
+        ("5-stall.json", "not stall_feed"),
+        ("7-oom.json", "not oom_ring"),
+        (
+            "9-combo.json",
+            "not corrupt_chunk, oom_ring, stall_feed, truncate_trace",
+        ),
+    ] {
+        let out = fleet(plan);
+        assert_exit(&out, 2, "the fleet applies only kill_worker faults");
+        assert!(
+            stderr_of(&out).contains(kinds),
+            "{plan}: {}",
+            stderr_of(&out)
+        );
+    }
+    assert_exit(&fleet("8-kill.json"), 0, "fleet: 4 clients");
+}
+
 #[test]
 fn chaos_fault_budget_exceeded_is_a_runtime_error() {
     let plan = temp_path("busy-plan.json");
