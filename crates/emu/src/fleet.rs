@@ -48,7 +48,7 @@ use netsim::Step;
 use netsim::{SimDuration, SimRng, SimTime};
 use netstack::{Direction, LinkShim, ShimRelease, ShimVerdict};
 use obs::fleet::FleetReport;
-use obs::telemetry::{FleetTelemetry, SamplePoint, ShardTelemetry, TelemetryConfig};
+use obs::telemetry::{FleetTelemetry, SamplePoint, TelemetryConfig};
 use obs::{FidelityThresholds, Hist, Profiler, RunManifest, RunnerSection};
 use tracekit::{QualityTuple, ReplayTrace};
 use wavelan::{ChannelModel, Registry, Scenario, ScenarioPack};
@@ -188,6 +188,12 @@ impl FleetPlan {
     /// Effective duration (override or the scenario's).
     pub fn duration(&self) -> SimDuration {
         self.duration.unwrap_or(self.scenario.duration)
+    }
+
+    /// Virtual end of every client's timeline: the walk plus the drain
+    /// grace.
+    fn end_ns(&self) -> u64 {
+        self.duration().as_nanos() + DRAIN_GRACE_NS
     }
 
     /// The channel model family + canonical params governing `client`
@@ -363,9 +369,11 @@ pub struct FleetShardOutcome {
     pub faults: Vec<FaultEvent>,
     /// Fault tallies for this shard.
     pub counters: FaultCounters,
-    /// This shard's telemetry ring and worst-client tracker, when the
-    /// plan enables the plane (merged fleet-wide in plan order).
-    pub telemetry: Option<ShardTelemetry>,
+    /// This shard's cumulative telemetry readings, summed over its
+    /// clients, at the run's last `ring_capacity + 1` sampling
+    /// boundaries, when the plan enables the plane (summed fleet-wide
+    /// in plan order, then built into [`FleetTelemetry`]).
+    pub telemetry: Option<Vec<SamplePoint>>,
     /// This shard's self-profile, when the plan enables it
     /// (wall-clock; merged by summation, never deterministic).
     pub profile: Option<Profiler>,
@@ -382,8 +390,7 @@ impl FleetShard {
     /// one, preserving merge order.
     pub fn run(&self, cell_index: usize) -> FleetShardOutcome {
         let (seed, fplan) = &self.fault;
-        let span_ns = self.plan.duration().as_nanos() + DRAIN_GRACE_NS;
-        let mut injector = FaultInjector::new(*seed, fplan, span_ns);
+        let mut injector = FaultInjector::new(*seed, fplan, self.plan.end_ns());
         injector.restart_on_kill(cell_index, |at_event| {
             run_shard(&self.plan, self.lo, self.hi, Some(at_event))
         });
@@ -481,10 +488,11 @@ fn client_reading(cl: &ClientState) -> SamplePoint {
 /// one core dispatching in `(due, seq)` order would have stopped. Probe
 /// passes skip telemetry, since their output is discarded.
 ///
-/// With telemetry on, each client adds its reading at every sampling
-/// boundary to that boundary's summed row. Only the last
+/// With telemetry on, each client adds its cumulative reading at every
+/// sampling boundary to that boundary's summed row. Only the last
 /// `ring_capacity + 1` boundaries are summed (the extra one differences
-/// the first row the ring keeps), so memory is bounded by the ring.
+/// the first row kept), so memory is bounded by the kept series; the
+/// merge differences the fleet-wide sums once.
 fn run_shard(
     plan: &FleetPlan,
     lo: u32,
@@ -492,7 +500,7 @@ fn run_shard(
     kill_after: Option<u64>,
 ) -> Result<FleetShardOutcome, u64> {
     let duration_ns = plan.duration().as_nanos();
-    let end_ns = duration_ns + DRAIN_GRACE_NS;
+    let end_ns = plan.end_ns();
     let interval_ns = plan.probe_interval.as_nanos();
     let mut stations = StationTable::for_fleet(plan.clients, plan.stations, STATION_ALPHA);
     let mut store = PacketStore::new();
@@ -675,29 +683,6 @@ fn run_shard(
         }
     }
     if let Some(p) = prof.as_mut() {
-        p.enter("finalize");
-    }
-    let telemetry = tel_cfg.map(|cfg| {
-        let mut tel = ShardTelemetry::new(cfg);
-        tel.skip_evicted(first_summed);
-        for row in &sums {
-            tel.sample(row.t_ns, *row);
-        }
-        // Per-client p95 RTT is a pure function of the client's own
-        // history, so the shard-local trackers merge into an exact,
-        // layout-invariant fleet-wide top K (each client lives in
-        // exactly one shard). The p95 comes from the manifest's RTT
-        // snapshot, which has already sorted the samples.
-        for (man, c) in manifests.iter().zip(lo..hi) {
-            let rtt = man.metrics.hist("fleet.rtt_ms").expect("set per client");
-            if rtt.count > 0 {
-                tel.note_client_p95(c, (rtt.p95 * 1_000.0).round() as u64);
-            }
-        }
-        tel
-    });
-    if let Some(p) = prof.as_mut() {
-        p.exit("finalize");
         p.exit("shard");
     }
 
@@ -711,7 +696,7 @@ fn run_shard(
         virtual_secs: end_ns as f64 / 1e9,
         faults: Vec::new(),
         counters: FaultCounters::default(),
-        telemetry,
+        telemetry: tel_cfg.map(|_| sums),
         profile: prof,
     })
 }
@@ -816,7 +801,7 @@ pub fn fleet_run_chaos(
     let mut events = 0u64;
     let mut peak_queue_depth = 0usize;
     let mut peak_packets_live = 0usize;
-    let mut shard_telemetry: Vec<ShardTelemetry> = Vec::new();
+    let mut readings: Option<Vec<SamplePoint>> = None;
     let mut profile: Option<Profiler> = None;
     for mut shard in results.into_fleet_outcomes() {
         debug_assert_eq!(
@@ -831,7 +816,12 @@ pub fn fleet_run_chaos(
         events += shard.events_processed;
         peak_queue_depth = peak_queue_depth.max(shard.peak_queue_depth);
         peak_packets_live = peak_packets_live.max(shard.peak_packets_live);
-        shard_telemetry.extend(shard.telemetry);
+        if let Some(rows) = shard.telemetry {
+            match readings.as_mut() {
+                Some(sum) => sum.iter_mut().zip(&rows).for_each(|(r, o)| r.absorb(o)),
+                None => readings = Some(rows),
+            }
+        }
         if let Some(p) = &shard.profile {
             profile.get_or_insert_with(Profiler::new).merge(p);
         }
@@ -843,15 +833,21 @@ pub fn fleet_run_chaos(
         &FidelityThresholds::default(),
     );
     if let Some(cfg) = &plan.telemetry {
-        // Shard rings merge in plan order; station hot spots come from
-        // the *merged* station table (stations span shards, so exact
-        // fleet-wide counts are the only layout-invariant source).
-        let mut tel = FleetTelemetry::merge(&shard_telemetry);
-        tel.set_hot_stations(
-            cfg.top_k,
+        // A client's p95 RTT comes from its manifest's RTT snapshot;
+        // station hot spots come from the *merged* station table
+        // (stations span shards, so exact fleet-wide counts are the
+        // only layout-invariant source).
+        let p95s = manifests.iter().zip(0..).filter_map(|(man, c)| {
+            let rtt = man.metrics.hist("fleet.rtt_ms").expect("set per client");
+            (rtt.count > 0).then(|| (c, (rtt.p95 * 1_000.0).round() as u64))
+        });
+        report.telemetry = Some(FleetTelemetry::from_readings(
+            cfg,
+            plan.end_ns() / cfg.interval_ns,
+            readings.as_deref().unwrap_or_default(),
+            p95s,
             (0..stations.stations() as u32).map(|s| (s, stations.frames(s))),
-        );
-        report.telemetry = Some(tel);
+        ));
     }
     report.metrics.set_counter("fleet.engine_events", events);
     report

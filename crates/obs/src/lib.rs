@@ -26,12 +26,12 @@
 //! * [`mod@bench`] — cross-run benchmark regression tracking
 //!   (`tracemod bench-diff` against a committed `BENCH_baseline.json`)
 //!   plus the same-run [`OverheadGate`];
-//! * [`telemetry`] — the fleet telemetry plane: per-shard virtual-time
-//!   sample rings merged into a layout-invariant [`FleetTelemetry`]
-//!   (JSONL / Prometheus / markdown sparklines) with exact
-//!   [`TopK`] outlier tracking. Each [`SamplePoint`] field is declared
-//!   once, in the field table every export and alert selector
-//!   iterates;
+//! * [`telemetry`] — the fleet telemetry plane: virtual-time sample
+//!   readings summed across shards and built once into a
+//!   layout-invariant [`FleetTelemetry`] (JSONL / Prometheus /
+//!   markdown sparklines) with the worst clients and hottest stations
+//!   ranked exactly. Each [`SamplePoint`] field is declared once, in
+//!   the field table every export and alert selector iterates;
 //! * [`profile`] — an opt-in scoped wall-clock [`Profiler`] with
 //!   flamegraph collapsed-stack output for the fleet hot paths;
 //! * [`alerts`] — the fidelity SLO engine: declarative TOML rules
@@ -85,6 +85,4 @@ pub use metrics::{Hist, HistSnapshot};
 pub use profile::{ProfEntry, Profiler};
 pub use registry::MetricsRegistry;
 pub use run_dir::{Artifact, DirDiff};
-pub use telemetry::{
-    FleetTelemetry, SamplePoint, ShardTelemetry, TelemetryConfig, TopEntry, TopK, TELEMETRY_SCHEMA,
-};
+pub use telemetry::{FleetTelemetry, SamplePoint, TelemetryConfig, TopEntry, TELEMETRY_SCHEMA};
