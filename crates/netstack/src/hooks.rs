@@ -75,84 +75,3 @@ pub trait LinkShim: Any + Send {
     /// timer every tick can reuse one allocation.
     fn collect_due_into(&mut self, now: SimTime, rng: &mut SimRng, out: &mut Vec<ShimRelease>);
 }
-
-/// A shim that passes everything through — useful as a baseline and in
-/// tests.
-#[derive(Debug, Default)]
-pub struct PassthroughShim;
-
-impl LinkShim for PassthroughShim {
-    fn offer(
-        &mut self,
-        _dir: Direction,
-        bytes: Vec<u8>,
-        _now: SimTime,
-        _rng: &mut SimRng,
-    ) -> ShimVerdict {
-        ShimVerdict::Pass(bytes)
-    }
-
-    fn next_wakeup(&self) -> Option<SimTime> {
-        None
-    }
-
-    fn collect_due_into(&mut self, _now: SimTime, _rng: &mut SimRng, _out: &mut Vec<ShimRelease>) {}
-}
-
-/// A tap that counts frames and bytes per direction — useful baseline and
-/// test double.
-#[derive(Debug, Default)]
-pub struct CountingTap {
-    /// Outbound (frames, bytes).
-    pub outbound: (u64, u64),
-    /// Inbound (frames, bytes).
-    pub inbound: (u64, u64),
-    /// Number of polls observed.
-    pub polls: u64,
-}
-
-impl DeviceTap for CountingTap {
-    fn on_frame(&mut self, dir: Direction, bytes: &[u8], _now: SimTime) {
-        let slot = match dir {
-            Direction::Outbound => &mut self.outbound,
-            Direction::Inbound => &mut self.inbound,
-        };
-        slot.0 += 1;
-        slot.1 += bytes.len() as u64;
-    }
-
-    fn on_poll(&mut self, _now: SimTime) {
-        self.polls += 1;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counting_tap_counts() {
-        let mut tap = CountingTap::default();
-        tap.on_frame(Direction::Outbound, &[0u8; 100], SimTime::ZERO);
-        tap.on_frame(Direction::Inbound, &[0u8; 40], SimTime::ZERO);
-        tap.on_frame(Direction::Inbound, &[0u8; 60], SimTime::ZERO);
-        tap.on_poll(SimTime::ZERO);
-        assert_eq!(tap.outbound, (1, 100));
-        assert_eq!(tap.inbound, (2, 100));
-        assert_eq!(tap.polls, 1);
-    }
-
-    #[test]
-    fn passthrough_never_holds() {
-        let mut shim = PassthroughShim;
-        let mut rng = SimRng::seed_from_u64(1);
-        match shim.offer(Direction::Outbound, vec![1, 2, 3], SimTime::ZERO, &mut rng) {
-            ShimVerdict::Pass(bytes) => assert_eq!(bytes, vec![1, 2, 3]),
-            other => panic!("expected Pass, got {other:?}"),
-        }
-        assert!(shim.next_wakeup().is_none());
-        let mut out = Vec::new();
-        shim.collect_due_into(SimTime::MAX, &mut rng, &mut out);
-        assert!(out.is_empty());
-    }
-}

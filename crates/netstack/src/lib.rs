@@ -27,9 +27,7 @@ pub mod tcp;
 
 pub use app::{App, AppEvent, AppId};
 pub use config::{HostConfig, TcpConfig};
-pub use hooks::{
-    CountingTap, DeviceTap, Direction, LinkShim, PassthroughShim, ShimRelease, ShimVerdict,
-};
+pub use hooks::{DeviceTap, Direction, LinkShim, ShimRelease, ShimVerdict};
 pub use host::{Host, HostApi, HostCore, HostStats, NIC_PORT, START_TOKEN};
 pub use tcp::{TcpHandle, TcpState};
 
