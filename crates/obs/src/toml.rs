@@ -4,7 +4,7 @@
 //! A document is read line by line. Blank lines and `#` comments
 //! outside quoted strings are skipped, `[[name]]` opens a new table of
 //! the one kind the front end accepts, and every other line is
-//! `key = value`. Values are quoted strings (no escapes), numbers, or
+//! `key = value`. Values are quoted strings (no escapes), finite numbers, or
 //! whatever the front end parses itself from the raw value text.
 //!
 //! [`RuleSet::from_toml`]: crate::RuleSet::from_toml
@@ -62,11 +62,15 @@ pub fn string(key: &str, value: &str) -> Result<String, String> {
     }
 }
 
-/// A numeric value for `key`.
+/// A finite numeric value for `key`. `nan`, `inf` and overflowing
+/// literals such as `1e999` are errors: a bar of NaN never fires.
 pub fn number(key: &str, value: &str) -> Result<f64, String> {
-    value
-        .parse::<f64>()
-        .map_err(|_| format!("expected a number for '{key}', got '{value}'"))
+    match value.parse::<f64>() {
+        Ok(n) if n.is_finite() => Ok(n),
+        _ => Err(format!(
+            "expected a finite number for '{key}', got '{value}'"
+        )),
+    }
 }
 
 /// Drop a `#` comment unless the `#` sits inside a quoted string.
