@@ -758,6 +758,7 @@ pub fn fleet_alerts(
             report: Some(&out.report),
             baseline,
             faults: &out.faults,
+            run: None,
         },
     )
 }
@@ -928,8 +929,9 @@ mod tests {
         assert!(completed > 0, "probes must complete round trips");
         assert!(out.stations.total_frames() > 0);
         assert!(out.peak_packets_live > 0);
-        // Aggregate gate: a healthy tiny fleet passes default thresholds.
-        let violations = out.report.check(&FidelityThresholds::default());
+        // Aggregate gate: a healthy tiny fleet passes the builtin rules.
+        let alerts = fleet_alerts(&out, &obs::RuleSet::builtin(), None).unwrap();
+        let violations = alerts.check(obs::Severity::Warn);
         assert!(violations.is_empty(), "fleet gate failed: {violations:?}");
     }
 

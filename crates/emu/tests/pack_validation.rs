@@ -9,8 +9,21 @@ use distill::DistillConfig;
 use emu::{fleet_run, live_modulated_run, Benchmark, Exec, FleetPlan, RunConfig};
 use faultkit::FaultPlan;
 use netsim::SimDuration;
-use obs::{FidelityThresholds, FleetReport, RunManifest};
+use obs::{evaluate_alerts, AlertInputs, FleetReport, RuleSet, RunManifest, Severity};
 use wavelan::ScenarioPack;
+
+/// The builtin rules' violations on a run or fleet (empty = pass).
+fn gate(inputs: AlertInputs) -> Vec<String> {
+    let alerts = evaluate_alerts(&RuleSet::builtin(), &inputs).expect("builtin rules evaluate");
+    alerts.check(Severity::Warn)
+}
+
+fn fleet_gate(report: &FleetReport) -> Vec<String> {
+    gate(AlertInputs {
+        report: Some(report),
+        ..AlertInputs::default()
+    })
+}
 
 /// Load a committed pack fixture from the repository `packs/` dir.
 fn committed_pack(file: &str) -> ScenarioPack {
@@ -91,7 +104,7 @@ fn leo_pack_fleet_matches_golden_summary() {
             model_clients: vec![("leo", 14), ("errant", 2)],
         }
     );
-    let violations = report.check(&FidelityThresholds::default());
+    let violations = fleet_gate(&report);
     assert!(
         violations.is_empty(),
         "leo fleet gate failed: {violations:?}"
@@ -122,7 +135,7 @@ fn errant_pack_fleet_matches_golden_summary() {
             "operator=op3 rat=4g"
         ]
     );
-    let violations = report.check(&FidelityThresholds::default());
+    let violations = fleet_gate(&report);
     assert!(
         violations.is_empty(),
         "errant fleet gate failed: {violations:?}"
@@ -179,7 +192,10 @@ fn validation_cell(file: &str, want_family: &str) {
     );
     let model = out.manifest.model.as_ref().expect("manifest records model");
     assert_eq!(model.family, want_family, "{file}");
-    let violations = out.manifest.check(&FidelityThresholds::default());
+    let violations = gate(AlertInputs {
+        run: Some(&out.manifest),
+        ..AlertInputs::default()
+    });
     assert!(
         violations.is_empty(),
         "{file}: validation cell failed fidelity gate: {violations:?}"

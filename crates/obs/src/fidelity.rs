@@ -15,6 +15,9 @@
 //!   where a shrinking tuple delay would have reordered a direction;
 //! * **loss delta** — observed drop rate minus the replay trace's
 //!   expected loss probability over the same packets.
+//!
+//! This module measures; it does not judge. The bars a run is held to
+//! are the `run.*` rules of [`RuleSet::builtin`](crate::RuleSet::builtin).
 
 use crate::metrics::{Hist, HistSnapshot};
 use netsim::stats::Summary;
@@ -248,77 +251,12 @@ impl FidelityReport {
     pub fn empty() -> Self {
         FidelityCollector::new().report()
     }
-
-    /// Check against thresholds; returns human-readable violations
-    /// (empty = pass).
-    pub fn check(&self, th: &FidelityThresholds) -> Vec<String> {
-        let mut out = Vec::new();
-        if self.abs_delay_error_p95_ms > th.max_abs_delay_error_p95_ms {
-            out.push(format!(
-                "delay-error p95 {:.2} ms exceeds {:.2} ms",
-                self.abs_delay_error_p95_ms, th.max_abs_delay_error_p95_ms
-            ));
-        }
-        if self.deadline_miss_rate > th.max_deadline_miss_rate {
-            out.push(format!(
-                "deadline-miss rate {:.4} exceeds {:.4}",
-                self.deadline_miss_rate, th.max_deadline_miss_rate
-            ));
-        }
-        if self.modulated_packets >= th.min_loss_samples
-            && self.loss_delta.abs() > th.max_abs_loss_delta
-        {
-            out.push(format!(
-                "loss delta {:+.4} exceeds ±{:.4} (expected {:.4}, observed {:.4})",
-                self.loss_delta,
-                th.max_abs_loss_delta,
-                self.expected_loss_rate,
-                self.observed_loss_rate
-            ));
-        }
-        if self.unmodulated_fraction > th.max_unmodulated_fraction {
-            out.push(format!(
-                "unmodulated fraction {:.3} exceeds {:.3}",
-                self.unmodulated_fraction, th.max_unmodulated_fraction
-            ));
-        }
-        out
-    }
-}
-
-/// Regression thresholds for [`FidelityReport::check`] (the CI gate).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FidelityThresholds {
-    /// Maximum allowed p95 of |delay error| in ms. The default (8 ms)
-    /// brackets the ±half-tick rounding of the 10 ms NetBSD clock plus
-    /// scheduling slack.
-    pub max_abs_delay_error_p95_ms: f64,
-    /// Maximum allowed deadline-miss rate.
-    pub max_deadline_miss_rate: f64,
-    /// Maximum allowed |loss delta|.
-    pub max_abs_loss_delta: f64,
-    /// Loss delta is only gated once this many packets were modulated
-    /// (below that, binomial noise dominates).
-    pub min_loss_samples: u64,
-    /// Maximum allowed unmodulated fraction.
-    pub max_unmodulated_fraction: f64,
-}
-
-impl Default for FidelityThresholds {
-    fn default() -> Self {
-        FidelityThresholds {
-            max_abs_delay_error_p95_ms: 8.0,
-            max_deadline_miss_rate: 0.05,
-            max_abs_loss_delta: 0.05,
-            min_loss_samples: 200,
-            max_unmodulated_fraction: 0.9,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{evaluate_alerts, AlertInputs, FidelityThresholds, RuleSet, RunManifest};
 
     #[test]
     fn clean_run_passes_default_thresholds() {
@@ -336,7 +274,7 @@ mod tests {
         assert_eq!(r.modulated_packets, 510);
         assert!(r.abs_delay_error_p95_ms <= 5.0);
         assert!((r.observed_loss_rate - 10.0 / 510.0).abs() < 1e-12);
-        assert!(r.check(&FidelityThresholds::default()).is_empty());
+        assert!(!FidelityThresholds::default().fails(&r));
     }
 
     #[test]
@@ -350,10 +288,23 @@ mod tests {
             c.on_modulated(0.01);
             c.on_drop();
         }
-        let r = c.report();
-        let v = r.check(&FidelityThresholds::default());
-        assert_eq!(v.len(), 3, "{v:?}"); // delay, deadline, loss
-        assert!(v[0].contains("delay-error"));
+        let mut run = RunManifest::new("porter_walk", "web", 0);
+        run.fidelity = c.report();
+        let inputs = AlertInputs {
+            run: Some(&run),
+            ..AlertInputs::default()
+        };
+        let alerts = evaluate_alerts(&RuleSet::builtin(), &inputs).unwrap();
+        let fired: Vec<&str> = alerts.alerts.iter().map(|a| a.rule.as_str()).collect();
+        assert_eq!(
+            fired,
+            [
+                "run-delay-error-p95",
+                "run-deadline-miss-rate",
+                "run-loss-delta"
+            ]
+        );
+        assert!(FidelityThresholds::default().fails(&run.fidelity));
     }
 
     #[test]
@@ -365,9 +316,7 @@ mod tests {
         }
         // Observed 100% loss vs expected 0%, but only 10 packets:
         // the loss gate stays silent.
-        let r = c.report();
-        let v = r.check(&FidelityThresholds::default());
-        assert!(v.is_empty(), "{v:?}");
+        assert!(!FidelityThresholds::default().fails(&c.report()));
     }
 
     #[test]
@@ -391,9 +340,9 @@ mod tests {
         let r = c.report();
         assert!(r.degraded);
         assert_eq!(r.starvation_holds, 3);
-        // Degradation is surfaced, not gated: default thresholds still
-        // judge the run on its release precision.
-        assert!(r.check(&FidelityThresholds::default()).is_empty());
+        // Degradation is surfaced, not gated: the run rules still judge
+        // the run on its release precision.
+        assert!(!FidelityThresholds::default().fails(&r));
     }
 
     #[test]

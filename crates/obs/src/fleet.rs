@@ -5,12 +5,12 @@
 //! index); this module folds them into a single machine-readable
 //! summary: fleet-wide packet totals, the distribution of per-client
 //! fidelity (worst and released-weighted mean p95 delay error), and
-//! counts of clients whose own fidelity gate failed. Like the per-run
+//! counts of clients that a per-run rule failed. Like the per-run
 //! manifest, everything except the [`RunnerSection`] derives purely
 //! from simulation state, so [`FleetReport::deterministic_json`] is
 //! byte-identical across worker counts and shard layouts.
 
-use crate::fidelity::FidelityThresholds;
+use crate::alerts::FidelityThresholds;
 use crate::manifest::{runner_stripped_json, RunManifest, RunnerSection};
 use crate::registry::MetricsRegistry;
 use crate::telemetry::FleetTelemetry;
@@ -56,9 +56,8 @@ pub struct FleetReport {
     pub mean_abs_delay_error_p95_ms: f64,
     /// Worst per-client |delay error| p95 (ms).
     pub worst_abs_delay_error_p95_ms: f64,
-    /// Clients whose own fidelity gate
-    /// ([`FidelityReport::check`](crate::fidelity::FidelityReport::check))
-    /// failed.
+    /// Clients that a per-run rule failed (a `run.*` rule of
+    /// [`RuleSet::builtin`](crate::RuleSet::builtin)).
     pub failed_clients: u32,
     /// Clients whose run degraded (sustained starvation).
     pub degraded_clients: u32,
@@ -87,8 +86,8 @@ pub struct FleetReport {
 
 impl FleetReport {
     /// Fold per-client manifests (trial = client index, in client
-    /// order) into the aggregate report. `thresholds` drives the
-    /// per-client pass/fail tally.
+    /// order) into the aggregate report. `thresholds`, the compiled
+    /// per-run rules, drives the per-client pass/fail tally.
     pub fn from_manifests(
         scenario: &str,
         manifests: &[RunManifest],
@@ -127,7 +126,7 @@ impl FleetReport {
                 r.worst_abs_delay_error_p95_ms = f.abs_delay_error_p95_ms;
                 r.worst_p95_client = Some(m.trial);
             }
-            if !f.check(thresholds).is_empty() {
+            if thresholds.fails(f) {
                 r.failed_clients += 1;
             }
             if f.degraded {
@@ -166,48 +165,6 @@ impl FleetReport {
             r.mean_abs_delay_error_p95_ms = weighted_p95 / r.released_packets as f64;
         }
         r
-    }
-
-    /// The fleet fidelity gate: every client must pass its own gate,
-    /// and the fleet-wide miss rate and worst p95 must clear the same
-    /// thresholds a single run is held to. Returns the violations
-    /// (empty = pass).
-    ///
-    /// A report with no evidence cannot pass: an empty fleet, or a
-    /// fleet that released nothing, is a "no data" violation rather
-    /// than a vacuous green.
-    pub fn check(&self, th: &FidelityThresholds) -> Vec<String> {
-        let mut out = Vec::new();
-        if self.clients == 0 {
-            out.push("no data: fleet has zero clients".to_string());
-            return out;
-        }
-        if self.released_packets == 0 {
-            out.push(format!(
-                "no data: {} clients released zero packets",
-                self.clients
-            ));
-            return out;
-        }
-        if self.failed_clients > 0 {
-            out.push(format!(
-                "{} of {} clients failed the per-client fidelity gate",
-                self.failed_clients, self.clients
-            ));
-        }
-        if self.worst_abs_delay_error_p95_ms > th.max_abs_delay_error_p95_ms {
-            out.push(format!(
-                "worst per-client delay-error p95 {:.2} ms exceeds {:.2} ms",
-                self.worst_abs_delay_error_p95_ms, th.max_abs_delay_error_p95_ms
-            ));
-        }
-        if self.deadline_miss_rate > th.max_deadline_miss_rate {
-            out.push(format!(
-                "fleet deadline-miss rate {:.4} exceeds {:.4}",
-                self.deadline_miss_rate, th.max_deadline_miss_rate
-            ));
-        }
-        out
     }
 
     /// Pretty-printed JSON form (the `report.json` artifact).
@@ -299,7 +256,17 @@ impl FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FidelityCollector;
+    use crate::{evaluate_alerts, AlertInputs, FidelityCollector, RuleSet, Severity};
+
+    /// The builtin rules' violations on `r` (empty = pass).
+    fn gate(r: &FleetReport) -> Vec<String> {
+        let inputs = AlertInputs {
+            report: Some(r),
+            ..AlertInputs::default()
+        };
+        let alerts = evaluate_alerts(&RuleSet::builtin(), &inputs).unwrap();
+        alerts.check(Severity::Warn)
+    }
 
     fn manifest(trial: u32, err_ms: f64, releases: u64) -> RunManifest {
         let mut fc = FidelityCollector::new();
@@ -322,7 +289,7 @@ mod tests {
         assert!(r.worst_abs_delay_error_p95_ms >= 2.5);
         assert!(r.mean_abs_delay_error_p95_ms < r.worst_abs_delay_error_p95_ms);
         assert_eq!(r.failed_clients, 0);
-        assert!(r.check(&FidelityThresholds::default()).is_empty());
+        assert!(gate(&r).is_empty());
     }
 
     #[test]
@@ -331,9 +298,9 @@ mod tests {
         let th = FidelityThresholds::default();
         let r = FleetReport::from_manifests("porter_walk", &manifests, &th);
         assert_eq!(r.failed_clients, 1);
-        let violations = r.check(&th);
-        assert!(!violations.is_empty());
-        assert!(violations[0].contains("1 of 2 clients"));
+        let violations = gate(&r);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("fleet-failed-clients"));
     }
 
     #[test]
@@ -344,10 +311,8 @@ mod tests {
         assert_eq!(r.deadline_miss_rate, 0.0);
         assert!(r.mean_abs_delay_error_p95_ms.is_finite());
         assert!(r.worst_p95_client.is_none());
-        let v = r.check(&th);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("no data"));
-        assert!(v[0].contains("zero clients"));
+        let v = gate(&r);
+        assert!(v[0].contains("fleet-no-clients"), "{v:?}");
     }
 
     #[test]
@@ -359,10 +324,9 @@ mod tests {
         assert_eq!(r.released_packets, 0);
         assert!(!r.deadline_miss_rate.is_nan());
         assert!(!r.mean_abs_delay_error_p95_ms.is_nan());
-        let v = r.check(&th);
+        let v = gate(&r);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("no data"));
-        assert!(v[0].contains("released zero packets"));
+        assert!(v[0].contains("fleet-no-releases"));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   gauges, and histogram summaries, mergeable under a stage prefix;
 //! * [`FidelityCollector`] / [`FidelityReport`] — the modulation-layer
 //!   self-check (intended-vs-actual delay error percentiles, deadline
-//!   misses, drift clamps, loss-rate delta vs the replay trace) with
-//!   [`FidelityThresholds`] for CI gating;
+//!   misses, drift clamps, loss-rate delta vs the replay trace), which
+//!   the `run.*` alert rules judge;
 //! * [`RunManifest`] — the per-run artifact (`manifest.json` in a run
 //!   directory)
 //!   separating deterministic sim-path metrics from the wall-clock
@@ -34,12 +34,16 @@
 //!   the field table every export and alert selector iterates;
 //! * [`profile`] — an opt-in scoped wall-clock [`Profiler`] with
 //!   flamegraph collapsed-stack output for the fleet hot paths;
-//! * [`alerts`] — the fidelity SLO engine: declarative TOML rules
-//!   (thresholds, windowed burn rates, delta-vs-baseline) evaluated in
-//!   virtual time over the telemetry series and fleet aggregates, with
-//!   chaos-aware suppression windows keyed off injected faults (the one
+//! * [`alerts`] — the one engine that judges a run: declarative TOML
+//!   rules (thresholds, windowed burn rates, delta-vs-baseline)
+//!   evaluated in virtual time over one run's fidelity section, or a
+//!   fleet's telemetry series and aggregates, with chaos-aware
+//!   suppression windows keyed off injected faults (the one
 //!   [`FaultEvent`] type, which `faultkit` re-exports), exported as
-//!   byte-deterministic JSONL + markdown;
+//!   byte-deterministic JSONL + markdown. [`RuleSet::builtin`] is the
+//!   fidelity contract every `--check` gates on, and
+//!   [`FidelityThresholds`] its per-run rules compiled, which count a
+//!   fleet's failed clients;
 //! * [`mod@toml`] — the line-oriented TOML subset that alert rules and
 //!   scenario packs are written in;
 //! * [`diff`] — cross-run divergence forensics: a first-divergence
@@ -72,12 +76,12 @@ pub mod telemetry;
 pub mod toml;
 
 pub use alerts::{
-    evaluate as evaluate_alerts, Alert, AlertInputs, AlertReport, FaultEvent, RuleSet, Severity,
-    ALERTS_SCHEMA,
+    evaluate as evaluate_alerts, Alert, AlertInputs, AlertReport, FaultEvent, FidelityThresholds,
+    RuleSet, Severity, ALERTS_SCHEMA,
 };
 pub use bench::{BenchDiff, BenchDiffConfig, BenchRecord, BenchStatus, BenchVerdict, OverheadGate};
 pub use diff::{diff_artifacts, ArtifactKind, DiffOptions, Divergence};
-pub use fidelity::{FidelityCollector, FidelityReport, FidelityThresholds};
+pub use fidelity::{FidelityCollector, FidelityReport};
 pub use fleet::{FleetReport, ModelUsage, FLEET_SCHEMA};
 pub use flight::{FlightHandle, FlightRecord, FlightRecorder, PacketId, PacketJourney, Stage};
 pub use manifest::{ModelInfo, RunManifest, RunnerSection, MANIFEST_SCHEMA};

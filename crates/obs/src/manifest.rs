@@ -2,7 +2,8 @@
 //! live-pipeline run directory; runner-stripped, one line per run in
 //! `manifests.jsonl`).
 
-use crate::fidelity::{FidelityReport, FidelityThresholds};
+use crate::alerts::{evaluate, AlertInputs, RuleSet, Severity};
+use crate::fidelity::FidelityReport;
 use crate::registry::MetricsRegistry;
 use serde::{Deserialize, Serialize, Value};
 use std::fmt::Write as _;
@@ -120,11 +121,6 @@ impl RunManifest {
         runner_stripped_json(self).unwrap_or_default()
     }
 
-    /// Check the fidelity section against `th` (empty = pass).
-    pub fn check(&self, th: &FidelityThresholds) -> Vec<String> {
-        self.fidelity.check(th)
-    }
-
     /// Markdown report (the `tracemod obs-report` output) — suitable
     /// for pasting into a PR description or CI job summary.
     pub fn render_markdown(&self) -> String {
@@ -187,9 +183,14 @@ impl RunManifest {
                 f.starvation_holds
             );
         }
-        let violations = self.check(&FidelityThresholds::default());
+        let inputs = AlertInputs {
+            run: Some(self),
+            ..AlertInputs::default()
+        };
+        let verdict = evaluate(&RuleSet::builtin(), &inputs).expect("builtin rules judge a run");
+        let violations = verdict.check(Severity::Warn);
         if violations.is_empty() {
-            let _ = writeln!(s, "\n**Self-check: PASS** (default thresholds)");
+            let _ = writeln!(s, "\n**Self-check: PASS** (builtin rules)");
         } else {
             let _ = writeln!(s, "\n**Self-check: FAIL**");
             for v in &violations {

@@ -157,8 +157,8 @@ fn builtin_alert_exports_match_golden_bytes() {
         &AlertInputs {
             series: &tel.series,
             report: Some(&rep),
-            baseline: None,
             faults: &faults,
+            ..AlertInputs::default()
         },
     )
     .unwrap();
