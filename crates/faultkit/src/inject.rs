@@ -543,7 +543,11 @@ mod tests {
 
     #[test]
     fn corrupt_chunk_fires_once_and_is_quarantined_or_survived() {
-        let mut inj = FaultInjector::new(7, &FaultPlan::new().corrupt_chunk(0), SPAN);
+        let mut inj = FaultInjector::new(
+            7,
+            &FaultPlan::from(vec![Fault::CorruptChunk { at_byte: 0 }]),
+            SPAN,
+        );
         let recs = records(50);
         let out = inj.process_records(&recs);
         inj.finish_records();
@@ -558,7 +562,10 @@ mod tests {
 
     #[test]
     fn same_seed_same_faults() {
-        let plan = FaultPlan::new().corrupt_chunk(33).clock_jump(500);
+        let plan = FaultPlan::from(vec![
+            Fault::CorruptChunk { at_byte: 33 },
+            Fault::ClockJump { delta_ms: 500 },
+        ]);
         let recs = records(80);
         let run = |seed| {
             let mut inj = FaultInjector::new(seed, &plan, SPAN);
@@ -574,7 +581,11 @@ mod tests {
 
     #[test]
     fn truncate_cuts_tail_records() {
-        let mut inj = FaultInjector::new(1, &FaultPlan::new().truncate_trace(50.0), SPAN);
+        let mut inj = FaultInjector::new(
+            1,
+            &FaultPlan::from(vec![Fault::TruncateTrace { pct: 50.0 }]),
+            SPAN,
+        );
         let recs = records(10); // timestamps 0..9ms, span 10s: all below cutoff
         let out = inj.process_records(&recs);
         assert_eq!(out.len(), 10);
@@ -595,7 +606,7 @@ mod tests {
 
     #[test]
     fn clock_jump_shifts_after_trigger() {
-        let plan = FaultPlan::new().clock_jump(1_000);
+        let plan = FaultPlan::from(vec![Fault::ClockJump { delta_ms: 1_000 }]);
         let mut inj = FaultInjector::new(9, &plan, SPAN);
         let recs = records(2000);
         let out = inj.process_records(&recs);
@@ -614,7 +625,11 @@ mod tests {
 
     #[test]
     fn drop_tuples_skips_by_emission_index() {
-        let mut inj = FaultInjector::new(3, &FaultPlan::new().drop_tuples(1..3), SPAN);
+        let mut inj = FaultInjector::new(
+            3,
+            &FaultPlan::from(vec![Fault::DropTuples { start: 1, end: 3 }]),
+            SPAN,
+        );
         let mut sunk: Vec<QualityTuple> = Vec::new();
         {
             let mut sink = ChaosSink::new(&mut sunk, &mut inj);
@@ -680,7 +695,11 @@ mod tests {
 
     #[test]
     fn stall_feed_is_time_gated() {
-        let mut inj = FaultInjector::new(3, &FaultPlan::new().stall_feed(1_000), SPAN);
+        let mut inj = FaultInjector::new(
+            3,
+            &FaultPlan::from(vec![Fault::StallFeed { virtual_ms: 1_000 }]),
+            SPAN,
+        );
         inj.set_now(500_000_000);
         assert!(inj.stall_feed_active());
         assert!(inj.stall_feed_active());

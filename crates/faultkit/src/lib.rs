@@ -7,12 +7,11 @@
 //! crate provides the *injection plane* for exercising exactly those
 //! failure modes, deterministically:
 //!
-//! * [`FaultPlan`] — a builder-style DSL describing *which* faults to
-//!   inject (`corrupt_chunk(at_byte)`, `truncate_trace(pct)`,
-//!   `drop_tuples(range)`, `stall_feed(virtual_ms)`,
-//!   `clock_jump(delta)`, `kill_worker(idx, at_record)`,
-//!   `oom_ring(cap)`), serializable to/from JSON for
-//!   `tracemod chaos --plan FILE`;
+//! * [`FaultPlan`] — *which* faults to inject: a list of [`Fault`]s
+//!   (`corrupt_chunk`, `truncate_trace`, `drop_tuples`, `stall_feed`,
+//!   `clock_jump`, `kill_worker`, `oom_ring`), read from a TOML plan
+//!   file of `[[fault]]` tables (`tracemod chaos --plan FILE`, the
+//!   committed plans in `packs/faults/`) or built from a `Vec<Fault>`;
 //! * [`FaultInjector`] — the runtime: seeded with `(seed, plan)`, it
 //!   sits between trace collection and distillation, pushing every
 //!   fresh record through an encode → byte-fault → quarantine-decode →

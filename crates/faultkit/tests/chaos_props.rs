@@ -53,20 +53,6 @@ fn arb_fault() -> impl Strategy<Value = Fault> {
     ]
 }
 
-/// Rebuild a [`FaultPlan`] from generated faults via the builder DSL
-/// (the only public construction path, so the test also exercises it).
-fn plan_from(faults: &[Fault]) -> FaultPlan {
-    faults.iter().fold(FaultPlan::new(), |p, f| match *f {
-        Fault::CorruptChunk { at_byte } => p.corrupt_chunk(at_byte),
-        Fault::TruncateTrace { pct } => p.truncate_trace(pct),
-        Fault::DropTuples { start, end } => p.drop_tuples(start..end),
-        Fault::StallFeed { virtual_ms } => p.stall_feed(virtual_ms),
-        Fault::ClockJump { delta_ms } => p.clock_jump(delta_ms),
-        Fault::KillWorker { idx, at_record } => p.kill_worker(idx, at_record),
-        Fault::OomRing { cap } => p.oom_ring(cap),
-    })
-}
-
 fn run_chaos(seed: u64, plan: &FaultPlan, cell_index: usize) -> LiveModOutcome {
     live_modulated_run(
         &porter(30),
@@ -97,7 +83,7 @@ proptest! {
         faults in collection::vec(arb_fault(), 0..8),
         seed in 0u64..1_000_000,
     ) {
-        let plan = plan_from(&faults);
+        let plan = FaultPlan::from(faults.clone());
         let out = run_chaos(seed, &plan, 0);
 
         // injected_total == number of emitted events, always.
@@ -131,7 +117,7 @@ proptest! {
         faults in collection::vec(arb_fault(), 0..6),
         seed in 0u64..1_000_000,
     ) {
-        let plan = plan_from(&faults);
+        let plan = FaultPlan::from(faults.clone());
         let a = run_chaos(seed, &plan, 0);
         let b = run_chaos(seed, &plan, 0);
         prop_assert_eq!(a.manifest.deterministic_json(), b.manifest.deterministic_json());
@@ -146,14 +132,18 @@ proptest! {
 #[test]
 fn chaos_plan_identical_at_1_2_8_workers_and_across_reruns() {
     let sc = porter(30);
-    let fault_plan = FaultPlan::new()
-        .corrupt_chunk(2_048)
-        .truncate_trace(10.0)
-        .drop_tuples(3..6)
-        .stall_feed(15_000)
-        .clock_jump(400)
-        .kill_worker(0, 200)
-        .oom_ring(128);
+    let fault_plan = FaultPlan::from(vec![
+        Fault::CorruptChunk { at_byte: 2_048 },
+        Fault::TruncateTrace { pct: 10.0 },
+        Fault::DropTuples { start: 3, end: 6 },
+        Fault::StallFeed { virtual_ms: 15_000 },
+        Fault::ClockJump { delta_ms: 400 },
+        Fault::KillWorker {
+            idx: 0,
+            at_record: 200,
+        },
+        Fault::OomRing { cap: 128 },
+    ]);
 
     let build = || {
         let mut p = TrialPlan::new();

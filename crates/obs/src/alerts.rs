@@ -40,7 +40,7 @@ use crate::fidelity::FidelityReport;
 use crate::fleet::FleetReport;
 use crate::manifest::RunManifest;
 use crate::telemetry::{SamplePoint, FIELDS};
-use crate::toml::{self, Line};
+use crate::toml;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -129,21 +129,30 @@ const DEFAULT_SUPPRESS_WINDOW_NS: u64 = 5_000_000_000;
 
 impl RuleSet {
     /// Parse the TOML subset: `[[rule]]` tables whose entries are
-    /// `key = value` lines with string, number, or string-array
-    /// values; `#` comments and blank lines are ignored.
+    /// `key = value` lines with string, number, integer or
+    /// string-array values; `#` comments and blank lines are ignored.
     pub fn from_toml(s: &str) -> Result<RuleSet, String> {
         let mut rules: Vec<RuleSpec> = Vec::new();
-        toml::read(s, "rules", "rule", |line| match line {
-            Line::Table => {
-                rules.push(RuleSpec::default());
-                Ok(())
+        toml::read(s, "rules", "rule", |t| {
+            if t.index == 0 {
+                return t.rest(|key, _| Err(format!("'{key}' appears before any [[rule]] table")));
             }
-            Line::Entry(key, value) => {
-                let rule = rules
-                    .last_mut()
-                    .ok_or_else(|| format!("'{key}' appears before any [[rule]] table"))?;
-                apply_toml_entry(rule, key, value)
-            }
+            rules.push(RuleSpec {
+                name: t.get("name", toml::string)?.unwrap_or_default(),
+                metric: t.get("metric", toml::string)?.unwrap_or_default(),
+                severity: t.get("severity", toml::string)?.unwrap_or_default(),
+                above: t.get("above", toml::number)?,
+                below: t.get("below", toml::number)?,
+                window: t.get("window", toml::integer)?,
+                frac: t.get("frac", toml::number)?,
+                baseline_max_abs: t.get("baseline_max_abs", toml::number)?,
+                baseline_max_rel: t.get("baseline_max_rel", toml::number)?,
+                suppress: (t.get("suppress", |k, v| toml::array(k, v, toml::string))?)
+                    .unwrap_or_default(),
+                suppress_window_secs: t.get("suppress_window_secs", toml::number)?,
+                min_modulated_packets: t.get("min_modulated_packets", toml::integer)?,
+            });
+            Ok(())
         })?;
         Ok(RuleSet { rules })
     }
@@ -163,47 +172,6 @@ impl RuleSet {
     pub fn builtin() -> RuleSet {
         RuleSet::from_toml(include_str!("builtin_rules.toml")).expect("builtin rules parse")
     }
-}
-
-/// Apply one `key = value` TOML entry to a rule under construction.
-fn apply_toml_entry(rule: &mut RuleSpec, key: &str, value: &str) -> Result<(), String> {
-    let as_str = |v: &str| toml::string(key, v);
-    let as_num = |v: &str| toml::number(key, v);
-    let as_count = |v: &str| match as_num(v)? {
-        n if n >= 0.0 && n.fract() == 0.0 => Ok(n as u64),
-        _ => Err(format!("'{key}' must be a whole number, got '{v}'")),
-    };
-    match key {
-        "name" => rule.name = as_str(value)?,
-        "metric" => rule.metric = as_str(value)?,
-        "severity" => rule.severity = as_str(value)?,
-        "above" => rule.above = Some(as_num(value)?),
-        "below" => rule.below = Some(as_num(value)?),
-        "window" => rule.window = Some(as_count(value)?),
-        "min_modulated_packets" => rule.min_modulated_packets = Some(as_count(value)?),
-        "frac" => rule.frac = Some(as_num(value)?),
-        "baseline_max_abs" => rule.baseline_max_abs = Some(as_num(value)?),
-        "baseline_max_rel" => rule.baseline_max_rel = Some(as_num(value)?),
-        "suppress_window_secs" => rule.suppress_window_secs = Some(as_num(value)?),
-        "suppress" => {
-            let v = value.trim();
-            if !(v.starts_with('[') && v.ends_with(']')) {
-                return Err(format!("expected an array for 'suppress', got '{v}'"));
-            }
-            let inner = &v[1..v.len() - 1];
-            let mut kinds = Vec::new();
-            for part in inner.split(',') {
-                let part = part.trim();
-                if part.is_empty() {
-                    continue;
-                }
-                kinds.push(as_str(part)?);
-            }
-            rule.suppress = kinds;
-        }
-        other => return Err(format!("unknown rule key '{other}'")),
-    }
-    Ok(())
 }
 
 /// The metric a compiled rule reads.
@@ -991,6 +959,26 @@ suppress_window_secs = 7.5
         );
         assert!(RuleSet::from_toml("[rule]").is_err(), "plain table");
         assert!(RuleSet::from_toml("[[rule]]\nname = unquoted").is_err());
+    }
+
+    /// Counts are integers, read exactly: 2^53 + 1 does not round to
+    /// 2^53, and a fraction, an exponent or a value past `u64` is an
+    /// error that names the key.
+    #[test]
+    fn counts_parse_as_exact_integers() {
+        let rule = |value: &str| {
+            RuleSet::from_toml(&format!("[[rule]]\nname = \"x\"\nwindow = {value}\n"))
+                .map(|rs| rs.rules[0].window)
+        };
+        assert_eq!(rule("9007199254740993"), Ok(Some(9_007_199_254_740_993)));
+        assert_eq!(rule("18446744073709551615"), Ok(Some(u64::MAX)));
+        for value in ["1e300", "2.5", "3.0", "-1", "18446744073709551616"] {
+            let err = rule(value).expect_err(value);
+            assert!(
+                err.starts_with("rules line 3: ") && err.contains("'window'"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

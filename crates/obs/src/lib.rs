@@ -44,8 +44,9 @@
 //!   fidelity contract every `--check` gates on, and
 //!   [`FidelityThresholds`] its per-run rules compiled, which count a
 //!   fleet's failed clients;
-//! * [`mod@toml`] — the line-oriented TOML subset that alert rules and
-//!   scenario packs are written in;
+//! * [`mod@toml`] — the line-oriented TOML subset that every input file
+//!   is written in: alert rules, scenario packs, scenario files and
+//!   fault plans;
 //! * [`diff`] — cross-run divergence forensics: a first-divergence
 //!   finder that walks two runs' artifacts in lockstep and names the
 //!   earliest differing field with virtual-time / client / shard

@@ -11,7 +11,10 @@
 //! attack: every input returns `Ok` or an `Err` that names the line it
 //! failed on, and nothing panics.
 
-use obs::toml::{self, Line};
+mod mutate;
+
+use mutate::assert_structured;
+use obs::toml;
 use obs::RuleSet;
 use proptest::prelude::*;
 use std::fmt::Write as _;
@@ -31,19 +34,24 @@ fn to_toml(set: &RuleSet) -> String {
         let numbers = [
             ("above", r.above),
             ("below", r.below),
-            ("window", r.window.map(|w| w as f64)),
             ("frac", r.frac),
             ("baseline_max_abs", r.baseline_max_abs),
             ("baseline_max_rel", r.baseline_max_rel),
             ("suppress_window_secs", r.suppress_window_secs),
-            (
-                "min_modulated_packets",
-                r.min_modulated_packets.map(|n| n as f64),
-            ),
         ];
         for (key, value) in numbers {
             if let Some(v) = value {
                 let _ = writeln!(s, "{key} = {v:?}");
+            }
+        }
+        // Counts are integers: `3.0` is a float, and refused.
+        let counts = [
+            ("window", r.window),
+            ("min_modulated_packets", r.min_modulated_packets),
+        ];
+        for (key, value) in counts {
+            if let Some(n) = value {
+                let _ = writeln!(s, "{key} = {n}");
             }
         }
         if !r.suppress.is_empty() {
@@ -76,99 +84,6 @@ const TOKENS: [&str; 18] = [
     "é",
     "\u{0}",
 ];
-
-/// Values a `key = ` line is rewritten to.
-const VALUES: [&str; 14] = [
-    "1e999",
-    "-1e999",
-    "18446744073709551616",
-    "-18446744073709551616",
-    "-5",
-    "0",
-    "0.5",
-    "nan",
-    "inf",
-    "-inf",
-    "0x10",
-    "\"",
-    "\"text\"",
-    "",
-];
-
-/// One mutation: `(op, a, b)` with `a`, `b` reduced modulo whatever
-/// they index.
-type Op = (u8, usize, usize);
-
-fn apply(bytes: &mut Vec<u8>, (op, a, b): Op) {
-    let len = bytes.len();
-    let lines = |bytes: &[u8]| -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        let mut start = 0;
-        for (i, &c) in bytes.iter().enumerate() {
-            if c == b'\n' {
-                out.push((start, i));
-                start = i + 1;
-            }
-        }
-        out.push((start, bytes.len()));
-        out
-    };
-    match op % 7 {
-        // Truncate.
-        0 => bytes.truncate(a % (len + 1)),
-        // Flip bits of one byte (maybe into invalid UTF-8).
-        1 if len > 0 => bytes[a % len] ^= (b % 255 + 1) as u8,
-        // Splice a token.
-        2 => {
-            let at = a % (len + 1);
-            bytes.splice(at..at, TOKENS[b % TOKENS.len()].bytes());
-        }
-        // Rewrite a value: huge, negative, non-finite or unterminated.
-        3 => {
-            let ls = lines(bytes);
-            let (start, end) = ls[a % ls.len()];
-            if let Some(eq) = bytes[start..end].iter().position(|&c| c == b'=') {
-                let v = VALUES[b % VALUES.len()];
-                bytes.splice(start + eq + 1..end, format!(" {v}").into_bytes());
-            }
-        }
-        // Drop a line's closing quote.
-        4 => {
-            let ls = lines(bytes);
-            let (start, end) = ls[a % ls.len()];
-            if let Some(q) = bytes[start..end].iter().rposition(|&c| c == b'"') {
-                bytes.remove(start + q);
-            }
-        }
-        // Duplicate a line (a repeated key or table header) elsewhere.
-        5 => {
-            let ls = lines(bytes);
-            let (start, end) = ls[a % ls.len()];
-            let mut line = bytes[start..end].to_vec();
-            line.push(b'\n');
-            let (at, _) = ls[b % ls.len()];
-            bytes.splice(at..at, line);
-        }
-        // A raw byte.
-        _ => {
-            let at = a % (len + 1);
-            bytes.insert(at, b as u8);
-        }
-    }
-}
-
-/// A `from_toml` or `read` error names its line.
-fn assert_structured(err: &str, label: &str) {
-    let rest = err
-        .strip_prefix(label)
-        .and_then(|r| r.strip_prefix(" line "))
-        .unwrap_or_else(|| panic!("unstructured error: {err:?}"));
-    let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
-    assert!(
-        digits > 0 && rest[digits..].starts_with(": "),
-        "unstructured error: {err:?}"
-    );
-}
 
 /// A bar of NaN compares false against every value, so a rule holding
 /// one would never fire and `--check` would pass vacuously. Every
@@ -209,7 +124,7 @@ proptest! {
     ) {
         let mut bytes = to_toml(&RuleSet::builtin()).into_bytes();
         for op in ops {
-            apply(&mut bytes, op);
+            mutate::apply(&mut bytes, op, &TOKENS);
         }
         let text = String::from_utf8_lossy(&bytes);
 
@@ -219,15 +134,19 @@ proptest! {
             Err(e) => assert_structured(&e, "rules"),
         }
 
-        let read = toml::read(&text, "fuzz", "rule", |line| {
-            if let Line::Entry(key, value) = line {
+        let read = toml::read(&text, "fuzz", "rule", |t| {
+            let _ = t.get("name", toml::string);
+            let _ = t.need("window", toml::integer::<u64>);
+            t.rest(|key, value| {
                 let _ = toml::string(key, value);
                 let _ = toml::number(key, value);
+                let _ = toml::boolean(key, value);
+                let _ = toml::array(key, value, toml::number);
                 if key.is_empty() {
                     return Err("empty key".into());
                 }
-            }
-            Ok(())
+                Ok(())
+            })
         });
         if let Err(e) = read {
             assert_structured(&e, "fuzz");

@@ -242,7 +242,7 @@ fn every_generated_argv_exits_cleanly() {
     let cmds = commands_from_help();
     assert!(cmds.len() >= 18, "help lists every command");
     assert!(cmds.iter().any(|c| c.name == "figure" && c.operands == 1));
-    let plan = format!("{}/packs/faults/9-combo.json", env!("CARGO_MANIFEST_DIR"));
+    let plan = format!("{}/packs/faults/9-combo.toml", env!("CARGO_MANIFEST_DIR"));
     let root = std::env::temp_dir().join(format!("tracemod-argv-{}", std::process::id()));
     let mut rng = Rng(0x7ace_0d00);
     let mut exits = [0u32; 3];

@@ -106,29 +106,33 @@ fn unknown_flag_is_a_usage_error() {
 
 #[test]
 fn chaos_without_seed_is_a_usage_error() {
-    let out = tracemod(&["chaos", "--plan", "/nonexistent.json"]);
+    let out = tracemod(&["chaos", "--plan", "/nonexistent.toml"]);
     assert_exit(&out, 2, "missing required flag --seed");
 }
 
 #[test]
 fn chaos_with_non_numeric_seed_is_a_usage_error() {
-    let out = tracemod(&["chaos", "--seed", "banana", "--plan", "/nonexistent.json"]);
+    let out = tracemod(&["chaos", "--seed", "banana", "--plan", "/nonexistent.toml"]);
     assert_exit(&out, 2, "invalid value for --seed");
 }
 
 #[test]
 fn chaos_with_unreadable_plan_is_a_usage_error() {
-    let out = tracemod(&["chaos", "--seed", "1", "--plan", "/nonexistent/plan.json"]);
+    let out = tracemod(&["chaos", "--seed", "1", "--plan", "/nonexistent/plan.toml"]);
     assert_exit(&out, 2, "read fault plan");
 }
 
 #[test]
 fn chaos_with_malformed_plan_json_is_a_usage_error() {
-    let path = temp_path("bad-plan.json");
-    std::fs::write(&path, "this is not json").unwrap();
+    let path = temp_path("bad-plan.toml");
+    std::fs::write(&path, "this is not a plan").unwrap();
     let out = tracemod(&["chaos", "--seed", "1", "--plan", path.to_str().unwrap()]);
     std::fs::remove_file(&path).ok();
-    assert_exit(&out, 2, "bad fault plan");
+    assert_exit(
+        &out,
+        2,
+        "fault plan line 1: expected a TOML `key = value` line or a [[fault]] table",
+    );
 }
 
 #[test]
@@ -254,11 +258,11 @@ fn fleet_refuses_fault_kinds_it_cannot_apply() {
         ])
     };
     for (plan, kinds) in [
-        ("2-corrupt.json", "not corrupt_chunk"),
-        ("5-stall.json", "not stall_feed"),
-        ("7-oom.json", "not oom_ring"),
+        ("2-corrupt.toml", "not corrupt_chunk"),
+        ("5-stall.toml", "not stall_feed"),
+        ("7-oom.toml", "not oom_ring"),
         (
-            "9-combo.json",
+            "9-combo.toml",
             "not corrupt_chunk, oom_ring, stall_feed, truncate_trace",
         ),
     ] {
@@ -270,15 +274,16 @@ fn fleet_refuses_fault_kinds_it_cannot_apply() {
             stderr_of(&out)
         );
     }
-    assert_exit(&fleet("8-kill.json"), 0, "fleet: 4 clients");
+    assert_exit(&fleet("8-kill.toml"), 0, "fleet: 4 clients");
 }
 
 #[test]
 fn chaos_fault_budget_exceeded_is_a_runtime_error() {
-    let plan = temp_path("busy-plan.json");
+    let plan = temp_path("busy-plan.toml");
     std::fs::write(
         &plan,
-        r#"{"faults":[{"DropTuples":{"start":0,"end":50}},{"OomRing":{"cap":128}}]}"#,
+        "[[fault]]\nkind = \"drop_tuples\"\nstart = 0\nend = 50\n\n\
+         [[fault]]\nkind = \"oom_ring\"\ncap = 128\n",
     )
     .unwrap();
     let out = tracemod(&[
@@ -300,8 +305,8 @@ fn chaos_fault_budget_exceeded_is_a_runtime_error() {
 
 #[test]
 fn chaos_check_passes_on_an_empty_plan() {
-    let plan = temp_path("empty-plan.json");
-    std::fs::write(&plan, r#"{"faults":[]}"#).unwrap();
+    let plan = temp_path("empty-plan.toml");
+    std::fs::write(&plan, "").unwrap();
     let out = tracemod(&[
         "chaos",
         "--seed",
@@ -328,18 +333,40 @@ fn chaos_check_passes_on_an_empty_plan() {
 /// trial plan runs on 1, 2 or 8 workers, and across reruns.
 #[test]
 fn chaos_artifacts_identical_across_jobs_and_reruns() {
-    let plan = temp_path("det-plan.json");
+    let plan = temp_path("det-plan.toml");
     std::fs::write(
         &plan,
-        r#"{"faults":[
-            {"CorruptChunk":{"at_byte":2048}},
-            {"TruncateTrace":{"pct":10.0}},
-            {"DropTuples":{"start":3,"end":6}},
-            {"StallFeed":{"virtual_ms":15000}},
-            {"ClockJump":{"delta_ms":400}},
-            {"KillWorker":{"idx":0,"at_record":200}},
-            {"OomRing":{"cap":128}}
-        ]}"#,
+        r#"
+[[fault]]
+kind = "corrupt_chunk"
+at_byte = 2048
+
+[[fault]]
+kind = "truncate_trace"
+pct = 10.0
+
+[[fault]]
+kind = "drop_tuples"
+start = 3
+end = 6
+
+[[fault]]
+kind = "stall_feed"
+virtual_ms = 15000
+
+[[fault]]
+kind = "clock_jump"
+delta_ms = 400
+
+[[fault]]
+kind = "kill_worker"
+idx = 0
+at_record = 200
+
+[[fault]]
+kind = "oom_ring"
+cap = 128
+"#,
     )
     .unwrap();
 
@@ -779,7 +806,7 @@ fn a_valued_flag_without_a_value_is_a_usage_error() {
     std::fs::remove_dir_all(&cwd).ok();
     assert_exit(&out, 2, "--out needs a value");
     assert!(left.is_empty(), "no run directory may be written");
-    let out = tracemod(&["chaos", "--seed", "--plan", "x.json"]);
+    let out = tracemod(&["chaos", "--seed", "--plan", "x.toml"]);
     assert_exit(&out, 2, "--seed needs a value");
 }
 
@@ -793,7 +820,7 @@ fn a_flag_given_twice_is_a_usage_error() {
 
 #[test]
 fn zero_counts_are_usage_errors() {
-    let clean = fault_plan("1-clean.json");
+    let clean = fault_plan("1-clean.toml");
     for argv in [
         &["fleet", "--clients", "4", "--shards", "0"][..],
         &["fleet", "--clients", "4", "--jobs", "0"],
@@ -870,7 +897,7 @@ fn figure_rejects_bad_counts() {
 /// `--trial 4294967295 --trials 2` would otherwise wrap round to 0.
 #[test]
 fn chaos_trials_past_the_last_trial_number_are_a_usage_error() {
-    let clean = fault_plan("1-clean.json");
+    let clean = fault_plan("1-clean.toml");
     let out = tracemod(&[
         "chaos",
         "--seed",
@@ -926,7 +953,7 @@ fn duration_secs_is_capped_at_one_day() {
 
 #[test]
 fn scenario_files_and_packs_are_capped_at_one_day() {
-    let day = "\"duration_secs\": 86400";
+    let day = "duration_secs = 86400";
     let dumped = tracemod(&[
         "dump-scenario",
         "--scenario",
@@ -940,8 +967,8 @@ fn scenario_files_and_packs_are_capped_at_one_day() {
     let inputs = |secs: u64| {
         let files = [
             (
-                "scenario.json",
-                spec.replace(day, &format!("\"duration_secs\": {secs}")),
+                "scenario.toml",
+                spec.replace(day, &format!("duration_secs = {secs}")),
             ),
             (
                 "pack.toml",
@@ -964,10 +991,8 @@ fn scenario_files_and_packs_are_capped_at_one_day() {
     for (flag, path) in inputs(86_401) {
         let out = tracemod(&["fleet", "--clients", "4", flag, path.to_str().unwrap()]);
         std::fs::remove_file(&path).ok();
-        // A scenario file that does not hold a valid scenario is a
-        // runtime error (exit 1); a bad pack is a usage error (exit 2).
-        let code = if flag == "--scenario-file" { 1 } else { 2 };
-        assert_exit(&out, code, "86401 is above the cap of 86400");
+        // A bad scenario file, like a bad pack, is a usage error.
+        assert_exit(&out, 2, "86401 is above the cap of 86400");
     }
     for (flag, path) in inputs(86_400) {
         let out = tracemod(&["dump-scenario", flag, path.to_str().unwrap()]);
@@ -1022,6 +1047,53 @@ fn json_config_files_and_report_formats_are_usage_errors() {
     }
     std::fs::remove_file(rules).ok();
     std::fs::remove_dir_all(&run).ok();
+
+    // Scenario files and fault plans are TOML: the JSON forms fail on
+    // their first line, with a message that names the TOML form.
+    let scenario = temp_path("scenario.json");
+    std::fs::write(
+        &scenario,
+        "{\n  \"name\": \"j\",\n  \"duration_secs\": 60,\n  \"checkpoints\": []\n}\n",
+    )
+    .unwrap();
+    let plan = temp_path("plan.json");
+    std::fs::write(
+        &plan,
+        r#"{"faults":[{"KillWorker":{"idx":0,"at_record":300}}]}"#,
+    )
+    .unwrap();
+    let (scenario_file, plan_file) = (scenario.to_str().unwrap(), plan.to_str().unwrap());
+    let scenario_form =
+        "scenario line 1: expected a TOML `key = value` line or a [[checkpoint]] table";
+    let plan_form = "fault plan line 1: expected a TOML `key = value` line or a [[fault]] table";
+    for (argv, needle) in [
+        (
+            vec!["fleet", "--clients", "4", "--scenario-file", scenario_file],
+            scenario_form,
+        ),
+        (
+            vec![
+                "live",
+                "--benchmark",
+                "web",
+                "--scenario-file",
+                scenario_file,
+            ],
+            scenario_form,
+        ),
+        (vec!["chaos", "--seed", "1", "--plan", plan_file], plan_form),
+        (
+            vec!["fleet", "--clients", "4", "--fault-plan", plan_file],
+            plan_form,
+        ),
+    ] {
+        let out = tracemod(&argv);
+        assert_exit(&out, 2, needle);
+        no_panic(&out);
+        assert!(out.stdout.is_empty(), "{argv:?} must not have run");
+    }
+    std::fs::remove_file(&scenario).ok();
+    std::fs::remove_file(&plan).ok();
 
     // obs-report prints markdown only.
     let out = tracemod(&["obs-report", "--format", "md", "run"]);

@@ -167,13 +167,18 @@ fn committed_fault_plans_cover_every_fault_alone_and_combined() {
     let mut alone = [0; 7];
     let mut combined = 0;
     for entry in std::fs::read_dir(dir).expect("packs/faults exists") {
+        // Every file there is a TOML plan: a stray file fails here
+        // instead of being skipped.
         let path = entry.unwrap().path();
-        if path.extension() != Some("json".as_ref()) {
-            continue;
-        }
+        assert_eq!(
+            path.extension(),
+            Some("toml".as_ref()),
+            "{}",
+            path.display()
+        );
         let text = std::fs::read_to_string(&path).unwrap();
         let plan =
-            FaultPlan::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            FaultPlan::from_toml(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let mut kinds: Vec<usize> = plan.faults().iter().map(kind).collect();
         kinds.sort_unstable();
         kinds.dedup();
