@@ -2,7 +2,7 @@
 //! core.
 
 use crate::core::{EventCore, Step};
-use crate::event::{EventKind, NodeId, PortId, Scheduled};
+use crate::event::{EventCounts, EventKind, NodeId, PortId, Scheduled};
 use crate::link::{Link, LinkId, LinkParams};
 use crate::node::{Context, FrameHook, Node, PortTable};
 use crate::rng::SimRng;
@@ -22,6 +22,7 @@ pub struct Simulator {
     ports: PortTable,
     rng: SimRng,
     frame_hook: Option<Box<dyn FrameHook>>,
+    counts: EventCounts,
 }
 
 impl Simulator {
@@ -34,6 +35,7 @@ impl Simulator {
             ports: PortTable::default(),
             rng: SimRng::seed_from_u64(seed),
             frame_hook: None,
+            counts: EventCounts::default(),
         }
     }
 
@@ -52,6 +54,11 @@ impl Simulator {
     /// Number of events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.core.events_processed()
+    }
+
+    /// Events processed so far, by kind.
+    pub fn events_by_kind(&self) -> EventCounts {
+        self.counts
     }
 
     /// High-water mark of the event-queue depth — keyed to event
@@ -160,6 +167,7 @@ impl Simulator {
             let Step::Event(ev) = step else {
                 unreachable!("sampling is off")
             };
+            self.counts.count(&ev.kind);
             let mut node = self.nodes[ev.target.0]
                 .take()
                 .expect("re-entrant dispatch of a node");

@@ -66,6 +66,28 @@ pub enum EventKind {
     },
 }
 
+/// Events a [`Simulator`](crate::Simulator) has dispatched, by kind:
+/// a work count that reads the same on any machine.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    /// [`EventKind::Deliver`]s: one per frame a link delivered.
+    pub deliver: u64,
+    /// [`EventKind::Timer`]s.
+    pub timer: u64,
+    /// [`EventKind::Held`]s: frames a node held for itself.
+    pub held: u64,
+}
+
+impl EventCounts {
+    pub(crate) fn count(&mut self, kind: &EventKind) {
+        match kind {
+            EventKind::Deliver { .. } => self.deliver += 1,
+            EventKind::Timer { .. } => self.timer += 1,
+            EventKind::Held { .. } => self.held += 1,
+        }
+    }
+}
+
 /// An entry in the global event queue.
 #[derive(Debug)]
 pub(crate) struct Scheduled {

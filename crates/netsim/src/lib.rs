@@ -13,11 +13,12 @@
 //!   [`fleet`]'s `FleetSim` is the same core over client-tagged events;
 //! * the [`Node`] trait — hosts, wireless channels, and routers are nodes
 //!   that act through a [`Context`]: [`send`](Context::send) a byte
-//!   [`Frame`] onto a link, set a timer with
-//!   [`schedule_at`](Context::schedule_at) /
+//!   [`Frame`] onto a link now or [`send_at`](Context::send_at) a later
+//!   instant, set a timer with [`schedule_at`](Context::schedule_at) /
 //!   [`schedule_in`](Context::schedule_in), or [`hold`](Context::hold)
-//!   a frame until a later instant. A delayed frame waits only in the
-//!   engine queue, as one event in `(time, sequence)` order;
+//!   a frame until a later instant. A frame that only waits out a known
+//!   delay before its send costs no event of its own: one event per
+//!   hop, the `Deliver` at the far end;
 //! * duplex [links](link::LinkParams) with serialization, propagation, and
 //!   drop-tail queues;
 //! * deterministic randomness ([`SimRng`]) and statistics helpers
@@ -64,7 +65,7 @@ mod time;
 
 pub use self::core::{EventCore, Step, WheelItem};
 pub use engine::Simulator;
-pub use event::{EventKind, Frame, NodeId, PortId};
+pub use event::{EventCounts, EventKind, Frame, NodeId, PortId};
 pub use link::{LinkId, LinkParams};
 pub use node::{Context, FrameHook, Node};
 pub use rng::SimRng;

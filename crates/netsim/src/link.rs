@@ -64,6 +64,8 @@ pub(crate) struct Direction {
     /// Departure times of frames currently queued or in service, used to
     /// compute instantaneous queue occupancy lazily.
     in_flight: VecDeque<SimTime>,
+    /// The latest offer instant: offers never go backwards.
+    last_offer: SimTime,
 }
 
 impl Direction {
@@ -72,12 +74,22 @@ impl Direction {
             params,
             busy_until: SimTime::ZERO,
             in_flight: VecDeque::new(),
+            last_offer: SimTime::ZERO,
         }
     }
 
     /// Offer a frame of `bytes` at time `now`. Returns the arrival time at
-    /// the far end, or `None` if the frame was tail-dropped.
+    /// the far end, or `None` if the frame was tail-dropped. Panics if
+    /// `now` is before an earlier offer's instant: the lazy queue drain
+    /// below is only right for offers in time order, which a sender
+    /// using [`Context::send_at`](crate::Context::send_at) must keep.
     pub fn offer(&mut self, now: SimTime, bytes: usize) -> Option<SimTime> {
+        assert!(
+            now >= self.last_offer,
+            "link offers went backwards: {now:?} after {:?}",
+            self.last_offer
+        );
+        self.last_offer = now;
         // Lazily drain entries that have already departed.
         while matches!(self.in_flight.front(), Some(&d) if d <= now) {
             self.in_flight.pop_front();
@@ -149,6 +161,14 @@ mod tests {
         assert!(d.offer(SimTime::ZERO, 1000).is_none());
         // After the queue drains, frames are accepted again.
         assert!(d.offer(SimTime::from_secs(1), 1000).is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "link offers went backwards")]
+    fn offers_out_of_time_order_panic() {
+        let mut d = Direction::new(params(8_000_000, 0, 16));
+        let _ = d.offer(SimTime::from_millis(5), 1000);
+        let _ = d.offer(SimTime::from_millis(4), 1000);
     }
 
     #[test]

@@ -74,8 +74,10 @@ pub trait Node: Any + Send {
 /// Passive observer of frame movement through links, installed with
 /// [`Simulator::set_frame_hook`](crate::Simulator::set_frame_hook).
 ///
-/// The hook sees every [`Context::send`] outcome — accepted frames
-/// with their computed arrival time, and tail-dropped frames. It must
+/// The hook sees every [`Context::send`] and [`Context::send_at`]
+/// outcome — accepted frames with their computed arrival time, and
+/// tail-dropped frames — when the send is made, stamped with the send
+/// instant. It must
 /// not influence the simulation (it gets no scheduling or RNG access),
 /// so installing one cannot change an event trace.
 pub trait FrameHook: Send {
@@ -90,7 +92,7 @@ pub trait FrameHook: Send {
         arrival: SimTime,
     );
 
-    /// The outgoing link direction tail-dropped the frame at `now`.
+    /// The outgoing link direction tail-dropped the frame sent at `now`.
     fn on_link_drop(&mut self, from: NodeId, to: NodeId, bytes: &[u8], now: SimTime) {
         let _ = (from, to, bytes, now);
     }
@@ -131,15 +133,28 @@ impl Context<'_> {
     /// it (it may tail-drop). Panics if the port is not connected — that is
     /// always a topology-construction bug.
     pub fn send(&mut self, port: PortId, frame: Frame) -> bool {
+        let now = self.now;
+        self.send_at(now, port, frame)
+    }
+
+    /// Transmit `frame` out of `port` at `at ≥ now`: the link direction
+    /// is offered the frame at `at`, and the frame hook sees it sent at
+    /// `at`. This is a frame that only waits out a known delay before
+    /// its send, without an event of its own for the wait. Offers on one
+    /// link direction must come in non-decreasing `at` order (the
+    /// direction asserts it). Returns `true` if the link accepted the
+    /// frame. Panics if `at` is before now or the port is not connected.
+    pub fn send_at(&mut self, at: SimTime, port: PortId, frame: Frame) -> bool {
+        assert!(at >= self.now, "cannot send into the past");
         let binding = *self
             .ports
             .get(self.node, port)
             .unwrap_or_else(|| panic!("node {:?} port {:?} is not connected", self.node, port));
         let dir = &mut self.links[binding.link].dirs[binding.dir];
-        match dir.offer(self.now, frame.len()) {
+        match dir.offer(at, frame.len()) {
             Some(arrival) => {
                 if let Some(h) = self.hook.as_mut() {
-                    h.on_transit(self.node, binding.peer, &frame.data, self.now, arrival);
+                    h.on_transit(self.node, binding.peer, &frame.data, at, arrival);
                 }
                 self.push(
                     arrival,
@@ -153,7 +168,7 @@ impl Context<'_> {
             }
             None => {
                 if let Some(h) = self.hook.as_mut() {
-                    h.on_link_drop(self.node, binding.peer, &frame.data, self.now);
+                    h.on_link_drop(self.node, binding.peer, &frame.data, at);
                 }
                 false
             }

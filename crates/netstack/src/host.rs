@@ -3,7 +3,7 @@
 //! with the paper's two kernel hook points (device tap, link shim) and a
 //! per-frame CPU pacing model.
 
-use crate::app::{App, AppEvent, AppId};
+use crate::app::{App, AppEvent, AppId, TcpBytes};
 use crate::config::HostConfig;
 use crate::hooks::{DeviceTap, Direction, LinkShim, ShimRelease, ShimVerdict};
 use crate::tcp::{ConnEvent, EngineOut, TcpEngine, TcpHandle};
@@ -51,6 +51,17 @@ pub struct HostStats {
     pub parse_errors: u64,
     /// TCP-timer events dispatched to this host.
     pub tcp_timer_fires: u64,
+    /// Outbound frames held in the engine queue until the CPU is done
+    /// with them. Only a host with a device tap holds them; any other
+    /// host sends each frame for the instant the CPU is done.
+    pub tx_holds: u64,
+}
+
+/// An application event waiting for `drain_pending`. TCP data waits as
+/// a byte count; the bytes wait in the connection's receive buffer.
+enum Pending {
+    Event(AppEvent<'static>),
+    TcpData(TcpHandle, usize),
 }
 
 /// A partially reassembled fragmented datagram.
@@ -72,7 +83,7 @@ pub struct HostCore {
     icmp_app: Option<AppId>,
     tracer: Option<Box<dyn DeviceTap>>,
     shim: Option<Box<dyn LinkShim>>,
-    pending: VecDeque<(AppId, AppEvent)>,
+    pending: VecDeque<(AppId, Pending)>,
     ip_ident: u16,
     tx_last_done: SimTime,
     rx_last_done: SimTime,
@@ -187,30 +198,43 @@ impl HostCore {
         self.device_tx(frame, ctx);
     }
 
-    /// Outbound host-CPU pacing: each frame waits in the engine queue
-    /// until the CPU is done with it.
+    /// Outbound host-CPU pacing: each frame leaves when the CPU is done
+    /// with it. A host without a device tap sends it for that instant
+    /// straight away. A tapped host holds it in the engine queue until
+    /// then, so the tap records outbound and inbound frames in wire order.
     fn device_tx(&mut self, frame: Vec<u8>, ctx: &mut Context<'_>) {
+        let now = ctx.now();
         if self.cfg.cpu_per_frame.is_zero() {
-            self.wire_send(frame, ctx);
+            self.wire_send(frame, now, ctx);
             return;
         }
-        let done = self.tx_last_done.max(ctx.now()) + self.cfg.cpu_per_frame;
+        let done = self.tx_last_done.max(now) + self.cfg.cpu_per_frame;
         self.tx_last_done = done;
-        ctx.hold(done, SUB_TX, Frame::new(frame, ctx.now()));
+        if self.tracer.is_some() {
+            self.stats.tx_holds += 1;
+            ctx.hold(done, SUB_TX, Frame::new(frame, now));
+        } else {
+            self.wire_send(frame, done, ctx);
+        }
     }
 
-    fn wire_send(&mut self, frame: Vec<u8>, ctx: &mut Context<'_>) {
+    /// Put `frame` on the wire at `at`; a tapped host only ever sends
+    /// at `now`.
+    fn wire_send(&mut self, frame: Vec<u8>, at: SimTime, ctx: &mut Context<'_>) {
         if let Some(t) = self.tracer.as_mut() {
-            t.on_frame(Direction::Outbound, &frame, ctx.now());
+            t.on_frame(Direction::Outbound, &frame, at);
         }
         self.stats.frames_out += 1;
         self.stats.bytes_out += frame.len() as u64;
-        ctx.send(NIC_PORT, Frame::new(frame, ctx.now()));
+        ctx.send_at(at, NIC_PORT, Frame::new(frame, at));
     }
 
     // ---------------- inbound path ----------------
 
-    fn wire_input(&mut self, frame: Vec<u8>, ctx: &mut Context<'_>) {
+    /// Take `frame` off the wire. Returns `false` when the frame only
+    /// moved: it waits out the receive CPU in the engine queue, and no
+    /// application, TCP or shim state changed.
+    fn wire_input(&mut self, frame: Vec<u8>, ctx: &mut Context<'_>) -> bool {
         self.stats.frames_in += 1;
         self.stats.bytes_in += frame.len() as u64;
         if let Some(t) = self.tracer.as_mut() {
@@ -222,9 +246,10 @@ impl HostCore {
             let done = self.rx_last_done.max(ctx.now()) + self.cfg.cpu_per_frame;
             self.rx_last_done = done;
             ctx.hold(done, SUB_RX, Frame::new(frame, ctx.now()));
-            return;
+            return false;
         }
         self.rx_deliver(frame, ctx);
+        true
     }
 
     fn rx_deliver(&mut self, frame: Vec<u8>, ctx: &mut Context<'_>) {
@@ -351,12 +376,12 @@ impl HostCore {
                 if let Some(app) = self.icmp_app {
                     self.pending.push_back((
                         app,
-                        AppEvent::IcmpEchoReply {
+                        Pending::Event(AppEvent::IcmpEchoReply {
                             from: src,
                             ident,
                             seq,
                             payload,
-                        },
+                        }),
                     ));
                 }
             }
@@ -372,11 +397,11 @@ impl HostCore {
         if let Some(&app) = self.udp_bound.get(&uh.dst_port) {
             self.pending.push_back((
                 app,
-                AppEvent::UdpDatagram {
+                Pending::Event(AppEvent::UdpDatagram {
                     port: uh.dst_port,
                     from: (src, uh.src_port),
                     data: payload.to_vec(),
-                },
+                }),
             ));
         }
         // No listener: a real stack would send ICMP port-unreachable; our
@@ -389,17 +414,28 @@ impl HostCore {
         for (port, handle) in out.accepted.drain(..) {
             if let Some(&owner) = self.listener_owner.get(&port) {
                 self.set_tcp_owner(handle, Some(owner));
-                self.pending
-                    .push_back((owner, AppEvent::TcpAccepted { port, conn: handle }));
+                self.pending.push_back((
+                    owner,
+                    Pending::Event(AppEvent::TcpAccepted { port, conn: handle }),
+                ));
             }
         }
         for (handle, ev) in out.events.drain(..) {
             let Some(owner) = self.tcp_owner.get(handle.0 as usize).copied().flatten() else {
+                if let ConnEvent::Data(n) = ev {
+                    // Nobody reads an ownerless connection: drop its
+                    // bytes (they are all of its buffer) unread.
+                    let unread = self.tcp.take_unread(handle);
+                    self.tcp.read_done(handle, unread, n);
+                }
                 continue;
             };
             let app_ev = match ev {
                 ConnEvent::Connected => AppEvent::TcpConnected { conn: handle },
-                ConnEvent::Data(data) => AppEvent::TcpData { conn: handle, data },
+                ConnEvent::Data(n) => {
+                    self.pending.push_back((owner, Pending::TcpData(handle, n)));
+                    continue;
+                }
                 ConnEvent::SendSpace => AppEvent::TcpSendSpace { conn: handle },
                 ConnEvent::PeerClosed => AppEvent::TcpPeerClosed { conn: handle },
                 ConnEvent::Closed => {
@@ -414,7 +450,7 @@ impl HostCore {
                     }
                 }
             };
-            self.pending.push_back((owner, app_ev));
+            self.pending.push_back((owner, Pending::Event(app_ev)));
         }
         for (dst, frame) in out.segments.drain(..) {
             self.ip_output(IpProtocol::Tcp, dst, frame, ctx);
@@ -589,54 +625,85 @@ impl Host {
         while let Some((app_id, ev)) = self.core.pending.pop_front() {
             guard += 1;
             assert!(guard < 1_000_000, "application event storm");
-            let Some(mut app) = self.apps.get_mut(app_id.0).and_then(Option::take) else {
-                continue;
+            let mut app = self.apps.get_mut(app_id.0).and_then(Option::take);
+            let mut api = HostApi {
+                core: &mut self.core,
+                ctx,
+                app: app_id,
             };
-            {
-                let mut api = HostApi {
-                    core: &mut self.core,
-                    ctx,
-                    app: app_id,
-                };
-                app.on_event(ev, &mut api);
+            match ev {
+                Pending::Event(ev) => {
+                    if let Some(app) = app.as_mut() {
+                        app.on_event(ev, &mut api);
+                    }
+                }
+                Pending::TcpData(conn, len) => {
+                    // The app reads the bytes where they wait, and they
+                    // are dropped once it returns.
+                    let unread = api.core.tcp.take_unread(conn);
+                    if let Some(app) = app.as_mut() {
+                        let data = TcpBytes(&unread[..len]);
+                        app.on_event(AppEvent::TcpData { conn, data }, &mut api);
+                    }
+                    api.core.tcp.read_done(conn, unread, len);
+                }
             }
-            self.apps[app_id.0] = Some(app);
+            if let Some(app) = app {
+                self.apps[app_id.0] = Some(app);
+            }
         }
     }
 }
 
 impl Node for Host {
     fn on_event(&mut self, event: EventKind, ctx: &mut Context<'_>) {
-        match event {
-            EventKind::Deliver { frame, .. } => {
-                self.core.wire_input(frame.data, ctx);
+        let changed = match event {
+            EventKind::Deliver { frame, .. } => self.core.wire_input(frame.data, ctx),
+            EventKind::Timer { token } => {
+                match token & (0xff << 56) {
+                    SUB_TCP => self.core.tcp_timer(ctx),
+                    SUB_APP => {
+                        let app = AppId(((token >> 32) & 0xff_ffff) as usize);
+                        let t32 = (token & 0xffff_ffff) as u32;
+                        let timer = Pending::Event(AppEvent::Timer { token: t32 });
+                        self.core.pending.push_back((app, timer));
+                    }
+                    SUB_SHIM => self.core.shim_timer(ctx),
+                    SUB_TAP => self.core.tap_poll(ctx),
+                    SUB_START => {
+                        for i in 0..self.apps.len() {
+                            let start = Pending::Event(AppEvent::Start);
+                            self.core.pending.push_back((AppId(i), start));
+                        }
+                        if self.core.tracer.is_some() {
+                            self.core.tap_poll(ctx);
+                        }
+                    }
+                    _ => {}
+                }
+                true
             }
-            EventKind::Timer { token } => match token & (0xff << 56) {
-                SUB_TCP => self.core.tcp_timer(ctx),
-                SUB_APP => {
-                    let app = AppId(((token >> 32) & 0xff_ffff) as usize);
-                    let t32 = (token & 0xffff_ffff) as u32;
-                    self.core
-                        .pending
-                        .push_back((app, AppEvent::Timer { token: t32 }));
-                }
-                SUB_SHIM => self.core.shim_timer(ctx),
-                SUB_TAP => self.core.tap_poll(ctx),
-                SUB_START => {
-                    for i in 0..self.apps.len() {
-                        self.core.pending.push_back((AppId(i), AppEvent::Start));
-                    }
-                    if self.core.tracer.is_some() {
-                        self.core.tap_poll(ctx);
-                    }
-                }
-                _ => {}
-            },
             EventKind::Held { token, frame } => match token {
-                SUB_TX => self.core.wire_send(frame.data, ctx),
-                SUB_RX => self.core.rx_deliver(frame.data, ctx),
-                _ => {}
+                SUB_TX => {
+                    let now = ctx.now();
+                    self.core.wire_send(frame.data, now, ctx);
+                    false
+                }
+                SUB_RX => {
+                    self.core.rx_deliver(frame.data, ctx);
+                    true
+                }
+                _ => false,
             },
+        };
+        // An event that only moved a frame left no app event pending and
+        // no TCP or shim deadline to re-arm.
+        if !changed {
+            debug_assert!(
+                self.core.pending.is_empty(),
+                "a frame move raised app events"
+            );
+            return;
         }
         self.drain_pending(ctx);
         self.core.rearm(ctx);

@@ -25,7 +25,7 @@ mod hooks;
 mod host;
 pub mod tcp;
 
-pub use app::{App, AppEvent, AppId};
+pub use app::{App, AppEvent, AppId, TcpBytes};
 pub use config::{HostConfig, TcpConfig};
 pub use hooks::{DeviceTap, Direction, LinkShim, ShimRelease, ShimVerdict};
 pub use host::{Host, HostApi, HostCore, HostStats, NIC_PORT, START_TOKEN};

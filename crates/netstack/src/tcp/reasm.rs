@@ -54,11 +54,11 @@ impl Reassembly {
         true
     }
 
-    /// Pop every segment now contiguous with `rcv_nxt`, returning the
-    /// in-order bytes and the new `rcv_nxt`. Segments that start below
-    /// `rcv_nxt` have their overlap trimmed; stale ones are dropped.
-    pub fn drain(&mut self, mut rcv_nxt: u32) -> (Vec<u8>, u32) {
-        let mut out = Vec::new();
+    /// Pop every segment now contiguous with `rcv_nxt`, appending the
+    /// in-order bytes to `out` and returning the new `rcv_nxt`. Segments
+    /// that start below `rcv_nxt` have their overlap trimmed; stale ones
+    /// are dropped.
+    pub fn drain(&mut self, mut rcv_nxt: u32, out: &mut Vec<u8>) -> u32 {
         loop {
             // Find any segment that starts at or below rcv_nxt and still
             // has useful bytes. BTreeMap is keyed by raw u32, which does
@@ -88,7 +88,7 @@ impl Reassembly {
                 self.buffered -= d.len();
             }
         }
-        (out, rcv_nxt)
+        rcv_nxt
     }
 
     /// True when nothing is buffered.
@@ -100,6 +100,13 @@ impl Reassembly {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `drain(&mut r, rcv_nxt)` into a fresh buffer: `(bytes, new rcv_nxt)`.
+    fn drain(r: &mut Reassembly, rcv_nxt: u32) -> (Vec<u8>, u32) {
+        let mut out = Vec::new();
+        let nxt = r.drain(rcv_nxt, &mut out);
+        (out, nxt)
+    }
 
     #[test]
     fn seq_comparisons_wrap() {
@@ -113,11 +120,11 @@ mod tests {
     fn in_order_drain_after_gap_fill() {
         let mut r = Reassembly::new(4096);
         r.insert(100, vec![2u8; 10]); // gap at 90..100
-        let (out, nxt) = r.drain(90);
+        let (out, nxt) = drain(&mut r, 90);
         assert!(out.is_empty());
         assert_eq!(nxt, 90);
         // Fill arrives (delivered directly by caller); drain from 100.
-        let (out, nxt) = r.drain(100);
+        let (out, nxt) = drain(&mut r, 100);
         assert_eq!(out, vec![2u8; 10]);
         assert_eq!(nxt, 110);
         assert!(r.is_empty());
@@ -129,7 +136,7 @@ mod tests {
         r.insert(110, vec![2u8; 10]);
         r.insert(100, vec![1u8; 10]);
         r.insert(130, vec![4u8; 5]); // still a gap at 120..130
-        let (out, nxt) = r.drain(100);
+        let (out, nxt) = drain(&mut r, 100);
         assert_eq!(out.len(), 20);
         assert_eq!(nxt, 120);
         assert_eq!(r.buffered(), 5);
@@ -140,7 +147,7 @@ mod tests {
         let mut r = Reassembly::new(4096);
         // Segment covering 95..115 when rcv_nxt is 100: skip 5.
         r.insert(95, (0..20).collect());
-        let (out, nxt) = r.drain(100);
+        let (out, nxt) = drain(&mut r, 100);
         assert_eq!(out, (5..20).collect::<Vec<u8>>());
         assert_eq!(nxt, 115);
     }
@@ -150,7 +157,7 @@ mod tests {
         let mut r = Reassembly::new(4096);
         r.insert(100, vec![1u8; 20]);
         r.insert(105, vec![9u8; 5]); // entirely inside the first
-        let (out, nxt) = r.drain(100);
+        let (out, nxt) = drain(&mut r, 100);
         assert_eq!(out.len(), 20);
         assert_eq!(nxt, 120);
         assert!(r.is_empty());
@@ -171,7 +178,7 @@ mod tests {
         let mut r = Reassembly::new(100);
         assert!(r.insert(100, vec![1u8; 10]));
         assert!(!r.insert(100, vec![2u8; 10]));
-        let (out, _) = r.drain(100);
+        let (out, _) = drain(&mut r, 100);
         assert_eq!(out, vec![1u8; 10]);
     }
 
@@ -180,7 +187,7 @@ mod tests {
         let mut r = Reassembly::new(4096);
         let start = u32::MAX - 4; // 5 bytes before wrap
         r.insert(start, vec![7u8; 10]);
-        let (out, nxt) = r.drain(start);
+        let (out, nxt) = drain(&mut r, start);
         assert_eq!(out.len(), 10);
         assert_eq!(nxt, 5);
     }

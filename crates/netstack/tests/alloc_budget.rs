@@ -128,16 +128,19 @@ fn transfer(direction: FtpDirection) -> (u64, u64, u64) {
 
 /// Per-segment ceilings: the counts measured, rounded up, with each frame
 /// built once in one buffer, the engine's and host's output buffers
-/// reused, and the pumps sending from one shared fill (1 927 and 1 863
-/// allocations over 751 and 726 segments, the fill's one 8 KiB buffer
-/// included). Per segment that is its frame (1.5 kB), the receiver's
-/// copy of the payload for the application, and half of a delayed ACK's
-/// frame. Before that, the same transfers took 11.98 allocations and
-/// 11.9 / 12.2 kB per segment.
-const SEND_ALLOCS: f64 = 2.57;
-const SEND_BYTES: f64 = 3069.0;
-const RECV_ALLOCS: f64 = 2.57;
-const RECV_BYTES: f64 = 3172.0;
+/// reused, the pumps sending from one shared fill, and the receiver's
+/// bytes read by the application where they wait in the connection's
+/// receive buffer (1 181 and 1 141 allocations, 1 257 779 and 1 255 513
+/// bytes, over 751 and 726 segments, the fill's one 8 KiB buffer
+/// included). Per segment that is its frame (1.5 kB) and half of a
+/// delayed ACK's frame. With a fresh copy of the payload per segment
+/// for the application, the same transfers took 2.57 allocations and
+/// 3 069 / 3 172 bytes per segment; before the reused buffers, 11.98
+/// allocations and 11.9 / 12.2 kB.
+const SEND_ALLOCS: f64 = 1.58;
+const SEND_BYTES: f64 = 1675.0;
+const RECV_ALLOCS: f64 = 1.58;
+const RECV_BYTES: f64 = 1730.0;
 
 fn check(direction: FtpDirection, max_allocs: f64, max_bytes: f64) {
     let (allocs, bytes, segments) = transfer(direction);

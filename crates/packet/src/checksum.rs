@@ -4,10 +4,15 @@ use std::net::Ipv4Addr;
 
 /// Incremental ones-complement sum accumulator.
 ///
-/// Bytes are summed as big-endian 32-bit words into a 64-bit total and
-/// folded to 16 bits in [`finish`](Checksum::finish). Since 2¹⁶ ≡ 1
-/// (mod 2¹⁶ − 1), a 32-bit word adds the same ones-complement value as
-/// its two 16-bit halves, so the result is the RFC 1071 checksum.
+/// Bytes are summed as native little-endian 64-bit words, each folded
+/// into a 64-bit total as its two 32-bit halves; the total folds to 16
+/// bits in [`finish`](Checksum::finish). Since 2¹⁶ ≡ 1 (mod 2¹⁶ − 1),
+/// a 32-bit half adds the same ones-complement value as its two 16-bit
+/// words. Read little-endian, every 16-bit word is byte-swapped, and
+/// by RFC 1071 §2(B) the ones-complement sum of swapped words is the
+/// swapped sum: `finish` swaps once, and values given to
+/// [`add_u16`](Checksum::add_u16) are swapped on the way in. No word
+/// is swapped in the loop.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Checksum {
     sum: u64,
@@ -24,23 +29,31 @@ impl Checksum {
     /// 16-bit alignment they occupy in the packet (all our callers feed
     /// even-length prefixes, so this holds).
     pub fn add_bytes(&mut self, data: &[u8]) {
-        let mut words = data.chunks_exact(4);
+        let mut words = data.chunks_exact(8);
         for w in &mut words {
-            self.sum += u64::from(u32::from_be_bytes([w[0], w[1], w[2], w[3]]));
+            self.add_word(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
         }
         let rest = words.remainder();
         if !rest.is_empty() {
-            // A 3-, 2- or 1-byte tail, zero-padded: its 16-bit halves are
-            // the words (and the odd byte's zero pad) RFC 1071 adds.
-            let mut tail = [0u8; 4];
+            // A tail of up to 7 bytes, zero-padded: its 16-bit words
+            // (and the odd byte's zero pad) are the ones RFC 1071 adds.
+            let mut tail = [0u8; 8];
             tail[..rest.len()].copy_from_slice(rest);
-            self.sum += u64::from(u32::from_be_bytes(tail));
+            self.add_word(u64::from_le_bytes(tail));
         }
+    }
+
+    /// Add a little-endian word as its two 32-bit halves (less than
+    /// 2³³ per word, so the total cannot overflow for any slice that
+    /// fits in memory).
+    #[inline(always)]
+    fn add_word(&mut self, w: u64) {
+        self.sum += (w & 0xffff_ffff) + (w >> 32);
     }
 
     /// Fold a single big-endian 16-bit word into the sum.
     pub fn add_u16(&mut self, v: u16) {
-        self.sum += u64::from(v);
+        self.sum += u64::from(v.swap_bytes());
     }
 
     /// Fold the TCP/UDP pseudo-header: src, dst, zero+protocol, length.
@@ -51,13 +64,13 @@ impl Checksum {
         self.add_u16(len);
     }
 
-    /// Finish: fold carries and complement.
+    /// Finish: fold carries, swap back to network order and complement.
     pub fn finish(self) -> u16 {
         let mut s = self.sum;
         while s >> 16 != 0 {
             s = (s & 0xffff) + (s >> 16);
         }
-        !(s as u16)
+        !(s as u16).swap_bytes()
     }
 }
 

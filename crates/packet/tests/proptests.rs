@@ -4,7 +4,7 @@
 //! written in place must equal the nested emits byte for byte, and the
 //! word-wide checksum must equal the 16-bit RFC 1071 sum.
 
-use packet::checksum::Checksum;
+use packet::checksum::{checksum, Checksum};
 use packet::*;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -30,8 +30,9 @@ fn arb_flags() -> impl Strategy<Value = TcpFlags> {
         })
 }
 
-/// RFC 1071 one 16-bit word at a time, each part zero-padded to an even
-/// length: the reference the word-wide [`Checksum`] is checked against.
+/// RFC 1071 one big-endian 16-bit word at a time, each part zero-padded
+/// to an even length: the reference the word-wide, little-endian
+/// [`Checksum`] is checked against.
 fn checksum_16bit(parts: &[&[u8]], pseudo: Option<(Ipv4Addr, Ipv4Addr, u8, u16)>) -> u16 {
     let mut sum = 0u32;
     let mut add = |data: &[u8]| {
@@ -50,6 +51,42 @@ fn checksum_16bit(parts: &[&[u8]], pseudo: Option<(Ipv4Addr, Ipv4Addr, u8, u16)>
         sum = (sum & 0xffff) + (sum >> 16);
     }
     !(sum as u16)
+}
+
+/// One step of a checksum built by hand: a slice or a 16-bit word.
+#[derive(Debug, Clone)]
+enum Piece {
+    Bytes(Vec<u8>),
+    Word(u16),
+}
+
+fn arb_piece() -> impl Strategy<Value = Piece> {
+    prop_oneof![
+        // Even lengths, as every caller but the last feeds the sum.
+        proptest::collection::vec(any::<u8>(), 0..200).prop_map(|mut v| {
+            v.truncate(v.len() & !1);
+            Piece::Bytes(v)
+        }),
+        Just(Piece::Bytes(vec![0xff; 40])),
+        any::<u16>().prop_map(Piece::Word),
+        Just(Piece::Word(0xffff)),
+    ]
+}
+
+#[test]
+fn word_wide_checksum_matches_the_16bit_sum_on_uniform_bytes() {
+    // Every length 0-1 600 (odd tails included) of all-0xff, all-zero
+    // and one repeated odd byte: the folds' carry and 0/0xffff corners.
+    for len in 0..=1600 {
+        for fill in [0xffu8, 0x00, 0x5b] {
+            let data = vec![fill; len];
+            assert_eq!(
+                checksum(&data),
+                checksum_16bit(&[&data], None),
+                "{len} bytes of {fill:#x}"
+            );
+        }
+    }
 }
 
 proptest! {
@@ -79,6 +116,33 @@ proptest! {
             c.add_bytes(p);
         }
         prop_assert_eq!(c.finish(), checksum_16bit(&parts, pseudo));
+    }
+
+    #[test]
+    fn word_wide_checksum_matches_the_16bit_sum_on_mixed_steps(
+        steps in proptest::collection::vec(arb_piece(), 0..12),
+        tail in proptest::collection::vec(any::<u8>(), 0..9),
+    ) {
+        // `add_bytes` and `add_u16` interleaved like a pseudo-header and
+        // its segment, ending on any (possibly odd) tail.
+        let mut c = Checksum::new();
+        let mut bytes: Vec<Vec<u8>> = Vec::new();
+        for step in &steps {
+            match step {
+                Piece::Bytes(b) => {
+                    c.add_bytes(b);
+                    bytes.push(b.clone());
+                }
+                Piece::Word(w) => {
+                    c.add_u16(*w);
+                    bytes.push(w.to_be_bytes().to_vec());
+                }
+            }
+        }
+        c.add_bytes(&tail);
+        bytes.push(tail);
+        let parts: Vec<&[u8]> = bytes.iter().map(Vec::as_slice).collect();
+        prop_assert_eq!(c.finish(), checksum_16bit(&parts, None));
     }
 
     #[test]

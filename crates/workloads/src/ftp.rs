@@ -7,7 +7,7 @@
 //! SEND with `OK\n`. Completion is measured at the client: for SEND,
 //! when `OK` arrives; for RECV, when the last byte arrives.
 
-use crate::{Fill, CHUNK};
+use crate::{read_line, Fill, CHUNK};
 use netsim::SimTime;
 use netstack::{App, AppEvent, HostApi, TcpHandle};
 use std::collections::HashMap;
@@ -76,25 +76,23 @@ impl FtpServer {
         self.conns.remove(&conn);
     }
 
-    fn on_data(&mut self, conn: TcpHandle, data: Vec<u8>, api: &mut HostApi<'_, '_>) {
+    fn on_data(&mut self, conn: TcpHandle, data: &[u8], api: &mut HostApi<'_, '_>) {
         let Some(state) = self.conns.get_mut(&conn) else {
             return;
         };
         match state {
             SrvConn::AwaitCommand { line } => {
-                line.extend_from_slice(&data);
-                let Some(pos) = line.iter().position(|&b| b == b'\n') else {
+                let Some(body_len) = read_line(line, data) else {
                     return;
                 };
-                let cmd = String::from_utf8_lossy(&line[..pos]).to_string();
-                let body: Vec<u8> = line[pos + 1..].to_vec();
+                let cmd = String::from_utf8_lossy(line).to_string();
                 let mut parts = cmd.split_whitespace();
                 let verb = parts.next().unwrap_or("");
                 let n: usize = parts.next().and_then(|s| s.parse().ok()).unwrap_or(0);
                 match verb {
                     "SEND" => {
                         *state = SrvConn::Receiving {
-                            remaining: n.saturating_sub(body.len()),
+                            remaining: n.saturating_sub(body_len),
                         };
                         if let Some(SrvConn::Receiving { remaining }) = self.conns.get(&conn) {
                             if *remaining == 0 {
@@ -140,7 +138,7 @@ impl App for FtpServer {
             AppEvent::TcpAccepted { conn, .. } => {
                 self.conns.insert(conn, SrvConn::AwaitCommand { line: Vec::new() });
             }
-            AppEvent::TcpData { conn, data } => self.on_data(conn, data, api),
+            AppEvent::TcpData { conn, data } => self.on_data(conn, &data, api),
             AppEvent::TcpSendSpace { conn } => self.pump_send(conn, api),
             AppEvent::TcpPeerClosed { conn }
                 // Client finished a RECV and closed; close our side too.

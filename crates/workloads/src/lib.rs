@@ -28,6 +28,23 @@ pub use nfs::{NfsProc, NfsServer, RpcClient, NFS_PORT};
 pub use ping::{PingConfig, PingWorkload};
 pub use web::{search_task_trace, WebClient, WebServer, WEB_PORT};
 
+/// Read a newline-ended text line (a command, request or header) off a
+/// TCP stream: append `data` to `line` up to its first newline. Once the
+/// newline arrives, `line` holds the text before it and the bytes after
+/// it in `data` are counted, not copied: returns their number.
+fn read_line(line: &mut Vec<u8>, data: &[u8]) -> Option<usize> {
+    match data.iter().position(|&b| b == b'\n') {
+        Some(pos) => {
+            line.extend_from_slice(&data[..pos]);
+            Some(data.len() - pos - 1)
+        }
+        None => {
+            line.extend_from_slice(data);
+            None
+        }
+    }
+}
+
 /// Most bytes a bulk sender offers its connection per `tcp_send`.
 const CHUNK: usize = 8192;
 

@@ -8,7 +8,7 @@
 //! and closes. The client caches objects it has seen (Mosaic's cache)
 //! and charges a per-object browser processing cost.
 
-use crate::{Fill, CHUNK};
+use crate::{read_line, Fill, CHUNK};
 use netsim::{SimDuration, SimRng, SimTime};
 use netstack::{App, AppEvent, HostApi, TcpHandle};
 use std::collections::{HashMap, HashSet};
@@ -135,11 +135,10 @@ impl App for WebServer {
                 let Some(WebSrvConn::AwaitRequest { line }) = self.conns.get_mut(&conn) else {
                     return;
                 };
-                line.extend_from_slice(&data);
-                let Some(pos) = line.iter().position(|&b| b == b'\n') else {
+                if read_line(line, &data).is_none() {
                     return;
-                };
-                let req = String::from_utf8_lossy(&line[..pos]).to_string();
+                }
+                let req = String::from_utf8_lossy(line).to_string();
                 let id: u32 = req
                     .strip_prefix("GET ")
                     .and_then(|s| s.trim().parse().ok())
@@ -351,12 +350,10 @@ impl App for WebClient {
             }
             AppEvent::TcpData { conn, data } if Some(conn) == self.conn => match &mut self.state {
                 WebCliState::AwaitHeader { line } => {
-                    line.extend_from_slice(&data);
-                    let Some(pos) = line.iter().position(|&b| b == b'\n') else {
+                    let Some(body_len) = read_line(line, &data) else {
                         return;
                     };
-                    let hdr = String::from_utf8_lossy(&line[..pos]).to_string();
-                    let body_len = line.len() - pos - 1;
+                    let hdr = String::from_utf8_lossy(line).to_string();
                     let n: usize = hdr
                         .strip_prefix("LEN ")
                         .and_then(|s| s.trim().parse().ok())
