@@ -216,16 +216,16 @@ fn empty_plan_chaos_run_matches_the_clean_pipeline() {
         (
             porter(30),
             Benchmark::Web,
-            0xdabd_ae86_135c_ef40,
+            0xdaf0_f312_e0bc_10d8,
             None,
-            0xcd1c_e610_5826_0eca,
+            0x4d81_f7cc_1c57_24aa,
         ),
         (
             chatterbox,
             Benchmark::FtpRecv,
-            0x7ef3_a633_a6d8_1722,
+            0x04fc_9c2a_8853_c028,
             Some(4_625_858_386_862_380_882),
-            0x998b_0954_2aa2_cadb,
+            0xc59e_c609_229e_5ddd,
         ),
     ];
     let dcfg = DistillConfig::default();
