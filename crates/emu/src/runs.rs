@@ -412,9 +412,9 @@ fn live_pass(
             };
             records_processed += fresh.len() as u64;
             // Records detour through the injector's encode→corrupt→
-            // decode→quarantine chain, and tuples through the dropping
-            // sink.
-            let survivors = injector.process_records(&fresh);
+            // decode→quarantine chain (a plan without record faults
+            // hands them through), and tuples through the dropping sink.
+            let survivors = injector.process_records(fresh);
             let mut sink = ChaosSink::new(&mut feed, &mut injector);
             for rec in &survivors {
                 d.push_record(rec, &mut sink);

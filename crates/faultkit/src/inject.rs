@@ -12,7 +12,7 @@
 use crate::plan::{Fault, FaultPlan};
 use obs::FaultEvent;
 use serde::{Deserialize, Serialize};
-use tracekit::format::{encode_record, encode_trace_header};
+use tracekit::format::{encode_record, encode_trace_header, encoded_record_len};
 use tracekit::{ChunkDecoder, QualityTuple, TraceRecord, TupleSink};
 
 /// Ceiling for `clock_jump` deltas: ±1 hour. Keeps shifted timestamps
@@ -176,6 +176,7 @@ pub struct FaultInjector {
     plausible_max_ns: u64,
     bytes_emitted: u64,
     records_out: u64,
+    records_encoded: u64,
     tuples_seen: u64,
     now_ns: u64,
     counters: FaultCounters,
@@ -261,6 +262,7 @@ impl FaultInjector {
             plausible_max_ns: trace_span_ns.saturating_add(PLAUSIBLE_SLACK_NS),
             bytes_emitted: 0,
             records_out: 0,
+            records_encoded: 0,
             tuples_seen: 0,
             now_ns: 0,
             counters: FaultCounters::default(),
@@ -340,9 +342,24 @@ impl FaultInjector {
     /// chain: truncate → encode → corrupt bytes → quarantine-decode →
     /// timestamp sanitize → clock jump. Returns the surviving records
     /// in order.
-    pub fn process_records(&mut self, fresh: &[TraceRecord]) -> Vec<TraceRecord> {
+    ///
+    /// A plan without a record-level fault (corrupt, truncate, clock
+    /// jump) cannot change a record, so the slice is handed back as it
+    /// came, unencoded; the byte and record tallies advance as the
+    /// chain's would. Only a record past the plausible span, which
+    /// collection never stamps, takes the chain's path to be rejected.
+    pub fn process_records(&mut self, fresh: Vec<TraceRecord>) -> Vec<TraceRecord> {
+        let touches_records =
+            !self.corrupt.is_empty() || self.truncate_cutoff_ns.is_some() || self.jump.is_some();
+        let max_ns = self.plausible_max_ns;
+        if !touches_records && fresh.iter().all(|r| r.timestamp_ns() <= max_ns) {
+            let bytes: usize = fresh.iter().map(encoded_record_len).sum();
+            self.bytes_emitted += bytes as u64;
+            self.records_out += fresh.len() as u64;
+            return fresh;
+        }
         let mut wire = Vec::new();
-        for rec in fresh {
+        for rec in &fresh {
             if let Some(cutoff) = self.truncate_cutoff_ns {
                 if rec.timestamp_ns() >= cutoff {
                     self.counters.truncated_records += 1;
@@ -355,6 +372,7 @@ impl FaultInjector {
                 }
             }
             let mut bytes = encode_record(rec);
+            self.records_encoded += 1;
             let start = self.bytes_emitted;
             let end = start + bytes.len() as u64;
             for site in &mut self.corrupt {
@@ -452,6 +470,12 @@ impl FaultInjector {
         &self.counters
     }
 
+    /// Records the fault chain has encoded so far (none under a plan
+    /// without a record-level fault).
+    pub fn records_encoded(&self) -> u64 {
+        self.records_encoded
+    }
+
     /// Every injection so far, in order (one event per injected fault).
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
@@ -497,7 +521,7 @@ impl<S: TupleSink + ?Sized> TupleSink for ChaosSink<'_, S> {
     fn push_tuple(&mut self, tuple: QualityTuple) {
         let idx = self.injector.tuples_seen;
         self.injector.tuples_seen += 1;
-        if self.injector.should_drop_tuple(idx) {
+        if !self.injector.drop_ranges.is_empty() && self.injector.should_drop_tuple(idx) {
             return;
         }
         self.inner.push_tuple(tuple);
@@ -534,11 +558,37 @@ mod tests {
     fn empty_plan_is_identity() {
         let mut inj = FaultInjector::new(7, &FaultPlan::new(), SPAN);
         let recs = records(50);
-        let out = inj.process_records(&recs);
+        let out = inj.process_records(recs.clone());
         inj.finish_records();
         assert_eq!(out, recs);
         assert_eq!(inj.counters().injected_total(), 0);
         assert!(inj.events().is_empty());
+        assert_eq!(inj.records_encoded(), 0, "records pass through unencoded");
+    }
+
+    #[test]
+    fn plans_without_record_faults_pass_records_through_with_the_chains_tallies() {
+        let recs = records(50);
+        let tallies = |plan: Vec<Fault>| {
+            let mut inj = FaultInjector::new(7, &FaultPlan::from(plan), SPAN);
+            let out = inj.process_records(recs.clone());
+            assert_eq!(out, recs);
+            (inj.records_encoded(), inj.bytes_emitted, inj.records_out)
+        };
+        let passed = tallies(vec![
+            Fault::DropTuples { start: 0, end: 9 },
+            Fault::StallFeed { virtual_ms: 10 },
+            Fault::KillWorker {
+                idx: 0,
+                at_record: 5,
+            },
+            Fault::OomRing { cap: 4096 },
+        ]);
+        // A zero clock jump changes no record but takes the chain.
+        let chained = tallies(vec![Fault::ClockJump { delta_ms: 0 }]);
+        assert_eq!(passed.0, 0);
+        assert_eq!(chained.0, 50);
+        assert_eq!((passed.1, passed.2), (chained.1, chained.2));
     }
 
     #[test]
@@ -549,7 +599,7 @@ mod tests {
             SPAN,
         );
         let recs = records(50);
-        let out = inj.process_records(&recs);
+        let out = inj.process_records(recs.clone());
         inj.finish_records();
         // Offset 0 is the first record's tag byte: the whole record is
         // lost to quarantine and decode resynchronizes.
@@ -569,7 +619,7 @@ mod tests {
         let recs = records(80);
         let run = |seed| {
             let mut inj = FaultInjector::new(seed, &plan, SPAN);
-            let out = inj.process_records(&recs);
+            let out = inj.process_records(recs.clone());
             (out, *inj.counters(), inj.events().to_vec())
         };
         assert_eq!(run(42), run(42));
@@ -587,10 +637,10 @@ mod tests {
             SPAN,
         );
         let recs = records(10); // timestamps 0..9ms, span 10s: all below cutoff
-        let out = inj.process_records(&recs);
+        let out = inj.process_records(recs.clone());
         assert_eq!(out.len(), 10);
         let late = vec![packet(SPAN - 1, 99)];
-        let out2 = inj.process_records(&late);
+        let out2 = inj.process_records(late);
         assert!(out2.is_empty());
         assert_eq!(inj.counters().truncations, 1);
         assert_eq!(inj.counters().truncated_records, 1);
@@ -599,7 +649,7 @@ mod tests {
     #[test]
     fn implausible_timestamps_are_rejected() {
         let mut inj = FaultInjector::new(1, &FaultPlan::new(), SPAN);
-        let out = inj.process_records(&[packet(u64::MAX / 2, 0)]);
+        let out = inj.process_records(vec![packet(u64::MAX / 2, 0)]);
         assert!(out.is_empty());
         assert_eq!(inj.counters().rejected_timestamps, 1);
     }
@@ -609,7 +659,7 @@ mod tests {
         let plan = FaultPlan::from(vec![Fault::ClockJump { delta_ms: 1_000 }]);
         let mut inj = FaultInjector::new(9, &plan, SPAN);
         let recs = records(2000);
-        let out = inj.process_records(&recs);
+        let out = inj.process_records(recs.clone());
         assert_eq!(out.len(), recs.len());
         assert_eq!(inj.counters().clock_jumps, 1);
         let shifted: Vec<_> = out

@@ -257,6 +257,25 @@ fn write_record(w: &mut Writer, r: &TraceRecord) {
     }
 }
 
+/// The length of [`encode_record`]'s output, without encoding: every
+/// record kind has a fixed layout.
+pub fn encoded_record_len(r: &TraceRecord) -> usize {
+    match r {
+        TraceRecord::Packet(p) => {
+            // Tag, timestamp, direction, wire length, then the protocol
+            // tag and its fields.
+            14 + match p.proto {
+                ProtoInfo::IcmpEcho { .. } | ProtoInfo::IcmpEchoReply { .. } => 17,
+                ProtoInfo::Udp { .. } => 9,
+                ProtoInfo::Tcp { .. } => 18,
+                ProtoInfo::Other { .. } => 2,
+            }
+        }
+        TraceRecord::Device(_) => 21,
+        TraceRecord::Overrun(_) => 25,
+    }
+}
+
 /// Encode a single record exactly as it would appear inside a trace file.
 pub fn encode_record(r: &TraceRecord) -> Vec<u8> {
     let mut w = Writer::new();
@@ -684,6 +703,13 @@ mod tests {
             lost_device: 0,
         }));
         t
+    }
+
+    #[test]
+    fn encoded_record_len_is_the_encoding_length() {
+        for r in &sample().records {
+            assert_eq!(encoded_record_len(r), encode_record(r).len(), "{r:?}");
+        }
     }
 
     #[test]
