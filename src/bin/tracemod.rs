@@ -238,7 +238,8 @@ mod table {
         cmd("scenarios", &[], cmd_scenarios, &[],
             "list the built-in scenarios and the registered channel-model families"),
         cmd("dump-scenario", &[], cmd_dump_scenario, &[SCENARIO],
-            "print a scenario as an editable TOML scenario file (input for --scenario-file)"),
+            "print a built-in scenario or scenario file as an editable TOML scenario file \
+             (input for --scenario-file); a scenario pack has no such form"),
         cmd("collect", &[], cmd_collect, &[SCENARIO, TRIAL, OUT_FILE, COLLECT],
             "collect a trace of a scenario"),
         cmd("distill", &["<trace>"], cmd_distill, &[OUT_FILE, WINDOW],
@@ -467,7 +468,16 @@ fn scenario_arg(args: &Args) -> Result<(Scenario, Option<ScenarioPack>), CliErro
 }
 
 fn cmd_dump_scenario(args: &Args) -> CliResult {
-    let (sc, _) = scenario_arg(args)?;
+    let (sc, pack) = scenario_arg(args)?;
+    if let Some(pack) = pack {
+        // A pack's stub is a WaveLAN walk, not the pack's models: a
+        // dump of it would run that walk under --scenario-file.
+        return Err(CliError::usage(format!(
+            "scenario pack '{}' has no scenario-file form: a scenario file is one WaveLAN \
+             walk, and the pack's channel models are not; pass the pack itself to --scenario",
+            pack.name
+        )));
+    }
     print!("{}", sc.to_toml());
     Ok(())
 }
