@@ -282,11 +282,12 @@ pub struct LiveModOutcome {
 /// is this run's position in its trial plan (0 when run standalone):
 /// `kill_worker(idx, ..)` plan entries target plan cells, not pool
 /// workers, so the same plan produces the same kills at any worker
-/// count. A kill runs the cell until the victim has processed
-/// `at_record` records, discards the partial run, and restarts the
-/// cell from its plan entry; the restarted run is bitwise identical to
-/// an uninterrupted one except for the `worker_kills` tally and its
-/// fault event.
+/// count. A kill is noted, stamped with the virtual time of the first
+/// slice after which the victim has processed `at_record` records, and
+/// the cell runs on: cells are pure functions of their plan entry, so
+/// a restart would replay the same run, and the outcome is bitwise
+/// identical to an uninterrupted one except for the `worker_kills`
+/// tally and its fault event.
 #[allow(clippy::too_many_arguments)] // one parameter per pipeline input; a config struct would be pure ceremony
 pub fn live_modulated_run(
     scenario: &Scenario,
@@ -299,39 +300,7 @@ pub fn live_modulated_run(
     cell_index: usize,
 ) -> LiveModOutcome {
     let span_ns = (scenario.duration.as_secs_f64() * 1e9) as u64;
-    let injector = || FaultInjector::new(seed, plan, span_ns);
-    let mut definitive = injector();
-    definitive.restart_on_kill(cell_index, |at_record| {
-        // The probe pass runs with a throwaway injector: its only
-        // purpose is to establish the virtual time the kill lands at.
-        live_pass(
-            scenario,
-            trial,
-            benchmark,
-            dcfg,
-            cfg,
-            injector(),
-            Some(at_record),
-        )
-    });
-    live_pass(scenario, trial, benchmark, dcfg, cfg, definitive, None)
-        .unwrap_or_else(|_| unreachable!("definitive run has no abort point"))
-}
-
-/// One pass of [`live_modulated_run`] with `injector` on every fault
-/// hook (ring cap, record path, tuple drops, feed stalls).
-/// `abort_at_record` simulates a worker kill: once that many records
-/// have been stolen from the collection daemon the pass aborts,
-/// returning `Err(virtual_time_ns)`.
-fn live_pass(
-    scenario: &Scenario,
-    trial: u32,
-    benchmark: Benchmark,
-    dcfg: &DistillConfig,
-    cfg: &RunConfig,
-    mut injector: FaultInjector,
-    abort_at_record: Option<u64>,
-) -> Result<LiveModOutcome, u64> {
+    let mut injector = FaultInjector::new(seed, plan, span_ns);
     // Collection side — `collect_trace`'s testbed, plus a flight
     // recorder threaded through every stage. Recording is passive (no
     // scheduling or RNG access), so the benchmark outcome and
@@ -428,10 +397,12 @@ fn live_pass(
                 }
             }
         }
-        if let Some(at) = abort_at_record {
-            if records_processed >= at {
-                return Err(now.as_nanos());
-            }
+        // A worker kill lands on the slice whose records cross its mark.
+        if injector
+            .kill_mark(cell_index)
+            .is_some_and(|at| records_processed >= at)
+        {
+            injector.note_kill(now.as_nanos());
         }
         feed.set_paused(injector.stall_feed_active());
         feed.pump();
@@ -557,7 +528,7 @@ fn live_pass(
         worker_utilization: 1.0,
     });
 
-    Ok(LiveModOutcome {
+    LiveModOutcome {
         result: extract(&eth, &inst),
         stats: LiveModStats {
             tuples_fed,
@@ -571,7 +542,7 @@ fn live_pass(
         flight,
         faults: injector.into_events(),
         counters,
-    })
+    }
 }
 
 /// Declare the record stream over and flush the distiller through the
