@@ -1,9 +1,11 @@
 //! `obs-report --check` and `alerts --rules builtin --check` are one
 //! evaluation of the builtin rules, so they give one verdict: on a
 //! live-pipeline run directory (one `manifest.json`, judged by the
-//! `run.*` rules) and on a fleet run directory (`report.json` and its
-//! fault log, judged by the `fleet.*` and `sample.*` rules), passing
-//! and failing alike.
+//! `run.*` rules), on a chaos run directory (`manifests.jsonl`, each
+//! trial judged by the `run.*` rules against its share of the fault
+//! log) and on a fleet run directory (`report.json` and its fault log,
+//! judged by the `fleet.*` and `sample.*` rules), passing and failing
+//! alike.
 
 use obs::{FleetReport, RunManifest};
 use std::path::{Path, PathBuf};
@@ -41,6 +43,7 @@ fn edit<T>(path: PathBuf, parse: fn(&str) -> T, change: fn(&mut T), render: fn(&
 #[test]
 fn obs_report_and_builtin_alerts_give_one_verdict() {
     let live = temp_path("live");
+    let chaos = temp_path("chaos");
     let fleet = temp_path("fleet");
     let live_run = tracemod(&[
         "live-pipeline",
@@ -64,7 +67,24 @@ fn obs_report_and_builtin_alerts_give_one_verdict() {
         fleet.to_str().unwrap(),
     ]);
     assert_eq!(fleet_run, Some(0));
+    let chaos_run = tracemod(&[
+        "chaos",
+        "--seed",
+        "13",
+        "--plan",
+        concat!(env!("CARGO_MANIFEST_DIR"), "/packs/faults/5-stall.toml"),
+        "--scenario",
+        "porter",
+        "--duration-secs",
+        "30",
+        "--trials",
+        "2",
+        "--out",
+        chaos.to_str().unwrap(),
+    ]);
+    assert_eq!(chaos_run, Some(0));
     assert_eq!(verdicts(&live), (Some(0), Some(0)), "clean live run");
+    assert_eq!(verdicts(&chaos), (Some(0), Some(0)), "clean chaos run");
     assert_eq!(verdicts(&fleet), (Some(0), Some(0)), "clean fleet");
 
     // One bar broken in each artifact: both commands fail.
@@ -80,9 +100,45 @@ fn obs_report_and_builtin_alerts_give_one_verdict() {
         |r| r.failed_clients = 1,
         FleetReport::to_json_pretty,
     );
+    edit(
+        chaos.join("manifests.jsonl"),
+        |text| {
+            text.lines()
+                .map(|l| RunManifest::from_json(l).unwrap())
+                .collect::<Vec<_>>()
+        },
+        |trials| trials[1].fidelity.abs_delay_error_p95_ms = 8.5,
+        |trials| {
+            trials
+                .iter()
+                .map(|m| m.deterministic_json() + "\n")
+                .collect()
+        },
+    );
     assert_eq!(verdicts(&live), (Some(1), Some(1)), "live run over 8 ms");
+    assert_eq!(
+        verdicts(&chaos),
+        (Some(1), Some(1)),
+        "chaos trial over 8 ms"
+    );
+    let alerts = Command::new(env!("CARGO_BIN_EXE_tracemod"))
+        .args([
+            "alerts",
+            chaos.to_str().unwrap(),
+            "--rules",
+            "builtin",
+            "--check",
+        ])
+        .output()
+        .expect("tracemod binary runs");
+    let stderr = String::from_utf8_lossy(&alerts.stderr);
+    assert!(
+        stderr.contains("trial 2: [critical] run-delay-error-p95"),
+        "{stderr}"
+    );
     assert_eq!(verdicts(&fleet), (Some(1), Some(1)), "fleet with a failure");
 
     std::fs::remove_dir_all(&live).ok();
+    std::fs::remove_dir_all(&chaos).ok();
     std::fs::remove_dir_all(&fleet).ok();
 }
