@@ -5,8 +5,8 @@
 //! are byte-identical whether the fleet runs under one engine or many,
 //! on one worker or many. The proptest drives that across arbitrary
 //! client counts and fleet seeds; the chaos test kills a shard worker
-//! mid-run and checks the restart protocol leaves no trace in the
-//! output. The pinned tests fix the exact bytes of every artifact, and
+//! mid-run and checks the kill leaves no trace in the output beyond
+//! its fault event. The pinned tests fix the exact bytes of every artifact, and
 //! the kill points, of two small fleets, so a change to how a shard
 //! schedules its work cannot move them.
 
@@ -149,9 +149,9 @@ proptest! {
     }
 }
 
-/// A `kill_worker` fault against a fleet shard: the shard restarts and
-/// reruns clean, so every output byte matches the fault-free run; the
-/// only difference is the fault ledger recording the kill.
+/// A `kill_worker` fault against a fleet shard: the kill is noted and
+/// the shard runs on clean, so every output byte matches the fault-free
+/// run; the only difference is the fault ledger recording the kill.
 #[test]
 fn killed_shard_restarts_without_breaking_merge() {
     let plan = tiny_plan(6, 99).with_shards(3);
@@ -177,10 +177,9 @@ fn killed_shard_restarts_without_breaking_merge() {
     );
 }
 
-/// Telemetry and the chaos kill/restart protocol compose: samples do
-/// not count against the probe pass's event budget, so the kill lands
-/// at the same point and the definitive rerun (telemetry and all)
-/// matches the fault-free run bitwise.
+/// Telemetry and a chaos kill compose: samples do not count as events,
+/// so the kill lands at the same point and the killed run (telemetry
+/// and all) matches the fault-free run bitwise.
 #[test]
 fn chaos_restart_preserves_telemetry_bytes() {
     let plan = telemetry_plan(6, 99).with_shards(3);
@@ -232,7 +231,7 @@ fn chaos_alerts_are_suppressed_and_attributed() {
     assert!(!clean_alerts.check(Severity::Warn).is_empty());
 
     // Seeded kill at the shard's first record: same telemetry bytes
-    // (the restart protocol guarantees that), but now a kill_worker
+    // (a kill is only noted), but now a kill_worker
     // fault stamp precedes every sample boundary, so every alert is
     // suppressed and attributed — no false positives, and the gate
     // passes. (A later kill would split the run: boundaries before the
@@ -392,7 +391,7 @@ fn leo_pack_fleet_artifacts_are_pinned() {
 
 /// Kill points are pinned too: a `kill_worker(1, n)` fault stamps the
 /// virtual time of shard 1's n-th event, fires only when the shard has
-/// more than n events, and the restarted run still writes the pinned
+/// more than n events, and the killed run still writes the pinned
 /// bytes.
 #[test]
 fn kill_points_are_pinned() {

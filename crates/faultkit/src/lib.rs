@@ -27,7 +27,10 @@
 //! The live pipeline has one driver, `emu::live_modulated_run`, and the
 //! injector sits in it on every run: the empty plan is the clean run, so
 //! every live manifest carries the `fault.*` block (all zero when
-//! nothing fired). The fleet engine applies only `kill_worker`.
+//! nothing fired). The fleet engine applies only `kill_worker`. A kill
+//! is a note, not a rerun: cells are pure functions of their plan entry,
+//! so the one pass books it ([`FaultInjector::note_kill`]) at its
+//! virtual time.
 //!
 //! **Determinism rule**: every fault fires off virtual time, record
 //! indices, or byte offsets — never wall clock — so the same

@@ -40,8 +40,9 @@ pub enum Fault {
         delta_ms: i64,
     },
     /// Kill the worker executing plan-cell `idx` once it has processed
-    /// `at_record` trace records; the plan runner restarts the cell
-    /// from its plan entry.
+    /// `at_record` trace records (events, for a fleet shard). The kill
+    /// is noted at its virtual time; the cell, a pure function of its
+    /// plan entry, runs on as its restart would.
     KillWorker {
         /// Plan-cell index targeted (stable across worker counts).
         idx: usize,
