@@ -12,7 +12,7 @@ use modulate::{Modulator, TickClock, TupleBuffer, TupleFeed};
 use netsim::{NodeId, SimDuration, SimRng, SimTime, Simulator};
 use netstack::{AppId, Host};
 use obs::flight::FlightHandle;
-use obs::{MetricsRegistry, RunManifest, RunnerSection};
+use obs::{MetricsRegistry, RunManifest};
 use tracekit::{CollectionDaemon, Collector, PseudoDevice, ReplayTrace, SignalSource, Trace};
 use wavelan::{Scenario, WirelessChannel};
 use workloads::{PingConfig, PingWorkload};
@@ -245,8 +245,8 @@ pub struct LiveModOutcome {
     pub stats: LiveModStats,
     /// Observability manifest: deterministic metrics from every
     /// pipeline stage (including the `fault.*` block, all zero under
-    /// the empty plan), the modulation fidelity self-check, and a
-    /// wall-clock runner section.
+    /// the empty plan) and the modulation fidelity self-check. It reads
+    /// no wall clock, so its `runner` section stays empty.
     pub manifest: RunManifest,
     /// Causal flight recorder holding per-packet lifecycle events from
     /// every pipeline stage; export with
@@ -350,7 +350,6 @@ pub fn live_modulated_run(
     eth.sim
         .set_frame_hook(Box::new(FlightFrameHook::new(flight.clone(), "eth")));
 
-    let wall_start = std::time::Instant::now();
     let mut distiller = Some(Distiller::new(dcfg).with_flight(flight.clone()));
     let collect_end = SimTime::from_secs(scenario_secs + 5);
     let deadline = SimTime::ZERO + benchmark.deadline();
@@ -435,9 +434,8 @@ pub fn live_modulated_run(
     let tuples_fed = feed.fed();
     let tuples_consumed = tuples_fed - feed.backlog() as u64 - buf.len() as u64;
 
-    // Assemble the run manifest. Everything below `metrics`/`fidelity`
-    // derives from virtual-time simulation state only; wall-clock
-    // readings go exclusively into the runner section.
+    // Assemble the run manifest. Everything in it derives from
+    // virtual-time simulation state only.
     let mut manifest = RunManifest::new(scenario.name, benchmark.name(), trial);
     let (family, params) = scenario.model_info();
     manifest.set_model(&family, &params);
@@ -515,18 +513,6 @@ pub fn live_modulated_run(
         m.set_counter(&format!("fault.{name}"), v);
     }
     manifest.metrics = m;
-
-    let wall_secs = wall_start.elapsed().as_secs_f64();
-    manifest.runner = Some(RunnerSection {
-        wall_secs,
-        workers: 1,
-        records_per_sec: if wall_secs > 0.0 {
-            records_processed as f64 / wall_secs
-        } else {
-            0.0
-        },
-        worker_utilization: 1.0,
-    });
 
     LiveModOutcome {
         result: extract(&eth, &inst),

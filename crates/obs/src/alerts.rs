@@ -41,7 +41,7 @@ use crate::fleet::FleetReport;
 use crate::manifest::RunManifest;
 use crate::telemetry::{SamplePoint, FIELDS};
 use crate::toml;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Num, Serialize, Value};
 use std::fmt::Write as _;
 
 /// Alert-report schema version, bumped on incompatible layout changes.
@@ -648,9 +648,21 @@ impl AlertReport {
     /// One JSON object per alert, in report order — the `--out`
     /// artifact. Byte-identical across shard layouts and reruns.
     pub fn to_jsonl(&self) -> String {
+        self.trial_jsonl(None)
+    }
+
+    /// [`to_jsonl`](Self::to_jsonl) for the report of one trial of a
+    /// run: each line then leads with `"trial":N`, so the JSONL of a
+    /// multi-trial run says which trial each alert belongs to. `None`
+    /// (a fleet) adds nothing.
+    pub fn trial_jsonl(&self, trial: Option<u32>) -> String {
         let mut s = String::new();
         for a in &self.alerts {
-            s.push_str(&serde_json::to_string(a).expect("alert serializes"));
+            let mut line = a.serialize();
+            if let (Some(t), Value::Object(entries)) = (trial, &mut line) {
+                entries.insert(0, ("trial".into(), Value::Num(Num::U(t.into()))));
+            }
+            s.push_str(&serde_json::value_to_string(&line).expect("alert serializes"));
             s.push('\n');
         }
         s
@@ -1263,6 +1275,13 @@ suppress_window_secs = 7.5
             .map(|l| serde_json::from_str(l).unwrap())
             .collect();
         assert_eq!(back, a.alerts);
+        // A trial's lines lead with its number; a fleet's add nothing.
+        assert_eq!(a.trial_jsonl(None), jsonl);
+        let trial: Vec<String> = jsonl
+            .lines()
+            .map(|l| format!("{{\"trial\":7,{}", &l[1..]))
+            .collect();
+        assert_eq!(a.trial_jsonl(Some(7)), trial.join("\n") + "\n");
         let md = a.render_markdown();
         assert!(md.contains("## Alerts"));
         assert!(md.contains("fleet-deadline-miss-rate"));

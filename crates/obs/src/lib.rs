@@ -13,11 +13,10 @@
 //!   self-check (intended-vs-actual delay error percentiles, deadline
 //!   misses, drift clamps, loss-rate delta vs the replay trace), which
 //!   the `run.*` alert rules judge;
-//! * [`RunManifest`] — the per-run artifact (`manifest.json` in a run
-//!   directory)
-//!   separating deterministic sim-path metrics from the wall-clock
-//!   runner section, so serial and parallel executions of the same
-//!   cell compare bitwise equal on
+//! * [`RunManifest`] — the per-run artifact (one line of a run
+//!   directory's `manifests.jsonl` per live-pipeline trial or fleet
+//!   client) holding deterministic sim-path metrics only, so serial
+//!   and parallel executions of the same cell compare bitwise equal on
 //!   [`deterministic_json`](RunManifest::deterministic_json);
 //! * [`flight`] — the packet-lifecycle flight recorder: a bounded,
 //!   virtual-time ring of per-packet spans across every pipeline
@@ -58,7 +57,8 @@
 //! **Determinism rule**: everything under [`RunManifest::metrics`] and
 //! [`RunManifest::fidelity`] must derive only from simulation state
 //! (virtual time, event counts, per-cell RNG streams). Wall-clock
-//! readings belong exclusively in [`RunnerSection`].
+//! readings belong exclusively in a fleet report's [`RunnerSection`]
+//! and the profiler.
 
 #![warn(missing_docs)]
 

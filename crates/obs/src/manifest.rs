@@ -1,6 +1,6 @@
-//! The per-run observability manifest (`manifest.json` in a
-//! live-pipeline run directory; runner-stripped, one line per run in
-//! `manifests.jsonl`).
+//! The per-run observability manifest: one runner-stripped line per
+//! live-pipeline trial or fleet client in a run directory's
+//! `manifests.jsonl`.
 
 use crate::alerts::{evaluate, AlertInputs, RuleSet, Severity};
 use crate::fidelity::FidelityReport;
@@ -55,8 +55,7 @@ pub struct ModelInfo {
 }
 
 /// The machine-readable record of one emulation run: deterministic
-/// sim-path metrics and fidelity self-check, plus an optional
-/// wall-clock runner section.
+/// sim-path metrics and fidelity self-check.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunManifest {
     /// Schema version ([`MANIFEST_SCHEMA`]).
@@ -76,7 +75,9 @@ pub struct RunManifest {
     /// byte-identity surface). Absent in pre-registry manifests.
     #[serde(default)]
     pub model: Option<ModelInfo>,
-    /// Wall-clock runner section; `None` in deterministic comparisons.
+    /// Wall-clock runner section. A run manifest reads no wall clock,
+    /// so no run fills it and the deterministic form writes `null`; the
+    /// field is part of the manifest schema.
     #[serde(default)]
     pub runner: Option<RunnerSection>,
 }
@@ -102,11 +103,6 @@ impl RunManifest {
             family: family.to_string(),
             params: params.to_string(),
         });
-    }
-
-    /// Pretty-printed JSON form (the `manifest.json` artifact).
-    pub fn to_json_pretty(&self) -> String {
-        serde_json::to_string_pretty(self).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
     }
 
     /// Parse a manifest from JSON.
@@ -214,20 +210,6 @@ impl RunManifest {
                 h.count, h.mean, h.p95
             );
         }
-
-        match &self.runner {
-            Some(r) => {
-                let _ = writeln!(s, "\n### Runner (wall clock; non-deterministic)\n");
-                let _ = writeln!(
-                    s,
-                    "{:.3} s wall, {} workers, {:.1} records/sec, {:.3} utilization",
-                    r.wall_secs, r.workers, r.records_per_sec, r.worker_utilization
-                );
-            }
-            None => {
-                let _ = writeln!(s, "\n*Runner section absent (deterministic form).*");
-            }
-        }
         s
     }
 }
@@ -259,7 +241,7 @@ mod tests {
             records_per_sec: 1000.0,
             worker_utilization: 0.9,
         });
-        let back = RunManifest::from_json(&m.to_json_pretty()).unwrap();
+        let back = RunManifest::from_json(&serde_json::to_string(&m).unwrap()).unwrap();
         assert_eq!(back, m);
         assert_eq!(back.schema, MANIFEST_SCHEMA);
     }
@@ -307,7 +289,6 @@ mod tests {
         assert!(md.contains("| metric | value |"));
         assert!(md.contains("| `netsim.events` | 420 |"));
         assert!(md.contains("**Self-check: PASS**"));
-        assert!(md.contains("deterministic form"));
     }
 
     #[test]

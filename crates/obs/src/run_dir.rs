@@ -7,8 +7,10 @@
 //! artifact's file name, whether its bytes are a pure function of the
 //! run's inputs, and its causal position. Faults are injected during
 //! the run; the manifests and the telemetry series come out of it;
-//! alerts are evaluated over those; the aggregate report, the
-//! single-run manifest and the profile carry wall-clock sections.
+//! alerts are evaluated over those; the fleet's aggregate report and
+//! the profile carry wall-clock sections. A single-client run
+//! (`live-pipeline`, or `chaos` under any plan) writes `faults.jsonl`
+//! and `manifests.jsonl` only, so two of them always compare.
 //! [`diff_dirs`] walks the deterministic artifacts in that order and
 //! stops at the first divergence.
 
@@ -39,7 +41,7 @@ impl Artifact {
     /// Fault-event JSONL, one line per injected fault (may be empty).
     pub const FAULTS: Artifact = row("faults.jsonl", true);
     /// Runner-stripped run manifests, one line per fleet client or
-    /// chaos trial.
+    /// live-pipeline trial.
     pub const MANIFESTS: Artifact = row("manifests.jsonl", true);
     /// The sampled telemetry series as `SamplePoint` JSONL.
     pub const TELEMETRY: Artifact = row("telemetry.jsonl", true);
@@ -51,13 +53,11 @@ impl Artifact {
     pub const ALERTS_MD: Artifact = row("alerts.md", true);
     /// The aggregate fleet report (with its wall-clock runner section).
     pub const REPORT: Artifact = row("report.json", false);
-    /// One live-pipeline run manifest (with its runner section).
-    pub const MANIFEST: Artifact = row("manifest.json", false);
     /// A collapsed-stack wall-clock self-profile.
     pub const PROFILE: Artifact = row("profile.txt", false);
 
     /// The table, in causal order.
-    pub const ALL: [Artifact; 9] = [
+    pub const ALL: [Artifact; 8] = [
         Artifact::FAULTS,
         Artifact::MANIFESTS,
         Artifact::TELEMETRY,
@@ -65,7 +65,6 @@ impl Artifact {
         Artifact::ALERTS,
         Artifact::ALERTS_MD,
         Artifact::REPORT,
-        Artifact::MANIFEST,
         Artifact::PROFILE,
     ];
 }
@@ -172,7 +171,6 @@ mod tests {
                 ("alerts.jsonl", true),
                 ("alerts.md", true),
                 ("report.json", false),
-                ("manifest.json", false),
                 ("profile.txt", false),
             ]
         );

@@ -72,6 +72,7 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -213,9 +214,16 @@ fn write_string(out: &mut String, s: &str) {
 
 // -------------------------------------------------------------- parsing
 
+/// How many arrays and objects a document may nest, as in serde_json:
+/// the parser recurses once per level, so a deeper document is an
+/// error, not a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -263,14 +271,26 @@ impl Parser<'_> {
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
             b'"' => self.string().map(Value::Str),
-            b'[' => self.sequence(),
-            b'{' => self.object(),
+            b'[' | b'{' if self.depth == MAX_DEPTH => Err(Error::new(format!(
+                "recursion limit exceeded: more than {MAX_DEPTH} nested arrays or objects at byte {}",
+                self.pos
+            ))),
+            b'[' => self.nested(Self::sequence),
+            b'{' => self.nested(Self::object),
             b'-' | b'0'..=b'9' => self.number(),
             other => Err(Error::new(format!(
                 "unexpected `{}` at byte {}",
                 other as char, self.pos
             ))),
         }
+    }
+
+    /// Parse one array or object a level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn sequence(&mut self) -> Result<Value, Error> {
@@ -517,6 +537,18 @@ mod tests {
     fn rejects_trailing_garbage() {
         assert!(from_str::<bool>("true false").is_err());
         assert!(from_str::<u64>("12,").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_to_128_levels() {
+        for (open, inner, close) in [("[", "", "]"), ("{\"k\":", "0", "}")] {
+            let doc = |depth: usize| open.repeat(depth) + inner + &close.repeat(depth);
+            assert!(from_str::<Value>(&doc(128)).is_ok(), "{open} x 128");
+            let err = from_str::<Value>(&doc(129)).unwrap_err().to_string();
+            assert!(err.contains("recursion limit exceeded"), "{err}");
+            // Far past the limit the parser still stops at level 129.
+            assert!(from_str::<Value>(&doc(50_000)).is_err(), "{open} x 50 000");
+        }
     }
 
     #[test]

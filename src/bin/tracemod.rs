@@ -250,9 +250,10 @@ mod table {
         cmd("live", &[], cmd_live, &[SCENARIO, BENCHMARK, TRIAL],
             "run a benchmark live on the wireless scenario"),
         cmd("live-pipeline", &[], cmd_live_pipeline, &[SCENARIO, BENCHMARK, TRIAL, WINDOW, RUN_DIR],
-            "collect, distill and modulate concurrently (the run directory gets manifest.json)"),
+            "collect, distill and modulate concurrently: chaos under the empty plan with seed 0\n\
+             (the run directory gets manifests.jsonl and an empty faults.jsonl)"),
         cmd("obs-report", &["<run-dir>"], cmd_obs_report, &[OBS_REPORT],
-            "print a run directory's report.json, else its manifest.json or manifests.jsonl, as markdown"),
+            "print a run directory's report.json, else its manifests.jsonl, as markdown"),
         cmd("trace-export", &[], cmd_trace_export, &[PORTER, WEB, TRIAL, WINDOW, OUT_FILE],
             "run the live pipeline with the flight recorder; export Perfetto JSON"),
         cmd("journey", &[], cmd_journey, &[PORTER, WEB, TRIAL, WINDOW, JOURNEY],
@@ -267,7 +268,8 @@ mod table {
             "run mobile clients under one fleet engine (the run directory gets manifests.jsonl,\n\
              report.json, faults.jsonl, and per flag the telemetry, profile and alert files)"),
         cmd("alerts", &["<run-dir>"], cmd_alerts, &[ALERTS, RUN_DIR],
-            "evaluate alert rules over a run directory's report, telemetry and faults, else its manifests"),
+            "evaluate alert rules over a run directory's report, telemetry and faults, else its\n\
+             manifests (each alerts.jsonl line of a run's trial then names the trial)"),
         cmd("diff-runs", &["A", "B"], cmd_diff_runs, &[DIFF_RUNS],
             "report the first field where two runs diverge: two artifact files, or two\n\
              run directories compared artifact by artifact in causal order"),
@@ -752,25 +754,7 @@ fn cmd_live(args: &Args) -> CliResult {
 }
 
 fn cmd_live_pipeline(args: &Args) -> CliResult {
-    let out_dir = out_dir(args)?;
-    let out = pipeline_run(args)?;
-    report_result(&out.result);
-    let s = &out.stats;
-    eprintln!(
-        "pipeline: {} tuples fed, {} consumed, peak backlog {}",
-        s.tuples_fed, s.tuples_consumed, s.peak_backlog
-    );
-    match s.first_consumption_secs {
-        Some(t) => eprintln!(
-            "modulation began at t={t:.1}s, {:.1}s before collection finished",
-            s.collection_secs - t
-        ),
-        None => eprintln!("modulation never consumed a tuple (collection too short?)"),
-    }
-    write_run_dir(
-        out_dir.as_deref(),
-        &[(Artifact::MANIFEST, out.manifest.to_json_pretty())],
-    )
+    live_cells(args, 0, &FaultPlan::new(), (1, 1), |_| Ok(()))
 }
 
 fn cmd_obs_report(args: &Args) -> CliResult {
@@ -783,10 +767,9 @@ fn cmd_obs_report(args: &Args) -> CliResult {
             (rendered, "fidelity self-check")
         } else {
             return Err(CliError::runtime(format!(
-                "{}: no {}, {} or {} to report on",
+                "{}: no {} or {} to report on",
                 dir.display(),
                 Artifact::REPORT.file,
-                Artifact::MANIFEST.file,
                 Artifact::MANIFESTS.file
             )));
         };
@@ -799,12 +782,8 @@ fn cmd_obs_report(args: &Args) -> CliResult {
 }
 
 /// The run manifests of a directory without a fleet report: a
-/// live-pipeline run's one `manifest.json`, or a chaos run's
-/// `manifests.jsonl`, one per trial.
+/// live-pipeline or chaos run's `manifests.jsonl`, one per trial.
 fn read_runs(dir: &Path) -> Result<Option<Vec<RunManifest>>, CliError> {
-    if let Some(run) = read_artifact(dir, Artifact::MANIFEST, RunManifest::from_json)? {
-        return Ok(Some(vec![run]));
-    }
     read_artifact(dir, Artifact::MANIFESTS, |text| {
         parse_jsonl(text, RunManifest::from_json)
     })
@@ -876,11 +855,10 @@ fn judge_dir(
     .unwrap_or_default();
     if series.is_empty() && report.is_none() {
         return Err(CliError::usage(format!(
-            "nothing to evaluate: {} holds no {}, {}, {} or {}",
+            "nothing to evaluate: {} holds no {}, {} or {}",
             dir.display(),
             Artifact::TELEMETRY.file,
             Artifact::REPORT.file,
-            Artifact::MANIFEST.file,
             Artifact::MANIFESTS.file
         )));
     }
@@ -968,14 +946,23 @@ fn manifests_jsonl<'a>(manifests: impl IntoIterator<Item = &'a RunManifest>) -> 
         .collect()
 }
 
-/// Run the live pipeline (collect, distill and modulate at once) under
-/// the empty fault plan: the clean run that `live-pipeline` reports on
-/// and the flight-recorder commands observe.
-fn pipeline_run(args: &Args) -> Result<LiveModOutcome, CliError> {
+/// The live-pipeline cell an invocation names: scenario, benchmark,
+/// first trial and distiller settings.
+fn live_cell_args(args: &Args) -> Result<(Scenario, Benchmark, u32, DistillConfig), CliError> {
     let (sc, _) = scenario_arg(args)?;
-    let benchmark = benchmark_arg(args)?;
-    let trial = args.num("trial")?;
-    let dcfg = distill_cfg(args)?;
+    Ok((
+        sc,
+        benchmark_arg(args)?,
+        args.num("trial")?,
+        distill_cfg(args)?,
+    ))
+}
+
+/// Run the live pipeline (collect, distill and modulate at once) under
+/// the empty fault plan, keeping its flight recorder: the clean run the
+/// flight-recorder commands observe.
+fn pipeline_run(args: &Args) -> Result<LiveModOutcome, CliError> {
+    let (sc, benchmark, trial, dcfg) = live_cell_args(args)?;
     eprintln!(
         "live pipeline: collecting '{}' trial {trial} while running {} modulated...",
         sc.name,
@@ -1141,31 +1128,58 @@ fn load_fleet_fault_plan(path: &str) -> Result<FaultPlan, CliError> {
 
 fn cmd_chaos(args: &Args) -> CliResult {
     let seed: u64 = args.num("seed")?;
-    let fault_plan = load_fault_plan(args.require("plan")?)?;
-    let out_dir = out_dir(args)?;
-    let (sc, _) = scenario_arg(args)?;
-    let benchmark = benchmark_arg(args)?;
-    let trial0: u32 = args.num("trial")?;
-    let trials: u32 = args.num("trials")?;
-    if trial0.checked_add(trials - 1).is_none() {
-        return Err(CliError::usage(
-            "--trial plus --trials passes the last trial number",
-        ));
-    }
-    let dcfg = distill_cfg(args)?;
-    let jobs = args.num("jobs")?;
+    let plan = load_fault_plan(args.require("plan")?)?;
+    let cells = (args.num("trials")?, args.num("jobs")?);
+    live_cells(args, seed, &plan, cells, |outcomes| {
+        let injected_total: u64 = outcomes.iter().map(|o| o.counters.injected_total()).sum();
+        if let Some(budget) = args.opt::<u64>("fault-budget")? {
+            if injected_total > budget {
+                return Err(CliError::runtime(format!(
+                    "fault budget exceeded: {injected_total} faults injected > budget {budget}"
+                )));
+            }
+        }
+        if args.on("check") {
+            let trials = outcomes.iter().map(|o| (&o.manifest, &o.faults[..]));
+            let verdicts = judge_trials(&RuleSet::builtin(), trials)?;
+            gate(
+                "fidelity self-check under faults",
+                violations(&verdicts, Severity::Warn),
+            )?;
+        }
+        Ok(())
+    })
+}
 
+/// Run the live pipeline under `plan` and `seed`, one cell per trial
+/// from `--trial` on `jobs` workers: the one handler of `chaos` and of
+/// `live-pipeline` (the empty plan, seed 0, one trial, one worker), so
+/// a clean chaos run and a live-pipeline run are the same run. Each
+/// trial's result, pipeline stats and faults are printed; the `--out`
+/// run directory gets every trial's fault events (`faults.jsonl`, empty
+/// for a clean run) and runner-stripped manifest (`manifests.jsonl`);
+/// then `judge` gates on the outcomes.
+fn live_cells(
+    args: &Args,
+    seed: u64,
+    plan: &FaultPlan,
+    (trials, jobs): (u32, usize),
+    judge: impl FnOnce(&[&LiveModOutcome]) -> CliResult,
+) -> CliResult {
+    let out_dir = out_dir(args)?;
+    let (sc, benchmark, trial0, dcfg) = live_cell_args(args)?;
+    let last = trial0
+        .checked_add(trials - 1)
+        .ok_or_else(|| CliError::usage("--trial plus --trials passes the last trial number"))?;
+    let name = args.cmd.name;
     eprintln!(
-        "chaos: '{}' under {} with {} fault(s), seed {seed}, {} trial(s), {} worker(s)...",
+        "{name}: '{}' under {} with {} fault(s), seed {seed}, {trials} trial(s), {jobs} worker(s)...",
         sc.name,
         benchmark.name(),
-        fault_plan.len(),
-        trials,
-        jobs
+        plan.len(),
     );
     let mut tplan = TrialPlan::new();
-    for i in 0..trials {
-        let trial = trial0 + i;
+    for trial in trial0..=last {
         tplan.push(TrialCell {
             label: format!("{}/{}/chaos#{trial}", sc.name, benchmark.name()),
             trial,
@@ -1175,7 +1189,7 @@ fn cmd_chaos(args: &Args) -> CliResult {
                 benchmark,
                 distill: dcfg,
                 seed,
-                plan: fault_plan.clone(),
+                plan: plan.clone(),
             },
         });
     }
@@ -1183,15 +1197,25 @@ fn cmd_chaos(args: &Args) -> CliResult {
     let outcomes = results.live_modulated(sc.name, benchmark);
 
     let mut fault_log = String::new();
-    let mut injected_total = 0u64;
-    for (trial, o) in (trial0..).zip(&outcomes) {
+    for (trial, o) in (trial0..=last).zip(&outcomes) {
         report_result(&o.result);
+        let s = &o.stats;
+        eprintln!(
+            "pipeline: {} tuples fed, {} consumed, peak backlog {}",
+            s.tuples_fed, s.tuples_consumed, s.peak_backlog
+        );
+        match s.first_consumption_secs {
+            Some(t) => eprintln!(
+                "modulation began at t={t:.1}s, {:.1}s before collection finished",
+                s.collection_secs - t
+            ),
+            None => eprintln!("modulation never consumed a tuple (collection too short?)"),
+        }
         print_faults(&format!("trial {trial} "), &o.faults);
         fault_log.push_str(&events_to_jsonl(&o.faults));
         let c = &o.counters;
-        injected_total += c.injected_total();
         eprintln!(
-            "chaos trial {trial}: {} fault(s) injected ({} quarantined records, {} truncated, \
+            "{name} trial {trial}: {} fault(s) injected ({} quarantined records, {} truncated, \
              {} rejected timestamps), degraded: {}",
             c.injected_total(),
             c.quarantined_records,
@@ -1214,22 +1238,7 @@ fn cmd_chaos(args: &Args) -> CliResult {
             ),
         ],
     )?;
-    if let Some(budget) = args.opt::<u64>("fault-budget")? {
-        if injected_total > budget {
-            return Err(CliError::runtime(format!(
-                "fault budget exceeded: {injected_total} faults injected > budget {budget}"
-            )));
-        }
-    }
-    if args.on("check") {
-        let trials = outcomes.iter().map(|o| (&o.manifest, &o.faults[..]));
-        let verdicts = judge_trials(&RuleSet::builtin(), trials)?;
-        gate(
-            "fidelity self-check under faults",
-            violations(&verdicts, Severity::Warn),
-        )?;
-    }
-    Ok(())
+    judge(&outcomes)
 }
 
 fn cmd_fleet(args: &Args) -> CliResult {
@@ -1361,7 +1370,7 @@ fn cmd_alerts(args: &Args) -> CliResult {
         })
         .collect();
     print!("{rendered}");
-    let jsonl = verdicts.iter().map(|(_, r)| r.to_jsonl()).collect();
+    let jsonl = verdicts.iter().map(|(t, r)| r.trial_jsonl(*t)).collect();
     write_run_dir(
         out_dir.as_deref(),
         &[(Artifact::ALERTS, jsonl), (Artifact::ALERTS_MD, rendered)],

@@ -5,8 +5,9 @@
 //! generated invocation must exit 0, 1 or 2 without a panic, and an
 //! unknown, repeated or value-less flag must be a usage error (exit 2).
 //! The run-directory readers (`alerts`, `obs-report`, `diff-runs`) get
-//! directories of random artifact bytes, and `--rules`/`--alerts` a
-//! random alert-rule file. No generated operand names a figure, so
+//! directories of random artifact bytes, mutated copies of real
+//! artifacts and records nested past the JSON depth limit, and
+//! `--rules`/`--alerts` a random alert-rule file. No generated operand names a figure, so
 //! `figure` cases stop at the name check without running one.
 
 use std::path::{Path, PathBuf};
@@ -83,7 +84,7 @@ impl Rng {
 }
 
 /// Artifact names a run directory may hold.
-const ARTIFACTS: [&str; 9] = [
+const ARTIFACTS: [&str; 8] = [
     "faults.jsonl",
     "manifests.jsonl",
     "telemetry.jsonl",
@@ -91,20 +92,58 @@ const ARTIFACTS: [&str; 9] = [
     "alerts.jsonl",
     "alerts.md",
     "report.json",
-    "manifest.json",
     "profile.txt",
 ];
 
+/// Real artifacts to mutate: a run manifest line, a fault event and
+/// the committed telemetry and alert goldens.
+fn real_artifacts() -> [String; 4] {
+    let golden = |name: &str| {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/obs/tests/golden/");
+        std::fs::read_to_string(format!("{dir}{name}")).unwrap()
+    };
+    [
+        obs::RunManifest::new("porter", "Web", 1).deterministic_json() + "\n",
+        "{\"t_virtual_ns\":1500000000,\"fault\":\"stall_feed\",\"info\":\"x\"}\n".into(),
+        golden("telemetry.jsonl"),
+        golden("alerts.jsonl"),
+    ]
+}
+
+/// A copy of `text` cut short, with a flipped bit, with a line
+/// repeated, or with a nested array spliced in.
+fn mutated(rng: &mut Rng, text: &str) -> Vec<u8> {
+    let mut bytes = text.as_bytes().to_vec();
+    let at = rng.below(bytes.len() + 1);
+    match rng.below(4) {
+        0 => bytes.truncate(at),
+        1 if at < bytes.len() => bytes[at] ^= 1 << rng.below(8),
+        2 => bytes.extend_from_slice(text.lines().next().unwrap_or("").as_bytes()),
+        _ => {
+            let depth = rng.pick(&["1", "129", "60000"]).parse().unwrap();
+            let nest = "[".repeat(depth) + &"]".repeat(depth);
+            bytes.splice(at..at, nest.into_bytes());
+        }
+    }
+    bytes
+}
+
 /// Write a run directory of random artifacts: random bytes, a record
-/// that parses as JSON, or a truncated one.
-fn random_run_dir(rng: &mut Rng, dir: &Path) {
+/// that parses as JSON, a truncated one, one nested 60 000 deep, or a
+/// mutated copy of a real artifact.
+fn random_run_dir(rng: &mut Rng, dir: &Path, real: &[String]) {
     std::fs::create_dir_all(dir).unwrap();
     for name in ARTIFACTS {
-        let bytes: Vec<u8> = match rng.below(4) {
+        let bytes: Vec<u8> = match rng.below(6) {
             0 => continue,
             1 => (0..rng.below(64)).map(|_| rng.next() as u8).collect(),
             2 => b"{\"t_ns\":1000000000,\"events\":3,\"queue_depth\":2}\n".to_vec(),
-            _ => b"{\"t_ns\":10".to_vec(),
+            3 => b"{\"t_ns\":10".to_vec(),
+            4 => ("{\"a\":".repeat(60_000) + "0" + &"}".repeat(60_000)).into_bytes(),
+            _ => {
+                let text = &real[rng.below(real.len())];
+                mutated(rng, text)
+            }
         };
         std::fs::write(dir.join(name), bytes).unwrap();
     }
@@ -244,6 +283,7 @@ fn every_generated_argv_exits_cleanly() {
     assert!(cmds.iter().any(|c| c.name == "figure" && c.operands == 1));
     let plan = format!("{}/packs/faults/9-combo.toml", env!("CARGO_MANIFEST_DIR"));
     let root = std::env::temp_dir().join(format!("tracemod-argv-{}", std::process::id()));
+    let real = real_artifacts();
     let mut rng = Rng(0x7ace_0d00);
     let mut exits = [0u32; 3];
     for case in 0..CASES {
@@ -251,8 +291,8 @@ fn every_generated_argv_exits_cleanly() {
         let cwd: PathBuf = root.join(case.to_string());
         std::fs::create_dir_all(&cwd).unwrap();
         if ["alerts", "obs-report", "diff-runs"].contains(&cmd.name.as_str()) {
-            random_run_dir(&mut rng, &cwd.join("run_a"));
-            random_run_dir(&mut rng, &cwd.join("run_b"));
+            random_run_dir(&mut rng, &cwd.join("run_a"), &real);
+            random_run_dir(&mut rng, &cwd.join("run_b"), &real);
         }
         random_rules(&mut rng, &cwd.join("rules.toml"));
         let argv = random_argv(&mut rng, cmd, &plan);

@@ -694,6 +694,39 @@ fn diff_runs_compares_run_directories_artifact_by_artifact() {
     std::fs::remove_dir_all(&b).ok();
 }
 
+/// A run artifact nested far past the JSON parser's depth limit is a
+/// runtime error naming the file (or, for `diff-runs`, a divergence in
+/// it), never a stack overflow.
+#[test]
+fn deeply_nested_artifacts_are_errors_not_crashes() {
+    let deep = "[".repeat(50_000) + &"]".repeat(50_000) + "\n";
+    let (bad, clean) = (temp_path("deep-run"), temp_path("deep-clean"));
+    std::fs::create_dir_all(&bad).unwrap();
+    std::fs::create_dir_all(&clean).unwrap();
+    std::fs::write(bad.join("manifests.jsonl"), &deep).unwrap();
+    std::fs::write(clean.join("manifests.jsonl"), "{}\n").unwrap();
+    let dir = bad.to_str().unwrap();
+    for argv in [
+        vec!["obs-report", dir],
+        vec!["alerts", dir, "--rules", "builtin"],
+        vec!["diff-runs", dir, clean.to_str().unwrap(), "--check"],
+    ] {
+        let out = tracemod(&argv);
+        let text = stderr_of(&out) + &String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{argv:?}:\n{text}");
+        assert!(text.contains("manifests.jsonl"), "{argv:?}:\n{text}");
+        assert!(!text.contains("panicked"), "{argv:?}:\n{text}");
+    }
+    let out = tracemod(&["obs-report", dir]);
+    assert!(
+        stderr_of(&out).contains("recursion limit exceeded"),
+        "{}",
+        stderr_of(&out)
+    );
+    std::fs::remove_dir_all(&bad).ok();
+    std::fs::remove_dir_all(&clean).ok();
+}
+
 /// Run `tracemod` in `cwd`, so a command that writes relative paths
 /// writes them there.
 fn tracemod_in(cwd: &std::path::Path, args: &[&str]) -> Output {
