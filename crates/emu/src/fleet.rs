@@ -779,7 +779,9 @@ pub fn fleet_run_chaos(
     let wall = results.metrics.wall_secs;
     let worker_utilization = results.metrics.worker_utilization();
 
-    let mut manifests: Vec<RunManifest> = Vec::with_capacity(plan.clients as usize);
+    // The first shard's manifests become the outcome's, grown once to
+    // hold the rest: no second `clients`-long vector beside the shards'.
+    let mut manifests: Vec<RunManifest> = Vec::new();
     let mut stations = StationTable::for_fleet(plan.clients, plan.stations, STATION_ALPHA);
     let mut faults = Vec::new();
     let mut counters = FaultCounters::default();
@@ -794,7 +796,12 @@ pub fn fleet_run_chaos(
             manifests.len() as u32,
             "shards merge in client order"
         );
-        manifests.append(&mut shard.manifests);
+        if manifests.is_empty() {
+            manifests = std::mem::take(&mut shard.manifests);
+            manifests.reserve_exact((plan.clients as usize).saturating_sub(manifests.len()));
+        } else {
+            manifests.append(&mut shard.manifests);
+        }
         stations.merge(&shard.stations);
         faults.append(&mut shard.faults);
         counters.add(&shard.counters);

@@ -15,8 +15,11 @@
 //!
 //! The walk is purely structural over parsed JSON values, preserving
 //! object key order, so the reported path is the first difference in
-//! document order — stable across reruns. Unparseable inputs fall
-//! back to a line-level text diff rather than erroring out.
+//! document order — stable across reruns. A `.json` or `.jsonl`
+//! artifact that does not parse is an error naming it, never a text
+//! diff: two copies of the same corrupt artifact are not "identical
+//! runs". Other artifacts (Prometheus text, markdown) are compared line
+//! by line.
 
 use serde::Value;
 use std::fmt::Write as _;
@@ -125,48 +128,52 @@ impl Divergence {
     }
 }
 
-/// Compare two artifacts and return the earliest divergence, or `None`
-/// when they are identical in content. Never errors: inputs that fail
-/// to parse as JSON/JSONL degrade to a text diff.
-pub fn diff_artifacts(a: &str, b: &str, opts: &DiffOptions) -> Option<Divergence> {
-    match (parse_records(a), parse_records(b)) {
-        (Some(ra), Some(rb)) => {
-            let kind = classify(ra.first().or_else(|| rb.first()));
-            diff_records(kind, &ra, &rb, opts)
-        }
-        _ => diff_text(a, b),
+/// Compare two artifacts, each given as `(name, text)`, and return how
+/// many records side A holds with the earliest divergence, or `None`
+/// when they are identical in content. A `.json` or `.jsonl` artifact
+/// is walked as JSON records, and one that does not parse is an error
+/// naming it; anything else is compared line by line.
+pub fn diff_artifacts(
+    (name_a, a): (&str, &str),
+    (name_b, b): (&str, &str),
+    opts: &DiffOptions,
+) -> Result<(usize, Option<Divergence>), String> {
+    let is_json = |name: &str| name.ends_with(".json") || name.ends_with(".jsonl");
+    if !is_json(name_a) && !is_json(name_b) {
+        return Ok((a.lines().count(), diff_text(a, b)));
     }
-}
-
-/// Number of records (JSONL lines or 1 for a single document) an
-/// artifact parses into — the "N records compared" count for the
-/// identical case.
-pub fn record_count(text: &str) -> usize {
-    parse_records(text).map_or_else(|| text.lines().count(), |r| r.len())
+    let parse = |name: &str, text: &str| {
+        parse_records(text).map_err(|e| format!("{name} is not valid JSON: {e}"))
+    };
+    let (ra, rb) = (parse(name_a, a)?, parse(name_b, b)?);
+    let kind = classify(ra.first().or_else(|| rb.first()));
+    Ok((ra.len(), diff_records(kind, &ra, &rb, opts)))
 }
 
 /// Parse an artifact into a record sequence: a whole-text JSON
 /// document is one record; otherwise every non-blank line must parse
-/// as JSON (JSONL). Returns `None` when neither holds.
-fn parse_records(text: &str) -> Option<Vec<Value>> {
+/// as JSON (JSONL), and the first that does not is the error.
+fn parse_records(text: &str) -> Result<Vec<Value>, String> {
     let trimmed = text.trim();
     if trimmed.is_empty() {
-        return Some(Vec::new());
+        return Ok(Vec::new());
     }
     // Multi-line pretty JSON documents (fleet reports, flight traces)
     // parse whole; JSONL parses per line.
     if let Ok(v) = serde_json::from_str::<Value>(trimmed) {
-        return Some(vec![v]);
+        return Ok(vec![v]);
     }
     let mut records = Vec::new();
-    for line in text.lines() {
+    for (i, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        records.push(serde_json::from_str::<Value>(line).ok()?);
+        let record =
+            serde_json::from_str::<Value>(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        records.push(record);
     }
-    Some(records)
+    Ok(records)
 }
 
 /// Recognize the artifact family from a record's fields.
@@ -402,7 +409,7 @@ fn walk(a: &Value, b: &Value, path: &mut String) -> Option<(String, String, Stri
     }
 }
 
-/// Line-level fallback for non-JSON inputs.
+/// Line-level diff for artifacts that are not JSON.
 fn diff_text(a: &str, b: &str) -> Option<Divergence> {
     let (la, lb): (Vec<&str>, Vec<&str>) = (a.lines().collect(), b.lines().collect());
     for (i, (ya, yb)) in la.iter().zip(lb.iter()).enumerate() {
@@ -440,12 +447,19 @@ fn diff_text(a: &str, b: &str) -> Option<Divergence> {
 mod tests {
     use super::*;
 
+    /// The earliest divergence between two JSONL artifacts.
+    fn jsonl(a: &str, b: &str, opts: &DiffOptions) -> Option<Divergence> {
+        diff_artifacts(("a.jsonl", a), ("b.jsonl", b), opts)
+            .unwrap()
+            .1
+    }
+
     #[test]
     fn identical_artifacts_have_no_divergence() {
         let tel = "{\"t_ns\":1000000000,\"events\":5}\n{\"t_ns\":2000000000,\"events\":7}\n";
-        assert_eq!(diff_artifacts(tel, tel, &DiffOptions::default()), None);
-        assert_eq!(record_count(tel), 2);
-        assert_eq!(diff_artifacts("", "", &DiffOptions::default()), None);
+        let same = diff_artifacts(("a.jsonl", tel), ("b.jsonl", tel), &DiffOptions::default());
+        assert_eq!(same, Ok((2, None)));
+        assert_eq!(jsonl("", "", &DiffOptions::default()), None);
     }
 
     #[test]
@@ -454,7 +468,7 @@ mod tests {
                  {\"t_ns\":41200000000,\"events\":9,\"released\":4}\n";
         let b = "{\"t_ns\":1000000000,\"events\":5,\"released\":4}\n\
                  {\"t_ns\":41200000000,\"events\":9,\"released\":5}\n";
-        let d = diff_artifacts(a, b, &DiffOptions::default()).unwrap();
+        let d = jsonl(a, b, &DiffOptions::default()).unwrap();
         assert_eq!(d.kind, ArtifactKind::Telemetry);
         assert_eq!(d.record, 1);
         assert_eq!(d.path, "released");
@@ -477,7 +491,7 @@ mod tests {
         let mut b_rows: Vec<String> = (0..10).map(|i| row(i, 4)).collect();
         b_rows[7] = row(7, 5);
         let b = b_rows.join("\n") + "\n";
-        let d = diff_artifacts(&a, &b, &DiffOptions { shards: Some(3) }).unwrap();
+        let d = jsonl(&a, &b, &DiffOptions { shards: Some(3) }).unwrap();
         assert_eq!(d.kind, ArtifactKind::Manifests);
         assert_eq!(d.record, 7);
         assert_eq!(d.path, "fidelity.deadline_misses");
@@ -490,7 +504,7 @@ mod tests {
     fn record_count_mismatch_is_a_divergence() {
         let a = "{\"t_ns\":1,\"events\":1}\n";
         let b = "{\"t_ns\":1,\"events\":1}\n{\"t_ns\":2,\"events\":1}\n";
-        let d = diff_artifacts(a, b, &DiffOptions::default()).unwrap();
+        let d = jsonl(a, b, &DiffOptions::default()).unwrap();
         assert_eq!(d.record, 1);
         assert_eq!(d.a, "1 records");
         assert_eq!(d.b, "2 records");
@@ -516,7 +530,7 @@ mod tests {
     fn flight_trace_divergence_carries_event_context() {
         let a = r#"{"traceEvents":[{"name":"modulate","ts":41200000,"args":{"packet":7213}},{"name":"release","ts":41300000,"args":{"packet":7213}}]}"#;
         let b = r#"{"traceEvents":[{"name":"modulate","ts":41200000,"args":{"packet":7213}},{"name":"release","ts":41350000,"args":{"packet":7213}}]}"#;
-        let d = diff_artifacts(a, b, &DiffOptions::default()).unwrap();
+        let d = jsonl(a, b, &DiffOptions::default()).unwrap();
         assert_eq!(d.kind, ArtifactKind::Flight);
         assert_eq!(d.path, "traceEvents[1].ts");
         assert_eq!(d.t_ns, Some(41_300_000_000));
@@ -527,7 +541,7 @@ mod tests {
     fn fault_log_divergence_names_the_fault() {
         let a = "{\"t_virtual_ns\":12000000000,\"fault\":\"kill_worker\",\"info\":\"shard 1\"}\n";
         let b = "{\"t_virtual_ns\":12000000000,\"fault\":\"kill_worker\",\"info\":\"shard 2\"}\n";
-        let d = diff_artifacts(a, b, &DiffOptions::default()).unwrap();
+        let d = jsonl(a, b, &DiffOptions::default()).unwrap();
         assert_eq!(d.kind, ArtifactKind::Faults);
         assert_eq!(d.path, "info");
         assert_eq!(d.t_ns, Some(12_000_000_000));
@@ -535,16 +549,36 @@ mod tests {
     }
 
     #[test]
-    fn non_json_falls_back_to_text_diff() {
-        let d = diff_artifacts("alpha\nbeta\n", "alpha\ngamma\n", &DiffOptions::default()).unwrap();
+    fn text_artifacts_diff_line_by_line() {
+        let text = |a, b| diff_artifacts(("a.md", a), ("b.md", b), &DiffOptions::default());
+        let d = text("alpha\nbeta\n", "alpha\ngamma\n").unwrap().1.unwrap();
         assert_eq!(d.kind, ArtifactKind::Text);
         assert_eq!(d.record, 1);
         assert!(d.a.contains("beta") && d.b.contains("gamma"));
-        let d = diff_artifacts("alpha\n", "alpha\nbeta\n", &DiffOptions::default()).unwrap();
+        let d = text("alpha\n", "alpha\nbeta\n").unwrap().1.unwrap();
         assert_eq!(d.detail.as_deref(), Some("line counts differ"));
+        assert_eq!(text("same\n", "same\n"), Ok((1, None)));
+    }
+
+    #[test]
+    fn an_unparsable_json_artifact_is_an_error_naming_it() {
+        let good = "{\"t_ns\":1,\"events\":1}\n";
+        let cut = "{\"t_ns\":1,\"events\":1}\n{\"t_ns\":2,\"ev\n";
+        let opts = DiffOptions::default();
+        let err = diff_artifacts(("a/x.jsonl", cut), ("b/x.jsonl", cut), &opts).unwrap_err();
+        assert!(
+            err.starts_with("a/x.jsonl is not valid JSON: line 2:"),
+            "{err}"
+        );
+        let err = diff_artifacts(("a/x.jsonl", good), ("b/x.jsonl", cut), &opts).unwrap_err();
+        assert!(err.starts_with("b/x.jsonl is not valid JSON"), "{err}");
+        let deep = "[".repeat(50_000) + &"]".repeat(50_000);
+        let err = diff_artifacts(("r.json", &deep), ("r.json", &deep), &opts).unwrap_err();
+        assert!(err.starts_with("r.json is not valid JSON"), "{err}");
+        // Prometheus text is not JSON, so the same bytes compare as text.
         assert_eq!(
-            diff_artifacts("same\n", "same\n", &DiffOptions::default()),
-            None
+            diff_artifacts(("t.prom", cut), ("t.prom", cut), &opts),
+            Ok((2, None))
         );
     }
 

@@ -86,7 +86,7 @@ pub use fidelity::{FidelityCollector, FidelityReport};
 pub use fleet::{FleetReport, ModelUsage, FLEET_SCHEMA};
 pub use flight::{FlightHandle, FlightRecord, FlightRecorder, PacketId, PacketJourney, Stage};
 pub use manifest::{ModelInfo, RunManifest, RunnerSection, MANIFEST_SCHEMA};
-pub use metrics::{Hist, HistSnapshot};
+pub use metrics::{Bins, Hist, HistSnapshot};
 pub use profile::{ProfEntry, Profiler};
 pub use registry::MetricsRegistry;
 pub use run_dir::{Artifact, DirDiff};

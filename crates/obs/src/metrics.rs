@@ -4,7 +4,8 @@
 //! virtual-time-keyed) measurement.
 
 use netsim::stats::{Histogram, Summary};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
+use std::fmt;
 
 /// A fixed-bucket histogram with exact percentiles.
 ///
@@ -43,11 +44,6 @@ impl Hist {
         &self.summary
     }
 
-    /// The underlying bucket histogram.
-    pub fn buckets(&self) -> &Histogram {
-        &self.buckets
-    }
-
     /// A serializable snapshot of the distribution.
     pub fn snapshot(&self) -> HistSnapshot {
         let [p50, p95, p99] = self
@@ -63,13 +59,17 @@ impl Hist {
             p50,
             p95,
             p99,
-            bins: self.buckets.bins().to_vec(),
+            bins: Bins::from_dense(self.buckets.bins()),
         }
     }
 }
 
 /// Serializable summary of a [`Hist`]: streaming moments, exact
 /// percentiles, and raw bin counts.
+///
+/// Every fleet client keeps one of these per histogram until the run
+/// ends, so the bins are held trimmed ([`Bins`]); the serialized form is
+/// the dense array, byte for byte.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistSnapshot {
     /// Observations recorded.
@@ -89,7 +89,7 @@ pub struct HistSnapshot {
     /// 99th percentile.
     pub p99: f64,
     /// Raw bin counts.
-    pub bins: Vec<u64>,
+    pub bins: Bins,
 }
 
 impl HistSnapshot {
@@ -104,8 +104,69 @@ impl HistSnapshot {
             p50: 0.0,
             p95: 0.0,
             p99: 0.0,
-            bins: Vec::new(),
+            bins: Bins::default(),
         }
+    }
+}
+
+/// A histogram's bin counts, held as the span between the first and the
+/// last nonzero bin. A client run fills a handful of a histogram's
+/// hundreds of bins, so the zeros on either side are only counted.
+/// Serialization writes, and `Debug` prints, the dense list; parsing
+/// trims it again, so equal dense lists give equal values.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Bins {
+    /// Number of bins, zeros included.
+    len: u32,
+    /// Index of the first nonzero bin (0 when all are zero).
+    offset: u32,
+    /// The bins from the first to the last nonzero one.
+    span: Box<[u64]>,
+}
+
+impl Bins {
+    /// Trim a dense list of bin counts.
+    pub fn from_dense(dense: &[u64]) -> Self {
+        let len = u32::try_from(dense.len()).expect("fewer than 2^32 bins");
+        let Some(first) = dense.iter().position(|&c| c != 0) else {
+            return Bins {
+                len,
+                ..Bins::default()
+            };
+        };
+        let last = dense.iter().rposition(|&c| c != 0).unwrap_or(first);
+        Bins {
+            len,
+            offset: first as u32,
+            span: dense[first..=last].into(),
+        }
+    }
+
+    /// Every bin count in order, zeros included.
+    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        let lead = self.offset as usize;
+        let trail = self.len as usize - lead - self.span.len();
+        std::iter::repeat_n(0, lead)
+            .chain(self.span.iter().copied())
+            .chain(std::iter::repeat_n(0, trail))
+    }
+}
+
+impl fmt::Debug for Bins {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Serialize for Bins {
+    fn serialize(&self) -> Value {
+        Value::Seq(self.iter().map(|c| c.serialize()).collect())
+    }
+}
+
+impl Deserialize for Bins {
+    fn deserialize(v: &Value) -> Result<Self, DeError> {
+        Vec::<u64>::deserialize(v).map(|dense| Bins::from_dense(&dense))
     }
 }
 

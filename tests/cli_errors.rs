@@ -727,6 +727,53 @@ fn deeply_nested_artifacts_are_errors_not_crashes() {
     std::fs::remove_dir_all(&clean).ok();
 }
 
+/// Two directories holding the same unparsable `manifests.jsonl` are
+/// not identical runs: `diff-runs` refuses them, as `obs-report` and
+/// `alerts` do, and names the file. A `.prom` artifact is text, so the
+/// same bytes there still compare equal.
+#[test]
+fn diff_runs_refuses_identical_corrupt_artifacts() {
+    let deep = "[".repeat(50_000) + &"]".repeat(50_000) + "\n";
+    let truncated = "{\"schema\":1,\"trial\":0,\"fidelity\":{}}\n{\"schema\":1,\"tri\n";
+    let (a, b) = (temp_path("corrupt-a"), temp_path("corrupt-b"));
+    for manifests in [deep.as_str(), truncated] {
+        for dir in [&a, &b] {
+            std::fs::remove_dir_all(dir).ok();
+            std::fs::create_dir_all(dir).unwrap();
+            std::fs::write(dir.join("faults.jsonl"), "").unwrap();
+            std::fs::write(dir.join("manifests.jsonl"), manifests).unwrap();
+        }
+        let out = tracemod(&[
+            "diff-runs",
+            a.to_str().unwrap(),
+            b.to_str().unwrap(),
+            "--check",
+        ]);
+        let text = stderr_of(&out) + &String::from_utf8_lossy(&out.stdout);
+        assert_exit(&out, 1, "manifests.jsonl is not valid JSON");
+        assert!(!text.contains("runs identical"), "{text}");
+        assert!(!text.contains("panicked"), "{text}");
+
+        // The same two files, named directly.
+        let (fa, fb) = (a.join("manifests.jsonl"), b.join("manifests.jsonl"));
+        let out = tracemod(&["diff-runs", fa.to_str().unwrap(), fb.to_str().unwrap()]);
+        assert_exit(&out, 1, "manifests.jsonl is not valid JSON");
+    }
+    for dir in [&a, &b] {
+        std::fs::write(dir.join("manifests.jsonl"), "{\"trial\":0}\n").unwrap();
+        std::fs::write(dir.join("telemetry.prom"), truncated).unwrap();
+    }
+    let out = tracemod(&[
+        "diff-runs",
+        a.to_str().unwrap(),
+        b.to_str().unwrap(),
+        "--check",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{}", stderr_of(&out));
+    std::fs::remove_dir_all(&a).ok();
+    std::fs::remove_dir_all(&b).ok();
+}
+
 /// Run `tracemod` in `cwd`, so a command that writes relative paths
 /// writes them there.
 fn tracemod_in(cwd: &std::path::Path, args: &[&str]) -> Output {
