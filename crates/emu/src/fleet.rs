@@ -13,8 +13,8 @@
 //! [`fleet_run`] shards the clients into contiguous ranges, runs each
 //! shard as a [`TrialPlan`] cell (reusing the plan-order reassembly
 //! machinery, so shard outputs merge deterministically no matter how
-//! workers interleave), and concatenates the per-client
-//! [`RunManifest`]s in client order.
+//! workers interleave), and the shards deliver their per-client
+//! [`RunManifest`]s into one vector in client order.
 //!
 //! **Shard invariance.** A client's entire simulation depends only on
 //! plan parameters and its own client index: its channel and traffic
@@ -49,7 +49,10 @@ use netsim::{SimDuration, SimRng, SimTime};
 use netstack::{Direction, LinkShim, ShimRelease, ShimVerdict};
 use obs::fleet::FleetReport;
 use obs::telemetry::{FleetTelemetry, SamplePoint, TelemetryConfig};
-use obs::{FidelityThresholds, Hist, Profiler, RunManifest, RunnerSection};
+use obs::{
+    FidelityThresholds, Hist, MetricsRegistry, ModelInfo, Profiler, RunManifest, RunnerSection,
+};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use tracekit::{QualityTuple, ReplayTrace};
 use wavelan::{ChannelModel, Registry, Scenario, ScenarioPack};
 
@@ -196,14 +199,15 @@ impl FleetPlan {
         self.duration().as_nanos() + DRAIN_GRACE_NS
     }
 
-    /// The channel model family + canonical params governing `client`
-    /// — the pack's per-client spec for mixed fleets, otherwise the
-    /// scenario's own model identity. Pure function of the client
-    /// index, so attribution is shard-invariant.
-    pub fn model_info_for(&self, client: u32) -> (String, String) {
+    /// The identity (family + canonical params) of every channel model
+    /// the clients draw from: the pack's specs in declaration order, or
+    /// the scenario's own model. Built once per shard and shared by the
+    /// manifests of the clients on each.
+    fn models(&self) -> Vec<Arc<ModelInfo>> {
+        let info = |(family, params)| Arc::new(ModelInfo { family, params });
         match &self.pack {
-            Some(pack) => pack.spec_for_client(client).info(),
-            None => self.scenario.model_info(),
+            Some(pack) => pack.entries.iter().map(|e| info(e.spec.info())).collect(),
+            None => vec![info(self.scenario.model_info())],
         }
     }
 
@@ -247,7 +251,11 @@ fn client_replay(plan: &FleetPlan, client: u32) -> ReplayTrace {
     let mut rng = SimRng::seed_from_u64(client_seed(plan.seed, client, PURPOSE_CHANNEL));
     let mut model = client_model(plan, client, &mut rng);
     let duration_ns = plan.duration().as_nanos();
-    let mut replay = ReplayTrace::new(&format!("fleet/{}/{client}", plan.scenario.name));
+    // The modulator reads only the tuples, so the trace gets no label.
+    let mut replay = ReplayTrace {
+        source: String::new(),
+        tuples: Vec::with_capacity(duration_ns.div_ceil(TUPLE_CADENCE_NS) as usize),
+    };
     let mut t = 0u64;
     while t < duration_ns {
         let c = model.sample(SimTime::from_nanos(t), &mut rng);
@@ -313,12 +321,15 @@ impl ClientState {
         }
     }
 
-    /// The client's run manifest.
-    fn manifest(&self, plan: &FleetPlan, c: u32) -> RunManifest {
+    /// The client's run manifest, sharing its model's entry of `models`
+    /// ([`FleetPlan::models`]).
+    fn manifest(&self, plan: &FleetPlan, c: u32, models: &[Arc<ModelInfo>]) -> RunManifest {
         let mut man = RunManifest::new(plan.scenario.name, "fleet-probe", c);
-        let (family, params) = plan.model_info_for(c);
-        man.set_model(&family, &params);
+        let model = plan.pack.as_ref().map_or(0, |p| p.entry_for_client(c));
+        man.model = Some(Arc::clone(&models[model]));
         man.fidelity = self.m.fidelity();
+        // Room for exactly the ten counters and one histogram below.
+        man.metrics = MetricsRegistry::with_capacity(10, 0, 1);
         let mm = &mut man.metrics;
         mm.set_counter("fleet.probes_sent", self.probes_sent);
         mm.set_counter("fleet.rtts_completed", self.completed);
@@ -336,22 +347,87 @@ impl ClientState {
     }
 }
 
+/// The fleet's per-client manifests, which the shards of one run
+/// deliver in client order. The first shard's vector is adopted and
+/// grown once to hold every client; each later shard appends its own,
+/// and one that finishes before the shards ahead of it waits here until
+/// they have delivered. So the run never holds a second `clients`-long
+/// vector, nor every shard's vector beside the merged one.
+#[derive(Default)]
+struct ManifestSink {
+    state: Mutex<SinkState>,
+    delivered: Condvar,
+}
+
+#[derive(Default)]
+struct SinkState {
+    manifests: Vec<RunManifest>,
+    /// A shard unwound before delivering: the shards behind it would
+    /// wait forever, so they panic too.
+    abandoned: bool,
+}
+
+impl ManifestSink {
+    /// The state, also after a shard panicked holding it: each update
+    /// is one assignment or append, so it is never left half done.
+    fn lock(&self) -> std::sync::MutexGuard<'_, SinkState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Append the manifests of clients `first..` once every client
+    /// before `first` has been delivered; the first shard's vector is
+    /// reserved to hold all `clients`.
+    fn deliver(&self, first: u32, clients: u32, mut manifests: Vec<RunManifest>) {
+        let mut s = self
+            .delivered
+            .wait_while(self.lock(), |s| {
+                s.manifests.len() < first as usize && !s.abandoned
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        assert_eq!(
+            s.manifests.len(),
+            first as usize,
+            "shards deliver in client order, and none before client {first} panicked"
+        );
+        if first == 0 {
+            manifests.reserve_exact(clients as usize - manifests.len());
+            s.manifests = manifests;
+        } else {
+            s.manifests.append(&mut manifests);
+        }
+        drop(s);
+        self.delivered.notify_all();
+    }
+}
+
+/// Abandons its sink if dropped while the thread unwinds (see
+/// [`SinkState::abandoned`]).
+struct AbandonOnPanic<'a>(&'a ManifestSink);
+
+impl Drop for AbandonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().abandoned = true;
+            self.0.delivered.notify_all();
+        }
+    }
+}
+
 /// One shard of a fleet: the clients in `[lo, hi)` plus the fault
-/// configuration, packaged as a [`TrialPlan`] cell payload.
+/// configuration, packaged as a [`TrialPlan`] cell payload, and the
+/// run's manifest sink its clients' manifests go to.
 pub struct FleetShard {
     plan: FleetPlan,
     lo: u32,
     hi: u32,
     fault: (u64, FaultPlan),
+    sink: Arc<ManifestSink>,
 }
 
-/// Everything one shard produced.
+/// Everything one shard produced besides its manifests, which it
+/// delivers into the run's manifest sink.
 #[derive(Debug)]
 pub struct FleetShardOutcome {
-    /// First client index of the shard (merge-order check).
-    pub first_client: u32,
-    /// Per-client manifests, in client order.
-    pub manifests: Vec<RunManifest>,
     /// This shard's station traffic counters (summed into the fleet
     /// table on merge).
     pub stations: StationTable,
@@ -477,7 +553,9 @@ impl FleetShard {
     /// the first row kept), so memory is bounded by the kept series; the
     /// merge differences the fleet-wide sums once.
     pub fn run(&self, cell_index: usize) -> FleetShardOutcome {
+        let _abandon = AbandonOnPanic(&self.sink);
         let (plan, lo, hi) = (&self.plan, self.lo, self.hi);
+        let models = plan.models();
         let (seed, fplan) = &self.fault;
         let mut injector = FaultInjector::new(*seed, fplan, plan.end_ns());
         let duration_ns = plan.duration().as_nanos();
@@ -651,12 +729,13 @@ impl FleetShard {
                 p.exit("run");
                 p.enter("finalize");
             }
-            manifests.push(cl.manifest(plan, c));
+            manifests.push(cl.manifest(plan, c, &models));
             if let Some(p) = prof.as_mut() {
                 p.exit("finalize");
             }
         }
 
+        self.sink.deliver(lo, plan.clients, manifests);
         if let (Some(n), Some(mut dues)) = (kill_mark, dues) {
             if events > n {
                 injector.note_kill(
@@ -670,8 +749,6 @@ impl FleetShard {
         }
 
         FleetShardOutcome {
-            first_client: lo,
-            manifests,
             stations,
             events_processed: events,
             peak_queue_depth,
@@ -761,6 +838,7 @@ pub fn fleet_run_chaos(
     fault_seed: u64,
     fault_plan: &FaultPlan,
 ) -> FleetOutcome {
+    let sink = Arc::new(ManifestSink::default());
     let mut tp = TrialPlan::new();
     for (i, (lo, hi)) in plan.shard_ranges().into_iter().enumerate() {
         tp.push(TrialCell {
@@ -772,6 +850,7 @@ pub fn fleet_run_chaos(
                 lo,
                 hi,
                 fault: (fault_seed, fault_plan.clone()),
+                sink: Arc::clone(&sink),
             }),
         });
     }
@@ -779,9 +858,8 @@ pub fn fleet_run_chaos(
     let wall = results.metrics.wall_secs;
     let worker_utilization = results.metrics.worker_utilization();
 
-    // The first shard's manifests become the outcome's, grown once to
-    // hold the rest: no second `clients`-long vector beside the shards'.
-    let mut manifests: Vec<RunManifest> = Vec::new();
+    let manifests = std::mem::take(&mut sink.lock().manifests);
+    debug_assert_eq!(manifests.len(), plan.clients as usize);
     let mut stations = StationTable::for_fleet(plan.clients, plan.stations, STATION_ALPHA);
     let mut faults = Vec::new();
     let mut counters = FaultCounters::default();
@@ -791,17 +869,6 @@ pub fn fleet_run_chaos(
     let mut readings: Option<Vec<SamplePoint>> = None;
     let mut profile: Option<Profiler> = None;
     for mut shard in results.into_fleet_outcomes() {
-        debug_assert_eq!(
-            shard.first_client,
-            manifests.len() as u32,
-            "shards merge in client order"
-        );
-        if manifests.is_empty() {
-            manifests = std::mem::take(&mut shard.manifests);
-            manifests.reserve_exact((plan.clients as usize).saturating_sub(manifests.len()));
-        } else {
-            manifests.append(&mut shard.manifests);
-        }
         stations.merge(&shard.stations);
         faults.append(&mut shard.faults);
         counters.add(&shard.counters);
@@ -894,6 +961,62 @@ mod tests {
             a.tuples[0].latency_ns, b.tuples[0].latency_ns,
             "per-client channel realizations must differ"
         );
+    }
+
+    /// Deliver each of `ranges`' manifests (trial = client index) from
+    /// its own thread, in `order`: each thread is started once the one
+    /// before it has signalled that it is calling the sink, so the later
+    /// shards come first and wait. Shard `panics` panics instead of
+    /// delivering. Whatever the threads' interleaving past that, the
+    /// sink's output must be the same.
+    fn deliver_out_of_order(
+        sink: &ManifestSink,
+        ranges: &[(u32, u32)],
+        order: &[usize],
+        panics: Option<usize>,
+    ) {
+        let clients = ranges.last().map_or(0, |r| r.1);
+        std::thread::scope(|scope| {
+            for &shard in order {
+                let (lo, hi) = ranges[shard];
+                let (calling, called) = std::sync::mpsc::channel();
+                scope.spawn(move || {
+                    let _abandon = AbandonOnPanic(sink);
+                    let manifests = (lo..hi).map(|c| RunManifest::new("s", "b", c)).collect();
+                    calling.send(()).expect("the test thread waits for this");
+                    assert_ne!(Some(shard), panics, "shard {shard} panics");
+                    sink.deliver(lo, clients, manifests);
+                });
+                called.recv().expect("each shard signals first");
+            }
+        });
+    }
+
+    #[test]
+    fn the_sink_puts_shards_delivered_out_of_order_in_client_order() {
+        let sink = ManifestSink::default();
+        let ranges = [(0, 3), (3, 5), (5, 9), (9, 10)];
+        deliver_out_of_order(&sink, &ranges, &[3, 1, 0, 2], None);
+        let manifests = std::mem::take(&mut sink.lock().manifests);
+        let trials: Vec<u32> = manifests.iter().map(|m| m.trial).collect();
+        assert_eq!(trials, (0..10).collect::<Vec<_>>());
+        assert_eq!(
+            manifests.capacity(),
+            10,
+            "the first shard's vector, reserved once"
+        );
+    }
+
+    #[test]
+    fn a_shard_that_panics_fails_the_shards_waiting_behind_it() {
+        // Shard 2, already waiting for shard 1, must fail instead of
+        // waiting forever.
+        let sink = ManifestSink::default();
+        let run = std::panic::catch_unwind(|| {
+            deliver_out_of_order(&sink, &[(0, 2), (2, 3), (3, 4)], &[2, 0, 1], Some(1));
+        });
+        assert!(run.is_err());
+        assert_eq!(sink.lock().manifests.len(), 2, "only shard 0 delivered");
     }
 
     #[test]
@@ -1047,6 +1170,10 @@ mod tests {
             .unwrap()
             .params
             .contains("operator=op2"));
+        // Clients on one spec share its model identity.
+        let model = |c: usize| serial.manifests[c].model.as_ref().expect("set per client");
+        assert!(Arc::ptr_eq(model(0), model(1)));
+        assert!(!Arc::ptr_eq(model(0), model(3)));
         // Mixed fleets keep the byte-identity guarantee.
         let sharded = fleet_run(&plan.clone().with_shards(4), &Exec::with_workers(2));
         let a: Vec<String> = serial

@@ -134,8 +134,9 @@ pub enum CellOutput {
     /// ledger (boxed: the run manifest makes this by far the largest
     /// variant).
     LiveModulated(Box<LiveModOutcome>),
-    /// One fleet shard's manifests and counters (boxed: a shard can
-    /// carry thousands of per-client manifests).
+    /// One fleet shard's counters, telemetry rows and fault log (boxed,
+    /// like the live-pipeline outcome); its manifests go to the fleet's
+    /// manifest sink.
     Fleet(Box<crate::fleet::FleetShardOutcome>),
     /// Results of a custom cell.
     Runs(Vec<RunResult>),

@@ -510,7 +510,7 @@ pub fn live_modulated_run(
     let counters = *injector.counters();
     m.set_counter("fault.injected_total", counters.injected_total());
     for (name, v) in counters.entries() {
-        m.set_counter(&format!("fault.{name}"), v);
+        m.set_counter(format!("fault.{name}"), v);
     }
     manifest.metrics = m;
 

@@ -147,18 +147,11 @@ impl FleetReport {
                 }
             }
         }
-        let tallies: Vec<(String, u64)> = r
-            .models
-            .iter()
-            .map(|u| {
-                (
-                    format!("fleet.model_clients.{}", u.family),
-                    u.clients as u64,
-                )
-            })
-            .collect();
-        for (name, n) in tallies {
-            r.metrics.add_counter(&name, n);
+        for u in &r.models {
+            r.metrics.add_counter(
+                format!("fleet.model_clients.{}", u.family),
+                u.clients as u64,
+            );
         }
         if r.released_packets > 0 {
             r.deadline_miss_rate = r.deadline_misses as f64 / r.released_packets as f64;

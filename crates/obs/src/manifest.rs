@@ -6,7 +6,9 @@ use crate::alerts::{evaluate, AlertInputs, RuleSet, Severity};
 use crate::fidelity::FidelityReport;
 use crate::registry::MetricsRegistry;
 use serde::{Deserialize, Serialize, Value};
+use std::borrow::Cow;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Manifest schema version, bumped on incompatible layout changes.
 pub const MANIFEST_SCHEMA: u32 = 1;
@@ -56,14 +58,19 @@ pub struct ModelInfo {
 
 /// The machine-readable record of one emulation run: deterministic
 /// sim-path metrics and fidelity self-check.
+///
+/// A fleet keeps one per client, so the names every client shares are
+/// not copied into each: the scenario and benchmark names borrow
+/// `'static` strings and the model identity is shared (parsed
+/// manifests own theirs).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunManifest {
     /// Schema version ([`MANIFEST_SCHEMA`]).
     pub schema: u32,
     /// Scenario name (e.g. `"porter_walk"`).
-    pub scenario: String,
+    pub scenario: Cow<'static, str>,
     /// Benchmark/workload name driving the run.
-    pub benchmark: String,
+    pub benchmark: Cow<'static, str>,
     /// Trial index within the scenario.
     pub trial: u32,
     /// Stage-prefixed deterministic metrics
@@ -74,7 +81,7 @@ pub struct RunManifest {
     /// The channel model behind this run (deterministic; part of the
     /// byte-identity surface). Absent in pre-registry manifests.
     #[serde(default)]
-    pub model: Option<ModelInfo>,
+    pub model: Option<Arc<ModelInfo>>,
     /// Wall-clock runner section. A run manifest reads no wall clock,
     /// so no run fills it and the deterministic form writes `null`; the
     /// field is part of the manifest schema.
@@ -84,11 +91,15 @@ pub struct RunManifest {
 
 impl RunManifest {
     /// An empty manifest for the given run identity.
-    pub fn new(scenario: &str, benchmark: &str, trial: u32) -> Self {
+    pub fn new(
+        scenario: impl Into<Cow<'static, str>>,
+        benchmark: impl Into<Cow<'static, str>>,
+        trial: u32,
+    ) -> Self {
         RunManifest {
             schema: MANIFEST_SCHEMA,
-            scenario: scenario.to_string(),
-            benchmark: benchmark.to_string(),
+            scenario: scenario.into(),
+            benchmark: benchmark.into(),
             trial,
             metrics: MetricsRegistry::new(),
             fidelity: FidelityReport::empty(),
@@ -99,10 +110,10 @@ impl RunManifest {
 
     /// Record the channel model behind this run.
     pub fn set_model(&mut self, family: &str, params: &str) {
-        self.model = Some(ModelInfo {
+        self.model = Some(Arc::new(ModelInfo {
             family: family.to_string(),
             params: params.to_string(),
-        });
+        }));
     }
 
     /// Parse a manifest from JSON.

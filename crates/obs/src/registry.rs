@@ -3,6 +3,7 @@
 
 use crate::metrics::HistSnapshot;
 use serde::{DeError, Deserialize, Serialize, Value};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A snapshot of named metrics — counters (integers), gauges (floats),
@@ -12,7 +13,8 @@ use std::fmt;
 ///
 /// Every fleet client keeps one registry of a dozen entries, so each
 /// table is one key-sorted `Vec` searched by binary search rather than
-/// a tree of mostly empty nodes.
+/// a tree of mostly empty nodes, and a key given as a `&'static str`
+/// is kept borrowed rather than copied (parsed keys are owned).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: Table<u64>,
@@ -22,7 +24,7 @@ pub struct MetricsRegistry {
 
 /// One key-sorted table of named values.
 #[derive(Clone, PartialEq)]
-struct Table<T>(Vec<(String, T)>);
+struct Table<T>(Vec<(Cow<'static, str>, T)>);
 
 impl<T> Default for Table<T> {
     fn default() -> Self {
@@ -36,19 +38,19 @@ impl<T> Table<T> {
         Some(&self.0[i].1)
     }
 
-    fn set(&mut self, name: &str, v: T) {
-        match self.find(name) {
+    fn set(&mut self, name: Cow<'static, str>, v: T) {
+        match self.find(&name) {
             Ok(i) => self.0[i].1 = v,
-            Err(i) => self.0.insert(i, (name.to_string(), v)),
+            Err(i) => self.0.insert(i, (name, v)),
         }
     }
 
     fn find(&self, name: &str) -> Result<usize, usize> {
-        self.0.binary_search_by(|(k, _)| k.as_str().cmp(name))
+        self.0.binary_search_by(|(k, _)| k.as_ref().cmp(name))
     }
 
     fn iter(&self) -> impl Iterator<Item = (&str, &T)> {
-        self.0.iter().map(|(k, v)| (k.as_str(), v))
+        self.0.iter().map(|(k, v)| (k.as_ref(), v))
     }
 }
 
@@ -76,7 +78,7 @@ impl<T: Deserialize> Table<T> {
             .ok_or_else(|| DeError::new(format!("registry.{what}: expected object")))?;
         let mut out = Table(Vec::with_capacity(entries.len()));
         for (k, v) in entries {
-            out.set(k, T::deserialize(v)?);
+            out.set(Cow::Owned(k.clone()), T::deserialize(v)?);
         }
         Ok(out)
     }
@@ -88,28 +90,39 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// An empty registry with room for exactly this many counters,
+    /// gauges and histograms, for a caller that knows what it records.
+    pub fn with_capacity(counters: usize, gauges: usize, hists: usize) -> Self {
+        MetricsRegistry {
+            counters: Table(Vec::with_capacity(counters)),
+            gauges: Table(Vec::with_capacity(gauges)),
+            hists: Table(Vec::with_capacity(hists)),
+        }
+    }
+
     /// Set counter `name` to `v` (overwrites).
-    pub fn set_counter(&mut self, name: &str, v: u64) {
-        self.counters.set(name, v);
+    pub fn set_counter(&mut self, name: impl Into<Cow<'static, str>>, v: u64) {
+        self.counters.set(name.into(), v);
     }
 
     /// Add `v` to counter `name` (creating it at zero).
-    pub fn add_counter(&mut self, name: &str, v: u64) {
+    pub fn add_counter(&mut self, name: impl Into<Cow<'static, str>>, v: u64) {
+        let name = name.into();
         let c = &mut self.counters;
-        match c.find(name) {
+        match c.find(&name) {
             Ok(i) => c.0[i].1 += v,
-            Err(i) => c.0.insert(i, (name.to_string(), v)),
+            Err(i) => c.0.insert(i, (name, v)),
         }
     }
 
     /// Set gauge `name` to `v`.
-    pub fn set_gauge(&mut self, name: &str, v: f64) {
-        self.gauges.set(name, v);
+    pub fn set_gauge(&mut self, name: impl Into<Cow<'static, str>>, v: f64) {
+        self.gauges.set(name.into(), v);
     }
 
     /// Store a histogram snapshot under `name`.
-    pub fn set_hist(&mut self, name: &str, h: HistSnapshot) {
-        self.hists.set(name, h);
+    pub fn set_hist(&mut self, name: impl Into<Cow<'static, str>>, h: HistSnapshot) {
+        self.hists.set(name.into(), h);
     }
 
     /// Counter value, if present.

@@ -7,7 +7,9 @@
 //! * any insertion order of `set_*` and `add_counter` calls gives the
 //!   same JSON bytes;
 //! * counters add commutatively, to the sum of what was added;
-//! * a key that parsed JSON repeats keeps its last value.
+//! * a key that parsed JSON repeats keeps its last value;
+//! * a registry keyed by `&'static str` names equals, serializes and
+//!   prints like its own parsed copy, whose keys are owned.
 
 use obs::{Hist, MetricsRegistry};
 use proptest::collection::vec as pvec;
@@ -22,19 +24,55 @@ fn snapshot(r: &MetricsRegistry) -> String {
 /// `set_gauge` or `set_hist`, each over its own key names.
 fn apply(r: &mut MetricsRegistry, (kind, key, value): (u8, u8, u32)) {
     match kind {
-        0 => r.set_counter(&format!("set.c{key}"), u64::from(value)),
-        1 => r.add_counter(&format!("add.c{key}"), u64::from(value)),
-        2 => r.set_gauge(&format!("g{key}"), f64::from(value) / 8.0),
+        0 => r.set_counter(format!("set.c{key}"), u64::from(value)),
+        1 => r.add_counter(format!("add.c{key}"), u64::from(value)),
+        2 => r.set_gauge(format!("g{key}"), f64::from(value) / 8.0),
         _ => {
             let mut h = Hist::new(0.0, 1_000.0, 50);
             h.observe(f64::from(value));
-            r.set_hist(&format!("h{key}"), h.snapshot());
+            r.set_hist(format!("h{key}"), h.snapshot());
+        }
+    }
+}
+
+/// The static names [`apply_static`] records under.
+const STATIC_KEYS: [&str; 4] = ["a.count", "b.count", "m.level", "z.delay"];
+
+/// Apply one operation like [`apply`], under a static key.
+fn apply_static(r: &mut MetricsRegistry, (kind, key, value): (u8, u8, u32)) {
+    let name = STATIC_KEYS[usize::from(key) % STATIC_KEYS.len()];
+    match kind {
+        0 => r.set_counter(name, u64::from(value)),
+        1 => r.add_counter(name, u64::from(value)),
+        2 => r.set_gauge(name, f64::from(value) / 8.0),
+        _ => {
+            let mut h = Hist::new(0.0, 1_000.0, 50);
+            h.observe(f64::from(value));
+            r.set_hist(name, h.snapshot());
         }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Borrowed and owned keys are the same keys: the registry parsed
+    /// back from a static-keyed registry's JSON is equal to it, writes
+    /// the same bytes and prints the same `Debug`.
+    #[test]
+    fn static_keys_equal_their_parsed_owned_copies(
+        ops in pvec((0u8..4, 0u8..8, 0u32..1000), 0..32),
+    ) {
+        let mut r = MetricsRegistry::new();
+        for &op in &ops {
+            apply_static(&mut r, op);
+        }
+        let json = snapshot(&r);
+        let back: MetricsRegistry = serde_json::from_str(&json).expect("registry parses");
+        prop_assert_eq!(&back, &r);
+        prop_assert_eq!(snapshot(&back), json);
+        prop_assert_eq!(format!("{back:?}"), format!("{r:?}"));
+    }
 
     /// Recording the same operations in another order gives the same
     /// bytes. A `set_*` key is set once (a second set would overwrite,
@@ -76,18 +114,18 @@ proptest! {
     ) {
         let mut forward = MetricsRegistry::new();
         for &(k, v) in &adds {
-            forward.add_counter(&format!("c{k}"), u64::from(v));
+            forward.add_counter(format!("c{k}"), u64::from(v));
         }
         let mut backward = MetricsRegistry::new();
         for &(k, v) in adds.iter().rev() {
-            backward.add_counter(&format!("c{k}"), u64::from(v));
+            backward.add_counter(format!("c{k}"), u64::from(v));
         }
         let mut totals = BTreeMap::new();
         for &(k, v) in &adds {
             *totals.entry(format!("c{k}")).or_insert(0u64) += u64::from(v);
         }
         let mut set = MetricsRegistry::new();
-        for (k, &v) in &totals {
+        for (k, v) in totals {
             set.set_counter(k, v);
         }
         prop_assert_eq!(snapshot(&forward), snapshot(&backward));

@@ -527,15 +527,21 @@ impl ScenarioPack {
     /// over `client % total_share`, a pure function of the client index
     /// so the assignment is shard-invariant.
     pub fn spec_for_client(&self, client: u32) -> &ModelSpec {
+        &self.entries[self.entry_for_client(client)].spec
+    }
+
+    /// The index into [`entries`](Self::entries) of the spec governing
+    /// fleet client `client` (see [`spec_for_client`](Self::spec_for_client)).
+    pub fn entry_for_client(&self, client: u32) -> usize {
         let total: u64 = self.entries.iter().map(|e| e.share as u64).sum();
         let mut slot = client as u64 % total.max(1);
-        for e in &self.entries {
+        for (i, e) in self.entries.iter().enumerate() {
             if slot < e.share as u64 {
-                return &e.spec;
+                return i;
             }
             slot -= e.share as u64;
         }
-        &self.entries[0].spec
+        0
     }
 
     /// A [`Scenario`] stub carrying this pack, so every single-channel

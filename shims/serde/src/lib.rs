@@ -13,7 +13,9 @@
 
 pub use serde_derive::{Deserialize, Serialize};
 
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// A parsed or to-be-serialized data tree (the JSON data model).
 #[derive(Debug, Clone, PartialEq)]
@@ -267,6 +269,34 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
+impl<T: Serialize + ToOwned + ?Sized> Serialize for Cow<'_, T> {
+    fn serialize(&self) -> Value {
+        (**self).serialize()
+    }
+}
+
+/// A parsed `Cow` is always owned.
+impl<T: ToOwned + ?Sized> Deserialize for Cow<'_, T>
+where
+    T::Owned: Deserialize,
+{
+    fn deserialize(v: &Value) -> Result<Self, DeError> {
+        T::Owned::deserialize(v).map(Cow::Owned)
+    }
+}
+
+impl<T: Serialize + ?Sized> Serialize for Arc<T> {
+    fn serialize(&self) -> Value {
+        (**self).serialize()
+    }
+}
+
+impl<T: Deserialize> Deserialize for Arc<T> {
+    fn deserialize(v: &Value) -> Result<Self, DeError> {
+        T::deserialize(v).map(Arc::new)
+    }
+}
+
 macro_rules! impl_serde_tuple {
     ($(($($t:ident . $idx:tt),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
@@ -319,6 +349,12 @@ mod tests {
         assert_eq!(Option::<u32>::deserialize(&o.serialize()).unwrap(), None);
         let t = (1.25f64, 8u64);
         assert_eq!(<(f64, u64)>::deserialize(&t.serialize()).unwrap(), t);
+        let c: Cow<'static, str> = Cow::Borrowed("key");
+        let back = Cow::<'static, str>::deserialize(&c.serialize()).unwrap();
+        assert!(matches!(back, Cow::Owned(_)));
+        assert_eq!(back, c);
+        let a = Arc::new(3u8);
+        assert_eq!(Arc::<u8>::deserialize(&a.serialize()).unwrap(), a);
     }
 
     #[test]

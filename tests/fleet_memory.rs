@@ -19,17 +19,20 @@ use wavelan::Scenario;
 /// Clients in the measured fleet.
 const CLIENTS: u32 = 200;
 /// Peak live heap during `fleet_run` over the heap still live once it
-/// returns. One copy of the results measures 1.02 at one shard and 1.20
-/// at four (the first shard's vector grows to hold the rest); two
-/// copies, about 2.
+/// returns. One copy of the results measures 1.04 at one shard and 1.17
+/// at four (the first shard's vector grows to hold the rest, and each
+/// later shard holds its own until it appends it); two copies, about 2.
 const MAX_PEAK_OVER_RETAINED: f64 = 1.25;
-/// Heap allocations per client over the whole run (measured 56 at one
-/// shard, 57 at four).
-const MAX_ALLOCS_PER_CLIENT: u64 = 60;
+/// Heap allocations per client over the whole run (measured 34 at one
+/// shard and at four).
+const MAX_ALLOCS_PER_CLIENT: u64 = 40;
 /// Heap bytes a client's results keep once `fleet_run` returns
-/// (measured 1 736: trimmed histogram bins and flat metric tables; dense
-/// bins in tree maps kept 4 285).
-const MAX_RETAINED_PER_CLIENT: i64 = 2_048;
+/// (measured 944 at one shard, 945 at four: the manifest, its two
+/// exact-size metric tables and its two trimmed histogram bin boxes;
+/// names are static and the model identity shared; per-client name
+/// copies and spare table capacity kept 1 736, dense bins in tree maps
+/// 4 285).
+const MAX_RETAINED_PER_CLIENT: i64 = 1_024;
 
 /// Counts the allocations, and tracks the live and peak live bytes, of
 /// the thread that switched counting on. `cargo test` runs tests on
