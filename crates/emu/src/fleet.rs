@@ -52,7 +52,8 @@ use obs::telemetry::{FleetTelemetry, SamplePoint, TelemetryConfig};
 use obs::{
     FidelityThresholds, Hist, MetricsRegistry, ModelInfo, Profiler, RunManifest, RunnerSection,
 };
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 use tracekit::{QualityTuple, ReplayTrace};
 use wavelan::{ChannelModel, Registry, Scenario, ScenarioPack};
 
@@ -347,75 +348,34 @@ impl ClientState {
     }
 }
 
-/// The fleet's per-client manifests, which the shards of one run
-/// deliver in client order. The first shard's vector is adopted and
-/// grown once to hold every client; each later shard appends its own,
-/// and one that finishes before the shards ahead of it waits here until
-/// they have delivered. So the run never holds a second `clients`-long
-/// vector, nor every shard's vector beside the merged one.
+/// The fleet's per-client manifests in client order, and the vectors
+/// of shards that arrived early, by first client. The first shard's
+/// vector is adopted and grown once to hold every client, and each later
+/// one is appended once the clients before it are in, so no shard waits.
 #[derive(Default)]
-struct ManifestSink {
-    state: Mutex<SinkState>,
-    delivered: Condvar,
-}
-
-#[derive(Default)]
-struct SinkState {
-    manifests: Vec<RunManifest>,
-    /// A shard unwound before delivering: the shards behind it would
-    /// wait forever, so they panic too.
-    abandoned: bool,
-}
+struct ManifestSink(Mutex<(Manifests, BTreeMap<u32, Manifests>)>);
+type Manifests = Vec<RunManifest>;
 
 impl ManifestSink {
-    /// The state, also after a shard panicked holding it: each update
-    /// is one assignment or append, so it is never left half done.
-    fn lock(&self) -> std::sync::MutexGuard<'_, SinkState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Append the manifests of clients `first..` once every client
-    /// before `first` has been delivered; the first shard's vector is
-    /// reserved to hold all `clients`.
-    fn deliver(&self, first: u32, clients: u32, mut manifests: Vec<RunManifest>) {
-        let mut s = self
-            .delivered
-            .wait_while(self.lock(), |s| {
-                s.manifests.len() < first as usize && !s.abandoned
-            })
-            .unwrap_or_else(PoisonError::into_inner);
-        assert_eq!(
-            s.manifests.len(),
-            first as usize,
-            "shards deliver in client order, and none before client {first} panicked"
-        );
-        if first == 0 {
-            manifests.reserve_exact(clients as usize - manifests.len());
-            s.manifests = manifests;
-        } else {
-            s.manifests.append(&mut manifests);
-        }
-        drop(s);
-        self.delivered.notify_all();
-    }
-}
-
-/// Abandons its sink if dropped while the thread unwinds (see
-/// [`SinkState::abandoned`]).
-struct AbandonOnPanic<'a>(&'a ManifestSink);
-
-impl Drop for AbandonOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.lock().abandoned = true;
-            self.0.delivered.notify_all();
+    /// Store the manifests of clients `first..`, then append every
+    /// stored vector that now follows on from the clients held.
+    fn deliver(&self, first: u32, clients: u32, manifests: Manifests) {
+        let mut guard = self.0.lock().expect("no shard panics delivering");
+        let (all, early) = &mut *guard;
+        early.insert(first, manifests);
+        while let Some(mut m) = early.remove(&(all.len() as u32)) {
+            if all.is_empty() {
+                m.reserve_exact(clients as usize - m.len());
+                *all = m;
+            } else {
+                all.append(&mut m);
+            }
         }
     }
 }
 
-/// One shard of a fleet: the clients in `[lo, hi)` plus the fault
-/// configuration, packaged as a [`TrialPlan`] cell payload, and the
-/// run's manifest sink its clients' manifests go to.
+/// One shard of a fleet: the clients in `[lo, hi)`, the fault
+/// configuration and the run's manifest sink, as a [`TrialPlan`] cell.
 pub struct FleetShard {
     plan: FleetPlan,
     lo: u32,
@@ -424,8 +384,8 @@ pub struct FleetShard {
     sink: Arc<ManifestSink>,
 }
 
-/// Everything one shard produced besides its manifests, which it
-/// delivers into the run's manifest sink.
+/// Everything one shard produced besides its manifests, which go to
+/// the run's manifest sink.
 #[derive(Debug)]
 pub struct FleetShardOutcome {
     /// This shard's station traffic counters (summed into the fleet
@@ -553,7 +513,6 @@ impl FleetShard {
     /// the first row kept), so memory is bounded by the kept series; the
     /// merge differences the fleet-wide sums once.
     pub fn run(&self, cell_index: usize) -> FleetShardOutcome {
-        let _abandon = AbandonOnPanic(&self.sink);
         let (plan, lo, hi) = (&self.plan, self.lo, self.hi);
         let models = plan.models();
         let (seed, fplan) = &self.fault;
@@ -858,7 +817,7 @@ pub fn fleet_run_chaos(
     let wall = results.metrics.wall_secs;
     let worker_utilization = results.metrics.worker_utilization();
 
-    let manifests = std::mem::take(&mut sink.lock().manifests);
+    let manifests = std::mem::take(&mut sink.0.lock().expect("all shards delivered").0);
     debug_assert_eq!(manifests.len(), plan.clients as usize);
     let mut stations = StationTable::for_fleet(plan.clients, plan.stations, STATION_ALPHA);
     let mut faults = Vec::new();
@@ -963,41 +922,16 @@ mod tests {
         );
     }
 
-    /// Deliver each of `ranges`' manifests (trial = client index) from
-    /// its own thread, in `order`: each thread is started once the one
-    /// before it has signalled that it is calling the sink, so the later
-    /// shards come first and wait. Shard `panics` panics instead of
-    /// delivering. Whatever the threads' interleaving past that, the
-    /// sink's output must be the same.
-    fn deliver_out_of_order(
-        sink: &ManifestSink,
-        ranges: &[(u32, u32)],
-        order: &[usize],
-        panics: Option<usize>,
-    ) {
-        let clients = ranges.last().map_or(0, |r| r.1);
-        std::thread::scope(|scope| {
-            for &shard in order {
-                let (lo, hi) = ranges[shard];
-                let (calling, called) = std::sync::mpsc::channel();
-                scope.spawn(move || {
-                    let _abandon = AbandonOnPanic(sink);
-                    let manifests = (lo..hi).map(|c| RunManifest::new("s", "b", c)).collect();
-                    calling.send(()).expect("the test thread waits for this");
-                    assert_ne!(Some(shard), panics, "shard {shard} panics");
-                    sink.deliver(lo, clients, manifests);
-                });
-                called.recv().expect("each shard signals first");
-            }
-        });
-    }
-
     #[test]
     fn the_sink_puts_shards_delivered_out_of_order_in_client_order() {
-        let sink = ManifestSink::default();
         let ranges = [(0, 3), (3, 5), (5, 9), (9, 10)];
-        deliver_out_of_order(&sink, &ranges, &[3, 1, 0, 2], None);
-        let manifests = std::mem::take(&mut sink.lock().manifests);
+        let sink = ManifestSink::default();
+        for shard in [3, 1, 0, 2] {
+            let (lo, hi) = ranges[shard];
+            let manifests = (lo..hi).map(|c| RunManifest::new("s", "b", c)).collect();
+            sink.deliver(lo, 10, manifests);
+        }
+        let manifests = std::mem::take(&mut sink.0.lock().unwrap().0);
         let trials: Vec<u32> = manifests.iter().map(|m| m.trial).collect();
         assert_eq!(trials, (0..10).collect::<Vec<_>>());
         assert_eq!(
@@ -1005,18 +939,6 @@ mod tests {
             10,
             "the first shard's vector, reserved once"
         );
-    }
-
-    #[test]
-    fn a_shard_that_panics_fails_the_shards_waiting_behind_it() {
-        // Shard 2, already waiting for shard 1, must fail instead of
-        // waiting forever.
-        let sink = ManifestSink::default();
-        let run = std::panic::catch_unwind(|| {
-            deliver_out_of_order(&sink, &[(0, 2), (2, 3), (3, 4)], &[2, 0, 1], Some(1));
-        });
-        assert!(run.is_err());
-        assert_eq!(sink.lock().manifests.len(), 2, "only shard 0 delivered");
     }
 
     #[test]

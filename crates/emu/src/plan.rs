@@ -134,9 +134,8 @@ pub enum CellOutput {
     /// ledger (boxed: the run manifest makes this by far the largest
     /// variant).
     LiveModulated(Box<LiveModOutcome>),
-    /// One fleet shard's counters, telemetry rows and fault log (boxed,
-    /// like the live-pipeline outcome); its manifests go to the fleet's
-    /// manifest sink.
+    /// One fleet shard's outcome (boxed, like the live-pipeline one);
+    /// its manifests go to the fleet's manifest sink.
     Fleet(Box<crate::fleet::FleetShardOutcome>),
     /// Results of a custom cell.
     Runs(Vec<RunResult>),

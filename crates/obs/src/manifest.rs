@@ -58,11 +58,8 @@ pub struct ModelInfo {
 
 /// The machine-readable record of one emulation run: deterministic
 /// sim-path metrics and fidelity self-check.
-///
-/// A fleet keeps one per client, so the names every client shares are
-/// not copied into each: the scenario and benchmark names borrow
-/// `'static` strings and the model identity is shared (parsed
-/// manifests own theirs).
+/// A fleet keeps one per client, so names and the model are shared,
+/// not copied (parsed manifests own theirs).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunManifest {
     /// Schema version ([`MANIFEST_SCHEMA`]).
